@@ -407,6 +407,8 @@ class _ExprParser:
             out = self.ring.one()
             for _ in range(e):
                 out = self.ring.mul(out, el)
+                if not out:  # nilpotent above the dimension: stays zero
+                    break
             return out
         return el
 

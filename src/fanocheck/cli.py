@@ -12,7 +12,12 @@ import sys
 from . import chow as chowmod
 from . import corpus as corpusmod
 from . import delpezzo
-from .geometry import HypersurfaceVariety, parse_ambient, smoothness_verdict
+from .geometry import (
+    HypersurfaceVariety,
+    UnsupportedStratumError,
+    parse_ambient,
+    smoothness_verdict,
+)
 from .poly import AlgebraError, ParseError, VariableSet, delta1, parse_poly
 from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit, mono_str
 
@@ -69,7 +74,10 @@ def _cmd_delta1(args) -> int:
     vset = _parse_vars_spec(args.vars)
     f = parse_poly(args.poly, vset, args.prime)
     if args.probe:
-        a, b, s = _parse_int_list(args.probe, "--probe (need a,b,s)")[:3]
+        probe = _parse_int_list(args.probe, "--probe (need a,b,s)")
+        if len(probe) != 3:
+            raise InputError(f"bad --probe (need a,b,s): {args.probe!r}")
+        a, b, s = probe
         ring = HypersurfaceRing(args.prime, vset, f)
         print(delta1_probe(ring, a, b, s))
     else:
@@ -196,7 +204,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ParseError, AlgebraError,
-            corpusmod.CorpusFormatError, ValueError) as exc:
+            corpusmod.CorpusFormatError, UnsupportedStratumError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,11 @@ and Rabinowitsch-style localization tests.
 
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
 with both classical pruning criteria, and short-circuits to the unit ideal
-the moment any reduction produces a nonzero constant.  Reduced bases are
-unique for a fixed order, which keeps every downstream verdict
-deterministic.
+the moment any reduction produces a nonzero constant.  Pending pairs sit in
+a heap keyed by the order key of their lcm, computed once per pair, with
+the pair indices breaking ties; the selection order is the one a full scan
+for the smallest lcm would give.  Reduced bases are unique for a fixed
+order, which keeps every downstream verdict deterministic.
 
 Internally polynomials travel as plain {monomial: coefficient} dicts so the
 hot reduction loops stay allocation-light; the public API speaks
@@ -14,6 +16,7 @@ hot reduction loops stay allocation-light; the public API speaks
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
@@ -148,19 +151,24 @@ def _buchberger_raw(gens: Sequence, nvars: int, p: int, key) -> list:
         return []
 
     lms = [_lm(g, key) for g in basis]
+    # Heap entries (key(lcm), pair, lcm) pop smallest lcm first, ties by
+    # pair; the set mirrors the heap for the chain criterion's lookups.
     pending = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pending.add((i, j))
+    queue = []
 
-    def lcm_of(pair):
-        return mono_lcm(lms[pair[0]], lms[pair[1]])
+    def add_pair(i, j):
+        lij = mono_lcm(lms[i], lms[j])
+        pending.add((i, j))
+        heapq.heappush(queue, (key(lij), (i, j), lij))
 
-    while pending:
-        pair = min(pending, key=lambda pr: (key(lcm_of(pr)), pr))
+    for j in range(1, len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+
+    while queue:
+        _, pair, lij = heapq.heappop(queue)
         pending.discard(pair)
         i, j = pair
-        lij = lcm_of(pair)
         # product criterion: coprime leading monomials reduce to zero
         if lij == mono_mul(lms[i], lms[j]):
             continue
@@ -190,7 +198,7 @@ def _buchberger_raw(gens: Sequence, nvars: int, p: int, key) -> list:
         lms.append(_lm(s, key))
         t = len(basis) - 1
         for i2 in range(t):
-            pending.add((i2, t))
+            add_pair(i2, t)
 
     # minimalize: drop elements whose leading monomial another one divides
     keep = []

@@ -252,6 +252,22 @@ class TestExpressions:
         r = base_ring(2)
         assert expression_result_str(r, evaluate_expression(r, "deg(K^2)")) == "9"
 
+    def test_huge_power_of_nilpotent_class_is_zero(self):
+        r = base_ring(1, 1)
+        el = evaluate_expression(r, "h1^1000000000")
+        assert expression_result_str(r, el) == "0"
+
+    def test_power_stops_at_first_zero_product(self, monkeypatch):
+        r = base_ring(2)
+        calls = []
+        mul = r.mul
+        monkeypatch.setattr(r, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        assert expression_result_str(r, evaluate_expression(r, "deg(K^2)")) == "9"
+        assert len(calls) == 2
+        calls.clear()
+        assert expression_result_str(r, evaluate_expression(r, "K^7")) == "0"
+        assert len(calls) == 3
+
     def test_unary_minus_and_cancellation(self):
         r = base_ring(1, 1)
         assert evaluate_expression(r, "-h1 + h1") == {}

@@ -189,6 +189,15 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "x*y\n"
 
+    @pytest.mark.parametrize("probe", ["0,1", "0,1,2,9"])
+    def test_delta1_probe_needs_three_integers(self, probe, capsys):
+        rc = main(["delta1", "-p", "2", "--vars", "x,y", "--poly", "x + y",
+                   "--probe", probe])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "need a,b,s" in captured.err
+
     def test_smooth_command(self, capsys):
         rc = main(["smooth", "-p", "11", "--ambient", "P(1,1,1,1,3)",
                    "--vars", "x0,x1,x2,x3,y",
@@ -201,6 +210,13 @@ class TestCli:
                    "--poly", "x0^2"])
         assert rc == 0
         assert capsys.readouterr().out == "Singular\n"
+
+    def test_smooth_positive_dimensional_stratum_exit_code(self, capsys):
+        rc = main(["smooth", "-p", "5", "--ambient", "P(1,1,2,2)",
+                   "--poly", "x0^4+x1^4+x2^2+x3^2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "positive dimension" in err
 
     def test_chow_expr(self, capsys):
         rc = main(["chow", "--base", "1,2", "--expr", "deg((2*h1+3*h2)^3)"])

@@ -137,6 +137,19 @@ class TestVerdicts:
                     names=["x0", "x1", "x2", "x3", "y"])
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
 
+    def test_perturbed_sextic_double_solid_p11_smooth(self):
+        v = variety("P(1,1,1,1,3)",
+                    "x0^6 + x1^6 + x2^6 + x3^6 + y^2"
+                    " + 6*x0^3*x1*x3^2 + x0^2*x2^2*x3^2", 11,
+                    names=["x0", "x1", "x2", "x3", "y"])
+        assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
+
+    def test_perturbed_quartic_surface_p7_smooth(self):
+        v = variety("P(1,1,1,1)",
+                    "x0^4 + x1^4 + x2^4 + x3^4 + 6*x0^3*x2 + 6*x1*x2^2*x3"
+                    " + 6*x0*x3^3 + 2*x0^2*x1^2 + 3*x0^2*x1*x2 + 3*x0^2*x3^2", 7)
+        assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
+
     def test_wild_conic_p2_smooth(self):
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 2)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH

@@ -16,7 +16,12 @@ from fanocheck.ideals import (
     normal_form,
 )
 from fanocheck.poly import Polynomial, VariableSet, grevlex_key, parse_poly
-from helpers import common_zero_with_g_nonzero, random_nonzero_poly, random_poly
+from helpers import (
+    common_zero_with_g_nonzero,
+    random_homogeneous,
+    random_nonzero_poly,
+    random_poly,
+)
 
 VS2 = VariableSet.unit("x,y")
 VS3 = VariableSet.unit("x,y,z")
@@ -230,3 +235,55 @@ class TestLocalization:
                 # rare: zero exists only over a bigger extension; skip silently
                 continue
             checked += 1
+
+
+def _cubic_surface(rng, p, extra):
+    """Fermat cubic surface plus ``extra`` seeded cubic terms."""
+    vs = VariableSet.unit("x0,x1,x2,x3")
+    f = parse_poly("x0^3 + x1^3 + x2^3 + x3^3", vs, p)
+    return f + random_homogeneous(rng, vs, p, 3, max_terms=extra)
+
+
+def _jacobian_gens(f):
+    return [f] + [f.partial(name) for name in f.vars.names]
+
+
+def _differential_cases():
+    rng = random.Random(2404)
+    cases = []
+    for p in (5, 7):
+        for extra in (2, 3, 4):
+            cases.append(pytest.param(_jacobian_gens(_cubic_surface(rng, p, extra)),
+                                      id=f"cubic.p{p}.k{extra}"))
+    w = VariableSet.weighted(["x0", "x1", "x2", "x3", "y"], [1, 1, 1, 1, 2])
+    cover = parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + y^2 + x0*x1^2*x2 + 2*x3^2*y",
+                       w, 3)
+    cases.append(pytest.param(_jacobian_gens(cover), id="double_cover.P11112.p3"))
+    # a node at [1:0:0:0]; the chart x0 != 0 keeps a nonunit ideal
+    ts = VariableSet.unit("t,x0,x1,x2,x3")
+    node = parse_poly("x0*x1*x2 + x1^3 + x2^3 + x3^3", ts, 7)
+    chart = _jacobian_gens(node) + [mk("t*x0 - 1", 7, ts)]
+    cases.append(pytest.param(chart, id="node.chart_x0.p7"))
+    return cases
+
+
+@pytest.mark.parametrize("gens", _differential_cases())
+def test_reduced_basis_matches_sympy(gens):
+    sympy = pytest.importorskip("sympy")
+    vs, p = gens[0].vars, gens[0].p
+    syms = sympy.symbols(vs.names)
+
+    def to_sympy(f):
+        return sum(c * sympy.Mul(*(s ** e for s, e in zip(syms, m)))
+                   for m, c in f.terms.items())
+
+    ours = {frozenset(g.terms.items())
+            for g in PolyIdeal.from_polys(gens).groebner_basis()}
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *syms,
+                            modulus=p, order="grevlex")
+
+    def monic(g):
+        inv = pow(int(g.LC(order="grevlex")), -1, p)
+        return frozenset((m, int(c) * inv % p) for m, c in g.terms())
+
+    assert ours == {monic(g) for g in theirs.polys}
