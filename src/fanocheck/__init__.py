@@ -13,8 +13,6 @@ from .poly import (
     ZeroPolynomialError,
     delta1,
     parse_poly,
-    poly_mul,
-    poly_pow,
     pow_mod_frobenius,
     weighted_degree,
 )

@@ -302,17 +302,23 @@ def div_class_str(ring: IntersectionRing, cls: DivClass) -> str:
 # class expression mini-language (CLI and corpus checks)
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 200
+
+
 class _ExprParser:
     """expr := term (('+'|'-') term)*; term := factor ('*'? factor)*;
     factor := '-' factor | int | ident ['^' int] | '(' expr ')' | deg(expr).
 
     Identifiers: h1..hk, xi (bundle rings), K (the canonical class).
+    Factors nest at most MAX_NESTING deep (parentheses, deg() and unary
+    minus), so deep input is a ParseError, not a RecursionError.
     """
 
     def __init__(self, ring: IntersectionRing, tokens):
         self.ring = ring
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -365,6 +371,14 @@ class _ExprParser:
                 return el
 
     def factor(self) -> dict:
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.cur.pos)
+        self.depth += 1
+        el = self._factor()
+        self.depth -= 1
+        return el
+
+    def _factor(self) -> dict:
         tok = self.cur
         if self.accept("-"):
             return self.ring.scale(self.factor(), -1)

@@ -18,8 +18,8 @@ from .geometry import (
     parse_ambient,
     smoothness_verdict,
 )
-from .poly import AlgebraError, ParseError, VariableSet, delta1, parse_poly
-from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit, mono_str
+from .poly import AlgebraError, ParseError, VariableSet, delta1, mono_str, parse_poly
+from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit
 
 
 class InputError(Exception):

@@ -5,6 +5,13 @@ stores a dict mapping monomials to coefficients in {1, ..., p-1}; zero
 coefficients are never kept.  The canonical term order everywhere is graded
 reverse lexicographic (grevlex), ties broken towards earlier variables.
 
+Products, boxed powers and the Witt carry share one private kernel on
+packed monomials (Monagan & Pearce, CASC 2007): exponent i of a monomial
+sits in bits [i*width, (i+1)*width) of one int, the width leaving room for
+the largest exponent the result can reach plus a guard bit, so a product of
+monomials is one integer add and the box test "some exponent >= q" is one
+add and one mask.  Monomials are unpacked only to build the result.
+
 Exponents are capped at 2**16 so that products and powers fail loudly
 instead of silently blowing up.
 """
@@ -94,13 +101,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return out
 
 
-def mono_pow(a: Monomial, e: int) -> Monomial:
-    out = tuple(x * e for x in a)
-    if any(x >= EXPONENT_LIMIT for x in out):
-        raise ExponentOverflowError(f"exponent cap {EXPONENT_LIMIT} exceeded in {out}")
-    return out
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b."""
     return all(x <= y for x, y in zip(a, b))
@@ -113,6 +113,54 @@ def mono_div(b: Monomial, a: Monomial) -> Monomial:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# packed sparse kernel
+# ---------------------------------------------------------------------------
+
+def _pack(mono: Monomial, width: int) -> int:
+    m = 0
+    for e in reversed(mono):
+        m = (m << width) | e
+    return m
+
+
+def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0) -> dict:
+    """acc * factor with coefficients mod ``mod``, on packed monomials.
+
+    ``acc`` maps packed monomials to coefficients, ``factor`` is a list of
+    (packed monomial, coefficient) pairs.  With a box (``guard`` holds each
+    field's guard bit, ``off`` holds 2**bits - q in each field) a product
+    with some exponent >= q sets a guard bit in ``m + off`` and is dropped.
+    Dropping after every product is sound because the dropped monomials
+    generate an ideal: they can never contribute back inside the box.
+    Terms keep their first-seen order; zero coefficients are not kept.
+    """
+    out = {}
+    get = out.get
+    # two loops: the box test in the unboxed loop costs delta1 about 12%
+    if guard:
+        for mb, cb in factor:
+            for ma, ca in acc.items():
+                m = ma + mb
+                if not (m + off) & guard:
+                    out[m] = get(m, 0) + ca * cb
+    else:
+        for mb, cb in factor:
+            for ma, ca in acc.items():
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    return {m: c % mod for m, c in out.items() if c % mod}
+
+
+def _unpacked(f: "Polynomial", packed: dict, width: int) -> "Polynomial":
+    """A polynomial in f's ring from packed monomials; the constructor caps exponents."""
+    n = f.vars.n
+    mask = (1 << width) - 1
+    shifts = [i * width for i in range(n)]
+    return Polynomial(f.field, f.vars, {
+        tuple((m >> s) & mask for s in shifts): c for m, c in packed.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +230,16 @@ class VariableSet:
                 for c in range(len(out)):
                     out[c] += e * w[c]
         return tuple(out)
+
+
+def mono_str(variables: VariableSet, mono: Monomial, coeff: int = 1) -> str:
+    """One printed term: the coefficient unless it is 1, then x^e factors
+    joined by '*'; the unit monomial prints as its coefficient ("1")."""
+    factors = [name if e == 1 else f"{name}^{e}"
+               for name, e in zip(variables.names, mono) if e]
+    if coeff != 1 or not factors:
+        factors.insert(0, str(coeff))
+    return "*".join(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +366,13 @@ class Polynomial:
             return Polynomial(self.field, self.vars,
                               {m: c * other for m, c in self.terms.items()})
         self._check_compatible(other)
-        p = self.p
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = (out.get(m, 0) + ca * cb) % p
-        return Polynomial(self.field, self.vars, out)
+        top = max(map(max, self.terms), default=0) + max(map(max, other.terms), default=0)
+        width = top.bit_length() + 1
+        # the kernel's outer loop runs over the factor: self outermost keeps
+        # the terms in the order a self-by-other double loop meets them
+        acc = {_pack(m, width): c for m, c in other.terms.items()}
+        factor = [(_pack(m, width), c) for m, c in self.terms.items()]
+        return _unpacked(self, _mul_packed(acc, factor, self.p), width)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -353,21 +411,10 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------------
 
-    def _term_str(self, mono: Monomial, coeff: int) -> str:
-        factors = []
-        for name, e in zip(self.vars.names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if coeff != 1 or not factors:
-            factors.insert(0, str(coeff))
-        return "*".join(factors)
-
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(self._term_str(m, c) for m, c in self.sorted_terms())
+        return " + ".join(mono_str(self.vars, m, c) for m, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Polynomial(p={self.p}, {self})"
@@ -537,43 +584,14 @@ def weighted_degree(f: Polynomial) -> tuple:
     return deg
 
 
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_pow(f: Polynomial, e: int) -> Polynomial:
-    return f ** e
-
-
-def _box_filter(terms: dict, q: int) -> dict:
-    return {m: c for m, c in terms.items() if all(e < q for e in m)}
-
-
-def _mul_boxed(a: dict, b: dict, p: int, q: int) -> dict:
-    """Multiply coefficient dicts, dropping any monomial with an exponent >= q.
-
-    Dropping after every product is sound because the discarded monomials
-    generate an ideal: they can never contribute back below the cap.
-    """
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            if any(e >= q for e in m):
-                continue
-            v = (out.get(m, 0) + ca * cb) % p
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
 def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     """f**e reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q).
 
-    q must be a power of the characteristic.  Reduction happens after every
-    multiplication, which keeps intermediate supports inside the q-box.
+    q must be a power of the characteristic.  The power is built by
+    multiplying by f once per step, cutting the box after every product, and
+    stops at the first zero product.  In the q-box f^q is the constant term c
+    of f (Frobenius: c^q = c, and every other m^q is cut), so
+    f^e = c^(e // q) * f^(e mod q) and no power takes more than q - 1 products.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -585,71 +603,50 @@ def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
         s += 1
     if m != 1 or s < 1:
         raise ValueError(f"{q} is not a positive power of the characteristic {p}")
-    one = {(0,) * f.vars.n: 1}
-    result = one
-    base = _box_filter(f.terms, q)
-    while e:
-        if e & 1:
-            result = _mul_boxed(result, base, p, q)
-        e >>= 1
-        if e:
-            base = _mul_boxed(base, base, p, q)
-    return Polynomial(f.field, f.vars, result)
+    n = f.vars.n
+    hi, lo = divmod(e, q)
+    c = pow(f.terms.get((0,) * n, 0), hi, p)
+    bits = (q - 1).bit_length()  # 2**bits >= q; bit ``bits`` of a field is its guard
+    width = bits + 1
+    ones = sum(1 << (i * width) for i in range(n))
+    guard, off = ones << bits, ones * ((1 << bits) - q)
+    factor = [(_pack(m, width), a) for m, a in f.terms.items() if max(m) < q]
+    acc = {0: c} if c else {}
+    for _ in range(lo):
+        if not acc:
+            break
+        acc = _mul_packed(acc, factor, p, off, guard)
+    return _unpacked(f, acc, width)
 
 
 # ---------------------------------------------------------------------------
 # Witt carry
 # ---------------------------------------------------------------------------
 
-def _int_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            v = out.get(m, 0) + ca * cb
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _int_pow(a: dict, e: int, nvars: int) -> dict:
-    result = {(0,) * nvars: 1}
-    base = dict(a)
-    while e:
-        if e & 1:
-            result = _int_mul(result, base)
-        e >>= 1
-        if e:
-            base = _int_mul(base, base)
-    return result
-
-
 def delta1(f: Polynomial) -> Polynomial:
     """First Witt carry of f: ((sum of lifted terms)^p - sum of p-th powers)/p mod p.
 
     Each coefficient lifts to its canonical representative in 0..p-1; the
     difference is divisible by p over the integers by the multinomial
-    theorem, so the division below is exact.  A single-term polynomial has
-    carry zero.
+    theorem, so the division below is exact.  Only the carry mod p is
+    wanted, so the p-th power is expanded with coefficients mod p^2.  A
+    single-term polynomial has carry zero.
     """
     p = f.p
-    n = f.vars.n
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
-    lifted = dict(f.terms)  # canonical lifts already
-    total = _int_pow(lifted, p, n)
-    for mono, c in lifted.items():
-        mp = mono_pow(mono, p)
-        v = total.get(mp, 0) - c ** p
-        if v:
-            total[mp] = v
-        elif mp in total:
-            del total[mp]
-    out = {}
-    for mono, c in total.items():
+    mod = p * p
+    width = (p * max(map(max, f.terms))).bit_length() + 1
+    factor = [(_pack(m, width), c) for m, c in f.terms.items()]
+    total = {0: 1}
+    for _ in range(p):
+        total = _mul_packed(total, factor, mod)
+    for m, c in factor:
+        mp = m * p
+        total[mp] = total.get(mp, 0) - c ** p
+    for m, c in total.items():
+        c %= mod
         if c % p:
             raise AlgebraError("Witt carry division was not exact; this is a bug")
-        out[mono] = (c // p) % p
-    return Polynomial(f.field, f.vars, out)
+        total[m] = c // p
+    return _unpacked(f, total, width)

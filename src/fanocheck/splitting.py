@@ -22,6 +22,7 @@ from .poly import (
     as_prime,
     delta1,
     grevlex_key,
+    mono_str,
     pow_mod_frobenius,
     weighted_degree,
 )
@@ -88,16 +89,6 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     db = pow_mod_frobenius(delta1(ring.f), b, q)
     prod = fa * db
     return pow_mod_frobenius(prod, 1, q)
-
-
-def mono_str(variables: VariableSet, mono: Monomial) -> str:
-    parts = []
-    for name, e in zip(variables.names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)

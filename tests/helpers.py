@@ -8,6 +8,7 @@ slow but obviously correct.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from fanocheck.poly import Polynomial, VariableSet, parse_poly
@@ -65,11 +66,50 @@ def random_homogeneous(rng: random.Random, vset: VariableSet, p: int,
             return f
 
 
+def int_power(terms: dict, e: int, nvars: int) -> dict:
+    """(sum of c*m)^e over the integers, one factor at a time, on exponent tuples."""
+    out = {(0,) * nvars: 1}
+    for _ in range(e):
+        nxt = {}
+        for ma, ca in out.items():
+            for mb, cb in terms.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                nxt[m] = nxt.get(m, 0) + ca * cb
+        out = {m: c for m, c in nxt.items() if c}
+    return out
+
+
 def pow_then_filter(f: Polynomial, e: int, q: int) -> Polynomial:
     """Oracle for pow_mod_frobenius: full power first, drop high exponents after."""
-    full = f ** e
-    kept = {m: c for m, c in full.terms.items() if all(x < q for x in m)}
+    full = int_power(f.terms, e, f.vars.n)
+    kept = {m: c for m, c in full.items() if all(x < q for x in m)}
     return Polynomial(f.field, f.vars, kept)
+
+
+def naive_delta1(f: Polynomial) -> Polynomial:
+    """Oracle for delta1 by the multinomial theorem over the integers.
+
+    Sums multinomial(p; k) * prod c_i^k_i * m_i^k_i over the compositions k
+    of p into one part per term, leaving out the pure p-th powers (some
+    k_i = p), and divides by p exactly.
+    """
+    p, n = f.p, f.vars.n
+    items = list(f.terms.items())
+    t = len(items)
+    total = {}
+    if t:
+        for bars in itertools.combinations(range(p + t - 1), t - 1):
+            ks = [b - a - 1 for a, b in zip((-1,) + bars, bars + (p + t - 1,))]
+            if max(ks) == p:
+                continue
+            coeff, used = 1, 0
+            for (_, c), k in zip(items, ks):
+                used += k
+                coeff *= math.comb(used, k) * c ** k
+            mono = tuple(sum(k * m[j] for (m, _), k in zip(items, ks)) for j in range(n))
+            total[mono] = total.get(mono, 0) + coeff
+    assert all(c % p == 0 for c in total.values())
+    return Polynomial(f.field, f.vars, {m: c // p for m, c in total.items()})
 
 
 def common_zero_with_g_nonzero(gens, g, qs) -> bool:

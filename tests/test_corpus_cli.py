@@ -229,6 +229,22 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "-3*xi - h1 - h2\n"
 
+    @pytest.mark.parametrize("expr", ["(" * 5000 + "h1" + ")" * 5000,
+                                      "-" * 5000 + "h1",
+                                      "deg(" * 300 + "h1" + ")" * 300])
+    def test_chow_expr_nested_too_deeply(self, expr, capsys):
+        rc = main(["chow", "--base", "1,1", f"--expr={expr}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expression nested too deeply")
+
+    def test_chow_expr_nesting_below_the_limit(self, capsys):
+        # 199 parentheses around h1 make 200 nested factors: the limit itself
+        rc = main(["chow", "--base", "1,1", "--expr", "(" * 199 + "h1" + ")" * 199])
+        assert rc == 0
+        assert capsys.readouterr().out == "h1\n"
+
     def test_chow_requires_exactly_one_mode(self, capsys):
         assert main(["chow", "--base", "1,1"]) == 2
         capsys.readouterr()

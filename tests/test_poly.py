@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fanocheck.poly as poly_module
 from fanocheck.poly import (
     ExponentOverflowError,
     NonHomogeneousError,
@@ -14,17 +15,18 @@ from fanocheck.poly import (
     delta1,
     grevlex_key,
     parse_poly,
-    poly_pow,
     pow_mod_frobenius,
     weighted_degree,
 )
-from helpers import pow_then_filter, random_homogeneous, random_poly
+from helpers import int_power, naive_delta1, pow_then_filter, random_homogeneous, random_poly
 
 
 VS3 = VariableSet.unit("x0,x1,x2")
 VS_XY = VariableSet.unit("x,y")
 VS_XYZ = VariableSet.unit("x,y,z")
 VS_W = VariableSet.weighted("x0,x1,x2,x3,y", [1, 1, 1, 1, 3])
+VS_MULTI = VariableSet(("x0", "x1", "y0", "y1", "y2"),
+                       ((1, 0), (1, 0), (0, 1), (0, 1), (0, 1)))
 
 
 class TestPrime:
@@ -180,6 +182,71 @@ class TestPowModFrobenius:
             q = p ** s
             assert pow_mod_frobenius(f, e, q) == pow_then_filter(f, e, q)
 
+    @staticmethod
+    def _count_products(monkeypatch):
+        calls = []
+        kernel = poly_module._mul_packed
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(poly_module, "_mul_packed", counting)
+        return calls
+
+    def test_huge_exponent_uses_the_constant_term(self, monkeypatch):
+        # in the q-box f^q is the constant term c, so f^e = c^(e//q) * f^(e mod q)
+        calls = self._count_products(monkeypatch)
+        f = parse_poly("1 + x", VS_XY, 5)
+        assert pow_mod_frobenius(f, 10**9, 5) == Polynomial.constant(5, VS_XY, 1)
+        assert not calls
+        g = parse_poly("2 + x", VS_XY, 5)
+        e = 10**9 + 3
+        assert pow_mod_frobenius(g, e, 5) == pow(2, e // 5, 5) * pow_then_filter(g, 3, 5)
+        assert len(calls) == 3
+
+    def test_power_stops_at_first_zero_product(self, monkeypatch):
+        calls = self._count_products(monkeypatch)
+        f = parse_poly("x^3", VS_XY, 5)
+        # x^24 is the last power inside the 25-box; the 9th product cuts x^27
+        assert pow_mod_frobenius(f, 20, 25).is_zero
+        assert len(calls) == 9
+
+
+class TestKernelOracles:
+    """delta1 and the boxed power against oracles on exponent tuples."""
+
+    @pytest.mark.parametrize("vs", [VS_W, VS_MULTI], ids=["weighted", "multigraded"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_seeded_against_tuple_oracles(self, p, vs):
+        rng = random.Random(7919 * p + vs.ncomponents)
+        # the full-expansion oracle is slow past e ~ 30, so p^2-boxes stop at 25
+        qs = [q for q in (p, p * p) if q <= 25] or [p]
+        for _ in range(20):
+            f = random_poly(rng, vs, p, max_terms=4, max_exp=3)
+            assert delta1(f) == naive_delta1(f)
+            for q in qs:
+                e = rng.choice([rng.randint(0, q - 1), q + rng.randint(0, 3)])
+                assert pow_mod_frobenius(f, e, q) == pow_then_filter(f, e, q)
+
+    def test_delta1_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4242)
+        for p in (2, 3, 5, 7, 11):
+            for vs in (VS_W, VS_MULTI):
+                f = random_poly(rng, vs, p, max_terms=5, max_exp=2)
+                if f.num_terms < 2:
+                    continue
+                gens = sympy.symbols(vs.names)
+                lifted = sympy.Poly.from_dict(f.terms, gens, domain=sympy.ZZ)
+                pure = sympy.Poly.from_dict(
+                    {tuple(p * e for e in m): c ** p for m, c in f.terms.items()},
+                    gens, domain=sympy.ZZ)
+                total = lifted ** p - pure
+                assert all(c % p == 0 for c in total.coeffs())
+                expect = Polynomial(p, vs, {m: int(c) // p for m, c in total.terms()})
+                assert delta1(f) == expect
+
 
 class TestDelta1:
     def test_two_terms_p2(self):
@@ -218,11 +285,14 @@ class TestDelta1:
         f = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + y^2", VS_W, 5)
         assert weighted_degree(delta1(f)) == (30,)
 
+    def test_exponent_cap_still_raises(self):
+        # the carry of x^700 + y reaches x^(96*700), past the 2**16 cap
+        with pytest.raises(ExponentOverflowError):
+            delta1(parse_poly("x^700 + y", VS_XY, 97))
+
     def test_witt_addition_law_disjoint_supports(self):
         # delta1(f+g) - delta1(f) - delta1(g) == ((f~+g~)^p - f~^p - g~^p)/p
         # for term-disjoint f and g, lifting coefficients to 0..p-1
-        from fanocheck.poly import _int_pow
-
         rng = random.Random(31337)
         for _ in range(40):
             p = rng.choice([2, 3, 5])
@@ -236,9 +306,9 @@ class TestDelta1:
             lifted_sum = dict(f.terms)
             for m, c in g.terms.items():
                 lifted_sum[m] = lifted_sum.get(m, 0) + c
-            total = _int_pow(lifted_sum, p, 2)
+            total = int_power(lifted_sum, p, 2)
             for part in (f.terms, g.terms):
-                for m, c in _int_pow(part, p, 2).items():
+                for m, c in int_power(part, p, 2).items():
                     total[m] = total.get(m, 0) - c
             carry = Polynomial(p, VS_XY, {m: (c // p) % p for m, c in total.items()
                                           if c % p == 0 and c // p})

@@ -8,6 +8,7 @@ from fanocheck.poly import (
     VariableSet,
     delta1,
     grevlex_key,
+    mono_str,
     parse_poly,
     pow_mod_frobenius,
     weighted_degree,
@@ -20,7 +21,6 @@ from fanocheck.splitting import (
     fedder_fsplit,
     fedder_report,
     fedder_residue,
-    mono_str,
 )
 from helpers import pow_then_filter, random_nonzero_poly
 
@@ -199,3 +199,7 @@ class TestMonoStr:
         vs = VariableSet.unit("x,y,z")
         assert mono_str(vs, (0, 0, 0)) == "1"
         assert mono_str(vs, (1, 0, 2)) == "x*z^2"
+        # the same helper prints the terms of str(Polynomial)
+        assert mono_str(vs, (0, 0, 0), 3) == "3"
+        assert mono_str(vs, (1, 0, 2), 4) == "4*x*z^2"
+        assert str(Polynomial(5, vs, {(0, 0, 0): 1, (1, 0, 2): 4})) == "4*x*z^2 + 1"
