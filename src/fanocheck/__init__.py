@@ -18,15 +18,10 @@ from .poly import (
 )
 from .ideals import (
     GroebnerBasis,
-    MonomialIdeal,
     PolyIdeal,
     buchberger,
-    frobenius_power,
-    ideal_membership,
     ideal_quotient,
-    is_unit_ideal,
     localized_is_unit,
-    monomial_ideal_contains,
     normal_form,
 )
 from .splitting import (
@@ -60,11 +55,9 @@ from .chow import (
     SplitBundleSpec,
     canonical_class,
     chern_top_degree,
-    hypersurface_degree,
     intersect,
     omega_twist_factors,
     section_class,
-    verify_linear_identity,
 )
 from .delpezzo import (
     LatticeClass,
@@ -73,7 +66,6 @@ from .delpezzo import (
     count_compatible_exceptionals,
     enumerate_classes,
     fano_lines,
-    is_full_plane_config,
     langer_neg2_classes,
     pgl_orbit_canonical,
 )

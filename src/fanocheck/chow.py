@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import ParseError, Token, tokenize
+from .poly import ParseError, _parse_uint, _TokenStream, tokenize
 
 
 class DimensionMismatchError(ValueError):
@@ -229,15 +229,6 @@ def intersect(ring: IntersectionRing, classes: Sequence[DivClass]) -> int:
     return ring.degree(el)
 
 
-def hypersurface_degree(ring: IntersectionRing, x_class: DivClass,
-                        classes: Sequence[DivClass]) -> int:
-    """Degree of dim-1 divisor classes restricted to the hypersurface X."""
-    if len(classes) != ring.dimension - 1:
-        raise DimensionMismatchError(
-            f"need {ring.dimension - 1} classes, got {len(classes)}")
-    return intersect(ring, list(classes) + [x_class])
-
-
 def canonical_class(ring: IntersectionRing) -> DivClass:
     """Canonical class: relative Euler sequence on top of the base factors."""
     base_part = [-(n + 1) for n in ring.base.dims]
@@ -284,16 +275,6 @@ def omega_twist_factors(base: ProductBase, twist: DivClass) -> list:
     return out
 
 
-def verify_linear_identity(ring: IntersectionRing, lhs: DivClass,
-                           rhs: DivClass) -> bool:
-    """Componentwise equality of two integer divisor classes."""
-    if len(lhs.h) != ring.k or len(rhs.h) != ring.k:
-        raise DimensionMismatchError("class shape does not match the ring")
-    if (lhs.xi or rhs.xi) and not ring.bundle:
-        raise DimensionMismatchError("xi coefficient in a ring without a bundle")
-    return lhs.h == rhs.h and lhs.xi == rhs.xi
-
-
 def div_class_str(ring: IntersectionRing, cls: DivClass) -> str:
     return ring.element_str(ring.class_element(cls))
 
@@ -305,7 +286,7 @@ def div_class_str(ring: IntersectionRing, cls: DivClass) -> str:
 MAX_NESTING = 200
 
 
-class _ExprParser:
+class _ExprParser(_TokenStream):
     """expr := term (('+'|'-') term)*; term := factor ('*'? factor)*;
     factor := '-' factor | int | ident ['^' int] | '(' expr ')' | deg(expr).
 
@@ -315,29 +296,12 @@ class _ExprParser:
     """
 
     def __init__(self, ring: IntersectionRing, tokens):
+        super().__init__(tokens)
         self.ring = ring
-        self.tokens = tokens
-        self.i = 0
         self.depth = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def accept(self, ch: str) -> bool:
-        if self.cur.kind == "op" and self.cur.text == ch:
-            self.advance()
-            return True
-        return False
-
     def expect(self, ch: str):
-        if not self.accept(ch):
+        if not self.accept_op(ch):
             raise ParseError(f"expected {ch!r}", self.cur.pos)
 
     def parse(self) -> dict:
@@ -349,9 +313,9 @@ class _ExprParser:
     def expr(self) -> dict:
         el = self.term()
         while True:
-            if self.accept("+"):
+            if self.accept_op("+"):
                 el = self.ring.add(el, self.term())
-            elif self.accept("-"):
+            elif self.accept_op("-"):
                 el = self.ring.add(el, self.ring.scale(self.term(), -1))
             else:
                 return el
@@ -363,7 +327,7 @@ class _ExprParser:
     def term(self) -> dict:
         el = self.factor()
         while True:
-            if self.accept("*"):
+            if self.accept_op("*"):
                 el = self.ring.mul(el, self.factor())
             elif self._starts_factor():
                 el = self.ring.mul(el, self.factor())
@@ -380,13 +344,12 @@ class _ExprParser:
 
     def _factor(self) -> dict:
         tok = self.cur
-        if self.accept("-"):
+        if self.accept_op("-"):
             return self.ring.scale(self.factor(), -1)
         if tok.kind == "int":
             self.advance()
             return self.ring.scale(self.ring.one(), int(tok.text))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept_op("("):
             el = self.expr()
             self.expect(")")
             return self._maybe_power(el)
@@ -412,12 +375,8 @@ class _ExprParser:
         raise ParseError("expected a class expression", tok.pos)
 
     def _maybe_power(self, el: dict) -> dict:
-        if self.accept("^"):
-            tok = self.cur
-            if tok.kind != "int":
-                raise ParseError("expected an exponent", tok.pos)
-            self.advance()
-            e = int(tok.text)
+        if self.accept_op("^"):
+            e = _parse_uint(self, "an exponent")
             out = self.ring.one()
             for _ in range(e):
                 out = self.ring.mul(out, el)

@@ -69,11 +69,16 @@ class CorpusEntry:
     paper_ref: str
 
 
+def _is_int(val) -> bool:
+    """A JSON integer: bool is an int subclass, but true is not 1 here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require(obj: dict, key: str, typ, entry: Optional[str], what: str):
     if key not in obj:
         raise CorpusFormatError(f"missing key {key!r} in {what}", entry, key)
     val = obj[key]
-    if typ is int and isinstance(val, bool) or not isinstance(val, typ):
+    if not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise CorpusFormatError(
             f"{what} key {key!r} must be {typ.__name__}", entry, key)
     return val
@@ -90,8 +95,7 @@ def _load_ambient(raw: dict, entry: str) -> AmbientSpace:
         weights = _require(fac, "weights", list, entry, "ambient factor")
         names = _require(fac, "vars", list, entry, "ambient factor")
         if (len(weights) != len(names)
-                or not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1
-                           for w in weights)
+                or not all(_is_int(w) and w >= 1 for w in weights)
                 or not all(isinstance(v, str) for v in names)):
             raise CorpusFormatError("ambient factor needs matching positive weights "
                                     "and string vars", entry, "factors")
@@ -180,7 +184,7 @@ def _eval_delta1(entry: CorpusEntry, check: CorpusCheck) -> str:
     if probe is None:
         return str(poly_delta1(f))
     if (not isinstance(probe, list) or len(probe) != 3
-            or not all(isinstance(v, int) for v in probe)):
+            or not all(_is_int(v) for v in probe)):
         raise CorpusFormatError("delta1 probe must be [a, b, s]", entry.name, "params")
     ring = HypersurfaceRing(entry.prime, entry.ambient.variable_set, f)
     return str(delta1_probe(ring, *probe))
@@ -196,7 +200,7 @@ def _delta1_matches(entry: CorpusEntry, expect: str, actual: str) -> bool:
 def _chow_ring_from_params(params: dict, entry: str) -> chowmod.IntersectionRing:
     base_raw = params.get("base")
     if (not isinstance(base_raw, list) or not base_raw
-            or not all(isinstance(v, int) and v >= 1 for v in base_raw)):
+            or not all(_is_int(v) and v >= 1 for v in base_raw)):
         raise CorpusFormatError("chow check needs base: [dims]", entry, "params")
     base = chowmod.ProductBase(tuple(base_raw))
     bundle_raw = params.get("bundle")
@@ -204,7 +208,7 @@ def _chow_ring_from_params(params: dict, entry: str) -> chowmod.IntersectionRing
     if bundle_raw is not None:
         if (not isinstance(bundle_raw, list)
                 or not all(isinstance(t, list) and len(t) == len(base_raw)
-                           and all(isinstance(a, int) for a in t)
+                           and all(_is_int(a) for a in t)
                            for t in bundle_raw)):
             raise CorpusFormatError("chow bundle must be a list of twist lists",
                                     entry, "params")
@@ -258,12 +262,12 @@ def _eval_lattice(entry: CorpusEntry, check: CorpusCheck) -> str:
                 f"per-point: {per_point[0] if len(set(per_point)) == 1 else 'mixed'}")
     if query == "pgl_order":
         q = check.params.get("q")
-        if not isinstance(q, int):
+        if not _is_int(q):
             raise CorpusFormatError("pgl_order needs q", entry.name, "params")
         return str(len(delpezzo.pgl3_elements(q)))
     if query == "full_plane_orbit":
         q = check.params.get("q")
-        if not isinstance(q, int):
+        if not _is_int(q):
             raise CorpusFormatError("full_plane_orbit needs q", entry.name, "params")
         config = delpezzo.PointConfig.from_points(q, delpezzo.plane_points(q))
         _, size = delpezzo.pgl_orbit_canonical(config)

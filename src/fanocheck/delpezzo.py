@@ -254,7 +254,3 @@ def pgl_orbit_canonical(config: PointConfig):
         images.add(tuple(sorted(_apply(matrix, pt, gf) for pt in config.points)))
     best = min(images)
     return PointConfig(config.q, best), len(images)
-
-
-def is_full_plane_config(config: PointConfig) -> bool:
-    return list(config.points) == plane_points(config.q)

@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .ideals import PolyIdeal, localized_is_unit
 from .poly import (
-    AlgebraError,
     ParseError,
     Polynomial,
-    Prime,
     VariableSet,
     as_prime,
     weighted_degree,
@@ -300,34 +297,3 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
         if not _has_pure_power(variety.f, name):
             verdict = SmoothnessStatus.QUASI_SMOOTH_ONLY
     return verdict
-
-
-def euler_relation_report(variety: HypersurfaceVariety) -> list:
-    """Check sum_x w_c(x) * x * df/dx == d_c * f in each grading component.
-
-    Components whose degree is divisible by p are reported as skipped (the
-    identity degenerates to 0 == 0 there) and flagged with a warning.
-    Returns a list of (component, status) pairs with status 'ok' or
-    'skipped'.
-    """
-    vset = variety.space.variable_set
-    f = variety.f
-    report = []
-    for c, d_c in enumerate(variety.multidegree):
-        if d_c % variety.p == 0:
-            warnings.warn(
-                f"Euler check skipped in component {c}: degree {d_c} is divisible "
-                f"by the characteristic {variety.p}")
-            report.append((c, "skipped"))
-            continue
-        total = Polynomial.zero(variety.prime, vset)
-        for i, name in enumerate(vset.names):
-            w = vset.weights[i][c]
-            if w:
-                total = total + w * (Polynomial.variable(variety.prime, vset, name)
-                                     * f.partial(name))
-        if total != d_c * f:
-            raise AlgebraError(
-                f"Euler relation failed in component {c}; grading bug")
-        report.append((c, "ok"))
-    return report

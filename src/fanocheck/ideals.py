@@ -1,5 +1,5 @@
-"""Ideal arithmetic over F_p: monomial ideals, Buchberger bases, quotients
-and Rabinowitsch-style localization tests.
+"""Ideal arithmetic over F_p: Buchberger bases, membership, quotients and
+Rabinowitsch-style localization tests.
 
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
 with both classical pruning criteria, and short-circuits to the unit ideal
@@ -17,8 +17,8 @@ hot reduction loops stay allocation-light; the public API speaks
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .poly import (
     AlgebraError,
@@ -32,60 +32,6 @@ from .poly import (
     mono_lcm,
     mono_mul,
 )
-
-
-# ---------------------------------------------------------------------------
-# monomial ideals
-# ---------------------------------------------------------------------------
-
-def _minimal_monomials(monos: Iterable[Monomial]) -> frozenset:
-    monos = set(monos)
-    out = set()
-    for m in monos:
-        if not any(other != m and mono_divides(other, m) for other in monos):
-            out.add(m)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Monomial ideal with a minimal generating set (unique, kept minimal)."""
-
-    vars: VariableSet
-    generators: frozenset
-
-    def __post_init__(self):
-        for m in self.generators:
-            if len(m) != self.vars.n:
-                raise ValueError(f"monomial {m} does not fit the variable set")
-        if _minimal_monomials(self.generators) != self.generators:
-            raise ValueError("generating set is not minimal; use from_generators")
-
-    @classmethod
-    def from_generators(cls, variables: VariableSet, monos: Iterable[Monomial]) -> "MonomialIdeal":
-        return cls(variables, _minimal_monomials(tuple(m) for m in monos))
-
-    def contains_monomial(self, mono: Monomial) -> bool:
-        return any(mono_divides(g, mono) for g in self.generators)
-
-    def contains(self, f: Polynomial) -> bool:
-        """Membership termwise: every monomial of f divisible by a generator."""
-        return all(self.contains_monomial(m) for m in f.terms)
-
-
-def frobenius_power(variables: VariableSet, q: int) -> MonomialIdeal:
-    """The ideal (x_0^q, ..., x_n^q)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    n = variables.n
-    gens = []
-    for i in range(n):
-        gens.append(tuple(q if j == i else 0 for j in range(n)))
-    return MonomialIdeal.from_generators(variables, gens)
-
-
-def monomial_ideal_contains(ideal: MonomialIdeal, f: Polynomial) -> bool:
-    return ideal.contains(f)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +206,6 @@ class PolyIdeal:
         self.generators = tuple(gens)
         self._gb: Optional[GroebnerBasis] = None
 
-    @classmethod
-    def from_polys(cls, generators: Sequence) -> "PolyIdeal":
-        if not generators:
-            raise ValueError("need at least one polynomial to infer the ring")
-        g0 = generators[0]
-        return cls(g0.field, g0.vars, generators)
-
     def groebner_basis(self) -> GroebnerBasis:
         if self._gb is None:
             raw = _buchberger_raw([g.terms for g in self.generators],
@@ -278,10 +217,6 @@ class PolyIdeal:
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner_basis()).is_zero
 
-    def is_unit(self) -> bool:
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb.elements[0].is_constant()
-
 
 def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
     return ideal.groebner_basis()
@@ -292,14 +227,6 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     pairs = [(g.leading_monomial(), g.terms) for g in basis]
     r = _normal_form_raw(f.terms, pairs, f.p, grevlex_key)
     return Polynomial(f.field, f.vars, r)
-
-
-def ideal_membership(ideal: PolyIdeal, f: Polynomial) -> bool:
-    return ideal.contains(f)
-
-
-def is_unit_ideal(ideal: PolyIdeal) -> bool:
-    return ideal.is_unit()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ instead of silently blowing up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
 
@@ -321,12 +321,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
-
-    def constant_value(self) -> int:
-        """Value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.is_constant():
-            raise AlgebraError("polynomial is not constant")
-        return next(iter(self.terms.values()), 0)
 
     # -- arithmetic --------------------------------------------------------
 

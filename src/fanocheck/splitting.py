@@ -17,7 +17,6 @@ from typing import Optional
 from .poly import (
     Monomial,
     Polynomial,
-    Prime,
     VariableSet,
     as_prime,
     delta1,
@@ -114,6 +113,12 @@ class FedderReport:
 
 
 def fedder_report(ring: HypersurfaceRing) -> FedderReport:
+    """The verdict, witness and carry shape for one ring; f must be homogeneous.
+
+    A nonzero carry of f of multidegree d has multidegree p*d: every term of
+    f^p has it, so the degree comes from ``ring.degree``, which validates f.
+    """
+    degree = ring.degree
     start = time.perf_counter()
     residue = fedder_residue(ring)
     carry = delta1(ring.f)
@@ -128,6 +133,6 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
         witness=witness,
         residue_terms=residue.num_terms,
         delta1_terms=carry.num_terms,
-        delta1_degree=None if carry.is_zero else weighted_degree(carry),
+        delta1_degree=None if carry.is_zero else tuple(ring.p * d for d in degree),
         elapsed_ms=round(elapsed, 3),
     )

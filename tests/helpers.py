@@ -32,30 +32,30 @@ def random_nonzero_poly(rng: random.Random, vset: VariableSet, p: int,
             return f
 
 
-def monomials_of_degree(vset: VariableSet, degree: int) -> list:
-    """All monomials of the given weighted degree (single grading component)."""
-    assert vset.ncomponents == 1
-    weights = [w[0] for w in vset.weights]
+def monomials_of_degree(vset: VariableSet, degree) -> list:
+    """All monomials of the given weighted multidegree (an int for one component)."""
+    target = (degree,) if isinstance(degree, int) else tuple(degree)
+    assert len(target) == vset.ncomponents
     out = []
 
-    def rec(i: int, remaining: int, acc: list):
-        if i == len(weights):
-            if remaining == 0:
+    def rec(i: int, remaining: tuple, acc: list):
+        if i == vset.n:
+            if not any(remaining):
                 out.append(tuple(acc))
             return
-        w = weights[i]
-        for e in range(remaining // w + 1):
+        w = vset.weights[i]
+        for e in range(min(r // c for r, c in zip(remaining, w) if c) + 1):
             acc.append(e)
-            rec(i + 1, remaining - e * w, acc)
+            rec(i + 1, tuple(r - e * c for r, c in zip(remaining, w)), acc)
             acc.pop()
 
-    rec(0, degree, [])
+    rec(0, target, [])
     return out
 
 
 def random_homogeneous(rng: random.Random, vset: VariableSet, p: int,
-                       degree: int, max_terms: int = 4) -> Polynomial:
-    """Random nonzero weighted-homogeneous polynomial of the given degree."""
+                       degree, max_terms: int = 4) -> Polynomial:
+    """Random nonzero weighted-homogeneous polynomial of the given (multi)degree."""
     pool = monomials_of_degree(vset, degree)
     assert pool, f"no monomials of degree {degree}"
     while True:

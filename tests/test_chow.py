@@ -14,11 +14,9 @@ from fanocheck.chow import (
     div_class_str,
     evaluate_expression,
     expression_result_str,
-    hypersurface_degree,
     intersect,
     omega_twist_factors,
     section_class,
-    verify_linear_identity,
 )
 from fanocheck.poly import ParseError
 from helpers import naive_bundle_degree, naive_product_degree
@@ -98,15 +96,15 @@ class TestIntersectionNumbers:
     def test_hypersurface_degree(self):
         r = base_ring(1, 2)
         x = DivClass((2, 3))
-        assert hypersurface_degree(r, x, [DivClass((0, 1))] * 2) == 2
-        assert hypersurface_degree(r, x, [DivClass((1, 0)), DivClass((0, 1))]) == 3
+        assert intersect(r, [DivClass((0, 1))] * 2 + [x]) == 2
+        assert intersect(r, [DivClass((1, 0)), DivClass((0, 1)), x]) == 3
 
     def test_dimension_checks(self):
         r = base_ring(1, 1)
         with pytest.raises(DimensionMismatchError):
             intersect(r, [DivClass((1, 1))])
         with pytest.raises(DimensionMismatchError):
-            hypersurface_degree(r, DivClass((1, 1)), [DivClass((1, 1))] * 2)
+            intersect(r, [DivClass((1, 1))] * 2 + [DivClass((1, 1))])
 
     def test_symmetry_seeded(self):
         rng = random.Random(321)
@@ -193,7 +191,7 @@ class TestBundleRing:
         r = bundle_ring([1, 1], [[0, 0], [-1, -2]])
         K = canonical_class(r)
         lhs = DivClass((K.h[0] + 2, K.h[1] + 4), K.xi + 2)
-        assert verify_linear_identity(r, lhs, DivClass((-1, 0), 0))
+        assert lhs == DivClass((-1, 0), 0)
 
     def test_two_section_adjunction_identity(self):
         r = bundle_ring([1, 1], [[0, 0], [1, 1]])
@@ -208,13 +206,6 @@ class TestBundleRing:
             omega_twist_factors(ProductBase((1,)), DivClass((1,), xi=1))
         with pytest.raises(DimensionMismatchError):
             omega_twist_factors(ProductBase((1, 1)), DivClass((1,)))
-
-    def test_identity_validation(self):
-        r = base_ring(1, 1)
-        with pytest.raises(DimensionMismatchError):
-            verify_linear_identity(r, DivClass((1,)), DivClass((1, 1)))
-        with pytest.raises(DimensionMismatchError):
-            verify_linear_identity(r, DivClass((1, 1), 1), DivClass((1, 1)))
 
     def test_against_naive_bundle_oracle_seeded(self):
         rng = random.Random(192837)
@@ -292,6 +283,36 @@ class TestExpressions:
             evaluate_expression(r, "(h1")
         with pytest.raises(ParseError):
             evaluate_expression(r, "h1^x")
+
+    # exact messages and positions; the polynomial parser shares the stream
+    @pytest.mark.parametrize("text,bundle,message,pos", [
+        ('h1 +', False, 'expected a class expression (at position 4)', 4),
+        ('(h1', False, "expected ')' (at position 3)", 3),
+        ('h1^x', False, 'expected an exponent (at position 3)', 3),
+        ('h1^', False, 'expected an exponent (at position 3)', 3),
+        ('xi', False, 'xi needs a bundle ring (at position 0)', 0),
+        ('h3', False, "unknown symbol 'h3' (at position 0)", 0),
+        ('bogus', False, "unknown symbol 'bogus' (at position 0)", 0),
+        (')', False, 'expected a class expression (at position 0)', 0),
+        ('2 h1 )', False, "unexpected ')' (at position 5)", 5),
+        ('', False, 'expected a class expression (at position 0)', 0),
+        ('h0', False, "unknown symbol 'h0' (at position 0)", 0),
+        ('deg h1', False, "expected '(' (at position 4)", 4),
+        ('deg(h1', False, "expected ')' (at position 6)", 6),
+        ('h1^-1', False, 'expected an exponent (at position 3)', 3),
+        ('h1 $', False, "unexpected character '$' (at position 3)", 3),
+        ('h1 * * h2', False, 'expected a class expression (at position 5)', 5),
+        ('K^', False, 'expected an exponent (at position 2)', 2),
+        ('- )', False, 'expected a class expression (at position 2)', 2),
+        ('xi^x', False, 'xi needs a bundle ring (at position 0)', 0),
+        ('xi^x', True, 'expected an exponent (at position 3)', 3),
+        ('h1 h2 ,', False, "unexpected ',' (at position 6)", 6),
+    ])
+    def test_parse_error_messages(self, text, bundle, message, pos):
+        r = bundle_ring([1, 1], [[0, 0], [1, 2]]) if bundle else base_ring(1, 1)
+        with pytest.raises(ParseError) as exc:
+            evaluate_expression(r, text)
+        assert (str(exc.value), exc.value.pos) == (message, pos)
 
     def test_element_rendering_order(self):
         r = bundle_ring([1, 1], [[0, 0], [1, 1]])

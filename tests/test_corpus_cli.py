@@ -73,6 +73,11 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="prime"):
             load_corpus(doc)
 
+    def test_boolean_weight_rejected(self):
+        doc = {"entries": [entry(weights=(1, True))]}
+        with pytest.raises(CorpusFormatError, match="factors"):
+            load_corpus(doc)
+
     def test_factor_shape_mismatch(self):
         doc = {"entries": [entry(weights=(1, 1, 1))]}
         with pytest.raises(CorpusFormatError, match="factor"):
@@ -150,6 +155,24 @@ class TestRunCorpus:
         lines = text.splitlines()
         assert lines[0] == "PASS probe [fsplit] expected='FSplit' actual='FSplit'"
         assert lines[-1] == "checks passed: 1/1"
+
+    # JSON true is an int in Python; as an integer param it must not run as 1
+    @pytest.mark.parametrize("check", [
+        {"kind": "delta1", "expect": "0", "params": {"probe": [True, 1, 1]}},
+        {"kind": "chow", "expect": "1", "params": {"base": [True], "expr": "h1"}},
+        {"kind": "chow", "expect": "1",
+         "params": {"base": [1], "bundle": [[0], [True]], "expr": "xi"}},
+        {"kind": "lattice", "expect": "168", "params": {"query": "pgl_order", "q": True}},
+        {"kind": "lattice", "expect": "1",
+         "params": {"query": "full_plane_orbit", "q": True}},
+    ], ids=["delta1.probe", "chow.base", "chow.bundle", "lattice.pgl_order.q",
+            "lattice.full_plane_orbit.q"])
+    def test_boolean_integer_params_rejected(self, tmp_path, capsys, check):
+        path = write_corpus(tmp_path, [entry(polynomial="t0 + t1", checks=[check])])
+        with pytest.raises(CorpusFormatError, match="params"):
+            run_corpus(path)
+        assert main(["verify", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_langer_summary_text(self):
         assert langer_summary() == ("(-1)-classes: 56; compatible: 7; "

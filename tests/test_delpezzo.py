@@ -10,7 +10,6 @@ from fanocheck.delpezzo import (
     count_compatible_exceptionals,
     enumerate_classes,
     fano_lines,
-    is_full_plane_config,
     langer_neg2_classes,
     pgl3_elements,
     pgl_orbit_canonical,
@@ -151,7 +150,7 @@ class TestPlaneConfigurations:
 
     def test_full_plane_is_rigid(self):
         config = PointConfig.from_points(2, FANO_POINTS)
-        assert is_full_plane_config(config)
+        assert list(config.points) == plane_points(config.q)
         canonical, orbit = pgl_orbit_canonical(config)
         assert orbit == 1
         assert canonical == config

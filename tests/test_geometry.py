@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fanocheck.geometry import (
@@ -10,12 +12,12 @@ from fanocheck.geometry import (
     UnsupportedStratumError,
     ambient_singular_strata,
     cone_smoothness,
-    euler_relation_report,
     jacobian_ideal,
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck.poly import AlgebraError, ParseError, parse_poly
+from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly
+from helpers import random_homogeneous
 
 
 def variety(ambient_text, poly_text, p, names=None):
@@ -181,18 +183,41 @@ class TestVerdicts:
             HypersurfaceVariety(5, space, parse_poly("x0", other.variable_set, 5))
 
 
+def euler_sum(f, c):
+    """sum over the variables x of w_c(x) * x * df/dx, in grading component c."""
+    total = Polynomial.zero(f.field, f.vars)
+    for name, w in zip(f.vars.names, f.vars.weights):
+        if w[c]:
+            total = total + w[c] * (Polynomial.variable(f.field, f.vars, name)
+                                    * f.partial(name))
+    return total
+
+
 class TestEulerRelation:
     def test_ok_components(self):
         v = variety("P(1,1,1)", "x0^2 + x1*x2", 5)
-        assert euler_relation_report(v) == [(0, "ok")]
-
-    def test_skip_with_warning_when_p_divides_degree(self):
-        v = variety("P(1,1,1)", "x0^2 + x1*x2", 2)
-        with pytest.warns(UserWarning, match="divisible"):
-            assert euler_relation_report(v) == [(0, "skipped")]
+        assert v.multidegree == (2,)
+        assert euler_sum(v.f, 0) == 2 * v.f
 
     def test_mixed_components(self):
+        # degree (1, 2) at p = 2: the identity degenerates to 0 == 0 in
+        # component 1
         v = variety("P(1,1) x P(1,1)", "x0*y0^2 + x1*y1^2", 2)
-        with pytest.warns(UserWarning):
-            report = euler_relation_report(v)
-        assert report == [(0, "ok"), (1, "skipped")]
+        assert v.multidegree == (1, 2)
+        assert euler_sum(v.f, 0) == v.f
+        assert euler_sum(v.f, 1).is_zero
+
+    @pytest.mark.parametrize("vs,degree", [
+        (VariableSet.unit("x0,x1,x2"), (3,)),
+        (VariableSet.weighted("x0,x1,x2,y", [1, 1, 2, 3]), (5,)),
+        (VariableSet(("x0", "x1", "y0", "y1", "y2"),
+                     ((1, 0), (1, 0), (0, 1), (0, 1), (0, 2))), (2, 3)),
+    ], ids=["unit", "weighted", "bigraded"])
+    def test_seeded_identity(self, vs, degree):
+        rng = random.Random(8080)
+        for p in (2, 3, 5, 7):
+            for _ in range(10):
+                f = random_homogeneous(rng, vs, p, degree, max_terms=5)
+                for c, d_c in enumerate(degree):
+                    if d_c % p:
+                        assert euler_sum(f, c) == d_c * f

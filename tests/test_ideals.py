@@ -4,18 +4,13 @@ import pytest
 
 from fanocheck.ideals import (
     GroebnerBasis,
-    MonomialIdeal,
     PolyIdeal,
     buchberger,
-    frobenius_power,
-    ideal_membership,
     ideal_quotient,
-    is_unit_ideal,
     localized_is_unit,
-    monomial_ideal_contains,
     normal_form,
 )
-from fanocheck.poly import Polynomial, VariableSet, grevlex_key, parse_poly
+from fanocheck.poly import Polynomial, VariableSet, parse_poly
 from helpers import (
     common_zero_with_g_nonzero,
     random_homogeneous,
@@ -31,58 +26,48 @@ def mk(text, p=7, vs=VS3):
     return parse_poly(text, vs, p)
 
 
-def ideal(polys):
-    return PolyIdeal.from_polys(list(polys))
+def frobenius_box(p, q):
+    """The monomial ideal (x^q, y^q)."""
+    return PolyIdeal(p, VS2, [mk(f"x^{q}", p, VS2), mk(f"y^{q}", p, VS2)])
 
 
 class TestMonomialIdeal:
-    def test_frobenius_power_generators(self):
-        fp = frobenius_power(VS2, 3)
-        assert fp.generators == frozenset({(3, 0), (0, 3)})
-
     def test_membership_termwise(self):
-        fp = frobenius_power(VS2, 3)
-        assert monomial_ideal_contains(fp, mk("x^3*y + y^4", 3, VS2))
-        assert not monomial_ideal_contains(fp, mk("x^3 + x^2*y^2", 3, VS2))
+        fp = frobenius_box(3, 3)
+        assert fp.contains(mk("x^3*y + y^4", 3, VS2))
+        assert not fp.contains(mk("x^3 + x^2*y^2", 3, VS2))
 
     def test_zero_is_member(self):
-        fp = frobenius_power(VS2, 2)
+        fp = frobenius_box(2, 2)
         assert fp.contains(Polynomial.zero(2, VS2))
 
-    def test_minimality_enforced(self):
-        ide = MonomialIdeal.from_generators(VS2, [(1, 0), (2, 0), (0, 1)])
-        assert ide.generators == frozenset({(1, 0), (0, 1)})
-        with pytest.raises(ValueError):
-            MonomialIdeal(VS2, frozenset({(1, 0), (2, 0)}))
-
     def test_agrees_with_general_membership(self):
+        # a monomial ideal contains f exactly when every term of f lies in it
         rng = random.Random(4242)
         for _ in range(200):
             p = rng.choice([2, 3, 5])
             q = p ** rng.randint(1, 2)
-            fp = frobenius_power(VS2, q)
-            gens = [Polynomial(p, VS2, {m: 1}) for m in fp.generators]
-            gb = buchberger(PolyIdeal(p, VS2, gens))
+            gb = buchberger(frobenius_box(p, q))
             f = random_poly(rng, VS2, p, max_terms=4, max_exp=q + 1)
-            assert fp.contains(f) == normal_form(f, gb).is_zero
+            assert all(max(m) >= q for m in f.terms) == normal_form(f, gb).is_zero
 
 
 class TestBuchberger:
     def test_twisted_cubic_style_basis(self):
-        gb = buchberger(ideal([mk("y - x^2"), mk("z - x^3")]))
+        gb = buchberger(PolyIdeal(7, VS3, [mk("y - x^2"), mk("z - x^3")]))
         got = {str(g) for g in gb}
         assert got == {"x^2 + 6*y", "x*y + 6*z", "y^2 + 6*x*z"}
 
     def test_linear_pair(self):
-        gb = buchberger(ideal([mk("x + y", 5, VS2), mk("x - y", 5, VS2)]))
+        gb = buchberger(PolyIdeal(5, VS2, [mk("x + y", 5, VS2), mk("x - y", 5, VS2)]))
         assert {str(g) for g in gb} == {"x", "y"}
 
     def test_already_a_basis(self):
-        gb = buchberger(ideal([mk("x^2", 7, VS2), mk("y", 7, VS2)]))
+        gb = buchberger(PolyIdeal(7, VS2, [mk("x^2", 7, VS2), mk("y", 7, VS2)]))
         assert {str(g) for g in gb} == {"x^2", "y"}
 
     def test_unit_short_circuit(self):
-        gb = buchberger(ideal([mk("x + 1", 5, VS2), mk("x", 5, VS2)]))
+        gb = buchberger(PolyIdeal(5, VS2, [mk("x + 1", 5, VS2), mk("x", 5, VS2)]))
         assert len(gb) == 1 and gb.elements[0].is_constant()
 
     def test_zero_ideal_empty_basis(self):
@@ -138,12 +123,12 @@ class TestBuchberger:
 
 class TestNormalForm:
     def test_reduction_example(self):
-        gb = buchberger(ideal([mk("y - x^2", 7, VS2)]))
+        gb = buchberger(PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2)]))
         assert str(normal_form(mk("x^3", 7, VS2), gb)) == "x*y"
 
     def test_idempotent_and_linear(self):
         rng = random.Random(2024)
-        gb = buchberger(ideal([mk("y - x^2", 5, VS2), mk("y^3", 5, VS2)]))
+        gb = buchberger(PolyIdeal(5, VS2, [mk("y - x^2", 5, VS2), mk("y^3", 5, VS2)]))
         for _ in range(50):
             f = random_poly(rng, VS2, 5)
             g = random_poly(rng, VS2, 5)
@@ -159,33 +144,35 @@ class TestNormalForm:
 
 class TestMembershipAndUnits:
     def test_membership_example(self):
-        I = ideal([mk("y - x^2", 7, VS2)])
-        assert ideal_membership(I, mk("x^2*y - y^2", 7, VS2))
-        assert not ideal_membership(I, mk("x", 7, VS2))
+        I = PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2)])
+        assert I.contains(mk("x^2*y - y^2", 7, VS2))
+        assert not I.contains(mk("x", 7, VS2))
 
     def test_unit_ideal(self):
-        assert is_unit_ideal(ideal([mk("x", 5, VS2), mk("x - 1", 5, VS2)]))
-        assert not is_unit_ideal(ideal([mk("x", 5, VS2), mk("y", 5, VS2)]))
+        unit = PolyIdeal(5, VS2, [mk("x", 5, VS2), mk("x - 1", 5, VS2)])
+        assert {str(g) for g in buchberger(unit)} == {"1"}
+        proper = PolyIdeal(5, VS2, [mk("x", 5, VS2), mk("y", 5, VS2)])
+        assert {str(g) for g in buchberger(proper)} != {"1"}
 
 
 class TestQuotient:
     def test_monomial_example(self):
-        I = ideal([mk("x^2", 7, VS2), mk("x*y", 7, VS2)])
+        I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2), mk("x*y", 7, VS2)])
         Q = ideal_quotient(I, mk("x", 7, VS2))
         assert {str(g) for g in buchberger(Q)} == {"x", "y"}
 
     def test_quotient_by_nondivisor(self):
-        I = ideal([mk("x^2", 7, VS2)])
+        I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2)])
         Q = ideal_quotient(I, mk("y", 7, VS2))
         assert {str(g) for g in buchberger(Q)} == {"x^2"}
 
     def test_quotient_by_member_is_unit(self):
-        I = ideal([mk("x", 7, VS2)])
+        I = PolyIdeal(7, VS2, [mk("x", 7, VS2)])
         Q = ideal_quotient(I, mk("x", 7, VS2))
-        assert is_unit_ideal(Q)
+        assert {str(g) for g in buchberger(Q)} == {"1"}
 
     def test_quotient_by_constant(self):
-        I = ideal([mk("x^2", 7, VS2)])
+        I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2)])
         Q = ideal_quotient(I, mk("3", 7, VS2))
         assert {str(g) for g in buchberger(Q)} == {"x^2"}
 
@@ -204,11 +191,13 @@ class TestQuotient:
 
 class TestLocalization:
     def test_examples(self):
-        assert localized_is_unit(ideal([mk("x", 7, VS2)]), mk("x", 7, VS2))
-        assert not localized_is_unit(ideal([mk("x - 1", 7, VS2)]), mk("x", 7, VS2))
+        assert localized_is_unit(PolyIdeal(7, VS2, [mk("x", 7, VS2)]),
+                                 mk("x", 7, VS2))
+        assert not localized_is_unit(PolyIdeal(7, VS2, [mk("x - 1", 7, VS2)]),
+                                     mk("x", 7, VS2))
         # the only common zero sits at x=1, which inverting x-1 removes
-        assert localized_is_unit(ideal([mk("x - 1", 7, VS2), mk("y", 7, VS2),
-                                        mk("x*y", 7, VS2)]),
+        assert localized_is_unit(PolyIdeal(7, VS2, [mk("x - 1", 7, VS2), mk("y", 7, VS2),
+                                                    mk("x*y", 7, VS2)]),
                                  mk("x - 1", 7, VS2)) is True
 
     def test_against_exhaustive_point_search(self):
@@ -278,7 +267,7 @@ def test_reduced_basis_matches_sympy(gens):
                    for m, c in f.terms.items())
 
     ours = {frozenset(g.terms.items())
-            for g in PolyIdeal.from_polys(gens).groebner_basis()}
+            for g in PolyIdeal(p, vs, gens).groebner_basis()}
     theirs = sympy.groebner([to_sympy(g) for g in gens], *syms,
                             modulus=p, order="grevlex")
 

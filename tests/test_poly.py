@@ -81,6 +81,30 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("x0^65536", VS3, 5)
 
+    @pytest.mark.parametrize("text,message,pos", [
+        ('x^', 'expected an exponent (at position 2)', 2),
+        ('x + + y', 'expected a term (at position 4)', 4),
+        ('', 'expected a term (at position 0)', 0),
+        ('x^y', 'expected an exponent (at position 2)', 2),
+        ('x*', 'expected a variable name (at position 2)', 2),
+        ('3 +', 'expected a term (at position 3)', 3),
+        ('z', "unknown variable 'z' (at position 0)", 0),
+        ('x^70000', 'exponent 70000 exceeds the cap 65536 (at position 0)', 0),
+        ('x)', "unexpected ')' (at position 1)", 1),
+        ('-', 'expected a term (at position 1)', 1),
+        ('x^2^3', "unexpected '^' (at position 3)", 3),
+        ('x # y', "unexpected character '#' (at position 2)", 2),
+        ('x*3', 'expected a variable name (at position 2)', 2),
+        ('2x + y)', "unexpected ')' (at position 6)", 6),
+        ('x y^', 'expected an exponent (at position 4)', 4),
+        ('(x)', 'expected a term (at position 0)', 0),
+    ])
+    def test_parse_error_messages(self, text, message, pos):
+        vs = VariableSet.unit("x,y")
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, vs, 5)
+        assert (str(exc.value), exc.value.pos) == (message, pos)
+
     def test_roundtrip_examples(self):
         for text in ("x0^2*x1 + 3*x2^3", "1", "0", "x0 + x1 + x2", "4*x0^3"):
             f = parse_poly(text, VS3, 5)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fanocheck.poly import (
+    NonHomogeneousError,
     Polynomial,
     VariableSet,
     delta1,
@@ -22,7 +23,7 @@ from fanocheck.splitting import (
     fedder_report,
     fedder_residue,
 )
-from helpers import pow_then_filter, random_nonzero_poly
+from helpers import pow_then_filter, random_homogeneous, random_nonzero_poly
 
 # hash of str(delta1_probe(ring, 4, 4, 2)) for the p=5 weighted sextic below,
 # frozen after computing the same polynomial along two association orders
@@ -192,6 +193,26 @@ class TestReport:
         assert d["delta1_degree"] == [21]
         assert set(d) == {"status", "witness", "residue_terms",
                           "delta1_terms", "delta1_degree", "elapsed_ms"}
+
+    @pytest.mark.parametrize("vs,degree", [
+        (VariableSet.unit("x0,x1,x2"), (3,)),
+        (VariableSet.weighted("x0,x1,x2,y", [1, 1, 2, 3]), (6,)),
+        (VariableSet(("x0", "x1", "y0", "y1"), ((1, 0), (1, 0), (0, 1), (0, 2))),
+         (2, 4)),
+    ], ids=["unit", "weighted", "bigraded"])
+    def test_delta1_degree_is_the_carry_degree_seeded(self, vs, degree):
+        rng = random.Random(5150)
+        for p in (2, 3, 5, 7):
+            for _ in range(6):
+                f = random_homogeneous(rng, vs, p, degree, max_terms=4)
+                rep = fedder_report(HypersurfaceRing(p, vs, f))
+                carry = delta1(f)
+                assert rep.delta1_degree == (None if carry.is_zero
+                                             else weighted_degree(carry))
+
+    def test_inhomogeneous_polynomial_rejected(self):
+        with pytest.raises(NonHomogeneousError):
+            fedder_report(ring_of("x + y^2", 2, names="x,y"))
 
 
 class TestMonoStr:
