@@ -218,7 +218,11 @@ def _chow_ring_from_params(params: dict, entry: str) -> chowmod.IntersectionRing
 
 def _eval_chow(entry: CorpusEntry, check: CorpusCheck) -> str:
     ring = _chow_ring_from_params(check.params, entry.name)
-    if check.params.get("canonical"):
+    canonical = check.params.get("canonical")
+    if canonical is not None and not isinstance(canonical, bool):
+        raise CorpusFormatError("chow canonical must be true or false",
+                                entry.name, "params")
+    if canonical:
         return chowmod.div_class_str(ring, chowmod.canonical_class(ring))
     identity = check.params.get("identity")
     if identity is not None:
@@ -264,7 +268,7 @@ def _eval_lattice(entry: CorpusEntry, check: CorpusCheck) -> str:
         q = check.params.get("q")
         if not _is_int(q):
             raise CorpusFormatError("pgl_order needs q", entry.name, "params")
-        return str(len(delpezzo.pgl3_elements(q)))
+        return str(delpezzo.pgl3_order(q))
     if query == "full_plane_orbit":
         q = check.params.get("q")
         if not _is_int(q):

@@ -207,6 +207,19 @@ def _span2(u, v, gf: GF):
     return out
 
 
+def _pgl3_field(q: int) -> GF:
+    if q > _PGL_MAX_Q:
+        raise UnsupportedFieldSizeError(
+            f"PGL enumeration supports q <= {_PGL_MAX_Q}, got {q}")
+    return GF(q)
+
+
+def pgl3_order(q: int) -> int:
+    """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for the q pgl3_elements takes."""
+    _pgl3_field(q)
+    return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+
+
 @lru_cache(maxsize=None)
 def pgl3_elements(q: int) -> tuple:
     """One matrix per element of PGL_3(F_q), first nonzero entry scaled to 1.
@@ -214,10 +227,7 @@ def pgl3_elements(q: int) -> tuple:
     Rows are built left to right avoiding the span of earlier rows, and the
     first row is taken projectively, which hits each coset exactly once.
     """
-    if q > _PGL_MAX_Q:
-        raise UnsupportedFieldSizeError(
-            f"PGL enumeration supports q <= {_PGL_MAX_Q}, got {q}")
-    gf = GF(q)
+    gf = _pgl3_field(q)
     zero = (0, 0, 0)
     vectors = [(a, b, c) for a in gf.elements for b in gf.elements
                for c in gf.elements if (a, b, c) != zero]

@@ -1,13 +1,21 @@
 """Smoothness certification for hypersurfaces in products of (weighted)
 projective spaces.
 
-The workhorse is the affine-cone Jacobian criterion: the cone minus the
-irrelevant locus is covered by the charts g != 0 where g runs over products
-picking one variable from each factor, and on each chart the Jacobian ideal
-must become the unit ideal after inverting g.  For weighted factors the
-ambient itself carries quotient singularities along coordinate strata, so a
-cone-smooth hypersurface is only quasi-smooth until it is also known to
-avoid those strata.
+The workhorse is the affine-cone Jacobian criterion: the cone must be smooth
+away from the irrelevant locus.  On a one-factor ambient that locus is the
+origin, and the cone is smooth away from it exactly when the Jacobian ideal
+J is m-primary or the unit ideal, that is, when the leading monomials of a
+Groebner basis of J include a pure power of every variable (the finiteness
+theorem).  One Buchberger run on J settles that, and it stops as soon as the
+last pure power appears, since leading monomials of a partial basis already
+lie in the initial ideal.  Products of factors, and a one-factor J that is
+not m-primary (to name the failing chart), go chart by chart: the charts
+g != 0, g a product picking one variable from each factor, cover the
+complement of the irrelevant locus, and on each of them J must become the
+unit ideal after inverting g.  For weighted factors the ambient itself
+carries quotient singularities along coordinate strata, so a cone-smooth
+hypersurface is only quasi-smooth until it is also known to avoid those
+strata.
 """
 
 from __future__ import annotations
@@ -18,12 +26,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .ideals import PolyIdeal, localized_is_unit
+from .ideals import (
+    PolyIdeal,
+    _buchberger_raw,
+    _is_constant_raw,
+    localized_is_unit,
+)
 from .poly import (
+    AlgebraError,
     ParseError,
     Polynomial,
     VariableSet,
     as_prime,
+    grevlex_key,
     weighted_degree,
 )
 
@@ -245,14 +260,12 @@ class ConeResult:
     witness_ideal: Optional[PolyIdeal] = None
 
 
-def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
-    """Jacobian criterion on the affine cone away from the irrelevant locus.
+def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResult:
+    """Localize J at every product picking one variable per factor.
 
-    Localizes the Jacobian ideal at every product picking one variable per
-    factor; these charts cover exactly the complement of the irrelevant
-    locus, so passing them all certifies the punctured cone is smooth.
+    These charts cover exactly the complement of the irrelevant locus; the
+    first chart where J does not become the unit ideal is the witness.
     """
-    jac = jacobian_ideal(variety)
     vset = variety.space.variable_set
     for chart in variety.space.chart_tuples():
         g = Polynomial.constant(variety.prime, vset, 1)
@@ -261,6 +274,47 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
         if not localized_is_unit(jac, g):
             return ConeResult(False, "*".join(chart), jac)
     return ConeResult(True)
+
+
+def _pure_power_certificate(jac: PolyIdeal) -> bool:
+    """Whether J is m-primary or the unit ideal.
+
+    Runs Buchberger on J's generators and stops once the leading monomials
+    seen include a pure power of every variable.
+    """
+    n = jac.vars.n
+    seen = set()
+
+    def all_pure_powers_seen(lm) -> bool:
+        support = [i for i, e in enumerate(lm) if e]
+        if len(support) == 1:
+            seen.add(support[0])
+        return len(seen) == n
+
+    basis = _buchberger_raw([g.terms for g in jac.generators], n, jac.field.p,
+                            grevlex_key, all_pure_powers_seen)
+    return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
+
+
+def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
+    """Jacobian criterion on the affine cone away from the irrelevant locus.
+
+    On a one-factor ambient, one Groebner basis of the Jacobian ideal J with
+    a pure power of every variable among its leading monomials certifies
+    the punctured cone smooth, and no chart is tested.  Products, and a
+    one-factor J without that certificate, go chart by chart, so a failing
+    verdict names the first chart where J does not become the unit ideal.
+    """
+    jac = jacobian_ideal(variety)
+    if variety.space.nfactors > 1:
+        return _chart_smoothness(variety, jac)
+    if _pure_power_certificate(jac):
+        return ConeResult(True)
+    result = _chart_smoothness(variety, jac)
+    if result.smooth_away_from_irrelevant:
+        raise AlgebraError("Jacobian ideal is not m-primary, yet every chart "
+                           "localizes it to the unit ideal")
+    return result
 
 
 class SmoothnessStatus(enum.Enum):

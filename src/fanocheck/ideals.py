@@ -7,7 +7,9 @@ the moment any reduction produces a nonzero constant.  Pending pairs sit in
 a heap keyed by the order key of their lcm, computed once per pair, with
 the pair indices breaking ties; the selection order is the one a full scan
 for the smallest lcm would give.  Reduced bases are unique for a fixed
-order, which keeps every downstream verdict deterministic.
+order, which keeps every downstream verdict deterministic.  A caller may
+pass a stop predicate on the leading monomials entering the basis; a run it
+ends returns no basis at all, so a partial basis is never cached.
 
 Internally polynomials travel as plain {monomial: coefficient} dicts so the
 hot reduction loops stay allocation-light; the public API speaks
@@ -79,24 +81,31 @@ def _is_constant_raw(f: dict) -> bool:
     return len(f) == 1 and not any(next(iter(f)))
 
 
-def _buchberger_raw(gens: Sequence, nvars: int, p: int, key) -> list:
+def _buchberger_raw(gens: Sequence, nvars: int, p: int, key,
+                    stop=None) -> Optional[list]:
     """Reduced Groebner basis of the given coefficient dicts.
 
     Returns a list of monic dicts sorted by increasing leading monomial.
     The unit ideal comes back as [{1}] via the constant short-circuit.
+    ``stop``, if given, sees the leading monomial of every element that
+    enters the basis, generators included; once it returns true the run
+    ends and None comes back in place of a basis.
     """
     one = [{(0,) * nvars: 1}]
     basis = []
+    lms = []
     for g in gens:
         if not g:
             continue
         if _is_constant_raw(g):
             return one
         basis.append(_monic_raw(g, p, key))
+        lms.append(_lm(g, key))
+        if stop is not None and stop(lms[-1]):
+            return None
     if not basis:
         return []
 
-    lms = [_lm(g, key) for g in basis]
     # Heap entries (key(lcm), pair, lcm) pop smallest lcm first, ties by
     # pair; the set mirrors the heap for the chain criterion's lookups.
     pending = set()
@@ -142,6 +151,8 @@ def _buchberger_raw(gens: Sequence, nvars: int, p: int, key) -> list:
         s = _monic_raw(s, p, key)
         basis.append(s)
         lms.append(_lm(s, key))
+        if stop is not None and stop(lms[-1]):
+            return None
         t = len(basis) - 1
         for i2 in range(t):
             add_pair(i2, t)

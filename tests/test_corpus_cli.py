@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fanocheck.cli import main
+from fanocheck.delpezzo import pgl3_elements
 from fanocheck.corpus import (
     CorpusFormatError,
     Report,
@@ -173,6 +174,46 @@ class TestRunCorpus:
             run_corpus(path)
         assert main(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    # a string "false" is truthy: it must not run the canonical-class check
+    @pytest.mark.parametrize("canonical", ["false", "true", 1, 0, [], None],
+                             ids=["str.false", "str.true", "int.1", "int.0",
+                                  "list", "null"])
+    def test_non_boolean_canonical_rejected(self, tmp_path, capsys, canonical):
+        params = {"base": [1], "canonical": canonical}
+        if canonical is None:
+            params["expr"] = "h1"
+        check = {"kind": "chow", "expect": "-2*h1", "params": params}
+        path = write_corpus(tmp_path, [entry(polynomial="t0 + t1", checks=[check])])
+        if canonical is None:
+            # null reads as absent, like the other optional chow params
+            assert run_corpus(path).rows[0].actual == "h1"
+            return
+        with pytest.raises(CorpusFormatError, match="params"):
+            run_corpus(path)
+        assert main(["verify", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_boolean_canonical_accepted(self, tmp_path):
+        path = write_corpus(tmp_path, [entry(checks=[
+            {"kind": "chow", "expect": "-2*h1",
+             "params": {"base": [1], "canonical": True}},
+            {"kind": "chow", "expect": "h1",
+             "params": {"base": [1], "canonical": False, "expr": "h1"}},
+        ])])
+        assert run_corpus(path).all_passed
+
+    def test_pgl_order_rows(self, tmp_path):
+        qs = (2, 3, 4, 6, 9)
+        path = write_corpus(tmp_path, [entry(checks=[
+            {"kind": "lattice", "expect": "?", "params": {"query": "pgl_order", "q": q}}
+            for q in qs])])
+        actual = [row.actual for row in run_corpus(path).rows]
+        # the closed form against the enumerated group; error rows as the
+        # enumeration gave them
+        assert actual[:3] == [str(len(pgl3_elements(q))) for q in (2, 3, 4)]
+        assert actual[3:] == ["error: 6 is not a prime power",
+                              "error: PGL enumeration supports q <= 8, got 9"]
 
     def test_langer_summary_text(self):
         assert langer_summary() == ("(-1)-classes: 56; compatible: 7; "

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fanocheck import geometry, ideals
 from fanocheck.geometry import (
     AmbientFactor,
     AmbientSpace,
@@ -10,14 +11,17 @@ from fanocheck.geometry import (
     SingularStratum,
     SmoothnessStatus,
     UnsupportedStratumError,
+    _chart_smoothness,
+    _pure_power_certificate,
     ambient_singular_strata,
     cone_smoothness,
     jacobian_ideal,
     parse_ambient,
     smoothness_verdict,
 )
+from fanocheck.ideals import PolyIdeal
 from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly
-from helpers import random_homogeneous
+from helpers import monomials_of_degree, random_homogeneous
 
 
 def variety(ambient_text, poly_text, p, names=None):
@@ -126,6 +130,172 @@ class TestConeSmoothness:
         v = variety("P(1,1,1)", "x0^2 + x1*x2", 7)
         gens = [str(g) for g in jacobian_ideal(v).generators]
         assert gens == ["x0^2 + x1*x2", "2*x0", "x2", "x1"]
+
+
+def _both_methods(v):
+    """(single-basis verdict, chart-by-chart result) on fresh Jacobian ideals."""
+    return (_pure_power_certificate(jacobian_ideal(v)),
+            _chart_smoothness(v, jacobian_ideal(v)))
+
+
+def _singular_at_e0(rng, space, p, degree):
+    """Every term of x1..xn-degree >= 2: singular at [1:0:...:0]."""
+    vs = space.variable_set
+    pool = [m for m in monomials_of_degree(vs, degree) if sum(m[1:]) >= 2]
+    while True:
+        picks = rng.sample(pool, min(len(pool), rng.randint(2, 6)))
+        f = Polynomial(p, vs, {m: rng.randint(1, p - 1) for m in picks})
+        if not f.is_zero:
+            return f
+
+
+def _singular_at_e0_plus_e1(rng, space, p, degree):
+    """A member of (x0 - x1, x2, ..., xn)^2: singular at [1:1:0:...:0]."""
+    vs = space.variable_set
+    var = [Polynomial.variable(p, vs, name) for name in vs.names]
+    lin = [var[0] - var[1]] + var[2:]
+    wts = [1] + [w for (w,) in vs.weights[2:]]
+    while True:
+        f = Polynomial.zero(p, vs)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(lin)), rng.randrange(len(lin))
+            rest = degree - wts[i] - wts[j]
+            if rest < 0:
+                continue
+            h = (random_homogeneous(rng, vs, p, rest, max_terms=3) if rest
+                 else Polynomial.constant(p, vs, rng.randint(1, p - 1)))
+            f = f + h * lin[i] * lin[j]
+        if not f.is_zero:
+            return f
+
+
+def _differential_members():
+    """Seeded one-factor hypersurfaces: (label, variety, forced verdict or None)."""
+    rng = random.Random(5150)
+    out = []
+    ambients = [("P(1,1,1)", (2, 3, 4, 5)), ("P(1,1,1,1)", (2, 3)),
+                ("P(1,1,2)", (2, 4, 6)), ("P(1,1,1,2)", (2, 4))]
+    for p in (2, 3, 5, 7):
+        for text, degrees in ambients:
+            space = parse_ambient(text)
+            vs = space.variable_set
+            for d in degrees:
+                f = random_homogeneous(rng, vs, p, d, max_terms=6)
+                out.append((f"{text}.d{d}.p{p}.random", space, f, None))
+                fermat = Polynomial(p, vs, {
+                    tuple(d // w if k == i else 0 for k in range(vs.n)): 1
+                    for i, (w,) in enumerate(vs.weights) if d % w == 0})
+                g = fermat + random_homogeneous(rng, vs, p, d, max_terms=2)
+                if not g.is_zero:
+                    out.append((f"{text}.d{d}.p{p}.fermat+2", space, g, None))
+                out.append((f"{text}.d{d}.p{p}.sing.e0", space,
+                            _singular_at_e0(rng, space, p, d), False))
+                out.append((f"{text}.d{d}.p{p}.sing.e0+e1", space,
+                            _singular_at_e0_plus_e1(rng, space, p, d), False))
+        # degree p, all partials zero: f = (sum x_i)^p
+        for text in ("P(1,1,1)", "P(1,1,1,1)"):
+            space = parse_ambient(text)
+            names = space.variable_set.names
+            f = parse_poly(" + ".join(f"{x}^{p}" for x in names),
+                           space.variable_set, p)
+            out.append((f"{text}.frobenius.p{p}", space, f, False))
+    return [(label, HypersurfaceVariety(f.p, space, f), forced)
+            for label, space, f, forced in out]
+
+
+class TestSingleBasisAgainstCharts:
+    def test_seeded_verdicts_agree(self):
+        members = _differential_members()
+        assert len(members) >= 100
+        verdicts = []
+        for label, v, forced in members:
+            single, charts = _both_methods(v)
+            assert single == charts.smooth_away_from_irrelevant, (label, str(v.f))
+            if forced is not None:
+                assert single is forced, (label, str(v.f))
+            res = cone_smoothness(v)
+            assert (res.smooth_away_from_irrelevant, res.witness_chart) \
+                == (charts.smooth_away_from_irrelevant, charts.witness_chart)
+            verdicts.append(single)
+        # both verdicts occur often, so neither method can pass by default
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+    @pytest.mark.parametrize("ambient,poly,p,smooth,chart", [
+        ("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2"
+         " + 3*x0^3*x1*x3^2 + 3*x0*x1*x2^2*x3^2", 5, True, None),
+        ("P(1,1,1,1,2)", "x0^4 + x1^4 + x2^4 + x3^4 + y^2"
+         " + x0*x1*x2^2 + x1^2*x2^2", 3, True, None),
+        ("P(1,1,1,1,2)", "x0^4 + x1^4 + x2^4 + x3^4 + y^2"
+         " + 2*x0*x1^2*x2 + x0^3*x3", 3, False, "x0"),
+    ], ids=["sextic.P11113.p5", "quartic.P11112.p3.smooth",
+            "quartic.P11112.p3.singular"])
+    def test_perturbed_double_covers(self, ambient, poly, p, smooth, chart):
+        v = variety(ambient, poly, p, names=["x0", "x1", "x2", "x3", "y"])
+        single, charts = _both_methods(v)
+        assert single is charts.smooth_away_from_irrelevant is smooth
+        assert charts.witness_chart == chart
+        assert cone_smoothness(v).witness_chart == chart
+
+
+class TestFastPath:
+    @pytest.fixture
+    def unit_calls(self, monkeypatch):
+        calls = []
+        real = ideals.localized_is_unit
+
+        def counting(ideal, g):
+            calls.append(str(g))
+            return real(ideal, g)
+
+        monkeypatch.setattr(geometry, "localized_is_unit", counting)
+        return calls
+
+    @pytest.fixture
+    def built_ideals(self, monkeypatch):
+        built = []
+        real = geometry.jacobian_ideal
+
+        def recording(v):
+            built.append(real(v))
+            return built[-1]
+
+        monkeypatch.setattr(geometry, "jacobian_ideal", recording)
+        return built
+
+    @staticmethod
+    def assert_no_partial_basis_cached(jac):
+        fresh = PolyIdeal(jac.field, jac.vars, jac.generators)
+        assert jac.groebner_basis() == fresh.groebner_basis()
+
+    def test_fermat_sextic_tests_no_chart(self, unit_calls, built_ideals):
+        v = variety("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 11,
+                    names=["x0", "x1", "x2", "x3", "y"])
+        assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
+        assert unit_calls == []
+        (jac,) = built_ideals
+        self.assert_no_partial_basis_cached(jac)
+
+    def test_double_plane_tests_charts_up_to_the_witness(self, unit_calls,
+                                                         built_ideals):
+        v = variety("P(1,1,1)", "x0^2", 5)
+        res = cone_smoothness(v)
+        assert res.witness_chart == "x1"
+        assert unit_calls == ["x0", "x1"]
+        assert res.witness_ideal is built_ideals[0]
+        self.assert_no_partial_basis_cached(res.witness_ideal)
+
+    def test_product_tests_every_chart(self, unit_calls, built_ideals):
+        v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
+        assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
+        assert len(unit_calls) == 9
+        self.assert_no_partial_basis_cached(built_ideals[0])
+
+    def test_charts_finding_nothing_is_an_error(self, monkeypatch):
+        # a J without the certificate must fail some chart; if none fails,
+        # the verdict is not trusted
+        monkeypatch.setattr(geometry, "localized_is_unit", lambda ideal, g: True)
+        with pytest.raises(geometry.AlgebraError):
+            cone_smoothness(variety("P(1,1,1)", "x0^2", 5))
 
 
 class TestVerdicts:
