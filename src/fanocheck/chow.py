@@ -14,6 +14,7 @@ arithmetic is exact over the integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -377,11 +378,20 @@ class _ExprParser(_TokenStream):
     def _maybe_power(self, el: dict) -> dict:
         if self.accept_op("^"):
             e = _parse_uint(self, "an exponent")
-            out = self.ring.one()
-            for _ in range(e):
-                out = self.ring.mul(out, el)
-                if not out:  # nilpotent above the dimension: stays zero
-                    break
+            # el = c + n with n of positive degree; classes above the
+            # dimension vanish, so (c + n)^e = sum_k C(e, k) c^(e-k) n^k
+            # ends at the first zero power of n, however large e is
+            ring = self.ring
+            const = (0,) * ring.ngens
+            c = el.get(const, 0)
+            n = {m: v for m, v in el.items() if m != const}
+            out, n_k = ring.zero(), ring.one()
+            for k in range(e + 1):
+                if k:
+                    n_k = ring.mul(n_k, n)
+                    if not n_k:
+                        break
+                out = ring.add(out, ring.scale(n_k, math.comb(e, k) * c ** (e - k)))
             return out
         return el
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .smallfields import GF, UnsupportedFieldSizeError
@@ -189,8 +190,14 @@ class PointConfig:
 
     @classmethod
     def from_points(cls, q: int, points: Iterable) -> "PointConfig":
+        """Normalize and sort; each point is 3 integers in 0..q-1, not all 0."""
         gf = GF(q)
-        normalized = {_normalize(tuple(p), gf) for p in points}
+        points = [tuple(p) for p in points]
+        for p in points:
+            if len(p) != 3 or not all(type(c) is int and 0 <= c < q for c in p):
+                raise ValueError(
+                    f"point {p!r} is not 3 integer coordinates in 0..{q - 1}")
+        normalized = {_normalize(p, gf) for p in points}
         return cls(q, tuple(sorted(normalized)))
 
     def __len__(self):
@@ -215,7 +222,7 @@ def _pgl3_field(q: int) -> GF:
 
 
 def pgl3_order(q: int) -> int:
-    """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for the q pgl3_elements takes."""
+    """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for q <= 8."""
     _pgl3_field(q)
     return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
 
@@ -224,8 +231,10 @@ def pgl3_order(q: int) -> int:
 def pgl3_elements(q: int) -> tuple:
     """One matrix per element of PGL_3(F_q), first nonzero entry scaled to 1.
 
-    Rows are built left to right avoiding the span of earlier rows, and the
-    first row is taken projectively, which hits each coset exactly once.
+    The brute-force reference for ``pgl_orbit_canonical``: 60,480 matrices
+    at q = 4.  Rows are built left to right avoiding the span of earlier
+    rows, and the first row is taken projectively, which hits each coset
+    exactly once.
     """
     gf = _pgl3_field(q)
     zero = (0, 0, 0)
@@ -256,11 +265,74 @@ def _apply(matrix, point, gf: GF):
     )
 
 
+def _cross(u, v, gf: GF):
+    return tuple(gf.sub(gf.mul(u[i], v[j]), gf.mul(u[j], v[i]))
+                 for i, j in ((1, 2), (2, 0), (0, 1)))
+
+
+def _pair_to_axes(c1, c2, gf: GF):
+    """A matrix sending c1 to (0,0,1) and c2 to (0,1,0), projectively.
+
+    The adjugate of the matrix with columns (c3, c2, c1), whose rows are
+    the cross products c2 x c1, c1 x c3, c3 x c2; c3 is the first basis
+    vector off the line c1c2, the first index where c2 x c1 is nonzero.
+    """
+    line = _cross(c2, c1, gf)
+    i = next(k for k, x in enumerate(line) if x)
+    c3 = tuple(int(k == i) for k in range(3))
+    return line, _cross(c1, c3, gf), _cross(c3, c2, gf)
+
+
 def pgl_orbit_canonical(config: PointConfig):
-    """Lexicographically least PGL_3 image of the configuration and orbit size."""
-    gf = GF(config.q)
-    images = set()
-    for matrix in pgl3_elements(config.q):
-        images.add(tuple(sorted(_apply(matrix, pt, gf) for pt in config.points)))
-    best = min(images)
-    return PointConfig(config.q, best), len(images)
+    """Lexicographically least PGL_3 image of the configuration and orbit size.
+
+    PGL_3 is 2-transitive, so with two or more points the least image S*
+    starts with (0,0,1), (0,1,0), and every g with gC = S* sends some
+    ordered pair (c1, c2) of C there: g is a fixed matrix h for the pair
+    followed by one of the (q-1)^2 q^2 elements [[1,0,0],[b,mu,0],[c,0,lam]]
+    of the two-point stabilizer.  Only these cosets, one per ordered pair,
+    are searched.  They are disjoint, and the elements reaching S* form one
+    coset of Stab(C), so the orbit has |PGL_3| / hits points
+    (orbit-stabilizer).  No point, one point and the whole plane are
+    answered directly.
+    """
+    q = config.q
+    gf = _pgl3_field(q)
+    n = len(config.points)
+    if n < 2:  # PGL_3 is transitive on points
+        return PointConfig(q, ((0, 0, 1),) * n), (q * q + q + 1) ** n
+    if n == q * q + q + 1:
+        return config, 1
+    sub = [[gf.sub(a, b) for b in gf.elements] for a in gf.elements]
+    units = range(1, q)
+    best, hits = None, 0
+    for c1, c2 in permutations(config.points, 2):
+        h = _pair_to_axes(c1, c2, gf)
+        moved = [_apply(h, pt, gf) for pt in config.points]
+        # the stabilizer fixes (0,0,1), sends (0,1,z) to (0,1,lam*z/mu)
+        # and (1,y,z) to (1,b+mu*y,c+lam*z): all stay normalized
+        line = [z for x, y, z in moved if not x and y]
+        affine = [(y, z) for x, y, z in moved if x]
+        for mu in units:
+            mu_y = [gf.mul(mu, y) for y, _ in affine]
+            for lam in units:
+                ratio = gf.mul(lam, gf.inv(mu))
+                head = ((0, 0, 1),) + tuple(sorted((0, 1, gf.mul(ratio, z)) for z in line))
+                if best is not None and head > best[:len(head)]:
+                    continue
+                lam_z = [gf.mul(lam, z) for _, z in affine]
+                if affine:
+                    # a least image has (1,0,0) as its first affine point, so
+                    # of the q^2 translations (b,c) only those moving an
+                    # affine point to (0,0) can reach it
+                    images = (head + tuple(sorted(
+                        (1, sub[y][y0], sub[z][z0]) for y, z in zip(mu_y, lam_z)))
+                        for y0, z0 in zip(mu_y, lam_z))
+                else:
+                    images = [head] * (q * q)
+                for image in images:
+                    if best is None or image < best:
+                        best, hits = image, 1
+                    elif image == best:
+                        hits += 1
+    return PointConfig(q, best), pgl3_order(q) // hits

@@ -259,6 +259,45 @@ class TestExpressions:
         assert expression_result_str(r, evaluate_expression(r, "K^7")) == "0"
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("expr,expected", [
+        ("(1+h1)^5", "5*h1 + 1"),
+        ("(1+h1)^0", "1"),
+        ("(h1+h2)^2", "2*h1*h2"),
+        ("(h1+h2)^3", "0"),
+        ("(1+h1+h2)^3", "6*h1*h2 + 3*h1 + 3*h2 + 1"),
+        ("(h1-h1)^0", "1"),
+    ])
+    def test_small_powers(self, expr, expected):
+        r = base_ring(1, 1)
+        assert expression_result_str(r, evaluate_expression(r, expr)) == expected
+
+    def test_powers_match_repeated_products(self):
+        for r, gens in ((base_ring(1, 2), "h1 h2"),
+                        (bundle_ring((1, 1), [(0, 0), (1, 2)]), "h1 h2 xi")):
+            rng = random.Random(61)
+            for _ in range(20):
+                base = "(" + " + ".join(
+                    f"{rng.randint(-3, 3)}*{g}" for g in gens.split()) + f" + {rng.randint(-2, 2)})"
+                e = rng.randint(1, 9)
+                assert (evaluate_expression(r, f"{base}^{e}")
+                        == evaluate_expression(r, "*".join([base] * e)))
+
+    def test_huge_power_of_unipotent_class(self):
+        r = base_ring(1)
+        el = evaluate_expression(r, "(1+h1)^1000000000")
+        assert expression_result_str(r, el) == "1000000000*h1 + 1"
+
+    def test_huge_power_takes_at_most_dim_plus_one_products(self, monkeypatch):
+        r = base_ring(1, 1)
+        calls = []
+        mul = r.mul
+        monkeypatch.setattr(r, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        el = evaluate_expression(r, "(1+h1+h2)^1000000000")
+        # 1 + e n + C(e, 2) n^2 with n = h1 + h2 and n^2 = 2 h1 h2
+        assert expression_result_str(r, el) == (
+            "999999999000000000*h1*h2 + 1000000000*h1 + 1000000000*h2 + 1")
+        assert len(calls) == 3
+
     def test_unary_minus_and_cancellation(self):
         r = base_ring(1, 1)
         assert evaluate_expression(r, "-h1 + h1") == {}

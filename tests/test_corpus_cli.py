@@ -287,6 +287,16 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "54\n"
 
+    def test_chow_huge_power(self, capsys):
+        # a binomial sum over the powers of h1 that do not vanish, not a
+        # billion products
+        rc = main(["chow", "--base", "1,1", "--expr", "deg((1+h1)^1000000000)"])
+        assert rc == 0
+        assert capsys.readouterr().out == "0\n"
+        rc = main(["chow", "--base", "1", "--expr", "deg((1+h1)^1000000000)"])
+        assert rc == 0
+        assert capsys.readouterr().out == "1000000000\n"
+
     def test_chow_canonical(self, capsys):
         rc = main(["chow", "--base", "1,1", "--bundle", "0,0;1,0;0,1",
                    "--canonical"])

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -12,6 +13,7 @@ from fanocheck.delpezzo import (
     fano_lines,
     langer_neg2_classes,
     pgl3_elements,
+    pgl3_order,
     pgl_orbit_canonical,
     plane_points,
 )
@@ -176,6 +178,114 @@ class TestPlaneConfigurations:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             PointConfig.from_points(2, [(0, 0, 0)])
+
+    def test_negative_coordinate_rejected(self):
+        # -1 would index the F_4 tables from the end and read as 3, not 1
+        with pytest.raises(ValueError, match="0..3"):
+            PointConfig.from_points(4, [(1, -1, 0)])
+
+    def test_out_of_range_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="0..2"):
+            PointConfig.from_points(3, [(1, 0, 0), (1, 3, 0)])
+
+    @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 0), (1, 0.0, 0), (1, True, 0)])
+    def test_malformed_point_rejected(self, point):
+        with pytest.raises(ValueError, match="3 integer coordinates"):
+            PointConfig.from_points(2, [(0, 1, 0), point])
+
+
+@lru_cache(maxsize=None)
+def _point_permutations(q):
+    """Each element of pgl3_elements(q) as a permutation of plane_points(q)."""
+    gf = GF(q)
+    pts = plane_points(q)
+    index = {}
+    for i, pt in enumerate(pts):
+        for s in range(1, q):
+            index[tuple(gf.mul(s, c) for c in pt)] = i
+    rows = {r for m in pgl3_elements(q) for r in m}
+    # row . point for every point, so a matrix maps the plane by zipping rows
+    dots = {r: [gf.add(gf.add(gf.mul(r[0], x), gf.mul(r[1], y)), gf.mul(r[2], z))
+                for x, y, z in pts] for r in rows}
+    perms = [tuple(map(index.__getitem__, zip(dots[r0], dots[r1], dots[r2])))
+             for r0, r1, r2 in pgl3_elements(q)]
+    return pts, perms
+
+
+def brute_force_orbit(config):
+    """Least image over every matrix of PGL_3 and the number of distinct images."""
+    pts, perms = _point_permutations(config.q)
+    idx = [pts.index(pt) for pt in config.points]
+    images = {tuple(sorted(map(perm.__getitem__, idx))) for perm in perms}
+    return tuple(pts[i] for i in min(images)), len(images)
+
+
+class TestOrbitAgainstBruteForce:
+    def seeded_configs(self):
+        rng = random.Random(606)
+        for q, per_size in ((2, 3), (3, 3), (4, 2)):
+            pts = plane_points(q)
+            for size in range(8):
+                for _ in range(per_size):
+                    yield q, rng.sample(pts, size)
+            # collinear: the line y = z, and three of its points plus one off it
+            line = [pt for pt in pts if pt[1] == pt[2]]
+            yield q, line
+            yield q, line[:3] + [(0, 1, 0)]
+        yield 2, plane_points(2)
+        yield 3, plane_points(3)
+
+    def test_canonical_form_and_orbit_size(self):
+        seen = set()
+        for q, points in self.seeded_configs():
+            config = PointConfig.from_points(q, points)
+            canonical, size = pgl_orbit_canonical(config)
+            assert (canonical.points, size) == brute_force_orbit(config), (q, points)
+            assert canonical.q == q
+            seen.add((q, len(config)))
+        assert {(q, n) for q in (2, 3, 4) for n in range(8)} <= seen
+
+
+class TestOrbitClosedForms:
+    """Orbit sizes that need no enumeration, at q beyond the brute force."""
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_frame(self, q):
+        frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        canonical, size = pgl_orbit_canonical(PointConfig.from_points(q, frame))
+        # PGL_3 is sharply transitive on ordered frames: Stab is S_4
+        assert size == pgl3_order(q) // 24
+        assert canonical.points == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_line(self, q):
+        line = [pt for pt in plane_points(q) if pt[0] == pt[1]]
+        assert len(line) == q + 1
+        canonical, size = pgl_orbit_canonical(PointConfig.from_points(q, line))
+        assert size == q * q + q + 1
+        assert canonical.points == ((0, 0, 1),) + tuple((0, 1, z) for z in range(q))
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_full_plane(self, q):
+        config = PointConfig.from_points(q, plane_points(q))
+        assert pgl_orbit_canonical(config) == (config, 1)
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_single_point(self, q):
+        config = PointConfig.from_points(q, [(1, 2, 3)])
+        canonical, size = pgl_orbit_canonical(config)
+        assert size == q * q + q + 1
+        assert canonical.points == ((0, 0, 1),)
+
+    def test_empty(self):
+        assert pgl_orbit_canonical(PointConfig.from_points(7, [])) == (
+            PointConfig(7, ()), 1)
+
+    def test_q9_unsupported(self):
+        with pytest.raises(UnsupportedFieldSizeError):
+            pgl_orbit_canonical(PointConfig.from_points(9, [(1, 0, 0), (0, 1, 0)]))
+        with pytest.raises(UnsupportedFieldSizeError):
+            pgl_orbit_canonical(PointConfig.from_points(9, []))
 
 
 class TestSmallFields:
