@@ -2,20 +2,23 @@
 projective spaces.
 
 The workhorse is the affine-cone Jacobian criterion: the cone must be smooth
-away from the irrelevant locus.  On a one-factor ambient that locus is the
-origin, and the cone is smooth away from it exactly when the Jacobian ideal
-J is m-primary or the unit ideal, that is, when the leading monomials of a
-Groebner basis of J include a pure power of every variable (the finiteness
-theorem).  One Buchberger run on J settles that, and it stops as soon as the
-last pure power appears, since leading monomials of a partial basis already
-lie in the initial ideal.  Products of factors, and a one-factor J that is
-not m-primary (to name the failing chart), go chart by chart: the charts
-g != 0, g a product picking one variable from each factor, cover the
-complement of the irrelevant locus, and on each of them J must become the
-unit ideal after inverting g.  For weighted factors the ambient itself
-carries quotient singularities along coordinate strata, so a cone-smooth
-hypersurface is only quasi-smooth until it is also known to avoid those
-strata.
+away from the irrelevant locus, the zeros of the irrelevant ideal B generated
+by the products g picking one variable from each factor (the chart tuples).
+The charts g != 0 cover the complement of that locus, and the cone is smooth
+there exactly when B lies in the radical of the Jacobian ideal J.  J is
+multihomogeneous, so S/J and S/in(J) have the same multigraded Hilbert
+function, and B lies in rad(J) exactly when it lies in rad(in(J)): when each
+chart tuple contains the support of some leading monomial of a Groebner basis
+of J.  On a one-factor ambient that is a pure power of every variable (J is
+m-primary or the unit ideal).  One Buchberger run on J settles it for every
+ambient, and it stops as soon as the last tuple closes, since leading
+monomials of a partial basis already lie in the initial ideal.  Only when the
+certificate fails do the charts run one by one, to name the first chart
+where J does not become the unit ideal after inverting g.
+
+For weighted factors the ambient itself carries quotient singularities along
+coordinate strata, so a cone-smooth hypersurface is only quasi-smooth until
+it is also known to avoid those strata.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .poly import (
     ParseError,
     Polynomial,
     VariableSet,
+    _is_variable_name,
     as_prime,
     grevlex_key,
     weighted_degree,
@@ -62,6 +66,9 @@ class AmbientFactor:
             raise ValueError("factor needs matching nonempty names and weights")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
+        for name in self.names:
+            if not _is_variable_name(name):
+                raise ValueError(f"variable name {name!r} is not an identifier")
 
 
 class AmbientSpace:
@@ -89,10 +96,6 @@ class AmbientSpace:
                 names.append(name)
                 weights.append(tuple(w if c == j else 0 for c in range(k)))
         return VariableSet(tuple(names), tuple(weights))
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.factors)
 
     def chart_tuples(self):
         """All ways of picking one variable name from each factor."""
@@ -276,44 +279,50 @@ def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResul
     return ConeResult(True)
 
 
-def _pure_power_certificate(jac: PolyIdeal) -> bool:
-    """Whether J is m-primary or the unit ideal.
+def _support_certificate(space: AmbientSpace, jac: PolyIdeal) -> bool:
+    """Whether the irrelevant ideal lies in the radical of J.
 
-    Runs Buchberger on J's generators and stops once the leading monomials
-    seen include a pure power of every variable.
+    Runs Buchberger on J's generators and closes a chart tuple once some
+    leading monomial is supported inside it; the run stops when no tuple is
+    open.  A leading monomial with two variables of one factor closes none.
     """
-    n = jac.vars.n
-    seen = set()
+    vset = space.variable_set
+    factor_of = [j for j, fac in enumerate(space.factors) for _ in fac.names]
+    open_charts = {tuple(vset.index(name) for name in chart)
+                   for chart in space.chart_tuples()}
 
-    def all_pure_powers_seen(lm) -> bool:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            seen.add(support[0])
-        return len(seen) == n
+    def no_chart_open(lm) -> bool:
+        pick = {}
+        for i, e in enumerate(lm):
+            if e:
+                if factor_of[i] in pick:
+                    return False
+                pick[factor_of[i]] = i
+        open_charts.difference_update(
+            [t for t in open_charts if all(t[j] == i for j, i in pick.items())])
+        return not open_charts
 
-    basis = _buchberger_raw([g.terms for g in jac.generators], n, jac.field.p,
-                            grevlex_key, all_pure_powers_seen)
+    basis = _buchberger_raw([g.terms for g in jac.generators], vset.n,
+                            jac.field.p, grevlex_key, no_chart_open)
     return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     """Jacobian criterion on the affine cone away from the irrelevant locus.
 
-    On a one-factor ambient, one Groebner basis of the Jacobian ideal J with
-    a pure power of every variable among its leading monomials certifies
-    the punctured cone smooth, and no chart is tested.  Products, and a
-    one-factor J without that certificate, go chart by chart, so a failing
-    verdict names the first chart where J does not become the unit ideal.
+    One Groebner basis of the Jacobian ideal J decides every ambient: the
+    cone is smooth there exactly when each chart tuple (one variable per
+    factor) contains the support of some leading monomial, and then no
+    chart is tested.  Without that certificate the charts run one by one,
+    only to name the first chart where J does not become the unit ideal.
     """
     jac = jacobian_ideal(variety)
-    if variety.space.nfactors > 1:
-        return _chart_smoothness(variety, jac)
-    if _pure_power_certificate(jac):
+    if _support_certificate(variety.space, jac):
         return ConeResult(True)
     result = _chart_smoothness(variety, jac)
     if result.smooth_away_from_irrelevant:
-        raise AlgebraError("Jacobian ideal is not m-primary, yet every chart "
-                           "localizes it to the unit ideal")
+        raise AlgebraError("Jacobian ideal has no support certificate, yet "
+                           "every chart localizes it to the unit ideal")
     return result
 
 

@@ -188,6 +188,8 @@ class VariableSet:
             raise ValueError("one weight vector per variable required")
         k = len(self.weights[0])
         for name, w in zip(self.names, self.weights):
+            if not _is_variable_name(name):
+                raise ValueError(f"variable name {name!r} is not an identifier")
             if len(w) != k:
                 raise ValueError("weight vectors must share one length")
             if any(c < 0 for c in w) or all(c == 0 for c in w):
@@ -458,6 +460,17 @@ def tokenize(text: str) -> list:
         raise ParseError(f"unexpected character {ch!r}", i)
     out.append(Token("end", "", n))
     return out
+
+
+def _is_variable_name(name) -> bool:
+    """Whether a polynomial can name the variable: one identifier token."""
+    if not isinstance(name, str):
+        return False
+    try:
+        tokens = tokenize(name)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name
 
 
 class _TokenStream:

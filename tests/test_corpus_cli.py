@@ -79,6 +79,18 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="factors"):
             load_corpus(doc)
 
+    @pytest.mark.parametrize("variables", [("t0", ""), ("t0", "t 1"), ("t0", " t1"),
+                                           ("t0", "1"), ("t0", "t-1")],
+                             ids=["empty", "space", "padded", "digit", "minus"])
+    def test_unreferencable_var_rejected(self, tmp_path, capsys, variables):
+        doc = {"entries": [entry(variables=variables)]}
+        with pytest.raises(CorpusFormatError, match="not an identifier"):
+            load_corpus(doc)
+        path = tmp_path / "bad_vars.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_factor_shape_mismatch(self):
         doc = {"entries": [entry(weights=(1, 1, 1))]}
         with pytest.raises(CorpusFormatError, match="factor"):
@@ -274,6 +286,21 @@ class TestCli:
                    "--poly", "x0^2"])
         assert rc == 0
         assert capsys.readouterr().out == "Singular\n"
+
+    @pytest.mark.parametrize("names", ["a,b,c,", "a,b,c,d e", "a,b,c,1", "a,b,c,d$"],
+                             ids=["trailing-comma", "space", "digit", "dollar"])
+    def test_smooth_unreferencable_var_rejected(self, capsys, names):
+        rc = main(["smooth", "-p", "5", "--ambient", "P(1,1) x P(1,1)",
+                   "--vars", names, "--poly", "a*c"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: variable name")
+
+    @pytest.mark.parametrize("names", ["x0,x 1,2", "x0,x1,2", "x0,x1-y"],
+                             ids=["space", "digit", "minus"])
+    def test_fsplit_unreferencable_var_rejected(self, capsys, names):
+        rc = main(["fsplit", "-p", "5", "--vars", names, "--poly", "x0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: variable name")
 
     def test_smooth_positive_dimensional_stratum_exit_code(self, capsys):
         rc = main(["smooth", "-p", "5", "--ambient", "P(1,1,2,2)",

@@ -12,7 +12,7 @@ from fanocheck.geometry import (
     SmoothnessStatus,
     UnsupportedStratumError,
     _chart_smoothness,
-    _pure_power_certificate,
+    _support_certificate,
     ambient_singular_strata,
     cone_smoothness,
     jacobian_ideal,
@@ -33,7 +33,7 @@ def variety(ambient_text, poly_text, p, names=None):
 class TestParseAmbient:
     def test_single_factor_default_names(self):
         space = parse_ambient("P(1,1,1,1,3)")
-        assert space.nfactors == 1
+        assert len(space.factors) == 1
         assert space.factors[0].names == ("x0", "x1", "x2", "x3", "x4")
         assert space.factors[0].weights == (1, 1, 1, 1, 3)
 
@@ -83,6 +83,13 @@ class TestParseAmbient:
         with pytest.raises(ValueError):
             AmbientSpace([AmbientFactor(("x",), (1,)),
                           AmbientFactor(("x",), (1,))])
+
+    @pytest.mark.parametrize("name", ["", "x 1", "1", "x-1", "x$"])
+    def test_unreferencable_names_rejected(self, name):
+        with pytest.raises(ValueError, match="not an identifier"):
+            AmbientFactor(("x0", name), (1, 1))
+        with pytest.raises(ValueError, match="not an identifier"):
+            parse_ambient("P(1,1) x P(1,1)", names=["a", "b", "c", name])
 
 
 class TestSingularStrata:
@@ -134,14 +141,17 @@ class TestConeSmoothness:
 
 def _both_methods(v):
     """(single-basis verdict, chart-by-chart result) on fresh Jacobian ideals."""
-    return (_pure_power_certificate(jacobian_ideal(v)),
+    return (_support_certificate(v.space, jacobian_ideal(v)),
             _chart_smoothness(v, jacobian_ideal(v)))
 
 
 def _singular_at_e0(rng, space, p, degree):
-    """Every term of x1..xn-degree >= 2: singular at [1:0:...:0]."""
+    """Every term has degree >= 2 in the variables other than the first of
+    each factor: singular at [1:0:...:0] in every factor."""
     vs = space.variable_set
-    pool = [m for m in monomials_of_degree(vs, degree) if sum(m[1:]) >= 2]
+    firsts = {vs.index(fac.names[0]) for fac in space.factors}
+    pool = [m for m in monomials_of_degree(vs, degree)
+            if sum(e for i, e in enumerate(m) if i not in firsts) >= 2]
     while True:
         picks = rng.sample(pool, min(len(pool), rng.randint(2, 6)))
         f = Polynomial(p, vs, {m: rng.randint(1, p - 1) for m in picks})
@@ -203,22 +213,71 @@ def _differential_members():
             for label, space, f, forced in out]
 
 
+def _product_members():
+    """Seeded divisors in products: (label, variety, forced verdict or None)."""
+    rng = random.Random(7)
+    out = []
+    ambients = [("P(1,1) x P(1,1)", ((1, 1), (2, 2), (1, 3))),
+                ("P(1,1) x P(1,1,1)", ((1, 1), (1, 2), (2, 2))),
+                ("P(1,1,1) x P(1,1,1)", ((1, 1), (1, 2))),
+                ("P(1,1) x P(1,1) x P(1,1)", ((1, 1, 1), (2, 1, 1))),
+                ("P(1,1,2) x P(1,1)", ((2, 1), (2, 2))),
+                ("P(1,1,1,2) x P(1,1)", ((2, 1), (2, 2)))]
+    for p in (2, 3, 5, 7):
+        for text, degrees in ambients:
+            space = parse_ambient(text)
+            vs = space.variable_set
+            for d in degrees:
+                for label, terms in (("random", 6), ("dense", 12)):
+                    f = random_homogeneous(rng, vs, p, d, max_terms=terms)
+                    out.append((f"{text}.d{d}.p{p}.{label}", space, f, None))
+                out.append((f"{text}.d{d}.p{p}.sing.e0", space,
+                            _singular_at_e0(rng, space, p, d), False))
+    return [(label, HypersurfaceVariety(f.p, space, f), forced)
+            for label, space, f, forced in out]
+
+
+def _assert_methods_agree(members):
+    """Both methods and cone_smoothness agree; returns cone_smoothness's results."""
+    verdicts, results = [], []
+    for label, v, forced in members:
+        single, charts = _both_methods(v)
+        assert single == charts.smooth_away_from_irrelevant, (label, str(v.f))
+        if forced is not None:
+            assert single is forced, (label, str(v.f))
+        res = cone_smoothness(v)
+        assert (res.smooth_away_from_irrelevant, res.witness_chart) \
+            == (charts.smooth_away_from_irrelevant, charts.witness_chart)
+        verdicts.append(single)
+        results.append(res)
+    # both verdicts occur often, so neither method can pass by default
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    return results
+
+
 class TestSingleBasisAgainstCharts:
     def test_seeded_verdicts_agree(self):
         members = _differential_members()
         assert len(members) >= 100
-        verdicts = []
-        for label, v, forced in members:
-            single, charts = _both_methods(v)
-            assert single == charts.smooth_away_from_irrelevant, (label, str(v.f))
-            if forced is not None:
-                assert single is forced, (label, str(v.f))
-            res = cone_smoothness(v)
-            assert (res.smooth_away_from_irrelevant, res.witness_chart) \
-                == (charts.smooth_away_from_irrelevant, charts.witness_chart)
-            verdicts.append(single)
-        # both verdicts occur often, so neither method can pass by default
-        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+        _assert_methods_agree(members)
+
+    def test_seeded_product_verdicts_agree(self):
+        members = _product_members()
+        assert len(members) >= 150
+        results = _assert_methods_agree(members)
+        # a point singular in every factor lies in the first chart
+        for (label, v, forced), res in zip(members, results):
+            if forced is False:
+                assert res.witness_chart == "*".join(
+                    next(v.space.chart_tuples())), label
+
+    def test_literal_singular_product(self):
+        # singular at ([1:0:0], [0:0:1]), which the third chart x0*y2 sees first
+        v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5)
+        single, charts = _both_methods(v)
+        assert single is charts.smooth_away_from_irrelevant is False
+        assert charts.witness_chart == cone_smoothness(v).witness_chart == "x0*y2"
+        assert smoothness_verdict(v) is SmoothnessStatus.SINGULAR
 
     @pytest.mark.parametrize("ambient,poly,p,smooth,chart", [
         ("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2"
@@ -284,11 +343,12 @@ class TestFastPath:
         assert res.witness_ideal is built_ideals[0]
         self.assert_no_partial_basis_cached(res.witness_ideal)
 
-    def test_product_tests_every_chart(self, unit_calls, built_ideals):
+    def test_smooth_product_tests_no_chart(self, unit_calls, built_ideals):
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
-        assert len(unit_calls) == 9
-        self.assert_no_partial_basis_cached(built_ideals[0])
+        assert unit_calls == []
+        (jac,) = built_ideals
+        self.assert_no_partial_basis_cached(jac)
 
     def test_charts_finding_nothing_is_an_error(self, monkeypatch):
         # a J without the certificate must fail some chart; if none fails,
@@ -296,6 +356,9 @@ class TestFastPath:
         monkeypatch.setattr(geometry, "localized_is_unit", lambda ideal, g: True)
         with pytest.raises(geometry.AlgebraError):
             cone_smoothness(variety("P(1,1,1)", "x0^2", 5))
+        with pytest.raises(geometry.AlgebraError):
+            cone_smoothness(variety("P(1,1,1) x P(1,1,1)",
+                                    "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5))
 
 
 class TestVerdicts:

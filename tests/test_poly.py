@@ -146,6 +146,16 @@ class TestGrading:
         with pytest.raises(ZeroPolynomialError):
             weighted_degree(Polynomial.zero(5, VS3))
 
+    @pytest.mark.parametrize("name", ["", " x", "x ", "x y", "2", "x-1", "x$", "x^2"])
+    def test_unreferencable_name_rejected(self, name):
+        with pytest.raises(ValueError, match="not an identifier"):
+            VariableSet(("x0", name), ((1,), (1,)))
+
+    def test_identifier_names_accepted(self):
+        vs = VariableSet.unit(["x0", "_t", "y_1", "Z9"])
+        f = parse_poly("x0*_t + y_1*Z9", vs, 5)
+        assert str(f) == "x0*_t + y_1*Z9"
+
 
 class TestArithmetic:
     def test_pow_zero_is_one(self):
