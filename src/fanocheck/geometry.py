@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .ideals import (
-    PolyIdeal,
-    _buchberger_raw,
-    _is_constant_raw,
-    localized_is_unit,
-)
+from .ideals import PolyIdeal, _stops_or_is_unit, localized_is_unit
 from .poly import (
     AlgebraError,
     ParseError,
@@ -42,7 +37,6 @@ from .poly import (
     VariableSet,
     _is_variable_name,
     as_prime,
-    grevlex_key,
     weighted_degree,
 )
 
@@ -302,9 +296,7 @@ def _support_certificate(space: AmbientSpace, jac: PolyIdeal) -> bool:
             [t for t in open_charts if all(t[j] == i for j, i in pick.items())])
         return not open_charts
 
-    basis = _buchberger_raw([g.terms for g in jac.generators], vset.n,
-                            jac.field.p, grevlex_key, no_chart_open)
-    return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
+    return _stops_or_is_unit(jac, no_chart_open)
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:

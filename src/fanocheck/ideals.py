@@ -4,50 +4,125 @@ Rabinowitsch-style localization tests.
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
 with both classical pruning criteria, and short-circuits to the unit ideal
 the moment any reduction produces a nonzero constant.  Pending pairs sit in
-a heap keyed by the order key of their lcm, computed once per pair, with
-the pair indices breaking ties; the selection order is the one a full scan
-for the smallest lcm would give.  Reduced bases are unique for a fixed
-order, which keeps every downstream verdict deterministic.  A caller may
-pass a stop predicate on the leading monomials entering the basis; a run it
+a heap keyed by their lcm, computed once per pair, with the pair indices
+breaking ties; the selection order is the one a full scan for the smallest
+lcm would give.  Reduced bases are unique for a fixed order, which keeps
+every downstream verdict deterministic.  A caller may pass a stop predicate
+on the leading monomials entering the basis (as exponent tuples); a run it
 ends returns no basis at all, so a partial basis is never cached.
 
-Internally polynomials travel as plain {monomial: coefficient} dicts so the
-hot reduction loops stay allocation-light; the public API speaks
-:class:`~fanocheck.poly.Polynomial`.
+Internally polynomials travel as {packed monomial: coefficient} dicts, the
+packed-exponent idea of the product kernel in :mod:`fanocheck.poly`
+(Monagan & Pearce, CASC 2007) extended by the term order: one int per
+monomial whose integer order is the term order and which adds under
+products.  Exponent i sits in a 17-bit field (16 value bits and a guard
+bit) at the bottom; above them sit the order's rows, each a sum of
+exponents, most significant row on top.  For grevlex the rows are the
+partial sums e_0 + ... + e_k with the total degree on top; the elimination
+order of :func:`ideal_quotient` puts the adjoined variable's exponent above
+them.  So the leading term is a plain ``max``, a product is ``a + b``, a
+quotient ``b - a``, and ``a | b`` exactly when ``(b - a) & guard == 0``.
+Every product checks its guard bits, so an exponent past the cap raises
+:class:`~fanocheck.poly.ExponentOverflowError` instead of spilling into a
+neighbouring field.  Monomials are packed at entry and unpacked at exit;
+the public API speaks :class:`~fanocheck.poly.Polynomial`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .poly import (
+    EXPONENT_LIMIT,
     AlgebraError,
-    Monomial,
+    ExponentOverflowError,
     Polynomial,
     Prime,
     VariableSet,
-    grevlex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 
 # ---------------------------------------------------------------------------
-# raw dict-level division and Buchberger
+# packed monomials
 # ---------------------------------------------------------------------------
 
-def _lm(f: dict, key) -> Monomial:
-    return max(f, key=key)
+_FIELD = EXPONENT_LIMIT.bit_length()  # 16 value bits and the guard bit
+_FIELD_MASK = (1 << _FIELD) - 1
 
 
-def _sub_scaled(f: dict, g: dict, mono: Monomial, coeff: int, p: int) -> None:
+class _PackedOrder:
+    """A term order on n variables as a packing of exponent tuples into ints.
+
+    ``rows`` lists the order's 0/1 weight rows, least significant first;
+    comparing packed ints compares the row values top row first, then the
+    exponents, so the rows must determine the monomial.  Each row but the
+    top one gets a field wide enough for n exponents below the cap, and the
+    top one is unbounded.  Packing is linear: a monomial packs to the sum of
+    its exponents times the packed variables.
+    """
+
+    __slots__ = ("units", "guard", "shifts")
+
+    def __init__(self, n: int, rows: Sequence):
+        width = (n * (EXPONENT_LIMIT - 1)).bit_length()
+        shifts = tuple(i * _FIELD for i in range(n))
+        row_shifts = [n * _FIELD + r * width for r in range(len(rows))]
+        self.shifts = shifts
+        self.guard = sum(1 << (s + _FIELD - 1) for s in shifts)
+        self.units = tuple(
+            (1 << s) + sum(row[i] << rs for row, rs in zip(rows, row_shifts))
+            for i, s in enumerate(shifts))
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
+
+    def pack_terms(self, terms) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, f: dict) -> dict:
+        return {self.unpack(m): c for m, c in f.items()}
+
+    def lcm(self, a: tuple, b: tuple) -> int:
+        """Packed lcm of two exponent tuples."""
+        return sum(map(mul, map(max, a, b), self.units))
+
+    def overflow(self, t: int) -> ExponentOverflowError:
+        return ExponentOverflowError(
+            f"exponent cap {EXPONENT_LIMIT} exceeded in {self.unpack(t)}")
+
+
+@lru_cache(maxsize=None)
+def _grevlex(n: int) -> _PackedOrder:
+    """Grevlex: rows e_0 + ... + e_k for k = 0..n-1, total degree on top."""
+    return _PackedOrder(n, [tuple(int(i <= k) for i in range(n)) for k in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _elimination(n: int) -> _PackedOrder:
+    """Slot 0 (the adjoined variable) first, grevlex on slots 1..n-1 behind."""
+    rows = [tuple(int(1 <= i <= k) for i in range(n)) for k in range(1, n)]
+    return _PackedOrder(n, rows + [(1,) + (0,) * (n - 1)])
+
+
+# ---------------------------------------------------------------------------
+# raw packed division and Buchberger
+# ---------------------------------------------------------------------------
+
+def _sub_scaled(f: dict, g: dict, mono: int, coeff: int, p: int,
+                order: _PackedOrder) -> None:
     """In place f -= coeff * x^mono * g."""
+    guard = order.guard
     for m, c in g.items():
-        t = mono_mul(m, mono)
+        t = m + mono
+        if t & guard:
+            raise order.overflow(t)
         v = (f.get(t, 0) - coeff * c) % p
         if v:
             f[t] = v
@@ -55,16 +130,17 @@ def _sub_scaled(f: dict, g: dict, mono: Monomial, coeff: int, p: int) -> None:
             del f[t]
 
 
-def _normal_form_raw(f: dict, basis: Sequence, p: int, key) -> dict:
+def _normal_form_raw(f: dict, basis: Sequence, p: int, order: _PackedOrder) -> dict:
     """Full normal form against (lm, poly) pairs with monic polys."""
+    guard = order.guard
     h = dict(f)
     r = {}
     while h:
-        m = _lm(h, key)
+        m = max(h)
         c = h[m]
         for lm_g, g in basis:
-            if mono_divides(lm_g, m):
-                _sub_scaled(h, g, mono_div(m, lm_g), c, p)
+            if not (m - lm_g) & guard:
+                _sub_scaled(h, g, m - lm_g, c, p, order)
                 break
         else:
             r[m] = c
@@ -72,66 +148,72 @@ def _normal_form_raw(f: dict, basis: Sequence, p: int, key) -> dict:
     return r
 
 
-def _monic_raw(f: dict, p: int, key) -> dict:
-    inv = pow(f[_lm(f, key)], -1, p)
+def _monic_raw(f: dict, p: int) -> dict:
+    inv = pow(f[max(f)], -1, p)
     return {m: (c * inv) % p for m, c in f.items()}
 
 
 def _is_constant_raw(f: dict) -> bool:
-    return len(f) == 1 and not any(next(iter(f)))
+    return len(f) == 1 and 0 in f
 
 
-def _buchberger_raw(gens: Sequence, nvars: int, p: int, key,
+def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
                     stop=None) -> Optional[list]:
-    """Reduced Groebner basis of the given coefficient dicts.
+    """Reduced Groebner basis of the given packed coefficient dicts.
 
     Returns a list of monic dicts sorted by increasing leading monomial.
-    The unit ideal comes back as [{1}] via the constant short-circuit.
-    ``stop``, if given, sees the leading monomial of every element that
-    enters the basis, generators included; once it returns true the run
-    ends and None comes back in place of a basis.
+    The unit ideal comes back as [{0: 1}] via the constant short-circuit.
+    ``stop``, if given, sees the exponent tuple of the leading monomial of
+    every element that enters the basis, generators included; once it
+    returns true the run ends and None comes back in place of a basis.
     """
-    one = [{(0,) * nvars: 1}]
+    guard = order.guard
+    one = [{0: 1}]
     basis = []
     lms = []
+    exps = []  # leading monomials unpacked, for the lcm and the stop predicate
     for g in gens:
         if not g:
             continue
         if _is_constant_raw(g):
             return one
-        basis.append(_monic_raw(g, p, key))
-        lms.append(_lm(g, key))
-        if stop is not None and stop(lms[-1]):
+        basis.append(_monic_raw(g, p))
+        lms.append(max(g))
+        exps.append(order.unpack(lms[-1]))
+        if stop is not None and stop(exps[-1]):
             return None
     if not basis:
         return []
+    reducers = list(zip(lms, basis))
 
-    # Heap entries (key(lcm), pair, lcm) pop smallest lcm first, ties by
-    # pair; the set mirrors the heap for the chain criterion's lookups.
+    # Heap entries (lcm, pair) pop smallest lcm first, ties by pair; the set
+    # mirrors the heap for the chain criterion's lookups.
     pending = set()
     queue = []
 
     def add_pair(i, j):
-        lij = mono_lcm(lms[i], lms[j])
         pending.add((i, j))
-        heapq.heappush(queue, (key(lij), (i, j), lij))
+        heapq.heappush(queue, (order.lcm(exps[i], exps[j]), (i, j)))
 
     for j in range(1, len(basis)):
         for i in range(j):
             add_pair(i, j)
 
     while queue:
-        _, pair, lij = heapq.heappop(queue)
+        lij, pair = heapq.heappop(queue)
         pending.discard(pair)
         i, j = pair
         # product criterion: coprime leading monomials reduce to zero
-        if lij == mono_mul(lms[i], lms[j]):
+        prod = lms[i] + lms[j]
+        if prod & guard:
+            raise order.overflow(prod)
+        if lij == prod:
             continue
         # chain criterion: a third element divides the lcm and both side
         # pairs were already handled
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lms[k], lij):
+        for k, lm_k in enumerate(lms):
+            if k == i or k == j or (lij - lm_k) & guard:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -141,17 +223,19 @@ def _buchberger_raw(gens: Sequence, nvars: int, p: int, key,
         if skip:
             continue
         s = {}
-        _sub_scaled(s, basis[i], mono_div(lij, lms[i]), p - 1, p)
-        _sub_scaled(s, basis[j], mono_div(lij, lms[j]), 1, p)
-        s = _normal_form_raw(s, list(zip(lms, basis)), p, key)
+        _sub_scaled(s, basis[i], lij - lms[i], p - 1, p, order)
+        _sub_scaled(s, basis[j], lij - lms[j], 1, p, order)
+        s = _normal_form_raw(s, reducers, p, order)
         if not s:
             continue
         if _is_constant_raw(s):
             return one
-        s = _monic_raw(s, p, key)
+        s = _monic_raw(s, p)
         basis.append(s)
-        lms.append(_lm(s, key))
-        if stop is not None and stop(lms[-1]):
+        lms.append(max(s))
+        exps.append(order.unpack(lms[-1]))
+        reducers.append((lms[-1], s))
+        if stop is not None and stop(exps[-1]):
             return None
         t = len(basis) - 1
         for i2 in range(t):
@@ -164,19 +248,18 @@ def _buchberger_raw(gens: Sequence, nvars: int, p: int, key,
         for j, lm_j in enumerate(lms):
             if i == j:
                 continue
-            if mono_divides(lm_j, lm_i) and (lm_j != lm_i or j < i):
+            if not (lm_i - lm_j) & guard and (lm_j != lm_i or j < i):
                 drop = True
                 break
         if not drop:
-            keep.append(basis[i])
+            keep.append(reducers[i])
     # interreduce tails
     reduced = []
-    for i, g in enumerate(keep):
-        others = [(_lm(h, key), h) for j, h in enumerate(keep) if j != i]
-        r = _normal_form_raw(g, others, p, key)
+    for i, (_, g) in enumerate(keep):
+        r = _normal_form_raw(g, keep[:i] + keep[i + 1:], p, order)
         if r:
-            reduced.append(_monic_raw(r, p, key))
-    reduced.sort(key=lambda g: key(_lm(g, key)))
+            reduced.append(_monic_raw(r, p))
+    reduced.sort(key=max)
     return reduced
 
 
@@ -219,55 +302,75 @@ class PolyIdeal:
 
     def groebner_basis(self) -> GroebnerBasis:
         if self._gb is None:
-            raw = _buchberger_raw([g.terms for g in self.generators],
-                                  self.vars.n, self.field.p, grevlex_key)
-            elems = tuple(Polynomial(self.field, self.vars, g) for g in raw)
+            order = _grevlex(self.vars.n)
+            raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
+                                  order, self.field.p)
+            elems = tuple(Polynomial(self.field, self.vars, order.unpack_terms(g))
+                          for g in raw)
             self._gb = GroebnerBasis("grevlex", elems)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:
+        _check_ring(f, self.field, self.vars)
         return normal_form(f, self.groebner_basis()).is_zero
+
+
+def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
+    """Whether Buchberger on the generators ends at ``stop`` or at the unit ideal.
+
+    ``stop`` sees each leading monomial entering the basis as an exponent
+    tuple; the grevlex basis is neither kept nor cached.
+    """
+    order = _grevlex(ideal.vars.n)
+    basis = _buchberger_raw([order.pack_terms(g.terms) for g in ideal.generators],
+                            order, ideal.field.p, stop)
+    return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
 
 
 def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
     return ideal.groebner_basis()
 
 
+def _check_ring(f: Polynomial, field: Prime, variables: VariableSet) -> None:
+    if f.field != field or f.vars != variables:
+        raise ValueError("polynomial lives in a different ring")
+
+
 def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Unique remainder of f against a reduced basis (grevlex)."""
-    pairs = [(g.leading_monomial(), g.terms) for g in basis]
-    r = _normal_form_raw(f.terms, pairs, f.p, grevlex_key)
-    return Polynomial(f.field, f.vars, r)
+    order = _grevlex(f.vars.n)
+    pairs = []
+    for g in basis:
+        _check_ring(f, g.field, g.vars)
+        packed = order.pack_terms(g.terms)
+        pairs.append((max(packed), packed))
+    r = _normal_form_raw(order.pack_terms(f.terms), pairs, f.p, order)
+    return Polynomial(f.field, f.vars, order.unpack_terms(r))
 
 
 # ---------------------------------------------------------------------------
 # quotients and localization
 # ---------------------------------------------------------------------------
 
-def _elim_key(mono: Monomial):
-    """Block order with the adjoined variable (slot 0) in front, grevlex behind."""
-    rest = mono[1:]
-    return (mono[0], sum(rest), tuple(-e for e in reversed(rest)))
+def _extend(f: Polynomial, order: _PackedOrder, t_exp: int) -> dict:
+    """f's terms times t^t_exp, packed with t in slot 0."""
+    return {order.pack((t_exp,) + m): c for m, c in f.terms.items()}
 
 
-def _extend(f: dict, t_exp: int) -> dict:
-    return {(t_exp,) + m: c for m, c in f.items()}
-
-
-def _exact_divide_raw(h: dict, g: dict, p: int, key) -> dict:
+def _exact_divide_raw(h: dict, g: dict, p: int, order: _PackedOrder) -> dict:
     """Quotient h / g for exact division; raises if g does not divide h."""
-    lg = _lm(g, key)
+    lg = max(g)
     cg_inv = pow(g[lg], -1, p)
     q = {}
     r = dict(h)
     while r:
-        m = _lm(r, key)
-        if not mono_divides(lg, m):
+        m = max(r)
+        qm = m - lg
+        if qm & order.guard:
             raise AlgebraError("exact division failed; divisor does not divide")
-        qm = mono_div(m, lg)
         qc = (r[m] * cg_inv) % p
         q[qm] = qc
-        _sub_scaled(r, g, qm, qc, p)
+        _sub_scaled(r, g, qm, qc, p, order)
     return q
 
 
@@ -280,34 +383,37 @@ def ideal_quotient(ideal: PolyIdeal, g: Polynomial) -> PolyIdeal:
     """
     if g.is_zero:
         raise ValueError("cannot take a quotient by zero")
-    if g.field != ideal.field or g.vars != ideal.vars:
-        raise ValueError("polynomial lives in a different ring")
+    _check_ring(g, ideal.field, ideal.vars)
     p = ideal.field.p
-    nontrivial = [f.terms for f in ideal.generators if not f.is_zero]
+    nontrivial = [f for f in ideal.generators if not f.is_zero]
     if not nontrivial:
         return PolyIdeal(ideal.field, ideal.vars,
                          [Polynomial.zero(ideal.field, ideal.vars)])
     if g.is_constant():
         return PolyIdeal(ideal.field, ideal.vars, list(ideal.generators))
-    ext_gens = [_extend(f, 1) for f in nontrivial]
+    elim = _elimination(ideal.vars.n + 1)
+    ext_gens = [_extend(f, elim, 1) for f in nontrivial]
     # (1 - t) * g
-    mixed = _extend(g.terms, 0)
-    for m, c in _extend(g.terms, 1).items():
+    mixed = _extend(g, elim, 0)
+    for m, c in _extend(g, elim, 1).items():
         mixed[m] = (mixed.get(m, 0) - c) % p
     mixed = {m: c for m, c in mixed.items() if c}
     ext_gens.append(mixed)
-    basis = _buchberger_raw(ext_gens, ideal.vars.n + 1, p, _elim_key)
+    basis = _buchberger_raw(ext_gens, elim, p)
+    order = _grevlex(ideal.vars.n)
+    divisor = order.pack_terms(g.terms)
     out = []
     for h in basis:
-        if any(m[0] for m in h):
+        if any(m & _FIELD_MASK for m in h):  # a term with t in it
             continue
-        shrunk = {m[1:]: c for m, c in h.items()}
-        out.append(_exact_divide_raw(shrunk, g.terms, p, grevlex_key))
+        shrunk = {order.pack(elim.unpack(m)[1:]): c for m, c in h.items()}
+        out.append(_exact_divide_raw(shrunk, divisor, p, order))
     if not out:
         return PolyIdeal(ideal.field, ideal.vars,
                          [Polynomial.zero(ideal.field, ideal.vars)])
     return PolyIdeal(ideal.field, ideal.vars,
-                     [Polynomial(ideal.field, ideal.vars, h) for h in out])
+                     [Polynomial(ideal.field, ideal.vars, order.unpack_terms(h))
+                      for h in out])
 
 
 def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
@@ -318,15 +424,13 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     """
     if g.is_zero:
         raise ValueError("cannot invert zero")
-    if g.field != ideal.field or g.vars != ideal.vars:
-        raise ValueError("polynomial lives in a different ring")
+    _check_ring(g, ideal.field, ideal.vars)
     p = ideal.field.p
-    n = ideal.vars.n
-    ext_gens = [_extend(f.terms, 0) for f in ideal.generators if not f.is_zero]
-    rab = _extend(g.terms, 1)
-    one_mono = (0,) * (n + 1)
-    rab[one_mono] = (rab.get(one_mono, 0) - 1) % p
+    order = _grevlex(ideal.vars.n + 1)
+    ext_gens = [_extend(f, order, 0) for f in ideal.generators if not f.is_zero]
+    rab = _extend(g, order, 1)
+    rab[0] = (rab.get(0, 0) - 1) % p
     rab = {m: c for m, c in rab.items() if c}
     ext_gens.append(rab)
-    basis = _buchberger_raw(ext_gens, n + 1, p, grevlex_key)
+    basis = _buchberger_raw(ext_gens, order, p)
     return len(basis) == 1 and _is_constant_raw(basis[0])

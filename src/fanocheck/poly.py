@@ -11,6 +11,8 @@ sits in bits [i*width, (i+1)*width) of one int, the width leaving room for
 the largest exponent the result can reach plus a guard bit, so a product of
 monomials is one integer add and the box test "some exponent >= q" is one
 add and one mask.  Monomials are unpacked only to build the result.
+Buchberger in :mod:`fanocheck.ideals` runs on the same packed monomials,
+with the term order packed above the exponents.
 
 Exponents are capped at 2**16 so that products and powers fail loudly
 instead of silently blowing up.
@@ -92,27 +94,6 @@ def as_prime(p: Union[int, Prime]) -> Prime:
 def grevlex_key(mono: Monomial):
     """Sort key: larger key means grevlex-larger monomial."""
     return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e >= EXPONENT_LIMIT for e in out):
-        raise ExponentOverflowError(f"exponent cap {EXPONENT_LIMIT} exceeded in {out}")
-    return out
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """Quotient b / a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

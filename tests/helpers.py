@@ -7,11 +7,18 @@ slow but obviously correct.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 
-from fanocheck.poly import Polynomial, VariableSet, parse_poly
+from fanocheck.poly import (
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
+    Polynomial,
+    VariableSet,
+    parse_poly,
+)
 from fanocheck.smallfields import GF, poly_eval
 
 
@@ -218,3 +225,184 @@ def naive_bundle_degree(dims, twists, classes) -> int:
                     changed = True
     top = (tuple(dims), r - 1)
     return acc.get(top, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference Buchberger on exponent tuples
+# ---------------------------------------------------------------------------
+#
+# The tuple-keyed Buchberger loop the packed kernel in fanocheck.ideals
+# replaced, kept as a differential oracle: same selection strategy, same
+# criteria, same stop predicate, so the bases must agree term for term.
+
+def ref_grevlex_key(mono):
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def ref_elim_key(mono):
+    """Block order with the adjoined variable (slot 0) in front, grevlex behind."""
+    rest = mono[1:]
+    return (mono[0], sum(rest), tuple(-e for e in reversed(rest)))
+
+
+def _ref_mono_mul(a, b):
+    out = tuple(x + y for x, y in zip(a, b))
+    if any(e >= EXPONENT_LIMIT for e in out):
+        raise ExponentOverflowError(f"exponent cap {EXPONENT_LIMIT} exceeded in {out}")
+    return out
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_div(b, a):
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def _ref_sub_scaled(f, g, mono, coeff, p):
+    for m, c in g.items():
+        t = _ref_mono_mul(m, mono)
+        v = (f.get(t, 0) - coeff * c) % p
+        if v:
+            f[t] = v
+        elif t in f:
+            del f[t]
+
+
+def ref_normal_form_raw(f, basis, p, key):
+    h = dict(f)
+    r = {}
+    while h:
+        m = max(h, key=key)
+        c = h[m]
+        for lm_g, g in basis:
+            if _ref_divides(lm_g, m):
+                _ref_sub_scaled(h, g, _ref_div(m, lm_g), c, p)
+                break
+        else:
+            r[m] = c
+            del h[m]
+    return r
+
+
+def _ref_monic(f, p, key):
+    inv = pow(f[max(f, key=key)], -1, p)
+    return {m: (c * inv) % p for m, c in f.items()}
+
+
+def _ref_is_constant(f):
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def ref_buchberger_raw(gens, nvars, p, key, stop=None):
+    """Reduced basis of tuple-keyed dicts: monic, by increasing leading monomial."""
+    one = [{(0,) * nvars: 1}]
+    basis = []
+    lms = []
+    for g in gens:
+        if not g:
+            continue
+        if _ref_is_constant(g):
+            return one
+        basis.append(_ref_monic(g, p, key))
+        lms.append(max(g, key=key))
+        if stop is not None and stop(lms[-1]):
+            return None
+    if not basis:
+        return []
+    pending = set()
+    queue = []
+
+    def add_pair(i, j):
+        lij = tuple(map(max, lms[i], lms[j]))
+        pending.add((i, j))
+        heapq.heappush(queue, (key(lij), (i, j), lij))
+
+    for j in range(1, len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+    while queue:
+        _, pair, lij = heapq.heappop(queue)
+        pending.discard(pair)
+        i, j = pair
+        if lij == _ref_mono_mul(lms[i], lms[j]):
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not _ref_divides(lms[k], lij):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        s = {}
+        _ref_sub_scaled(s, basis[i], _ref_div(lij, lms[i]), p - 1, p)
+        _ref_sub_scaled(s, basis[j], _ref_div(lij, lms[j]), 1, p)
+        s = ref_normal_form_raw(s, list(zip(lms, basis)), p, key)
+        if not s:
+            continue
+        if _ref_is_constant(s):
+            return one
+        s = _ref_monic(s, p, key)
+        basis.append(s)
+        lms.append(max(s, key=key))
+        if stop is not None and stop(lms[-1]):
+            return None
+        t = len(basis) - 1
+        for i2 in range(t):
+            add_pair(i2, t)
+    keep = []
+    for i, lm_i in enumerate(lms):
+        if not any(j != i and _ref_divides(lm_j, lm_i) and (lm_j != lm_i or j < i)
+                   for j, lm_j in enumerate(lms)):
+            keep.append(basis[i])
+    reduced = []
+    for i, g in enumerate(keep):
+        others = [(max(h, key=key), h) for j, h in enumerate(keep) if j != i]
+        r = ref_normal_form_raw(g, others, p, key)
+        if r:
+            reduced.append(_ref_monic(r, p, key))
+    reduced.sort(key=lambda g: key(max(g, key=key)))
+    return reduced
+
+
+def ref_localized_is_unit(gens, g) -> bool:
+    """1 in (gens) + (t*g - 1), t in slot 0, on the reference loop."""
+    p, n = g.p, g.vars.n
+    ext = [{(0,) + m: c for m, c in f.terms.items()} for f in gens if not f.is_zero]
+    rab = {(1,) + m: c for m, c in g.terms.items()}
+    one = (0,) * (n + 1)
+    rab[one] = (rab.get(one, 0) - 1) % p
+    ext.append({m: c for m, c in rab.items() if c})
+    basis = ref_buchberger_raw(ext, n + 1, p, ref_grevlex_key)
+    return len(basis) == 1 and _ref_is_constant(basis[0])
+
+
+def ref_quotient_gens(gens, g) -> list:
+    """Generators of (gens : g) as tuple dicts, by elimination on the reference loop."""
+    p, n = g.p, g.vars.n
+    ext = [{(1,) + m: c for m, c in f.terms.items()} for f in gens if not f.is_zero]
+    mixed = {(0,) + m: c for m, c in g.terms.items()}
+    for m, c in g.terms.items():
+        mixed[(1,) + m] = (mixed.get((1,) + m, 0) - c) % p
+    ext.append({m: c for m, c in mixed.items() if c})
+    out = []
+    for h in ref_buchberger_raw(ext, n + 1, p, ref_elim_key):
+        if any(m[0] for m in h):
+            continue
+        r = {m[1:]: c for m, c in h.items()}
+        lg = max(g.terms, key=ref_grevlex_key)
+        inv = pow(g.terms[lg], -1, p)
+        q = {}
+        while r:
+            m = max(r, key=ref_grevlex_key)
+            assert _ref_divides(lg, m)
+            qm, qc = _ref_div(m, lg), r[m] * inv % p
+            q[qm] = qc
+            _ref_sub_scaled(r, g.terms, qm, qc, p)
+        out.append(q)
+    return out

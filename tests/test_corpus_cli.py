@@ -302,6 +302,13 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: variable name")
 
+    def test_smooth_exponent_overflow_exit_code(self, capsys):
+        # the product criterion multiplies x0^40000*x1 by x0^39999*x1
+        rc = main(["smooth", "--ambient", "P(1,1)", "-p", "3",
+                   "--poly", "x0^40000*x1 + x0*x1^40000"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: exponent cap 65536 exceeded in (79999, 2)\n"
+
     def test_smooth_positive_dimensional_stratum_exit_code(self, capsys):
         rc = main(["smooth", "-p", "5", "--ambient", "P(1,1,2,2)",
                    "--poly", "x0^4+x1^4+x2^2+x3^2"])

@@ -1,21 +1,31 @@
 import random
+import re
 
 import pytest
 
 from fanocheck.ideals import (
     GroebnerBasis,
     PolyIdeal,
+    _buchberger_raw,
+    _elimination,
+    _grevlex,
     buchberger,
     ideal_quotient,
     localized_is_unit,
     normal_form,
 )
-from fanocheck.poly import Polynomial, VariableSet, parse_poly
+from fanocheck.poly import ExponentOverflowError, Polynomial, VariableSet, parse_poly
 from helpers import (
     common_zero_with_g_nonzero,
     random_homogeneous,
     random_nonzero_poly,
     random_poly,
+    ref_buchberger_raw,
+    ref_elim_key,
+    ref_grevlex_key,
+    ref_localized_is_unit,
+    ref_normal_form_raw,
+    ref_quotient_gens,
 )
 
 VS2 = VariableSet.unit("x,y")
@@ -276,3 +286,170 @@ def test_reduced_basis_matches_sympy(gens):
         return frozenset((m, int(c) * inv % p) for m, c in g.terms())
 
     assert ours == {monic(g) for g in theirs.polys}
+
+
+# ---------------------------------------------------------------------------
+# packed kernel against the tuple-keyed reference loop
+# ---------------------------------------------------------------------------
+
+def _random_ring(rng):
+    n = rng.randint(1, 7)
+    names = [f"x{i}" for i in range(n)]
+    kind = rng.choice(["unit", "weighted", "bigraded"])
+    if kind == "unit":
+        return VariableSet.unit(names)
+    if kind == "weighted":
+        return VariableSet.weighted(names, [rng.randint(1, 3) for _ in names])
+    return VariableSet(tuple(names), tuple((i % 2, 1 - i % 2) for i in range(n)))
+
+
+def _random_gens(rng, vs, p):
+    """One to four generators: sparse or homogeneous, now and then zero or a unit."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.08:
+            gens.append(Polynomial.zero(p, vs))
+        elif roll < 0.12:
+            gens.append(Polynomial.constant(p, vs, rng.randint(1, p - 1)))
+        elif roll < 0.5:
+            degree = [rng.randint(1, 2) for _ in range(vs.ncomponents)]
+            try:
+                gens.append(random_homogeneous(rng, vs, p, degree, max_terms=3))
+            except AssertionError:  # no monomial of that degree
+                gens.append(random_nonzero_poly(rng, vs, p, max_terms=3, max_exp=2))
+        else:
+            gens.append(random_nonzero_poly(rng, vs, p, max_terms=3, max_exp=2))
+    return gens
+
+
+def _seeded_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = _random_ring(rng)
+        p = rng.choice([2, 3, 5, 7, 11])
+        yield rng, vs, p, _random_gens(rng, vs, p)
+
+
+def _items(dicts):
+    """Terms in dict order, so equal lists also mean equal term order."""
+    return [list(d.items()) for d in dicts]
+
+
+class TestPackedAgainstTupleLoop:
+    def test_grevlex_bases_identical(self):
+        units = 0
+        for _, vs, p, gens in _seeded_cases(8101, 150):
+            ours = [g.terms for g in PolyIdeal(p, vs, gens).groebner_basis()]
+            theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_grevlex_key)
+            assert _items(ours) == _items(theirs)
+            units += ours == [{(0,) * vs.n: 1}]
+        assert units > 0
+
+    def test_elimination_bases_identical(self):
+        for _, vs, p, gens in _seeded_cases(8102, 150):
+            order = _elimination(vs.n)
+            raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, p)
+            ours = [order.unpack_terms(g) for g in raw]
+            theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_elim_key)
+            assert _items(ours) == _items(theirs)
+
+    def test_stop_sees_the_same_leading_monomials(self):
+        stopped = 0
+        for rng, vs, p, gens in _seeded_cases(8103, 150):
+            limit = rng.randint(1, 6)
+
+            def stopper(seen):
+                return lambda lm: seen.append(lm) or len(seen) >= limit
+
+            for make, key in ((_grevlex, ref_grevlex_key), (_elimination, ref_elim_key)):
+                order = make(vs.n)
+                ours_seen, theirs_seen = [], []
+                raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens],
+                                      order, p, stopper(ours_seen))
+                ref = ref_buchberger_raw([g.terms for g in gens], vs.n, p, key,
+                                         stopper(theirs_seen))
+                assert ours_seen == theirs_seen
+                assert (raw is None) == (ref is None)
+                if raw is None:
+                    stopped += 1
+                else:
+                    assert _items(order.unpack_terms(g) for g in raw) == _items(ref)
+        assert stopped > 0
+
+    def test_public_results_match_reference(self):
+        quotients = 0
+        for rng, vs, p, gens in _seeded_cases(8104, 100):
+            if vs.n > 5:
+                continue  # the adjoined variable makes up to seven
+            g = random_nonzero_poly(rng, vs, p, max_terms=2, max_exp=2)
+            ideal = PolyIdeal(p, vs, gens)
+            assert localized_is_unit(ideal, g) == ref_localized_is_unit(gens, g)
+            if any(not f.is_zero for f in gens) and not g.is_constant():
+                got = [h.terms for h in ideal_quotient(ideal, g).generators]
+                want = ref_quotient_gens(gens, g)
+                if want:
+                    quotients += 1
+                    assert _items(got) == _items(want)
+            gb = ideal.groebner_basis()
+            f = random_poly(rng, vs, p, max_terms=4, max_exp=3)
+            pairs = [(max(h.terms, key=ref_grevlex_key), h.terms) for h in gb]
+            want = ref_normal_form_raw(f.terms, pairs, p, ref_grevlex_key)
+            assert _items([normal_form(f, gb).terms]) == _items([want])
+        assert quotients > 0
+
+
+def _cap_message(exponents: str) -> str:
+    return "^" + re.escape(f"exponent cap 65536 exceeded in {exponents}") + "$"
+
+
+class TestExponentCap:
+    def test_total_degree_past_the_cap(self):
+        # the pair's lcm x^40000*y^40000 has total degree 80000 > 2**16
+        I = PolyIdeal(7, VS2, [mk("x^40000 - y", 7, VS2), mk("y^40000 - x", 7, VS2)])
+        assert [str(g) for g in I.groebner_basis()] == ["y^40000 + 6*x", "x^40000 + 6*y"]
+
+    def test_elimination_total_degree_past_the_cap(self):
+        I = PolyIdeal(7, VS3, [mk("x^30000*y^30000*z^30000")])
+        got = [str(h) for h in ideal_quotient(I, mk("x")).generators]
+        assert got == ["x^29999*y^30000*z^30000"]
+
+    @pytest.mark.parametrize("gens,g,message", [
+        (["x^40000*y"], "x^40000", "(1, 80000, 1)"),
+        (["x^40000 - y", "y^40000 - x"], "x*y", "(0, 0, 79999)"),
+    ])
+    def test_grevlex_overflow_raises(self, gens, g, message):
+        I = PolyIdeal(7, VS2, [mk(f, 7, VS2) for f in gens])
+        with pytest.raises(ExponentOverflowError, match=_cap_message(message)):
+            localized_is_unit(I, mk(g, 7, VS2))
+
+    @pytest.mark.parametrize("gens,g,message", [
+        (["x^40000*y"], "x^40000", "(2, 80000, 1)"),
+        (["x^40000 - y"], "y^40000 - x", "(1, 80000, 40000)"),
+    ])
+    def test_elimination_overflow_raises(self, gens, g, message):
+        I = PolyIdeal(7, VS2, [mk(f, 7, VS2) for f in gens])
+        with pytest.raises(ExponentOverflowError, match=_cap_message(message)):
+            ideal_quotient(I, mk(g, 7, VS2))
+
+
+class TestForeignRing:
+    def _ideal(self):
+        return PolyIdeal(5, VS2, [mk("x^2 - y", 5, VS2)])
+
+    @pytest.mark.parametrize("f", [mk("x^2*z + z", 5, VS3), mk("x^2 + 3", 7, VS2)],
+                             ids=["more_variables", "other_prime"])
+    def test_normal_form_rejects(self, f):
+        with pytest.raises(ValueError, match="polynomial lives in a different ring"):
+            normal_form(f, self._ideal().groebner_basis())
+
+    @pytest.mark.parametrize("f", [mk("x^2*z + z", 5, VS3), mk("x^2 + 3", 7, VS2)],
+                             ids=["more_variables", "other_prime"])
+    def test_contains_rejects(self, f):
+        with pytest.raises(ValueError, match="polynomial lives in a different ring"):
+            self._ideal().contains(f)
+
+    def test_contains_rejects_against_the_zero_ideal(self):
+        zero = PolyIdeal(5, VS2, [Polynomial.zero(5, VS2)])
+        with pytest.raises(ValueError, match="polynomial lives in a different ring"):
+            zero.contains(mk("x", 7, VS2))
