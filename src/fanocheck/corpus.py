@@ -333,15 +333,6 @@ class Report:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        doc = json.loads(text)
-        rows = tuple(
-            CheckRow(r["entry"], r["kind"], r["expected"], r["actual"], r["passed"])
-            for r in doc["rows"]
-        )
-        return cls(rows)
-
     def to_text(self) -> str:
         lines = []
         for r in self.rows:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -161,14 +162,6 @@ def parse_ambient(text: str, names: Optional[Sequence[str]] = None) -> AmbientSp
 # ambient singular strata
 # ---------------------------------------------------------------------------
 
-def _gcd_all(values) -> int:
-    import math
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 @dataclass(frozen=True)
 class SingularStratum:
     """Coordinate stratum of ambient quotient singularities.
@@ -208,8 +201,8 @@ def ambient_singular_strata(space: AmbientSpace) -> list:
             mset = set(members)
             if any(other != members and mset < set(other) for other in subsets):
                 continue
-            order = _gcd_all(w for name, w in zip(fac.names, fac.weights)
-                             if name in members)
+            order = math.gcd(*(w for name, w in zip(fac.names, fac.weights)
+                               if name in members))
             strata[members] = SingularStratum(members, order)
     return sorted(strata.values(), key=lambda s: s.variables)
 

@@ -11,104 +11,35 @@ every downstream verdict deterministic.  A caller may pass a stop predicate
 on the leading monomials entering the basis (as exponent tuples); a run it
 ends returns no basis at all, so a partial basis is never cached.
 
-Internally polynomials travel as {packed monomial: coefficient} dicts, the
-packed-exponent idea of the product kernel in :mod:`fanocheck.poly`
-(Monagan & Pearce, CASC 2007) extended by the term order: one int per
-monomial whose integer order is the term order and which adds under
-products.  Exponent i sits in a 17-bit field (16 value bits and a guard
-bit) at the bottom; above them sit the order's rows, each a sum of
-exponents, most significant row on top.  For grevlex the rows are the
-partial sums e_0 + ... + e_k with the total degree on top; the elimination
-order of :func:`ideal_quotient` puts the adjoined variable's exponent above
-them.  So the leading term is a plain ``max``, a product is ``a + b``, a
-quotient ``b - a``, and ``a | b`` exactly when ``(b - a) & guard == 0``.
-Every product checks its guard bits, so an exponent past the cap raises
+Internally polynomials travel as {packed monomial: coefficient} dicts in
+the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
+integer order is the term order: ``_grevlex`` for bases, normal forms and
+the localization test, ``_elimination`` (the adjoined variable's exponent
+on top) for :func:`ideal_quotient`.  So the leading term is a plain
+``max``, a product is ``a + b``, a quotient ``b - a``, and ``a | b``
+exactly when ``(b - a) & guard == 0``.  Every product checks its guard
+bits, so an exponent past the cap raises
 :class:`~fanocheck.poly.ExponentOverflowError` instead of spilling into a
-neighbouring field.  Monomials are packed at entry and unpacked at exit;
-the public API speaks :class:`~fanocheck.poly.Polynomial`.
+neighbouring field.  Monomials are packed at entry, and every result
+leaves through the packing's ``polynomial`` method; the public API speaks
+:class:`~fanocheck.poly.Polynomial`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
 from typing import Optional, Sequence
 
 from .poly import (
-    EXPONENT_LIMIT,
     AlgebraError,
-    ExponentOverflowError,
     Polynomial,
     Prime,
     VariableSet,
+    _elimination,
+    _grevlex,
+    _PackedOrder,
 )
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-# ---------------------------------------------------------------------------
-
-_FIELD = EXPONENT_LIMIT.bit_length()  # 16 value bits and the guard bit
-_FIELD_MASK = (1 << _FIELD) - 1
-
-
-class _PackedOrder:
-    """A term order on n variables as a packing of exponent tuples into ints.
-
-    ``rows`` lists the order's 0/1 weight rows, least significant first;
-    comparing packed ints compares the row values top row first, then the
-    exponents, so the rows must determine the monomial.  Each row but the
-    top one gets a field wide enough for n exponents below the cap, and the
-    top one is unbounded.  Packing is linear: a monomial packs to the sum of
-    its exponents times the packed variables.
-    """
-
-    __slots__ = ("units", "guard", "shifts")
-
-    def __init__(self, n: int, rows: Sequence):
-        width = (n * (EXPONENT_LIMIT - 1)).bit_length()
-        shifts = tuple(i * _FIELD for i in range(n))
-        row_shifts = [n * _FIELD + r * width for r in range(len(rows))]
-        self.shifts = shifts
-        self.guard = sum(1 << (s + _FIELD - 1) for s in shifts)
-        self.units = tuple(
-            (1 << s) + sum(row[i] << rs for row, rs in zip(rows, row_shifts))
-            for i, s in enumerate(shifts))
-
-    def pack(self, mono) -> int:
-        return sum(map(mul, mono, self.units))
-
-    def unpack(self, m: int) -> tuple:
-        return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
-
-    def pack_terms(self, terms) -> dict:
-        return {self.pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, f: dict) -> dict:
-        return {self.unpack(m): c for m, c in f.items()}
-
-    def lcm(self, a: tuple, b: tuple) -> int:
-        """Packed lcm of two exponent tuples."""
-        return sum(map(mul, map(max, a, b), self.units))
-
-    def overflow(self, t: int) -> ExponentOverflowError:
-        return ExponentOverflowError(
-            f"exponent cap {EXPONENT_LIMIT} exceeded in {self.unpack(t)}")
-
-
-@lru_cache(maxsize=None)
-def _grevlex(n: int) -> _PackedOrder:
-    """Grevlex: rows e_0 + ... + e_k for k = 0..n-1, total degree on top."""
-    return _PackedOrder(n, [tuple(int(i <= k) for i in range(n)) for k in range(n)])
-
-
-@lru_cache(maxsize=None)
-def _elimination(n: int) -> _PackedOrder:
-    """Slot 0 (the adjoined variable) first, grevlex on slots 1..n-1 behind."""
-    rows = [tuple(int(1 <= i <= k) for i in range(n)) for k in range(1, n)]
-    return _PackedOrder(n, rows + [(1,) + (0,) * (n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +236,7 @@ class PolyIdeal:
             order = _grevlex(self.vars.n)
             raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
                                   order, self.field.p)
-            elems = tuple(Polynomial(self.field, self.vars, order.unpack_terms(g))
-                          for g in raw)
+            elems = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
             self._gb = GroebnerBasis("grevlex", elems)
         return self._gb
 
@@ -345,7 +275,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
         packed = order.pack_terms(g.terms)
         pairs.append((max(packed), packed))
     r = _normal_form_raw(order.pack_terms(f.terms), pairs, f.p, order)
-    return Polynomial(f.field, f.vars, order.unpack_terms(r))
+    return order.polynomial(f.field, f.vars, r)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +334,7 @@ def ideal_quotient(ideal: PolyIdeal, g: Polynomial) -> PolyIdeal:
     divisor = order.pack_terms(g.terms)
     out = []
     for h in basis:
-        if any(m & _FIELD_MASK for m in h):  # a term with t in it
+        if any(m & elim.mask for m in h):  # a term with t in it
             continue
         shrunk = {order.pack(elim.unpack(m)[1:]): c for m, c in h.items()}
         out.append(_exact_divide_raw(shrunk, divisor, p, order))
@@ -412,8 +342,7 @@ def ideal_quotient(ideal: PolyIdeal, g: Polynomial) -> PolyIdeal:
         return PolyIdeal(ideal.field, ideal.vars,
                          [Polynomial.zero(ideal.field, ideal.vars)])
     return PolyIdeal(ideal.field, ideal.vars,
-                     [Polynomial(ideal.field, ideal.vars, order.unpack_terms(h))
-                      for h in out])
+                     [order.polynomial(ideal.field, ideal.vars, h) for h in out])
 
 
 def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:

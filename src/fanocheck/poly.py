@@ -5,14 +5,13 @@ stores a dict mapping monomials to coefficients in {1, ..., p-1}; zero
 coefficients are never kept.  The canonical term order everywhere is graded
 reverse lexicographic (grevlex), ties broken towards earlier variables.
 
-Products, boxed powers and the Witt carry share one private kernel on
-packed monomials (Monagan & Pearce, CASC 2007): exponent i of a monomial
-sits in bits [i*width, (i+1)*width) of one int, the width leaving room for
-the largest exponent the result can reach plus a guard bit, so a product of
-monomials is one integer add and the box test "some exponent >= q" is one
-add and one mask.  Monomials are unpacked only to build the result.
-Buchberger in :mod:`fanocheck.ideals` runs on the same packed monomials,
-with the term order packed above the exponents.
+This module owns the one packing of monomials into ints (Monagan & Pearce,
+CASC 2007), :class:`_PackedOrder`: a product of monomials is one integer
+add and the box test "some exponent >= q" one add and one mask.  Term
+orders pack their rows above the exponents, so ``_grevlex`` orders
+:meth:`Polynomial.leading_monomial` and Buchberger in
+:mod:`fanocheck.ideals` alike.  Every kernel result leaves through
+:meth:`_PackedOrder.polynomial` and is not validated again.
 
 Exponents are capped at 2**16 so that products and powers fail loudly
 instead of silently blowing up.
@@ -21,6 +20,8 @@ instead of silently blowing up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
@@ -88,23 +89,96 @@ def as_prime(p: Union[int, Prime]) -> Prime:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers
+# packed monomials and term orders
 # ---------------------------------------------------------------------------
 
-def grevlex_key(mono: Monomial):
-    """Sort key: larger key means grevlex-larger monomial."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+_CAPPED_WIDTH = EXPONENT_LIMIT.bit_length()  # 16 value bits and the guard bit
 
 
-# ---------------------------------------------------------------------------
-# packed sparse kernel
-# ---------------------------------------------------------------------------
+class _PackedOrder:
+    """Exponent tuples on n variables packed into ints, with an optional order.
 
-def _pack(mono: Monomial, width: int) -> int:
-    m = 0
-    for e in reversed(mono):
-        m = (m << width) | e
-    return m
+    Exponent i sits in bits [i*width, (i+1)*width), the field's top bit its
+    guard.  ``rows``, a term order's 0/1 weight rows, least significant
+    first, sit above; each gets a field wide enough for n exponents below
+    the guards, the top one is unbounded.  Int order is then the row values top first, then the
+    exponents; without rows it is no term order.  Packing is linear.
+    """
+
+    __slots__ = ("width", "mask", "shifts", "guard", "units")
+
+    def __init__(self, n: int, width: int, rows: Sequence = ()):
+        row_width = (n * ((1 << (width - 1)) - 1)).bit_length()
+        shifts = tuple(i * width for i in range(n))
+        row_shifts = [n * width + r * row_width for r in range(len(rows))]
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shifts = shifts
+        self.guard = sum(1 << (s + width - 1) for s in shifts)
+        self.units = tuple(
+            (1 << s) + sum(row[i] << rs for row, rs in zip(rows, row_shifts))
+            for i, s in enumerate(shifts))
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        mask = self.mask
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, packed: dict) -> dict:
+        """Exponent tuples to coefficients in packed order, zeros dropped;
+        one field at a time over all monomials, then zipped into tuples."""
+        mask = self.mask
+        keys = [m for m, c in packed.items() if c]
+        columns = [[(m >> s) & mask for m in keys] for s in self.shifts]
+        return dict(zip(zip(*columns), filter(None, packed.values())))
+
+    def polynomial(self, field: Prime, variables: "VariableSet",
+                   packed: dict) -> "Polynomial":
+        """The one kernel exit: packed terms with coefficients reduced mod p.
+
+        Zeros are dropped and nothing is validated again, except the cap
+        where a field can hold an exponent past it, with the public
+        constructor's message.
+        """
+        if self.width > _CAPPED_WIDTH:
+            for m in packed:
+                mono = self.unpack(m)
+                if max(mono) >= EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"bad exponent tuple {mono}")
+        return Polynomial._trusted(field, variables, self.unpack_terms(packed))
+
+    def lcm(self, a: tuple, b: tuple) -> int:
+        """Packed lcm of two exponent tuples."""
+        return sum(map(mul, map(max, a, b), self.units))
+
+    def overflow(self, t: int) -> ExponentOverflowError:
+        return ExponentOverflowError(
+            f"exponent cap {EXPONENT_LIMIT} exceeded in {self.unpack(t)}")
+
+
+@lru_cache(maxsize=None)
+def _packing(n: int, width: int) -> _PackedOrder:
+    """The rows-free packing of products, boxed powers and the Witt carry."""
+    return _PackedOrder(n, width)
+
+
+@lru_cache(maxsize=None)
+def _grevlex(n: int) -> _PackedOrder:
+    """Grevlex: rows e_0 + ... + e_k for k = 0..n-1, total degree on top."""
+    rows = [tuple(int(i <= k) for i in range(n)) for k in range(n)]
+    return _PackedOrder(n, _CAPPED_WIDTH, rows)
+
+
+@lru_cache(maxsize=None)
+def _elimination(n: int) -> _PackedOrder:
+    """Slot 0 (the adjoined variable) first, grevlex on slots 1..n-1 behind."""
+    rows = [tuple(int(1 <= i <= k) for i in range(n)) for k in range(1, n)]
+    return _PackedOrder(n, _CAPPED_WIDTH, rows + [(1,) + (0,) * (n - 1)])
 
 
 def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0) -> dict:
@@ -133,15 +207,6 @@ def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0)
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
     return {m: c % mod for m, c in out.items() if c % mod}
-
-
-def _unpacked(f: "Polynomial", packed: dict, width: int) -> "Polynomial":
-    """A polynomial in f's ring from packed monomials; the constructor caps exponents."""
-    n = f.vars.n
-    mask = (1 << width) - 1
-    shifts = [i * width for i in range(n)]
-    return Polynomial(f.field, f.vars, {
-        tuple((m >> s) & mask for s in shifts): c for m, c in packed.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +328,15 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: Prime, variables: VariableSet, terms: dict) -> "Polynomial":
+        """Kernel results only: n-tuples below the cap, coefficients 1..p-1."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "vars", variables)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls, field, variables: VariableSet) -> "Polynomial":
         return cls(field, variables, {})
 
@@ -293,14 +367,15 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        return max(self.terms, key=_grevlex(self.vars.n).pack)
 
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_monomial()]
 
     def sorted_terms(self):
         """Terms in decreasing grevlex order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        key = _grevlex(self.vars.n).pack
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
@@ -344,12 +419,12 @@ class Polynomial:
                               {m: c * other for m, c in self.terms.items()})
         self._check_compatible(other)
         top = max(map(max, self.terms), default=0) + max(map(max, other.terms), default=0)
-        width = top.bit_length() + 1
+        order = _packing(self.vars.n, top.bit_length() + 1)
         # the kernel's outer loop runs over the factor: self outermost keeps
         # the terms in the order a self-by-other double loop meets them
-        acc = {_pack(m, width): c for m, c in other.terms.items()}
-        factor = [(_pack(m, width), c) for m, c in self.terms.items()]
-        return _unpacked(self, _mul_packed(acc, factor, self.p), width)
+        acc = order.pack_terms(other.terms)
+        factor = [(order.pack(m), c) for m, c in self.terms.items()]
+        return order.polynomial(self.field, self.vars, _mul_packed(acc, factor, self.p))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -595,16 +670,15 @@ def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     hi, lo = divmod(e, q)
     c = pow(f.terms.get((0,) * n, 0), hi, p)
     bits = (q - 1).bit_length()  # 2**bits >= q; bit ``bits`` of a field is its guard
-    width = bits + 1
-    ones = sum(1 << (i * width) for i in range(n))
-    guard, off = ones << bits, ones * ((1 << bits) - q)
-    factor = [(_pack(m, width), a) for m, a in f.terms.items() if max(m) < q]
+    order = _packing(n, bits + 1)
+    off = order.pack([(1 << bits) - q] * n)
+    factor = [(order.pack(m), a) for m, a in f.terms.items() if max(m) < q]
     acc = {0: c} if c else {}
     for _ in range(lo):
         if not acc:
             break
-        acc = _mul_packed(acc, factor, p, off, guard)
-    return _unpacked(f, acc, width)
+        acc = _mul_packed(acc, factor, p, off, order.guard)
+    return order.polynomial(f.field, f.vars, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +698,8 @@ def delta1(f: Polynomial) -> Polynomial:
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
     mod = p * p
-    width = (p * max(map(max, f.terms))).bit_length() + 1
-    factor = [(_pack(m, width), c) for m, c in f.terms.items()]
+    order = _packing(f.vars.n, (p * max(map(max, f.terms))).bit_length() + 1)
+    factor = [(order.pack(m), c) for m, c in f.terms.items()]
     total = {0: 1}
     for _ in range(p):
         total = _mul_packed(total, factor, mod)
@@ -637,4 +711,4 @@ def delta1(f: Polynomial) -> Polynomial:
         if c % p:
             raise AlgebraError("Witt carry division was not exact; this is a bug")
         total[m] = c // p
-    return _unpacked(f, total, width)
+    return order.polynomial(f.field, f.vars, total)

@@ -20,7 +20,6 @@ from .poly import (
     VariableSet,
     as_prime,
     delta1,
-    grevlex_key,
     mono_str,
     pow_mod_frobenius,
     weighted_degree,
@@ -71,7 +70,7 @@ def fedder_fsplit(ring: HypersurfaceRing) -> SplitVerdict:
     residue = fedder_residue(ring)
     if residue.is_zero:
         return SplitVerdict(SplitStatus.NOT_FSPLIT)
-    witness = max(residue.terms, key=grevlex_key)
+    witness = residue.leading_monomial()
     return SplitVerdict(SplitStatus.FSPLIT, witness)
 
 
@@ -127,7 +126,7 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
         status, witness = SplitStatus.NOT_FSPLIT.value, None
     else:
         status = SplitStatus.FSPLIT.value
-        witness = mono_str(ring.vars, max(residue.terms, key=grevlex_key))
+        witness = mono_str(ring.vars, residue.leading_monomial())
     return FedderReport(
         status=status,
         witness=witness,

@@ -7,7 +7,6 @@ from fanocheck.cli import main
 from fanocheck.delpezzo import pgl3_elements
 from fanocheck.corpus import (
     CorpusFormatError,
-    Report,
     langer_summary,
     load_corpus,
     load_corpus_file,
@@ -157,10 +156,6 @@ class TestRunCorpus:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             run_corpus(SHIPPED, jobs=0)
-
-    def test_report_json_round_trip(self):
-        report = run_corpus(SHIPPED)
-        assert Report.from_json(report.to_json()) == report
 
     def test_text_format(self, tmp_path):
         path = write_corpus(tmp_path, [entry()])

@@ -7,14 +7,19 @@ from fanocheck.ideals import (
     GroebnerBasis,
     PolyIdeal,
     _buchberger_raw,
-    _elimination,
-    _grevlex,
     buchberger,
     ideal_quotient,
     localized_is_unit,
     normal_form,
 )
-from fanocheck.poly import ExponentOverflowError, Polynomial, VariableSet, parse_poly
+from fanocheck.poly import (
+    ExponentOverflowError,
+    Polynomial,
+    VariableSet,
+    _elimination,
+    _grevlex,
+    parse_poly,
+)
 from helpers import (
     common_zero_with_g_nonzero,
     random_homogeneous,

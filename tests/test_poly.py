@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,19 @@ from fanocheck.poly import (
     VariableSet,
     ZeroPolynomialError,
     delta1,
-    grevlex_key,
     parse_poly,
     pow_mod_frobenius,
     weighted_degree,
 )
-from helpers import int_power, naive_delta1, pow_then_filter, random_homogeneous, random_poly
+from helpers import (
+    int_power,
+    naive_delta1,
+    pow_then_filter,
+    random_homogeneous,
+    random_nonzero_poly,
+    random_poly,
+    ref_grevlex_key,
+)
 
 
 VS3 = VariableSet.unit("x0,x1,x2")
@@ -157,6 +165,10 @@ class TestGrading:
         assert str(f) == "x0*_t + y_1*Z9"
 
 
+def _bad_tuple(exponents: str) -> str:
+    return "^" + re.escape(f"bad exponent tuple {exponents}") + "$"
+
+
 class TestArithmetic:
     def test_pow_zero_is_one(self):
         f = parse_poly("x0 + x1", VS3, 5)
@@ -166,9 +178,16 @@ class TestArithmetic:
         # same degree: the smaller exponent on the last variable wins
         f = parse_poly("x0*x2 + x1^2", VS3, 7)
         assert f.leading_monomial() == (0, 2, 0)
-        assert grevlex_key((0, 2, 0)) > grevlex_key((1, 0, 1))
         # higher total degree always wins
-        assert grevlex_key((3, 0, 0)) > grevlex_key((1, 1, 0))
+        assert parse_poly("x0*x1 + x0^3", VS3, 7).leading_monomial() == (3, 0, 0)
+        rng = random.Random(4099)
+        for vs in (VS_XY, VS3, VS_W, VS_MULTI):
+            for _ in range(40):
+                g = random_nonzero_poly(rng, vs, 7, max_terms=8, max_exp=4)
+                want = sorted(g.terms.items(), key=lambda t: ref_grevlex_key(t[0]),
+                              reverse=True)
+                assert g.sorted_terms() == want
+                assert g.leading_monomial() == want[0][0]
 
     def test_frobenius_additivity_examples(self):
         for p in (2, 3, 5):
@@ -178,7 +197,7 @@ class TestArithmetic:
 
     def test_mul_overflow_guard(self):
         f = Polynomial(5, VS3, {(40000, 0, 0): 1})
-        with pytest.raises(ExponentOverflowError):
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(80000, 0, 0)")):
             _ = f * f
 
     def test_immutability(self):
@@ -201,6 +220,12 @@ class TestPowModFrobenius:
             pow_mod_frobenius(f, 2, 10)
         with pytest.raises(ValueError):
             pow_mod_frobenius(f, 2, 1)
+
+    def test_exponent_cap_raises(self):
+        # 97^3 > 2**16, so a field can hold x^80000 and the exit checks the cap
+        f = parse_poly("x^40000 + y", VS_XY, 97)
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(80000, 0)")):
+            pow_mod_frobenius(f, 2, 97 ** 3)
 
     def test_matches_full_expansion_oracle_examples(self):
         f = parse_poly("x0^2 + x1*x2 + 2*x2", VS3, 3)
@@ -320,8 +345,9 @@ class TestDelta1:
         assert weighted_degree(delta1(f)) == (30,)
 
     def test_exponent_cap_still_raises(self):
-        # the carry of x^700 + y reaches x^(96*700), past the 2**16 cap
-        with pytest.raises(ExponentOverflowError):
+        # f^p reaches x^(97*700), past the 2**16 cap; that term's carry is
+        # zero, and the cap is checked before zero terms are dropped
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67900, 0)")):
             delta1(parse_poly("x^700 + y", VS_XY, 97))
 
     def test_witt_addition_law_disjoint_supports(self):

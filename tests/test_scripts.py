@@ -1,0 +1,40 @@
+"""Smoke tests for the command-line scripts under ``scripts/``.
+
+Each script runs as a fresh interpreter from the repository root, the way a
+user runs it; the scripts put ``src`` on the path themselves.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _run(*args, env=None):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_verify_examples_json_matches_the_cli():
+    script = _run(str(SCRIPTS / "verify_examples.py"), "--json")
+    assert script.returncode == 0, script.stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    cli = _run("-m", "fanocheck.cli", "verify", "corpus/paper_examples.json",
+               "--format", "json", env=env)
+    assert cli.returncode == 0, cli.stderr
+    assert script.stdout == cli.stdout
+
+
+def test_splitting_survey_prints_one_row_per_prime():
+    run = _run(str(SCRIPTS / "splitting_survey.py"), "--family", "quartic",
+               "--primes", "2,3")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.decode().splitlines()
+    assert lines[0].startswith("quartic: f = ")
+    rows = [line.split()[0] for line in lines[1:]]
+    assert rows == ["p=2", "p=3"]

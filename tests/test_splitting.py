@@ -8,7 +8,6 @@ from fanocheck.poly import (
     Polynomial,
     VariableSet,
     delta1,
-    grevlex_key,
     mono_str,
     parse_poly,
     pow_mod_frobenius,
@@ -23,7 +22,7 @@ from fanocheck.splitting import (
     fedder_report,
     fedder_residue,
 )
-from helpers import pow_then_filter, random_homogeneous, random_nonzero_poly
+from helpers import pow_then_filter, random_homogeneous, random_nonzero_poly, ref_grevlex_key
 
 # hash of str(delta1_probe(ring, 4, 4, 2)) for the p=5 weighted sextic below,
 # frozen after computing the same polynomial along two association orders
@@ -105,10 +104,26 @@ class TestWitnessSoundness:
                 split_seen += 1
                 assert v.witness in residue.terms
                 assert all(e <= p - 1 for e in v.witness)
-                assert all(grevlex_key(v.witness) >= grevlex_key(m)
-                           for m in residue.terms)
+                assert v.witness == max(residue.terms, key=ref_grevlex_key)
             else:
                 assert residue.is_zero and v.witness is None
+        assert split_seen > 10
+
+    def test_report_witness_is_grevlex_largest(self):
+        rng = random.Random(607)
+        vs = VariableSet.unit("x,y,z")
+        split_seen = 0
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            f = random_homogeneous(rng, vs, p, rng.randint(1, 4))
+            ring = HypersurfaceRing(p, vs, f)
+            residue = fedder_residue(ring)
+            witness = fedder_report(ring).witness
+            if residue.is_zero:
+                assert witness is None
+            else:
+                split_seen += 1
+                assert witness == mono_str(vs, max(residue.terms, key=ref_grevlex_key))
         assert split_seen > 10
 
     def test_agrees_with_full_expansion(self):
