@@ -368,7 +368,7 @@ class _ExprParser(_TokenStream):
                 if not self.ring.bundle:
                     raise ParseError("xi needs a bundle ring", tok.pos)
                 return self._maybe_power(self.ring.generator(self.ring.k))
-            if tok.text.startswith("h") and tok.text[1:].isdigit():
+            if tok.text.startswith("h") and tok.text[1:].isdecimal():
                 i = int(tok.text[1:]) - 1
                 if 0 <= i < self.ring.k:
                     return self._maybe_power(self.ring.generator(i))

@@ -73,36 +73,51 @@ def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
 
     Entries m_i >= -1 (a single negative blow-down multiplicity at most),
     which covers exceptional and (-2)-class searches.  Sorted by (d, m).
+
+    For each d the m_i are placed left to right, values ascending, so the
+    output comes out sorted.  With k slots left, each an integer in
+    [-1, hi] (hi = isqrt(d^2 - self_int)), and s, q the sum and sum of
+    squares still to place, a completion exists only if
+
+    - q >= |s| and q = s (mod 2), since v^2 >= +-v and v^2 = v (mod 2);
+    - k q >= s^2 (Cauchy-Schwarz);
+    - -k <= s <= k hi;
+
+    and the last slot is placed directly, as v = s with v^2 = q.  A partial
+    vector failing any of these is dropped at once.
+
+    Degree cut-off: the Cauchy-Schwarz bound over all r slots reads
+    (k_deg + 3d)^2 <= r (d^2 - self_int), and as r <= 8 < 9 the difference
+    of the two sides is a concave quadratic in d.  Past its vertex
+    d = -3 k_deg / (9 - r) the first degree that fails is followed by
+    failures only, so the search stops there, however large d_max is.
     """
     r = lattice.r
     out = []
     for d in range(0, d_max + 1):
         target_sum = k_deg + 3 * d          # sum m_i
         target_sq = d * d - self_int        # sum m_i^2
-        if target_sq < 0:
+        if r * target_sq < target_sum * target_sum:
+            if (9 - r) * d >= -3 * k_deg:
+                break
             continue
         hi = math.isqrt(target_sq)
+        acc = []
 
-        def rec(i: int, remaining_sum: int, remaining_sq: int, acc: list):
-            if i == r:
-                if remaining_sum == 0 and remaining_sq == 0:
-                    out.append(LatticeClass(d, tuple(acc)))
+        def rec(k: int, s: int, q: int):
+            if (q < s or q < -s or (q - s) & 1 or k * q < s * s
+                    or s < -k or s > k * hi):
                 return
-            slots = r - i
-            for v in range(-1, hi + 1):
-                sq = remaining_sq - v * v
-                if sq < 0:
-                    continue
-                s = remaining_sum - v
-                # each later slot contributes at least -1 and at most hi
-                if s < -slots + 1 or s > (slots - 1) * hi:
-                    continue
+            if k == 1:
+                if q == s * s:
+                    out.append(LatticeClass(d, (*acc, s)))
+                return
+            for v in range(-1, math.isqrt(q) + 1):
                 acc.append(v)
-                rec(i + 1, s, sq, acc)
+                rec(k - 1, s - v, q - v * v)
                 acc.pop()
 
-        rec(0, target_sum, target_sq, [])
-    out.sort(key=lambda c: (c.d, c.m))
+        rec(r, target_sum, target_sq)
     return out
 
 
@@ -145,12 +160,13 @@ def langer_neg2_classes() -> list:
 
 def count_compatible_exceptionals(neg2_classes: Sequence, d_max: int = 3) -> int:
     """Exceptional classes meeting every given (-2)-class nonnegatively."""
-    lattice = PicLattice(7)
-    count = 0
-    for cls in enumerate_classes(lattice, -1, -1, d_max):
-        if all(cls.dot(n) >= 0 for n in neg2_classes):
-            count += 1
-    return count
+    return _count_compatible(enumerate_classes(PicLattice(7), -1, -1, d_max),
+                             neg2_classes)
+
+
+def _count_compatible(classes: Iterable, neg2_classes: Sequence) -> int:
+    return sum(1 for cls in classes
+               if all(cls.dot(n) >= 0 for n in neg2_classes))
 
 
 # ---------------------------------------------------------------------------

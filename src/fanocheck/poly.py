@@ -495,9 +495,9 @@ def tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("int", text[i:j], i))
             i = j

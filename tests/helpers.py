@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 
+from fanocheck.delpezzo import LatticeClass
 from fanocheck.poly import (
     EXPONENT_LIMIT,
     ExponentOverflowError,
@@ -405,4 +406,44 @@ def ref_quotient_gens(gens, g) -> list:
             q[qm] = qc
             _ref_sub_scaled(r, g.terms, qm, qc, p)
         out.append(q)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference Picard-class search
+# ---------------------------------------------------------------------------
+#
+# The plain positional walk over m_i in [-1, hi]^r that the pruned search in
+# fanocheck.delpezzo replaced, pruned only by the sum bound, with every
+# degree 0..d_max visited: a differential oracle for the exact list.
+
+def ref_enumerate_classes(r, self_int, k_deg, d_max):
+    out = []
+    for d in range(0, d_max + 1):
+        target_sum = k_deg + 3 * d
+        target_sq = d * d - self_int
+        if target_sq < 0:
+            continue
+        hi = math.isqrt(target_sq)
+
+        def rec(i, remaining_sum, remaining_sq, acc):
+            if i == r:
+                if remaining_sum == 0 and remaining_sq == 0:
+                    out.append(LatticeClass(d, tuple(acc)))
+                return
+            slots = r - i
+            for v in range(-1, hi + 1):
+                sq = remaining_sq - v * v
+                if sq < 0:
+                    continue
+                s = remaining_sum - v
+                # each later slot contributes at least -1 and at most hi
+                if s < -slots + 1 or s > (slots - 1) * hi:
+                    continue
+                acc.append(v)
+                rec(i + 1, s, sq, acc)
+                acc.pop()
+
+        rec(0, target_sum, target_sq, [])
+    out.sort(key=lambda c: (c.d, c.m))
     return out

@@ -348,6 +348,21 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "h1\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fsplit", "-p", "3", "--vars", "x,y", "--poly", "x^\u00b2 + y"],
+         "unexpected character '\u00b2' (at position 2)"),
+        (["chow", "--base", "1,1", "--expr", "deg(h1^\u00b2)"],
+         "unexpected character '\u00b2' (at position 7)"),
+        (["chow", "--base", "1,1", "--expr", "deg(h\u00b2)"],
+         "unknown symbol 'h\u00b2' (at position 4)"),
+    ], ids=["fsplit-exponent", "chow-exponent", "chow-generator"])
+    def test_superscript_digit_is_a_parse_error(self, argv, message, capsys):
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_chow_requires_exactly_one_mode(self, capsys):
         assert main(["chow", "--base", "1,1"]) == 2
         capsys.readouterr()
@@ -358,6 +373,11 @@ class TestCli:
         rc = main(["lattice", "exc", "--points", "7", "--dmax", "3"])
         assert rc == 0
         assert capsys.readouterr().out == "exceptional classes (d <= 3): 56\n"
+
+    def test_lattice_huge_dmax_answers(self, capsys):
+        rc = main(["lattice", "exc", "--points", "8", "--dmax", "1000000000"])
+        assert rc == 0
+        assert capsys.readouterr().out == "exceptional classes (d <= 1000000000): 240\n"
 
     def test_lattice_langer(self, capsys):
         rc = main(["lattice", "exc", "--langer"])

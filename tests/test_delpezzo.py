@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from fanocheck import corpus, delpezzo
 from fanocheck.delpezzo import (
     FANO_POINTS,
     LatticeClass,
@@ -18,6 +19,7 @@ from fanocheck.delpezzo import (
     plane_points,
 )
 from fanocheck.smallfields import GF, UnsupportedFieldSizeError
+from helpers import ref_enumerate_classes
 
 
 def pgl_order(q):
@@ -89,6 +91,30 @@ class TestEnumeration:
         assert all(c.self_intersection == -2 and c.k_degree == 0 for c in roots)
         assert len(roots) == 84
 
+    def test_exceptional_count_rank8(self):
+        # the 240 exceptional curves of the degree-1 del Pezzo surface
+        classes = enumerate_classes(PicLattice(8), -1, -1, 6)
+        assert len(classes) == 240
+        assert max(c.d for c in classes) == 6
+
+    def test_degree_cutoff_ignores_huge_d_max(self):
+        # past d = 6 no degree can meet Cauchy-Schwarz, so the search stops
+        # there whatever d_max says
+        lattice = PicLattice(8)
+        assert (enumerate_classes(lattice, -1, -1, 10 ** 9)
+                == enumerate_classes(lattice, -1, -1, 6))
+
+    def test_matches_the_reference_search(self):
+        rng = random.Random(10)
+        cases = [(rng.randint(1, 8), rng.choice((-2, -1, 0, 1)),
+                  rng.randint(-3, 3), rng.randint(0, 6)) for _ in range(100)]
+        # the workload's shapes, the widest box and a one-slot lattice
+        cases += [(7, -1, -1, 3), (8, -2, 0, 5), (8, -1, -1, 6), (1, 1, 3, 6)]
+        for r, self_int, k_deg, d_max in cases:
+            ours = enumerate_classes(PicLattice(r), self_int, k_deg, d_max)
+            assert ours == ref_enumerate_classes(r, self_int, k_deg, d_max), (
+                r, self_int, k_deg, d_max)
+
 
 class TestFanoConfiguration:
     def test_lines(self):
@@ -126,6 +152,19 @@ class TestFanoConfiguration:
         compat = [c for c in enumerate_classes(lattice, -1, -1, 3)
                   if all(c.dot(n) >= 0 for n in neg2)]
         assert compat == lattice.exceptional_basis()
+
+    def test_langer_summary_enumerates_once(self, monkeypatch):
+        calls = []
+        real = delpezzo.enumerate_classes
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(delpezzo, "enumerate_classes", counting)
+        assert corpus.langer_summary() == ("(-1)-classes: 56; compatible: 7; "
+                                           "(-2)-classes: 7; disjoint: yes")
+        assert calls == [(PicLattice(7), -1, -1, 3)]
 
 
 class TestPlaneConfigurations:

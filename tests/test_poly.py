@@ -16,6 +16,7 @@ from fanocheck.poly import (
     delta1,
     parse_poly,
     pow_mod_frobenius,
+    tokenize,
     weighted_degree,
 )
 from helpers import (
@@ -112,6 +113,16 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_poly(text, vs, 5)
         assert (str(exc.value), exc.value.pos) == (message, pos)
+
+    def test_digits_are_what_int_accepts(self):
+        # superscripts pass str.isdigit but not int(); other decimal scripts
+        # pass both
+        with pytest.raises(ParseError) as exc:
+            tokenize("x^\u00b2 + y")
+        assert (str(exc.value), exc.value.pos) == (
+            "unexpected character '\u00b2' (at position 2)", 2)
+        assert [(t.kind, t.text) for t in tokenize("x^\u0663")] == [
+            ("ident", "x"), ("op", "^"), ("int", "\u0663"), ("end", "")]
 
     def test_roundtrip_examples(self):
         for text in ("x0^2*x1 + 3*x2^3", "1", "0", "x0 + x1 + x2", "4*x0^3"):

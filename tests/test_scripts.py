@@ -38,3 +38,11 @@ def test_splitting_survey_prints_one_row_per_prime():
     assert lines[0].startswith("quartic: f = ")
     rows = [line.split()[0] for line in lines[1:]]
     assert rows == ["p=2", "p=3"]
+
+
+def test_splitting_survey_reruns_byte_for_byte():
+    args = (str(SCRIPTS / "splitting_survey.py"), "--family", "quartic",
+            "--primes", "2,3")
+    first, second = _run(*args), _run(*args)
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
