@@ -1,4 +1,7 @@
-"""Command line front end.
+"""Command line front end: parse each subcommand's flags into typed inputs,
+run the check kind of the same name in ``corpus`` (the one place a check
+becomes a verdict, shared with ``fanocheck verify``), and print its verdict
+line, then its evidence line when there is one.
 
 Exit codes: 0 success / all checks pass, 1 a corpus check failed,
 2 bad input (syntax errors, schema violations, unusable options).
@@ -9,20 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import chow as chowmod
 from . import corpus as corpusmod
 from . import delpezzo
-from .geometry import (
-    HypersurfaceVariety,
-    UnsupportedStratumError,
-    parse_ambient,
-    smoothness_verdict,
-)
-from .poly import AlgebraError, ParseError, VariableSet, delta1, mono_str, parse_poly
-from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit
+from .geometry import UnsupportedStratumError, parse_ambient
+from .poly import AlgebraError, VariableSet
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -58,77 +54,51 @@ def _parse_int_list(text: str, what: str) -> list:
         raise InputError(f"bad {what}: {text!r}") from None
 
 
-def _cmd_fsplit(args) -> int:
-    vset = _parse_vars_spec(args.vars)
-    f = parse_poly(args.poly, vset, args.prime)
-    ring = HypersurfaceRing(args.prime, vset, f)
-    ring.degree  # surface inhomogeneity as an input error
-    verdict = fedder_fsplit(ring)
-    print(verdict.status.value)
-    if verdict.witness is not None:
-        print(f"witness: {mono_str(vset, verdict.witness)}")
+def _print_result(result: corpusmod.CheckResult) -> int:
+    print(result.verdict)
+    if result.evidence is not None:
+        print(result.evidence)
     return 0
+
+
+def _cmd_fsplit(args) -> int:
+    return _print_result(
+        corpusmod.fsplit(args.prime, _parse_vars_spec(args.vars), args.poly))
 
 
 def _cmd_delta1(args) -> int:
     vset = _parse_vars_spec(args.vars)
-    f = parse_poly(args.poly, vset, args.prime)
+    probe = None
     if args.probe:
         probe = _parse_int_list(args.probe, "--probe (need a,b,s)")
         if len(probe) != 3:
             raise InputError(f"bad --probe (need a,b,s): {args.probe!r}")
-        a, b, s = probe
-        ring = HypersurfaceRing(args.prime, vset, f)
-        print(delta1_probe(ring, a, b, s))
-    else:
-        print(delta1(f))
-    return 0
+    return _print_result(corpusmod.delta1(args.prime, vset, args.poly, probe))
 
 
 def _cmd_smooth(args) -> int:
     names = [s.strip() for s in args.vars.split(",")] if args.vars else None
     space = parse_ambient(args.ambient, names)
-    f = parse_poly(args.poly, space.variable_set, args.prime)
-    variety = HypersurfaceVariety(args.prime, space, f)
-    print(smoothness_verdict(variety).value)
-    return 0
-
-
-def _build_chow_ring(args) -> chowmod.IntersectionRing:
-    base = chowmod.ProductBase(tuple(_parse_int_list(args.base, "--base")))
-    bundle = None
-    if args.bundle:
-        twists = tuple(
-            tuple(_parse_int_list(part, "--bundle twist"))
-            for part in args.bundle.split(";")
-        )
-        bundle = chowmod.SplitBundleSpec(base, twists)
-    return chowmod.IntersectionRing(base, bundle)
+    return _print_result(corpusmod.smooth(args.prime, space, args.poly))
 
 
 def _cmd_chow(args) -> int:
     if bool(args.expr) == bool(args.canonical):
         raise InputError("need exactly one of --expr or --canonical")
-    try:
-        ring = _build_chow_ring(args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.canonical:
-        print(chowmod.div_class_str(ring, chowmod.canonical_class(ring)))
-    else:
-        el = chowmod.evaluate_expression(ring, args.expr)
-        print(chowmod.expression_result_str(ring, el))
-    return 0
+    base = tuple(_parse_int_list(args.base, "--base"))
+    bundle = None
+    if args.bundle:
+        bundle = tuple(tuple(_parse_int_list(part, "--bundle twist"))
+                       for part in args.bundle.split(";"))
+    return _print_result(corpusmod.chow(base, bundle, canonical=args.canonical,
+                                        expr=args.expr))
 
 
 def _cmd_lattice(args) -> int:
-    if args.action != "exc":
-        raise InputError(f"unknown lattice action {args.action!r}")
     if args.langer:
         if args.points != 7:
             raise InputError("the Langer configuration needs --points 7")
-        print(corpusmod.langer_summary())
-        return 0
+        return _print_result(corpusmod.lattice("langer"))
     lattice = delpezzo.PicLattice(args.points)
     classes = delpezzo.enumerate_classes(lattice, -1, -1, args.dmax)
     print(f"exceptional classes (d <= {args.dmax}): {len(classes)}")
@@ -203,9 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, AlgebraError,
-            corpusmod.CorpusFormatError, UnsupportedStratumError,
-            ValueError) as exc:
+    except (AlgebraError, UnsupportedStratumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,12 @@ Schema (all keys required unless noted):
          "paper_ref": str}
     ]}
 
-``params`` may be omitted for checks that need none.  A failed or crashing
-check never aborts the run; it becomes a failing row.  Reports contain no
-wall-clock data, so the same corpus always serializes to the same bytes
-regardless of --jobs.
+``params`` may be omitted for checks that need none; all are validated
+when the corpus loads, before any check runs.  Each kind is one function
+from typed inputs to a ``CheckResult``, shared with the CLI subcommands.
+A failed or crashing check never aborts the run; it becomes a failing row.
+Reports contain no wall-clock data, so the same corpus always serializes
+to the same bytes regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import chow as chowmod
 from . import delpezzo
@@ -33,11 +35,8 @@ from .geometry import (
     HypersurfaceVariety,
     smoothness_verdict,
 )
-from .poly import Polynomial, parse_poly
+from .poly import VariableSet, delta1 as poly_delta1, mono_str, parse_poly
 from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit
-from .poly import delta1 as poly_delta1
-
-CHECK_KINDS = ("fsplit", "smooth", "delta1", "chow", "lattice")
 
 
 class CorpusFormatError(ValueError):
@@ -56,7 +55,7 @@ class CorpusFormatError(ValueError):
 class CorpusCheck:
     kind: str
     expect: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # validated keyword arguments
 
 
 @dataclass(frozen=True)
@@ -135,13 +134,13 @@ def load_corpus(data: dict) -> list:
             if not isinstance(craw, dict):
                 raise CorpusFormatError("check must be an object", name, "checks")
             kind = _require(craw, "kind", str, name, "check")
-            if kind not in CHECK_KINDS:
+            if kind not in _KINDS:
                 raise CorpusFormatError(f"unknown check kind {kind!r}", name, "kind")
             expect = _require(craw, "expect", str, name, "check")
             params = craw.get("params", {})
             if not isinstance(params, dict):
                 raise CorpusFormatError("check params must be an object", name, "params")
-            checks.append(CorpusCheck(kind, expect, params))
+            checks.append(CorpusCheck(kind, expect, _KINDS[kind][0](params, name)))
         entries.append(CorpusEntry(name, prime, ambient, polynomial,
                                    tuple(checks), paper_ref))
     return entries
@@ -159,86 +158,132 @@ def load_corpus_file(path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# check evaluation
+# params: JSON objects validated into each kind's keyword arguments
 # ---------------------------------------------------------------------------
 
-def _entry_poly(entry: CorpusEntry) -> Polynomial:
-    return parse_poly(entry.polynomial, entry.ambient.variable_set, entry.prime)
+def _no_params(params: dict, entry: str) -> dict:
+    return {}
 
 
-def _eval_fsplit(entry: CorpusEntry, check: CorpusCheck) -> str:
-    ring = HypersurfaceRing(entry.prime, entry.ambient.variable_set,
-                            _entry_poly(entry))
-    ring.degree  # force the homogeneity validation
-    return fedder_fsplit(ring).status.value
-
-
-def _eval_smooth(entry: CorpusEntry, check: CorpusCheck) -> str:
-    variety = HypersurfaceVariety(entry.prime, entry.ambient, _entry_poly(entry))
-    return smoothness_verdict(variety).value
-
-
-def _eval_delta1(entry: CorpusEntry, check: CorpusCheck) -> str:
-    f = _entry_poly(entry)
-    probe = check.params.get("probe")
+def _delta1_params(params: dict, entry: str) -> dict:
+    probe = params.get("probe")
     if probe is None:
-        return str(poly_delta1(f))
+        return {}
     if (not isinstance(probe, list) or len(probe) != 3
             or not all(_is_int(v) for v in probe)):
-        raise CorpusFormatError("delta1 probe must be [a, b, s]", entry.name, "params")
-    ring = HypersurfaceRing(entry.prime, entry.ambient.variable_set, f)
-    return str(delta1_probe(ring, *probe))
+        raise CorpusFormatError("delta1 probe must be [a, b, s]", entry, "params")
+    return {"probe": tuple(probe)}
 
 
-def _delta1_matches(entry: CorpusEntry, expect: str, actual: str) -> bool:
-    # compare as polynomials so formatting differences cannot fail the check
-    vset = entry.ambient.variable_set
-    return (parse_poly(expect, vset, entry.prime)
-            == parse_poly(actual, vset, entry.prime))
-
-
-def _chow_ring_from_params(params: dict, entry: str) -> chowmod.IntersectionRing:
-    base_raw = params.get("base")
-    if (not isinstance(base_raw, list) or not base_raw
-            or not all(_is_int(v) and v >= 1 for v in base_raw)):
+def _chow_params(params: dict, entry: str) -> dict:
+    base = params.get("base")
+    if (not isinstance(base, list) or not base
+            or not all(_is_int(v) and v >= 1 for v in base)):
         raise CorpusFormatError("chow check needs base: [dims]", entry, "params")
-    base = chowmod.ProductBase(tuple(base_raw))
-    bundle_raw = params.get("bundle")
-    bundle = None
-    if bundle_raw is not None:
-        if (not isinstance(bundle_raw, list)
-                or not all(isinstance(t, list) and len(t) == len(base_raw)
-                           and all(_is_int(a) for a in t)
-                           for t in bundle_raw)):
-            raise CorpusFormatError("chow bundle must be a list of twist lists",
-                                    entry, "params")
-        bundle = chowmod.SplitBundleSpec(base, tuple(tuple(t) for t in bundle_raw))
-    return chowmod.IntersectionRing(base, bundle)
-
-
-def _eval_chow(entry: CorpusEntry, check: CorpusCheck) -> str:
-    ring = _chow_ring_from_params(check.params, entry.name)
-    canonical = check.params.get("canonical")
+    bundle = params.get("bundle")
+    if bundle is not None and (
+            not isinstance(bundle, list)
+            or not all(isinstance(t, list) and len(t) == len(base)
+                       and all(_is_int(a) for a in t) for t in bundle)):
+        raise CorpusFormatError("chow bundle must be a list of twist lists",
+                                entry, "params")
+    ring = {"base": tuple(base),
+            "bundle": None if bundle is None else tuple(map(tuple, bundle))}
+    canonical = params.get("canonical")
     if canonical is not None and not isinstance(canonical, bool):
         raise CorpusFormatError("chow canonical must be true or false",
-                                entry.name, "params")
+                                entry, "params")
     if canonical:
-        return chowmod.div_class_str(ring, chowmod.canonical_class(ring))
-    identity = check.params.get("identity")
+        return {**ring, "canonical": True}
+    identity = params.get("identity")
     if identity is not None:
         if (not isinstance(identity, dict)
                 or not isinstance(identity.get("lhs"), str)
                 or not isinstance(identity.get("rhs"), str)):
             raise CorpusFormatError("chow identity needs lhs and rhs expressions",
-                                    entry.name, "params")
-        lhs = chowmod.evaluate_expression(ring, identity["lhs"])
-        rhs = chowmod.evaluate_expression(ring, identity["rhs"])
-        return "true" if ring.reduce(lhs) == ring.reduce(rhs) else "false"
-    expr = check.params.get("expr")
+                                    entry, "params")
+        return {**ring, "identity": (identity["lhs"], identity["rhs"])}
+    expr = params.get("expr")
     if not isinstance(expr, str):
         raise CorpusFormatError("chow check needs expr, canonical or identity",
-                                entry.name, "params")
-    return chowmod.expression_result_str(ring, chowmod.evaluate_expression(ring, expr))
+                                entry, "params")
+    return {**ring, "expr": expr}
+
+
+def _lattice_params(params: dict, entry: str) -> dict:
+    query = params.get("query")
+    if query in ("pgl_order", "full_plane_orbit"):
+        q = params.get("q")
+        if not _is_int(q):
+            raise CorpusFormatError(f"{query} needs q", entry, "params")
+        return {"query": query, "q": q}
+    if query not in ("langer", "fano"):
+        raise CorpusFormatError(f"unknown lattice query {query!r}", entry, "params")
+    return {"query": query}
+
+
+# ---------------------------------------------------------------------------
+# check kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A check's verdict line and, when the kind has one, an evidence line."""
+
+    verdict: str
+    evidence: Optional[str] = None
+    # reads a verdict string into the value it is compared as
+    read: Callable = field(default=str, repr=False, compare=False)
+
+    def matches(self, expect: str) -> bool:
+        return self.read(expect) == self.read(self.verdict)
+
+
+def fsplit(prime: int, variables: VariableSet, polynomial: str) -> CheckResult:
+    """F-splitting verdict; the evidence is the surviving-monomial witness."""
+    ring = HypersurfaceRing(prime, variables, parse_poly(polynomial, variables, prime))
+    ring.degree  # force the homogeneity validation
+    verdict = fedder_fsplit(ring)
+    evidence = (None if verdict.witness is None
+                else f"witness: {mono_str(variables, verdict.witness)}")
+    return CheckResult(verdict.status.value, evidence)
+
+
+def delta1(prime: int, variables: VariableSet, polynomial: str,
+           probe: Optional[tuple] = None) -> CheckResult:
+    """The Witt carry delta1(f), or the probe (a, b, s) of it; compared as
+    polynomials, so formatting differences cannot fail a check."""
+    f = parse_poly(polynomial, variables, prime)
+    if probe is None:
+        carry = poly_delta1(f)
+    else:
+        carry = delta1_probe(HypersurfaceRing(prime, variables, f), *probe)
+    return CheckResult(str(carry),
+                       read=lambda text: parse_poly(text, variables, prime))
+
+
+def smooth(prime: int, space: AmbientSpace, polynomial: str) -> CheckResult:
+    """Smooth, QuasiSmoothOnly or Singular."""
+    f = parse_poly(polynomial, space.variable_set, prime)
+    return CheckResult(smoothness_verdict(HypersurfaceVariety(prime, space, f)).value)
+
+
+def chow(base: tuple, bundle: Optional[tuple] = None, canonical: bool = False,
+         identity: Optional[tuple] = None,
+         expr: Optional[str] = None) -> CheckResult:
+    """In the Chow ring of the base (or of the bundle over it): the canonical
+    class, whether identity's two expressions agree, or expr's value."""
+    product = chowmod.ProductBase(base)
+    spec = None if bundle is None else chowmod.SplitBundleSpec(product, bundle)
+    ring = chowmod.IntersectionRing(product, spec)
+    if canonical:
+        return CheckResult(chowmod.div_class_str(ring, chowmod.canonical_class(ring)))
+    if identity is not None:
+        lhs, rhs = (ring.reduce(chowmod.evaluate_expression(ring, side))
+                    for side in identity)
+        return CheckResult("true" if lhs == rhs else "false")
+    el = chowmod.evaluate_expression(ring, expr)
+    return CheckResult(chowmod.expression_result_str(ring, el))
 
 
 def langer_summary() -> str:
@@ -253,38 +298,35 @@ def langer_summary() -> str:
             f"(-2)-classes: {len(neg2)}; disjoint: {'yes' if disjoint else 'no'}")
 
 
-def _eval_lattice(entry: CorpusEntry, check: CorpusCheck) -> str:
-    query = check.params.get("query")
+def lattice(query: str, q: Optional[int] = None) -> CheckResult:
+    """One of the lattice queries langer, fano, pgl_order (of PGL_3(F_q))
+    and full_plane_orbit (of P^2(F_q))."""
     if query == "langer":
-        return langer_summary()
+        return CheckResult(langer_summary())
     if query == "fano":
         lines = delpezzo.fano_lines()
         per_point = [sum(1 for ln in lines if i in ln) for i in range(7)]
         per_line = {len(ln) for ln in lines}
-        return (f"points: 7; lines: {len(lines)}; "
-                f"per-line: {per_line.pop() if len(per_line) == 1 else 'mixed'}; "
-                f"per-point: {per_point[0] if len(set(per_point)) == 1 else 'mixed'}")
+        return CheckResult(
+            f"points: 7; lines: {len(lines)}; "
+            f"per-line: {per_line.pop() if len(per_line) == 1 else 'mixed'}; "
+            f"per-point: {per_point[0] if len(set(per_point)) == 1 else 'mixed'}")
     if query == "pgl_order":
-        q = check.params.get("q")
-        if not _is_int(q):
-            raise CorpusFormatError("pgl_order needs q", entry.name, "params")
-        return str(delpezzo.pgl3_order(q))
+        return CheckResult(str(delpezzo.pgl3_order(q)))
     if query == "full_plane_orbit":
-        q = check.params.get("q")
-        if not _is_int(q):
-            raise CorpusFormatError("full_plane_orbit needs q", entry.name, "params")
         config = delpezzo.PointConfig.from_points(q, delpezzo.plane_points(q))
-        _, size = delpezzo.pgl_orbit_canonical(config)
-        return str(size)
-    raise CorpusFormatError(f"unknown lattice query {query!r}", entry.name, "params")
+        return CheckResult(str(delpezzo.pgl_orbit_canonical(config)[1]))
+    raise ValueError(f"unknown lattice query {query!r}")
 
 
-_EVALUATORS = {
-    "fsplit": _eval_fsplit,
-    "smooth": _eval_smooth,
-    "delta1": _eval_delta1,
-    "chow": _eval_chow,
-    "lattice": _eval_lattice,
+# kind -> (params validator, runner on an entry and the validated params)
+_KINDS = {
+    "fsplit": (_no_params, lambda e: fsplit(e.prime, e.ambient.variable_set, e.polynomial)),
+    "smooth": (_no_params, lambda e: smooth(e.prime, e.ambient, e.polynomial)),
+    "delta1": (_delta1_params,
+               lambda e, **kw: delta1(e.prime, e.ambient.variable_set, e.polynomial, **kw)),
+    "chow": (_chow_params, lambda e, **kw: chow(**kw)),
+    "lattice": (_lattice_params, lambda e, **kw: lattice(**kw)),
 }
 
 
@@ -347,13 +389,8 @@ def _run_entry(entry: CorpusEntry) -> list:
     rows = []
     for check in entry.checks:
         try:
-            actual = _EVALUATORS[check.kind](entry, check)
-            if check.kind == "delta1":
-                ok = _delta1_matches(entry, check.expect, actual)
-            else:
-                ok = actual == check.expect
-        except CorpusFormatError:
-            raise
+            result = _KINDS[check.kind][1](entry, **check.params)
+            actual, ok = result.verdict, result.matches(check.expect)
         except Exception as exc:  # a crashing check fails but never aborts
             actual = f"error: {exc}"
             ok = False

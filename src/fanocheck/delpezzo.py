@@ -91,7 +91,12 @@ def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
     of the two sides is a concave quadratic in d.  Past its vertex
     d = -3 k_deg / (9 - r) the first degree that fails is followed by
     failures only, so the search stops there, however large d_max is.
+
+    Parity: at the root q - s = d(d - 3) - self_int - k_deg with d(d - 3)
+    even, so an odd self_int + k_deg fails at every degree: no search.
     """
+    if (self_int + k_deg) & 1:
+        return []
     r = lattice.r
     out = []
     for d in range(0, d_max + 1):

@@ -37,6 +37,7 @@ from .poly import (
     Polynomial,
     VariableSet,
     _is_variable_name,
+    _prime_factors,
     as_prime,
     weighted_degree,
 )
@@ -178,18 +179,7 @@ def ambient_singular_strata(space: AmbientSpace) -> list:
     """Maximal coordinate strata where some prime divides all active weights."""
     strata = {}
     for fac in space.factors:
-        prime_divisors = set()
-        for w in fac.weights:
-            d = 2
-            m = w
-            while d * d <= m:
-                if m % d == 0:
-                    prime_divisors.add(d)
-                    while m % d == 0:
-                        m //= d
-                d += 1
-            if m > 1:
-                prime_divisors.add(m)
+        prime_divisors = {ell for w in fac.weights for ell in _prime_factors(w)}
         subsets = set()
         for ell in sorted(prime_divisors):
             members = tuple(name for name, w in zip(fac.names, fac.weights)

@@ -60,15 +60,18 @@ class ParseError(AlgebraError):
         super().__init__(f"{message} (at position {pos})")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> list:
+    """Prime factors of n, ascending, with multiplicity (none for n < 2)."""
+    out = []
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out.append(d)
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class Prime:
     def __post_init__(self):
         if not isinstance(self.p, int) or not (2 <= self.p <= 97):
             raise ValueError(f"characteristic must be an integer in 2..97, got {self.p}")
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != [self.p]:
             raise ValueError(f"{self.p} is not prime")
 
 

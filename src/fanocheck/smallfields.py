@@ -8,7 +8,7 @@ coefficients of mod-p polynomials be used directly as field elements.
 
 from __future__ import annotations
 
-from .poly import Polynomial, _is_prime
+from .poly import Polynomial, _prime_factors
 
 
 class UnsupportedFieldSizeError(ValueError):
@@ -29,19 +29,12 @@ _IRREDUCIBLE = {
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                raise UnsupportedFieldSizeError(f"{q} is not a prime power")
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise UnsupportedFieldSizeError(f"{q} is not a prime power")
-            return p, k
-    raise UnsupportedFieldSizeError(f"bad field size {q}")
+    factors = _prime_factors(q)
+    if not factors:
+        raise UnsupportedFieldSizeError(f"bad field size {q}")
+    if factors[-1] != factors[0]:
+        raise UnsupportedFieldSizeError(f"{q} is not a prime power")
+    return factors[0], len(factors)
 
 
 class GF:
@@ -75,7 +68,7 @@ class GF:
         modulus = _IRREDUCIBLE.get((p, k))
         coeffs = [c % p for c in coeffs]
         if k == 1:
-            return coeffs[:1] + [0] * 0
+            return coeffs[:1]
         for i in range(len(coeffs) - 1, k - 1, -1):
             c = coeffs[i]
             if c:

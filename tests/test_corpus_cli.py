@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fanocheck import corpus
 from fanocheck.cli import main
 from fanocheck.delpezzo import pgl3_elements
 from fanocheck.corpus import (
@@ -222,12 +223,77 @@ class TestRunCorpus:
         assert actual[3:] == ["error: 6 is not a prime power",
                               "error: PGL enumeration supports q <= 8, got 9"]
 
+    def test_bad_params_in_the_last_entry_fail_before_any_check(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "fsplit", lambda *args: calls.append(args))
+        bad = {"kind": "chow", "expect": "1", "params": {"base": [1], "expr": 1}}
+        doc = {"entries": [entry(name="first"), entry(name="last", checks=[bad])]}
+        with pytest.raises(CorpusFormatError, match="needs expr") as exc:
+            load_corpus(doc)
+        assert (exc.value.entry, exc.value.field_name) == ("last", "params")
+        with pytest.raises(CorpusFormatError, match="needs expr"):
+            run_corpus(write_corpus(tmp_path, doc["entries"]))
+        assert calls == []
+        # the patched kind is the one the first entry runs
+        run_corpus(write_corpus(tmp_path, doc["entries"][:1]))
+        assert len(calls) == 1
+
     def test_langer_summary_text(self):
         assert langer_summary() == ("(-1)-classes: 56; compatible: 7; "
                                     "(-2)-classes: 7; disjoint: yes")
 
 
+def cli_argv(raw: dict, check: dict):
+    """The fanocheck argv that runs a corpus check, or None if no flags can."""
+    kind, params = check["kind"], check.get("params", {})
+    factors = raw["ambient"]["factors"]
+    prime = ["-p", str(raw["prime"])]
+    if kind in ("fsplit", "delta1"):
+        if len(factors) != 1:
+            return None
+        spec = ",".join(f"{v}:{w}" for v, w in zip(factors[0]["vars"],
+                                                    factors[0]["weights"]))
+        argv = [kind, *prime, "--vars", spec, "--poly", raw["polynomial"]]
+        if "probe" in params:
+            argv += ["--probe", ",".join(map(str, params["probe"]))]
+        return argv
+    if kind == "smooth":
+        ambient = " x ".join("P(" + ",".join(map(str, f["weights"])) + ")"
+                             for f in factors)
+        names = ",".join(v for f in factors for v in f["vars"])
+        return ["smooth", *prime, "--ambient", ambient, "--vars", names,
+                "--poly", raw["polynomial"]]
+    if kind == "chow":
+        if "identity" in params:
+            return None
+        argv = ["chow", "--base", ",".join(map(str, params["base"]))]
+        if "bundle" in params:
+            argv += ["--bundle", ";".join(",".join(map(str, t))
+                                          for t in params["bundle"])]
+        return argv + (["--canonical"] if params.get("canonical")
+                       else ["--expr", params["expr"]])
+    return ["lattice", "exc", "--langer"] if params["query"] == "langer" else None
+
+
 class TestCli:
+    def test_subcommands_print_the_corpus_verdicts(self, capsys):
+        raw_checks = [(raw, check)
+                      for raw in json.loads(SHIPPED.read_text())["entries"]
+                      for check in raw["checks"]]
+        rows = run_corpus(SHIPPED).rows
+        assert len(rows) == len(raw_checks)
+        compared = 0
+        for (raw, check), row in zip(raw_checks, rows):
+            argv = cli_argv(raw, check)
+            if argv is None:
+                continue
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out.splitlines()[0] == row.actual, argv
+            compared += 1
+        # 6 fsplit, 4 delta1, 7 smooth, 8 chow and the Langer counts
+        assert compared == 26
+
     def test_fsplit_command(self, capsys):
         rc = main(["fsplit", "-p", "2", "--vars", "x0,x1", "--poly", "x0"])
         assert rc == 0

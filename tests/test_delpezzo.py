@@ -115,6 +115,19 @@ class TestEnumeration:
             assert ours == ref_enumerate_classes(r, self_int, k_deg, d_max), (
                 r, self_int, k_deg, d_max)
 
+    def test_odd_parity_is_empty(self):
+        # q - s = d(d-3) - self_int - k_deg is odd at every degree; the
+        # degree loop alone would walk some 6 * 10^6 degrees first
+        assert enumerate_classes(PicLattice(8), -1, -10 ** 6, 10 ** 12) == []
+        rng = random.Random(11)
+        for _ in range(100):
+            r, self_int = rng.randint(1, 8), rng.choice((-2, -1, 0, 1))
+            k_deg = rng.randint(-4, 3) * 2 + 1 - self_int % 2
+            d_max = rng.randint(0, 6)
+            assert (self_int + k_deg) % 2 == 1
+            assert ref_enumerate_classes(r, self_int, k_deg, d_max) == []
+            assert enumerate_classes(PicLattice(r), self_int, k_deg, d_max) == []
+
 
 class TestFanoConfiguration:
     def test_lines(self):
@@ -353,8 +366,10 @@ class TestSmallFields:
     def test_unsupported_sizes(self):
         with pytest.raises(UnsupportedFieldSizeError):
             GF(9 * 9)
-        with pytest.raises(UnsupportedFieldSizeError):
+        with pytest.raises(UnsupportedFieldSizeError, match="^6 is not a prime power$"):
             GF(6)
+        with pytest.raises(UnsupportedFieldSizeError, match="^bad field size 1$"):
+            GF(1)
 
     def test_field_axioms_seeded(self):
         rng = random.Random(135)
