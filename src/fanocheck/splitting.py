@@ -18,6 +18,8 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
+    _frobenius_box,
+    _mul_packed,
     as_prime,
     delta1,
     mono_str,
@@ -85,8 +87,10 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     q = ring.p ** s
     fa = pow_mod_frobenius(ring.f, a, q)
     db = pow_mod_frobenius(delta1(ring.f), b, q)
-    prod = fa * db
-    return pow_mod_frobenius(prod, 1, q)
+    order, off = _frobenius_box(ring.vars.n, q)
+    factor = [(order.pack(m), c) for m, c in fa.terms.items()]
+    prod = _mul_packed(order.pack_terms(db.terms), factor, ring.p, off, order.guard)
+    return order.polynomial(ring.prime, ring.vars, prod)
 
 
 @dataclass(frozen=True)

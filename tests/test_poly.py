@@ -20,6 +20,7 @@ from fanocheck.poly import (
     weighted_degree,
 )
 from helpers import (
+    chain_delta1,
     int_power,
     naive_delta1,
     pow_then_filter,
@@ -318,6 +319,69 @@ class TestKernelOracles:
                 assert delta1(f) == expect
 
 
+DELTA1_METHODS = [poly_module._delta1_layers, poly_module._delta1_chain]
+
+
+class TestDelta1Methods:
+    """Both delta1 methods, called directly, against the p^2 chain on
+    exponent tuples and the multinomial oracle."""
+
+    @pytest.mark.parametrize("vs", [VS3, VS_W, VS_MULTI],
+                             ids=["unit", "weighted", "multigraded"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_seeded_differential(self, p, vs):
+        rng = random.Random(104729 * p + vs.n + vs.ncomponents)
+        for i in range(16):
+            # random_poly is inhomogeneous in general; every other input
+            # also gets a constant term
+            f = random_poly(rng, vs, p, max_terms=5, max_exp=2)
+            if i % 2:
+                f = f + Polynomial.constant(p, vs, rng.randint(1, p - 1))
+            expect = chain_delta1(f)
+            assert naive_delta1(f) == expect
+            for method in DELTA1_METHODS:
+                assert method(f) == expect
+            assert delta1(f) == expect
+
+    def test_homogeneous_inputs(self):
+        rng = random.Random(2718)
+        for p in (2, 3, 5, 7, 11):
+            for vs, degree in ((VS3, 3), (VS_W, 6), (VS_MULTI, (1, 2))):
+                f = random_homogeneous(rng, vs, p, degree, max_terms=6)
+                expect = chain_delta1(f)
+                for method in DELTA1_METHODS:
+                    assert method(f) == expect
+
+    def test_dense_shape_takes_the_chain(self):
+        # every binary sextic monomial at p = 5: f^k has 6k+1 monomials, far
+        # fewer than the compositions the layers would walk through
+        f = parse_poly("x^6 + 2*x^5*y + 3*x^4*y^2 + 4*x^3*y^3 + x^2*y^4 + 2*x*y^5 + 3*y^6",
+                       VS_XY, 5)
+        assert not poly_module._layers_pay(f)
+        expect = naive_delta1(f)
+        assert chain_delta1(f) == expect
+        for method in DELTA1_METHODS:
+            assert method(f) == expect
+        assert delta1(f) == expect
+
+    def test_sparse_row_takes_the_layers(self):
+        f = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 3*x0*x1*x2^2*x3^2 + x0^3*y",
+                       VS_W, 11)
+        assert poly_module._layers_pay(f)
+        assert delta1(f) == poly_module._delta1_chain(f)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_methods_agree(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
+        vs = data.draw(st.sampled_from([VS_XY, VS3, VS_W, VS_MULTI]), label="ring")
+        mono = st.tuples(*[st.integers(0, 3)] * vs.n)
+        terms = data.draw(st.dictionaries(mono, st.integers(1, p - 1), max_size=6),
+                          label="terms")
+        f = Polynomial(p, vs, terms)
+        assert poly_module._delta1_layers(f) == poly_module._delta1_chain(f)
+
+
 class TestDelta1:
     def test_two_terms_p2(self):
         assert str(delta1(parse_poly("x + y", VS_XY, 2))) == "x*y"
@@ -356,10 +420,22 @@ class TestDelta1:
         assert weighted_degree(delta1(f)) == (30,)
 
     def test_exponent_cap_still_raises(self):
-        # f^p reaches x^(97*700), past the 2**16 cap; that term's carry is
-        # zero, and the cap is checked before zero terms are dropped
-        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67900, 0)")):
+        # the carry term x^(96*700)*y is past the 2**16 cap; the pure power
+        # x^(97*700) of f^p is no carry term, so it is not what raises
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67200, 1)")):
             delta1(parse_poly("x^700 + y", VS_XY, 97))
+
+    @pytest.mark.parametrize("method", DELTA1_METHODS)
+    def test_exponent_cap_is_one_rule_on_both_methods(self, method):
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67200, 1)")):
+            method(parse_poly("x^700 + y", VS_XY, 97))
+
+    @pytest.mark.parametrize("method", [delta1] + DELTA1_METHODS)
+    def test_pure_power_past_the_cap_is_no_carry_term(self, method):
+        # f^p holds x^(97*676) = x^65572, past the cap, but every carry term
+        # stays at or below x^(96*676) = x^64896
+        f = parse_poly("x^676 + y", VS_XY, 97)
+        assert method(f) == naive_delta1(f)
 
     def test_witt_addition_law_disjoint_supports(self):
         # delta1(f+g) - delta1(f) - delta1(g) == ((f~+g~)^p - f~^p - g~^p)/p

@@ -174,6 +174,17 @@ class TestDelta1Probe:
             acc = pow_mod_frobenius(acc * d1, 1, q)
         assert acc == delta1_probe(ring, 4, 4, 2)
 
+    def test_probe_is_the_boxed_full_product(self):
+        rng = random.Random(6007)
+        vs = VariableSet.unit("x0,x1,x2")
+        for p, s in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
+            f = random_homogeneous(rng, vs, p, 2, max_terms=4)
+            ring = HypersurfaceRing(p, vs, f)
+            for a, b in ((0, 1), (1, 1), (2, 1), (1, 2)):
+                full = f ** a * delta1(f) ** b
+                kept = {m: c for m, c in full.terms.items() if max(m) < p ** s}
+                assert delta1_probe(ring, a, b, s) == Polynomial(p, vs, kept)
+
     def test_delta1_of_sextic_shape(self):
         d1 = delta1(sextic_ring(5).f)
         assert d1.num_terms == 121
