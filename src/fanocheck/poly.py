@@ -21,16 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import comb
 from operator import mul
 from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
-
-# one layered product costs about this many chain products (dense-grid
-# medians, 336 against 305 ns on a 2-vCPU Xeon VM, Python 3.11)
-_LAYER_COST = 1.1
 
 Monomial = tuple
 
@@ -656,12 +650,21 @@ def weighted_degree(f: Polynomial) -> tuple:
     return deg
 
 
-def _frobenius_box(n: int, q: int):
+def _frobenius_box(f: Polynomial, q: int):
     """The packing for the box (x_i^q) and the offset that flags an exponent
-    >= q in its field's guard bit, as :func:`_mul_packed` takes them."""
+    >= q in its field's guard bit, as :func:`_mul_packed` takes them; q must
+    be a positive power of f's characteristic."""
+    p = f.p
+    m = q
+    s = 0
+    while m > 1 and m % p == 0:
+        m //= p
+        s += 1
+    if m != 1 or s < 1:
+        raise ValueError(f"{q} is not a positive power of the characteristic {p}")
     bits = (q - 1).bit_length()  # 2**bits >= q; bit ``bits`` of a field is its guard
-    order = _packing(n, bits + 1)
-    return order, order.pack([(1 << bits) - q] * n)
+    order = _packing(f.vars.n, bits + 1)
+    return order, order.pack([(1 << bits) - q] * f.vars.n)
 
 
 def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
@@ -675,25 +678,30 @@ def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     """
     if e < 0:
         raise ValueError("negative exponent")
-    p = f.p
-    m = q
-    s = 0
-    while m > 1 and m % p == 0:
-        m //= p
-        s += 1
-    if m != 1 or s < 1:
-        raise ValueError(f"{q} is not a positive power of the characteristic {p}")
-    n = f.vars.n
+    order, off = _frobenius_box(f, q)
     hi, lo = divmod(e, q)
-    c = pow(f.terms.get((0,) * n, 0), hi, p)
-    order, off = _frobenius_box(n, q)
+    c = pow(f.terms.get((0,) * f.vars.n, 0), hi, f.p)
     factor = [(order.pack(m), a) for m, a in f.terms.items() if max(m) < q]
     acc = {0: c} if c else {}
     for _ in range(lo):
         if not acc:
             break
-        acc = _mul_packed(acc, factor, p, off, order.guard)
+        acc = _mul_packed(acc, factor, f.p, off, order.guard)
     return order.polynomial(f.field, f.vars, acc)
+
+
+def mul_mod_frobenius(f: Polynomial, g: Polynomial, q: int) -> Polynomial:
+    """f*g reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q).
+
+    q must be a power of the characteristic.  Terms of f or g with an
+    exponent >= q lie in the ideal and are left out, and a product is cut as
+    soon as it leaves the box, so no exponent past q - 1 is ever formed.
+    """
+    f._check_compatible(g)
+    order, off = _frobenius_box(f, q)
+    acc = {order.pack(m): c for m, c in g.terms.items() if max(m) < q}
+    factor = [(order.pack(m), c) for m, c in f.terms.items() if max(m) < q]
+    return order.polynomial(f.field, f.vars, _mul_packed(acc, factor, f.p, off, order.guard))
 
 
 # ---------------------------------------------------------------------------
@@ -711,79 +719,39 @@ def delta1(f: Polynomial) -> Polynomial:
 
         delta1(f) = -[count-p part of prod_i sum_{j<p} (c_i m_i)^j / j!]  (mod p).
 
-    Two methods compute it, picked per call by :func:`_layers_pay`:
+    That count-p part is built one term at a time, all mod p and dividing
+    by nothing.  ``layers[k]`` holds the count-k part of the product over
+    the terms seen so far.  A term c*m updates the layers in place from
+    k = p down, so each reads only layers below it that still hold the old
+    values: layers[k] += sum_{1 <= j < p} layers[k-j] * (c*m)^j / j!.  The
+    last term fills only layer p and frees each layer below once read.
 
-    - :func:`_delta1_layers` builds that count-p part one term at a time,
-      all mod p and dividing by nothing; with no two monomials meeting it
-      makes about one product per composition, C(p+t-1, t-1) for t terms.
-    - :func:`_delta1_chain` multiplies by f p times with coefficients mod
-      p^2, subtracts the pure p-th powers and divides by p; it makes t
-      products per monomial of f^k, k < p, which dense input keeps few.
-
-    Measured crossover (2-vCPU Xeon VM, Python 3.11), on a seeded grid of
-    random forms (3-5 variables, degree 3-6, p = 5, 7, 11, 4-35 terms): the
-    layers were faster on 258 of 297 timed cells (chain time over layers
-    time: median 1.7, at most 4.8); the chain won where the terms fill much
-    of their degree at large p (3 variables at p = 11 from 8 of the 10
-    cubics, 4 variables at p = 11 from 15 of the 35 quartics), and the
-    estimate sends those cells to it.  Sparse rows such as a Fermat sextic
-    double solid with two more terms at p = 11 take the layers, about 3x
-    faster.
+    The terms are taken in lex order of their exponents, so the first ones
+    share a face of the Newton polytope and the layers grow slowly.  With no
+    two monomials meeting, the layers make about one product per
+    composition, C(p+t-1, t-1) for t terms; expanding f^p with coefficients
+    mod p^2 makes t products per monomial of f^k, k < p, which dense input
+    keeps few.  Measured against that expansion (2-vCPU Xeon VM, Python
+    3.11): the sextic double solids of the benchmark at p = 11 run about
+    3x faster; on seeded random forms (3-5 variables, degree 3-6, p = 5, 7,
+    11, 4-35 terms) the layers were faster on 290 of 297 cells, median
+    1.8x, and at worst about 1.3x slower, where the terms fill much of
+    their degree at p = 11.
 
     An exponent past the 2**16 cap raises only in a nonzero carry term.  A
     single-term polynomial has carry zero.
     """
+    p = f.p
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
-    method = _delta1_layers if _layers_pay(f) else _delta1_chain
-    return method(f)
-
-
-def _carry_packing(f: Polynomial):
-    """The packing that holds every monomial of f^p, and f's packed terms."""
-    top = max(map(max, f.terms), default=0)
-    order = _packing(f.vars.n, (f.p * top).bit_length() + 1)
-    return order, [(order.pack(m), c) for m, c in f.terms.items()]
-
-
-def _delta1_chain(f: Polynomial) -> Polynomial:
-    """delta1 by the product chain: f^p mod p^2, pure powers off, then /p."""
-    p = f.p
-    mod = p * p
-    order, factor = _carry_packing(f)
-    total = {0: 1}
-    for _ in range(p):
-        total = _mul_packed(total, factor, mod)
-    for m, c in factor:
-        mp = m * p
-        total[mp] = total.get(mp, 0) - c ** p
-    for m, c in total.items():
-        c %= mod
-        if c % p:
-            raise AlgebraError("Witt carry division was not exact; this is a bug")
-        total[m] = c // p
-    return order.polynomial(f.field, f.vars, total)
-
-
-def _delta1_layers(f: Polynomial) -> Polynomial:
-    """delta1 by truncated exponentials mod p, one term of f at a time.
-
-    ``layers[k]`` holds the count-k part of the product over the terms seen
-    so far.  A term c*m updates the layers in place from k = p down, so
-    each reads only layers below it that still hold the old values:
-    layers[k] += sum_{1 <= j < p} layers[k-j] * (c*m)^j / j!.  A layer that
-    the terms left cannot lift to count p, p - k > (p-1) * rest, is dropped:
-    every layer below p once the last term has read it (layer 0, the
-    constant 1, is the only other and is kept).
-    """
-    p = f.p
-    order, factor = _carry_packing(f)
+    order = _packing(f.vars.n, (p * max(map(max, f.terms))).bit_length() + 1)
     inv_fact = [1] * p
     for j in range(2, p):
         inv_fact[j] = inv_fact[j - 1] * pow(j, -1, p) % p
     layers = [{0: 1}] + [{} for _ in range(p)]
-    last = len(factor) - 1
-    for i, (m, c) in enumerate(factor):
+    last = f.num_terms - 1
+    for i, (m, c) in enumerate(sorted(f.terms.items())):
+        m = order.pack(m)
         steps = []
         a = 1
         for j in range(1, p):
@@ -792,9 +760,8 @@ def _delta1_layers(f: Polynomial) -> Polynomial:
         for k in range(p, p - 1 if i == last else 0, -1):
             out = layers[k]
             get = out.get
-            src = k
-            for mj, aj in steps[:k]:
-                src -= 1
+            for src in range(max(k - p + 1, 0), k):
+                mj, aj = steps[k - src - 1]
                 for mo, co in layers[src].items():
                     mm = mo + mj
                     out[mm] = (get(mm, 0) + co * aj) % p
@@ -804,53 +771,3 @@ def _delta1_layers(f: Polynomial) -> Polynomial:
     for m, c in carry.items():
         carry[m] = -c % p
     return order.polynomial(f.field, f.vars, carry)
-
-
-def _layers_pay(f: Polynomial) -> bool:
-    """Whether :func:`_delta1_layers` should cost less than
-    :func:`_delta1_chain` on f, estimated from t, p and the ring.
-
-    A layer or a power f^k holds at most as many monomials as it has
-    compositions, and at most R(k): the monomials in f's variables whose
-    weight (a variable's weight vector summed) lies in k times the range of
-    f's term weights.  R comes from counting monomials by weight up to p
-    times f's largest.  When counting and estimating would cost as much as
-    the layers at worst, with no two of the C(p+t-1, t-1) compositions
-    meeting, the layers are taken without them (a step of either costs
-    about two layered products).
-    """
-    p, t = f.p, f.num_terms
-    weight = [sum(w) for w in f.vars.weights]
-    degs = [sum(map(mul, m, weight)) for m in f.terms]
-    lo, hi = min(degs), max(degs)
-    used = [w for w, col in zip(weight, zip(*f.terms)) if any(col)]
-    top = p * hi
-    if comb(p + t - 1, t - 1) <= 2 * (len(used) * top + (p + 1) * t):
-        return True
-    counts = [1] + [0] * top
-    for w in used:
-        for s in range(w, top + 1):
-            counts[s] += counts[s - w]
-    prefix = list(accumulate(counts, initial=0))
-    reach = [prefix[k * hi + 1] - prefix[k * lo] for k in range(p + 1)]
-    layers, chain = _carry_products(p, t, reach)
-    return _LAYER_COST * layers <= chain
-
-
-def _carry_products(p: int, t: int, reach: list) -> tuple:
-    """Estimated products of the layers and of the chain on t terms.
-
-    A term but the last adds the layers below each layer k >= 1 into it
-    (all but layer 0 into layer p), so the new size bounds are prefix sums
-    of the old ones, capped by ``reach``; the last term fills layer p from
-    layers 1..p-1.  f^k for k < p has the size of layer k after all t terms.
-    """
-    layers = 0
-    sizes = [1] + [0] * p
-    for _ in range(t - 1):
-        grown = list(accumulate(sizes))
-        grown[p] -= 1
-        layers += sum(grown) - sum(sizes)
-        sizes = list(map(min, grown, reach))
-    powers = list(map(min, accumulate(sizes), reach))
-    return layers + sum(sizes[1:p]), t * sum(powers[:p])

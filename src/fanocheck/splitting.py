@@ -18,11 +18,10 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
-    _frobenius_box,
-    _mul_packed,
     as_prime,
     delta1,
     mono_str,
+    mul_mod_frobenius,
     pow_mod_frobenius,
     weighted_degree,
 )
@@ -87,10 +86,7 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     q = ring.p ** s
     fa = pow_mod_frobenius(ring.f, a, q)
     db = pow_mod_frobenius(delta1(ring.f), b, q)
-    order, off = _frobenius_box(ring.vars.n, q)
-    factor = [(order.pack(m), c) for m, c in fa.terms.items()]
-    prod = _mul_packed(order.pack_terms(db.terms), factor, ring.p, off, order.guard)
-    return order.polynomial(ring.prime, ring.vars, prod)
+    return mul_mod_frobenius(fa, db, q)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from fanocheck.poly import (
     VariableSet,
     ZeroPolynomialError,
     delta1,
+    mul_mod_frobenius,
     parse_poly,
     pow_mod_frobenius,
     tokenize,
@@ -284,6 +285,33 @@ class TestPowModFrobenius:
         assert len(calls) == 9
 
 
+class TestMulModFrobenius:
+    def test_seeded_oracle_suite(self):
+        rng = random.Random(7919)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            q = p ** rng.randint(1, 2)
+            f = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
+            g = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
+            kept = {m: c for m, c in (f * g).terms.items() if max(m) < q}
+            assert mul_mod_frobenius(f, g, q) == Polynomial(p, VS3, kept)
+
+    def test_rejects_non_power_of_p(self):
+        f = parse_poly("x0", VS3, 5)
+        with pytest.raises(ValueError):
+            mul_mod_frobenius(f, f, 10)
+
+    def test_products_outside_the_box_are_never_formed(self):
+        # x^80000 leaves the 2**16-box before the cap could see it
+        f = parse_poly("x^40000 + y", VS_XY, 2)
+        assert str(mul_mod_frobenius(f, f, 2 ** 16)) == "y^2"
+
+    def test_exponent_cap_raises_inside_the_box(self):
+        f = parse_poly("x^40000 + y", VS_XY, 97)
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(80000, 0)")):
+            mul_mod_frobenius(f, f, 97 ** 3)
+
+
 class TestKernelOracles:
     """delta1 and the boxed power against oracles on exponent tuples."""
 
@@ -319,12 +347,9 @@ class TestKernelOracles:
                 assert delta1(f) == expect
 
 
-DELTA1_METHODS = [poly_module._delta1_layers, poly_module._delta1_chain]
-
-
-class TestDelta1Methods:
-    """Both delta1 methods, called directly, against the p^2 chain on
-    exponent tuples and the multinomial oracle."""
+class TestDelta1Differential:
+    """delta1 against the p^2 product chain on exponent tuples and the
+    multinomial oracle."""
 
     @pytest.mark.parametrize("vs", [VS3, VS_W, VS_MULTI],
                              ids=["unit", "weighted", "multigraded"])
@@ -339,8 +364,6 @@ class TestDelta1Methods:
                 f = f + Polynomial.constant(p, vs, rng.randint(1, p - 1))
             expect = chain_delta1(f)
             assert naive_delta1(f) == expect
-            for method in DELTA1_METHODS:
-                assert method(f) == expect
             assert delta1(f) == expect
 
     def test_homogeneous_inputs(self):
@@ -348,38 +371,36 @@ class TestDelta1Methods:
         for p in (2, 3, 5, 7, 11):
             for vs, degree in ((VS3, 3), (VS_W, 6), (VS_MULTI, (1, 2))):
                 f = random_homogeneous(rng, vs, p, degree, max_terms=6)
-                expect = chain_delta1(f)
-                for method in DELTA1_METHODS:
-                    assert method(f) == expect
+                assert delta1(f) == chain_delta1(f)
 
-    def test_dense_shape_takes_the_chain(self):
+    def test_dense_shape(self):
         # every binary sextic monomial at p = 5: f^k has 6k+1 monomials, far
-        # fewer than the compositions the layers would walk through
+        # fewer than the compositions the layers walk through
         f = parse_poly("x^6 + 2*x^5*y + 3*x^4*y^2 + 4*x^3*y^3 + x^2*y^4 + 2*x*y^5 + 3*y^6",
                        VS_XY, 5)
-        assert not poly_module._layers_pay(f)
         expect = naive_delta1(f)
         assert chain_delta1(f) == expect
-        for method in DELTA1_METHODS:
-            assert method(f) == expect
         assert delta1(f) == expect
 
-    def test_sparse_row_takes_the_layers(self):
+    def test_term_order_does_not_matter(self):
         f = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 3*x0*x1*x2^2*x3^2 + x0^3*y",
                        VS_W, 11)
-        assert poly_module._layers_pay(f)
-        assert delta1(f) == poly_module._delta1_chain(f)
+        expect = chain_delta1(f)
+        for seed in range(3):
+            items = list(f.terms.items())
+            random.Random(seed).shuffle(items)
+            assert delta1(Polynomial(f.field, f.vars, dict(items))) == expect
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
-    def test_methods_agree(self, data):
+    def test_matches_the_chain(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
         vs = data.draw(st.sampled_from([VS_XY, VS3, VS_W, VS_MULTI]), label="ring")
         mono = st.tuples(*[st.integers(0, 3)] * vs.n)
         terms = data.draw(st.dictionaries(mono, st.integers(1, p - 1), max_size=6),
                           label="terms")
         f = Polynomial(p, vs, terms)
-        assert poly_module._delta1_layers(f) == poly_module._delta1_chain(f)
+        assert delta1(f) == chain_delta1(f)
 
 
 class TestDelta1:
@@ -425,17 +446,11 @@ class TestDelta1:
         with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67200, 1)")):
             delta1(parse_poly("x^700 + y", VS_XY, 97))
 
-    @pytest.mark.parametrize("method", DELTA1_METHODS)
-    def test_exponent_cap_is_one_rule_on_both_methods(self, method):
-        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67200, 1)")):
-            method(parse_poly("x^700 + y", VS_XY, 97))
-
-    @pytest.mark.parametrize("method", [delta1] + DELTA1_METHODS)
-    def test_pure_power_past_the_cap_is_no_carry_term(self, method):
+    def test_pure_power_past_the_cap_is_no_carry_term(self):
         # f^p holds x^(97*676) = x^65572, past the cap, but every carry term
         # stays at or below x^(96*676) = x^64896
         f = parse_poly("x^676 + y", VS_XY, 97)
-        assert method(f) == naive_delta1(f)
+        assert delta1(f) == naive_delta1(f)
 
     def test_witt_addition_law_disjoint_supports(self):
         # delta1(f+g) - delta1(f) - delta1(g) == ((f~+g~)^p - f~^p - g~^p)/p

@@ -185,6 +185,13 @@ class TestDelta1Probe:
                 kept = {m: c for m, c in full.terms.items() if max(m) < p ** s}
                 assert delta1_probe(ring, a, b, s) == Polynomial(p, vs, kept)
 
+    def test_products_outside_the_box_do_not_raise(self):
+        # x^40000 * x^40000*y = x^80000*y is past the 2**16 cap, but it is
+        # outside the 2**16-box too, so it is cut before it is formed
+        vs = VariableSet.unit("x,y")
+        ring = HypersurfaceRing(2, vs, parse_poly("x^40000 + y", vs, 2))
+        assert str(delta1_probe(ring, 1, 1, 16)) == "x^40000*y^2"
+
     def test_delta1_of_sextic_shape(self):
         d1 = delta1(sextic_ring(5).f)
         assert d1.num_terms == 121
