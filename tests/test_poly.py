@@ -301,6 +301,13 @@ class TestMulModFrobenius:
         with pytest.raises(ValueError):
             mul_mod_frobenius(f, f, 10)
 
+    def test_terms_outside_the_box_are_left_out(self):
+        # x^5 does not fit the 2-bit fields of the 2-box; it lies in the ideal
+        f = parse_poly("x^5 + y", VS_XY, 2)
+        g = parse_poly("x^4*y + 1", VS_XY, 2)
+        assert str(mul_mod_frobenius(f, g, 2)) == "y"
+        assert str(mul_mod_frobenius(g, f, 2)) == "y"
+
     def test_products_outside_the_box_are_never_formed(self):
         # x^80000 leaves the 2**16-box before the cap could see it
         f = parse_poly("x^40000 + y", VS_XY, 2)
