@@ -9,7 +9,9 @@ bundle P(O(a_1) + ... + O(a_r)) the extra generator xi obeys
 the normalization in which O(1) restricts to O(a_j) on the j-th coordinate
 section.  The degree map reads off the coefficient of
 h1^n1 ... hk^nk * xi^(r-1), the unique monomial of top dimension.  All
-arithmetic is exact over the integers.
+arithmetic is exact over the integers, on monomials packed into ints and
+multiplied by poly's shared kernel; the public methods take and return
+{exponent tuple: int} dicts.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import ParseError, _parse_uint, _TokenStream, tokenize
+from .poly import ParseError, _mul_packed, _parse_uint, _TokenStream, tokenize
 
 
 class DimensionMismatchError(ValueError):
-    """Wrong number of divisor classes for the ring dimension."""
+    """Wrong number of classes, coefficients or exponents for the ring."""
 
 
 class NonP1FactorError(ValueError):
@@ -88,106 +90,105 @@ class IntersectionRing:
         self.rank = bundle.rank if bundle else 0
         self.ngens = self.k + (1 if bundle else 0)
         self.dimension = sum(base.dims) + (self.rank - 1 if bundle else 0)
-        self._top = tuple(base.dims) + ((self.rank - 1,) if bundle else ())
-        self._xi_rule = self._build_xi_rule() if bundle else None
+        w = max(base.dims).bit_length() + 1
+        self._mask = (1 << w) - 1
+        self._shifts = tuple(i * w for i in range(self.ngens))
+        self._guard = sum(1 << (s + w - 1) for s in self._shifts[:self.k])
+        self._off = sum(((1 << (w - 1)) - n - 1) << s
+                        for n, s in zip(base.dims, self._shifts))
+        top = tuple(base.dims) + ((self.rank - 1,) if bundle else ())
+        self._top = sum(e << s for e, s in zip(top, self._shifts))
+        # without a bundle no in-box monomial reaches 1 << (k * w)
+        self._xi_top = max(self.rank, 1) << (self.k * w)
+        self._xi_rule = self._build_xi_rule() if bundle else []
 
-    # -- element plumbing: dict {exponent tuple: int}, xi slot last ---------
+    # -- element plumbing: {packed monomial: int} inside, {exponent tuple:
+    # int} with the xi slot last at the boundary (one, generator, mul,
+    # reduce, degree, class_element, element_str).  Exponent i sits in bits
+    # [i*w, (i+1)*w), w = max(dims).bit_length() + 1, so a product of two
+    # in-box monomials carries out of no h field.  A field's top bit is its
+    # guard, which adding _off (2**(w-1) - (n_i+1) per field) sets exactly
+    # when h_i^(n_i+1) divides.  The xi field sits on top, unbounded, so
+    # xi^r divides m exactly when m >= r << (k*w).
 
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {(0,) * self.ngens: 1}
-
-    def generator(self, i: int) -> dict:
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return {mono: 1}
-
-    def _build_xi_rule(self) -> dict:
-        """xi^r rewritten as lower xi-powers, from prod_j (xi - a_j . h) = 0."""
-        rel = self.one()
-        xi_mono = tuple(0 if j < self.k else 1 for j in range(self.ngens))
-        for twist in self.bundle.twists:
-            lin = {xi_mono: 1}
-            for c, a in enumerate(twist):
-                if a:
-                    mono = tuple(1 if j == c else 0 for j in range(self.ngens))
-                    lin[mono] = -a
-            rel = self._raw_mul(rel, lin)
-        top = (0,) * self.k + (self.rank,)
-        assert rel.pop(top) == 1
-        return {m: -c for m, c in rel.items()}
-
-    def _raw_mul(self, a: dict, b: dict) -> dict:
+    def _pack(self, el: dict) -> dict:
+        """The one boundary check; monomials outside the h-box are zero."""
         out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                v = out.get(m, 0) + ca * cb
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+        for mono, c in el.items():
+            if len(mono) != self.ngens:
+                raise DimensionMismatchError(
+                    f"monomial {mono} has {len(mono)} exponents, ring has {self.ngens}")
+            if min(mono) < 0:
+                raise ValueError(f"negative exponent in monomial {mono}")
+            if c and all(e <= n for e, n in zip(mono, self.base.dims)):
+                out[sum(e << s for e, s in zip(mono, self._shifts))] = c
         return out
 
-    def reduce(self, el: dict) -> dict:
-        """Apply h-truncation and the xi rewriting rule until stable."""
-        cur = {m: c for m, c in el.items()
-               if all(e <= n for e, n in zip(m, self.base.dims))}
-        if self._xi_rule is None:
-            return {m: c for m, c in cur.items() if c}
-        r = self.rank
+    def _unpack(self, el: dict) -> dict:
+        *low, last = self._shifts
+        return {tuple([(m >> s) & self._mask for s in low] + [m >> last]): c
+                for m, c in el.items()}
+
+    def _build_xi_rule(self) -> list:
+        """xi^r rewritten as lower xi-powers, from prod_j (xi - a_j . h) = 0,
+        cut to the h-box as it is built."""
+        *h_shifts, xi_shift = self._shifts
+        rel = {0: 1}
+        for twist in self.bundle.twists:
+            lin = [(1 << xi_shift, 1)] + [(1 << s, -a) for s, a in zip(h_shifts, twist) if a]
+            rel = _mul_packed(rel, lin, None, self._off, self._guard)
+        assert rel.pop(self._xi_top) == 1
+        return [(m, -c) for m, c in rel.items()]
+
+    def _reduce(self, el: dict) -> dict:
+        """Rewrite xi^r by the rule until no term has it; ``el`` is in the
+        h-box and loses its xi^r terms in place."""
+        top = self._xi_top
         while True:
-            high = [m for m in cur if m[-1] >= r]
+            high = {m - top: el.pop(m) for m in [m for m in el if m >= top]}
             if not high:
-                return {m: c for m, c in cur.items() if c}
-            for m in high:
-                c = cur.pop(m)
-                lowered = m[:-1] + (m[-1] - r,)
-                for rm, rc in self._xi_rule.items():
-                    t = tuple(x + y for x, y in zip(lowered, rm))
-                    if any(e > n for e, n in zip(t, self.base.dims)):
-                        continue
-                    v = cur.get(t, 0) + c * rc
-                    if v:
-                        cur[t] = v
-                    elif t in cur:
-                        del cur[t]
+                return el
+            el = self.add(el, _mul_packed(high, self._xi_rule, None, self._off, self._guard))
 
-    def mul(self, a: dict, b: dict) -> dict:
-        return self.reduce(self._raw_mul(a, b))
+    def _mul(self, a: dict, b: dict) -> dict:
+        return self._reduce(_mul_packed(a, list(b.items()), None, self._off, self._guard))
 
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for m, c in b.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return out
-
-    def scale(self, a: dict, c: int) -> dict:
-        return {m: c * v for m, v in a.items()} if c else {}
-
-    def class_element(self, cls: DivClass) -> dict:
+    def _class(self, cls: DivClass) -> dict:
         if len(cls.h) != self.k:
             raise DimensionMismatchError(
                 f"class has {len(cls.h)} base coefficients, ring has {self.k}")
         if cls.xi and not self.bundle:
             raise DimensionMismatchError("xi coefficient in a ring without a bundle")
-        out = {}
-        for c in range(self.k):
-            if cls.h[c]:
-                mono = tuple(1 if j == c else 0 for j in range(self.ngens))
-                out[mono] = cls.h[c]
-        if self.bundle and cls.xi:
-            out[(0,) * self.k + (1,)] = cls.xi
-        return out
+        return {1 << s: c for s, c in zip(self._shifts, cls.h + (cls.xi,)) if c}
+
+    def one(self) -> dict:
+        return self._unpack({0: 1})
+
+    def generator(self, i: int) -> dict:
+        return self._unpack({1 << self._shifts[i]: 1})
+
+    def reduce(self, el: dict) -> dict:
+        """Apply h-truncation and the xi rewriting rule until stable."""
+        return self._unpack(self._reduce(self._pack(el)))
+
+    def mul(self, a: dict, b: dict) -> dict:
+        return self._unpack(self._mul(self._pack(a), self._pack(b)))
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + c
+        return {m: c for m, c in out.items() if c}
+
+    def scale(self, a: dict, c: int) -> dict:
+        return {m: c * v for m, v in a.items()} if c else {}
+
+    def class_element(self, cls: DivClass) -> dict:
+        return self._unpack(self._class(cls))
 
     def degree(self, el: dict) -> int:
         """Coefficient of the top monomial after reduction."""
-        return self.reduce(el).get(self._top, 0)
+        return self._reduce(self._pack(el)).get(self._top, 0)
 
     def element_str(self, el: dict) -> str:
         el = self.reduce(el)
@@ -224,10 +225,10 @@ def intersect(ring: IntersectionRing, classes: Sequence[DivClass]) -> int:
     if len(classes) != ring.dimension:
         raise DimensionMismatchError(
             f"need {ring.dimension} classes, got {len(classes)}")
-    el = ring.one()
+    el = {0: 1}
     for cls in classes:
-        el = ring.mul(el, ring.class_element(cls))
-    return ring.degree(el)
+        el = ring._mul(el, ring._class(cls))
+    return el.get(ring._top, 0)
 
 
 def canonical_class(ring: IntersectionRing) -> DivClass:
@@ -293,7 +294,8 @@ class _ExprParser(_TokenStream):
 
     Identifiers: h1..hk, xi (bundle rings), K (the canonical class).
     Factors nest at most MAX_NESTING deep (parentheses, deg() and unary
-    minus), so deep input is a ParseError, not a RecursionError.
+    minus), so deep input is a ParseError, not a RecursionError.  Every
+    element is packed and reduced.
     """
 
     def __init__(self, ring: IntersectionRing, tokens):
@@ -328,10 +330,8 @@ class _ExprParser(_TokenStream):
     def term(self) -> dict:
         el = self.factor()
         while True:
-            if self.accept_op("*"):
-                el = self.ring.mul(el, self.factor())
-            elif self._starts_factor():
-                el = self.ring.mul(el, self.factor())
+            if self.accept_op("*") or self._starts_factor():
+                el = self.ring._mul(el, self.factor())
             else:
                 return el
 
@@ -349,7 +349,7 @@ class _ExprParser(_TokenStream):
             return self.ring.scale(self.factor(), -1)
         if tok.kind == "int":
             self.advance()
-            return self.ring.scale(self.ring.one(), int(tok.text))
+            return self.ring.scale({0: 1}, int(tok.text))
         if self.accept_op("("):
             el = self.expr()
             self.expect(")")
@@ -360,18 +360,17 @@ class _ExprParser(_TokenStream):
                 self.expect("(")
                 el = self.expr()
                 self.expect(")")
-                return self.ring.scale(self.ring.one(), self.ring.degree(el))
+                return self.ring.scale({0: 1}, el.get(self.ring._top, 0))
             if tok.text == "K":
-                return self._maybe_power(
-                    self.ring.class_element(canonical_class(self.ring)))
+                return self._maybe_power(self.ring._class(canonical_class(self.ring)))
             if tok.text == "xi":
                 if not self.ring.bundle:
                     raise ParseError("xi needs a bundle ring", tok.pos)
-                return self._maybe_power(self.ring.generator(self.ring.k))
+                return self._maybe_power({1 << self.ring._shifts[-1]: 1})
             if tok.text.startswith("h") and tok.text[1:].isdecimal():
                 i = int(tok.text[1:]) - 1
                 if 0 <= i < self.ring.k:
-                    return self._maybe_power(self.ring.generator(i))
+                    return self._maybe_power({1 << self.ring._shifts[i]: 1})
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         raise ParseError("expected a class expression", tok.pos)
 
@@ -382,13 +381,12 @@ class _ExprParser(_TokenStream):
             # dimension vanish, so (c + n)^e = sum_k C(e, k) c^(e-k) n^k
             # ends at the first zero power of n, however large e is
             ring = self.ring
-            const = (0,) * ring.ngens
-            c = el.get(const, 0)
-            n = {m: v for m, v in el.items() if m != const}
-            out, n_k = ring.zero(), ring.one()
+            c = el.get(0, 0)
+            n = {m: v for m, v in el.items() if m}
+            out, n_k = {}, {0: 1}
             for k in range(e + 1):
                 if k:
-                    n_k = ring.mul(n_k, n)
+                    n_k = ring._mul(n_k, n)
                     if not n_k:
                         break
                 out = ring.add(out, ring.scale(n_k, math.comb(e, k) * c ** (e - k)))
@@ -398,12 +396,12 @@ class _ExprParser(_TokenStream):
 
 def evaluate_expression(ring: IntersectionRing, text: str) -> dict:
     """Evaluate a class expression to a reduced ring element."""
-    return _ExprParser(ring, tokenize(text)).parse()
+    return ring._unpack(_ExprParser(ring, tokenize(text)).parse())
 
 
 def expression_result_str(ring: IntersectionRing, el: dict) -> str:
-    """Integer string for constants, class string otherwise."""
-    el = ring.reduce(el)
+    """Integer string for constants, class string otherwise; ``el`` is
+    reduced, as evaluate_expression returns it."""
     if not el:
         return "0"
     if len(el) == 1 and not any(next(iter(el))):

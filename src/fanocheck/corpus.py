@@ -279,8 +279,7 @@ def chow(base: tuple, bundle: Optional[tuple] = None, canonical: bool = False,
     if canonical:
         return CheckResult(chowmod.div_class_str(ring, chowmod.canonical_class(ring)))
     if identity is not None:
-        lhs, rhs = (ring.reduce(chowmod.evaluate_expression(ring, side))
-                    for side in identity)
+        lhs, rhs = (chowmod.evaluate_expression(ring, side) for side in identity)
         return CheckResult("true" if lhs == rhs else "false")
     el = chowmod.evaluate_expression(ring, expr)
     return CheckResult(chowmod.expression_result_str(ring, el))

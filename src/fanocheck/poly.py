@@ -184,8 +184,8 @@ def _elimination(n: int) -> _PackedOrder:
     return _PackedOrder(n, _CAPPED_WIDTH, rows + [(1,) + (0,) * (n - 1)])
 
 
-def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0) -> dict:
-    """acc * factor with coefficients mod ``mod``, on packed monomials.
+def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> dict:
+    """acc * factor with coefficients mod ``mod`` (integers if None), on packed monomials.
 
     ``acc`` maps packed monomials to coefficients, ``factor`` is a list of
     (packed monomial, coefficient) pairs.  With a box (``guard`` holds each
@@ -209,6 +209,8 @@ def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0)
             for ma, ca in acc.items():
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
+    if mod is None:
+        return {m: c for m, c in out.items() if c}
     return {m: c % mod for m, c in out.items() if c % mod}
 
 

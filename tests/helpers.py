@@ -470,3 +470,107 @@ def ref_enumerate_classes(r, self_int, k_deg, d_max):
         rec(0, target_sum, target_sq, [])
     out.sort(key=lambda c: (c.d, c.m))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference Chow ring on exponent tuples
+# ---------------------------------------------------------------------------
+#
+# The tuple-keyed multiply and reduction loops that the packed ring in
+# fanocheck.chow replaced, kept as a differential oracle.  The xi rule keeps
+# its terms outside the h-box; reduction skips them as they arise.
+
+class RefIntersectionRing:
+    """Chow ring of prod P^(dims), or of P(sum O(a_j)) over it, on tuple dicts."""
+
+    def __init__(self, dims, twists=None):
+        self.dims = tuple(dims)
+        self.k = len(self.dims)
+        self.rank = len(twists) if twists else 0
+        self.ngens = self.k + (1 if twists else 0)
+        self.top = self.dims + ((self.rank - 1,) if twists else ())
+        self.xi_rule = self._build_xi_rule(twists) if twists else None
+
+    def one(self) -> dict:
+        return {(0,) * self.ngens: 1}
+
+    def generator(self, i: int) -> dict:
+        return {tuple(int(j == i) for j in range(self.ngens)): 1}
+
+    def class_element(self, h, xi=0) -> dict:
+        out = {}
+        for i, c in enumerate(tuple(h) + ((xi,) if self.rank else ())):
+            if c:
+                out.update(self.scale(self.generator(i), c))
+        return out
+
+    def _build_xi_rule(self, twists) -> dict:
+        rel = self.one()
+        for twist in twists:
+            lin = self.generator(self.k)
+            for c, a in enumerate(twist):
+                if a:
+                    lin.update(self.scale(self.generator(c), -a))
+            rel = self.raw_mul(rel, lin)
+        assert rel.pop((0,) * self.k + (self.rank,)) == 1
+        return {m: -c for m, c in rel.items()}
+
+    @staticmethod
+    def raw_mul(a: dict, b: dict) -> dict:
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                v = out.get(m, 0) + ca * cb
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return out
+
+    def reduce(self, el: dict) -> dict:
+        cur = {m: c for m, c in el.items()
+               if all(e <= n for e, n in zip(m, self.dims))}
+        if self.xi_rule is None:
+            return {m: c for m, c in cur.items() if c}
+        r = self.rank
+        while True:
+            high = [m for m in cur if m[-1] >= r]
+            if not high:
+                return {m: c for m, c in cur.items() if c}
+            for m in high:
+                # an earlier rewrite in this pass may have cancelled m
+                c = cur.pop(m, 0)
+                lowered = m[:-1] + (m[-1] - r,)
+                for rm, rc in self.xi_rule.items():
+                    t = tuple(x + y for x, y in zip(lowered, rm))
+                    if any(e > n for e, n in zip(t, self.dims)):
+                        continue
+                    v = cur.get(t, 0) + c * rc
+                    if v:
+                        cur[t] = v
+                    elif t in cur:
+                        del cur[t]
+
+    def mul(self, a: dict, b: dict) -> dict:
+        return self.reduce(self.raw_mul(a, b))
+
+    @staticmethod
+    def add(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + c
+        return {m: c for m, c in out.items() if c}
+
+    @staticmethod
+    def scale(a: dict, c: int) -> dict:
+        return {m: c * v for m, v in a.items()} if c else {}
+
+    def power(self, a: dict, e: int) -> dict:
+        out = self.one()
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def degree(self, el: dict) -> int:
+        return self.reduce(el).get(self.top, 0)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanocheck.chow import (
     DimensionMismatchError,
@@ -19,7 +20,7 @@ from fanocheck.chow import (
     section_class,
 )
 from fanocheck.poly import ParseError
-from helpers import naive_bundle_degree, naive_product_degree
+from helpers import RefIntersectionRing, naive_bundle_degree, naive_product_degree
 
 
 def base_ring(*dims):
@@ -60,6 +61,25 @@ class TestRingBasics:
             r.class_element(DivClass((1,)))
         with pytest.raises(DimensionMismatchError):
             r.class_element(DivClass((1, 1), xi=1))
+
+    def test_malformed_monomials_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            base_ring(1, 1).reduce({(1,): 5})
+        r = bundle_ring([1, 1], [[0, 0], [1, 2]])
+        for op in (r.reduce, r.degree, r.element_str, lambda el: r.mul(el, r.one())):
+            with pytest.raises(ValueError):
+                op({(0, -1, 3): 1})
+            with pytest.raises(DimensionMismatchError):
+                op({(0, 1): 1})
+
+    def test_xi_rule_is_cut_to_the_box(self):
+        # over P^1 x P^1 the untruncated rule carries 2*h1^3*xi, which is zero
+        twists = [[0, 0], [1, 1], [1, -1], [2, 0]]
+        ref = RefIntersectionRing((1, 1), twists)
+        assert ref.xi_rule[(3, 0, 1)] == 2
+        r = bundle_ring([1, 1], twists)
+        rule = r._unpack(dict(r._xi_rule))
+        assert rule == {m: c for m, c in ref.xi_rule.items() if m[0] <= 1 and m[1] <= 1}
 
     def test_bundle_over_wrong_base_rejected(self):
         a, b = ProductBase((1,)), ProductBase((2,))
@@ -199,6 +219,15 @@ class TestBundleRing:
         rhs = evaluate_expression(r, "-2*h1 - 2*h2")
         assert lhs == rhs
 
+    def test_rewrite_that_cancels_a_pending_xi_power(self):
+        # rewriting xi^4 cancels h1*xi^3 before its own rewrite; the tuple
+        # loop popped it anyway (KeyError).  Value checked with sympy's
+        # Groebner reduction modulo h1^2 and xi (xi - 2 h1) (xi + 3 h1).
+        r = bundle_ring([1], [[0], [2], [-3]])
+        el = evaluate_expression(
+            r, "(-3*xi^2 + h1*xi^2 + 2*h1*xi - 3*xi)*(-xi^2 + h1*xi^2 - 2*h1*xi + 2*xi)")
+        assert expression_result_str(r, el) == "13*h1*xi^2 - 6*xi^2"
+
     def test_omega_twist_validation(self):
         with pytest.raises(NonP1FactorError):
             omega_twist_factors(ProductBase((2,)), DivClass((1,)))
@@ -251,8 +280,8 @@ class TestExpressions:
     def test_power_stops_at_first_zero_product(self, monkeypatch):
         r = base_ring(2)
         calls = []
-        mul = r.mul
-        monkeypatch.setattr(r, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        mul = r._mul
+        monkeypatch.setattr(r, "_mul", lambda a, b: calls.append(1) or mul(a, b))
         assert expression_result_str(r, evaluate_expression(r, "deg(K^2)")) == "9"
         assert len(calls) == 2
         calls.clear()
@@ -290,8 +319,8 @@ class TestExpressions:
     def test_huge_power_takes_at_most_dim_plus_one_products(self, monkeypatch):
         r = base_ring(1, 1)
         calls = []
-        mul = r.mul
-        monkeypatch.setattr(r, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        mul = r._mul
+        monkeypatch.setattr(r, "_mul", lambda a, b: calls.append(1) or mul(a, b))
         el = evaluate_expression(r, "(1+h1+h2)^1000000000")
         # 1 + e n + C(e, 2) n^2 with n = h1 + h2 and n^2 = 2 h1 h2
         assert expression_result_str(r, el) == (
@@ -362,3 +391,145 @@ class TestExpressions:
         r = base_ring(1, 1)
         el = evaluate_expression(r, "2*h1*h2 - h1 - 3*h2 + 4")
         assert r.element_str(el) == "2*h1*h2 - h1 - 3*h2 + 4"
+
+
+# dims on both sides of a field-width step: w = n.bit_length() + 1
+EDGE_DIMS = (1, 7, 8, 63, 64, 200)
+
+# base, twists and dimension of the lattice benchmark's 12 chow pool members
+LATTICE_SHAPES = [
+    ((1,) * 6, ((0,) * 6, (-1, -1, 1, -2, 0, 0), (0, 1, -2, 1, -2, 0)), 8),
+    ((1,) * 6, ((0,) * 6, (2, 0, 1, 1, -2, 1), (2, -2, -1, 0, -1, -1)), 8),
+    ((1,) * 6, ((0,) * 6, (1, 2, -2, -2, -2, -2)), 7),
+    ((1,) * 5, ((0,) * 5, (2, -1, 2, 1, 0), (1, 1, 2, -1, -1)), 7),
+    ((1,) * 6, ((0,) * 6, (2, 1, -2, 2, 0, -1), (0, 2, 0, 0, 0, 2)), 8),
+    ((1,) * 3, ((0,) * 3, (-2, 2, 1), (-2, 0, -2)), 5),
+    ((2,) * 3, ((0,) * 3, (0, -2, 1)), 7),
+    ((2,) * 3, ((0,) * 3, (1, 1, 0)), 7),
+    ((2,) * 4, ((0,) * 4, (-1, 1, -2, -2)), 9),
+    ((2,) * 3, ((0,) * 3, (0, -2, 1), (-2, 1, 0)), 8),
+    ((2,) * 3, ((0,) * 3, (-2, 0, 0), (0, 2, 0)), 8),
+    ((2,) * 3, ((0,) * 3, (1, -2, 0)), 7),
+]
+
+
+def ring_pair(dims, twists):
+    """The packed ring and the tuple reference ring on one shape."""
+    base = ProductBase(tuple(dims))
+    bundle = SplitBundleSpec(base, tuple(map(tuple, twists))) if twists else None
+    return IntersectionRing(base, bundle), RefIntersectionRing(dims, twists)
+
+
+def random_shape(rng, dims):
+    rank = rng.choice((0, 2, 3, 4))
+    return dims, [[rng.randint(-3, 3) for _ in dims] for _ in range(rank)]
+
+
+def random_element(rng, ring, terms=5):
+    """Small exponents mostly, some past the h-box, xi up to 2r: reduction has work."""
+    el = {}
+    for _ in range(rng.randint(0, terms)):
+        mono = tuple(rng.randint(0, min(n + 1, 2)) if rng.random() < 0.8
+                     else rng.randint(0, n + 1) for n in ring.base.dims)
+        el[mono + ((rng.randint(0, 2 * ring.rank),) if ring.bundle else ())] = \
+            rng.randint(-5, 5)
+    return el
+
+
+def random_expression(rng, ring, ref, depth=0):
+    """A class expression and its value on the reference ring."""
+    names = [f"h{i + 1}" for i in range(ring.k)] + (["xi"] if ring.bundle else [])
+    texts, total = [], {}
+    for _ in range(rng.randint(1, 3)):
+        factors, el = [], ref.one()
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(5 if depth < 2 else 3)
+            if kind == 0:
+                c = rng.randint(-4, 4)
+                text, f = str(c), ref.scale(ref.one(), c)
+            elif kind == 1:
+                i = rng.randrange(len(names))
+                text, f = names[i], ref.generator(i)
+            elif kind == 2:
+                K = canonical_class(ring)
+                text, f = "K", ref.class_element(K.h, K.xi)
+            elif kind == 3:
+                e = rng.randint(0, 3)
+                sub, sub_el = random_expression(rng, ring, ref, depth + 1)
+                text, f = f"({sub})^{e}", ref.power(sub_el, e)
+            else:
+                sub, sub_el = random_expression(rng, ring, ref, depth + 1)
+                text, f = f"deg({sub})", ref.scale(ref.one(), ref.degree(sub_el))
+            factors.append(text)
+            el = ref.mul(el, f)
+        sign = rng.choice((1, -1))
+        texts.append(("- " if sign < 0 else "+ " if texts else "") + "*".join(factors))
+        total = ref.add(total, ref.scale(el, sign))
+    return " ".join(texts), total
+
+
+class TestPackedAgainstTupleRing:
+    """The packed ring against the tuple loops it replaced (tests/helpers)."""
+
+    def test_mul_reduce_degree_str_seeded(self):
+        rng = random.Random(20261018)
+        for trial in range(300):
+            k = rng.randint(1, 3)
+            dims = tuple(rng.choice(EDGE_DIMS) if rng.random() < 0.4 else rng.randint(1, 3)
+                         for _ in range(k))
+            ring, ref = ring_pair(*random_shape(rng, dims))
+            a, b = random_element(rng, ring), random_element(rng, ring)
+            assert ring.reduce(a) == ref.reduce(a)
+            assert ring.mul(a, b) == ref.mul(a, b)
+            assert ring.degree(a) == ref.degree(a)
+            top = dict(a)
+            top[ref.top] = trial
+            assert ring.degree(top) == ref.degree(top)
+            assert ring.element_str(a) == ring.element_str(ref.reduce(a))
+
+    @pytest.mark.parametrize("n", EDGE_DIMS)
+    def test_intersections_at_field_width_edges(self, n):
+        rng = random.Random(n)
+        for dims in ((n,), (n, rng.choice((1, 7, 8)))):
+            for rank in (2, 3, 4):
+                twists = [[rng.randint(-3, 3) for _ in dims] for _ in range(rank)]
+                ring, ref = ring_pair(dims, twists)
+                classes = [DivClass(tuple(rng.randint(-3, 3) for _ in dims),
+                                    rng.randint(-3, 3)) for _ in range(ring.dimension)]
+                el = ref.one()
+                for cls in classes:
+                    el = ref.mul(el, ref.class_element(cls.h, cls.xi))
+                assert intersect(ring, classes) == ref.degree(el)
+
+    def test_expressions_seeded(self):
+        rng = random.Random(4321)
+        for _ in range(150):
+            k = rng.randint(1, 3)
+            dims = tuple(rng.choice(EDGE_DIMS) if rng.random() < 0.3 else rng.randint(1, 2)
+                         for _ in range(k))
+            ring, ref = ring_pair(*random_shape(rng, dims))
+            text, expected = random_expression(rng, ring, ref)
+            assert evaluate_expression(ring, text) == expected, text
+
+    @pytest.mark.parametrize("dims,twists,dim", LATTICE_SHAPES)
+    def test_lattice_pool_shapes(self, dims, twists, dim):
+        ring, ref = ring_pair(dims, twists)
+        K = canonical_class(ring)
+        power = ref.power(ref.class_element(K.h, K.xi), dim)
+        assert evaluate_expression(ring, f"K^{dim}") == power
+        assert evaluate_expression(ring, f"deg(K^{dim})") == ref.scale(ref.one(), ref.degree(power))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_mul_commutative_and_associative(self, data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        rank = data.draw(st.sampled_from((0, 2, 3)))
+        twists = [data.draw(st.lists(st.integers(-3, 3), min_size=len(dims),
+                                     max_size=len(dims))) for _ in range(rank)]
+        ring, _ = ring_pair(dims, twists)
+        mono = st.tuples(*[st.integers(0, n) for n in dims],
+                         *([st.integers(0, rank - 1)] if rank else []))
+        element = st.dictionaries(mono, st.integers(-4, 4), max_size=4).map(ring.reduce)
+        a, b, c = data.draw(element), data.draw(element), data.draw(element)
+        assert ring.mul(a, b) == ring.mul(b, a)
+        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
