@@ -9,9 +9,9 @@ bundle P(O(a_1) + ... + O(a_r)) the extra generator xi obeys
 the normalization in which O(1) restricts to O(a_j) on the j-th coordinate
 section.  The degree map reads off the coefficient of
 h1^n1 ... hk^nk * xi^(r-1), the unique monomial of top dimension.  All
-arithmetic is exact over the integers, on monomials packed into ints and
-multiplied by poly's shared kernel; the public methods take and return
-{exponent tuple: int} dicts.
+arithmetic is exact over the integers, on monomials packed, boxed and
+multiplied by poly's packing and kernel and printed by its term printer;
+the public methods take and return {exponent tuple: int} dicts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import ParseError, _mul_packed, _parse_uint, _TokenStream, tokenize
+from .poly import (ParseError, _mul_packed, _packing, _parse_uint, _TokenStream,
+                   mono_str, tokenize)
 
 
 class DimensionMismatchError(ValueError):
@@ -90,26 +91,21 @@ class IntersectionRing:
         self.rank = bundle.rank if bundle else 0
         self.ngens = self.k + (1 if bundle else 0)
         self.dimension = sum(base.dims) + (self.rank - 1 if bundle else 0)
-        w = max(base.dims).bit_length() + 1
-        self._mask = (1 << w) - 1
-        self._shifts = tuple(i * w for i in range(self.ngens))
-        self._guard = sum(1 << (s + w - 1) for s in self._shifts[:self.k])
-        self._off = sum(((1 << (w - 1)) - n - 1) << s
-                        for n, s in zip(base.dims, self._shifts))
-        top = tuple(base.dims) + ((self.rank - 1,) if bundle else ())
-        self._top = sum(e << s for e, s in zip(top, self._shifts))
-        # without a bundle no in-box monomial reaches 1 << (k * w)
-        self._xi_top = max(self.rank, 1) << (self.k * w)
-        self._xi_rule = self._build_xi_rule() if bundle else []
+        # each h field holds n_i and a guard bit; unpacking masks every
+        # field, so each also holds the largest reduced xi power, rank - 1
+        order = _packing(self.ngens, max(max(base.dims).bit_length() + 1,
+                                         (self.rank - 1).bit_length()))
+        self._order = order
+        self._box = order.box([n + 1 for n in base.dims])
+        self._top = order.pack(tuple(base.dims) + ((self.rank - 1,) if bundle else ()))
+        self._xi_top = self.rank * order.units[-1] if bundle else None
+        self._xi_rule = self._build_xi_rule() if bundle else None
 
     # -- element plumbing: {packed monomial: int} inside, {exponent tuple:
     # int} with the xi slot last at the boundary (one, generator, mul,
-    # reduce, degree, class_element, element_str).  Exponent i sits in bits
-    # [i*w, (i+1)*w), w = max(dims).bit_length() + 1, so a product of two
-    # in-box monomials carries out of no h field.  A field's top bit is its
-    # guard, which adding _off (2**(w-1) - (n_i+1) per field) sets exactly
-    # when h_i^(n_i+1) divides.  The xi field sits on top, unbounded, so
-    # xi^r divides m exactly when m >= r << (k*w).
+    # reduce, degree, class_element, element_str).  Monomials pack by
+    # poly's packing; its box holds h_i below n_i + 1 and leaves the xi
+    # field on top open, so xi^r divides m exactly when m >= _xi_top.
 
     def _pack(self, el: dict) -> dict:
         """The one boundary check; monomials outside the h-box are zero."""
@@ -121,22 +117,22 @@ class IntersectionRing:
             if min(mono) < 0:
                 raise ValueError(f"negative exponent in monomial {mono}")
             if c and all(e <= n for e, n in zip(mono, self.base.dims)):
-                out[sum(e << s for e, s in zip(mono, self._shifts))] = c
+                out[self._order.pack(mono)] = c
         return out
 
     def _unpack(self, el: dict) -> dict:
-        *low, last = self._shifts
-        return {tuple([(m >> s) & self._mask for s in low] + [m >> last]): c
-                for m, c in el.items()}
+        return self._order.unpack_terms(el)
+
+    def _times(self, a: dict, factor: list) -> dict:
+        return _mul_packed(a, factor, None, *self._box)
 
     def _build_xi_rule(self) -> list:
         """xi^r rewritten as lower xi-powers, from prod_j (xi - a_j . h) = 0,
         cut to the h-box as it is built."""
-        *h_shifts, xi_shift = self._shifts
+        *h_units, xi = self._order.units
         rel = {0: 1}
         for twist in self.bundle.twists:
-            lin = [(1 << xi_shift, 1)] + [(1 << s, -a) for s, a in zip(h_shifts, twist) if a]
-            rel = _mul_packed(rel, lin, None, self._off, self._guard)
+            rel = self._times(rel, [(xi, 1)] + [(u, -a) for u, a in zip(h_units, twist) if a])
         assert rel.pop(self._xi_top) == 1
         return [(m, -c) for m, c in rel.items()]
 
@@ -144,14 +140,15 @@ class IntersectionRing:
         """Rewrite xi^r by the rule until no term has it; ``el`` is in the
         h-box and loses its xi^r terms in place."""
         top = self._xi_top
-        while True:
+        while top is not None:
             high = {m - top: el.pop(m) for m in [m for m in el if m >= top]}
             if not high:
-                return el
-            el = self.add(el, _mul_packed(high, self._xi_rule, None, self._off, self._guard))
+                break
+            el = self.add(el, self._times(high, self._xi_rule))
+        return el
 
     def _mul(self, a: dict, b: dict) -> dict:
-        return self._reduce(_mul_packed(a, list(b.items()), None, self._off, self._guard))
+        return self._reduce(self._times(a, list(b.items())))
 
     def _class(self, cls: DivClass) -> dict:
         if len(cls.h) != self.k:
@@ -159,13 +156,13 @@ class IntersectionRing:
                 f"class has {len(cls.h)} base coefficients, ring has {self.k}")
         if cls.xi and not self.bundle:
             raise DimensionMismatchError("xi coefficient in a ring without a bundle")
-        return {1 << s: c for s, c in zip(self._shifts, cls.h + (cls.xi,)) if c}
+        return {u: c for u, c in zip(self._order.units, cls.h + (cls.xi,)) if c}
 
     def one(self) -> dict:
         return self._unpack({0: 1})
 
     def generator(self, i: int) -> dict:
-        return self._unpack({1 << self._shifts[i]: 1})
+        return self._unpack({self._order.units[i]: 1})
 
     def reduce(self, el: dict) -> dict:
         """Apply h-truncation and the xi rewriting rule until stable."""
@@ -198,17 +195,8 @@ class IntersectionRing:
         pad = (0,) if not self.bundle else ()
         keyed = sorted(el.items(), key=lambda t: _chow_mono_key(t[0] + pad),
                        reverse=True)
-        parts = []
-        for mono, coeff in keyed:
-            syms = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    syms.append(name)
-                elif e > 1:
-                    syms.append(f"{name}^{e}")
-            mag = abs(coeff)
-            body = "*".join(([str(mag)] if (mag != 1 or not syms) else []) + syms)
-            parts.append(("-" if coeff < 0 else "+", body))
+        parts = [("-" if coeff < 0 else "+", mono_str(names, mono, abs(coeff)))
+                 for mono, coeff in keyed]
         first_sign, first_body = parts[0]
         text = (first_sign if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -366,11 +354,11 @@ class _ExprParser(_TokenStream):
             if tok.text == "xi":
                 if not self.ring.bundle:
                     raise ParseError("xi needs a bundle ring", tok.pos)
-                return self._maybe_power({1 << self.ring._shifts[-1]: 1})
+                return self._maybe_power({self.ring._order.units[-1]: 1})
             if tok.text.startswith("h") and tok.text[1:].isdecimal():
                 i = int(tok.text[1:]) - 1
                 if 0 <= i < self.ring.k:
-                    return self._maybe_power({1 << self.ring._shifts[i]: 1})
+                    return self._maybe_power({self.ring._order.units[i]: 1})
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         raise ParseError("expected a class expression", tok.pos)
 

@@ -245,7 +245,7 @@ def fsplit(prime: int, variables: VariableSet, polynomial: str) -> CheckResult:
     ring.degree  # force the homogeneity validation
     verdict = fedder_fsplit(ring)
     evidence = (None if verdict.witness is None
-                else f"witness: {mono_str(variables, verdict.witness)}")
+                else f"witness: {mono_str(variables.names, verdict.witness)}")
     return CheckResult(verdict.status.value, evidence)
 
 

@@ -136,8 +136,10 @@ def parse_ambient(text: str, names: Optional[Sequence[str]] = None) -> AmbientSp
         weights_per_factor.append(ws)
         i = j + 1
         expect_factor = False
-    if expect_factor:
+    if not weights_per_factor:
         raise ParseError("empty ambient description", 0)
+    if expect_factor:
+        raise ParseError("expected a factor 'P(...)'", n)
     total = sum(len(ws) for ws in weights_per_factor)
     if names is not None:
         names = [s.strip() for s in names]

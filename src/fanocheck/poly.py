@@ -7,9 +7,10 @@ reverse lexicographic (grevlex), ties broken towards earlier variables.
 
 This module owns the one packing of monomials into ints (Monagan & Pearce,
 CASC 2007), :class:`_PackedOrder`: a product of monomials is one integer
-add and the box test "some exponent >= q" one add and one mask.  Term
-orders pack their rows above the exponents, so ``_grevlex`` orders
-:meth:`Polynomial.leading_monomial` and Buchberger in
+add and the box test "some exponent >= its bound" (:meth:`_PackedOrder.box`)
+one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs, boxes
+and multiplies on it too.  Term orders pack their rows above the exponents,
+so ``_grevlex`` orders :meth:`Polynomial.leading_monomial` and Buchberger in
 :mod:`fanocheck.ideals` alike.  Every kernel result leaves through
 :meth:`_PackedOrder.polynomial` and is not validated again.
 
@@ -155,6 +156,16 @@ class _PackedOrder:
                     raise ExponentOverflowError(f"bad exponent tuple {mono}")
         return Polynomial._trusted(field, variables, terms)
 
+    def box(self, bounds) -> tuple:
+        """(off, guard) for :func:`_mul_packed`: ``m + off`` sets field i's
+        guard bit exactly when its exponent is >= bounds[i] (while below
+        2**(width-1) + bounds[i]); fields past len(bounds) stay open.  Each
+        bound is at most 2**(width-1)."""
+        top = 1 << (self.width - 1)
+        shifts = self.shifts[:len(bounds)]
+        return (sum((top - b) << s for b, s in zip(bounds, shifts)),
+                sum(top << s for s in shifts))
+
     def lcm(self, a: tuple, b: tuple) -> int:
         """Packed lcm of two exponent tuples."""
         return sum(map(mul, map(max, a, b), self.units))
@@ -166,7 +177,8 @@ class _PackedOrder:
 
 @lru_cache(maxsize=None)
 def _packing(n: int, width: int) -> _PackedOrder:
-    """The rows-free packing of products, boxed powers and the Witt carry."""
+    """The rows-free packing of products, boxed powers, the Witt carry and
+    the Chow ring."""
     return _PackedOrder(n, width)
 
 
@@ -188,26 +200,20 @@ def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> d
     """acc * factor with coefficients mod ``mod`` (integers if None), on packed monomials.
 
     ``acc`` maps packed monomials to coefficients, ``factor`` is a list of
-    (packed monomial, coefficient) pairs.  With a box (``guard`` holds each
-    field's guard bit, ``off`` holds 2**bits - q in each field) a product
-    with some exponent >= q sets a guard bit in ``m + off`` and is dropped.
-    Dropping after every product is sound because the dropped monomials
-    generate an ideal: they can never contribute back inside the box.
-    Terms keep their first-seen order; zero coefficients are not kept.
+    (packed monomial, coefficient) pairs.  ``off`` and ``guard`` come from
+    :meth:`_PackedOrder.box`: a product with an exponent at or past its
+    field's bound sets a guard bit in ``m + off`` and is dropped; with the
+    defaults nothing is.  Dropping after every product is sound because the
+    dropped monomials generate an ideal: they can never contribute back
+    inside the box.  Terms keep their first-seen order; zero coefficients
+    are not kept.
     """
     out = {}
     get = out.get
-    # two loops: the box test in the unboxed loop costs delta1 about 12%
-    if guard:
-        for mb, cb in factor:
-            for ma, ca in acc.items():
-                m = ma + mb
-                if not (m + off) & guard:
-                    out[m] = get(m, 0) + ca * cb
-    else:
-        for mb, cb in factor:
-            for ma, ca in acc.items():
-                m = ma + mb
+    for mb, cb in factor:
+        for ma, ca in acc.items():
+            m = ma + mb
+            if not (m + off) & guard:
                 out[m] = get(m, 0) + ca * cb
     if mod is None:
         return {m: c for m, c in out.items() if c}
@@ -285,11 +291,11 @@ class VariableSet:
         return tuple(out)
 
 
-def mono_str(variables: VariableSet, mono: Monomial, coeff: int = 1) -> str:
+def mono_str(names: Sequence[str], mono: Monomial, coeff: int = 1) -> str:
     """One printed term: the coefficient unless it is 1, then x^e factors
     joined by '*'; the unit monomial prints as its coefficient ("1")."""
     factors = [name if e == 1 else f"{name}^{e}"
-               for name, e in zip(variables.names, mono) if e]
+               for name, e in zip(names, mono) if e]
     if coeff != 1 or not factors:
         factors.insert(0, str(coeff))
     return "*".join(factors)
@@ -449,12 +455,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        inv = pow(self.leading_coefficient(), -1, self.p)
-        return self * inv
-
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         i = self.vars.index(name)
@@ -471,7 +471,7 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(mono_str(self.vars, m, c) for m, c in self.sorted_terms())
+        return " + ".join(mono_str(self.vars.names, m, c) for m, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Polynomial(p={self.p}, {self})"
@@ -653,9 +653,9 @@ def weighted_degree(f: Polynomial) -> tuple:
 
 
 def _frobenius_box(f: Polynomial, q: int):
-    """The packing for the box (x_i^q) and the offset that flags an exponent
-    >= q in its field's guard bit, as :func:`_mul_packed` takes them; q must
-    be a positive power of f's characteristic."""
+    """The packing for the box (x_i^q) and its (off, guard), as
+    :func:`_mul_packed` takes them; q must be a positive power of f's
+    characteristic."""
     p = f.p
     m = q
     s = 0
@@ -664,9 +664,8 @@ def _frobenius_box(f: Polynomial, q: int):
         s += 1
     if m != 1 or s < 1:
         raise ValueError(f"{q} is not a positive power of the characteristic {p}")
-    bits = (q - 1).bit_length()  # 2**bits >= q; bit ``bits`` of a field is its guard
-    order = _packing(f.vars.n, bits + 1)
-    return order, order.pack([(1 << bits) - q] * f.vars.n)
+    order = _packing(f.vars.n, (q - 1).bit_length() + 1)  # 2**(width-1) >= q
+    return order, order.box([q] * f.vars.n)
 
 
 def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
@@ -680,7 +679,7 @@ def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     """
     if e < 0:
         raise ValueError("negative exponent")
-    order, off = _frobenius_box(f, q)
+    order, (off, guard) = _frobenius_box(f, q)
     hi, lo = divmod(e, q)
     c = pow(f.terms.get((0,) * f.vars.n, 0), hi, f.p)
     factor = [(order.pack(m), a) for m, a in f.terms.items() if max(m) < q]
@@ -688,7 +687,7 @@ def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     for _ in range(lo):
         if not acc:
             break
-        acc = _mul_packed(acc, factor, f.p, off, order.guard)
+        acc = _mul_packed(acc, factor, f.p, off, guard)
     return order.polynomial(f.field, f.vars, acc)
 
 
@@ -700,10 +699,10 @@ def mul_mod_frobenius(f: Polynomial, g: Polynomial, q: int) -> Polynomial:
     soon as it leaves the box, so no exponent past q - 1 is ever formed.
     """
     f._check_compatible(g)
-    order, off = _frobenius_box(f, q)
+    order, (off, guard) = _frobenius_box(f, q)
     acc = {order.pack(m): c for m, c in g.terms.items() if max(m) < q}
     factor = [(order.pack(m), c) for m, c in f.terms.items() if max(m) < q]
-    return order.polynomial(f.field, f.vars, _mul_packed(acc, factor, f.p, off, order.guard))
+    return order.polynomial(f.field, f.vars, _mul_packed(acc, factor, f.p, off, guard))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
         status, witness = SplitStatus.NOT_FSPLIT.value, None
     else:
         status = SplitStatus.FSPLIT.value
-        witness = mono_str(ring.vars, residue.leading_monomial())
+        witness = mono_str(ring.vars.names, residue.leading_monomial())
     return FedderReport(
         status=status,
         witness=witness,

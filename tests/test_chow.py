@@ -489,11 +489,17 @@ class TestPackedAgainstTupleRing:
 
     @pytest.mark.parametrize("n", EDGE_DIMS)
     def test_intersections_at_field_width_edges(self, n):
+        # ranks 5 and 8 need more xi bits than small dims give an h field;
+        # degrees never unpack xi, mul and reduce do
         rng = random.Random(n)
         for dims in ((n,), (n, rng.choice((1, 7, 8)))):
-            for rank in (2, 3, 4):
+            for rank in (2, 3, 4, 5, 8):
                 twists = [[rng.randint(-3, 3) for _ in dims] for _ in range(rank)]
                 ring, ref = ring_pair(dims, twists)
+                for _ in range(5):
+                    a, b = random_element(rng, ring), random_element(rng, ring)
+                    assert ring.reduce(a) == ref.reduce(a)
+                    assert ring.mul(a, b) == ref.mul(a, b)
                 classes = [DivClass(tuple(rng.randint(-3, 3) for _ in dims),
                                     rng.randint(-3, 3)) for _ in range(ring.dimension)]
                 el = ref.one()

@@ -73,6 +73,13 @@ class TestParseAmbient:
             parse_ambient("P(1,1) P(1,1)")
         with pytest.raises(ValueError):
             parse_ambient("P(1,1)", names=["a"])
+        # a trailing 'x' leaves a factor missing at the end, not an empty text
+        for text in ("P(1,1) x", "P(1,1)x"):
+            with pytest.raises(ParseError, match=r"expected a factor 'P\(\.\.\.\)'") as err:
+                parse_ambient(text)
+            assert err.value.pos == len(text)
+        with pytest.raises(ParseError, match="empty ambient description"):
+            parse_ambient("   ")
 
     def test_chart_tuples(self):
         space = parse_ambient("P(1,1) x P(1,1)")

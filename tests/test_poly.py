@@ -319,6 +319,54 @@ class TestMulModFrobenius:
             mul_mod_frobenius(f, f, 97 ** 3)
 
 
+class TestPackedBox:
+    """_PackedOrder.box against the tuple predicate "some e_i >= bounds[i]"."""
+
+    @staticmethod
+    def _shape(data):
+        """A packing and bounds, uniform or not, on a prefix of its fields;
+        the fields past them are open."""
+        width = data.draw(st.integers(2, 6), label="width")
+        n = data.draw(st.integers(1, 4), label="n")
+        bounds = data.draw(st.lists(st.integers(1, 1 << (width - 1)),
+                                    max_size=n), label="bounds")
+        return poly_module._packing(n, width), bounds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_flags_exactly_the_exponents_past_their_bounds(self, data):
+        order, bounds = self._shape(data)
+        off, guard = order.box(bounds)
+        n, half = len(order.shifts), 1 << (order.width - 1)
+        # a bounded field holds e < 2**(width-1) + bound, an open one any
+        # field value, the top one, if open, more
+        highs = [b + half - 1 for b in bounds] + [2 * half - 1] * (n - len(bounds))
+        if len(bounds) < n:
+            highs[-1] *= 4
+        mono = tuple(data.draw(st.integers(0, h)) for h in highs)
+        flagged = any(e >= b for e, b in zip(mono, bounds))
+        assert bool((order.pack(mono) + off) & guard) == flagged
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_boxed_product_keeps_the_in_box_terms(self, data):
+        order, bounds = self._shape(data)
+        n, half = len(order.shifts), 1 << (order.width - 1)
+        caps = bounds + [half] * (n - len(bounds))
+        mono = st.tuples(*[st.integers(0, c - 1) for c in caps])
+        a = data.draw(st.dictionaries(mono, st.integers(-3, 3), max_size=5))
+        b = data.draw(st.dictionaries(mono, st.integers(-3, 3), max_size=5))
+        expect = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(map(sum, zip(ma, mb)))
+                if all(e < c for e, c in zip(m, bounds)):
+                    expect[m] = expect.get(m, 0) + ca * cb
+        got = poly_module._mul_packed(order.pack_terms(a), list(order.pack_terms(b).items()),
+                                      None, *order.box(bounds))
+        assert order.unpack_terms(got) == {m: c for m, c in expect.items() if c}
+
+
 class TestKernelOracles:
     """delta1 and the boxed power against oracles on exponent tuples."""
 
