@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import countOf, mul
 from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
@@ -112,13 +112,16 @@ class _PackedOrder:
     __slots__ = ("width", "mask", "shifts", "guard", "units")
 
     def __init__(self, n: int, width: int, rows: Sequence = ()):
-        row_width = (n * ((1 << (width - 1)) - 1)).bit_length()
         shifts = tuple(i * width for i in range(n))
-        row_shifts = [n * width + r * row_width for r in range(len(rows))]
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = shifts
-        self.guard = sum(1 << (s + width - 1) for s in shifts)
+        self.guard = sum(1 << s for s in shifts) << (width - 1)
+        if not rows:
+            self.units = tuple(1 << s for s in shifts)
+            return
+        row_width = (n * ((1 << (width - 1)) - 1)).bit_length()
+        row_shifts = [n * width + r * row_width for r in range(len(rows))]
         self.units = tuple(
             (1 << s) + sum(row[i] << rs for row, rs in zip(rows, row_shifts))
             for i, s in enumerate(shifts))
@@ -143,18 +146,24 @@ class _PackedOrder:
 
     def polynomial(self, field: Prime, variables: "VariableSet",
                    packed: dict) -> "Polynomial":
-        """The one kernel exit: packed terms with coefficients reduced mod p.
+        """The kernel exit: packed terms with coefficients reduced mod p,
+        zeros dropped, validated only by :meth:`_capped`."""
+        return Polynomial._trusted(field, variables,
+                                   self.unpack_terms(self._capped(packed)))
 
-        Zeros are dropped and nothing is validated again, except the cap on
-        the nonzero terms where a field can hold an exponent past it, with
-        the public constructor's message.
-        """
-        terms = self.unpack_terms(packed)
+    def count(self, packed: dict) -> int:
+        """How many terms :meth:`polynomial` keeps, unpacking none."""
+        return len(packed) - countOf(self._capped(packed).values(), 0)
+
+    def _capped(self, packed: dict) -> dict:
+        """``packed``; the first nonzero term with an exponent past the cap
+        (only a field wider than the cap's holds one) raises with the
+        public constructor's message."""
         if self.width > _CAPPED_WIDTH:
-            for mono in terms:
-                if max(mono) >= EXPONENT_LIMIT:
+            for m, c in packed.items():
+                if c and max(mono := self.unpack(m)) >= EXPONENT_LIMIT:
                     raise ExponentOverflowError(f"bad exponent tuple {mono}")
-        return Polynomial._trusted(field, variables, terms)
+        return packed
 
     def box(self, bounds) -> tuple:
         """(off, guard) for :func:`_mul_packed`: ``m + off`` sets field i's
@@ -716,35 +725,42 @@ def delta1(f: Polynomial) -> Polynomial:
     0..p-1.  By the multinomial theorem the carry sums, over the
     compositions k of p into one part per term with every part below p,
     p!/(p * prod k_i!) * prod (c_i m_i)^k_i.  By Wilson's theorem
-    (p-1)! = -1 mod p, so each coefficient is -1/prod k_i! mod p and
+    (p-1)! = -1 mod p, so each coefficient is -1/prod k_i! mod p and, as
+    (-1)^p = -1 mod p (and 1 = -1 mod 2),
 
-        delta1(f) = -[count-p part of prod_i sum_{j<p} (c_i m_i)^j / j!]  (mod p).
+        delta1(f) = [count-p part of prod_i sum_{j<p} (-c_i m_i)^j / j!]  (mod p).
 
-    That count-p part is built one term at a time, all mod p and dividing
-    by nothing.  ``layers[k]`` holds the count-k part of the product over
-    the terms seen so far.  A term c*m updates the layers in place from
-    k = p down, so each reads only layers below it that still hold the old
-    values: layers[k] += sum_{1 <= j < p} layers[k-j] * (c*m)^j / j!.  The
-    last term fills only layer p and frees each layer below once read.
-
-    The terms are taken in lex order of their exponents, so the first ones
-    share a face of the Newton polytope and the layers grow slowly.  With no
-    two monomials meeting, the layers make about one product per
-    composition, C(p+t-1, t-1) for t terms; expanding f^p with coefficients
-    mod p^2 makes t products per monomial of f^k, k < p, which dense input
-    keeps few.  Measured against that expansion (2-vCPU Xeon VM, Python
-    3.11): the sextic double solids of the benchmark at p = 11 run about
-    3x faster; on seeded random forms (3-5 variables, degree 3-6, p = 5, 7,
-    11, 4-35 terms) the layers were faster on 290 of 297 cells, median
-    1.8x, and at worst about 1.3x slower, where the terms fill much of
-    their degree at p = 11.
-
-    An exponent past the 2**16 cap raises only in a nonzero carry term.  A
+    The packed kernel :func:`_delta1_packed` builds it for two callers:
+    this function, which unpacks it, and ``splitting.fedder_report``, which
+    counts its nonzero terms with :meth:`_PackedOrder.count`.  Both raise
+    on an exponent past the 2**16 cap only in a nonzero carry term.  A
     single-term polynomial has carry zero.
     """
-    p = f.p
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
+    order, carry = _delta1_packed(f)
+    return order.polynomial(f.field, f.vars, carry)
+
+
+def _delta1_packed(f: Polynomial) -> tuple:
+    """(packing, carry) for a nonzero f: delta1(f) on packed monomials,
+    coefficients in 0..p-1 and zeros kept.
+
+    All mod p and dividing by nothing, ``layers[k]`` holds the count-k part
+    of the product over the terms seen so far.  A term c*m updates them in
+    place from k = p down, each reading only the old layers below it:
+    layers[k] += sum_{1 <= j < p} layers[k-j] * (-c*m)^j / j!.  The last
+    term fills only layer p and frees each layer below once read.
+
+    Terms go in lex order of their exponents, so the first ones share a
+    face of the Newton polytope and the layers grow slowly.  With no two
+    monomials meeting they make about one product per composition,
+    C(p+t-1, t-1) for t terms.  Against expanding f^p mod p^2 (2-vCPU Xeon
+    VM, Python 3.11) they won on 290 of 297 seeded random cells, median
+    1.8x, and lost by up to about 1.3x where the terms fill much of their
+    degree at p = 11.
+    """
+    p = f.p
     order = _packing(f.vars.n, (p * max(map(max, f.terms))).bit_length() + 1)
     inv_fact = [1] * p
     for j in range(2, p):
@@ -756,7 +772,7 @@ def delta1(f: Polynomial) -> Polynomial:
         steps = []
         a = 1
         for j in range(1, p):
-            a = a * c % p
+            a = a * -c % p
             steps.append((j * m, a * inv_fact[j] % p))
         for k in range(p, p - 1 if i == last else 0, -1):
             out = layers[k]
@@ -768,7 +784,4 @@ def delta1(f: Polynomial) -> Polynomial:
                     out[mm] = (get(mm, 0) + co * aj) % p
                 if i == last:
                     layers[src] = None
-    carry = layers[p]
-    for m, c in carry.items():
-        carry[m] = -c % p
-    return order.polynomial(f.field, f.vars, carry)
+    return order, layers[p]

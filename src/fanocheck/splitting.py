@@ -18,6 +18,7 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
+    _delta1_packed,
     as_prime,
     delta1,
     mono_str,
@@ -120,7 +121,8 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
     degree = ring.degree
     start = time.perf_counter()
     residue = fedder_residue(ring)
-    carry = delta1(ring.f)
+    order, carry = _delta1_packed(ring.f)
+    carry_terms = order.count(carry)
     elapsed = (time.perf_counter() - start) * 1000.0
     if residue.is_zero:
         status, witness = SplitStatus.NOT_FSPLIT.value, None
@@ -131,7 +133,7 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
         status=status,
         witness=witness,
         residue_terms=residue.num_terms,
-        delta1_terms=carry.num_terms,
-        delta1_degree=None if carry.is_zero else tuple(ring.p * d for d in degree),
+        delta1_terms=carry_terms,
+        delta1_degree=tuple(ring.p * d for d in degree) if carry_terms else None,
         elapsed_ms=round(elapsed, 3),
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fanocheck.poly as poly_module
 from fanocheck.poly import (
+    EXPONENT_LIMIT,
     ExponentOverflowError,
     NonHomogeneousError,
     ParseError,
@@ -28,6 +29,7 @@ from helpers import (
     random_homogeneous,
     random_nonzero_poly,
     random_poly,
+    ref_elim_key,
     ref_grevlex_key,
 )
 
@@ -365,6 +367,43 @@ class TestPackedBox:
         got = poly_module._mul_packed(order.pack_terms(a), list(order.pack_terms(b).items()),
                                       None, *order.box(bounds))
         assert order.unpack_terms(got) == {m: c for m, c in expect.items() if c}
+
+
+class TestPackingLayout:
+    """The rows-free packings skip the row machinery and keep their layout;
+    the term orders above it pack and order as before."""
+
+    @pytest.mark.parametrize("n,width,units,guard", [
+        (1, 2, (1,), 0x2),
+        (3, 3, (1, 8, 64), 0x124),
+        (5, 3, (1, 8, 64, 512, 4096), 0x4924),
+        (4, 7, (1, 128, 16384, 2097152), 0x8102040),
+        (2, 18, (1, 262144), 0x800020000),
+    ])
+    def test_rows_free_layout(self, n, width, units, guard):
+        order = poly_module._packing(n, width)
+        assert order.units == units
+        assert order.guard == guard
+        assert order.mask == (1 << width) - 1
+        assert order.shifts == tuple(i * width for i in range(n))
+
+    def test_term_order_units(self):
+        assert poly_module._grevlex(3).units == (
+            0x8000200008000000000001, 0x8000200000000000020000, 0x8000000000000400000000)
+        assert poly_module._elimination(3).units == (
+            0x8000000000000000000001, 0x200008000000020000, 0x200000000400000000)
+        assert poly_module._grevlex(3).guard == 0x4000200010000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_term_orders_sort_like_their_keys(self, n):
+        rng = random.Random(n)
+        monos = {tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(60)}
+        monos |= {tuple(rng.choice((0, EXPONENT_LIMIT - 1)) for _ in range(n))
+                  for _ in range(10)}
+        for order, key in ((poly_module._grevlex(n), ref_grevlex_key),
+                           (poly_module._elimination(n), ref_elim_key)):
+            assert sorted(monos, key=order.pack) == sorted(monos, key=key)
+            assert all(order.unpack(order.pack(m)) == m for m in monos)
 
 
 class TestKernelOracles:

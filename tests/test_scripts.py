@@ -4,10 +4,13 @@ Each script runs as a fresh interpreter from the repository root, the way a
 user runs it; the scripts put ``src`` on the path themselves.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fanocheck.poly import VariableSet, delta1, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -46,3 +49,25 @@ def test_splitting_survey_reruns_byte_for_byte():
     first, second = _run(*args), _run(*args)
     assert first.returncode == second.returncode == 0, first.stderr
     assert first.stdout == second.stdout
+
+
+def test_splitting_survey_counts_every_carry():
+    run = _run(str(SCRIPTS / "splitting_survey.py"))
+    assert run.returncode == 0, run.stderr
+    spec = importlib.util.spec_from_file_location(
+        "splitting_survey", SCRIPTS / "splitting_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    rows = {}
+    for line in run.stdout.decode().splitlines():
+        if not line.startswith(" "):
+            family = line.split(":")[0]
+            continue
+        words = line.split()
+        rows[family, int(words[0][2:])] = int(words[words.index("carry") + 2])
+    primes = (2, 3, 5, 7, 11, 13)
+    assert set(rows) == {(fam, p) for fam in survey.FAMILIES for p in primes}
+    for (family, p), terms in rows.items():
+        text, names, weights = survey.FAMILIES[family]
+        vs = VariableSet.weighted(names, weights)
+        assert terms == delta1(parse_poly(text, vs, p)).num_terms, (family, p)

@@ -1,12 +1,16 @@
 import hashlib
 import random
 
+import re
+
 import pytest
 
 from fanocheck.poly import (
+    ExponentOverflowError,
     NonHomogeneousError,
     Polynomial,
     VariableSet,
+    _delta1_packed,
     delta1,
     mono_str,
     parse_poly,
@@ -240,8 +244,45 @@ class TestReport:
                 f = random_homogeneous(rng, vs, p, degree, max_terms=4)
                 rep = fedder_report(HypersurfaceRing(p, vs, f))
                 carry = delta1(f)
+                assert rep.delta1_terms == carry.num_terms
                 assert rep.delta1_degree == (None if carry.is_zero
                                              else weighted_degree(carry))
+
+    def test_carry_count_skips_packed_zeros(self):
+        # layer p keeps the entries whose coefficients cancelled mod p, so
+        # the count is of nonzero coefficients, not of entries
+        ring = ring_of("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 2*x1^2*x2*x3^3"
+                       " + 9*x0^3*x1^2*x2", 11,
+                       names="x0,x1,x2,x3,y", weights=[1, 1, 1, 1, 3])
+        _, packed = _delta1_packed(ring.f)
+        assert len(packed) == 8346
+        rep = fedder_report(ring)
+        assert rep.delta1_terms == delta1(ring.f).num_terms == 8111
+        assert rep.delta1_degree == (66,)
+
+    def test_single_term_ring_has_no_carry(self):
+        ring = ring_of("x0^3*x1", 5, names="x0,x1")
+        rep = fedder_report(ring)
+        assert delta1(ring.f).is_zero
+        assert rep.delta1_terms == 0
+        assert rep.delta1_degree is None
+
+    def test_carry_count_raises_past_the_cap_like_delta1(self):
+        # the same carry term x^(96*700)*y that delta1 raises on
+        vs = VariableSet.weighted("x,y", [1, 700])
+        f = parse_poly("x^700 + y", vs, 97)
+        message = "^" + re.escape("bad exponent tuple (67200, 1)") + "$"
+        with pytest.raises(ExponentOverflowError, match=message):
+            delta1(f)
+        with pytest.raises(ExponentOverflowError, match=message):
+            fedder_report(HypersurfaceRing(97, vs, f))
+
+    def test_carry_count_below_the_cap(self):
+        # f^p holds x^(97*676), past the cap, but no carry term does
+        vs = VariableSet.weighted("x,y", [1, 676])
+        f = parse_poly("x^676 + y", vs, 97)
+        rep = fedder_report(HypersurfaceRing(97, vs, f))
+        assert rep.delta1_terms == delta1(f).num_terms == 96
 
     def test_inhomogeneous_polynomial_rejected(self):
         with pytest.raises(NonHomogeneousError):
