@@ -59,13 +59,6 @@ class PicLattice:
     def canonical(self) -> LatticeClass:
         return LatticeClass(-3, (-1,) * self.r)
 
-    def exceptional_basis(self) -> list:
-        out = []
-        for i in range(self.r):
-            m = tuple(-1 if j == i else 0 for j in range(self.r))
-            out.append(LatticeClass(0, m))
-        return out
-
 
 def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
                       d_max: int) -> list:

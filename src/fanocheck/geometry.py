@@ -14,7 +14,13 @@ m-primary or the unit ideal).  One Buchberger run on J settles it for every
 ambient, and it stops as soon as the last tuple closes, since leading
 monomials of a partial basis already lie in the initial ideal.  Only when the
 certificate fails do the charts run one by one, to name the first chart
-where J does not become the unit ideal after inverting g.
+where V(J) meets g != 0.  Each chart is dehomogenized rather than localized:
+J is homogeneous for one C* per factor, acting with that factor's weights,
+and over the algebraic closure every point with g != 0 scales to one with
+each chart variable equal to 1 (x^w = c is solvable for any w, also when p
+divides w).  So V(J) meets g != 0 exactly when J + (x_i - 1 : x_i in the
+chart) is not the unit ideal, a question with one variable fewer per factor
+and no adjoined Rabinowitsch variable.
 
 For weighted factors the ambient itself carries quotient singularities along
 coordinate strata, so a cone-smooth hypersurface is only quasi-smooth until
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .ideals import PolyIdeal, _stops_or_is_unit, localized_is_unit
+from .ideals import PolyIdeal, _chart_is_unit, _stops_or_is_unit
 from .poly import (
     AlgebraError,
     ParseError,
@@ -243,17 +249,19 @@ class ConeResult:
 
 
 def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResult:
-    """Localize J at every product picking one variable per factor.
+    """Test J on every chart picking one variable per factor, in
+    ``chart_tuples()`` order.
 
-    These charts cover exactly the complement of the irrelevant locus; the
-    first chart where J does not become the unit ideal is the witness.
+    These charts cover exactly the complement of the irrelevant locus.  A
+    chart fails when J + (x_i - 1 : x_i in the chart) is not the unit ideal;
+    by the dehomogenization identity in the module docstring that happens
+    exactly when J does not become the unit ideal after inverting the
+    chart's product, so the first failing chart, the witness, is the one
+    the localization test would name.
     """
     vset = variety.space.variable_set
     for chart in variety.space.chart_tuples():
-        g = Polynomial.constant(variety.prime, vset, 1)
-        for name in chart:
-            g = g * Polynomial.variable(variety.prime, vset, name)
-        if not localized_is_unit(jac, g):
+        if not _chart_is_unit(jac, [vset.index(name) for name in chart]):
             return ConeResult(False, "*".join(chart), jac)
     return ConeResult(True)
 
@@ -291,7 +299,11 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     cone is smooth there exactly when each chart tuple (one variable per
     factor) contains the support of some leading monomial, and then no
     chart is tested.  Without that certificate the charts run one by one,
-    only to name the first chart where J does not become the unit ideal.
+    only to name the first chart where J plus (x_i - 1) for the chart's
+    variables is not the unit ideal.  That is the first chart where J does
+    not become the unit ideal after inverting the chart's product (J is
+    homogeneous for one C* per factor), so ``witness_chart`` names the
+    chart a localization test would, and ``witness_ideal`` is J itself.
     """
     jac = jacobian_ideal(variety)
     if _support_certificate(variety.space, jac):

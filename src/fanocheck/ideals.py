@@ -1,5 +1,5 @@
-"""Ideal arithmetic over F_p: Buchberger bases, membership, quotients and
-Rabinowitsch-style localization tests.
+"""Ideal arithmetic over F_p: Buchberger bases, membership, quotients,
+Rabinowitsch-style localization tests and dehomogenized chart tests.
 
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
 with both classical pruning criteria, and short-circuits to the unit ideal
@@ -13,12 +13,12 @@ ends returns no basis at all, so a partial basis is never cached.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
-integer order is the term order: ``_grevlex`` for bases, normal forms and
-the localization test, ``_elimination`` (the adjoined variable's exponent
-on top) for :func:`ideal_quotient`.  So the leading term is a plain
-``max``, a product is ``a + b``, a quotient ``b - a``, and ``a | b``
-exactly when ``(b - a) & guard == 0``.  Every product checks its guard
-bits, so an exponent past the cap raises
+integer order is the term order: ``_grevlex`` for bases, normal forms,
+the localization test and the chart test, ``_elimination`` (the adjoined
+variable's exponent on top) for :func:`ideal_quotient`.  So the leading
+term is a plain ``max``, a product is ``a + b``, a quotient ``b - a``, and
+``a | b`` exactly when ``(b - a) & guard == 0``.  Every product checks its
+guard bits, so an exponent past the cap raises
 :class:`~fanocheck.poly.ExponentOverflowError` instead of spilling into a
 neighbouring field.  Monomials are packed at entry, and every result
 leaves through the packing's ``polynomial`` method; the public API speaks
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .poly import (
@@ -257,6 +258,28 @@ def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
     return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
 
 
+def _chart_is_unit(ideal: PolyIdeal, chart: Sequence[int]) -> bool:
+    """Whether I + (x_i - 1 : i in ``chart``) is the unit ideal.
+
+    Each generator is dehomogenized on the spot: the chart's exponents are
+    packed as zero and the coefficients that meet on one monomial are
+    summed mod p.  Buchberger then runs in the same n-variable grevlex
+    packing, with no adjoined variable.
+    """
+    p = ideal.field.p
+    order = _grevlex(ideal.vars.n)
+    units = tuple(0 if i in chart else u for i, u in enumerate(order.units))
+    gens = []
+    for g in ideal.generators:
+        packed = {}
+        for m, c in g.terms.items():
+            k = sum(map(mul, m, units))
+            packed[k] = (packed.get(k, 0) + c) % p
+        gens.append({k: c for k, c in packed.items() if c})
+    basis = _buchberger_raw(gens, order, p)
+    return len(basis) == 1 and _is_constant_raw(basis[0])
+
+
 def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
     return ideal.groebner_basis()
 
@@ -349,7 +372,10 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     """Whether I becomes the unit ideal after inverting g (Rabinowitsch trick).
 
     Adjoins t and asks whether 1 lies in I + (t*g - 1).  Over the algebraic
-    closure this says exactly that V(I) avoids the locus g != 0.
+    closure this says exactly that V(I) avoids the locus g != 0.  This is
+    the test for a general g.  Smoothness does not call it: its charts
+    invert a product of variables on a multihomogeneous J, which
+    :func:`_chart_is_unit` answers with those variables set to 1 and no t.
     """
     if g.is_zero:
         raise ValueError("cannot invert zero")

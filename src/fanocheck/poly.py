@@ -389,9 +389,6 @@ class Polynomial:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")
         return max(self.terms, key=_grevlex(self.vars.n).pack)
 
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
-
     def sorted_terms(self):
         """Terms in decreasing grevlex order."""
         key = _grevlex(self.vars.n).pack
@@ -533,14 +530,11 @@ def tokenize(text: str) -> list:
 
 
 def _is_variable_name(name) -> bool:
-    """Whether a polynomial can name the variable: one identifier token."""
-    if not isinstance(name, str):
-        return False
-    try:
-        tokens = tokenize(name)
-    except ParseError:
-        return False
-    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name
+    """Whether a polynomial can name the variable: the whole string is one
+    identifier token of :func:`tokenize`."""
+    return (isinstance(name, str) and name != ""
+            and (name[0].isalpha() or name[0] == "_")
+            and all(ch.isalnum() or ch == "_" for ch in name))
 
 
 class _TokenStream:

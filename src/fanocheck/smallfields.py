@@ -113,9 +113,6 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting 0 in GF")

@@ -16,9 +16,11 @@ from fanocheck.delpezzo import LatticeClass
 from fanocheck.poly import (
     EXPONENT_LIMIT,
     ExponentOverflowError,
+    ParseError,
     Polynomial,
     VariableSet,
     parse_poly,
+    tokenize,
 )
 from fanocheck.smallfields import GF, poly_eval
 
@@ -252,6 +254,21 @@ def naive_bundle_degree(dims, twists, classes) -> int:
 
 
 # ---------------------------------------------------------------------------
+# names and tokens
+# ---------------------------------------------------------------------------
+
+def ref_is_variable_name(name) -> bool:
+    """Whether the whole of ``name`` lexes as one identifier token."""
+    if not isinstance(name, str):
+        return False
+    try:
+        tokens = tokenize(name)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name
+
+
+# ---------------------------------------------------------------------------
 # reference Buchberger on exponent tuples
 # ---------------------------------------------------------------------------
 #
@@ -439,6 +456,13 @@ def ref_quotient_gens(gens, g) -> list:
 # The plain positional walk over m_i in [-1, hi]^r that the pruned search in
 # fanocheck.delpezzo replaced, pruned only by the sum bound, with every
 # degree 0..d_max visited: a differential oracle for the exact list.
+
+def exceptional_basis(r: int) -> list:
+    """The blow-up classes E_1, ..., E_r of Pic of the plane blown up in r
+    points: degree 0, multiplicity -1 at one point."""
+    return [LatticeClass(0, tuple(-1 if j == i else 0 for j in range(r)))
+            for i in range(r)]
+
 
 def ref_enumerate_classes(r, self_int, k_deg, d_max):
     out = []

@@ -263,6 +263,11 @@ def _assert_methods_agree(members):
 
 
 class TestSingleBasisAgainstCharts:
+    """The support certificate against the chart loop: two different
+    computations of one verdict.  The certificate reads the leading
+    monomials of one Buchberger run on J; the loop runs Buchberger on J
+    dehomogenized at each chart, with a chart's variables set to 1."""
+
     def test_seeded_verdicts_agree(self):
         members = _differential_members()
         assert len(members) >= 100
@@ -303,17 +308,90 @@ class TestSingleBasisAgainstCharts:
         assert cone_smoothness(v).witness_chart == chart
 
 
+def _wild_weight_members():
+    """Seeded members of P(1,1,3) at p = 3, where p divides the weight of the
+    chart variable x2: (label, variety, None)."""
+    rng = random.Random(3113)
+    space = parse_ambient("P(1,1,3)")
+    vs = space.variable_set
+    out = []
+    for d in (3, 6, 9):
+        for i in range(8):
+            f = random_homogeneous(rng, vs, 3, d, max_terms=2 + i % 4)
+            out.append((f"P(1,1,3).d{d}.p3.random{i}", f))
+        out.append((f"P(1,1,3).d{d}.p3.sing.e0", _singular_at_e0(rng, space, 3, d)))
+    return [(label, HypersurfaceVariety(3, space, f), None) for label, f in out]
+
+
+class TestChartsAgainstLocalization:
+    """The dehomogenized chart kernel against the Rabinowitsch test: on every
+    chart, J + (x_i - 1 : x_i in the chart) is the unit ideal exactly when J
+    becomes the unit ideal after inverting the chart's product."""
+
+    @staticmethod
+    def assert_charts_agree(members):
+        """Compare on every chart; return {weight of the chart variable
+        in a one-factor ambient: [unit charts, non-unit charts]}."""
+        seen = {}
+        for label, v, _ in members:
+            jac = jacobian_ideal(v)
+            vs = v.space.variable_set
+            for chart in v.space.chart_tuples():
+                g = Polynomial.constant(v.prime, vs, 1)
+                for name in chart:
+                    g = g * Polynomial.variable(v.prime, vs, name)
+                unit = ideals._chart_is_unit(jac, [vs.index(name) for name in chart])
+                assert unit == ideals.localized_is_unit(jac, g), (label, chart, str(v.f))
+                if len(chart) == 1:
+                    (w,) = vs.weights[vs.index(chart[0])]
+                    seen.setdefault(w, [0, 0])[0 if unit else 1] += 1
+        return seen
+
+    def test_one_factor_and_weighted_members(self):
+        seen = self.assert_charts_agree(_differential_members())
+        # charts on weight-1 and weight-2 variables both ways, the weight-2
+        # ones also at p = 2
+        assert min(seen[1]) >= 20 and min(seen[2]) >= 10
+
+    def test_product_members(self):
+        self.assert_charts_agree(_product_members())
+
+    def test_weight_divisible_by_p(self):
+        # P(1,1,2) at p = 2 and P(1,1,3) at p = 3, charts on the wild variable
+        members = [m for m in _differential_members()
+                   if m[0].startswith("P(1,1,2).") and ".p2." in m[0]]
+        assert len(members) >= 10
+        seen = self.assert_charts_agree(members + _wild_weight_members())
+        assert min(seen[2]) >= 3 and min(seen[3]) >= 3, seen
+
+    def test_literal_charts(self):
+        # x0^2 in P(1,1,1): the x0 chart is the unit ideal, x1 and x2 are not
+        v = variety("P(1,1,1)", "x0^2", 5)
+        jac = jacobian_ideal(v)
+        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [True, False, False]
+        # at p = 3, J of x0^6 + x1^6 + x2^2 is ((x0^2 + x1^2)^3, 2*x2): its
+        # points have x2 = 0 and x1 = +-i*x0, with i in F_9 only
+        v = variety("P(1,1,3)", "x0^6 + x1^6 + x2^2", 3)
+        jac = jacobian_ideal(v)
+        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [False, False, True]
+        # x0^9 + x1^9 + x2^3 is a cube at p = 3, so V(J) = V(f) meets the
+        # chart x2 != 0 too, where x2 = 1 needs a cube root of 1/x2
+        v = variety("P(1,1,3)", "x0^9 + x1^9 + x2^3", 3)
+        jac = jacobian_ideal(v)
+        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [False] * 3
+
+
 class TestFastPath:
     @pytest.fixture
     def unit_calls(self, monkeypatch):
         calls = []
-        real = ideals.localized_is_unit
+        real = ideals._chart_is_unit
 
-        def counting(ideal, g):
-            calls.append(str(g))
-            return real(ideal, g)
+        def counting(ideal, chart):
+            calls.append("*".join(ideal.vars.names[i] for i in chart))
+            return real(ideal, chart)
 
-        monkeypatch.setattr(geometry, "localized_is_unit", counting)
+        monkeypatch.setattr(geometry, "_chart_is_unit", counting)
         return calls
 
     @pytest.fixture
@@ -360,7 +438,7 @@ class TestFastPath:
     def test_charts_finding_nothing_is_an_error(self, monkeypatch):
         # a J without the certificate must fail some chart; if none fails,
         # the verdict is not trusted
-        monkeypatch.setattr(geometry, "localized_is_unit", lambda ideal, g: True)
+        monkeypatch.setattr(geometry, "_chart_is_unit", lambda ideal, chart: True)
         with pytest.raises(geometry.AlgebraError):
             cone_smoothness(variety("P(1,1,1)", "x0^2", 5))
         with pytest.raises(geometry.AlgebraError):

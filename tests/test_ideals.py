@@ -7,6 +7,7 @@ from fanocheck.ideals import (
     GroebnerBasis,
     PolyIdeal,
     _buchberger_raw,
+    _chart_is_unit,
     buchberger,
     ideal_quotient,
     localized_is_unit,
@@ -98,7 +99,7 @@ class TestBuchberger:
             gb = buchberger(PolyIdeal(p, VS2, gens))
             lms = [g.leading_monomial() for g in gb]
             for i, g in enumerate(gb):
-                assert g.leading_coefficient() == 1
+                assert g.terms[g.leading_monomial()] == 1
                 for j, lm in enumerate(lms):
                     if i == j:
                         continue
@@ -339,6 +340,31 @@ def _seeded_cases(seed, count):
 def _items(dicts):
     """Terms in dict order, so equal lists also mean equal term order."""
     return [list(d.items()) for d in dicts]
+
+
+class TestChartIsUnit:
+    def test_examples(self):
+        # at x = 1 the two y terms of x*y - y + 1 meet and cancel, leaving 1
+        I = PolyIdeal(7, VS2, [mk("x*y - y + 1", 7, VS2)])
+        assert _chart_is_unit(I, [0])
+        assert not _chart_is_unit(I, [1])
+        assert not _chart_is_unit(PolyIdeal(7, VS2, [mk("x*y - y", 7, VS2)]), [0])
+        assert _chart_is_unit(PolyIdeal(7, VS2, [mk("x - 1", 7, VS2), mk("y", 7, VS2)]),
+                              [1])
+
+    def test_against_adjoined_linear_forms(self):
+        # on general (inhomogeneous) ideals the kernel answers exactly
+        # whether I + (x_i - 1 : i in the chart) is the unit ideal
+        outcomes = []
+        for rng, vs, p, gens in _seeded_cases(8105, 150):
+            chart = sorted(rng.sample(range(vs.n), rng.randint(1, min(3, vs.n))))
+            one = Polynomial.constant(p, vs, 1)
+            ones = [Polynomial.variable(p, vs, vs.names[i]) - one for i in chart]
+            gb = PolyIdeal(p, vs, gens + ones).groebner_basis()
+            unit = list(gb) == [one]
+            assert _chart_is_unit(PolyIdeal(p, vs, gens), chart) == unit
+            outcomes.append(unit)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 class TestPackedAgainstTupleLoop:

@@ -31,6 +31,7 @@ from helpers import (
     random_poly,
     ref_elim_key,
     ref_grevlex_key,
+    ref_is_variable_name,
 )
 
 
@@ -178,6 +179,26 @@ class TestGrading:
         vs = VariableSet.unit(["x0", "_t", "y_1", "Z9"])
         f = parse_poly("x0*_t + y_1*Z9", vs, 5)
         assert str(f) == "x0*_t + y_1*Z9"
+
+    # letters, ASCII and other decimal digits, superscripts and other
+    # numerics, marks, spaces and the operator characters
+    _NAME_CHARS = "xyZ_09\u00e9\u03b1\u0663\u00b2\u00bd\u2167\u0301 \t+^*-$"
+
+    @pytest.mark.parametrize("name", [
+        "", "x", "_", "x\u00b2", "\u00b2x", "x\u0663", "\u0663x", "\u03b1",
+        "x\u0301", "\u2167", "x\u00bd", " x", "x\n", "x y", "x^2"])
+    def test_name_check_examples_match_the_tokenizer(self, name):
+        assert poly_module._is_variable_name(name) is ref_is_variable_name(name)
+
+    def test_name_check_rejects_non_strings(self):
+        for name in (None, 3, b"x", ("x",)):
+            assert not poly_module._is_variable_name(name)
+            assert not ref_is_variable_name(name)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(max_size=6), st.text(alphabet=_NAME_CHARS, max_size=6)))
+    def test_name_check_matches_the_tokenizer(self, name):
+        assert poly_module._is_variable_name(name) is ref_is_variable_name(name)
 
 
 def _bad_tuple(exponents: str) -> str:
