@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-from .smallfields import GF, UnsupportedFieldSizeError
+from .smallfields import GF, UnsupportedFieldSizeError, _factor_prime_power
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,7 @@ def _normalize(point, gf: GF):
 def plane_points(q: int) -> list:
     """All q^2 + q + 1 points of P^2(F_q), normalized, sorted."""
     gf = GF(q)
-    pts = set()
-    for a in gf.elements:
-        for b in gf.elements:
-            for c in gf.elements:
-                if a or b or c:
-                    pts.add(_normalize((a, b, c), gf))
-    return sorted(pts)
+    return sorted({_normalize(v, gf) for v in product(gf.elements, repeat=3) if any(v)})
 
 
 @dataclass(frozen=True)
@@ -218,26 +212,12 @@ class PointConfig:
         return len(self.points)
 
 
-def _span2(u, v, gf: GF):
-    """All linear combinations a*u + b*v over GF."""
-    out = set()
-    for a in gf.elements:
-        au = tuple(gf.mul(a, x) for x in u)
-        for b in gf.elements:
-            out.add(tuple(gf.add(x, gf.mul(b, y)) for x, y in zip(au, v)))
-    return out
-
-
-def _pgl3_field(q: int) -> GF:
+def pgl3_order(q: int) -> int:
+    """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for prime powers q <= 8."""
     if q > _PGL_MAX_Q:
         raise UnsupportedFieldSizeError(
             f"PGL enumeration supports q <= {_PGL_MAX_Q}, got {q}")
-    return GF(q)
-
-
-def pgl3_order(q: int) -> int:
-    """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for q <= 8."""
-    _pgl3_field(q)
+    _factor_prime_power(q)
     return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
 
 
@@ -250,7 +230,8 @@ def pgl3_elements(q: int) -> tuple:
     rows, and the first row is taken projectively, which hits each coset
     exactly once.
     """
-    gf = _pgl3_field(q)
+    pgl3_order(q)  # rejects q > 8
+    gf = GF(q)
     zero = (0, 0, 0)
     vectors = [(a, b, c) for a in gf.elements for b in gf.elements
                for c in gf.elements if (a, b, c) != zero]
@@ -261,40 +242,12 @@ def pgl3_elements(q: int) -> tuple:
         for r2 in vectors:
             if r2 in span1:
                 continue
-            span2 = _span2(r1, r2, gf)
+            span2 = {tuple(gf.add(gf.mul(a, x), gf.mul(b, y)) for x, y in zip(r1, r2))
+                     for a in gf.elements for b in gf.elements}
             for r3 in vectors:
                 if r3 not in span2:
                     out.append((r1, r2, r3))
     return tuple(out)
-
-
-def _apply(matrix, point, gf: GF):
-    return _normalize(
-        tuple(
-            gf.add(gf.add(gf.mul(row[0], point[0]), gf.mul(row[1], point[1])),
-                   gf.mul(row[2], point[2]))
-            for row in matrix
-        ),
-        gf,
-    )
-
-
-def _cross(u, v, gf: GF):
-    return tuple(gf.sub(gf.mul(u[i], v[j]), gf.mul(u[j], v[i]))
-                 for i, j in ((1, 2), (2, 0), (0, 1)))
-
-
-def _pair_to_axes(c1, c2, gf: GF):
-    """A matrix sending c1 to (0,0,1) and c2 to (0,1,0), projectively.
-
-    The adjugate of the matrix with columns (c3, c2, c1), whose rows are
-    the cross products c2 x c1, c1 x c3, c3 x c2; c3 is the first basis
-    vector off the line c1c2, the first index where c2 x c1 is nonzero.
-    """
-    line = _cross(c2, c1, gf)
-    i = next(k for k, x in enumerate(line) if x)
-    c3 = tuple(int(k == i) for k in range(3))
-    return line, _cross(c1, c3, gf), _cross(c3, c2, gf)
 
 
 def pgl_orbit_canonical(config: PointConfig):
@@ -304,49 +257,92 @@ def pgl_orbit_canonical(config: PointConfig):
     starts with (0,0,1), (0,1,0), and every g with gC = S* sends some
     ordered pair (c1, c2) of C there: g is a fixed matrix h for the pair
     followed by one of the (q-1)^2 q^2 elements [[1,0,0],[b,mu,0],[c,0,lam]]
-    of the two-point stabilizer.  Only these cosets, one per ordered pair,
-    are searched.  They are disjoint, and the elements reaching S* form one
-    coset of Stab(C), so the orbit has |PGL_3| / hits points
-    (orbit-stabilizer).  No point, one point and the whole plane are
-    answered directly.
+    of the two-point stabilizer.  The cosets are disjoint, and the elements
+    reaching S* form one coset of Stab(C), so |orbit| = |PGL_3| / hits.
+
+    Only pairs on a richest line are searched.  An image's points on x = 0,
+    (0,0,1) then (0,1,z) by z, precede its (1,y,z) points, so the image
+    whose x = 0 reads lex-smaller, a missing point reading larger than any
+    (0,1,z), is smaller.  For q <= 8 more points on a line always read
+    smaller than fewer (checked on every subset of P^1(F_q) in the tests),
+    so g sends c1c2 to x = 0 only from a line meeting C most: every coset
+    reaching S* is searched and hits is unchanged.  No point, one point and
+    the whole plane are answered directly.
     """
     q = config.q
-    gf = _pgl3_field(q)
-    n = len(config.points)
+    order = pgl3_order(q)
+    pts = config.points
+    n = len(pts)
     if n < 2:  # PGL_3 is transitive on points
         return PointConfig(q, ((0, 0, 1),) * n), (q * q + q + 1) ** n
     if n == q * q + q + 1:
         return config, 1
-    sub = [[gf.sub(a, b) for b in gf.elements] for a in gf.elements]
+    gf = GF(q)
+    add, mul, neg, inv = gf._add, gf._mul, gf._neg, gf._inv
+
+    def forms(d, vs):
+        """d_z v_y - d_y v_z for each v: the form vanishing on direction d."""
+        dz, ndy = mul[d[1]], mul[neg[d[0]]]
+        return [add[dz[y]][ndy[z]] for y, z in vs]
+
+    lines = {}
+    for u, v in combinations(pts, 2):
+        line = [add[mul[u[i]][v[j]]][neg[mul[u[j]][v[i]]]] for i, j in ((1, 2), (2, 0), (0, 1))]
+        line = tuple(map(mul[inv[next(filter(None, line))]].__getitem__, line))
+        lines.setdefault(line, set()).update((u, v))
+    richest = max(map(len, lines.values()))
+    # affine points (1,y,z) coded y*q + z, which keeps their lex order; the
+    # code of a - t and the (mu, lam) scalings are table rows
     units = range(1, q)
-    best, hits = None, 0
-    for c1, c2 in permutations(config.points, 2):
-        h = _pair_to_axes(c1, c2, gf)
-        moved = [_apply(h, pt, gf) for pt in config.points]
-        # the stabilizer fixes (0,0,1), sends (0,1,z) to (0,1,lam*z/mu)
-        # and (1,y,z) to (1,b+mu*y,c+lam*z): all stay normalized
-        line = [z for x, y, z in moved if not x and y]
-        affine = [(y, z) for x, y, z in moved if x]
-        for mu in units:
-            mu_y = [gf.mul(mu, y) for y, _ in affine]
-            for lam in units:
-                ratio = gf.mul(lam, gf.inv(mu))
-                head = ((0, 0, 1),) + tuple(sorted((0, 1, gf.mul(ratio, z)) for z in line))
-                if best is not None and head > best[:len(head)]:
+    diff = [[y + z for y in [v * q for v in add[neg[t // q]]] for z in add[neg[t % q]]]
+            for t in range(q * q)]
+    scale = {(mu, lam): [y + z for y in [v * q for v in mul[mu]] for z in mul[lam]]
+             for mu in units for lam in units}
+    best_head, best, hits = None, None, 0
+    for line, on in lines.items():
+        if len(on) < richest:
+            continue
+        # in coordinates (line . p, p_j, p_k), j and k the places other than
+        # the line's leading 1, the line is at infinity: its points are the
+        # directions (p_j, p_k), the others affine points
+        j, k = (c for c in range(3) if c != line.index(1))
+        l0, l1, l2 = (mul[c] for c in line)
+        off = []
+        for p in pts:
+            x = add[add[l0[p[0]]][l1[p[1]]]][l2[p[2]]]
+            if x:
+                off.append((mul[inv[x]][p[j]], mul[inv[x]][p[k]]))
+        dirs = [(p[j], p[k]) for p in on]
+        at_off = [forms(d, off) for d in dirs]
+        at_on = [forms(d, dirs) for d in dirs]
+        # g sends direction c1 to (0,0,1) and c2 to (0,1,0) by the forms of
+        # c1 and c2, then by the two-point stabilizer; every head has
+        # richest - 1 entries, so list order is the order of the images
+        for a, b in permutations(range(len(dirs)), 2):
+            line_z = [mul[inv[y]][z] for y, z in zip(at_on[a], at_on[b]) if y]
+            heads = [sorted(map(mul[r].__getitem__, line_z)) for r in units]
+            head = min(heads)
+            if best_head is None or head < best_head:
+                best_head, best, hits = head, None, 0
+            elif head > best_head:
+                continue
+            codes = [y * q + z for y, z in zip(at_off[a], at_off[b])]
+            for r, ratio_head in zip(units, heads):
+                if ratio_head != head:
                     continue
-                lam_z = [gf.mul(lam, z) for _, z in affine]
-                if affine:
-                    # a least image has (1,0,0) as its first affine point, so
-                    # of the q^2 translations (b,c) only those moving an
-                    # affine point to (0,0) can reach it
-                    images = (head + tuple(sorted(
-                        (1, sub[y][y0], sub[z][z0]) for y, z in zip(mu_y, lam_z)))
-                        for y0, z0 in zip(mu_y, lam_z))
-                else:
-                    images = [head] * (q * q)
-                for image in images:
-                    if best is None or image < best:
-                        best, hits = image, 1
-                    elif image == best:
-                        hits += 1
-    return PointConfig(q, best), pgl3_order(q) // hits
+                for mu in units:
+                    if not codes:  # every translation fixes the image
+                        best, hits = [], hits + q * q
+                        continue
+                    moved = list(map(scale[mu, mul[r][mu]].__getitem__, codes))
+                    # a least image starts at (1,0,0), so only the
+                    # translations moving an affine point there can reach it
+                    for t in moved:
+                        image = sorted(map(diff[t].__getitem__, moved))
+                        if best is None or image < best:
+                            best, hits = image, 1
+                        elif image == best:
+                            hits += 1
+    points = ((0, 0, 1),) + tuple((0, 1, z) for z in best_head) + tuple(
+        (1, a // q, a % q) for a in best)
+    return PointConfig(q, points), order // hits

@@ -49,56 +49,44 @@ class GF:
         self.k = k
         self._build_tables()
 
-    def _coeffs(self, a: int):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, coeffs) -> int:
-        a = 0
-        for c in reversed(coeffs[: self.k]):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _poly_mod(self, coeffs):
-        """Reduce a coefficient list modulo the residue polynomial."""
-        p, k = self.p, self.k
-        modulus = _IRREDUCIBLE.get((p, k))
-        coeffs = [c % p for c in coeffs]
-        if k == 1:
-            return coeffs[:1]
-        for i in range(len(coeffs) - 1, k - 1, -1):
-            c = coeffs[i]
-            if c:
-                for j in range(k):
-                    coeffs[i - k + j] = (coeffs[i - k + j] - c * modulus[j]) % p
-                coeffs[i] = 0
-        return coeffs[:k]
-
     def _build_tables(self):
-        q = self.q
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self._coeffs(a)
-            for b in range(q):
-                cb = self._coeffs(b)
-                self._add[a][b] = self._encode([x + y for x, y in zip(ca, cb)])
-                prod = [0] * (2 * self.k)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] += x * y
-                self._mul[a][b] = self._encode(self._poly_mod(prod))
-        self._neg = [self._encode([-c for c in self._coeffs(a)]) for a in range(q)]
-        self._inv = [0] * q
+        """Each table row from rows built before it, no polynomial product per entry.
+
+        Adding s = p^j bumps digit j of b.  Any other nonzero a is
+        s + (a - s), with j the lowest nonzero digit of a, so its addition
+        row is two rows composed.  For multiplication, a with a nonzero
+        constant digit is (a - 1) + 1, so its row is the row of a - 1 plus
+        b; otherwise a = u * (a // p), so its row is the row of a // p read
+        at u * b.  Multiplying by u shifts the digits up and folds the
+        leading one back in by the residue polynomial.
+        """
+        p, k, q = self.p, self.k, self.q
+        elems = range(q)
+        add = [list(elems)]
         for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+            s = 1
+            while a // s % p == 0:
+                s *= p
+            if a == s:
+                add.append([b + s if b // s % p < p - 1 else b - (p - 1) * s
+                            for b in elems])
+            else:
+                add.append(list(map(add[s].__getitem__, add[a - s])))
+        lead = q // p  # place of the leading digit
+        fold = [sum((-c * m) % p * p ** j
+                    for j, m in enumerate(_IRREDUCIBLE.get((p, k), ())[:k]))
+                for c in range(p)]
+        times_u = [add[b % lead * p][fold[b // lead]] for b in elems]
+        mul = [[0] * q]
+        for a in range(1, q):
+            if a % p:
+                mul.append(list(map(list.__getitem__, map(add.__getitem__, mul[a - 1]),
+                                    elems)))
+            else:
+                mul.append(list(map(mul[a // p].__getitem__, times_u)))
+        self._add, self._mul = add, mul
+        self._neg = mul[p - 1]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     @property
     def elements(self):

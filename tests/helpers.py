@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 
-from fanocheck.delpezzo import LatticeClass
+from fanocheck.delpezzo import LatticeClass, PointConfig, pgl3_order
 from fanocheck.poly import (
     EXPONENT_LIMIT,
     ExponentOverflowError,
@@ -22,7 +22,7 @@ from fanocheck.poly import (
     parse_poly,
     tokenize,
 )
-from fanocheck.smallfields import GF, poly_eval
+from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power, poly_eval
 
 
 def random_poly(rng: random.Random, vset: VariableSet, p: int,
@@ -598,3 +598,145 @@ class RefIntersectionRing:
 
     def degree(self, el: dict) -> int:
         return self.reduce(el).get(self.top, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference field tables
+# ---------------------------------------------------------------------------
+#
+# GF(p^k) tables by polynomial arithmetic on base-p digit vectors, one entry
+# at a time: the construction smallfields.GF replaced by row composition.
+
+def ref_gf_tables(q: int):
+    """(add, mul, neg, inv) for GF(q), each entry from coefficient lists."""
+    p, k = _factor_prime_power(q)
+    modulus = _IRREDUCIBLE.get((p, k))
+
+    def coeffs(a):
+        return [a // p ** i % p for i in range(k)]
+
+    def encode(cs):
+        return sum((c % p) * p ** i for i, c in enumerate(cs[:k]))
+
+    def reduce(cs):
+        cs = [c % p for c in cs]
+        for i in range(len(cs) - 1, k - 1, -1):
+            c = cs[i]
+            if c:
+                for j in range(k):
+                    cs[i - k + j] = (cs[i - k + j] - c * modulus[j]) % p
+                cs[i] = 0
+        return cs[:k]
+
+    cs = [coeffs(a) for a in range(q)]
+    add = [[encode([x + y for x, y in zip(ca, cb)]) for cb in cs] for ca in cs]
+    mul = []
+    for ca in cs:
+        row = []
+        for cb in cs:
+            prod = [0] * (2 * k)
+            for i, x in enumerate(ca):
+                for j, y in enumerate(cb):
+                    prod[i + j] += x * y
+            row.append(encode(reduce(prod)))
+        mul.append(row)
+    neg = [encode([-c for c in ca]) for ca in cs]
+    inv = [0] + [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
+# ---------------------------------------------------------------------------
+# reference PGL_3 orbit search
+# ---------------------------------------------------------------------------
+#
+# The search over every ordered pair of points that the richest-line search
+# in fanocheck.delpezzo replaced, with the pair matrix applied point by
+# point through GF's methods: a differential oracle for (S*, orbit size) at
+# q beyond the reach of the whole-group brute force.
+
+def _ref_normalize(point, gf):
+    c = next(c for c in point if c)
+    inv = gf.inv(c)
+    return tuple(gf.mul(inv, x) for x in point)
+
+
+def _ref_apply(matrix, point, gf):
+    return _ref_normalize(tuple(
+        gf.add(gf.add(gf.mul(row[0], point[0]), gf.mul(row[1], point[1])),
+               gf.mul(row[2], point[2]))
+        for row in matrix), gf)
+
+
+def _ref_cross(u, v, gf):
+    return tuple(gf.sub(gf.mul(u[i], v[j]), gf.mul(u[j], v[i]))
+                 for i, j in ((1, 2), (2, 0), (0, 1)))
+
+
+def _ref_pair_to_axes(c1, c2, gf):
+    """A matrix sending c1 to (0,0,1) and c2 to (0,1,0): the adjugate of the
+    matrix with columns (c3, c2, c1), c3 the first basis vector off c1c2."""
+    line = _ref_cross(c2, c1, gf)
+    i = next(k for k, x in enumerate(line) if x)
+    c3 = tuple(int(k == i) for k in range(3))
+    return line, _ref_cross(c1, c3, gf), _ref_cross(c3, c2, gf)
+
+
+def ref_pgl_orbit_canonical(config):
+    """Least image and orbit size from the cosets of every ordered pair.
+
+    Each ordered pair (c1, c2) gives the coset of matrices sending it to
+    (0,0,1), (0,1,0); the two-point stabilizer [[1,0,0],[b,mu,0],[c,0,lam]]
+    runs over it.  Only translations moving an affine point to (1,0,0) are
+    tried.  Needs 2 <= |C| < q^2 + q + 1.
+    """
+    q = config.q
+    gf = GF(q)
+    units = range(1, q)
+    best, hits = None, 0
+    for c1, c2 in itertools.permutations(config.points, 2):
+        h = _ref_pair_to_axes(c1, c2, gf)
+        moved = [_ref_apply(h, pt, gf) for pt in config.points]
+        line = [z for x, y, z in moved if not x and y]
+        affine = [(y, z) for x, y, z in moved if x]
+        for mu in units:
+            for lam in units:
+                ratio = gf.mul(lam, gf.inv(mu))
+                head = ((0, 0, 1),) + tuple(sorted((0, 1, gf.mul(ratio, z)) for z in line))
+                scaled = [(gf.mul(mu, y), gf.mul(lam, z)) for y, z in affine]
+                if scaled:
+                    images = [head + tuple(sorted((1, gf.sub(y, y0), gf.sub(z, z0))
+                                                  for y, z in scaled))
+                              for y0, z0 in scaled]
+                else:
+                    images = [head] * (q * q)
+                for image in images:
+                    if best is None or image < best:
+                        best, hits = image, 1
+                    elif image == best:
+                        hits += 1
+    return PointConfig(q, best), pgl3_order(q) // hits
+
+
+# ---------------------------------------------------------------------------
+# closed form for diagonal forms
+# ---------------------------------------------------------------------------
+
+def diagonal_fedder(exponents, p: int) -> tuple:
+    """(status, residue_terms, delta1_terms) for f = sum x_i^(e_i) over F_p.
+
+    f^(p-1) is the sum over a with sum a_i = p-1 of the multinomial
+    (p-1)! / prod a_i!, a unit mod p, times prod x_i^(e_i a_i); a term
+    survives the box (x_i^p) iff e_i a_i <= p-1 for every i.  So
+    residue_terms counts those a, and f is F-split iff some a exists, that
+    is iff sum floor((p-1)/e_i) >= p-1.  The carry (f^p - sum x_i^(p e_i))/p
+    has the unit coefficient p!/(p prod a_i!) on every a with sum a_i = p
+    other than the t pure powers: C(p+t-1, t-1) - t terms.
+    """
+    t = len(exponents)
+    residue_terms = sum(
+        1 for a in itertools.product(*(range((p - 1) // e + 1) for e in exponents))
+        if sum(a) == p - 1)
+    split = sum((p - 1) // e for e in exponents) >= p - 1
+    assert split == (residue_terms > 0)
+    status = "FSplit" if split else "NotFSplit"
+    return status, residue_terms, math.comb(p + t - 1, t - 1) - t

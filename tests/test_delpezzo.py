@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import lru_cache
 
@@ -18,8 +19,13 @@ from fanocheck.delpezzo import (
     pgl_orbit_canonical,
     plane_points,
 )
-from fanocheck.smallfields import GF, UnsupportedFieldSizeError
-from helpers import exceptional_basis, ref_enumerate_classes
+from fanocheck.smallfields import _IRREDUCIBLE, GF, UnsupportedFieldSizeError
+from helpers import (
+    exceptional_basis,
+    ref_enumerate_classes,
+    ref_gf_tables,
+    ref_pgl_orbit_canonical,
+)
 
 
 def pgl_order(q):
@@ -284,6 +290,10 @@ class TestOrbitAgainstBruteForce:
             line = [pt for pt in pts if pt[1] == pt[2]]
             yield q, line
             yield q, line[:3] + [(0, 1, 0)]
+        # richest lines: two 4-point lines x = 0 and y = 0 meeting in
+        # (0,0,1), and a 3-point line with two points off it
+        yield 3, [pt for pt in plane_points(3) if not pt[0] or not pt[1]]
+        yield 4, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 2, 3)]
         yield 2, plane_points(2)
         yield 3, plane_points(3)
 
@@ -296,6 +306,78 @@ class TestOrbitAgainstBruteForce:
             assert canonical.q == q
             seen.add((q, len(config)))
         assert {(q, n) for q in (2, 3, 4) for n in range(8)} <= seen
+
+
+def _line_points(q, line):
+    gf = GF(q)
+    return [pt for pt in plane_points(q)
+            if not gf.add(gf.add(gf.mul(line[0], pt[0]), gf.mul(line[1], pt[1])),
+                          gf.mul(line[2], pt[2]))]
+
+
+class TestOrbitAgainstReference:
+    """The richest-line search against the search over every ordered pair,
+    at q beyond the whole-group brute force."""
+
+    def seeded_configs(self):
+        rng = random.Random(1717)
+        for q in (5, 7, 8):
+            pts = plane_points(q)
+            # a point's coordinates read as a line's coefficients
+            first, second = (_line_points(q, ln) for ln in rng.sample(pts, 2))
+            off = [pt for pt in pts if pt not in first]
+            # 3- and 4-point collinearities with points off the line
+            yield q, first[:3] + rng.sample(off, 2)
+            yield q, first[1:5] + rng.sample(off, 3)
+            # two lines tied for richest, with and without a common point
+            yield q, first[:3] + second[:3]
+            yield q, rng.sample(first, 4) + rng.sample(second, 4)
+            # all points on one line, and a whole line plus points off it
+            yield q, rng.sample(first, rng.randint(2, q))
+            yield q, first + rng.sample(off, 2)
+            # arcs: points of the conic y^2 = xz, no three collinear
+            gf = GF(q)
+            conic = [(1, t, gf.mul(t, t)) for t in range(q)] + [(0, 0, 1)]
+            yield q, rng.sample(conic, 4)
+            yield q, rng.sample(conic, 6)
+            yield q, rng.sample(pts, rng.randint(4, 7))
+        yield 5, rng.sample(plane_points(5), 20)
+
+    def test_same_canonical_form_and_orbit_size(self):
+        for q, points in self.seeded_configs():
+            config = PointConfig.from_points(q, points)
+            canonical, size = pgl_orbit_canonical(config)
+            ref, ref_size = ref_pgl_orbit_canonical(config)
+            assert (canonical.points, size) == (ref.points, ref_size), (q, points)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+    def test_more_points_on_a_line_read_smaller(self, q):
+        # the least image's points on x = 0 read, after (0,0,1), as sorted z
+        # of (0,1,z); per set of k points of P^1(F_q) take the least such
+        # reading over the choices of the points sent to (0,0,1), (0,1,0)
+        # and the scalings, padded by q, which sorts after every z.  Each
+        # set of 3 or more points is PGL_2-equivalent to one holding
+        # infinity, 0 and 1, so those sets give every reading.
+        gf = GF(q)
+        line = [(0, 1)] + [(1, t) for t in range(q)]
+
+        def det(u, v):
+            return gf.sub(gf.mul(u[0], v[1]), gf.mul(u[1], v[0]))
+
+        def reading(points):
+            out = []
+            for a, b in itertools.permutations(points, 2):
+                zs = [gf.mul(det(pt, b), gf.inv(det(pt, a))) for pt in points if pt != a]
+                for s in range(1, q):
+                    out.append(sorted(gf.mul(s, z) for z in zs) + [q])
+            return min(out)
+
+        readings = {2: [[0, q]]}
+        for rest in range(q - 1):
+            for extra in itertools.combinations(line[3:], rest):
+                readings.setdefault(3 + rest, []).append(reading(line[:3] + list(extra)))
+        for k, m in itertools.combinations(sorted(readings), 2):
+            assert max(readings[m]) < min(readings[k]), (q, k, m)
 
 
 class TestOrbitClosedForms:
@@ -370,6 +452,11 @@ class TestSmallFields:
             GF(6)
         with pytest.raises(UnsupportedFieldSizeError, match="^bad field size 1$"):
             GF(1)
+
+    @pytest.mark.parametrize("q", sorted({p ** k for p, k in _IRREDUCIBLE} | {2, 3, 5, 7}))
+    def test_tables_match_polynomial_arithmetic(self, q):
+        gf = GF(q)
+        assert (gf._add, gf._mul, gf._neg, gf._inv) == ref_gf_tables(q)
 
     def test_field_axioms_seeded(self):
         rng = random.Random(135)

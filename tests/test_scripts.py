@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 from fanocheck.poly import VariableSet, delta1, parse_poly
+from fanocheck.splitting import HypersurfaceRing, fedder_report
+from helpers import diagonal_fedder
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -51,13 +53,18 @@ def test_splitting_survey_reruns_byte_for_byte():
     assert first.stdout == second.stdout
 
 
-def test_splitting_survey_counts_every_carry():
-    run = _run(str(SCRIPTS / "splitting_survey.py"))
-    assert run.returncode == 0, run.stderr
+def _survey_module():
     spec = importlib.util.spec_from_file_location(
         "splitting_survey", SCRIPTS / "splitting_survey.py")
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
+    return survey
+
+
+def test_splitting_survey_counts_every_carry():
+    run = _run(str(SCRIPTS / "splitting_survey.py"))
+    assert run.returncode == 0, run.stderr
+    survey = _survey_module()
     rows = {}
     for line in run.stdout.decode().splitlines():
         if not line.startswith(" "):
@@ -71,3 +78,17 @@ def test_splitting_survey_counts_every_carry():
         text, names, weights = survey.FAMILIES[family]
         vs = VariableSet.weighted(names, weights)
         assert terms == delta1(parse_poly(text, vs, p)).num_terms, (family, p)
+
+
+def test_survey_families_match_the_diagonal_closed_form():
+    # every survey family is a diagonal form sum x_i^(e_i) with unit
+    # coefficients, so verdict, residue and carry sizes have closed forms
+    for family, (text, names, weights) in _survey_module().FAMILIES.items():
+        vs = VariableSet.weighted(names, weights)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            f = parse_poly(text, vs, p)
+            assert set(f.terms.values()) == {1}
+            assert all(sum(1 for e in m if e) == 1 for m in f.terms)
+            report = fedder_report(HypersurfaceRing(p, vs, f))
+            assert (report.status, report.residue_terms, report.delta1_terms) == \
+                diagonal_fedder([sum(m) for m in f.terms], p), (family, p)
