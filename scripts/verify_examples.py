@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the shipped expectation corpus and exit with its verdict.
 
-Exit code 0 when every check passes, 1 when any check fails, 2 on a
-malformed corpus file.
+A thin wrapper over ``fanocheck verify``: exit code 0 when every check
+passes, 1 when any check fails, 2 on a malformed corpus file.
 """
 
 import argparse
@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fanocheck.corpus import CorpusFormatError, run_corpus
+from fanocheck.cli import main as fanocheck_main
 
 DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper_examples.json"
 
@@ -25,13 +25,9 @@ def main() -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON report instead of text")
     args = parser.parse_args()
-    try:
-        report = run_corpus(args.corpus, jobs=args.jobs)
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.to_json() if args.json else report.to_text())
-    return 0 if report.all_passed else 1
+    return fanocheck_main(["verify", "--jobs", str(args.jobs),
+                           "--format", "json" if args.json else "text",
+                           "--", args.corpus])
 
 
 if __name__ == "__main__":

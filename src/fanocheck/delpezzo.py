@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
@@ -219,35 +218,6 @@ def pgl3_order(q: int) -> int:
             f"PGL enumeration supports q <= {_PGL_MAX_Q}, got {q}")
     _factor_prime_power(q)
     return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
-
-
-@lru_cache(maxsize=None)
-def pgl3_elements(q: int) -> tuple:
-    """One matrix per element of PGL_3(F_q), first nonzero entry scaled to 1.
-
-    The brute-force reference for ``pgl_orbit_canonical``: 60,480 matrices
-    at q = 4.  Rows are built left to right avoiding the span of earlier
-    rows, and the first row is taken projectively, which hits each coset
-    exactly once.
-    """
-    pgl3_order(q)  # rejects q > 8
-    gf = GF(q)
-    zero = (0, 0, 0)
-    vectors = [(a, b, c) for a in gf.elements for b in gf.elements
-               for c in gf.elements if (a, b, c) != zero]
-    first_rows = sorted({_normalize(v, gf) for v in vectors})
-    out = []
-    for r1 in first_rows:
-        span1 = {tuple(gf.mul(a, x) for x in r1) for a in gf.elements}
-        for r2 in vectors:
-            if r2 in span1:
-                continue
-            span2 = {tuple(gf.add(gf.mul(a, x), gf.mul(b, y)) for x, y in zip(r1, r2))
-                     for a in gf.elements for b in gf.elements}
-            for r3 in vectors:
-                if r3 not in span2:
-                    out.append((r1, r2, r3))
-    return tuple(out)
 
 
 def pgl_orbit_canonical(config: PointConfig):

@@ -6,10 +6,12 @@ with both classical pruning criteria, and short-circuits to the unit ideal
 the moment any reduction produces a nonzero constant.  Pending pairs sit in
 a heap keyed by their lcm, computed once per pair, with the pair indices
 breaking ties; the selection order is the one a full scan for the smallest
-lcm would give.  Reduced bases are unique for a fixed order, which keeps
-every downstream verdict deterministic.  A caller may pass a stop predicate
-on the leading monomials entering the basis (as exponent tuples); a run it
-ends returns no basis at all, so a partial basis is never cached.
+lcm would give.  Only the callers that keep a basis reduce it; reduced
+bases are unique for a fixed order, which keeps every downstream verdict
+deterministic.  A unit question ends at the constant short-circuit, which
+every basis of (1) reaches.  A caller may pass a stop predicate on the
+leading monomials entering the basis (as exponent tuples); a run it ends
+returns no basis at all, so a partial basis is never cached.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
@@ -89,18 +91,20 @@ def _is_constant_raw(f: dict) -> bool:
     return len(f) == 1 and 0 in f
 
 
-def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
-                    stop=None) -> Optional[list]:
-    """Reduced Groebner basis of the given packed coefficient dicts.
+_UNIT = ((0, {0: 1}),)  # the unit ideal, met at the constant short-circuit
 
-    Returns a list of monic dicts sorted by increasing leading monomial.
-    The unit ideal comes back as [{0: 1}] via the constant short-circuit.
+
+def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
+                    stop=None) -> Optional[Sequence]:
+    """Unreduced Groebner basis of the given packed coefficient dicts.
+
+    Returns its (leading monomial, monic dict) pairs, for :func:`_reduced_raw`.
+    The unit ideal comes back as ``_UNIT`` via the constant short-circuit.
     ``stop``, if given, sees the exponent tuple of the leading monomial of
     every element that enters the basis, generators included; once it
     returns true the run ends and None comes back in place of a basis.
     """
     guard = order.guard
-    one = [{0: 1}]
     basis = []
     lms = []
     exps = []  # leading monomials unpacked, for the lcm and the stop predicate
@@ -108,14 +112,12 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         if not g:
             continue
         if _is_constant_raw(g):
-            return one
+            return _UNIT
         basis.append(_monic_raw(g, p))
         lms.append(max(g))
         exps.append(order.unpack(lms[-1]))
         if stop is not None and stop(exps[-1]):
             return None
-    if not basis:
-        return []
     reducers = list(zip(lms, basis))
 
     # Heap entries (lcm, pair) pop smallest lcm first, ties by pair; the set
@@ -161,7 +163,7 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         if not s:
             continue
         if _is_constant_raw(s):
-            return one
+            return _UNIT
         s = _monic_raw(s, p)
         basis.append(s)
         lms.append(max(s))
@@ -173,18 +175,25 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         for i2 in range(t):
             add_pair(i2, t)
 
+    return reducers
+
+
+def _reduced_raw(pairs: Sequence, order: _PackedOrder, p: int) -> list:
+    """The reduced basis from ``_buchberger_raw``'s pairs: monic dicts sorted
+    by increasing leading monomial."""
+    guard = order.guard
     # minimalize: drop elements whose leading monomial another one divides
     keep = []
-    for i, lm_i in enumerate(lms):
+    for i, (lm_i, _) in enumerate(pairs):
         drop = False
-        for j, lm_j in enumerate(lms):
+        for j, (lm_j, _) in enumerate(pairs):
             if i == j:
                 continue
             if not (lm_i - lm_j) & guard and (lm_j != lm_i or j < i):
                 drop = True
                 break
         if not drop:
-            keep.append(reducers[i])
+            keep.append(pairs[i])
     # interreduce tails
     reduced = []
     for i, (_, g) in enumerate(keep):
@@ -237,6 +246,7 @@ class PolyIdeal:
             order = _grevlex(self.vars.n)
             raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
                                   order, self.field.p)
+            raw = _reduced_raw(raw, order, self.field.p)
             elems = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
             self._gb = GroebnerBasis("grevlex", elems)
         return self._gb
@@ -255,7 +265,7 @@ def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
     order = _grevlex(ideal.vars.n)
     basis = _buchberger_raw([order.pack_terms(g.terms) for g in ideal.generators],
                             order, ideal.field.p, stop)
-    return basis is None or (len(basis) == 1 and _is_constant_raw(basis[0]))
+    return basis is None or basis is _UNIT
 
 
 def _chart_is_unit(ideal: PolyIdeal, chart: Sequence[int]) -> bool:
@@ -276,8 +286,7 @@ def _chart_is_unit(ideal: PolyIdeal, chart: Sequence[int]) -> bool:
             k = sum(map(mul, m, units))
             packed[k] = (packed.get(k, 0) + c) % p
         gens.append({k: c for k, c in packed.items() if c})
-    basis = _buchberger_raw(gens, order, p)
-    return len(basis) == 1 and _is_constant_raw(basis[0])
+    return _buchberger_raw(gens, order, p) is _UNIT
 
 
 def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
@@ -352,7 +361,7 @@ def ideal_quotient(ideal: PolyIdeal, g: Polynomial) -> PolyIdeal:
         mixed[m] = (mixed.get(m, 0) - c) % p
     mixed = {m: c for m, c in mixed.items() if c}
     ext_gens.append(mixed)
-    basis = _buchberger_raw(ext_gens, elim, p)
+    basis = _reduced_raw(_buchberger_raw(ext_gens, elim, p), elim, p)
     order = _grevlex(ideal.vars.n)
     divisor = order.pack_terms(g.terms)
     out = []
@@ -387,5 +396,4 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     rab[0] = (rab.get(0, 0) - 1) % p
     rab = {m: c for m, c in rab.items() if c}
     ext_gens.append(rab)
-    basis = _buchberger_raw(ext_gens, order, p)
-    return len(basis) == 1 and _is_constant_raw(basis[0])
+    return _buchberger_raw(ext_gens, order, p) is _UNIT

@@ -265,9 +265,8 @@ class VariableSet:
     @classmethod
     def unit(cls, names) -> "VariableSet":
         """All variables of weight 1 in a single grading component."""
-        names = tuple(names.split(",")) if isinstance(names, str) else tuple(names)
-        names = tuple(n.strip() for n in names)
-        return cls(names, tuple((1,) for _ in names))
+        names = names.split(",") if isinstance(names, str) else tuple(names)
+        return cls.weighted(names, (1,) * len(names))
 
     @classmethod
     def weighted(cls, names, weights: Sequence[int]) -> "VariableSet":
@@ -420,11 +419,7 @@ class Polynomial:
         return Polynomial(self.field, self.vars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(self.field, self.vars, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, self.vars,
@@ -593,21 +588,11 @@ def _parse_term(ts: _TokenStream, variables: VariableSet, p: int):
     if tok.kind == "int":
         ts.advance()
         coeff = int(tok.text) % p
-    elif tok.kind == "ident":
+    elif tok.kind != "ident":
+        raise ParseError("expected a term", tok.pos)
+    while ts.accept_op("*") or ts.cur.kind == "ident":
         idx, e = _parse_factor(ts, variables)
         exps[idx] += e
-    else:
-        raise ParseError("expected a term", tok.pos)
-    while True:
-        if ts.accept_op("*"):
-            idx, e = _parse_factor(ts, variables)
-            exps[idx] += e
-            continue
-        if ts.cur.kind == "ident":
-            idx, e = _parse_factor(ts, variables)
-            exps[idx] += e
-            continue
-        break
     if any(e >= EXPONENT_LIMIT for e in exps):
         raise ParseError(f"exponent cap {EXPONENT_LIMIT} exceeded", tok.pos)
     return coeff, tuple(exps)

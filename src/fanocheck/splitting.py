@@ -67,13 +67,16 @@ def fedder_residue(ring: HypersurfaceRing) -> Polynomial:
     return pow_mod_frobenius(ring.f, ring.p - 1, ring.p)
 
 
-def fedder_fsplit(ring: HypersurfaceRing) -> SplitVerdict:
-    """F-splitting verdict with a surviving-monomial witness when split."""
-    residue = fedder_residue(ring)
+def _verdict(residue: Polynomial) -> SplitVerdict:
+    """FSplit with the grevlex-leading surviving monomial, or NotFSplit."""
     if residue.is_zero:
         return SplitVerdict(SplitStatus.NOT_FSPLIT)
-    witness = residue.leading_monomial()
-    return SplitVerdict(SplitStatus.FSPLIT, witness)
+    return SplitVerdict(SplitStatus.FSPLIT, residue.leading_monomial())
+
+
+def fedder_fsplit(ring: HypersurfaceRing) -> SplitVerdict:
+    """F-splitting verdict with a surviving-monomial witness when split."""
+    return _verdict(fedder_residue(ring))
 
 
 def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
@@ -124,14 +127,11 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
     order, carry = _delta1_packed(ring.f)
     carry_terms = order.count(carry)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if residue.is_zero:
-        status, witness = SplitStatus.NOT_FSPLIT.value, None
-    else:
-        status = SplitStatus.FSPLIT.value
-        witness = mono_str(ring.vars.names, residue.leading_monomial())
+    verdict = _verdict(residue)
     return FedderReport(
-        status=status,
-        witness=witness,
+        status=verdict.status.value,
+        witness=None if verdict.witness is None
+        else mono_str(ring.vars.names, verdict.witness),
         residue_terms=residue.num_terms,
         delta1_terms=carry_terms,
         delta1_degree=tuple(ring.p * d for d in degree) if carry_terms else None,

@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 import random
+from functools import lru_cache
 
 from fanocheck.delpezzo import LatticeClass, PointConfig, pgl3_order
 from fanocheck.poly import (
@@ -143,6 +144,25 @@ def chain_delta1(f: Polynomial) -> Polynomial:
         total[mp] = (total.get(mp, 0) - c ** p) % mod
     assert all(c % p == 0 for c in total.values()), "division was not exact"
     return Polynomial(f.field, f.vars, {m: c // p for m, c in total.items() if c})
+
+
+def cone_singular_point_search(variety, qs):
+    """Exhaustive search for a cone point (each factor block nonzero) where
+    f and every partial derivative vanish simultaneously; None if absent."""
+    polys = [variety.f] + [variety.f.partial(name)
+                           for name in variety.space.variable_set.names]
+    sizes = [len(fac.names) for fac in variety.space.factors]
+    for q in qs:
+        gf = GF(q)
+        blocks = []
+        for size in sizes:
+            blocks.append([v for v in itertools.product(gf.elements, repeat=size)
+                           if any(v)])
+        for combo in itertools.product(*blocks):
+            point = tuple(x for block in combo for x in block)
+            if all(poly_eval(g, point, gf) == 0 for g in polys):
+                return point
+    return None
 
 
 def common_zero_with_g_nonzero(gens, g, qs) -> bool:
@@ -652,7 +672,7 @@ def ref_gf_tables(q: int):
 # The search over every ordered pair of points that the richest-line search
 # in fanocheck.delpezzo replaced, with the pair matrix applied point by
 # point through GF's methods: a differential oracle for (S*, orbit size) at
-# q beyond the reach of the whole-group brute force.
+# q beyond the reach of the whole-group brute force, which sits here too.
 
 def _ref_normalize(point, gf):
     c = next(c for c in point if c)
@@ -679,6 +699,35 @@ def _ref_pair_to_axes(c1, c2, gf):
     i = next(k for k, x in enumerate(line) if x)
     c3 = tuple(int(k == i) for k in range(3))
     return line, _ref_cross(c1, c3, gf), _ref_cross(c3, c2, gf)
+
+
+@lru_cache(maxsize=None)
+def pgl3_elements(q: int) -> tuple:
+    """One matrix per element of PGL_3(F_q), first nonzero entry scaled to 1.
+
+    The whole-group brute force behind ``pgl_orbit_canonical``'s checks:
+    60,480 matrices at q = 4.  Rows are built left to right avoiding the
+    span of earlier rows, and the first row is taken projectively, which
+    hits each coset exactly once.
+    """
+    pgl3_order(q)  # rejects q > 8
+    gf = GF(q)
+    zero = (0, 0, 0)
+    vectors = [(a, b, c) for a in gf.elements for b in gf.elements
+               for c in gf.elements if (a, b, c) != zero]
+    first_rows = sorted({_ref_normalize(v, gf) for v in vectors})
+    out = []
+    for r1 in first_rows:
+        span1 = {tuple(gf.mul(a, x) for x in r1) for a in gf.elements}
+        for r2 in vectors:
+            if r2 in span1:
+                continue
+            span2 = {tuple(gf.add(gf.mul(a, x), gf.mul(b, y)) for x, y in zip(r1, r2))
+                     for a in gf.elements for b in gf.elements}
+            for r3 in vectors:
+                if r3 not in span2:
+                    out.append((r1, r2, r3))
+    return tuple(out)
 
 
 def ref_pgl_orbit_canonical(config):

@@ -6,7 +6,6 @@ exact integers and verdict strings only.  Wall-clock budgets are part of
 the claims.
 """
 
-import itertools
 import random
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from fanocheck.delpezzo import (
     enumerate_classes,
     fano_lines,
     langer_neg2_classes,
-    pgl3_elements,
     pgl_orbit_canonical,
 )
 from fanocheck.geometry import (
@@ -50,12 +48,13 @@ from fanocheck.poly import (
     pow_mod_frobenius,
     weighted_degree,
 )
-from fanocheck.smallfields import GF, poly_eval
 from fanocheck.splitting import HypersurfaceRing, SplitStatus, fedder_fsplit
 from helpers import (
     common_zero_with_g_nonzero,
+    cone_singular_point_search,
     naive_bundle_degree,
     naive_product_degree,
+    pgl3_elements,
     pow_then_filter,
     random_homogeneous,
     random_nonzero_poly,
@@ -97,25 +96,6 @@ def test_splitting_verdicts(criterion):
         assert hyperplane.witness == (1, 0)
 
 
-def _cone_singular_point_search(variety, qs):
-    """Exhaustive search for a cone point (each factor block nonzero) where
-    f and every partial derivative vanish simultaneously; None if absent."""
-    polys = [variety.f] + [variety.f.partial(name)
-                           for name in variety.space.variable_set.names]
-    sizes = [len(fac.names) for fac in variety.space.factors]
-    for q in qs:
-        gf = GF(q)
-        blocks = []
-        for size in sizes:
-            blocks.append([v for v in itertools.product(gf.elements, repeat=size)
-                           if any(v)])
-        for combo in itertools.product(*blocks):
-            point = tuple(x for block in combo for x in block)
-            if all(poly_eval(g, point, gf) == 0 for g in polys):
-                return point
-    return None
-
-
 def test_smoothness_verdicts(criterion):
     with criterion("smoothness verdicts on the worked examples", budget_s=10.0):
         sextic = _variety("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 11,
@@ -130,12 +110,12 @@ def test_smoothness_verdicts(criterion):
         assert cone_smoothness(conic).smooth_away_from_irrelevant
         assert smoothness_verdict(conic).value == "Smooth"
         # independent oracle: no F_2 or F_4 cone point witnesses a failure
-        assert _cone_singular_point_search(conic, [2, 4]) is None
+        assert cone_singular_point_search(conic, [2, 4]) is None
 
         double_plane = _variety("P(1,1,1)", "x0^2", 5)
         assert smoothness_verdict(double_plane).value == "Singular"
         # the oracle agrees that the library is right to complain
-        assert _cone_singular_point_search(double_plane, [5]) is not None
+        assert cone_singular_point_search(double_plane, [5]) is not None
 
 
 def test_witt_carry_identities(criterion):

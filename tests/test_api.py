@@ -1,10 +1,16 @@
-"""The public surface of the fanocheck namespace, pinned name by name.
+"""The public surface of fanocheck, pinned name by name.
 
-Adding or removing an export changes one line here, so every change to the
-public API shows up in review.
+Two lists: the names the package namespace exports, and per module the
+public functions and classes that module defines.  Adding, removing or
+moving one changes one line here, so every change to the public API, and
+every helper moving into or out of ``src``, shows up in review.
 """
 
+import importlib
+import pkgutil
 import types
+
+import pytest
 
 import fanocheck
 
@@ -76,3 +82,128 @@ def test_public_names():
                     if not name.startswith("_")
                     and not isinstance(getattr(fanocheck, name), types.ModuleType))
     assert public == PUBLIC_NAMES
+
+
+MODULE_SURFACES = {
+    "chow": [
+        "DimensionMismatchError",
+        "DivClass",
+        "IntersectionRing",
+        "NonP1FactorError",
+        "ProductBase",
+        "SplitBundleSpec",
+        "canonical_class",
+        "chern_top_degree",
+        "div_class_str",
+        "evaluate_expression",
+        "expression_result_str",
+        "intersect",
+        "omega_twist_factors",
+        "section_class",
+    ],
+    "cli": [
+        "InputError",
+        "build_parser",
+        "main",
+    ],
+    "corpus": [
+        "CheckResult",
+        "CheckRow",
+        "CorpusCheck",
+        "CorpusEntry",
+        "CorpusFormatError",
+        "Report",
+        "chow",
+        "delta1",
+        "fsplit",
+        "langer_summary",
+        "lattice",
+        "load_corpus",
+        "load_corpus_file",
+        "run_corpus",
+        "smooth",
+    ],
+    "delpezzo": [
+        "LatticeClass",
+        "PicLattice",
+        "PointConfig",
+        "count_compatible_exceptionals",
+        "enumerate_classes",
+        "fano_lines",
+        "langer_neg2_classes",
+        "pgl3_order",
+        "pgl_orbit_canonical",
+        "plane_points",
+    ],
+    "geometry": [
+        "AmbientFactor",
+        "AmbientSpace",
+        "ConeResult",
+        "HypersurfaceVariety",
+        "SingularStratum",
+        "SmoothnessStatus",
+        "UnsupportedStratumError",
+        "ambient_singular_strata",
+        "cone_smoothness",
+        "jacobian_ideal",
+        "parse_ambient",
+        "smoothness_verdict",
+    ],
+    "ideals": [
+        "GroebnerBasis",
+        "PolyIdeal",
+        "buchberger",
+        "ideal_quotient",
+        "localized_is_unit",
+        "normal_form",
+    ],
+    "poly": [
+        "AlgebraError",
+        "ExponentOverflowError",
+        "NonHomogeneousError",
+        "ParseError",
+        "Polynomial",
+        "Prime",
+        "Token",
+        "VariableSet",
+        "ZeroPolynomialError",
+        "as_prime",
+        "delta1",
+        "mono_str",
+        "mul_mod_frobenius",
+        "parse_poly",
+        "pow_mod_frobenius",
+        "tokenize",
+        "weighted_degree",
+    ],
+    "smallfields": [
+        "GF",
+        "UnsupportedFieldSizeError",
+        "poly_eval",
+    ],
+    "splitting": [
+        "FedderReport",
+        "HypersurfaceRing",
+        "SplitStatus",
+        "SplitVerdict",
+        "delta1_probe",
+        "fedder_fsplit",
+        "fedder_report",
+        "fedder_residue",
+    ],
+}
+
+
+def test_every_module_is_pinned():
+    modules = sorted(info.name for info in pkgutil.iter_modules(fanocheck.__path__))
+    assert modules == sorted(MODULE_SURFACES)
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_SURFACES))
+def test_module_surface(module):
+    mod = importlib.import_module(f"fanocheck.{module}")
+    # callables defined here, cached functions included; imports are not
+    defined = sorted(name for name, value in vars(mod).items()
+                     if not name.startswith("_") and callable(value)
+                     and getattr(value, "__module__", None) == mod.__name__)
+    assert defined == MODULE_SURFACES[module]

@@ -5,7 +5,6 @@ import pytest
 
 from fanocheck import corpus
 from fanocheck.cli import main
-from fanocheck.delpezzo import pgl3_elements
 from fanocheck.corpus import (
     CorpusFormatError,
     langer_summary,
@@ -13,6 +12,7 @@ from fanocheck.corpus import (
     load_corpus_file,
     run_corpus,
 )
+from helpers import pgl3_elements
 
 SHIPPED = Path(__file__).resolve().parent.parent / "corpus" / "paper_examples.json"
 

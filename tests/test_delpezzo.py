@@ -14,7 +14,6 @@ from fanocheck.delpezzo import (
     enumerate_classes,
     fano_lines,
     langer_neg2_classes,
-    pgl3_elements,
     pgl3_order,
     pgl_orbit_canonical,
     plane_points,
@@ -22,6 +21,7 @@ from fanocheck.delpezzo import (
 from fanocheck.smallfields import _IRREDUCIBLE, GF, UnsupportedFieldSizeError
 from helpers import (
     exceptional_basis,
+    pgl3_elements,
     ref_enumerate_classes,
     ref_gf_tables,
     ref_pgl_orbit_canonical,

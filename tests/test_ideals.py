@@ -3,11 +3,14 @@ import re
 
 import pytest
 
+from fanocheck import ideals
+from fanocheck.geometry import HypersurfaceVariety, cone_smoothness, parse_ambient
 from fanocheck.ideals import (
     GroebnerBasis,
     PolyIdeal,
     _buchberger_raw,
     _chart_is_unit,
+    _reduced_raw,
     buchberger,
     ideal_quotient,
     localized_is_unit,
@@ -380,7 +383,9 @@ class TestPackedAgainstTupleLoop:
     def test_elimination_bases_identical(self):
         for _, vs, p, gens in _seeded_cases(8102, 150):
             order = _elimination(vs.n)
-            raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, p)
+            raw = _reduced_raw(
+                _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, p),
+                order, p)
             ours = [order.unpack_terms(g) for g in raw]
             theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_elim_key)
             assert _items(ours) == _items(theirs)
@@ -405,7 +410,8 @@ class TestPackedAgainstTupleLoop:
                 if raw is None:
                     stopped += 1
                 else:
-                    assert _items(order.unpack_terms(g) for g in raw) == _items(ref)
+                    ours = _reduced_raw(raw, order, p)
+                    assert _items(order.unpack_terms(g) for g in ours) == _items(ref)
         assert stopped > 0
 
     def test_public_results_match_reference(self):
@@ -428,6 +434,42 @@ class TestPackedAgainstTupleLoop:
             want = ref_normal_form_raw(f.terms, pairs, p, ref_grevlex_key)
             assert _items([normal_form(f, gb).terms]) == _items([want])
         assert quotients > 0
+
+
+class TestOnlyBasisCallersReduce:
+    """Unit questions end at the constant short-circuit; only the callers
+    that keep a basis minimalize and interreduce it."""
+
+    def test_unit_questions_never_reduce(self, monkeypatch):
+        def no_reduction(*args):
+            raise AssertionError("a unit question reduced its basis")
+
+        monkeypatch.setattr(ideals, "_reduced_raw", no_reduction)
+        I = PolyIdeal(7, VS2, [mk("x*y - y + 1", 7, VS2)])
+        assert _chart_is_unit(I, [0])
+        assert not _chart_is_unit(I, [1])
+        assert localized_is_unit(PolyIdeal(7, VS2, [mk("x^2*y", 7, VS2)]), mk("x*y", 7, VS2))
+        assert not localized_is_unit(PolyIdeal(7, VS2, [mk("x", 7, VS2)]), mk("y", 7, VS2))
+        space = parse_ambient("P(1,1,1)")
+        double_line = HypersurfaceVariety(5, space, parse_poly("x0^2", space.variable_set, 5))
+        result = cone_smoothness(double_line)
+        assert not result.smooth_away_from_irrelevant
+        assert result.witness_chart == "x1"
+
+    def test_basis_callers_reduce_once(self, monkeypatch):
+        real, calls = ideals._reduced_raw, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ideals, "_reduced_raw", counting)
+        I = PolyIdeal(7, VS2, [mk("x^2*y - y", 7, VS2), mk("x*y^2", 7, VS2)])
+        I.groebner_basis()
+        I.groebner_basis()
+        assert len(calls) == 1
+        ideal_quotient(I, mk("x", 7, VS2))
+        assert len(calls) == 2
 
 
 def _cap_message(exponents: str) -> str:

@@ -248,6 +248,23 @@ class TestReport:
                 assert rep.delta1_degree == (None if carry.is_zero
                                              else weighted_degree(carry))
 
+    @pytest.mark.parametrize("vs,degree", [
+        (VariableSet.unit("x0,x1,x2,x3"), (3,)),
+        (VariableSet.weighted("x0,x1,x2,y", [1, 1, 1, 2]), (4,)),
+    ], ids=["unit", "weighted"])
+    def test_report_verdict_is_fedder_fsplit_seeded(self, vs, degree):
+        rng = random.Random(1818)
+        seen = set()
+        for p in (2, 3, 5, 7, 11):
+            for _ in range(6):
+                ring = HypersurfaceRing(p, vs, random_homogeneous(rng, vs, p, degree))
+                verdict, rep = fedder_fsplit(ring), fedder_report(ring)
+                witness = None if verdict.witness is None \
+                    else mono_str(vs.names, verdict.witness)
+                assert (rep.status, rep.witness) == (verdict.status.value, witness)
+                seen.add(verdict.status)
+        assert seen == set(SplitStatus)
+
     def test_carry_count_skips_packed_zeros(self):
         # layer p keeps the entries whose coefficients cancelled mod p, so
         # the count is of nonzero coefficients, not of entries
