@@ -2,11 +2,20 @@
 Rabinowitsch-style localization tests and dehomogenized chart tests.
 
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
-with both classical pruning criteria, and short-circuits to the unit ideal
-the moment any reduction produces a nonzero constant.  Pending pairs sit in
-a heap keyed by their lcm, computed once per pair, with the pair indices
-breaking ties; the selection order is the one a full scan for the smallest
-lcm would give.  Only the callers that keep a basis reduce it; reduced
+and installs its pairs as Gebauer and Moeller do ("On an installation of
+Buchberger's algorithm", JSC 6, 1988; Becker and Weispfenning, *Groebner
+Bases*, 5.5): the pruning criteria run once, when an element enters, never
+when a pair pops.  The newcomer's pairs with the active elements whose
+leading monomials are coprime to its own (one test on support bitmasks)
+reduce to zero and are never queued; of the rest, criteria M and F queue
+one pair per minimal lcm, criterion B_k drops the queued pairs whose lcm
+the newcomer's leading monomial divides strictly on both sides, and the
+active elements that monomial divides leave the active set.  The active
+elements end as a minimal basis; every element stays a reducer.  Queued
+pairs sit in a heap keyed by their lcm, with the pair indices breaking
+ties, and a dict of the pairs still live, which the heap pops lazily.  The
+loop short-circuits to the unit ideal the moment any reduction produces a
+nonzero constant.  Only the callers that keep a basis reduce it; reduced
 bases are unique for a fixed order, which keeps every downstream verdict
 deterministic.  A unit question ends at the constant short-circuit, which
 every basis of (1) reaches.  A caller may pass a stop predicate on the
@@ -96,10 +105,16 @@ _UNIT = ((0, {0: 1}),)  # the unit ideal, met at the constant short-circuit
 
 def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
                     stop=None) -> Optional[Sequence]:
-    """Unreduced Groebner basis of the given packed coefficient dicts.
+    """Minimal, unreduced Groebner basis of the given packed coefficient dicts.
 
-    Returns its (leading monomial, monic dict) pairs, for :func:`_reduced_raw`.
-    The unit ideal comes back as ``_UNIT`` via the constant short-circuit.
+    Returns its (leading monomial, monic dict) pairs, no leading monomial
+    dividing another, for :func:`_reduced_raw`.  Generators enter in the
+    given order, each S-pair's normal form as it is found, and each entry
+    runs the Gebauer-Moeller update described in the module docstring.  A
+    pair whose leading monomials' product passes the exponent cap, active
+    or not, is queued unpruned and raises when it pops, as when every pair
+    was queued.  The unit ideal comes back as ``_UNIT`` via the constant
+    short-circuit.
     ``stop``, if given, sees the exponent tuple of the leading monomial of
     every element that enters the basis, generators included; once it
     returns true the run ends and None comes back in place of a basis.
@@ -118,44 +133,84 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         exps.append(order.unpack(lms[-1]))
         if stop is not None and stop(exps[-1]):
             return None
+
+    # (m + low) & guard has the guard bit of exactly the nonzero fields of m
+    low = guard - (guard >> (order.width - 1))
+    half = guard >> 1  # m & half: m has an exponent of at least half the cap
+    wide = []  # the elements with such a leading monomial
+    active = []  # indices of the minimal basis, in order of entry
+    live = {}  # queued pair -> its lcm; a pair B_k drops leaves the heap lazily
+    queue = []  # (lcm, pair): smallest lcm first, ties by pair
+
+    def install(t):
+        """The Gebauer-Moeller update for element t entering the basis."""
+        lm_t, exp_t = lms[t], exps[t]
+        support = (lm_t + low) & guard
+        shared = []  # (lcm, k) for the active k sharing a variable with t
+        lcms = []  # lcms that rule out new pairs: the coprime ones' products first
+        for k in active:
+            if (lms[k] + low) & support:
+                shared.append((order.lcm(exps[k], exp_t), k))
+            else:
+                lcms.append(lms[k] + lm_t)
+        # B_k: lm_t divides a queued lcm that neither side's lcm with t
+        # reaches, that is, lcm / lm_t shares a variable with the lcm over
+        # each side; a pair whose product passes the cap stays, to raise
+        if live:
+            dead = []
+            for (i, j), lij in live.items():
+                q = lij - lm_t
+                if q & guard:
+                    continue
+                q = (q + low) & guard
+                if (lij - lms[i] + low) & q and (lij - lms[j] + low) & q \
+                        and not (lms[i] + lms[j]) & guard:
+                    dead.append((i, j))
+            for pair in dead:
+                del live[pair]
+        # M and F: a new pair is queued only if no coprime or queued new
+        # pair has a dividing (or equal) lcm; coprime pairs reduce to zero,
+        # and one whose product passes the cap is queued anyway, to raise
+        shared.sort()
+        for lij, k in shared:
+            if lcms and not (lms[k] + lm_t) & guard and \
+                    any(not (lij - m) & guard for m in lcms):
+                continue
+            lcms.append(lij)
+            live[k, t] = lij
+            heapq.heappush(queue, (lij, (k, t)))
+        # every pair whose product passes the cap raises when it pops, so
+        # those with elements no longer active are queued too; only a pair
+        # with a wide element can pass it
+        for k in range(t) if lm_t & half else wide:
+            if (lms[k] + lm_t) & guard and k not in active:
+                lij = order.lcm(exps[k], exp_t)
+                live[k, t] = lij
+                heapq.heappush(queue, (lij, (k, t)))
+        if lm_t & half:
+            wide.append(t)
+        # the least possible lcm is lm_t itself, met when an active leading
+        # monomial divides lm_t (only a generator's can): t stays out, and
+        # its queued pair with that element covers it
+        if not shared or shared[0][0] != lm_t:
+            active[:] = [k for k in active if (lms[k] - lm_t) & guard]
+            active.append(t)
+
+    for t in range(len(basis)):
+        install(t)
+
+    # Every element, active or not, stays a reducer, in order of entry: an
+    # older sparse one (x^36888 + 2, say) can clear a term in one step that
+    # its active replacement (x^318 + ...) takes a hundred steps for.
     reducers = list(zip(lms, basis))
-
-    # Heap entries (lcm, pair) pop smallest lcm first, ties by pair; the set
-    # mirrors the heap for the chain criterion's lookups.
-    pending = set()
-    queue = []
-
-    def add_pair(i, j):
-        pending.add((i, j))
-        heapq.heappush(queue, (order.lcm(exps[i], exps[j]), (i, j)))
-
-    for j in range(1, len(basis)):
-        for i in range(j):
-            add_pair(i, j)
-
     while queue:
         lij, pair = heapq.heappop(queue)
-        pending.discard(pair)
+        if live.pop(pair, None) is None:
+            continue
         i, j = pair
-        # product criterion: coprime leading monomials reduce to zero
         prod = lms[i] + lms[j]
         if prod & guard:
             raise order.overflow(prod)
-        if lij == prod:
-            continue
-        # chain criterion: a third element divides the lcm and both side
-        # pairs were already handled
-        skip = False
-        for k, lm_k in enumerate(lms):
-            if k == i or k == j or (lij - lm_k) & guard:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
         s = {}
         _sub_scaled(s, basis[i], lij - lms[i], p - 1, p, order)
         _sub_scaled(s, basis[j], lij - lms[j], 1, p, order)
@@ -168,38 +223,23 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         basis.append(s)
         lms.append(max(s))
         exps.append(order.unpack(lms[-1]))
-        reducers.append((lms[-1], s))
         if stop is not None and stop(exps[-1]):
             return None
-        t = len(basis) - 1
-        for i2 in range(t):
-            add_pair(i2, t)
+        reducers.append((lms[-1], s))
+        install(len(basis) - 1)
 
-    return reducers
+    return [(lms[k], basis[k]) for k in active]
 
 
 def _reduced_raw(pairs: Sequence, order: _PackedOrder, p: int) -> list:
-    """The reduced basis from ``_buchberger_raw``'s pairs: monic dicts sorted
-    by increasing leading monomial."""
-    guard = order.guard
-    # minimalize: drop elements whose leading monomial another one divides
-    keep = []
-    for i, (lm_i, _) in enumerate(pairs):
-        drop = False
-        for j, (lm_j, _) in enumerate(pairs):
-            if i == j:
-                continue
-            if not (lm_i - lm_j) & guard and (lm_j != lm_i or j < i):
-                drop = True
-                break
-        if not drop:
-            keep.append(pairs[i])
-    # interreduce tails
-    reduced = []
-    for i, (_, g) in enumerate(keep):
-        r = _normal_form_raw(g, keep[:i] + keep[i + 1:], p, order)
-        if r:
-            reduced.append(_monic_raw(r, p))
+    """The reduced basis from ``_buchberger_raw``'s minimal basis: monic
+    dicts sorted by increasing leading monomial.
+
+    No leading monomial divides another, so each element keeps its monic
+    leading term and only its tail is reduced.
+    """
+    reduced = [_normal_form_raw(g, pairs[:i] + pairs[i + 1:], p, order)
+               for i, (_, g) in enumerate(pairs)]
     reduced.sort(key=max)
     return reduced
 

@@ -77,6 +77,18 @@ def random_homogeneous(rng: random.Random, vset: VariableSet, p: int,
             return f
 
 
+def dense_form(rng: random.Random, vset: VariableSet, p: int, degree: int,
+               low: int, high: int) -> Polynomial:
+    """The Fermat form of the degree (unit weights) plus ``low`` to ``high``
+    other monomials of that degree, with seeded coefficients in 1..p-1."""
+    pool = monomials_of_degree(vset, degree)
+    terms = {m: 1 for m in pool if max(m) == degree}
+    others = [m for m in pool if max(m) < degree]
+    for m in rng.sample(others, rng.randint(low, high)):
+        terms[m] = rng.randint(1, p - 1)
+    return Polynomial(p, vset, terms)
+
+
 def int_power(terms: dict, e: int, nvars: int) -> dict:
     """(sum of c*m)^e over the integers, one factor at a time, on exponent tuples."""
     out = {(0,) * nvars: 1}

@@ -21,7 +21,12 @@ from fanocheck.geometry import (
 )
 from fanocheck.ideals import PolyIdeal
 from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly
-from helpers import monomials_of_degree, random_homogeneous
+from helpers import (
+    cone_singular_point_search,
+    dense_form,
+    monomials_of_degree,
+    random_homogeneous,
+)
 
 
 def variety(ambient_text, poly_text, p, names=None):
@@ -500,6 +505,26 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             HypersurfaceVariety(5, space, parse_poly("x0", other.variable_set, 5))
 
+
+class TestDenseSingularAgainstPoints:
+    def test_points_sit_under_singular_verdicts(self):
+        # dense quartics in P^3 (12 to 35 terms), where the pair update of
+        # Buchberger prunes most; an F_p point where f and every partial
+        # vanish proves Singular, and a Singular verdict with none found
+        # has its singular points only over extensions of F_p
+        rng = random.Random(1904)
+        space = parse_ambient("P(1,1,1,1)")
+        singular = confirmed = 0
+        for i in range(30):
+            p = (5, 7)[i % 2]
+            v = HypersurfaceVariety(p, space, dense_form(rng, space.variable_set, p, 4, 8, 31))
+            verdict = smoothness_verdict(v)
+            point = cone_singular_point_search(v, [p])
+            if point is not None:
+                assert verdict is SmoothnessStatus.SINGULAR, str(v.f)
+                confirmed += 1
+            singular += verdict is SmoothnessStatus.SINGULAR
+        assert singular >= 4 and confirmed >= 0.75 * singular
 
 def euler_sum(f, c):
     """sum over the variables x of w_c(x) * x * df/dx, in grading component c."""

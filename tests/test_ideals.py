@@ -11,7 +11,6 @@ from fanocheck.ideals import (
     _buchberger_raw,
     _chart_is_unit,
     _reduced_raw,
-    buchberger,
     ideal_quotient,
     localized_is_unit,
     normal_form,
@@ -26,6 +25,8 @@ from fanocheck.poly import (
 )
 from helpers import (
     common_zero_with_g_nonzero,
+    dense_form,
+    monomials_of_degree,
     random_homogeneous,
     random_nonzero_poly,
     random_poly,
@@ -66,31 +67,31 @@ class TestMonomialIdeal:
         for _ in range(200):
             p = rng.choice([2, 3, 5])
             q = p ** rng.randint(1, 2)
-            gb = buchberger(frobenius_box(p, q))
+            gb = frobenius_box(p, q).groebner_basis()
             f = random_poly(rng, VS2, p, max_terms=4, max_exp=q + 1)
             assert all(max(m) >= q for m in f.terms) == normal_form(f, gb).is_zero
 
 
 class TestBuchberger:
     def test_twisted_cubic_style_basis(self):
-        gb = buchberger(PolyIdeal(7, VS3, [mk("y - x^2"), mk("z - x^3")]))
+        gb = PolyIdeal(7, VS3, [mk("y - x^2"), mk("z - x^3")]).groebner_basis()
         got = {str(g) for g in gb}
         assert got == {"x^2 + 6*y", "x*y + 6*z", "y^2 + 6*x*z"}
 
     def test_linear_pair(self):
-        gb = buchberger(PolyIdeal(5, VS2, [mk("x + y", 5, VS2), mk("x - y", 5, VS2)]))
+        gb = PolyIdeal(5, VS2, [mk("x + y", 5, VS2), mk("x - y", 5, VS2)]).groebner_basis()
         assert {str(g) for g in gb} == {"x", "y"}
 
     def test_already_a_basis(self):
-        gb = buchberger(PolyIdeal(7, VS2, [mk("x^2", 7, VS2), mk("y", 7, VS2)]))
+        gb = PolyIdeal(7, VS2, [mk("x^2", 7, VS2), mk("y", 7, VS2)]).groebner_basis()
         assert {str(g) for g in gb} == {"x^2", "y"}
 
     def test_unit_short_circuit(self):
-        gb = buchberger(PolyIdeal(5, VS2, [mk("x + 1", 5, VS2), mk("x", 5, VS2)]))
+        gb = PolyIdeal(5, VS2, [mk("x + 1", 5, VS2), mk("x", 5, VS2)]).groebner_basis()
         assert len(gb) == 1 and gb.elements[0].is_constant()
 
     def test_zero_ideal_empty_basis(self):
-        gb = buchberger(PolyIdeal(5, VS2, [Polynomial.zero(5, VS2)]))
+        gb = PolyIdeal(5, VS2, [Polynomial.zero(5, VS2)]).groebner_basis()
         assert len(gb) == 0
 
     def test_basis_is_reduced(self):
@@ -99,7 +100,7 @@ class TestBuchberger:
             p = rng.choice([2, 3, 5])
             gens = [random_nonzero_poly(rng, VS2, p, max_terms=3, max_exp=3)
                     for _ in range(rng.randint(1, 3))]
-            gb = buchberger(PolyIdeal(p, VS2, gens))
+            gb = PolyIdeal(p, VS2, gens).groebner_basis()
             lms = [g.leading_monomial() for g in gb]
             for i, g in enumerate(gb):
                 assert g.terms[g.leading_monomial()] == 1
@@ -117,7 +118,7 @@ class TestBuchberger:
             vs = rng.choice([VS2, VS3])
             gens = [random_nonzero_poly(rng, vs, p, max_terms=3, max_exp=2)
                     for _ in range(rng.randint(1, 3))]
-            gb = buchberger(PolyIdeal(p, vs, gens))
+            gb = PolyIdeal(p, vs, gens).groebner_basis()
             elems = list(gb)
             for i in range(len(elems)):
                 for j in range(i + 1, len(elems)):
@@ -135,19 +136,19 @@ class TestBuchberger:
             p = rng.choice([2, 3, 5])
             gens = [random_nonzero_poly(rng, VS3, p, max_terms=3, max_exp=2)
                     for _ in range(rng.randint(1, 3))]
-            gb = buchberger(PolyIdeal(p, VS3, gens))
+            gb = PolyIdeal(p, VS3, gens).groebner_basis()
             for g in gens:
                 assert normal_form(g, gb).is_zero
 
 
 class TestNormalForm:
     def test_reduction_example(self):
-        gb = buchberger(PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2)]))
+        gb = PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2)]).groebner_basis()
         assert str(normal_form(mk("x^3", 7, VS2), gb)) == "x*y"
 
     def test_idempotent_and_linear(self):
         rng = random.Random(2024)
-        gb = buchberger(PolyIdeal(5, VS2, [mk("y - x^2", 5, VS2), mk("y^3", 5, VS2)]))
+        gb = PolyIdeal(5, VS2, [mk("y - x^2", 5, VS2), mk("y^3", 5, VS2)]).groebner_basis()
         for _ in range(50):
             f = random_poly(rng, VS2, 5)
             g = random_poly(rng, VS2, 5)
@@ -169,31 +170,31 @@ class TestMembershipAndUnits:
 
     def test_unit_ideal(self):
         unit = PolyIdeal(5, VS2, [mk("x", 5, VS2), mk("x - 1", 5, VS2)])
-        assert {str(g) for g in buchberger(unit)} == {"1"}
+        assert {str(g) for g in unit.groebner_basis()} == {"1"}
         proper = PolyIdeal(5, VS2, [mk("x", 5, VS2), mk("y", 5, VS2)])
-        assert {str(g) for g in buchberger(proper)} != {"1"}
+        assert {str(g) for g in proper.groebner_basis()} != {"1"}
 
 
 class TestQuotient:
     def test_monomial_example(self):
         I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2), mk("x*y", 7, VS2)])
         Q = ideal_quotient(I, mk("x", 7, VS2))
-        assert {str(g) for g in buchberger(Q)} == {"x", "y"}
+        assert {str(g) for g in Q.groebner_basis()} == {"x", "y"}
 
     def test_quotient_by_nondivisor(self):
         I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2)])
         Q = ideal_quotient(I, mk("y", 7, VS2))
-        assert {str(g) for g in buchberger(Q)} == {"x^2"}
+        assert {str(g) for g in Q.groebner_basis()} == {"x^2"}
 
     def test_quotient_by_member_is_unit(self):
         I = PolyIdeal(7, VS2, [mk("x", 7, VS2)])
         Q = ideal_quotient(I, mk("x", 7, VS2))
-        assert {str(g) for g in buchberger(Q)} == {"1"}
+        assert {str(g) for g in Q.groebner_basis()} == {"1"}
 
     def test_quotient_by_constant(self):
         I = PolyIdeal(7, VS2, [mk("x^2", 7, VS2)])
         Q = ideal_quotient(I, mk("3", 7, VS2))
-        assert {str(g) for g in buchberger(Q)} == {"x^2"}
+        assert {str(g) for g in Q.groebner_basis()} == {"x^2"}
 
     def test_product_lands_in_ideal_seeded(self):
         rng = random.Random(777)
@@ -383,10 +384,11 @@ class TestPackedAgainstTupleLoop:
     def test_elimination_bases_identical(self):
         for _, vs, p, gens in _seeded_cases(8102, 150):
             order = _elimination(vs.n)
-            raw = _reduced_raw(
-                _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, p),
-                order, p)
-            ours = [order.unpack_terms(g) for g in raw]
+            raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, p)
+            # a minimal basis: _reduced_raw only interreduces
+            assert all((b - a) & order.guard for i, (a, _) in enumerate(raw)
+                       for j, (b, _) in enumerate(raw) if i != j)
+            ours = [order.unpack_terms(g) for g in _reduced_raw(raw, order, p)]
             theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_elim_key)
             assert _items(ours) == _items(theirs)
 
@@ -434,6 +436,97 @@ class TestPackedAgainstTupleLoop:
             want = ref_normal_form_raw(f.terms, pairs, p, ref_grevlex_key)
             assert _items([normal_form(f, gb).terms]) == _items([want])
         assert quotients > 0
+
+    @pytest.mark.parametrize("ambient,degree,count", [
+        ("P(1,1) x P(1,1,1)", (1, 2), 12),
+        ("P(1,1,1) x P(1,1,1)", (1, 2), 12),
+        ("P(1,1,1,1)", 4, 8),
+    ], ids=["P1xP2", "P2xP2", "P3.quartic.dense"])
+    def test_jacobian_bases_identical(self, ambient, degree, count):
+        # the Jacobians the smoothness verdicts run on: product divisors, and
+        # dense quartics (12 to 35 terms), where the pair update prunes most
+        rng = random.Random(f"jacobian/{ambient}")
+        vs = parse_ambient(ambient).variable_set
+        for i in range(count):
+            p = (5, 7)[i % 2]
+            if degree == 4:
+                f = dense_form(rng, vs, p, 4, 8, 31)
+            else:
+                pool = monomials_of_degree(vs, degree)
+                f = Polynomial(p, vs, {m: rng.randint(1, p - 1)
+                                       for m in rng.sample(pool, rng.randint(4, len(pool)))})
+            gens = _jacobian_gens(f)
+            ours = [g.terms for g in PolyIdeal(p, vs, gens).groebner_basis()]
+            theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_grevlex_key)
+            assert _items(ours) == _items(theirs), str(f)
+
+
+class TestPairUpdate:
+    """Which S-pairs the Gebauer-Moeller update leaves to reduce: each one
+    costs one ``_normal_form_raw`` call inside ``_buchberger_raw``."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        real, calls = ideals._normal_form_raw, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ideals, "_normal_form_raw", counting)
+        return calls
+
+    @staticmethod
+    def _run(gens):
+        order = _grevlex(gens[0].vars.n)
+        raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens], order, gens[0].p)
+        return [order.unpack_terms(g) for _, g in raw]
+
+    def test_coprime_leading_monomials_reduce_nothing(self, reductions):
+        gens = [mk("3*x^4 + x*y"), mk("y^3 + 2*z"), mk("z^5 + x^2*y")]
+        assert self._run(gens) == [_monic(g) for g in gens]
+        assert reductions == []
+
+    def test_fermat_jacobian(self, reductions):
+        space = parse_ambient("P(1,1,1,1,3)")
+        f = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + x4^2", space.variable_set, 11)
+        partials = _jacobian_gens(f)[1:]
+        assert len(self._run(partials)) == 5
+        assert reductions == []
+        # with f itself one pair is left: f and df/dx0 share x0^5, and only
+        # the Euler relation, which no criterion sees, sends it to zero
+        assert len(self._run([f] + partials)) == 5
+        assert len(reductions) == 1
+
+    def test_bk_drops_a_queued_pair(self, reductions):
+        # (x*y, y*z) is queued with lcm x*y*z; y then divides that lcm, and
+        # its own pairs have the lcms x*y and y*z, so B_k drops it
+        assert self._run([mk("x*y"), mk("y*z"), mk("y")]) == [{(0, 1, 0): 1}]
+        assert len(reductions) == 2
+
+    def test_generator_an_active_one_divides_stays_out(self, reductions):
+        # x^2 + y and x^2 each pair with x only; the basis stays minimal
+        assert self._run([mk("x"), mk("x^2 + y"), mk("x^2")]) == [{(1, 0, 0): 1},
+                                                                {(0, 1, 0): 1}]
+        assert len(reductions) == 2
+
+    @pytest.mark.parametrize("gens", [
+        ["x^40000*y", "z", "x^40000*z"],
+        ["x^40000*y", "x^40000*z", "x"],
+        ["x^40000*y + z^2", "z + y", "x^40000*z"],
+    ], ids=["criterion_M", "criterion_Bk", "inactive"])
+    def test_pair_past_the_cap_is_never_pruned(self, gens):
+        # the pair of the first and the x^40000*z generator would be dropped
+        # by criterion M, by B_k, or (y dividing x^40000*y) never formed;
+        # its product x^80000*y*z passes the cap, so it raises as it pops
+        I = PolyIdeal(7, VS3, [mk(g) for g in gens])
+        with pytest.raises(ExponentOverflowError, match=_cap_message("(80000, 1, 1)")):
+            I.groebner_basis()
+
+
+def _monic(f):
+    inv = pow(f.terms[f.leading_monomial()], -1, f.p)
+    return {m: c * inv % f.p for m, c in f.terms.items()}
 
 
 class TestOnlyBasisCallersReduce:
