@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fanocheck.poly import VariableSet, parse_poly
+from fanocheck.poly import Prime, VariableSet, parse_poly
 from fanocheck.splitting import HypersurfaceRing, fedder_report
 
 FAMILIES = {
@@ -33,12 +33,7 @@ def survey(family: str, primes) -> None:
     print(f"{family}: f = {text}")
     for p in primes:
         vset = VariableSet.weighted(names, weights)
-        try:
-            f = parse_poly(text, vset, p)
-            rep = fedder_report(HypersurfaceRing(p, vset, f))
-        except Exception as exc:
-            print(f"  p={p:<3} skipped ({exc})")
-            continue
+        rep = fedder_report(HypersurfaceRing(p, vset, parse_poly(text, vset, p)))
         witness = f" witness {rep.witness}" if rep.witness else ""
         print(f"  p={p:<3} {rep.status:<10} residue terms {rep.residue_terms:<5}"
               f" carry terms {rep.delta1_terms:<5}{witness}".rstrip())
@@ -52,9 +47,9 @@ def main() -> int:
                         help="comma list of primes to try")
     args = parser.parse_args()
     try:
-        primes = [int(s) for s in args.primes.split(",")]
-    except ValueError:
-        print(f"error: bad prime list {args.primes!r}", file=sys.stderr)
+        primes = [Prime(int(s)).p for s in args.primes.split(",")]
+    except ValueError as exc:
+        print(f"error: bad prime list {args.primes!r}: {exc}", file=sys.stderr)
         return 2
     for family in args.family or sorted(FAMILIES):
         survey(family, primes)

@@ -17,9 +17,7 @@ from .poly import (
     weighted_degree,
 )
 from .ideals import (
-    GroebnerBasis,
     PolyIdeal,
-    buchberger,
     ideal_quotient,
     localized_is_unit,
     normal_form,
@@ -54,7 +52,6 @@ from .chow import (
     ProductBase,
     SplitBundleSpec,
     canonical_class,
-    chern_top_degree,
     intersect,
     omega_twist_factors,
     section_class,
@@ -63,7 +60,6 @@ from .delpezzo import (
     LatticeClass,
     PicLattice,
     PointConfig,
-    count_compatible_exceptionals,
     enumerate_classes,
     fano_lines,
     langer_neg2_classes,

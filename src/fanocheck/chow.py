@@ -240,11 +240,6 @@ def section_class(ring: IntersectionRing, j: int) -> DivClass:
     return DivClass(tuple(-a for a in other), 1)
 
 
-def chern_top_degree(ring: IntersectionRing, line_factors: Sequence[DivClass]) -> int:
-    """Top Chern degree of a direct sum of line bundles: product of classes."""
-    return intersect(ring, line_factors)
-
-
 def omega_twist_factors(base: ProductBase, twist: DivClass) -> list:
     """Line-bundle factors of the twisted cotangent bundle on a product of P^1.
 

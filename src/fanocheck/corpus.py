@@ -290,7 +290,8 @@ def langer_summary() -> str:
     lattice = delpezzo.PicLattice(7)
     exceptional = delpezzo.enumerate_classes(lattice, -1, -1, 3)
     neg2 = delpezzo.langer_neg2_classes()
-    compatible = delpezzo._count_compatible(exceptional, neg2)
+    compatible = sum(1 for cls in exceptional
+                     if all(cls.dot(n) >= 0 for n in neg2))
     disjoint = all(a.dot(b) == 0 for i, a in enumerate(neg2)
                    for b in neg2[i + 1:])
     return (f"(-1)-classes: {len(exceptional)}; compatible: {compatible}; "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .smallfields import GF, UnsupportedFieldSizeError, _factor_prime_power
 
@@ -153,17 +153,6 @@ def langer_neg2_classes() -> list:
         m = tuple(1 if i in line else 0 for i in range(7))
         out.append(LatticeClass(1, m))
     return out
-
-
-def count_compatible_exceptionals(neg2_classes: Sequence, d_max: int = 3) -> int:
-    """Exceptional classes meeting every given (-2)-class nonnegatively."""
-    return _count_compatible(enumerate_classes(PicLattice(7), -1, -1, d_max),
-                             neg2_classes)
-
-
-def _count_compatible(classes: Iterable, neg2_classes: Sequence) -> int:
-    return sum(1 for cls in classes
-               if all(cls.dot(n) >= 0 for n in neg2_classes))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,6 @@ def jacobian_ideal(variety: HypersurfaceVariety) -> PolyIdeal:
 class ConeResult:
     smooth_away_from_irrelevant: bool
     witness_chart: Optional[str] = None  # product of variables that failed
-    witness_ideal: Optional[PolyIdeal] = None
 
 
 def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResult:
@@ -262,7 +261,7 @@ def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResul
     vset = variety.space.variable_set
     for chart in variety.space.chart_tuples():
         if not _chart_is_unit(jac, [vset.index(name) for name in chart]):
-            return ConeResult(False, "*".join(chart), jac)
+            return ConeResult(False, "*".join(chart))
     return ConeResult(True)
 
 
@@ -303,7 +302,7 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     variables is not the unit ideal.  That is the first chart where J does
     not become the unit ideal after inverting the chart's product (J is
     homogeneous for one C* per factor), so ``witness_chart`` names the
-    chart a localization test would, and ``witness_ideal`` is J itself.
+    chart a localization test would.
     """
     jac = jacobian_ideal(variety)
     if _support_certificate(variety.space, jac):

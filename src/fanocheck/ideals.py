@@ -39,7 +39,6 @@ leaves through the packing's ``polynomial`` method; the public API speaks
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
@@ -51,6 +50,7 @@ from .poly import (
     _elimination,
     _grevlex,
     _PackedOrder,
+    as_prime,
 )
 
 
@@ -248,20 +248,6 @@ def _reduced_raw(pairs: Sequence, order: _PackedOrder, p: int) -> list:
 # public ideal API
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced basis, monic elements sorted by increasing leading monomial."""
-
-    order: str
-    elements: tuple
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
 class PolyIdeal:
     """Ideal given by finitely many generators in a fixed ring.
 
@@ -271,7 +257,7 @@ class PolyIdeal:
     """
 
     def __init__(self, field, variables: VariableSet, generators: Sequence):
-        self.field = field if isinstance(field, Prime) else Prime(field)
+        self.field = as_prime(field)
         self.vars = variables
         gens = []
         for g in generators:
@@ -279,16 +265,17 @@ class PolyIdeal:
                 raise ValueError("generator lives in a different ring")
             gens.append(g)
         self.generators = tuple(gens)
-        self._gb: Optional[GroebnerBasis] = None
+        self._gb: Optional[tuple] = None
 
-    def groebner_basis(self) -> GroebnerBasis:
+    def groebner_basis(self) -> tuple:
+        """The reduced grevlex basis: monic polynomials sorted by increasing
+        leading monomial, ``(1,)`` for the unit ideal and ``()`` for zero."""
         if self._gb is None:
             order = _grevlex(self.vars.n)
             raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
                                   order, self.field.p)
             raw = _reduced_raw(raw, order, self.field.p)
-            elems = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
-            self._gb = GroebnerBasis("grevlex", elems)
+            self._gb = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:
@@ -329,17 +316,13 @@ def _chart_is_unit(ideal: PolyIdeal, chart: Sequence[int]) -> bool:
     return _buchberger_raw(gens, order, p) is _UNIT
 
 
-def buchberger(ideal: PolyIdeal) -> GroebnerBasis:
-    return ideal.groebner_basis()
-
-
 def _check_ring(f: Polynomial, field: Prime, variables: VariableSet) -> None:
     if f.field != field or f.vars != variables:
         raise ValueError("polynomial lives in a different ring")
 
 
-def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f against a reduced basis (grevlex)."""
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Unique remainder of f against a reduced grevlex basis."""
     order = _grevlex(f.vars.n)
     pairs = []
     for g in basis:

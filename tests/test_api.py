@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "DivClass",
     "ExponentOverflowError",
     "FedderReport",
-    "GroebnerBasis",
     "HypersurfaceRing",
     "HypersurfaceVariety",
     "IntersectionRing",
@@ -47,11 +46,8 @@ PUBLIC_NAMES = [
     "VariableSet",
     "ZeroPolynomialError",
     "ambient_singular_strata",
-    "buchberger",
     "canonical_class",
-    "chern_top_degree",
     "cone_smoothness",
-    "count_compatible_exceptionals",
     "delta1",
     "delta1_probe",
     "enumerate_classes",
@@ -93,7 +89,6 @@ MODULE_SURFACES = {
         "ProductBase",
         "SplitBundleSpec",
         "canonical_class",
-        "chern_top_degree",
         "div_class_str",
         "evaluate_expression",
         "expression_result_str",
@@ -127,7 +122,6 @@ MODULE_SURFACES = {
         "LatticeClass",
         "PicLattice",
         "PointConfig",
-        "count_compatible_exceptionals",
         "enumerate_classes",
         "fano_lines",
         "langer_neg2_classes",
@@ -150,9 +144,7 @@ MODULE_SURFACES = {
         "smoothness_verdict",
     ],
     "ideals": [
-        "GroebnerBasis",
         "PolyIdeal",
-        "buchberger",
         "ideal_quotient",
         "localized_is_unit",
         "normal_form",

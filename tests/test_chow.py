@@ -11,7 +11,6 @@ from fanocheck.chow import (
     ProductBase,
     SplitBundleSpec,
     canonical_class,
-    chern_top_degree,
     div_class_str,
     evaluate_expression,
     expression_result_str,
@@ -102,7 +101,7 @@ class TestIntersectionNumbers:
         base = ProductBase((1, 1, 1))
         factors = omega_twist_factors(base, DivClass((2, 2, 2)))
         assert [f.h for f in factors] == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
-        got = chern_top_degree(IntersectionRing(base), factors)
+        got = intersect(IntersectionRing(base), factors)
         assert got == 16
         assert naive_product_degree((1, 1, 1), [f.h for f in factors]) == 16
 

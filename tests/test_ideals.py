@@ -6,7 +6,6 @@ import pytest
 from fanocheck import ideals
 from fanocheck.geometry import HypersurfaceVariety, cone_smoothness, parse_ambient
 from fanocheck.ideals import (
-    GroebnerBasis,
     PolyIdeal,
     _buchberger_raw,
     _chart_is_unit,
@@ -88,7 +87,7 @@ class TestBuchberger:
 
     def test_unit_short_circuit(self):
         gb = PolyIdeal(5, VS2, [mk("x + 1", 5, VS2), mk("x", 5, VS2)]).groebner_basis()
-        assert len(gb) == 1 and gb.elements[0].is_constant()
+        assert len(gb) == 1 and gb[0].is_constant()
 
     def test_zero_ideal_empty_basis(self):
         gb = PolyIdeal(5, VS2, [Polynomial.zero(5, VS2)]).groebner_basis()
@@ -146,6 +145,12 @@ class TestNormalForm:
         gb = PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2)]).groebner_basis()
         assert str(normal_form(mk("x^3", 7, VS2), gb)) == "x*y"
 
+    def test_basis_is_a_plain_tuple(self):
+        gb = PolyIdeal(7, VS2, [mk("y - x^2", 7, VS2), mk("x*y", 7, VS2)]).groebner_basis()
+        assert type(gb) is tuple
+        assert [str(g) for g in gb] == ["y^2", "x*y", "x^2 + 6*y"]
+        assert str(normal_form(mk("x^3 + y", 7, VS2), gb)) == "y"
+
     def test_idempotent_and_linear(self):
         rng = random.Random(2024)
         gb = PolyIdeal(5, VS2, [mk("y - x^2", 5, VS2), mk("y^3", 5, VS2)]).groebner_basis()
@@ -157,7 +162,7 @@ class TestNormalForm:
             assert normal_form(f + g, gb) == normal_form(f, gb) + normal_form(g, gb)
 
     def test_empty_basis_returns_input(self):
-        gb = GroebnerBasis("grevlex", ())
+        gb = ()
         f = mk("x + y", 5, VS2)
         assert normal_form(f, gb) == f
 

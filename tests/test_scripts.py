@@ -94,6 +94,15 @@ def test_splitting_survey_reruns_byte_for_byte():
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize("primes", ["2,4", "2,x", "2,101"])
+def test_splitting_survey_rejects_a_bad_prime_before_any_row(primes):
+    run = _run(str(SCRIPTS / "splitting_survey.py"), "--family", "quartic",
+               "--primes", primes)
+    assert run.returncode == 2
+    assert run.stderr.startswith(b"error: ")
+    assert run.stdout == b""
+
+
 def _survey_module():
     spec = importlib.util.spec_from_file_location(
         "splitting_survey", SCRIPTS / "splitting_survey.py")
@@ -119,6 +128,17 @@ def test_splitting_survey_counts_every_carry():
         text, names, weights = survey.FAMILIES[family]
         vs = VariableSet.weighted(names, weights)
         assert terms == delta1(parse_poly(text, vs, p)).num_terms, (family, p)
+
+
+def test_splitting_survey_lets_a_crash_propagate(monkeypatch):
+    survey = _survey_module()
+
+    def crash(ring):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(survey, "fedder_report", crash)
+    with pytest.raises(RuntimeError, match="boom"):
+        survey.survey("quartic", [2])
 
 
 def test_survey_families_match_the_diagonal_closed_form():
