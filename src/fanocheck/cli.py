@@ -114,28 +114,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fanocheck",
-        description="Exact splitting, smoothness, intersection and lattice checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fsplit", help="Frobenius splitting verdict for a hypersurface")
+def _fsplit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--prime", type=int, required=True)
     p.add_argument("--vars", required=True,
                    help="comma list of names with optional :weight, e.g. x0,x1,y:3")
     p.add_argument("--poly", required=True)
     p.set_defaults(func=_cmd_fsplit)
 
-    p = sub.add_parser("delta1", help="first Witt carry, optionally probed mod p^s")
+
+def _delta1_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--prime", type=int, required=True)
     p.add_argument("--vars", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--probe", help="a,b,s: print f^a * delta1(f)^b mod (x_i^(p^s))")
     p.set_defaults(func=_cmd_delta1)
 
-    p = sub.add_parser("smooth", help="smoothness verdict for a hypersurface")
+
+def _smooth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--prime", type=int, required=True)
     p.add_argument("--ambient", required=True,
                    help="e.g. 'P(1,1,1,1,3)' or 'P(1,1,1) x P(1,1,1)'")
@@ -143,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("chow", help="intersection numbers and canonical classes")
+
+def _chow_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base", required=True, help="factor dimensions, e.g. '1,1,1'")
     p.add_argument("--bundle", help="twists per summand, e.g. '0,0;1,0;0,1'")
     p.add_argument("--expr", help="class expression, e.g. 'deg((2*h1+3*h2)^3)'")
@@ -151,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the canonical class")
     p.set_defaults(func=_cmd_chow)
 
-    p = sub.add_parser("lattice", help="exceptional-class counts in Pic of blow-ups")
+
+def _lattice_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=["exc"])
     p.add_argument("--points", type=int, default=7)
     p.add_argument("--dmax", type=int, default=3)
@@ -159,18 +156,51 @@ def build_parser() -> argparse.ArgumentParser:
                    help="counts for the blown-up 7-point plane")
     p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("verify", help="run a corpus of expected verdicts")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_verify)
 
+
+# (name, help, add-arguments function) of every subcommand, in help order
+_SUBCOMMANDS = (
+    ("fsplit", "Frobenius splitting verdict for a hypersurface", _fsplit_arguments),
+    ("delta1", "first Witt carry, optionally probed mod p^s", _delta1_arguments),
+    ("smooth", "smoothness verdict for a hypersurface", _smooth_arguments),
+    ("chow", "intersection numbers and canonical classes", _chow_arguments),
+    ("lattice", "exceptional-class counts in Pic of blow-ups", _lattice_arguments),
+    ("verify", "run a corpus of expected verdicts", _verify_arguments),
+)
+
+
+def _parser(subcommands) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fanocheck",
+        description="Exact splitting, smoothness, intersection and lattice checks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in subcommands:
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_SUBCOMMANDS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  When ``argv[0]`` names one, the parser holds only
+    its subparser; help, a missing or unknown subcommand and unrecognized
+    arguments, which argparse reports with the top-level usage, go through
+    :func:`build_parser`, so every message reads as it does there."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    chosen = [entry for entry in _SUBCOMMANDS if argv[:1] == [entry[0]]]
+    if chosen:
+        args, extras = _parser(chosen).parse_known_args(argv)
+    if not chosen or extras:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AlgebraError, UnsupportedStratumError, ValueError) as exc:

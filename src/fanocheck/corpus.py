@@ -23,7 +23,6 @@ to the same bytes regardless of --jobs.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -406,6 +405,10 @@ def run_corpus(path, jobs: int = 1) -> Report:
     if jobs == 1 or len(entries) <= 1:
         per_entry = [_run_entry(e) for e in entries]
     else:
+        # imported here: the pool alone needs it, and it loads logging,
+        # traceback and queue into every process that imports it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_entry = list(pool.map(_run_entry, entries))
     rows = [row for chunk in per_entry for row in chunk]

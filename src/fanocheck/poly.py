@@ -20,10 +20,11 @@ instead of silently blowing up.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import countOf, mul
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
 
@@ -482,54 +483,44 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "end"
     text: str
     pos: int
 
 
-_OP_CHARS = set("+-*^(),")
+# one token per match, its kind the group that matched: a run of decimal
+# digits (str.isdecimal), a run of word characters (str.isalnum or "_"), an
+# operator, or any other character but whitespace (str.isspace), an error
+_WORD = r"\w+"
+_TOKEN = re.compile(rf"(\d+)|({_WORD})|([-+*^(),])|(\S)")
+_KINDS = (None, "int", "ident", "op")
+
+
+def _is_identifier(word: str) -> bool:
+    """Whether a run of word characters that is no number lexes as an
+    identifier: it starts with a letter or '_'."""
+    return word[0].isalpha() or word[0] == "_"
 
 
 def tokenize(text: str) -> list:
     """Shared lexer for polynomial and class expressions."""
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _OP_CHARS:
-            out.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        word = m.group()
+        if group == 4 or (group == 2 and not _is_identifier(word)):
+            raise ParseError(f"unexpected character {word[0]!r}", m.start())
+        out.append(Token(_KINDS[group], word, m.start()))
+    out.append(Token("end", "", len(text)))
     return out
 
 
 def _is_variable_name(name) -> bool:
     """Whether a polynomial can name the variable: the whole string is one
     identifier token of :func:`tokenize`."""
-    return (isinstance(name, str) and name != ""
-            and (name[0].isalpha() or name[0] == "_")
-            and all(ch.isalnum() or ch == "_" for ch in name))
+    return (isinstance(name, str) and re.fullmatch(_WORD, name) is not None
+            and _is_identifier(name))
 
 
 class _TokenStream:
@@ -562,64 +553,67 @@ def _parse_uint(ts: _TokenStream, what: str) -> int:
     return int(tok.text)
 
 
-def _parse_factor(ts: _TokenStream, variables: VariableSet):
-    """One variable with an optional ^exponent; returns (index, exponent)."""
-    tok = ts.cur
-    if tok.kind != "ident":
-        raise ParseError("expected a variable name", tok.pos)
-    ts.advance()
-    try:
-        idx = variables.index(tok.text)
-    except KeyError:
-        raise ParseError(f"unknown variable {tok.text!r}", tok.pos) from None
-    e = 1
-    if ts.accept_op("^"):
-        e = _parse_uint(ts, "an exponent")
-        if e >= EXPONENT_LIMIT:
-            raise ParseError(f"exponent {e} exceeds the cap {EXPONENT_LIMIT}", tok.pos)
-    return idx, e
-
-
-def _parse_term(ts: _TokenStream, variables: VariableSet, p: int):
-    """coeff ('*'? factor)* | factor ('*'? factor)* ; returns (coeff, mono)."""
-    tok = ts.cur
-    coeff = 1
-    exps = [0] * variables.n
-    if tok.kind == "int":
-        ts.advance()
-        coeff = int(tok.text) % p
-    elif tok.kind != "ident":
-        raise ParseError("expected a term", tok.pos)
-    while ts.accept_op("*") or ts.cur.kind == "ident":
-        idx, e = _parse_factor(ts, variables)
-        exps[idx] += e
-    if any(e >= EXPONENT_LIMIT for e in exps):
-        raise ParseError(f"exponent cap {EXPONENT_LIMIT} exceeded", tok.pos)
-    return coeff, tuple(exps)
-
-
 def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polynomial:
     """Parse ``text`` into a polynomial; coefficients reduce mod p as parsed.
 
     Grammar: expr := term (('+'|'-') term)*, with a single optional unary
-    minus in front of the leading term.  Adjacency means multiplication, as
-    does '*'.
+    minus in front of the leading term; term := (int | factor) ('*'? factor)*
+    and factor := ident ('^' int)?.  Adjacency means multiplication, as
+    does '*'.  The token list is walked by index; every read of a token
+    checks its kind or text, so the walk stops at the "end" token.  An
+    operator's text is one character no other token has.
     """
     field = as_prime(p)
-    ts = _TokenStream(tokenize(text))
+    p = field.p
+    tokens = tokenize(text)
+    slots = {name: k for k, name in enumerate(variables.names)}
     terms = {}
-    sign = -1 if ts.accept_op("-") else 1
+    sign, i = (-1, 1) if tokens[0][1] == "-" else (1, 0)
     while True:
-        coeff, mono = _parse_term(ts, variables, field.p)
+        kind, word, start = tokens[i]
+        coeff = 1
+        exps = [0] * len(slots)
+        if kind == "int":
+            coeff = int(word) % p
+            i += 1
+        elif kind != "ident":
+            raise ParseError("expected a term", start)
+        while True:
+            kind, word, pos = tokens[i]
+            if word == "*":
+                i += 1
+                kind, word, pos = tokens[i]
+                if kind != "ident":
+                    raise ParseError("expected a variable name", pos)
+            elif kind != "ident":
+                break
+            try:
+                k = slots[word]
+            except KeyError:
+                raise ParseError(f"unknown variable {word!r}", pos) from None
+            i += 1
+            e = 1
+            if tokens[i][1] == "^":
+                kind, digits, at = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected an exponent", at)
+                e = int(digits)
+                if e >= EXPONENT_LIMIT:
+                    raise ParseError(f"exponent {e} exceeds the cap {EXPONENT_LIMIT}", pos)
+                i += 2
+            exps[k] += e
+        if max(exps) >= EXPONENT_LIMIT:
+            raise ParseError(f"exponent cap {EXPONENT_LIMIT} exceeded", start)
+        mono = tuple(exps)
         terms[mono] = terms.get(mono, 0) + sign * coeff
-        tok = ts.cur
-        if tok.kind == "op" and tok.text in "+-":
-            sign = 1 if tok.text == "+" else -1
-            ts.advance()
-            continue
-        if tok.kind == "end":
+        kind, word, pos = tokens[i]
+        if word == "+" or word == "-":
+            sign = 1 if word == "+" else -1
+            i += 1
+        elif kind == "end":
             break
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        else:
+            raise ParseError(f"unexpected {word!r}", pos)
     return Polynomial(field, variables, terms)
 
 

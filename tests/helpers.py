@@ -21,7 +21,6 @@ from fanocheck.poly import (
     Polynomial,
     VariableSet,
     parse_poly,
-    tokenize,
 )
 from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power, poly_eval
 
@@ -289,15 +288,121 @@ def naive_bundle_degree(dims, twists, classes) -> int:
 # names and tokens
 # ---------------------------------------------------------------------------
 
+def ref_tokenize(text: str) -> list:
+    """The lexer one character at a time, as (kind, text, pos) triples:
+    decimal runs are ints, a letter or '_' starts an identifier that runs
+    over letters, digits, numerics and '_', whitespace is skipped, and any
+    other character but an operator is a ParseError at its position."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^(),":
+            out.append(("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    out.append(("end", "", n))
+    return out
+
+
+def ref_parse_poly(text: str, variables: VariableSet, p: int) -> Polynomial:
+    """The recursive-descent polynomial parser over :func:`ref_tokenize`,
+    one helper per grammar rule and a cursor that never passes "end"."""
+    tokens = ref_tokenize(text)
+    at = [0]
+
+    def cur():
+        return tokens[at[0]]
+
+    def advance():
+        tok = cur()
+        if tok[0] != "end":
+            at[0] += 1
+        return tok
+
+    def accept_op(ch):
+        if cur()[:2] == ("op", ch):
+            advance()
+            return True
+        return False
+
+    def factor():
+        kind, word, pos = cur()
+        if kind != "ident":
+            raise ParseError("expected a variable name", pos)
+        advance()
+        if word not in variables.names:
+            raise ParseError(f"unknown variable {word!r}", pos)
+        e = 1
+        if accept_op("^"):
+            ekind, digits, epos = cur()
+            if ekind != "int":
+                raise ParseError("expected an exponent", epos)
+            advance()
+            e = int(digits)
+            if e >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent {e} exceeds the cap {EXPONENT_LIMIT}", pos)
+        return variables.names.index(word), e
+
+    def term():
+        kind, word, pos = cur()
+        coeff = 1
+        exps = [0] * variables.n
+        if kind == "int":
+            advance()
+            coeff = int(word) % p
+        elif kind != "ident":
+            raise ParseError("expected a term", pos)
+        while accept_op("*") or cur()[0] == "ident":
+            idx, e = factor()
+            exps[idx] += e
+        if any(e >= EXPONENT_LIMIT for e in exps):
+            raise ParseError(f"exponent cap {EXPONENT_LIMIT} exceeded", pos)
+        return coeff, tuple(exps)
+
+    terms = {}
+    sign = -1 if accept_op("-") else 1
+    while True:
+        coeff, mono = term()
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        kind, word, pos = cur()
+        if kind == "op" and word in "+-":
+            sign = 1 if word == "+" else -1
+            advance()
+            continue
+        if kind == "end":
+            break
+        raise ParseError(f"unexpected {word!r}", pos)
+    return Polynomial(p, variables, terms)
+
+
 def ref_is_variable_name(name) -> bool:
     """Whether the whole of ``name`` lexes as one identifier token."""
     if not isinstance(name, str):
         return False
     try:
-        tokens = tokenize(name)
+        tokens = ref_tokenize(name)
     except ParseError:
         return False
-    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == name
+    return len(tokens) == 2 and tokens[0] == ("ident", name, 0)
 
 
 # ---------------------------------------------------------------------------

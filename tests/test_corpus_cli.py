@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fanocheck import corpus
-from fanocheck.cli import main
+from fanocheck.cli import build_parser, main
 from fanocheck.corpus import (
     CorpusFormatError,
     langer_summary,
@@ -465,6 +469,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"] == {"total": 32, "passed": 32, "failed": 0}
 
+    @pytest.mark.parametrize("fmt,prefix", [
+        ("json", "283133dec2313b79"), ("text", "797fb0e6368f43fe")])
+    def test_verify_report_bytes_are_pinned(self, fmt, prefix, capsys):
+        assert main(["verify", str(SHIPPED), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+    def test_default_jobs_leave_the_thread_pool_unimported(self):
+        code = ("import contextlib, io, sys\n"
+                "from fanocheck.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main(['verify', {str(SHIPPED)!r}])\n"
+                "print(code, 'concurrent.futures' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SHIPPED.parent.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
+
     def test_verify_jobs_identical_output(self, capsys):
         main(["verify", str(SHIPPED), "--jobs", "1"])
         first = capsys.readouterr().out
@@ -500,3 +525,24 @@ class TestCli:
                      "--poly", "x0"]) == 2
         assert main(["fsplit", "-p", "2", "--vars", "x0,,x1",
                      "--poly", "x0"]) == 2
+
+
+def _exit(parse, argv, capsys):
+    """stdout, stderr and exit status of ``parse(argv)``."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["verify"], ["verify", "-h"],
+    *[[name, "-h"] for name in ("fsplit", "delta1", "smooth", "chow", "lattice")],
+    ["fsplit", "-p", "x"], ["lattice", "foo"],
+    ["verify", "x.json", "--format", "xml"], ["--help", "verify"],
+    ["verify", "x.json", "--bogus"], ["verify", "a", "b"],
+], ids=repr)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    assert _exit(main, argv, capsys) == _exit(build_parser().parse_args, argv, capsys)

@@ -32,6 +32,8 @@ from helpers import (
     ref_elim_key,
     ref_grevlex_key,
     ref_is_variable_name,
+    ref_parse_poly,
+    ref_tokenize,
 )
 
 
@@ -112,6 +114,7 @@ class TestParse:
         ('2x + y)', "unexpected ')' (at position 6)", 6),
         ('x y^', 'expected an exponent (at position 4)', 4),
         ('(x)', 'expected a term (at position 0)', 0),
+        ('y + x^65535*x', 'exponent cap 65536 exceeded (at position 4)', 4),
     ])
     def test_parse_error_messages(self, text, message, pos):
         vs = VariableSet.unit("x,y")
@@ -199,6 +202,35 @@ class TestGrading:
     @given(st.one_of(st.text(max_size=6), st.text(alphabet=_NAME_CHARS, max_size=6)))
     def test_name_check_matches_the_tokenizer(self, name):
         assert poly_module._is_variable_name(name) is ref_is_variable_name(name)
+
+    # the name alphabet, more whitespace (no-break space, a separator
+    # control, the line separator), the other operators and a stray symbol
+    _LEX_CHARS = _NAME_CHARS + "\u00a0\x1c\u2028(),#"
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(st.text(max_size=12), st.text(alphabet=_LEX_CHARS, max_size=12)))
+    def test_lexer_matches_the_character_scan(self, text):
+        assert _outcome(tokenize, text) == _outcome(ref_tokenize, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.text(alphabet="xyz0123 +-*^()#\u00b2\u0663", max_size=12),
+           st.sampled_from([2, 5]))
+    def test_parser_matches_the_recursive_descent(self, text, p):
+        assert (_outcome(lambda t: parse_poly(t, VS_XY, p), text)
+                == _outcome(lambda t: ref_parse_poly(t, VS_XY, p), text))
+
+    def test_tokens_are_plain_tuples(self):
+        tok = tokenize("x")[0]
+        assert tok == ("ident", "x", 0)
+        assert (tok.kind, tok.text, tok.pos) == ("ident", "x", 0)
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, or its ParseError's message and position."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.pos
 
 
 def _bad_tuple(exponents: str) -> str:
