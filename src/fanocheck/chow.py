@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import (ParseError, _mul_packed, _packing, _parse_uint, _TokenStream,
-                   mono_str, tokenize)
+from .poly import ParseError, _mul_packed, _packing, mono_str, tokenize
 
 
 class DimensionMismatchError(ValueError):
@@ -271,95 +270,104 @@ def div_class_str(ring: IntersectionRing, cls: DivClass) -> str:
 MAX_NESTING = 200
 
 
-class _ExprParser(_TokenStream):
+class _ExprParser:
     """expr := term (('+'|'-') term)*; term := factor ('*'? factor)*;
     factor := '-' factor | int | ident ['^' int] | '(' expr ')' | deg(expr).
 
     Identifiers: h1..hk, xi (bundle rings), K (the canonical class).
     Factors nest at most MAX_NESTING deep (parentheses, deg() and unary
     minus), so deep input is a ParseError, not a RecursionError.  Every
-    element is packed and reduced.
+    element is packed and reduced.  The token list is walked by index, as
+    parse_poly walks it: every read checks a token's kind or text, so the
+    walk stops at the "end" token, and an operator's text is one character
+    no other token has.
     """
 
-    def __init__(self, ring: IntersectionRing, tokens):
-        super().__init__(tokens)
+    def __init__(self, ring: IntersectionRing, tokens: list):
         self.ring = ring
+        self.tokens = tokens
+        self.i = 0
         self.depth = 0
 
     def expect(self, ch: str):
-        if not self.accept_op(ch):
-            raise ParseError(f"expected {ch!r}", self.cur.pos)
+        _, word, pos = self.tokens[self.i]
+        if word != ch:
+            raise ParseError(f"expected {ch!r}", pos)
+        self.i += 1
 
     def parse(self) -> dict:
         el = self.expr()
-        if self.cur.kind != "end":
-            raise ParseError(f"unexpected {self.cur.text!r}", self.cur.pos)
+        kind, word, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected {word!r}", pos)
         return el
 
     def expr(self) -> dict:
         el = self.term()
         while True:
-            if self.accept_op("+"):
-                el = self.ring.add(el, self.term())
-            elif self.accept_op("-"):
-                el = self.ring.add(el, self.ring.scale(self.term(), -1))
-            else:
+            word = self.tokens[self.i][1]
+            if word != "+" and word != "-":
                 return el
-
-    def _starts_factor(self) -> bool:
-        tok = self.cur
-        return tok.kind in ("int", "ident") or (tok.kind == "op" and tok.text == "(")
+            self.i += 1
+            rhs = self.term()
+            el = self.ring.add(el, rhs if word == "+" else self.ring.scale(rhs, -1))
 
     def term(self) -> dict:
         el = self.factor()
         while True:
-            if self.accept_op("*") or self._starts_factor():
-                el = self.ring._mul(el, self.factor())
-            else:
+            kind, word, pos = self.tokens[self.i]
+            if word == "*":
+                self.i += 1
+            elif kind != "int" and kind != "ident" and word != "(":
                 return el
+            el = self.ring._mul(el, self.factor())
 
     def factor(self) -> dict:
         if self.depth == MAX_NESTING:
-            raise ParseError("expression nested too deeply", self.cur.pos)
+            raise ParseError("expression nested too deeply", self.tokens[self.i][2])
         self.depth += 1
         el = self._factor()
         self.depth -= 1
         return el
 
     def _factor(self) -> dict:
-        tok = self.cur
-        if self.accept_op("-"):
-            return self.ring.scale(self.factor(), -1)
-        if tok.kind == "int":
-            self.advance()
-            return self.ring.scale({0: 1}, int(tok.text))
-        if self.accept_op("("):
+        ring = self.ring
+        kind, word, pos = self.tokens[self.i]
+        self.i += 1
+        if word == "-":
+            return ring.scale(self.factor(), -1)
+        if kind == "int":
+            return ring.scale({0: 1}, int(word))
+        if word == "(":
             el = self.expr()
             self.expect(")")
             return self._maybe_power(el)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "deg":
-                self.expect("(")
-                el = self.expr()
-                self.expect(")")
-                return self.ring.scale({0: 1}, el.get(self.ring._top, 0))
-            if tok.text == "K":
-                return self._maybe_power(self.ring._class(canonical_class(self.ring)))
-            if tok.text == "xi":
-                if not self.ring.bundle:
-                    raise ParseError("xi needs a bundle ring", tok.pos)
-                return self._maybe_power({self.ring._order.units[-1]: 1})
-            if tok.text.startswith("h") and tok.text[1:].isdecimal():
-                i = int(tok.text[1:]) - 1
-                if 0 <= i < self.ring.k:
-                    return self._maybe_power({self.ring._order.units[i]: 1})
-            raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
-        raise ParseError("expected a class expression", tok.pos)
+        if kind != "ident":
+            raise ParseError("expected a class expression", pos)
+        if word == "deg":
+            self.expect("(")
+            el = self.expr()
+            self.expect(")")
+            return ring.scale({0: 1}, el.get(ring._top, 0))
+        if word == "K":
+            return self._maybe_power(ring._class(canonical_class(ring)))
+        if word == "xi":
+            if not ring.bundle:
+                raise ParseError("xi needs a bundle ring", pos)
+            return self._maybe_power({ring._order.units[-1]: 1})
+        if word.startswith("h") and word[1:].isdecimal():
+            i = int(word[1:]) - 1
+            if 0 <= i < ring.k:
+                return self._maybe_power({ring._order.units[i]: 1})
+        raise ParseError(f"unknown symbol {word!r}", pos)
 
     def _maybe_power(self, el: dict) -> dict:
-        if self.accept_op("^"):
-            e = _parse_uint(self, "an exponent")
+        if self.tokens[self.i][1] == "^":
+            kind, digits, pos = self.tokens[self.i + 1]
+            if kind != "int":
+                raise ParseError("expected an exponent", pos)
+            self.i += 2
+            e = int(digits)
             # el = c + n with n of positive degree; classes above the
             # dimension vanish, so (c + n)^e = sum_k C(e, k) c^(e-k) n^k
             # ends at the first zero power of n, however large e is
@@ -383,10 +391,6 @@ def evaluate_expression(ring: IntersectionRing, text: str) -> dict:
 
 
 def expression_result_str(ring: IntersectionRing, el: dict) -> str:
-    """Integer string for constants, class string otherwise; ``el`` is
-    reduced, as evaluate_expression returns it."""
-    if not el:
-        return "0"
-    if len(el) == 1 and not any(next(iter(el))):
-        return str(next(iter(el.values())))
+    """The element as element_str prints it, so a constant prints as its
+    integer, in full; ``el`` is reduced, as evaluate_expression returns it."""
     return ring.element_str(el)

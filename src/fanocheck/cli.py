@@ -39,7 +39,7 @@ def _parse_vars_spec(spec: str) -> VariableSet:
             name, weight = part, 1
         if weight < 1:
             raise InputError(f"weight must be positive in {part!r}")
-        names.append(name.strip())
+        names.append(name)
         weights.append(weight)
     try:
         return VariableSet.weighted(names, weights)
@@ -77,7 +77,7 @@ def _cmd_delta1(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    names = [s.strip() for s in args.vars.split(",")] if args.vars else None
+    names = args.vars.split(",") if args.vars else None
     space = parse_ambient(args.ambient, names)
     return _print_result(corpusmod.smooth(args.prime, space, args.poly))
 

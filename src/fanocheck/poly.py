@@ -302,11 +302,19 @@ class VariableSet:
 
 def mono_str(names: Sequence[str], mono: Monomial, coeff: int = 1) -> str:
     """One printed term: the coefficient unless it is 1, then x^e factors
-    joined by '*'; the unit monomial prints as its coefficient ("1")."""
+    joined by '*'; the unit monomial prints as its coefficient ("1").  The
+    coefficient prints in full however many digits it has."""
     factors = [name if e == 1 else f"{name}^{e}"
                for name, e in zip(names, mono) if e]
     if coeff != 1 or not factors:
-        factors.insert(0, str(coeff))
+        try:
+            digits = str(coeff)
+        except ValueError:
+            # past sys.get_int_max_str_digits(), which Decimal does not
+            # apply, and which is the whole process's to set
+            from decimal import Decimal
+            digits = str(Decimal(coeff))
+        factors.insert(0, digits)
     return "*".join(factors)
 
 
@@ -521,36 +529,6 @@ def _is_variable_name(name) -> bool:
     identifier token of :func:`tokenize`."""
     return (isinstance(name, str) and re.fullmatch(_WORD, name) is not None
             and _is_identifier(name))
-
-
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def accept_op(self, ch: str) -> bool:
-        if self.cur.kind == "op" and self.cur.text == ch:
-            self.advance()
-            return True
-        return False
-
-
-def _parse_uint(ts: _TokenStream, what: str) -> int:
-    tok = ts.cur
-    if tok.kind != "int":
-        raise ParseError(f"expected {what}", tok.pos)
-    ts.advance()
-    return int(tok.text)
 
 
 def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polynomial:

@@ -13,6 +13,7 @@ import math
 import random
 from functools import lru_cache
 
+from fanocheck.chow import MAX_NESTING, canonical_class
 from fanocheck.delpezzo import LatticeClass, PointConfig, pgl3_order
 from fanocheck.poly import (
     EXPONENT_LIMIT,
@@ -21,6 +22,7 @@ from fanocheck.poly import (
     Polynomial,
     VariableSet,
     parse_poly,
+    tokenize,
 )
 from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power, poly_eval
 
@@ -78,11 +80,12 @@ def random_homogeneous(rng: random.Random, vset: VariableSet, p: int,
 
 def dense_form(rng: random.Random, vset: VariableSet, p: int, degree: int,
                low: int, high: int) -> Polynomial:
-    """The Fermat form of the degree (unit weights) plus ``low`` to ``high``
-    other monomials of that degree, with seeded coefficients in 1..p-1."""
+    """The Fermat form of the degree (the sum of its pure powers) plus
+    ``low`` to ``high`` other monomials of that degree, with seeded
+    coefficients in 1..p-1."""
     pool = monomials_of_degree(vset, degree)
-    terms = {m: 1 for m in pool if max(m) == degree}
-    others = [m for m in pool if max(m) < degree]
+    terms = {m: 1 for m in pool if m.count(0) == vset.n - 1}
+    others = [m for m in pool if m.count(0) < vset.n - 1]
     for m in rng.sample(others, rng.randint(low, high)):
         terms[m] = rng.randint(1, p - 1)
     return Polynomial(p, vset, terms)
@@ -155,6 +158,22 @@ def chain_delta1(f: Polynomial) -> Polynomial:
         total[mp] = (total.get(mp, 0) - c ** p) % mod
     assert all(c % p == 0 for c in total.values()), "division was not exact"
     return Polynomial(f.field, f.vars, {m: c // p for m, c in total.items() if c})
+
+
+def count_zeros(f: Polynomial) -> int:
+    """#{x in F_p^N : f(x) = 0}, by evaluating f at every point of F_p^N."""
+    p = f.p
+    terms = [(c, [[pow(x, e, p) for x in range(p)] for e in mono])
+             for mono, c in f.terms.items()]
+    zeros = 0
+    for point in itertools.product(range(p), repeat=f.vars.n):
+        value = 0
+        for c, tables in terms:
+            for table, x in zip(tables, point):
+                c *= table[x]
+            value += c
+        zeros += value % p == 0
+    return zeros
 
 
 def cone_singular_point_search(variety, qs):
@@ -735,6 +754,135 @@ class RefIntersectionRing:
 
     def degree(self, el: dict) -> int:
         return self.reduce(el).get(self.top, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference class-expression parser
+# ---------------------------------------------------------------------------
+#
+# The recursive-descent class-expression parser that fanocheck.chow replaced
+# by an index walk, on a token cursor that never passes "end": same grammar,
+# same nesting cap, same ParseError messages and positions.
+
+class _RefExprParser:
+    def __init__(self, ring, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.ring = ring
+        self.depth = 0
+
+    @property
+    def cur(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        if tok.kind != "end":
+            self.i += 1
+        return tok
+
+    def accept_op(self, ch):
+        if self.cur.kind == "op" and self.cur.text == ch:
+            self.advance()
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.accept_op(ch):
+            raise ParseError(f"expected {ch!r}", self.cur.pos)
+
+    def parse(self):
+        el = self.expr()
+        if self.cur.kind != "end":
+            raise ParseError(f"unexpected {self.cur.text!r}", self.cur.pos)
+        return el
+
+    def expr(self):
+        el = self.term()
+        while True:
+            if self.accept_op("+"):
+                el = self.ring.add(el, self.term())
+            elif self.accept_op("-"):
+                el = self.ring.add(el, self.ring.scale(self.term(), -1))
+            else:
+                return el
+
+    def _starts_factor(self):
+        tok = self.cur
+        return tok.kind in ("int", "ident") or (tok.kind == "op" and tok.text == "(")
+
+    def term(self):
+        el = self.factor()
+        while True:
+            if self.accept_op("*") or self._starts_factor():
+                el = self.ring._mul(el, self.factor())
+            else:
+                return el
+
+    def factor(self):
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.cur.pos)
+        self.depth += 1
+        el = self._factor()
+        self.depth -= 1
+        return el
+
+    def _factor(self):
+        tok = self.cur
+        if self.accept_op("-"):
+            return self.ring.scale(self.factor(), -1)
+        if tok.kind == "int":
+            self.advance()
+            return self.ring.scale({0: 1}, int(tok.text))
+        if self.accept_op("("):
+            el = self.expr()
+            self.expect(")")
+            return self._maybe_power(el)
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == "deg":
+                self.expect("(")
+                el = self.expr()
+                self.expect(")")
+                return self.ring.scale({0: 1}, el.get(self.ring._top, 0))
+            if tok.text == "K":
+                return self._maybe_power(self.ring._class(canonical_class(self.ring)))
+            if tok.text == "xi":
+                if not self.ring.bundle:
+                    raise ParseError("xi needs a bundle ring", tok.pos)
+                return self._maybe_power({self.ring._order.units[-1]: 1})
+            if tok.text.startswith("h") and tok.text[1:].isdecimal():
+                i = int(tok.text[1:]) - 1
+                if 0 <= i < self.ring.k:
+                    return self._maybe_power({self.ring._order.units[i]: 1})
+            raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
+        raise ParseError("expected a class expression", tok.pos)
+
+    def _maybe_power(self, el):
+        if self.accept_op("^"):
+            tok = self.cur
+            if tok.kind != "int":
+                raise ParseError("expected an exponent", tok.pos)
+            self.advance()
+            e = int(tok.text)
+            ring = self.ring
+            c = el.get(0, 0)
+            n = {m: v for m, v in el.items() if m}
+            out, n_k = {}, {0: 1}
+            for k in range(e + 1):
+                if k:
+                    n_k = ring._mul(n_k, n)
+                    if not n_k:
+                        break
+                out = ring.add(out, ring.scale(n_k, math.comb(e, k) * c ** (e - k)))
+            return out
+        return el
+
+
+def ref_evaluate_expression(ring, text: str) -> dict:
+    """A class expression as the reduced element of an IntersectionRing,
+    by the cursor parser above over fanocheck.poly.tokenize."""
+    return ring._unpack(_RefExprParser(ring, tokenize(text)).parse())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """The public surface of fanocheck, pinned name by name.
 
-Two lists: the names the package namespace exports, and per module the
-public functions and classes that module defines.  Adding, removing or
-moving one changes one line here, so every change to the public API, and
-every helper moving into or out of ``src``, shows up in review.
+Three lists: the names the package namespace exports, per module the
+public functions and classes that module defines, and per module the
+private names it imports from another.  Adding, removing or moving one
+changes one line here, so every change to the public API, every helper
+moving into or out of ``src``, and every private helper kept alive for
+one other module shows up in review.
 """
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,25 @@ def test_module_surface(module):
                      if not name.startswith("_") and callable(value)
                      and getattr(value, "__module__", None) == mod.__name__)
     assert defined == MODULE_SURFACES[module]
+
+
+# per module, the "from .m import _name" imports it makes, as "m._name"
+PRIVATE_IMPORTS = {
+    "chow": ["poly._mul_packed", "poly._packing"],
+    "delpezzo": ["smallfields._factor_prime_power"],
+    "geometry": ["ideals._chart_is_unit", "ideals._stops_or_is_unit",
+                 "poly._is_variable_name", "poly._prime_factors"],
+    "ideals": ["poly._PackedOrder", "poly._elimination", "poly._grevlex"],
+    "smallfields": ["poly._prime_factors"],
+    "splitting": ["poly._delta1_packed"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_SURFACES))
+def test_private_imports(module):
+    source = Path(fanocheck.__file__).with_name(f"{module}.py").read_text()
+    imported = sorted(f"{node.module}.{alias.name}"
+                      for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      for alias in node.names if alias.name.startswith("_"))
+    assert imported == PRIVATE_IMPORTS.get(module, [])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,12 @@ from fanocheck.chow import (
     section_class,
 )
 from fanocheck.poly import ParseError
-from helpers import RefIntersectionRing, naive_bundle_degree, naive_product_degree
+from helpers import (
+    RefIntersectionRing,
+    naive_bundle_degree,
+    naive_product_degree,
+    ref_evaluate_expression,
+)
 
 
 def base_ring(*dims):
@@ -351,7 +357,8 @@ class TestExpressions:
         with pytest.raises(ParseError):
             evaluate_expression(r, "h1^x")
 
-    # exact messages and positions; the polynomial parser shares the stream
+    # exact messages and positions; the polynomial parser shares the lexer
+    # and walks its token list by index in the same way
     @pytest.mark.parametrize("text,bundle,message,pos", [
         ('h1 +', False, 'expected a class expression (at position 4)', 4),
         ('(h1', False, "expected ')' (at position 3)", 3),
@@ -538,3 +545,54 @@ class TestPackedAgainstTupleRing:
         a, b, c = data.draw(element), data.draw(element), data.draw(element)
         assert ring.mul(a, b) == ring.mul(b, a)
         assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+
+
+# pieces of class-expression text, valid and not, joined at random; an
+# exponent of three or more digits is left out, because (c + n)^e computes
+# c^e in full and can run without bound on either parser
+_EXPRESSION_ATOMS = ["h1", "h2", "h3", "h0", "h01", "xi", "K", "deg", "2", "0", "10",
+                     "(", ")", "+", "-", "*", "^", "^2", "^3", ",", "$", "x", "h1^2",
+                     "deg(", " "]
+_JOINED_ATOMS = (st.lists(st.sampled_from(_EXPRESSION_ATOMS), max_size=16).map("".join)
+                 .filter(lambda text: re.search(r"\^\s*\d{3}", text) is None))
+# the same pieces nested by the grammar, so most texts are valid; at most
+# three powers keep every constant's power small
+_NESTED_ATOMS = st.recursive(
+    st.sampled_from(["h1", "h2", "h3", "xi", "K", "2", "0", "10"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " ", ""]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("deg({})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, st.sampled_from(["^0", "^1", "^2", "^3"])).map("".join)),
+    max_leaves=8).filter(lambda text: text.count("^") <= 3)
+
+
+def _outcome(evaluate, ring, text):
+    """The element ``evaluate`` returns, or its ParseError's message and position."""
+    try:
+        return evaluate(ring, text)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+class TestIndexWalkAgainstCursor:
+    """evaluate_expression against the cursor parser it replaced (tests/helpers),
+    on a base ring and a bundle ring."""
+
+    RINGS = [base_ring(1, 1), bundle_ring([1, 2], [[0, 0], [1, 2]])]
+
+    def assert_same_outcome(self, text):
+        for ring in self.RINGS:
+            assert (_outcome(evaluate_expression, ring, text)
+                    == _outcome(ref_evaluate_expression, ring, text)), text
+
+    @settings(max_examples=1200, deadline=None)
+    @given(st.one_of(_JOINED_ATOMS, _NESTED_ATOMS))
+    def test_random_texts(self, text):
+        self.assert_same_outcome(text)
+
+    @pytest.mark.parametrize("depth", [199, 200, 201, 250])
+    @pytest.mark.parametrize("open_,close", [("(", ")"), ("-", ""), ("deg(", ")")])
+    def test_deep_nests(self, depth, open_, close):
+        self.assert_same_outcome(open_ * depth + "h1" + close * depth)

@@ -367,6 +367,27 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: variable name")
 
+    @pytest.mark.parametrize("spaced,plain", [
+        (["fsplit", "-p", "2", "--vars", " x0 , y :3 ", "--poly", "x0^3 + y"],
+         ["fsplit", "-p", "2", "--vars", "x0,y:3", "--poly", "x0^3 + y"]),
+        (["fsplit", "-p", "2", "--vars", "x0 , x0 ", "--poly", "x0"],
+         ["fsplit", "-p", "2", "--vars", "x0,x0", "--poly", "x0"]),
+        (["smooth", "-p", "5", "--ambient", "P(1,1) x P(1,1)",
+          "--vars", " a , b,c , d ", "--poly", "a*c + b*d"],
+         ["smooth", "-p", "5", "--ambient", "P(1,1) x P(1,1)",
+          "--vars", "a,b,c,d", "--poly", "a*c + b*d"]),
+        (["smooth", "-p", "5", "--ambient", "P(1,1)", "--vars", " a , a ",
+          "--poly", "a"],
+         ["smooth", "-p", "5", "--ambient", "P(1,1)", "--vars", "a,a", "--poly", "a"]),
+    ], ids=["fsplit", "fsplit-duplicate", "smooth", "smooth-duplicate"])
+    def test_spaces_around_variable_names_change_nothing(self, spaced, plain, capsys):
+        outcomes = []
+        for argv in (spaced, plain):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((rc, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+
     def test_smooth_exponent_overflow_exit_code(self, capsys):
         # the product criterion multiplies x0^40000*x1 by x0^39999*x1
         rc = main(["smooth", "--ambient", "P(1,1)", "-p", "3",
@@ -395,6 +416,23 @@ class TestCli:
         rc = main(["chow", "--base", "1", "--expr", "deg((1+h1)^1000000000)"])
         assert rc == 0
         assert capsys.readouterr().out == "1000000000\n"
+
+    def test_chow_prints_integers_past_the_str_digit_limit(self, capsys):
+        # 20000 * 3^19999 has 9547 digits, past Python's default cap of 4300
+        # on int-to-str conversion, which the CLI leaves as it found it
+        limit = sys.get_int_max_str_digits()
+        rc = main(["chow", "--base", "1", "--expr", "deg((3+h1)^20000)"])
+        assert (rc, sys.get_int_max_str_digits()) == (0, limit)
+        degree = capsys.readouterr().out
+        rc = main(["chow", "--base", "1", "--expr", "(3+h1)^20000"])
+        assert (rc, sys.get_int_max_str_digits()) == (0, limit)
+        element = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            assert degree == f"{20000 * 3**19999}\n"
+            assert element == f"{20000 * 3**19999}*h1 + {3**20000}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_chow_canonical(self, capsys):
         rc = main(["chow", "--base", "1,1", "--bundle", "0,0;1,0;0,1",

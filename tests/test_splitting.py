@@ -26,7 +26,14 @@ from fanocheck.splitting import (
     fedder_report,
     fedder_residue,
 )
-from helpers import pow_then_filter, random_homogeneous, random_nonzero_poly, ref_grevlex_key
+from helpers import (
+    count_zeros,
+    dense_form,
+    pow_then_filter,
+    random_homogeneous,
+    random_nonzero_poly,
+    ref_grevlex_key,
+)
 
 # hash of str(delta1_probe(ring, 4, 4, 2)) for the p=5 weighted sextic below,
 # frozen after computing the same polynomial along two association orders
@@ -304,6 +311,37 @@ class TestReport:
     def test_inhomogeneous_polynomial_rejected(self):
         with pytest.raises(NonHomogeneousError):
             fedder_report(ring_of("x + y^2", 2, names="x,y"))
+
+
+# Calabi-Yau shapes: the weighted degree is the sum of the weights
+CALABI_YAU = [
+    ("x0,x1,x2,x3", [1, 1, 1, 1]),
+    ("x0,x1,x2,y", [1, 1, 1, 3]),
+    ("x0,x1,x2,x3,y", [1, 1, 1, 1, 2]),
+]
+
+
+class TestHasseInvariant:
+    """For a Calabi-Yau form f in N variables over F_p, the one monomial of
+    f^(p-1) that can survive the box (x_i^p) is prod x_i^(p-1), and its
+    coefficient, the Hasse invariant, is -(-1)^N #{f = 0} mod p: each x in
+    F_p^N adds 1 - f(x)^(p-1) to the count, and a sum of x^a over F_p^N is
+    (-1)^N when every a_i is a positive multiple of p - 1, else 0 mod p."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("names,weights", CALABI_YAU,
+                             ids=["P3", "P(1,1,1,3)", "P(1,1,1,1,2)"])
+    def test_split_iff_p_does_not_divide_the_zero_count_seeded(self, names, weights, p):
+        vs = VariableSet.weighted(names, weights)
+        rng = random.Random(f"{names}:{p}")
+        top = "*".join(f"{name}^{p - 1}" for name in vs.names)
+        for _ in range(7):
+            ring = HypersurfaceRing(p, vs, dense_form(rng, vs, p, sum(weights), 1, 6))
+            report = fedder_report(ring)
+            split = count_zeros(ring.f) % p != 0
+            assert report.status == ("FSplit" if split else "NotFSplit"), ring.f
+            assert report.residue_terms == int(split)
+            assert report.witness == (top if split else None)
 
 
 class TestMonoStr:
