@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import ParseError, _mul_packed, _packing, mono_str, tokenize
+from .poly import ParseError, _mul_packed, _packing, _read_int, mono_str, tokenize
 
 
 class DimensionMismatchError(ValueError):
@@ -337,7 +337,7 @@ class _ExprParser:
         if word == "-":
             return ring.scale(self.factor(), -1)
         if kind == "int":
-            return ring.scale({0: 1}, int(word))
+            return ring.scale({0: 1}, _read_int(word))
         if word == "(":
             el = self.expr()
             self.expect(")")
@@ -356,7 +356,7 @@ class _ExprParser:
                 raise ParseError("xi needs a bundle ring", pos)
             return self._maybe_power({ring._order.units[-1]: 1})
         if word.startswith("h") and word[1:].isdecimal():
-            i = int(word[1:]) - 1
+            i = _read_int(word[1:]) - 1
             if 0 <= i < ring.k:
                 return self._maybe_power({ring._order.units[i]: 1})
         raise ParseError(f"unknown symbol {word!r}", pos)
@@ -367,7 +367,7 @@ class _ExprParser:
             if kind != "int":
                 raise ParseError("expected an exponent", pos)
             self.i += 2
-            e = int(digits)
+            e = _read_int(digits)
             # el = c + n with n of positive degree; classes above the
             # dimension vanish, so (c + n)^e = sum_k C(e, k) c^(e-k) n^k
             # ends at the first zero power of n, however large e is

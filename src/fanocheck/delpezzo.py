@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import mul
 from typing import Iterable
 
 from .smallfields import GF, UnsupportedFieldSizeError, _factor_prime_power
@@ -32,7 +33,7 @@ class LatticeClass:
     def dot(self, other: "LatticeClass") -> int:
         if len(self.m) != len(other.m):
             raise ValueError("classes live in different lattices")
-        return self.d * other.d - sum(a * b for a, b in zip(self.m, other.m))
+        return self.d * other.d - sum(map(mul, self.m, other.m))
 
     @property
     def self_intersection(self) -> int:

@@ -307,15 +307,29 @@ def mono_str(names: Sequence[str], mono: Monomial, coeff: int = 1) -> str:
     factors = [name if e == 1 else f"{name}^{e}"
                for name, e in zip(names, mono) if e]
     if coeff != 1 or not factors:
-        try:
-            digits = str(coeff)
-        except ValueError:
-            # past sys.get_int_max_str_digits(), which Decimal does not
-            # apply, and which is the whole process's to set
-            from decimal import Decimal
-            digits = str(Decimal(coeff))
-        factors.insert(0, digits)
+        factors.insert(0, _int_str(coeff))
     return "*".join(factors)
+
+
+# int() and str() refuse integers past sys.get_int_max_str_digits(), which
+# is the whole process's to set; Decimal applies no such limit
+
+def _int_str(n: int) -> str:
+    """``str(n)``, however many digits n has."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
+
+
+def _read_int(digits: str) -> int:
+    """``int(digits)`` of a run of decimal digits, however long it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        from decimal import Decimal
+        return int(Decimal(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +371,8 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, field: Prime, variables: VariableSet, terms: dict) -> "Polynomial":
-        """Kernel results only: n-tuples below the cap, coefficients 1..p-1."""
+        """Kernel, parser and derivative results only: n-tuples below the
+        cap, coefficients 1..p-1."""
         f = object.__new__(cls)
         object.__setattr__(f, "field", field)
         object.__setattr__(f, "vars", variables)
@@ -474,7 +489,9 @@ class Polynomial:
             if e:
                 lowered = m[:i] + (e - 1,) + m[i + 1:]
                 out[lowered] = out.get(lowered, 0) + c * e
-        return Polynomial(self.field, self.vars, out)
+        p = self.p
+        return Polynomial._trusted(self.field, self.vars,
+                                   {m: c % p for m, c in out.items() if c % p})
 
     # -- printing ----------------------------------------------------------
 
@@ -502,6 +519,7 @@ class Token(NamedTuple):
 # operator, or any other character but whitespace (str.isspace), an error
 _WORD = r"\w+"
 _TOKEN = re.compile(rf"(\d+)|({_WORD})|([-+*^(),])|(\S)")
+_WORD_RE = re.compile(_WORD)
 _KINDS = (None, "int", "ident", "op")
 
 
@@ -527,7 +545,7 @@ def tokenize(text: str) -> list:
 def _is_variable_name(name) -> bool:
     """Whether a polynomial can name the variable: the whole string is one
     identifier token of :func:`tokenize`."""
-    return (isinstance(name, str) and re.fullmatch(_WORD, name) is not None
+    return (isinstance(name, str) and _WORD_RE.fullmatch(name) is not None
             and _is_identifier(name))
 
 
@@ -552,7 +570,7 @@ def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polyn
         coeff = 1
         exps = [0] * len(slots)
         if kind == "int":
-            coeff = int(word) % p
+            coeff = _read_int(word) % p
             i += 1
         elif kind != "ident":
             raise ParseError("expected a term", start)
@@ -575,15 +593,16 @@ def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polyn
                 kind, digits, at = tokens[i + 1]
                 if kind != "int":
                     raise ParseError("expected an exponent", at)
-                e = int(digits)
+                e = _read_int(digits)
                 if e >= EXPONENT_LIMIT:
-                    raise ParseError(f"exponent {e} exceeds the cap {EXPONENT_LIMIT}", pos)
+                    raise ParseError(
+                        f"exponent {_int_str(e)} exceeds the cap {EXPONENT_LIMIT}", pos)
                 i += 2
             exps[k] += e
         if max(exps) >= EXPONENT_LIMIT:
             raise ParseError(f"exponent cap {EXPONENT_LIMIT} exceeded", start)
         mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + sign * coeff
+        terms[mono] = (terms.get(mono, 0) + sign * coeff) % p
         kind, word, pos = tokens[i]
         if word == "+" or word == "-":
             sign = 1 if word == "+" else -1
@@ -592,7 +611,8 @@ def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polyn
             break
         else:
             raise ParseError(f"unexpected {word!r}", pos)
-    return Polynomial(field, variables, terms)
+    # n-tuples under the cap, as read: only the zero sums go
+    return Polynomial._trusted(field, variables, {m: c for m, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,25 @@ def exceptional_basis(r: int) -> list:
             for i in range(r)]
 
 
+def ref_dot(a, b) -> int:
+    """The intersection pairing d d' - sum m_i m'_i, as a generator sum."""
+    return a.d * b.d - sum(x * y for x, y in zip(a.m, b.m))
+
+
+def ref_langer_summary() -> str:
+    """corpus.langer_summary's text from ref_enumerate_classes, ref_dot and
+    the seven lines of P^2(F_2): the points are the nonzero vectors of
+    F_2^3 as 3-bit ints, and {a, b, a xor b} is the line through a and b."""
+    exceptional = ref_enumerate_classes(7, -1, -1, 3)
+    points = range(1, 8)
+    lines = {frozenset((a, b, a ^ b)) for a in points for b in points if a < b}
+    neg2 = [LatticeClass(1, tuple(int(pt in line) for pt in points)) for line in lines]
+    compatible = sum(1 for c in exceptional if all(ref_dot(c, n) >= 0 for n in neg2))
+    disjoint = all(ref_dot(a, b) == 0 for a, b in itertools.combinations(neg2, 2))
+    return (f"(-1)-classes: {len(exceptional)}; compatible: {compatible}; "
+            f"(-2)-classes: {len(neg2)}; disjoint: {'yes' if disjoint else 'no'}")
+
+
 def ref_enumerate_classes(r, self_int, k_deg, d_max):
     out = []
     for d in range(0, d_max + 1):
@@ -1035,22 +1054,31 @@ def ref_pgl_orbit_canonical(config):
 # closed form for diagonal forms
 # ---------------------------------------------------------------------------
 
-def diagonal_fedder(exponents, p: int) -> tuple:
-    """(status, residue_terms, delta1_terms) for f = sum x_i^(e_i) over F_p.
+def diagonal_fedder(exponents, p: int, names) -> tuple:
+    """(status, residue_terms, delta1_terms, witness) for f = sum x_i^(e_i)
+    over F_p, x_i named names[i].
 
     f^(p-1) is the sum over a with sum a_i = p-1 of the multinomial
     (p-1)! / prod a_i!, a unit mod p, times prod x_i^(e_i a_i); a term
     survives the box (x_i^p) iff e_i a_i <= p-1 for every i.  So
     residue_terms counts those a, and f is F-split iff some a exists, that
-    is iff sum floor((p-1)/e_i) >= p-1.  The carry (f^p - sum x_i^(p e_i))/p
-    has the unit coefficient p!/(p prod a_i!) on every a with sum a_i = p
-    other than the t pure powers: C(p+t-1, t-1) - t terms.
+    is iff sum floor((p-1)/e_i) >= p-1.  The witness is the grevlex-leading
+    surviving x^(e a), printed as x^e factors joined by '*', or None.  The
+    carry (f^p - sum x_i^(p e_i))/p has the unit coefficient
+    p!/(p prod a_i!) on every a with sum a_i = p other than the t pure
+    powers: C(p+t-1, t-1) - t terms.
     """
     t = len(exponents)
-    residue_terms = sum(
-        1 for a in itertools.product(*(range((p - 1) // e + 1) for e in exponents))
-        if sum(a) == p - 1)
+    survivors = [
+        tuple(e * k for e, k in zip(exponents, a))
+        for a in itertools.product(*(range((p - 1) // e + 1) for e in exponents))
+        if sum(a) == p - 1]
     split = sum((p - 1) // e for e in exponents) >= p - 1
-    assert split == (residue_terms > 0)
+    assert split == bool(survivors)
     status = "FSplit" if split else "NotFSplit"
-    return status, residue_terms, math.comb(p + t - 1, t - 1) - t
+    witness = None
+    if survivors:
+        lead = max(survivors, key=ref_grevlex_key)
+        witness = "*".join(name if e == 1 else f"{name}^{e}"
+                           for name, e in zip(names, lead) if e)
+    return status, len(survivors), math.comb(p + t - 1, t - 1) - t, witness

@@ -207,7 +207,7 @@ def test_module_surface(module):
 
 # per module, the "from .m import _name" imports it makes, as "m._name"
 PRIVATE_IMPORTS = {
-    "chow": ["poly._mul_packed", "poly._packing"],
+    "chow": ["poly._mul_packed", "poly._packing", "poly._read_int"],
     "delpezzo": ["smallfields._factor_prime_power"],
     "geometry": ["ideals._chart_is_unit", "ideals._stops_or_is_unit",
                  "poly._is_variable_name", "poly._prime_factors"],

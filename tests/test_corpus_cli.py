@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,16 +7,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanocheck import corpus
 from fanocheck.cli import build_parser, main
 from fanocheck.corpus import (
+    CheckRow,
     CorpusFormatError,
+    Report,
     langer_summary,
     load_corpus,
     load_corpus_file,
     run_corpus,
 )
+from fanocheck.poly import delta1, parse_poly
+from fanocheck.splitting import HypersurfaceRing, delta1_probe
 from helpers import pgl3_elements
 
 SHIPPED = Path(__file__).resolve().parent.parent / "corpus" / "paper_examples.json"
@@ -152,6 +158,25 @@ class TestRunCorpus:
         ])
         assert run_corpus(path).all_passed
 
+    def test_shipped_delta1_verdicts_read_back_as_the_kernel_polynomial(self):
+        # a verdict equal to its expectation passes unread; this holds only
+        # if every verdict text reads back as the polynomial it prints
+        checked = 0
+        for e in load_corpus_file(SHIPPED):
+            vs = e.ambient.variable_set
+            f = parse_poly(e.polynomial, vs, e.prime)
+            for check in e.checks:
+                if check.kind != "delta1":
+                    continue
+                probe = check.params.get("probe")
+                kernel = (delta1(f) if probe is None else
+                          delta1_probe(HypersurfaceRing(e.prime, vs, f), *probe))
+                result = corpus.delta1(e.prime, vs, e.polynomial, **check.params)
+                assert parse_poly(result.verdict, vs, e.prime) == kernel, e.name
+                assert result.matches(check.expect)
+                checked += 1
+        assert checked == 4
+
     def test_jobs_do_not_change_the_bytes(self):
         sequential = run_corpus(SHIPPED, jobs=1)
         threaded = run_corpus(SHIPPED, jobs=4)
@@ -246,6 +271,25 @@ class TestRunCorpus:
     def test_langer_summary_text(self):
         assert langer_summary() == ("(-1)-classes: 56; compatible: 7; "
                                     "(-2)-classes: 7; disjoint: yes")
+
+
+# report fields are arbitrary text: any code point, lone surrogates included,
+# and the characters JSON escapes
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff')))
+_ROWS = st.lists(st.builds(CheckRow, _TEXT, _TEXT, _TEXT, _TEXT, st.booleans()),
+                 max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS)
+@example([])
+def test_report_json_is_json_dumps(rows):
+    report = Report(tuple(rows))
+    doc = {"rows": [dataclasses.asdict(r) for r in rows],
+           "summary": {"total": report.total, "passed": report.passed,
+                       "failed": report.failed}}
+    assert report.to_json() == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def cli_argv(raw: dict, check: dict):
@@ -433,6 +477,48 @@ class TestCli:
             assert element == f"{20000 * 3**19999}*h1 + {3**20000}\n"
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def _run_keeping_the_digit_limit(self, argv, capsys):
+        limit = sys.get_int_max_str_digits()
+        rc = main(argv)
+        assert sys.get_int_max_str_digits() == limit
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("ones,p", [(5000, 7), (6000, 7), (5001, 3)])
+    def test_fsplit_reads_coefficients_past_the_str_digit_limit(self, ones, p, capsys):
+        # the repunit's residue, summed digit by digit
+        residue = sum(pow(10, k, p) for k in range(ones)) % p
+        poly = "{}*x^3 + y^3 + z^3"
+        big = self._run_keeping_the_digit_limit(
+            ["fsplit", "-p", str(p), "--vars", "x,y,z", "--poly", poly.format("1" * ones)],
+            capsys)
+        reduced = self._run_keeping_the_digit_limit(
+            ["fsplit", "-p", str(p), "--vars", "x,y,z", "--poly", poly.format(residue)],
+            capsys)
+        assert big == reduced and big[0] == 0
+
+    def test_chow_reads_integers_past_the_str_digit_limit(self, capsys):
+        ones = "1" * 5000
+        assert self._run_keeping_the_digit_limit(
+            ["chow", "--base", "1", "--expr", ones], capsys) == (0, f"{ones}\n", "")
+        assert self._run_keeping_the_digit_limit(
+            ["chow", "--base", "1", "--expr", f"{ones}*h1 - 2"], capsys) == \
+            (0, f"{ones}*h1 - 2\n", "")
+        # h1^2 = 0 on P^1, so any power past 1 is 0
+        assert self._run_keeping_the_digit_limit(
+            ["chow", "--base", "1", "--expr", "h1^" + "9" * 5000], capsys) == (0, "0\n", "")
+        rc, out, err = self._run_keeping_the_digit_limit(
+            ["chow", "--base", "1", "--expr", "h" + "9" * 5000], capsys)
+        assert (rc, out, err) == (2, "", f"error: unknown symbol 'h{'9' * 5000}' "
+                                         "(at position 0)\n")
+
+    def test_exponent_past_the_str_digit_limit_is_a_parse_error(self, capsys):
+        digits = "9" * 5000
+        rc, out, err = self._run_keeping_the_digit_limit(
+            ["fsplit", "-p", "5", "--vars", "x,y", "--poly", f"y + x^{digits}"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: exponent {digits} exceeds the cap 65536 (at position 4)\n"
 
     def test_chow_canonical(self, capsys):
         rc = main(["chow", "--base", "1,1", "--bundle", "0,0;1,0;0,1",

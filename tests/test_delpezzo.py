@@ -21,8 +21,10 @@ from fanocheck.smallfields import _IRREDUCIBLE, GF, UnsupportedFieldSizeError
 from helpers import (
     exceptional_basis,
     pgl3_elements,
+    ref_dot,
     ref_enumerate_classes,
     ref_gf_tables,
+    ref_langer_summary,
     ref_pgl_orbit_canonical,
 )
 
@@ -59,6 +61,24 @@ class TestLatticeClass:
     def test_mismatched_lattices(self):
         with pytest.raises(ValueError):
             LatticeClass(1, (0,)).dot(LatticeClass(1, (0, 0)))
+
+    def test_dot_against_the_generator_sum(self):
+        rng = random.Random(23)
+
+        def random_class(r):
+            return LatticeClass(rng.randint(-9, 9),
+                                tuple(rng.randint(-9, 9) for _ in range(r)))
+
+        for _ in range(400):
+            r = rng.randint(0, 8)
+            a, b = random_class(r), random_class(r)
+            assert a.dot(b) == ref_dot(a, b) == b.dot(a)
+            # a shorter side must not be read as zeros past its end
+            c = random_class(rng.choice([s for s in range(9) if s != r]))
+            with pytest.raises(ValueError):
+                a.dot(c)
+            with pytest.raises(ValueError):
+                c.dot(a)
 
 
 class TestEnumeration:
@@ -176,6 +196,9 @@ class TestFanoConfiguration:
         compat = [c for c in enumerate_classes(lattice, -1, -1, 3)
                   if all(c.dot(n) >= 0 for n in neg2)]
         assert compat == exceptional_basis(7)
+
+    def test_langer_summary_against_the_reference(self):
+        assert corpus.langer_summary() == ref_langer_summary()
 
     def test_langer_summary_enumerates_once(self, monkeypatch):
         calls = []

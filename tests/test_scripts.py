@@ -143,13 +143,16 @@ def test_splitting_survey_lets_a_crash_propagate(monkeypatch):
 
 def test_survey_families_match_the_diagonal_closed_form():
     # every survey family is a diagonal form sum x_i^(e_i) with unit
-    # coefficients, so verdict, residue and carry sizes have closed forms
+    # coefficients, so verdict, witness, residue and carry sizes have
+    # closed forms
     for family, (text, names, weights) in _survey_module().FAMILIES.items():
         vs = VariableSet.weighted(names, weights)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             f = parse_poly(text, vs, p)
-            assert set(f.terms.values()) == {1}
+            assert set(f.terms.values()) == {1} and len(f.terms) == vs.n
             assert all(sum(1 for e in m if e) == 1 for m in f.terms)
+            # one pure power per variable: its exponent is its column's sum
+            exponents = [sum(column) for column in zip(*f.terms)]
             report = fedder_report(HypersurfaceRing(p, vs, f))
-            assert (report.status, report.residue_terms, report.delta1_terms) == \
-                diagonal_fedder([sum(m) for m in f.terms], p), (family, p)
+            assert (report.status, report.residue_terms, report.delta1_terms,
+                    report.witness) == diagonal_fedder(exponents, p, vs.names), (family, p)
