@@ -154,6 +154,8 @@ def load_corpus_file(path) -> list:
         raise CorpusFormatError(f"cannot read corpus: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"corpus is not valid JSON: {exc}") from None
+    except ValueError as exc:  # bad UTF-8, or an integer past the int/str digit limit
+        raise CorpusFormatError(f"corpus cannot be decoded: {exc}") from None
     return load_corpus(data)
 
 

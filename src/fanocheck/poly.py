@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from operator import countOf, mul
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -651,23 +652,32 @@ def _frobenius_box(f: Polynomial, q: int):
 def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     """f**e reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q).
 
-    q must be a power of the characteristic.  The power is built by
-    multiplying by f once per step, cutting the box after every product, and
-    stops at the first zero product.  In the q-box f^q is the constant term c
-    of f (Frobenius: c^q = c, and every other m^q is cut), so
-    f^e = c^(e // q) * f^(e mod q) and no power takes more than q - 1 products.
+    q must be a power of the characteristic p.  In the q-box f^q is the
+    constant term c of f (c^q = c, and every other m^q is cut), so
+    f^e = c^(e // q) * f^(e mod q).  Over F_p, f^(d p^i) = (f^d)(x^(p^i)): the
+    rest is one boxed product per nonzero base-p digit d of e mod q, highest
+    first, until one is zero.  f^d is d! times :func:`_layers` at count d,
+    each term's steps stopping at the largest j with j * max(m) * p^i < q.
     """
     if e < 0:
         raise ValueError("negative exponent")
-    order, (off, guard) = _frobenius_box(f, q)
+    order, box = _frobenius_box(f, q)
+    p = f.p
     hi, lo = divmod(e, q)
-    c = pow(f.terms.get((0,) * f.vars.n, 0), hi, f.p)
-    factor = [(order.pack(m), a) for m, a in f.terms.items() if max(m) < q]
+    c = pow(f.terms.get((0,) * f.vars.n, 0), hi, p)
     acc = {0: c} if c else {}
-    for _ in range(lo):
-        if not acc:
-            break
-        acc = _mul_packed(acc, factor, f.p, off, guard)
+    terms = sorted(f.terms.items())
+    s = q
+    while lo and acc:
+        s //= p
+        d, lo = divmod(lo, s)
+        if d:
+            items = [(order.pack(m) * s, a, j) for m, a in terms
+                     if (j := min(d, (q - 1) // (max(m) * s or 1)))]
+            scale = factorial(d) % p
+            part = _layers(items, p, d, box)
+            acc = _mul_packed(acc, [(m, a * scale % p) for m, a in part.items() if a],
+                              p, *box)
     return order.polynomial(f.field, f.vars, acc)
 
 
@@ -715,13 +725,8 @@ def delta1(f: Polynomial) -> Polynomial:
 
 def _delta1_packed(f: Polynomial) -> tuple:
     """(packing, carry) for a nonzero f: delta1(f) on packed monomials,
-    coefficients in 0..p-1 and zeros kept.
-
-    All mod p and dividing by nothing, ``layers[k]`` holds the count-k part
-    of the product over the terms seen so far.  A term c*m updates them in
-    place from k = p down, each reading only the old layers below it:
-    layers[k] += sum_{1 <= j < p} layers[k-j] * (-c*m)^j / j!.  The last
-    term fills only layer p and frees each layer below once read.
+    coefficients in 0..p-1 and zeros kept: :func:`_layers` at count p, the
+    steps of each term -c*m running to j = p - 1.
 
     Terms go in lex order of their exponents, so the first ones share a
     face of the Newton polytope and the layers grow slowly.  With no two
@@ -733,26 +738,49 @@ def _delta1_packed(f: Polynomial) -> tuple:
     """
     p = f.p
     order = _packing(f.vars.n, (p * max(map(max, f.terms))).bit_length() + 1)
+    items = [(order.pack(m), -c, p - 1) for m, c in sorted(f.terms.items())]
+    return order, _layers(items, p, p)
+
+
+def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
+    """The count-``top`` part of prod_t sum_{j <= J_t} (a_t m_t)^j / j! mod p
+    for items (packed m_t, a_t, J_t), J_t < p: coefficients in 0..p-1, zeros kept.
+
+    All mod p and dividing by nothing, ``layers[k]`` holds the count-k part
+    of the product over the items seen so far.  An item updates them in
+    place from k = top down, each reading only the old layers below it:
+    layers[k] += sum_{1 <= j <= J} layers[k-j] * (a*m)^j / j!.  The last
+    item fills only layer top and frees each layer below once read.  With
+    ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
+    product that leaves the box as it is formed; the carry has no box, and
+    its products pay for no test.
+    """
+    off, guard = box
     inv_fact = [1] * p
     for j in range(2, p):
         inv_fact[j] = inv_fact[j - 1] * pow(j, -1, p) % p
-    layers = [{0: 1}] + [{} for _ in range(p)]
-    last = f.num_terms - 1
-    for i, (m, c) in enumerate(sorted(f.terms.items())):
-        m = order.pack(m)
+    layers = [{0: 1}] + [{} for _ in range(top)]
+    last = len(items) - 1
+    for i, (m, c, jmax) in enumerate(items):
         steps = []
         a = 1
-        for j in range(1, p):
-            a = a * -c % p
+        for j in range(1, jmax + 1):
+            a = a * c % p
             steps.append((j * m, a * inv_fact[j] % p))
-        for k in range(p, p - 1 if i == last else 0, -1):
+        for k in range(top, top - 1 if i == last else 0, -1):
             out = layers[k]
             get = out.get
-            for src in range(max(k - p + 1, 0), k):
+            for src in range(max(k - jmax, 0), k):
                 mj, aj = steps[k - src - 1]
-                for mo, co in layers[src].items():
-                    mm = mo + mj
-                    out[mm] = (get(mm, 0) + co * aj) % p
+                if guard:
+                    for mo, co in layers[src].items():
+                        mm = mo + mj
+                        if not (mm + off) & guard:
+                            out[mm] = (get(mm, 0) + co * aj) % p
+                else:
+                    for mo, co in layers[src].items():
+                        mm = mo + mj
+                        out[mm] = (get(mm, 0) + co * aj) % p
                 if i == last:
                     layers[src] = None
-    return order, layers[p]
+    return layers[top]

@@ -111,6 +111,32 @@ def pow_then_filter(f: Polynomial, e: int, q: int) -> Polynomial:
     return Polynomial(f.field, f.vars, kept)
 
 
+def ref_pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
+    """Oracle for pow_mod_frobenius, one multiplication by f per step.
+
+    In the q-box f^q is the constant term c of f, so this forms
+    c^(e // q) * f^(e mod q): it multiplies by the terms of f inside the box
+    e mod q times, drops every product with an exponent >= q as it is formed
+    and stops at the first zero product.
+    """
+    p, n = f.p, f.vars.n
+    hi, lo = divmod(e, q)
+    c = pow(f.terms.get((0,) * n, 0), hi, p)
+    factor = [(m, a) for m, a in f.terms.items() if max(m) < q]
+    acc = {(0,) * n: c} if c else {}
+    for _ in range(lo):
+        if not acc:
+            break
+        out = {}
+        for mb, cb in factor:
+            for ma, ca in acc.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                if max(m) < q:
+                    out[m] = (out.get(m, 0) + ca * cb) % p
+        acc = {m: c for m, c in out.items() if c}
+    return Polynomial(f.field, f.vars, acc)
+
+
 def naive_delta1(f: Polynomial) -> Polynomial:
     """Oracle for delta1 by the multinomial theorem over the integers.
 

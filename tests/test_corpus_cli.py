@@ -122,6 +122,21 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="cannot read"):
             load_corpus_file(tmp_path / "absent.json")
 
+    def test_bad_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"entries": [], "note": "\xe9"}')
+        with pytest.raises(CorpusFormatError, match="cannot be decoded"):
+            load_corpus_file(path)
+
+
+def write_long_prime_corpus(tmp_path, digits=5000):
+    """A corpus whose prime is an integer literal past the interpreter's
+    default int/str digit limit (4300)."""
+    text = json.dumps({"entries": [entry(prime=7)]})
+    path = tmp_path / "long_prime.json"
+    path.write_text(text.replace('"prime": 7', '"prime": ' + "1" * digits))
+    return path
+
 
 class TestRunCorpus:
     def test_shipped_corpus_all_pass(self):
@@ -620,6 +635,13 @@ class TestCli:
         main(["verify", str(SHIPPED), "--jobs", "4"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_verify_long_prime_is_a_corpus_error(self, tmp_path, capsys):
+        path = write_long_prime_corpus(tmp_path)
+        rc, out, err = self._run_keeping_the_digit_limit(["verify", str(path)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: corpus cannot be decoded: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         path = write_corpus(tmp_path, [

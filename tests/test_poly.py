@@ -33,6 +33,7 @@ from helpers import (
     ref_grevlex_key,
     ref_is_variable_name,
     ref_parse_poly,
+    ref_pow_mod_frobenius,
     ref_tokenize,
 )
 
@@ -322,7 +323,8 @@ class TestPowModFrobenius:
         return calls
 
     def test_huge_exponent_uses_the_constant_term(self, monkeypatch):
-        # in the q-box f^q is the constant term c, so f^e = c^(e//q) * f^(e mod q)
+        # in the q-box f^q is the constant term c, so f^e = c^(e//q) * f^(e mod q):
+        # no product when q divides e, else one per nonzero base-p digit of e mod q
         calls = self._count_products(monkeypatch)
         f = parse_poly("1 + x", VS_XY, 5)
         assert pow_mod_frobenius(f, 10**9, 5) == Polynomial.constant(5, VS_XY, 1)
@@ -330,14 +332,90 @@ class TestPowModFrobenius:
         g = parse_poly("2 + x", VS_XY, 5)
         e = 10**9 + 3
         assert pow_mod_frobenius(g, e, 5) == pow(2, e // 5, 5) * pow_then_filter(g, 3, 5)
-        assert len(calls) == 3
+        assert len(calls) == 1
+        g = parse_poly("2 + x + 3*x*y^2", VS_XY, 5)
+        for e, products in ((125 * 7 + 4 * 25 + 3 * 5 + 1, 3), (125 + 2 * 25 + 3, 2)):
+            calls.clear()
+            assert pow_mod_frobenius(g, e, 125) == ref_pow_mod_frobenius(g, e, 125)
+            assert len(calls) == products
 
     def test_power_stops_at_first_zero_product(self, monkeypatch):
         calls = self._count_products(monkeypatch)
         f = parse_poly("x^3", VS_XY, 5)
-        # x^24 is the last power inside the 25-box; the 9th product cuts x^27
+        # 20 = 4*5: at scale 5 only x^15 fits the 25-box, so the part of
+        # digit 4 is empty and its one product is zero
         assert pow_mod_frobenius(f, 20, 25).is_zero
-        assert len(calls) == 9
+        assert len(calls) == 1
+        # digits go highest first, and the zero ends the loop before digit 2
+        assert pow_mod_frobenius(f, 22, 25).is_zero
+        assert len(calls) == 2
+
+    def test_steps_stop_at_the_box(self, monkeypatch):
+        # each term's steps stop at the largest j with j * max(m) * p^i < q,
+        # and a term with no such j >= 1 is left out
+        seen = []
+        kernel = poly_module._layers
+
+        def recording(items, p, top, box):
+            seen.append((top, [(order.unpack(m), j) for m, _, j in items]))
+            return kernel(items, p, top, box)
+
+        monkeypatch.setattr(poly_module, "_layers", recording)
+        f = parse_poly("1 + x*y + x^3 + x^5 + y^9", VS_XY, 5)
+        order = poly_module._frobenius_box(f, 125)[0]
+        # 53 = 2*25 + 0*5 + 3; at scale 25, x^5 reaches x^125 and y^9 more
+        assert pow_mod_frobenius(f, 53, 125) == ref_pow_mod_frobenius(f, 53, 125)
+        assert seen == [
+            (2, [((0, 0), 2), ((25, 25), 2), ((75, 0), 1)]),
+            (3, [((0, 0), 3), ((0, 9), 3), ((1, 1), 3), ((3, 0), 3), ((5, 0), 3)]),
+        ]
+
+    def test_products_are_cut_before_a_field_overflows(self):
+        # the 5-box packs 4-bit fields; the four x^4 steps of a digit 4 would
+        # sum to x^16, which carries into y and reads as y^2*z*w inside the box
+        f = parse_poly("x^4 + x^4*y + x^4*z + x^4*w", VariableSet.unit("x,y,z,w"), 5)
+        assert pow_mod_frobenius(f, 4, 5).is_zero
+        assert ref_pow_mod_frobenius(f, 4, 5).is_zero
+
+    @staticmethod
+    def _boxed_form(rng, vs, p, q, constant):
+        """Two to four terms, most exponents 0 and the rest among 1, 2,
+        p - 1, p, p^2 (below q) and random values below 2q, so that some
+        terms leave the box at the higher digits; with a constant term or
+        without one."""
+        pool = [1, 2, p - 1] + [p ** k for k in (1, 2) if p ** k < q]
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = tuple(0 if rng.random() < 0.6 else rng.choice(pool + [rng.randrange(2 * q)])
+                         for _ in range(vs.n))
+            terms[mono] = rng.randrange(1, p)
+        zero = (0,) * vs.n
+        terms.pop(zero, None)
+        if constant:
+            terms[zero] = rng.randrange(1, p)
+        return Polynomial(p, vs, terms)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_seeded_against_the_step_by_step_power(self, p):
+        rng = random.Random(31 * p)
+        for vs in (VS_W, VS_MULTI):
+            for q in (p, p ** 2, p ** 3):
+                for constant in (False, True):
+                    f = self._boxed_form(rng, vs, p, q, constant)
+                    es = {0, 1, p - 1, p, q - 1, q, q + rng.randrange(1, p) if p > 2 else q + 1,
+                          rng.randrange(3 * q), rng.randrange(3 * q)}
+                    for e in sorted(es):
+                        got = pow_mod_frobenius(f, e, q)
+                        assert got == ref_pow_mod_frobenius(f, e, q), (str(f), e, q)
+                        if e <= 6:
+                            assert got == pow_then_filter(f, e, q), (str(f), e, q)
+
+    def test_zero_polynomial(self):
+        zero = Polynomial.zero(7, VS_W)
+        for q in (7, 49):
+            assert pow_mod_frobenius(zero, 0, q) == Polynomial.constant(7, VS_W, 1)
+            for e in (1, 6, q, q + 3):
+                assert pow_mod_frobenius(zero, e, q).is_zero
 
 
 class TestMulModFrobenius:
