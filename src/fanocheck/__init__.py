@@ -18,7 +18,6 @@ from .poly import (
 )
 from .ideals import (
     PolyIdeal,
-    ideal_quotient,
     localized_is_unit,
     normal_form,
 )

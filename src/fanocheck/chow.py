@@ -389,8 +389,3 @@ def evaluate_expression(ring: IntersectionRing, text: str) -> dict:
     """Evaluate a class expression to a reduced ring element."""
     return ring._unpack(_ExprParser(ring, tokenize(text)).parse())
 
-
-def expression_result_str(ring: IntersectionRing, el: dict) -> str:
-    """The element as element_str prints it, so a constant prints as its
-    integer, in full; ``el`` is reduced, as evaluate_expression returns it."""
-    return ring.element_str(el)

@@ -285,7 +285,7 @@ def chow(base: tuple, bundle: Optional[tuple] = None, canonical: bool = False,
         lhs, rhs = (chowmod.evaluate_expression(ring, side) for side in identity)
         return CheckResult("true" if lhs == rhs else "false")
     el = chowmod.evaluate_expression(ring, expr)
-    return CheckResult(chowmod.expression_result_str(ring, el))
+    return CheckResult(ring.element_str(el))
 
 
 def langer_summary() -> str:

@@ -1,4 +1,4 @@
-"""Ideal arithmetic over F_p: Buchberger bases, membership, quotients,
+"""Ideal arithmetic over F_p: Buchberger bases, membership, normal forms,
 Rabinowitsch-style localization tests and dehomogenized chart tests.
 
 The Buchberger loop runs the normal selection strategy (smallest lcm first)
@@ -24,12 +24,11 @@ returns no basis at all, so a partial basis is never cached.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
-integer order is the term order: ``_grevlex`` for bases, normal forms,
-the localization test and the chart test, ``_elimination`` (the adjoined
-variable's exponent on top) for :func:`ideal_quotient`.  So the leading
-term is a plain ``max``, a product is ``a + b``, a quotient ``b - a``, and
-``a | b`` exactly when ``(b - a) & guard == 0``.  Every product checks its
-guard bits, so an exponent past the cap raises
+integer order is the term order: ``_grevlex`` throughout, on the ring's n
+variables, or on n + 1 for the variable :func:`localized_is_unit` adjoins.
+So the leading term is a plain ``max``, a product is ``a + b``, a quotient
+``b - a``, and ``a | b`` exactly when ``(b - a) & guard == 0``.  Every
+product checks its guard bits, so an exponent past the cap raises
 :class:`~fanocheck.poly.ExponentOverflowError` instead of spilling into a
 neighbouring field.  Monomials are packed at entry, and every result
 leaves through the packing's ``polynomial`` method; the public API speaks
@@ -43,11 +42,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .poly import (
-    AlgebraError,
     Polynomial,
     Prime,
     VariableSet,
-    _elimination,
     _grevlex,
     _PackedOrder,
     as_prime,
@@ -334,70 +331,12 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# quotients and localization
+# localization
 # ---------------------------------------------------------------------------
 
 def _extend(f: Polynomial, order: _PackedOrder, t_exp: int) -> dict:
     """f's terms times t^t_exp, packed with t in slot 0."""
     return {order.pack((t_exp,) + m): c for m, c in f.terms.items()}
-
-
-def _exact_divide_raw(h: dict, g: dict, p: int, order: _PackedOrder) -> dict:
-    """Quotient h / g for exact division; raises if g does not divide h."""
-    lg = max(g)
-    cg_inv = pow(g[lg], -1, p)
-    q = {}
-    r = dict(h)
-    while r:
-        m = max(r)
-        qm = m - lg
-        if qm & order.guard:
-            raise AlgebraError("exact division failed; divisor does not divide")
-        qc = (r[m] * cg_inv) % p
-        q[qm] = qc
-        _sub_scaled(r, g, qm, qc, p, order)
-    return q
-
-
-def ideal_quotient(ideal: PolyIdeal, g: Polynomial) -> PolyIdeal:
-    """The colon ideal (I : g) via elimination of an auxiliary variable t.
-
-    Groebner basis of t*I + (1-t)*g with t dominating, intersect with the
-    t-free part, then divide every survivor by g (division is exact because
-    the survivors generate I meet (g)).
-    """
-    if g.is_zero:
-        raise ValueError("cannot take a quotient by zero")
-    _check_ring(g, ideal.field, ideal.vars)
-    p = ideal.field.p
-    nontrivial = [f for f in ideal.generators if not f.is_zero]
-    if not nontrivial:
-        return PolyIdeal(ideal.field, ideal.vars,
-                         [Polynomial.zero(ideal.field, ideal.vars)])
-    if g.is_constant():
-        return PolyIdeal(ideal.field, ideal.vars, list(ideal.generators))
-    elim = _elimination(ideal.vars.n + 1)
-    ext_gens = [_extend(f, elim, 1) for f in nontrivial]
-    # (1 - t) * g
-    mixed = _extend(g, elim, 0)
-    for m, c in _extend(g, elim, 1).items():
-        mixed[m] = (mixed.get(m, 0) - c) % p
-    mixed = {m: c for m, c in mixed.items() if c}
-    ext_gens.append(mixed)
-    basis = _reduced_raw(_buchberger_raw(ext_gens, elim, p), elim, p)
-    order = _grevlex(ideal.vars.n)
-    divisor = order.pack_terms(g.terms)
-    out = []
-    for h in basis:
-        if any(m & elim.mask for m in h):  # a term with t in it
-            continue
-        shrunk = {order.pack(elim.unpack(m)[1:]): c for m, c in h.items()}
-        out.append(_exact_divide_raw(shrunk, divisor, p, order))
-    if not out:
-        return PolyIdeal(ideal.field, ideal.vars,
-                         [Polynomial.zero(ideal.field, ideal.vars)])
-    return PolyIdeal(ideal.field, ideal.vars,
-                     [order.polynomial(ideal.field, ideal.vars, h) for h in out])
 
 
 def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:

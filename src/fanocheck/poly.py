@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import countOf, mul
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
 
@@ -200,13 +200,6 @@ def _grevlex(n: int) -> _PackedOrder:
     return _PackedOrder(n, _CAPPED_WIDTH, rows)
 
 
-@lru_cache(maxsize=None)
-def _elimination(n: int) -> _PackedOrder:
-    """Slot 0 (the adjoined variable) first, grevlex on slots 1..n-1 behind."""
-    rows = [tuple(int(1 <= i <= k) for i in range(n)) for k in range(1, n)]
-    return _PackedOrder(n, _CAPPED_WIDTH, rows + [(1,) + (0,) * (n - 1)])
-
-
 def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> dict:
     """acc * factor with coefficients mod ``mod`` (integers if None), on packed monomials.
 
@@ -333,6 +326,33 @@ def _read_int(digits: str) -> int:
         return int(Decimal(digits))
 
 
+# int() reads a run of 640 digits under any digit limit a process may set;
+# a longer run is read in such pieces, as int() of it is quadratic
+_CHUNK = 640
+_CAP_DIGITS = len(str(EXPONENT_LIMIT))
+
+
+def _read_int_mod(digits: str, p: int) -> int:
+    """``int(digits) % p`` of a run of decimal digits, in linear time."""
+    head = len(digits) % _CHUNK
+    r = int(digits[:head] or 0)
+    for i in range(head, len(digits), _CHUNK):
+        r = (r * 10 ** _CHUNK + int(digits[i:i + _CHUNK])) % p
+    return r % p
+
+
+def _read_exponent(digits: str, pos: int) -> int:
+    """A run of decimal digits as an exponent below the cap, in linear time;
+    past the cap, the ParseError at ``pos`` names it in ASCII digits."""
+    if len(digits) <= _CAP_DIGITS and (e := int(digits)) < EXPONENT_LIMIT:
+        return e
+    import unicodedata
+    text = "".join(str(unicodedata.decimal(c)) for c in digits).lstrip("0") or "0"
+    if len(text) > _CAP_DIGITS or int(text) >= EXPONENT_LIMIT:
+        raise ParseError(f"exponent {text} exceeds the cap {EXPONENT_LIMIT}", pos)
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -417,9 +437,6 @@ class Polynomial:
         """Terms in decreasing grevlex order."""
         key = _grevlex(self.vars.n).pack
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -509,12 +526,6 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
 # one token per match, its kind the group that matched: a run of decimal
 # digits (str.isdecimal), a run of word characters (str.isalnum or "_"), an
 # operator, or any other character but whitespace (str.isspace), an error
@@ -531,15 +542,16 @@ def _is_identifier(word: str) -> bool:
 
 
 def tokenize(text: str) -> list:
-    """Shared lexer for polynomial and class expressions."""
+    """Shared lexer for polynomial and class expressions: a list of
+    (kind, text, pos) tuples, kind one of "int", "ident", "op" and "end"."""
     out = []
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         word = m.group()
         if group == 4 or (group == 2 and not _is_identifier(word)):
             raise ParseError(f"unexpected character {word[0]!r}", m.start())
-        out.append(Token(_KINDS[group], word, m.start()))
-    out.append(Token("end", "", len(text)))
+        out.append((_KINDS[group], word, m.start()))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -571,7 +583,7 @@ def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polyn
         coeff = 1
         exps = [0] * len(slots)
         if kind == "int":
-            coeff = _read_int(word) % p
+            coeff = _read_int_mod(word, p)
             i += 1
         elif kind != "ident":
             raise ParseError("expected a term", start)
@@ -594,10 +606,7 @@ def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polyn
                 kind, digits, at = tokens[i + 1]
                 if kind != "int":
                     raise ParseError("expected an exponent", at)
-                e = _read_int(digits)
-                if e >= EXPONENT_LIMIT:
-                    raise ParseError(
-                        f"exponent {_int_str(e)} exceeds the cap {EXPONENT_LIMIT}", pos)
+                e = _read_exponent(digits, pos)
                 i += 2
             exps[k] += e
         if max(exps) >= EXPONENT_LIMIT:

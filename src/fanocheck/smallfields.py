@@ -8,7 +8,7 @@ coefficients of mod-p polynomials be used directly as field elements.
 
 from __future__ import annotations
 
-from .poly import Polynomial, _prime_factors
+from .poly import _prime_factors
 
 
 class UnsupportedFieldSizeError(ValueError):
@@ -118,18 +118,3 @@ class GF:
                 a = self._mul[a][a]
         return r
 
-
-def poly_eval(f: Polynomial, point, gf: GF) -> int:
-    """Evaluate a mod-p polynomial at a point with GF(p^k) coordinates."""
-    if gf.p != f.p:
-        raise ValueError("field characteristic mismatch")
-    if len(point) != f.vars.n:
-        raise ValueError("point arity mismatch")
-    total = 0
-    for mono, coeff in f.terms.items():
-        v = coeff % gf.p  # prime subfield embeds as 0..p-1
-        for x, e in zip(point, mono):
-            if e:
-                v = gf.mul(v, gf.pow(x, e))
-        total = gf.add(total, v)
-    return total

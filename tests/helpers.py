@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 import random
+from collections import namedtuple
 from functools import lru_cache
 
 from fanocheck.chow import MAX_NESTING, canonical_class
@@ -24,7 +25,7 @@ from fanocheck.poly import (
     parse_poly,
     tokenize,
 )
-from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power, poly_eval
+from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power
 
 
 def random_poly(rng: random.Random, vset: VariableSet, p: int,
@@ -200,6 +201,22 @@ def count_zeros(f: Polynomial) -> int:
             value += c
         zeros += value % p == 0
     return zeros
+
+
+def poly_eval(f: Polynomial, point, gf: GF) -> int:
+    """Evaluate a mod-p polynomial at a point with GF(p^k) coordinates."""
+    if gf.p != f.p:
+        raise ValueError("field characteristic mismatch")
+    if len(point) != f.vars.n:
+        raise ValueError("point arity mismatch")
+    total = 0
+    for mono, coeff in f.terms.items():
+        v = coeff % gf.p  # prime subfield embeds as 0..p-1
+        for x, e in zip(point, mono):
+            if e:
+                v = gf.mul(v, gf.pow(x, e))
+        total = gf.add(total, v)
+    return total
 
 
 def cone_singular_point_search(variety, qs):
@@ -462,12 +479,6 @@ def ref_grevlex_key(mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def ref_elim_key(mono):
-    """Block order with the adjoined variable (slot 0) in front, grevlex behind."""
-    rest = mono[1:]
-    return (mono[0], sum(rest), tuple(-e for e in reversed(rest)))
-
-
 def _ref_mono_mul(a, b):
     out = tuple(x + y for x, y in zip(a, b))
     if any(e >= EXPONENT_LIMIT for e in out):
@@ -603,32 +614,6 @@ def ref_localized_is_unit(gens, g) -> bool:
     ext.append({m: c for m, c in rab.items() if c})
     basis = ref_buchberger_raw(ext, n + 1, p, ref_grevlex_key)
     return len(basis) == 1 and _ref_is_constant(basis[0])
-
-
-def ref_quotient_gens(gens, g) -> list:
-    """Generators of (gens : g) as tuple dicts, by elimination on the reference loop."""
-    p, n = g.p, g.vars.n
-    ext = [{(1,) + m: c for m, c in f.terms.items()} for f in gens if not f.is_zero]
-    mixed = {(0,) + m: c for m, c in g.terms.items()}
-    for m, c in g.terms.items():
-        mixed[(1,) + m] = (mixed.get((1,) + m, 0) - c) % p
-    ext.append({m: c for m, c in mixed.items() if c})
-    out = []
-    for h in ref_buchberger_raw(ext, n + 1, p, ref_elim_key):
-        if any(m[0] for m in h):
-            continue
-        r = {m[1:]: c for m, c in h.items()}
-        lg = max(g.terms, key=ref_grevlex_key)
-        inv = pow(g.terms[lg], -1, p)
-        q = {}
-        while r:
-            m = max(r, key=ref_grevlex_key)
-            assert _ref_divides(lg, m)
-            qm, qc = _ref_div(m, lg), r[m] * inv % p
-            q[qm] = qc
-            _ref_sub_scaled(r, g.terms, qm, qc, p)
-        out.append(q)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +794,12 @@ class RefIntersectionRing:
 # by an index walk, on a token cursor that never passes "end": same grammar,
 # same nesting cap, same ParseError messages and positions.
 
+_RefToken = namedtuple("_RefToken", "kind text pos")
+
+
 class _RefExprParser:
     def __init__(self, ring, tokens):
-        self.tokens = tokens
+        self.tokens = [_RefToken(*tok) for tok in tokens]
         self.i = 0
         self.ring = ring
         self.depth = 0

@@ -5,7 +5,8 @@ public functions and classes that module defines, and per module the
 private names it imports from another.  Adding, removing or moving one
 changes one line here, so every change to the public API, every helper
 moving into or out of ``src``, and every private helper kept alive for
-one other module shows up in review.
+one other module shows up in review.  And every public name a module
+surface pins has a caller outside the unit tests.
 """
 
 import ast
@@ -59,7 +60,6 @@ PUBLIC_NAMES = [
     "fedder_fsplit",
     "fedder_report",
     "fedder_residue",
-    "ideal_quotient",
     "intersect",
     "langer_neg2_classes",
     "load_corpus",
@@ -95,7 +95,6 @@ MODULE_SURFACES = {
         "canonical_class",
         "div_class_str",
         "evaluate_expression",
-        "expression_result_str",
         "intersect",
         "omega_twist_factors",
         "section_class",
@@ -149,7 +148,6 @@ MODULE_SURFACES = {
     ],
     "ideals": [
         "PolyIdeal",
-        "ideal_quotient",
         "localized_is_unit",
         "normal_form",
     ],
@@ -160,7 +158,6 @@ MODULE_SURFACES = {
         "ParseError",
         "Polynomial",
         "Prime",
-        "Token",
         "VariableSet",
         "ZeroPolynomialError",
         "as_prime",
@@ -175,7 +172,6 @@ MODULE_SURFACES = {
     "smallfields": [
         "GF",
         "UnsupportedFieldSizeError",
-        "poly_eval",
     ],
     "splitting": [
         "FedderReport",
@@ -211,7 +207,7 @@ PRIVATE_IMPORTS = {
     "delpezzo": ["smallfields._factor_prime_power"],
     "geometry": ["ideals._chart_is_unit", "ideals._stops_or_is_unit",
                  "poly._is_variable_name", "poly._prime_factors"],
-    "ideals": ["poly._PackedOrder", "poly._elimination", "poly._grevlex"],
+    "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
     "splitting": ["poly._delta1_packed"],
 }
@@ -225,3 +221,32 @@ def test_private_imports(module):
                       if isinstance(node, ast.ImportFrom) and node.level == 1
                       for alias in node.names if alias.name.startswith("_"))
     assert imported == PRIVATE_IMPORTS.get(module, [])
+
+
+# The places where a public name counts as called: the package's own
+# modules (the package namespace only re-exports), the scripts, the
+# benchmark and the acceptance suite.  A name only its unit test calls has
+# no caller.
+_ROOT = Path(__file__).resolve().parents[1]
+_CALLER_SOURCES = [
+    *(path for path in Path(fanocheck.__file__).parent.glob("*.py")
+      if path.name != "__init__.py"),
+    *(_ROOT / "scripts").rglob("*.py"),
+    *(_ROOT / "perfbench").rglob("*.py"),
+    _ROOT / "tests" / "test_acceptance.py",
+]
+
+
+def test_every_public_name_has_a_caller():
+    used = set()
+    for path in _CALLER_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    uncalled = [f"{module}.{name}" for module, names in sorted(MODULE_SURFACES.items())
+                for name in names if name not in used]
+    assert uncalled == []
