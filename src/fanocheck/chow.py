@@ -11,12 +11,12 @@ section.  The degree map reads off the coefficient of
 h1^n1 ... hk^nk * xi^(r-1), the unique monomial of top dimension.  All
 arithmetic is exact over the integers, on monomials packed, boxed and
 multiplied by poly's packing and kernel and printed by its term printer;
-the public methods take and return {exponent tuple: int} dicts.
+reduce, class_element and element_str take and return {exponent tuple: int}
+dicts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,12 +99,15 @@ class IntersectionRing:
         self._top = order.pack(tuple(base.dims) + ((self.rank - 1,) if bundle else ()))
         self._xi_top = self.rank * order.units[-1] if bundle else None
         self._xi_rule = self._build_xi_rule() if bundle else None
+        # the generators by the names element_str prints and expressions read
+        names = [f"h{i + 1}" for i in range(self.k)] + (["xi"] if bundle else [])
+        self._symbols = dict(zip(names, order.units))
 
     # -- element plumbing: {packed monomial: int} inside, {exponent tuple:
-    # int} with the xi slot last at the boundary (one, generator, mul,
-    # reduce, degree, class_element, element_str).  Monomials pack by
-    # poly's packing; its box holds h_i below n_i + 1 and leaves the xi
-    # field on top open, so xi^r divides m exactly when m >= _xi_top.
+    # int} with the xi slot last at the boundary (reduce, class_element,
+    # element_str).  Monomials pack by poly's packing; its box holds h_i
+    # below n_i + 1 and leaves the xi field on top open, so xi^r divides m
+    # exactly when m >= _xi_top.
 
     def _pack(self, el: dict) -> dict:
         """The one boundary check; monomials outside the h-box are zero."""
@@ -157,18 +160,9 @@ class IntersectionRing:
             raise DimensionMismatchError("xi coefficient in a ring without a bundle")
         return {u: c for u, c in zip(self._order.units, cls.h + (cls.xi,)) if c}
 
-    def one(self) -> dict:
-        return self._unpack({0: 1})
-
-    def generator(self, i: int) -> dict:
-        return self._unpack({self._order.units[i]: 1})
-
     def reduce(self, el: dict) -> dict:
         """Apply h-truncation and the xi rewriting rule until stable."""
         return self._unpack(self._reduce(self._pack(el)))
-
-    def mul(self, a: dict, b: dict) -> dict:
-        return self._unpack(self._mul(self._pack(a), self._pack(b)))
 
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)
@@ -182,15 +176,11 @@ class IntersectionRing:
     def class_element(self, cls: DivClass) -> dict:
         return self._unpack(self._class(cls))
 
-    def degree(self, el: dict) -> int:
-        """Coefficient of the top monomial after reduction."""
-        return self._reduce(self._pack(el)).get(self._top, 0)
-
     def element_str(self, el: dict) -> str:
         el = self.reduce(el)
         if not el:
             return "0"
-        names = [f"h{i + 1}" for i in range(self.k)] + (["xi"] if self.bundle else [])
+        names = list(self._symbols)
         pad = (0,) if not self.bundle else ()
         keyed = sorted(el.items(), key=lambda t: _chow_mono_key(t[0] + pad),
                        reverse=True)
@@ -274,7 +264,7 @@ class _ExprParser:
     """expr := term (('+'|'-') term)*; term := factor ('*'? factor)*;
     factor := '-' factor | int | ident ['^' int] | '(' expr ')' | deg(expr).
 
-    Identifiers: h1..hk, xi (bundle rings), K (the canonical class).
+    Identifiers by exact name: h1..hk, xi (bundle rings), K (canonical class).
     Factors nest at most MAX_NESTING deep (parentheses, deg() and unary
     minus), so deep input is a ParseError, not a RecursionError.  Every
     element is packed and reduced.  The token list is walked by index, as
@@ -351,14 +341,10 @@ class _ExprParser:
             return ring.scale({0: 1}, el.get(ring._top, 0))
         if word == "K":
             return self._maybe_power(ring._class(canonical_class(ring)))
+        if word in ring._symbols:
+            return self._maybe_power({ring._symbols[word]: 1})
         if word == "xi":
-            if not ring.bundle:
-                raise ParseError("xi needs a bundle ring", pos)
-            return self._maybe_power({ring._order.units[-1]: 1})
-        if word.startswith("h") and word[1:].isdecimal():
-            i = _read_int(word[1:]) - 1
-            if 0 <= i < ring.k:
-                return self._maybe_power({ring._order.units[i]: 1})
+            raise ParseError("xi needs a bundle ring", pos)
         raise ParseError(f"unknown symbol {word!r}", pos)
 
     def _maybe_power(self, el: dict) -> dict:
@@ -374,14 +360,24 @@ class _ExprParser:
             ring = self.ring
             c = el.get(0, 0)
             n = {m: v for m, v in el.items() if m}
-            out, n_k = {}, {0: 1}
-            for k in range(e + 1):
-                if k:
+            n_k = {0: 1}
+            if not c:
+                for _ in range(e):
                     n_k = ring._mul(n_k, n)
                     if not n_k:
                         break
-                out = ring.add(out, ring.scale(n_k, math.comb(e, k) * c ** (e - k)))
-            return out
+                return n_k
+            # b = C(e, k) c^(e-k), stepped down from c^e by exact division
+            b = c ** e
+            out = {0: b}
+            for k in range(1, e + 1):
+                n_k = ring._mul(n_k, n)
+                if not n_k:
+                    break
+                b = b * (e - k + 1) // (k * c)
+                for m, v in n_k.items():
+                    out[m] = out.get(m, 0) + b * v
+            return {m: v for m, v in out.items() if v}
         return el
 
 

@@ -39,11 +39,6 @@ class LatticeClass:
     def self_intersection(self) -> int:
         return self.d * self.d - sum(a * a for a in self.m)
 
-    @property
-    def k_degree(self) -> int:
-        """Pairing with the canonical class -3H + sum E_i."""
-        return -3 * self.d + sum(self.m)
-
 
 @dataclass(frozen=True)
 class PicLattice:
@@ -54,10 +49,6 @@ class PicLattice:
     def __post_init__(self):
         if not (1 <= self.r <= 8):
             raise ValueError("rank parameter r must be in 1..8")
-
-    @property
-    def canonical(self) -> LatticeClass:
-        return LatticeClass(-3, (-1,) * self.r)
 
 
 def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,

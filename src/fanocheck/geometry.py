@@ -221,12 +221,8 @@ class HypersurfaceVariety:
         self.prime = prime
         self.space = space
         self.f = f
-        if all(d == 0 for d in self.multidegree):
+        if all(d == 0 for d in weighted_degree(f)):
             raise ValueError("hypersurface must have nonzero multidegree")
-
-    @cached_property
-    def multidegree(self) -> tuple:
-        return weighted_degree(self.f)
 
     @property
     def p(self) -> int:

@@ -275,10 +275,6 @@ class PolyIdeal:
             self._gb = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
         return self._gb
 
-    def contains(self, f: Polynomial) -> bool:
-        _check_ring(f, self.field, self.vars)
-        return normal_form(f, self.groebner_basis()).is_zero
-
 
 def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
     """Whether Buchberger on the generators ends at ``stop`` or at the unit ideal.

@@ -408,12 +408,6 @@ class Polynomial:
     def constant(cls, field, variables: VariableSet, c: int) -> "Polynomial":
         return cls(field, variables, {(0,) * variables.n: c})
 
-    @classmethod
-    def variable(cls, field, variables: VariableSet, name: str) -> "Polynomial":
-        i = variables.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(variables.n))
-        return cls(field, variables, {mono: 1})
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -95,9 +95,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -105,16 +102,4 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("inverting 0 in GF")
         return self._inv[a]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul[r][a]
-            e >>= 1
-            if e:
-                a = self._mul[a][a]
-        return r
 

@@ -28,6 +28,12 @@ from fanocheck.poly import (
 from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power
 
 
+def variable(p, vset: VariableSet, name: str) -> Polynomial:
+    """The coordinate ``name`` as a polynomial."""
+    i = vset.index(name)
+    return Polynomial(p, vset, {tuple(int(j == i) for j in range(vset.n)): 1})
+
+
 def random_poly(rng: random.Random, vset: VariableSet, p: int,
                 max_terms: int = 5, max_exp: int = 3) -> Polynomial:
     terms = {}
@@ -203,6 +209,19 @@ def count_zeros(f: Polynomial) -> int:
     return zeros
 
 
+def gf_sub(gf: GF, a: int, b: int) -> int:
+    """a - b from GF's add and mul: -1 is p - 1 in the prime subfield."""
+    return gf.add(a, gf.mul(gf.p - 1, b))
+
+
+def gf_pow(gf: GF, a: int, e: int) -> int:
+    """a^e for e >= 0, by repeated multiplication."""
+    r = 1
+    for _ in range(e):
+        r = gf.mul(r, a)
+    return r
+
+
 def poly_eval(f: Polynomial, point, gf: GF) -> int:
     """Evaluate a mod-p polynomial at a point with GF(p^k) coordinates."""
     if gf.p != f.p:
@@ -214,7 +233,7 @@ def poly_eval(f: Polynomial, point, gf: GF) -> int:
         v = coeff % gf.p  # prime subfield embeds as 0..p-1
         for x, e in zip(point, mono):
             if e:
-                v = gf.mul(v, gf.pow(x, e))
+                v = gf.mul(v, gf_pow(gf, x, e))
         total = gf.add(total, v)
     return total
 
@@ -884,10 +903,10 @@ class _RefExprParser:
                 if not self.ring.bundle:
                     raise ParseError("xi needs a bundle ring", tok.pos)
                 return self._maybe_power({self.ring._order.units[-1]: 1})
-            if tok.text.startswith("h") and tok.text[1:].isdecimal():
-                i = int(tok.text[1:]) - 1
-                if 0 <= i < self.ring.k:
-                    return self._maybe_power({self.ring._order.units[i]: 1})
+            names = [f"h{i + 1}" for i in range(self.ring.k)]
+            if tok.text in names:
+                i = names.index(tok.text)
+                return self._maybe_power({self.ring._order.units[i]: 1})
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         raise ParseError("expected a class expression", tok.pos)
 
@@ -986,7 +1005,7 @@ def _ref_apply(matrix, point, gf):
 
 
 def _ref_cross(u, v, gf):
-    return tuple(gf.sub(gf.mul(u[i], v[j]), gf.mul(u[j], v[i]))
+    return tuple(gf_sub(gf, gf.mul(u[i], v[j]), gf.mul(u[j], v[i]))
                  for i, j in ((1, 2), (2, 0), (0, 1)))
 
 
@@ -1051,7 +1070,7 @@ def ref_pgl_orbit_canonical(config):
                 head = ((0, 0, 1),) + tuple(sorted((0, 1, gf.mul(ratio, z)) for z in line))
                 scaled = [(gf.mul(mu, y), gf.mul(lam, z)) for y, z in affine]
                 if scaled:
-                    images = [head + tuple(sorted((1, gf.sub(y, y0), gf.sub(z, z0))
+                    images = [head + tuple(sorted((1, gf_sub(gf, y, y0), gf_sub(gf, z, z0))
                                                   for y, z in scaled))
                               for y0, z0 in scaled]
                 else:

@@ -6,7 +6,8 @@ private names it imports from another.  Adding, removing or moving one
 changes one line here, so every change to the public API, every helper
 moving into or out of ``src``, and every private helper kept alive for
 one other module shows up in review.  And every public name a module
-surface pins has a caller outside the unit tests.
+surface pins, and every public method of a pinned class, has a caller
+outside the unit tests.
 """
 
 import ast
@@ -249,4 +250,27 @@ def test_every_public_name_has_a_caller():
                 used.update(alias.name for alias in node.names)
     uncalled = [f"{module}.{name}" for module, names in sorted(MODULE_SURFACES.items())
                 for name in names if name not in used]
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller():
+    """Every public function in the body of a pinned class (method,
+    property, classmethod) is read as an attribute in a caller source.
+
+    The match is by name alone: a member shares its name with every other
+    object's member of that name, so one read of ``args.canonical`` passes
+    ``PicLattice.canonical``.  Review catches those.
+    """
+    attrs = {node.attr for path in _CALLER_SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)}
+    uncalled = []
+    for module, names in sorted(MODULE_SURFACES.items()):
+        source = Path(fanocheck.__file__).with_name(f"{module}.py").read_text()
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in names:
+                continue
+            uncalled += [f"{cls.name}.{node.name}" for node in cls.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not node.name.startswith("_") and node.name not in attrs]
     assert uncalled == []

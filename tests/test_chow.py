@@ -44,20 +44,16 @@ class TestRingBasics:
         assert (rb.k, rb.ngens, rb.rank, rb.dimension) == (2, 3, 2, 3)
 
     def test_h_truncation(self):
-        r = base_ring(1)
-        h = r.generator(0)
-        assert r.mul(h, h) == {}
+        assert evaluate_expression(base_ring(1), "h1*h1") == {}
 
     def test_xi_rewrite_rule(self):
         r = bundle_ring([1, 1], [[0, 0], [1, 2]])
-        xi = r.generator(2)
         # (xi)(xi - h1 - 2 h2) = 0, so xi^2 = h1 xi + 2 h2 xi
-        assert r.mul(xi, xi) == {(1, 0, 1): 1, (0, 1, 1): 2}
+        assert evaluate_expression(r, "xi*xi") == {(1, 0, 1): 1, (0, 1, 1): 2}
 
     def test_degree_reads_top_coefficient(self):
         r = base_ring(1, 1)
-        el = evaluate_expression(r, "5*h1*h2 + h1")
-        assert r.degree(el) == 5
+        assert evaluate_expression(r, "deg(5*h1*h2 + h1)") == {(0, 0): 5}
 
     def test_class_element_validation(self):
         r = base_ring(1, 1)
@@ -70,7 +66,7 @@ class TestRingBasics:
         with pytest.raises(DimensionMismatchError):
             base_ring(1, 1).reduce({(1,): 5})
         r = bundle_ring([1, 1], [[0, 0], [1, 2]])
-        for op in (r.reduce, r.degree, r.element_str, lambda el: r.mul(el, r.one())):
+        for op in (r.reduce, r.element_str):
             with pytest.raises(ValueError):
                 op({(0, -1, 3): 1})
             with pytest.raises(DimensionMismatchError):
@@ -199,9 +195,8 @@ class TestBundleRing:
 
     def test_disjoint_sections_multiply_to_zero(self):
         r = bundle_ring([1, 1], [[0, 0], [1, 1]])
-        s0 = r.class_element(section_class(r, 0))
-        s1 = r.class_element(section_class(r, 1))
-        assert r.mul(s0, s1) == {}
+        s0, s1 = (div_class_str(r, section_class(r, j)) for j in (0, 1))
+        assert evaluate_expression(r, f"({s0})*({s1})") == {}
 
     def test_section_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +293,7 @@ class TestExpressions:
         ("(h1+h2)^3", "0"),
         ("(1+h1+h2)^3", "6*h1*h2 + 3*h1 + 3*h2 + 1"),
         ("(h1-h1)^0", "1"),
+        ("(1+h1+h2-h1*h2)^2", "2*h1 + 2*h2 + 1"),  # 2n + n^2 cancels h1*h2
     ])
     def test_small_powers(self, expr, expected):
         r = base_ring(1, 1)
@@ -386,6 +382,22 @@ class TestExpressions:
             evaluate_expression(r, text)
         assert (str(exc.value), exc.value.pos) == (message, pos)
 
+    # symbols are read by the exact names element_str prints: no leading
+    # zero, no other decimal digits, nothing past hk
+    @pytest.mark.parametrize("text,word,pos", [
+        ("h01", "h01", 0), ("h\u0661", "h\u0661", 0), ("h0", "h0", 0), ("h3", "h3", 0),
+        ("2*h02", "h02", 2), ("h1 h\u0662^2", "h\u0662", 3),
+    ], ids=["leading_zero", "arabic_indic_one", "h0", "past_hk", "inner", "arabic_indic_two"])
+    def test_symbols_by_exact_name(self, text, word, pos):
+        r = base_ring(2, 2)
+        with pytest.raises(ParseError) as exc:
+            evaluate_expression(r, text)
+        assert (str(exc.value), exc.value.pos) == (
+            f"unknown symbol {word!r} (at position {pos})", pos)
+        with pytest.raises(ParseError) as exc:
+            ref_evaluate_expression(r, text)
+        assert exc.value.pos == pos
+
     def test_element_rendering_order(self):
         r = bundle_ring([1, 1], [[0, 0], [1, 1]])
         el = evaluate_expression(r, "h2 + xi + h1")
@@ -415,6 +427,16 @@ LATTICE_SHAPES = [
     ((2,) * 3, ((0,) * 3, (-2, 0, 0), (0, 2, 0)), 8),
     ((2,) * 3, ((0,) * 3, (1, -2, 0)), 7),
 ]
+
+
+def expr_mul(ring, a, b):
+    """a * b on the ring, through the expression language."""
+    return evaluate_expression(ring, f"({ring.element_str(a)})*({ring.element_str(b)})")
+
+
+def expr_degree(ring, el):
+    """The degree of el on the ring, through the expression language."""
+    return evaluate_expression(ring, f"deg({ring.element_str(el)})").get((0,) * ring.ngens, 0)
 
 
 def ring_pair(dims, twists):
@@ -484,11 +506,11 @@ class TestPackedAgainstTupleRing:
             ring, ref = ring_pair(*random_shape(rng, dims))
             a, b = random_element(rng, ring), random_element(rng, ring)
             assert ring.reduce(a) == ref.reduce(a)
-            assert ring.mul(a, b) == ref.mul(a, b)
-            assert ring.degree(a) == ref.degree(a)
+            assert expr_mul(ring, a, b) == ref.mul(a, b)
+            assert expr_degree(ring, a) == ref.degree(a)
             top = dict(a)
             top[ref.top] = trial
-            assert ring.degree(top) == ref.degree(top)
+            assert expr_degree(ring, top) == ref.degree(top)
             assert ring.element_str(a) == ring.element_str(ref.reduce(a))
 
     @pytest.mark.parametrize("n", EDGE_DIMS)
@@ -503,7 +525,7 @@ class TestPackedAgainstTupleRing:
                 for _ in range(5):
                     a, b = random_element(rng, ring), random_element(rng, ring)
                     assert ring.reduce(a) == ref.reduce(a)
-                    assert ring.mul(a, b) == ref.mul(a, b)
+                    assert expr_mul(ring, a, b) == ref.mul(a, b)
                 classes = [DivClass(tuple(rng.randint(-3, 3) for _ in dims),
                                     rng.randint(-3, 3)) for _ in range(ring.dimension)]
                 el = ref.one()
@@ -529,6 +551,32 @@ class TestPackedAgainstTupleRing:
         assert evaluate_expression(ring, f"K^{dim}") == power
         assert evaluate_expression(ring, f"deg(K^{dim})") == ref.scale(ref.one(), ref.degree(power))
 
+    def test_powers_of_affine_classes_seeded(self):
+        # (c + lin)^e for c = 0 (n^e alone) and c != 0 (the stepped
+        # binomial), e from 0 to past the dimension, where the powers of lin
+        # have run out
+        rng = random.Random(20261019)
+        for trial in range(24):
+            dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            shape = random_shape(rng, dims) if trial % 2 else (dims, None)
+            ring, ref = ring_pair(*shape)
+            cls = DivClass(tuple(rng.randint(-3, 3) for _ in dims),
+                           rng.randint(-3, 3) if ring.bundle else 0)
+            lin = ref.class_element(cls.h, cls.xi)
+            for c in (0, 1, -1, 2, -3, 7):
+                base = ref.add(ref.scale(ref.one(), c), lin)
+                for e in range(ring.dimension + 3):
+                    text = f"({c} + {div_class_str(ring, cls)})^{e}"
+                    assert evaluate_expression(ring, text) == ref.power(base, e), text
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 3000])
+    def test_top_power_of_the_hyperplane(self, n):
+        ring = base_ring(n)
+        assert evaluate_expression(ring, f"h1^{n}") == {(n,): 1}
+        assert evaluate_expression(ring, f"h1^{n + 1}") == {}
+        assert evaluate_expression(ring, f"deg(h1^{n})") == {(0,): 1}
+        assert evaluate_expression(ring, f"deg((1 + h1)^{n})") == {(0,): 1}
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_mul_commutative_and_associative(self, data):
@@ -541,8 +589,9 @@ class TestPackedAgainstTupleRing:
                          *([st.integers(0, rank - 1)] if rank else []))
         element = st.dictionaries(mono, st.integers(-4, 4), max_size=4).map(ring.reduce)
         a, b, c = data.draw(element), data.draw(element), data.draw(element)
-        assert ring.mul(a, b) == ring.mul(b, a)
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+        assert expr_mul(ring, a, b) == expr_mul(ring, b, a)
+        assert (expr_mul(ring, expr_mul(ring, a, b), c)
+                == expr_mul(ring, a, expr_mul(ring, b, c)))
 
 
 # pieces of class-expression text, valid and not, joined at random; an

@@ -19,13 +19,14 @@ from fanocheck.geometry import (
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck.ideals import PolyIdeal
-from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly
+from fanocheck.ideals import PolyIdeal, normal_form
+from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly, weighted_degree
 from helpers import (
     cone_singular_point_search,
     dense_form,
     monomials_of_degree,
     random_homogeneous,
+    variable,
 )
 
 
@@ -136,7 +137,7 @@ class TestConeSmoothness:
     def test_double_plane_fails_with_witness(self):
         v = variety("P(1,1,1)", "x0^2", 5)
         assert cone_smoothness(v) == ConeResult(False, "x1")
-        assert jacobian_ideal(v).contains(v.f)
+        assert normal_form(v.f, jacobian_ideal(v).groebner_basis()).is_zero
 
     def test_fermat_cone_smooth(self):
         res = cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5))
@@ -171,7 +172,7 @@ def _singular_at_e0(rng, space, p, degree):
 def _singular_at_e0_plus_e1(rng, space, p, degree):
     """A member of (x0 - x1, x2, ..., xn)^2: singular at [1:1:0:...:0]."""
     vs = space.variable_set
-    var = [Polynomial.variable(p, vs, name) for name in vs.names]
+    var = [variable(p, vs, name) for name in vs.names]
     lin = [var[0] - var[1]] + var[2:]
     wts = [1] + [w for (w,) in vs.weights[2:]]
     while True:
@@ -342,7 +343,7 @@ class TestChartsAgainstLocalization:
             for chart in v.space.chart_tuples():
                 g = Polynomial.constant(v.prime, vs, 1)
                 for name in chart:
-                    g = g * Polynomial.variable(v.prime, vs, name)
+                    g = g * variable(v.prime, vs, name)
                 unit = ideals._chart_is_unit(jac, [vs.index(name) for name in chart])
                 assert unit == ideals.localized_is_unit(jac, g), (label, chart, str(v.f))
                 if len(chart) == 1:
@@ -529,7 +530,7 @@ def euler_sum(f, c):
     total = Polynomial.zero(f.field, f.vars)
     for name, w in zip(f.vars.names, f.vars.weights):
         if w[c]:
-            total = total + w[c] * (Polynomial.variable(f.field, f.vars, name)
+            total = total + w[c] * (variable(f.field, f.vars, name)
                                     * f.partial(name))
     return total
 
@@ -537,14 +538,14 @@ def euler_sum(f, c):
 class TestEulerRelation:
     def test_ok_components(self):
         v = variety("P(1,1,1)", "x0^2 + x1*x2", 5)
-        assert v.multidegree == (2,)
+        assert weighted_degree(v.f) == (2,)
         assert euler_sum(v.f, 0) == 2 * v.f
 
     def test_mixed_components(self):
         # degree (1, 2) at p = 2: the identity degenerates to 0 == 0 in
         # component 1
         v = variety("P(1,1) x P(1,1)", "x0*y0^2 + x1*y1^2", 2)
-        assert v.multidegree == (1, 2)
+        assert weighted_degree(v.f) == (1, 2)
         assert euler_sum(v.f, 0) == v.f
         assert euler_sum(v.f, 1).is_zero
 
