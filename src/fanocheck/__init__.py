@@ -35,7 +35,6 @@ from .geometry import (
     AmbientFactor,
     AmbientSpace,
     HypersurfaceVariety,
-    SingularStratum,
     SmoothnessStatus,
     UnsupportedStratumError,
     ambient_singular_strata,

@@ -12,9 +12,10 @@ chart tuple contains the support of some leading monomial of a Groebner basis
 of J.  On a one-factor ambient that is a pure power of every variable (J is
 m-primary or the unit ideal).  One Buchberger run on J settles it for every
 ambient, and it stops as soon as the last tuple closes, since leading
-monomials of a partial basis already lie in the initial ideal.  Only when the
-certificate fails do the charts run one by one, to name the first chart
-where V(J) meets g != 0.  Each chart is dehomogenized rather than localized:
+monomials of a partial basis already lie in the initial ideal.  So a failed
+certificate is the Singular verdict.  The charts run one by one only to name
+a witness, the first chart where V(J) meets g != 0, and the verdict never
+runs them.  Each chart is dehomogenized rather than localized:
 J is homogeneous for one C* per factor, acting with that factor's weights,
 and over the algebraic closure every point with g != 0 scales to one with
 each chart variable equal to 1 (x^w = c is solvable for any w, also when p
@@ -31,14 +32,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .ideals import PolyIdeal, _chart_is_unit, _stops_or_is_unit
 from .poly import (
-    AlgebraError,
     ParseError,
     Polynomial,
     VariableSet,
@@ -171,21 +170,14 @@ def parse_ambient(text: str, names: Optional[Sequence[str]] = None) -> AmbientSp
 # ambient singular strata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularStratum:
-    """Coordinate stratum of ambient quotient singularities.
-
-    ``variables`` spans the stratum (all other variables of its factor
-    vanish); ``order`` is the gcd of their weights.
-    """
-
-    variables: tuple
-    order: int
-
-
 def ambient_singular_strata(space: AmbientSpace) -> list:
-    """Maximal coordinate strata where some prime divides all active weights."""
-    strata = {}
+    """Maximal coordinate strata where some prime divides all active weights.
+
+    Each stratum is the tuple of the variable names spanning it, in factor
+    order (all other variables of its factor vanish there); the list is
+    sorted.
+    """
+    strata = []
     for fac in space.factors:
         prime_divisors = {ell for w in fac.weights for ell in _prime_factors(w)}
         subsets = set()
@@ -197,12 +189,9 @@ def ambient_singular_strata(space: AmbientSpace) -> list:
         # keep only subsets maximal under inclusion
         for members in subsets:
             mset = set(members)
-            if any(other != members and mset < set(other) for other in subsets):
-                continue
-            order = math.gcd(*(w for name, w in zip(fac.names, fac.weights)
-                               if name in members))
-            strata[members] = SingularStratum(members, order)
-    return sorted(strata.values(), key=lambda s: s.variables)
+            if not any(other != members and mset < set(other) for other in subsets):
+                strata.append(members)
+    return sorted(strata)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +212,6 @@ class HypersurfaceVariety:
         self.f = f
         if all(d == 0 for d in weighted_degree(f)):
             raise ValueError("hypersurface must have nonzero multidegree")
-
-    @property
-    def p(self) -> int:
-        return self.prime.p
 
 
 def jacobian_ideal(variety: HypersurfaceVariety) -> PolyIdeal:
@@ -288,26 +273,23 @@ def _support_certificate(space: AmbientSpace, jac: PolyIdeal) -> bool:
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
-    """Jacobian criterion on the affine cone away from the irrelevant locus.
+    """Jacobian criterion on the affine cone away from the irrelevant locus,
+    with a witness chart when it fails.
 
     One Groebner basis of the Jacobian ideal J decides every ambient: the
     cone is smooth there exactly when each chart tuple (one variable per
     factor) contains the support of some leading monomial, and then no
-    chart is tested.  Without that certificate the charts run one by one,
-    only to name the first chart where J plus (x_i - 1) for the chart's
-    variables is not the unit ideal.  That is the first chart where J does
-    not become the unit ideal after inverting the chart's product (J is
-    homogeneous for one C* per factor), so ``witness_chart`` names the
-    chart a localization test would.
+    chart is tested.  Without that certificate the cone is singular, and
+    the charts run one by one only to name the first chart where J plus
+    (x_i - 1) for the chart's variables is not the unit ideal.  That is
+    the first chart where J does not become the unit ideal after inverting
+    the chart's product (J is homogeneous for one C* per factor), so
+    ``witness_chart`` names the chart a localization test would.
     """
     jac = jacobian_ideal(variety)
     if _support_certificate(variety.space, jac):
         return ConeResult(True)
-    result = _chart_smoothness(variety, jac)
-    if result.smooth_away_from_irrelevant:
-        raise AlgebraError("Jacobian ideal has no support certificate, yet "
-                           "every chart localizes it to the unit ideal")
-    return result
+    return _chart_smoothness(variety, jac)
 
 
 class SmoothnessStatus(enum.Enum):
@@ -327,20 +309,21 @@ def _has_pure_power(f: Polynomial, name: str) -> bool:
 def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     """Full verdict: cone criterion plus avoidance of ambient singular points.
 
-    Only zero-dimensional ambient strata are supported; a hypersurface is
-    Smooth when the punctured cone is smooth and f carries a pure power of
-    each stratum variable (so the stratum point misses the hypersurface),
-    QuasiSmoothOnly when cone-smooth but some stratum point lies on it.
+    The cone criterion is the support certificate alone: without it the
+    verdict is Singular, and no chart runs (``cone_smoothness`` runs them
+    to name a witness).  Only zero-dimensional ambient strata are
+    supported; a hypersurface is Smooth when the punctured cone is smooth
+    and f carries a pure power of each stratum variable (so the stratum
+    point misses the hypersurface), QuasiSmoothOnly when cone-smooth but
+    some stratum point lies on it.
     """
-    cone = cone_smoothness(variety)
-    if not cone.smooth_away_from_irrelevant:
+    if not _support_certificate(variety.space, jacobian_ideal(variety)):
         return SmoothnessStatus.SINGULAR
     verdict = SmoothnessStatus.SMOOTH
     for stratum in ambient_singular_strata(variety.space):
-        if len(stratum.variables) > 1:
-            raise UnsupportedStratumError(
-                f"stratum {stratum.variables} has positive dimension")
-        (name,) = stratum.variables
+        if len(stratum) > 1:
+            raise UnsupportedStratumError(f"stratum {stratum} has positive dimension")
+        (name,) = stratum
         if not _has_pure_power(variety.f, name):
             verdict = SmoothnessStatus.QUASI_SMOOTH_ONLY
     return verdict

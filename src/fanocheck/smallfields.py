@@ -92,9 +92,6 @@ class GF:
     def elements(self):
         return range(self.q)
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 

@@ -210,8 +210,8 @@ def count_zeros(f: Polynomial) -> int:
 
 
 def gf_sub(gf: GF, a: int, b: int) -> int:
-    """a - b from GF's add and mul: -1 is p - 1 in the prime subfield."""
-    return gf.add(a, gf.mul(gf.p - 1, b))
+    """a - b from GF's tables: -1 is p - 1 in the prime subfield."""
+    return gf._add[a][gf.mul(gf.p - 1, b)]
 
 
 def gf_pow(gf: GF, a: int, e: int) -> int:
@@ -234,7 +234,7 @@ def poly_eval(f: Polynomial, point, gf: GF) -> int:
         for x, e in zip(point, mono):
             if e:
                 v = gf.mul(v, gf_pow(gf, x, e))
-        total = gf.add(total, v)
+        total = gf._add[total][v]
     return total
 
 
@@ -999,8 +999,8 @@ def _ref_normalize(point, gf):
 
 def _ref_apply(matrix, point, gf):
     return _ref_normalize(tuple(
-        gf.add(gf.add(gf.mul(row[0], point[0]), gf.mul(row[1], point[1])),
-               gf.mul(row[2], point[2]))
+        gf._add[gf._add[gf.mul(row[0], point[0])][gf.mul(row[1], point[1])]][
+            gf.mul(row[2], point[2])]
         for row in matrix), gf)
 
 
@@ -1039,7 +1039,7 @@ def pgl3_elements(q: int) -> tuple:
         for r2 in vectors:
             if r2 in span1:
                 continue
-            span2 = {tuple(gf.add(gf.mul(a, x), gf.mul(b, y)) for x, y in zip(r1, r2))
+            span2 = {tuple(gf._add[gf.mul(a, x)][gf.mul(b, y)] for x, y in zip(r1, r2))
                      for a in gf.elements for b in gf.elements}
             for r3 in vectors:
                 if r3 not in span2:

@@ -7,7 +7,7 @@ changes one line here, so every change to the public API, every helper
 moving into or out of ``src``, and every private helper kept alive for
 one other module shows up in review.  And every public name a module
 surface pins, and every public method of a pinned class, has a caller
-outside the unit tests.
+outside the unit tests, and every name a module imports is read there.
 """
 
 import ast
@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "Prime",
     "ProductBase",
     "Report",
-    "SingularStratum",
     "SmoothnessStatus",
     "SplitBundleSpec",
     "SplitStatus",
@@ -138,7 +137,6 @@ MODULE_SURFACES = {
         "AmbientSpace",
         "ConeResult",
         "HypersurfaceVariety",
-        "SingularStratum",
         "SmoothnessStatus",
         "UnsupportedStratumError",
         "ambient_singular_strata",
@@ -222,6 +220,24 @@ def test_private_imports(module):
                       if isinstance(node, ast.ImportFrom) and node.level == 1
                       for alias in node.names if alias.name.startswith("_"))
     assert imported == PRIVATE_IMPORTS.get(module, [])
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in that module; the package
+    namespace, which only re-exports, and ``from __future__`` are exempt."""
+    unused = []
+    for path in sorted(Path(fanocheck.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    assert unused == []
 
 
 # The places where a public name counts as called: the package's own

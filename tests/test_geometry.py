@@ -8,7 +8,6 @@ from fanocheck.geometry import (
     AmbientSpace,
     ConeResult,
     HypersurfaceVariety,
-    SingularStratum,
     SmoothnessStatus,
     UnsupportedStratumError,
     _chart_smoothness,
@@ -111,26 +110,25 @@ class TestSingularStrata:
 
     def test_single_weight_three(self):
         strata = ambient_singular_strata(parse_ambient("P(1,1,1,1,3)"))
-        assert strata == [SingularStratum(("x4",), 3)]
+        assert strata == [("x4",)]
 
     def test_two_point_strata(self):
         strata = ambient_singular_strata(parse_ambient("P(1,1,1,2,3)"))
-        assert strata == [SingularStratum(("x3",), 2), SingularStratum(("x4",), 3)]
+        assert strata == [("x3",), ("x4",)]
 
     def test_prime_powers_dedupe(self):
-        # 2 and 3 both pick out the weight-6 variable; one stratum, order 6
+        # 2 and 3 both pick out the weight-6 variable; one stratum
         strata = ambient_singular_strata(parse_ambient("P(1,6)"))
-        assert strata == [SingularStratum(("x1",), 6)]
+        assert strata == [("x1",)]
 
     def test_inclusion_maximality(self):
         # V_3 = {x1} sits inside V_2 = {x0, x1} and is absorbed by it
         strata = ambient_singular_strata(parse_ambient("P(2,6)"))
-        assert strata == [SingularStratum(("x0", "x1"), 2)]
+        assert strata == [("x0", "x1")]
 
     def test_incomparable_strata_survive(self):
         strata = ambient_singular_strata(parse_ambient("P(1,2,3,6)"))
-        assert strata == [SingularStratum(("x1", "x3"), 2),
-                          SingularStratum(("x2", "x3"), 3)]
+        assert strata == [("x1", "x3"), ("x2", "x3")]
 
 
 class TestConeSmoothness:
@@ -248,7 +246,8 @@ def _product_members():
 
 
 def _assert_methods_agree(members):
-    """Both methods and cone_smoothness agree; returns cone_smoothness's results."""
+    """Both methods, cone_smoothness and smoothness_verdict agree; returns
+    cone_smoothness's results."""
     verdicts, results = [], []
     for label, v, forced in members:
         single, charts = _both_methods(v)
@@ -258,6 +257,9 @@ def _assert_methods_agree(members):
         res = cone_smoothness(v)
         assert (res.smooth_away_from_irrelevant, res.witness_chart) \
             == (charts.smooth_away_from_irrelevant, charts.witness_chart)
+        # the verdict reads the certificate alone; the chart loop backs it
+        assert (smoothness_verdict(v) is SmoothnessStatus.SINGULAR) \
+            == (not charts.smooth_away_from_irrelevant), (label, str(v.f))
         verdicts.append(single)
         results.append(res)
     # both verdicts occur often, so neither method can pass by default
@@ -439,15 +441,18 @@ class TestFastPath:
         (jac,) = built_ideals
         self.assert_no_partial_basis_cached(jac)
 
-    def test_charts_finding_nothing_is_an_error(self, monkeypatch):
-        # a J without the certificate must fail some chart; if none fails,
-        # the verdict is not trusted
-        monkeypatch.setattr(geometry, "_chart_is_unit", lambda ideal, chart: True)
-        with pytest.raises(geometry.AlgebraError):
-            cone_smoothness(variety("P(1,1,1)", "x0^2", 5))
-        with pytest.raises(geometry.AlgebraError):
-            cone_smoothness(variety("P(1,1,1) x P(1,1,1)",
-                                    "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5))
+    @pytest.mark.parametrize("ambient,poly", [
+        ("P(1,1,1)", "x0^2"),
+        ("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2"),
+    ])
+    def test_singular_verdict_tests_no_chart(self, unit_calls, built_ideals,
+                                             ambient, poly):
+        # a failed support certificate is the verdict; charts only name a
+        # witness, which smoothness_verdict does not ask for
+        assert smoothness_verdict(variety(ambient, poly, 5)) is SmoothnessStatus.SINGULAR
+        assert unit_calls == []
+        (jac,) = built_ideals
+        self.assert_no_partial_basis_cached(jac)
 
 
 class TestVerdicts:
