@@ -1,68 +1,20 @@
 """Exact verification toolkit: Frobenius splitting verdicts, Witt carries,
 Groebner smoothness certificates, integer intersection numbers and del Pezzo
-lattice counts."""
+lattice counts.
 
-from .poly import (
-    AlgebraError,
-    ExponentOverflowError,
-    NonHomogeneousError,
-    ParseError,
-    Polynomial,
-    Prime,
-    VariableSet,
-    ZeroPolynomialError,
-    delta1,
-    parse_poly,
-    pow_mod_frobenius,
-    weighted_degree,
-)
-from .ideals import (
-    PolyIdeal,
-    localized_is_unit,
-    normal_form,
-)
-from .splitting import (
-    FedderReport,
-    HypersurfaceRing,
-    SplitStatus,
-    SplitVerdict,
-    delta1_probe,
-    fedder_fsplit,
-    fedder_report,
-    fedder_residue,
-)
-from .geometry import (
-    AmbientFactor,
-    AmbientSpace,
-    HypersurfaceVariety,
-    SmoothnessStatus,
-    UnsupportedStratumError,
-    ambient_singular_strata,
-    cone_smoothness,
-    parse_ambient,
-    smoothness_verdict,
-)
-from .chow import (
-    DimensionMismatchError,
-    DivClass,
-    IntersectionRing,
-    NonP1FactorError,
-    ProductBase,
-    SplitBundleSpec,
-    canonical_class,
-    intersect,
-    omega_twist_factors,
-    section_class,
-)
-from .delpezzo import (
-    LatticeClass,
-    PicLattice,
-    PointConfig,
-    enumerate_classes,
-    fano_lines,
-    langer_neg2_classes,
-    pgl_orbit_canonical,
-)
-from .corpus import Report, CorpusFormatError, load_corpus, run_corpus
+The package namespace re-exports nothing, so ``import fanocheck`` loads no
+module.  Import each of the nine modules by path, for example
+``from fanocheck.poly import parse_poly``:
+
+- ``poly``: polynomials mod p, parsing, the packed kernels;
+- ``ideals``: Buchberger, normal forms, localized unit tests;
+- ``splitting``: F-splitting verdicts, reports and carry probes;
+- ``geometry``: ambient spaces and smoothness verdicts;
+- ``chow``: intersection rings and class expressions;
+- ``delpezzo``: Picard lattices and PGL_3 orbits;
+- ``smallfields``: table-driven GF(p^k);
+- ``corpus``: the check kinds and corpus reports;
+- ``cli``: the ``fanocheck`` command line.
+"""
 
 __version__ = "0.1.0"

@@ -317,6 +317,7 @@ def lattice(query: str, q: Optional[int] = None) -> CheckResult:
     if query == "pgl_order":
         return CheckResult(str(delpezzo.pgl3_order(q)))
     if query == "full_plane_orbit":
+        delpezzo.pgl3_order(q)  # rejects q > 8 before GF(q) and the plane are built
         config = delpezzo.PointConfig.from_points(q, delpezzo.plane_points(q))
         return CheckResult(str(delpezzo.pgl_orbit_canonical(config)[1]))
     raise ValueError(f"unknown lattice query {query!r}")
@@ -398,7 +399,7 @@ def _run_entry(entry: CorpusEntry) -> list:
             result = _KINDS[check.kind][1](entry, **check.params)
             actual, ok = result.verdict, result.matches(check.expect)
         except Exception as exc:  # a crashing check fails but never aborts
-            actual = f"error: {exc}"
+            actual = f"error: {str(exc) or type(exc).__name__}"
             ok = False
         rows.append(CheckRow(entry.name, check.kind, check.expect, actual, ok))
     return rows

@@ -20,7 +20,7 @@ bases are unique for a fixed order, which keeps every downstream verdict
 deterministic.  A unit question ends at the constant short-circuit, which
 every basis of (1) reaches.  A caller may pass a stop predicate on the
 leading monomials entering the basis (as exponent tuples); a run it ends
-returns no basis at all, so a partial basis is never cached.
+returns no basis at all.  No basis is cached: each call computes its own.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
@@ -248,9 +248,8 @@ def _reduced_raw(pairs: Sequence, order: _PackedOrder, p: int) -> list:
 class PolyIdeal:
     """Ideal given by finitely many generators in a fixed ring.
 
-    The Groebner basis is computed on first use and cached; the cached value
-    is deterministic (reduced bases are unique), so a racing double
-    computation can only store the same answer.
+    Nothing is cached: each ``groebner_basis`` call runs Buchberger and
+    reduces the result again.
     """
 
     def __init__(self, field, variables: VariableSet, generators: Sequence):
@@ -262,25 +261,22 @@ class PolyIdeal:
                 raise ValueError("generator lives in a different ring")
             gens.append(g)
         self.generators = tuple(gens)
-        self._gb: Optional[tuple] = None
 
     def groebner_basis(self) -> tuple:
         """The reduced grevlex basis: monic polynomials sorted by increasing
         leading monomial, ``(1,)`` for the unit ideal and ``()`` for zero."""
-        if self._gb is None:
-            order = _grevlex(self.vars.n)
-            raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
-                                  order, self.field.p)
-            raw = _reduced_raw(raw, order, self.field.p)
-            self._gb = tuple(order.polynomial(self.field, self.vars, g) for g in raw)
-        return self._gb
+        order = _grevlex(self.vars.n)
+        raw = _buchberger_raw([order.pack_terms(g.terms) for g in self.generators],
+                              order, self.field.p)
+        raw = _reduced_raw(raw, order, self.field.p)
+        return tuple(order.polynomial(self.field, self.vars, g) for g in raw)
 
 
 def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
     """Whether Buchberger on the generators ends at ``stop`` or at the unit ideal.
 
     ``stop`` sees each leading monomial entering the basis as an exponent
-    tuple; the grevlex basis is neither kept nor cached.
+    tuple; the grevlex basis is not kept.
     """
     order = _grevlex(ideal.vars.n)
     basis = _buchberger_raw([order.pack_terms(g.terms) for g in ideal.generators],

@@ -1,87 +1,42 @@
 """The public surface of fanocheck, pinned name by name.
 
-Three lists: the names the package namespace exports, per module the
-public functions and classes that module defines, and per module the
-private names it imports from another.  Adding, removing or moving one
-changes one line here, so every change to the public API, every helper
-moving into or out of ``src``, and every private helper kept alive for
-one other module shows up in review.  And every public name a module
+A subprocess test pins the package namespace: it binds no public name,
+and importing it loads no other module, so every name has one import
+path, its module's.  Two lists pin the rest: per module the public
+functions and classes that module defines, and per module the private
+names it imports from another.  Adding, removing or moving one changes
+one line here, so every change to the public API, every helper moving
+into or out of ``src``, and every private helper kept alive for one
+other module shows up in review.  And every public name a module
 surface pins, and every public method of a pinned class, has a caller
 outside the unit tests, and every name a module imports is read there.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
-import types
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fanocheck
 
-PUBLIC_NAMES = [
-    "AlgebraError",
-    "AmbientFactor",
-    "AmbientSpace",
-    "CorpusFormatError",
-    "DimensionMismatchError",
-    "DivClass",
-    "ExponentOverflowError",
-    "FedderReport",
-    "HypersurfaceRing",
-    "HypersurfaceVariety",
-    "IntersectionRing",
-    "LatticeClass",
-    "NonHomogeneousError",
-    "NonP1FactorError",
-    "ParseError",
-    "PicLattice",
-    "PointConfig",
-    "PolyIdeal",
-    "Polynomial",
-    "Prime",
-    "ProductBase",
-    "Report",
-    "SmoothnessStatus",
-    "SplitBundleSpec",
-    "SplitStatus",
-    "SplitVerdict",
-    "UnsupportedStratumError",
-    "VariableSet",
-    "ZeroPolynomialError",
-    "ambient_singular_strata",
-    "canonical_class",
-    "cone_smoothness",
-    "delta1",
-    "delta1_probe",
-    "enumerate_classes",
-    "fano_lines",
-    "fedder_fsplit",
-    "fedder_report",
-    "fedder_residue",
-    "intersect",
-    "langer_neg2_classes",
-    "load_corpus",
-    "localized_is_unit",
-    "normal_form",
-    "omega_twist_factors",
-    "parse_ambient",
-    "parse_poly",
-    "pgl_orbit_canonical",
-    "pow_mod_frobenius",
-    "run_corpus",
-    "section_class",
-    "smoothness_verdict",
-    "weighted_degree",
-]
 
-
-def test_public_names():
-    public = sorted(name for name in dir(fanocheck)
-                    if not name.startswith("_")
-                    and not isinstance(getattr(fanocheck, name), types.ModuleType))
-    assert public == PUBLIC_NAMES
+def test_namespace_loads_no_module_and_binds_no_name():
+    code = ("import sys\n"
+            "import fanocheck\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fanocheck'))\n"
+            "print(sorted(n for n in dir(fanocheck) if not n.startswith('_')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(fanocheck.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['fanocheck']\n[]\n"
 
 
 MODULE_SURFACES = {
@@ -223,12 +178,10 @@ def test_private_imports(module):
 
 
 def test_no_unused_imports():
-    """Every name a module imports is read in that module; the package
-    namespace, which only re-exports, and ``from __future__`` are exempt."""
+    """Every name a module imports is read in that module; ``from
+    __future__`` is exempt."""
     unused = []
     for path in sorted(Path(fanocheck.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -241,13 +194,11 @@ def test_no_unused_imports():
 
 
 # The places where a public name counts as called: the package's own
-# modules (the package namespace only re-exports), the scripts, the
-# benchmark and the acceptance suite.  A name only its unit test calls has
-# no caller.
+# modules, the scripts, the benchmark and the acceptance suite.  A name
+# only its unit test calls has no caller.
 _ROOT = Path(__file__).resolve().parents[1]
 _CALLER_SOURCES = [
-    *(path for path in Path(fanocheck.__file__).parent.glob("*.py")
-      if path.name != "__init__.py"),
+    *Path(fanocheck.__file__).parent.glob("*.py"),
     *(_ROOT / "scripts").rglob("*.py"),
     *(_ROOT / "perfbench").rglob("*.py"),
     _ROOT / "tests" / "test_acceptance.py",

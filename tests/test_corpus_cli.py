@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanocheck import corpus
+from fanocheck import corpus, delpezzo
 from fanocheck.cli import build_parser, main
 from fanocheck.corpus import (
     CheckRow,
@@ -255,17 +255,41 @@ class TestRunCorpus:
         ])])
         assert run_corpus(path).all_passed
 
-    def test_pgl_order_rows(self, tmp_path):
+    def test_pgl_order_rows(self, tmp_path, monkeypatch):
+        real = delpezzo.plane_points
+
+        def small_planes_only(q):
+            if q > 8:
+                raise AssertionError(f"built the plane over F_{q}")
+            return real(q)
+
+        monkeypatch.setattr(delpezzo, "plane_points", small_planes_only)
         qs = (2, 3, 4, 6, 9)
+        orbit_qs = (2, 6, 9, 125, 1000003)
         path = write_corpus(tmp_path, [entry(checks=[
-            {"kind": "lattice", "expect": "?", "params": {"query": "pgl_order", "q": q}}
-            for q in qs])])
+            *({"kind": "lattice", "expect": "?", "params": {"query": "pgl_order", "q": q}}
+              for q in qs),
+            *({"kind": "lattice", "expect": "?",
+               "params": {"query": "full_plane_orbit", "q": q}} for q in orbit_qs)])])
         actual = [row.actual for row in run_corpus(path).rows]
         # the closed form against the enumerated group; error rows as the
         # enumeration gave them
         assert actual[:3] == [str(len(pgl3_elements(q))) for q in (2, 3, 4)]
-        assert actual[3:] == ["error: 6 is not a prime power",
-                              "error: PGL enumeration supports q <= 8, got 9"]
+        assert actual[3:5] == ["error: 6 is not a prime power",
+                               "error: PGL enumeration supports q <= 8, got 9"]
+        # the whole plane is rigid; q past the PGL bound fails before the
+        # plane (and GF(q)'s q x q tables) is built
+        assert actual[5:] == ["1", "error: 6 is not a prime power",
+                              *(f"error: PGL enumeration supports q <= 8, got {q}"
+                                for q in orbit_qs[2:])]
+
+    def test_error_row_without_message_names_the_exception(self, tmp_path, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(corpus, "fsplit", out_of_memory)
+        row, = run_corpus(write_corpus(tmp_path, [entry()])).rows
+        assert (row.actual, row.passed) == ("error: MemoryError", False)
 
     def test_bad_params_in_the_last_entry_fail_before_any_check(
             self, tmp_path, monkeypatch):
