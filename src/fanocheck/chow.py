@@ -17,10 +17,17 @@ dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .poly import ParseError, _mul_packed, _packing, _read_int, mono_str, tokenize
+from .poly import (
+    ParseError,
+    _mul_packed,
+    _packing,
+    _read_int,
+    _Value,
+    mono_str,
+    tokenize,
+)
 
 
 class DimensionMismatchError(ValueError):
@@ -31,46 +38,43 @@ class NonP1FactorError(ValueError):
     """Cotangent splitting shortcut only applies to products of P^1."""
 
 
-@dataclass(frozen=True)
-class ProductBase:
+class ProductBase(_Value):
     """Product of ordinary projective spaces P^(n_1) x ... x P^(n_k)."""
 
-    dims: tuple
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        if not self.dims or any(n < 1 for n in self.dims):
+    def __init__(self, dims: tuple):
+        if not dims or any(n < 1 for n in dims):
             raise ValueError("factor dimensions must be positive")
+        self._init(dims)
 
 
-@dataclass(frozen=True)
-class SplitBundleSpec:
+class SplitBundleSpec(_Value):
     """Projectivization of a direct sum of line bundles O(a_j) on the base."""
 
-    base: ProductBase
-    twists: tuple  # one multi-twist tuple per summand
+    __slots__ = ("base", "twists")  # twists: one multi-twist tuple per summand
 
-    def __post_init__(self):
-        if len(self.twists) < 2:
+    def __init__(self, base: ProductBase, twists: tuple):
+        if len(twists) < 2:
             raise ValueError("need at least two summands to projectivize")
-        k = len(self.base.dims)
-        for t in self.twists:
+        k = len(base.dims)
+        for t in twists:
             if len(t) != k:
                 raise ValueError("each twist needs one entry per base factor")
+        self._init(base, twists)
 
     @property
     def rank(self) -> int:
         return len(self.twists)
 
 
-@dataclass(frozen=True)
-class DivClass:
+class DivClass(_Value):
     """Integer divisor class c_1*h1 + ... + c_k*hk + xi_coeff * xi."""
 
-    h: tuple
-    xi: int = 0
+    __slots__ = ("h", "xi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", tuple(self.h))
+    def __init__(self, h: tuple, xi: int = 0):
+        self._init(tuple(h), xi)
 
 
 def _chow_mono_key(mono):
@@ -81,7 +85,7 @@ def _chow_mono_key(mono):
 class IntersectionRing:
     """Chow ring of the base, or of a split bundle over it."""
 
-    def __init__(self, base: ProductBase, bundle: Optional[SplitBundleSpec] = None):
+    def __init__(self, base: ProductBase, bundle: SplitBundleSpec | None = None):
         if bundle is not None and bundle.base != base:
             raise ValueError("bundle is declared over a different base")
         self.base = base

@@ -23,9 +23,8 @@ to the same bytes regardless of --jobs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
 
 from . import chow as chowmod
 from . import delpezzo
@@ -35,15 +34,15 @@ from .geometry import (
     HypersurfaceVariety,
     smoothness_verdict,
 )
-from .poly import VariableSet, delta1 as poly_delta1, mono_str, parse_poly
+from .poly import VariableSet, _set, _Value, delta1 as poly_delta1, mono_str, parse_poly
 from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit
 
 
 class CorpusFormatError(ValueError):
     """Schema violation; names the entry and field when known."""
 
-    def __init__(self, message: str, entry: Optional[str] = None,
-                 field_name: Optional[str] = None):
+    def __init__(self, message: str, entry: str | None = None,
+                 field_name: str | None = None):
         self.entry = entry
         self.field_name = field_name
         where = f" in entry {entry!r}" if entry else ""
@@ -51,21 +50,30 @@ class CorpusFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-@dataclass(frozen=True)
-class CorpusCheck:
-    kind: str
-    expect: str
-    params: dict = field(default_factory=dict)  # validated keyword arguments
+class CorpusCheck(_Value):
+    # params: the validated keyword arguments; a dict, so no check hashes
+    __slots__ = ("kind", "expect", "params")
+
+    def __init__(self, kind: str, expect: str, params: dict | None = None):
+        params = {} if params is None else params
+        _set(self, "kind", kind)
+        _set(self, "expect", expect)
+        _set(self, "params", params)
+        _set(self, "_key", (kind, expect, params))
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    prime: int
-    ambient: AmbientSpace
-    polynomial: str
-    checks: tuple
-    paper_ref: str
+class CorpusEntry(_Value):
+    __slots__ = ("name", "prime", "ambient", "polynomial", "checks", "paper_ref")
+
+    def __init__(self, name: str, prime: int, ambient: AmbientSpace, polynomial: str,
+                 checks: tuple, paper_ref: str):
+        _set(self, "name", name)
+        _set(self, "prime", prime)
+        _set(self, "ambient", ambient)
+        _set(self, "polynomial", polynomial)
+        _set(self, "checks", checks)
+        _set(self, "paper_ref", paper_ref)
+        _set(self, "_key", (name, prime, ambient, polynomial, checks, paper_ref))
 
 
 def _is_int(val) -> bool:
@@ -73,7 +81,7 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _require(obj: dict, key: str, typ, entry: Optional[str], what: str):
+def _require(obj: dict, key: str, typ, entry: str | None, what: str):
     if key not in obj:
         raise CorpusFormatError(f"missing key {key!r} in {what}", entry, key)
     val = obj[key]
@@ -228,14 +236,18 @@ def _lattice_params(params: dict, entry: str) -> dict:
 # check kinds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """A check's verdict line and, when the kind has one, an evidence line."""
 
-    verdict: str
-    evidence: Optional[str] = None
-    # reads a verdict string into the value it is compared as
-    read: Callable = field(default=str, repr=False, compare=False)
+    # read: reads a verdict string into the value it is compared as; it
+    # takes no part in equality, hash or repr
+    __slots__ = ("verdict", "evidence", "read")
+
+    def __init__(self, verdict: str, evidence: str | None = None, read: Callable = str):
+        _set(self, "verdict", verdict)
+        _set(self, "evidence", evidence)
+        _set(self, "read", read)
+        _set(self, "_key", (verdict, evidence))
 
     def matches(self, expect: str) -> bool:
         """Equal texts match without being read: every verdict reads back."""
@@ -253,7 +265,7 @@ def fsplit(prime: int, variables: VariableSet, polynomial: str) -> CheckResult:
 
 
 def delta1(prime: int, variables: VariableSet, polynomial: str,
-           probe: Optional[tuple] = None) -> CheckResult:
+           probe: tuple | None = None) -> CheckResult:
     """The Witt carry delta1(f), or the probe (a, b, s) of it; compared as
     polynomials, so formatting differences cannot fail a check."""
     f = parse_poly(polynomial, variables, prime)
@@ -271,9 +283,9 @@ def smooth(prime: int, space: AmbientSpace, polynomial: str) -> CheckResult:
     return CheckResult(smoothness_verdict(HypersurfaceVariety(prime, space, f)).value)
 
 
-def chow(base: tuple, bundle: Optional[tuple] = None, canonical: bool = False,
-         identity: Optional[tuple] = None,
-         expr: Optional[str] = None) -> CheckResult:
+def chow(base: tuple, bundle: tuple | None = None, canonical: bool = False,
+         identity: tuple | None = None,
+         expr: str | None = None) -> CheckResult:
     """In the Chow ring of the base (or of the bundle over it): the canonical
     class, whether identity's two expressions agree, or expr's value."""
     product = chowmod.ProductBase(base)
@@ -301,7 +313,7 @@ def langer_summary() -> str:
             f"(-2)-classes: {len(neg2)}; disjoint: {'yes' if disjoint else 'no'}")
 
 
-def lattice(query: str, q: Optional[int] = None) -> CheckResult:
+def lattice(query: str, q: int | None = None) -> CheckResult:
     """One of the lattice queries langer, fano, pgl_order (of PGL_3(F_q))
     and full_plane_orbit (of P^2(F_q))."""
     if query == "langer":
@@ -338,18 +350,23 @@ _KINDS = {
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRow:
-    entry: str
-    kind: str
-    expected: str
-    actual: str
-    passed: bool
+class CheckRow(_Value):
+    __slots__ = ("entry", "kind", "expected", "actual", "passed")
+
+    def __init__(self, entry: str, kind: str, expected: str, actual: str, passed: bool):
+        _set(self, "entry", entry)
+        _set(self, "kind", kind)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "passed", passed)
+        _set(self, "_key", (entry, kind, expected, actual, passed))
 
 
-@dataclass(frozen=True)
-class Report:
-    rows: tuple
+class Report(_Value):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self._init(rows)
 
     @property
     def total(self) -> int:

@@ -12,23 +12,24 @@ themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations, permutations, product
 from operator import mul
-from typing import Iterable
 
+from .poly import _set, _Value
 from .smallfields import GF, UnsupportedFieldSizeError, _factor_prime_power
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(_Value):
     """d*H - sum m_i E_i, stored as (d, (m_1, ..., m_r))."""
 
-    d: int
-    m: tuple
+    __slots__ = ("d", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(self.m))
+    def __init__(self, d: int, m: tuple):
+        m = tuple(m)
+        _set(self, "d", d)
+        _set(self, "m", m)
+        _set(self, "_key", (d, m))
 
     def dot(self, other: "LatticeClass") -> int:
         if len(self.m) != len(other.m):
@@ -40,15 +41,15 @@ class LatticeClass:
         return self.d * self.d - sum(a * a for a in self.m)
 
 
-@dataclass(frozen=True)
-class PicLattice:
+class PicLattice(_Value):
     """Pic of the plane blown up in r points, 1 <= r <= 8."""
 
-    r: int
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if not (1 <= self.r <= 8):
+    def __init__(self, r: int):
+        if not (1 <= r <= 8):
             raise ValueError("rank parameter r must be in 1..8")
+        self._init(r)
 
 
 def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
@@ -169,12 +170,13 @@ def plane_points(q: int) -> list:
     return sorted({_normalize(v, gf) for v in product(gf.elements, repeat=3) if any(v)})
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(_Value):
     """A set of plane points over F_q, held in normalized sorted form."""
 
-    q: int
-    points: tuple
+    __slots__ = ("q", "points")
+
+    def __init__(self, q: int, points: tuple):
+        self._init(q, points)
 
     @classmethod
     def from_points(cls, q: int, points: Iterable) -> "PointConfig":

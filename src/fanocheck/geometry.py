@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .ideals import PolyIdeal, _chart_is_unit, _stops_or_is_unit
 from .poly import (
@@ -43,6 +42,8 @@ from .poly import (
     VariableSet,
     _is_variable_name,
     _prime_factors,
+    _set,
+    _Value,
     as_prime,
     weighted_degree,
 )
@@ -55,21 +56,22 @@ class UnsupportedStratumError(Exception):
 _FACTOR_LETTERS = "xyzwvuts"
 
 
-@dataclass(frozen=True)
-class AmbientFactor:
+class AmbientFactor(_Value):
     """One weighted projective factor: variable names and positive weights."""
 
-    names: tuple
-    weights: tuple
+    __slots__ = ("names", "weights")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.weights) or not self.names:
+    def __init__(self, names: tuple, weights: tuple):
+        if len(names) != len(weights) or not names:
             raise ValueError("factor needs matching nonempty names and weights")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        for name in self.names:
+        for name in names:
             if not _is_variable_name(name):
                 raise ValueError(f"variable name {name!r} is not an identifier")
+        _set(self, "names", names)
+        _set(self, "weights", weights)
+        _set(self, "_key", (names, weights))
 
 
 class AmbientSpace:
@@ -103,7 +105,7 @@ class AmbientSpace:
         return itertools.product(*(fac.names for fac in self.factors))
 
 
-def parse_ambient(text: str, names: Optional[Sequence[str]] = None) -> AmbientSpace:
+def parse_ambient(text: str, names: Sequence[str] | None = None) -> AmbientSpace:
     """Parse 'P(w1,...,wn)' factors separated by 'x', e.g. 'P(1,1,1) x P(1,1,1)'.
 
     ``names`` optionally supplies every variable name, flat, in factor order;
@@ -222,10 +224,12 @@ def jacobian_ideal(variety: HypersurfaceVariety) -> PolyIdeal:
     return PolyIdeal(variety.prime, variety.space.variable_set, gens)
 
 
-@dataclass(frozen=True)
-class ConeResult:
-    smooth_away_from_irrelevant: bool
-    witness_chart: Optional[str] = None  # product of variables that failed
+class ConeResult(_Value):
+    # witness_chart: the product of the variables of the chart that failed
+    __slots__ = ("smooth_away_from_irrelevant", "witness_chart")
+
+    def __init__(self, smooth_away_from_irrelevant: bool, witness_chart: str | None = None):
+        self._init(smooth_away_from_irrelevant, witness_chart)
 
 
 def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResult:

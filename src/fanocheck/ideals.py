@@ -38,8 +38,8 @@ leaves through the packing's ``polynomial`` method; the public API speaks
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence
 
 from .poly import (
     Polynomial,
@@ -101,7 +101,7 @@ _UNIT = ((0, {0: 1}),)  # the unit ideal, met at the constant short-circuit
 
 
 def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
-                    stop=None) -> Optional[Sequence]:
+                    stop=None) -> Sequence | None:
     """Minimal, unreduced Groebner basis of the given packed coefficient dicts.
 
     Returns its (leading monomial, monic dict) pairs, no leading monomial

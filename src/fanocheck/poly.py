@@ -21,11 +21,10 @@ instead of silently blowing up.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import factorial
 from operator import countOf, mul
-from typing import Mapping, Sequence, Union
 
 EXPONENT_LIMIT = 1 << 16
 
@@ -77,20 +76,64 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Prime:
+# the slot setter that value types build with: their own __setattr__ refuses
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable record compared, hashed and printed by its fields.
+
+    A subclass lists its fields in ``__slots__``, and its ``__init__``
+    stores their values with :meth:`_init`, which also keeps them as one
+    tuple ``_key``.  A type built many times in one call (per corpus check,
+    per lattice class) stores each slot and the key with :data:`_set`
+    instead, in about half the time, and may leave its last slots out of
+    the key: those take no part in equality, hash or repr.  Assignment and
+    deletion raise AttributeError.
+    """
+
+    __slots__ = ("_key",)
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+        _set(self, "_key", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Prime(_Value):
     """A prime characteristic in the supported range 2..97."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not (2 <= self.p <= 97):
-            raise ValueError(f"characteristic must be an integer in 2..97, got {self.p}")
-        if _prime_factors(self.p) != [self.p]:
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not (2 <= p <= 97):
+            raise ValueError(f"characteristic must be an integer in 2..97, got {p}")
+        if _prime_factors(p) != [p]:
+            raise ValueError(f"{p} is not prime")
+        _set(self, "p", p)
+        _set(self, "_key", (p,))
 
 
-def as_prime(p: Union[int, Prime]) -> Prime:
+def as_prime(p: int | Prime) -> Prime:
     return p if isinstance(p, Prime) else Prime(p)
 
 
@@ -228,8 +271,7 @@ def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> d
 # variables and gradings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariableSet:
+class VariableSet(_Value):
     """Ordered variable names plus a weight vector per variable.
 
     Weight vectors all have the same length k, one slot per grading
@@ -237,18 +279,17 @@ class VariableSet:
     Every variable must have a positive weight in at least one component.
     """
 
-    names: tuple
-    weights: tuple
+    __slots__ = ("names", "weights")
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: tuple, weights: tuple):
+        if not names:
             raise ValueError("need at least one variable")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        if len(self.weights) != len(self.names):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        if len(weights) != len(names):
             raise ValueError("one weight vector per variable required")
-        k = len(self.weights[0])
-        for name, w in zip(self.names, self.weights):
+        k = len(weights[0])
+        for name, w in zip(names, weights):
             if not _is_variable_name(name):
                 raise ValueError(f"variable name {name!r} is not an identifier")
             if len(w) != k:
@@ -256,6 +297,9 @@ class VariableSet:
             if any(c < 0 for c in w) or all(c == 0 for c in w):
                 raise ValueError(f"variable {name} needs a nonnegative weight vector "
                                  "with some positive component")
+        _set(self, "names", names)
+        _set(self, "weights", weights)
+        _set(self, "_key", (names, weights))
 
     @classmethod
     def unit(cls, names) -> "VariableSet":
@@ -317,19 +361,20 @@ def _int_str(n: int) -> str:
         return str(Decimal(n))
 
 
-def _read_int(digits: str) -> int:
-    """``int(digits)`` of a run of decimal digits, however long it is."""
-    try:
-        return int(digits)
-    except ValueError:
-        from decimal import Decimal
-        return int(Decimal(digits))
-
-
 # int() reads a run of 640 digits under any digit limit a process may set;
 # a longer run is read in such pieces, as int() of it is quadratic
 _CHUNK = 640
 _CAP_DIGITS = len(str(EXPONENT_LIMIT))
+
+
+def _read_int(digits: str) -> int:
+    """``int(digits)`` of a run of decimal digits, however long it is: a
+    longer run than :data:`_CHUNK` is read as two halves joined by a power
+    of ten, so the time is that of the products, not quadratic."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_int(digits[:-k]) * 10 ** k + _read_int(digits[-k:])
 
 
 def _read_int_mod(digits: str, p: int) -> int:
@@ -366,7 +411,7 @@ class Polynomial:
 
     __slots__ = ("field", "vars", "terms")
 
-    def __init__(self, field: Union[int, Prime], variables: VariableSet,
+    def __init__(self, field: int | Prime, variables: VariableSet,
                  terms: Mapping):
         field = as_prime(field)
         p = field.p
@@ -556,7 +601,7 @@ def _is_variable_name(name) -> bool:
             and _is_identifier(name))
 
 
-def parse_poly(text: str, variables: VariableSet, p: Union[int, Prime]) -> Polynomial:
+def parse_poly(text: str, variables: VariableSet, p: int | Prime) -> Polynomial:
     """Parse ``text`` into a polynomial; coefficients reduce mod p as parsed.
 
     Grammar: expr := term (('+'|'-') term)*, with a single optional unary

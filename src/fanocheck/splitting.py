@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
     _delta1_packed,
+    _Value,
     as_prime,
     delta1,
     mono_str,
@@ -33,10 +32,12 @@ class SplitStatus(enum.Enum):
     NOT_FSPLIT = "NotFSplit"
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
-    status: SplitStatus
-    witness: Optional[Monomial] = None  # surviving monomial, grevlex-largest
+class SplitVerdict(_Value):
+    # witness: the surviving monomial, grevlex-largest
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: SplitStatus, witness: Monomial | None = None):
+        self._init(status, witness)
 
 
 class HypersurfaceRing:
@@ -93,16 +94,16 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     return mul_mod_frobenius(fa, db, q)
 
 
-@dataclass(frozen=True)
-class FedderReport:
+class FedderReport(_Value):
     """Everything the splitting check computed, in printable form."""
 
-    status: str
-    witness: Optional[str]
-    residue_terms: int
-    delta1_terms: int
-    delta1_degree: Optional[tuple]
-    elapsed_ms: float
+    __slots__ = ("status", "witness", "residue_terms", "delta1_terms",
+                 "delta1_degree", "elapsed_ms")
+
+    def __init__(self, status: str, witness: str | None, residue_terms: int,
+                 delta1_terms: int, delta1_degree: tuple | None, elapsed_ms: float):
+        self._init(status, witness, residue_terms, delta1_terms, delta1_degree,
+                   elapsed_ms)
 
     def as_dict(self) -> dict:
         return {

@@ -2,7 +2,9 @@
 
 A subprocess test pins the package namespace: it binds no public name,
 and importing it loads no other module, so every name has one import
-path, its module's.  Two lists pin the rest: per module the public
+path, its module's.  Another pins what the modules load: all of them
+together load neither ``dataclasses`` nor ``inspect`` nor ``typing``.
+Two lists pin the rest: per module the public
 functions and classes that module defines, and per module the private
 names it imports from another.  Adding, removing or moving one changes
 one line here, so every change to the public API, every helper moving
@@ -37,6 +39,21 @@ def test_namespace_loads_no_module_and_binds_no_name():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['fanocheck']\n[]\n"
+
+
+def test_modules_load_without_dataclasses_inspect_or_typing():
+    # -S: no site, whose .pth files may load typing themselves
+    code = ("import importlib, sys\n"
+            f"for name in {sorted(MODULE_SURFACES)!r}:\n"
+            "    importlib.import_module('fanocheck.' + name)\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing')"
+            " if m in sys.modules))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fanocheck.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 MODULE_SURFACES = {
@@ -157,13 +174,15 @@ def test_module_surface(module):
 
 # per module, the "from .m import _name" imports it makes, as "m._name"
 PRIVATE_IMPORTS = {
-    "chow": ["poly._mul_packed", "poly._packing", "poly._read_int"],
-    "delpezzo": ["smallfields._factor_prime_power"],
+    "chow": ["poly._Value", "poly._mul_packed", "poly._packing", "poly._read_int"],
+    "corpus": ["poly._Value", "poly._set"],
+    "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
     "geometry": ["ideals._chart_is_unit", "ideals._stops_or_is_unit",
-                 "poly._is_variable_name", "poly._prime_factors"],
+                 "poly._Value", "poly._is_variable_name", "poly._prime_factors",
+                 "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
-    "splitting": ["poly._delta1_packed"],
+    "splitting": ["poly._Value", "poly._delta1_packed"],
 }
 
 

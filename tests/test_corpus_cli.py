@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -325,7 +324,8 @@ _ROWS = st.lists(st.builds(CheckRow, _TEXT, _TEXT, _TEXT, _TEXT, st.booleans()),
 @example([])
 def test_report_json_is_json_dumps(rows):
     report = Report(tuple(rows))
-    doc = {"rows": [dataclasses.asdict(r) for r in rows],
+    doc = {"rows": [{"entry": r.entry, "kind": r.kind, "expected": r.expected,
+                     "actual": r.actual, "passed": r.passed} for r in rows],
            "summary": {"total": report.total, "passed": report.passed,
                        "failed": report.failed}}
     assert report.to_json() == json.dumps(doc, indent=2, sort_keys=True)

@@ -177,6 +177,29 @@ class TestParse:
             sys.set_int_max_str_digits(limit)
         assert f.terms == {(1, 0): int(Decimal(s)) % 97}
 
+    def test_read_int_matches_decimal(self):
+        # the chow reader of whole literals: halves joined by powers of ten
+        rng = random.Random(5000)
+        ascii_digits, arabic_digits = self._DIGITS[:10], self._DIGITS[10:]
+        for n in (5000, 5001, 9999, 12345, 20000):
+            for digits in (ascii_digits, arabic_digits, self._DIGITS):
+                s = "".join(rng.choice(digits) for _ in range(n))
+                assert poly_module._read_int(s) == int(Decimal(s)), (n, digits[0])
+            s = self._long_literal(rng, rng.randint(1, 3000), n - 3000)
+            assert poly_module._read_int(s) == int(Decimal(s)), n
+        for s in ("0", "7", "٧", "0" * 20000, "0" * 19999 + "1"):
+            assert poly_module._read_int(s) == int(Decimal(s))
+
+    def test_read_int_under_the_least_digit_limit(self):
+        s = self._long_literal(random.Random(641), 700, 15000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            value = poly_module._read_int(s)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == int(Decimal(s))
+
     def test_roundtrip_examples(self):
         for text in ("x0^2*x1 + 3*x2^3", "1", "0", "x0 + x1 + x2", "4*x0^3"):
             f = parse_poly(text, VS3, 5)
