@@ -83,13 +83,14 @@ _set = object.__setattr__
 class _Value:
     """An immutable record compared, hashed and printed by its fields.
 
-    A subclass lists its fields in ``__slots__``, and its ``__init__``
-    stores their values with :meth:`_init`, which also keeps them as one
-    tuple ``_key``.  A type built many times in one call (per corpus check,
-    per lattice class) stores each slot and the key with :data:`_set`
-    instead, in about half the time, and may leave its last slots out of
-    the key: those take no part in equality, hash or repr.  Assignment and
-    deletion raise AttributeError.
+    A subclass lists its fields in ``__slots__`` in the order its
+    ``__init__`` takes them, and ``__init__`` stores their values with
+    :meth:`_init`, which also keeps them as one tuple ``_key``.  A type
+    built many times in one call (per corpus check, per lattice class)
+    stores each slot and the key with :data:`_set` instead, in about half
+    the time, and may leave its last slots out of the key: those take no
+    part in equality, hash or repr.  Assignment and deletion raise
+    AttributeError.
     """
 
     __slots__ = ("_key",)
@@ -111,6 +112,10 @@ class _Value:
         fields = ", ".join(f"{name}={value!r}"
                            for name, value in zip(self.__slots__, self._key))
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as they cannot set slots
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -8,6 +8,9 @@ type pins all of that: an instance, an equal twin built another way, an
 unequal one, the exact repr, and every message its constructor raises.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from fanocheck.chow import DivClass, ProductBase, SplitBundleSpec
@@ -161,3 +164,16 @@ def test_check_result_read_defaults_to_str_and_is_kept():
     assert result.read is read
     assert result.matches("1") and not result.matches("2")
     assert result == CheckResult("01") and hash(result) == hash(CheckResult("01"))
+
+
+@pytest.mark.parametrize("name,make", [case[:2] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_value_type_copies_and_pickles(name, make):
+    a = make()
+    assert copy.copy(a) == a
+    for b in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a)
+        if name == "CorpusEntry":  # its ambient space compares by identity
+            b = CorpusEntry(b.name, b.prime, a.ambient, b.polynomial, b.checks,
+                            b.paper_ref)
+        assert b == a
