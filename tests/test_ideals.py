@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -476,6 +477,99 @@ class TestPairUpdate:
         I = PolyIdeal(7, VS3, [mk(g) for g in gens])
         with pytest.raises(ExponentOverflowError, match=_cap_message("(80000, 1, 1)")):
             I.groebner_basis()
+
+
+def _pop_cases():
+    """Seeded inputs for the pop pins: random homogeneous ideals, two
+    perturbed Fermat quartic Jacobians in P^3 at p = 7, the pair-update
+    examples above, and mixed generator lists with zero and constant
+    generators now and then."""
+    rng = random.Random(3101)
+    cases = {"homogeneous": [], "quartic_jacobians": [], "pair_update": [],
+             "mixed": [gens for _, _, _, gens in _seeded_cases(3102, 80)]}
+    for _ in range(40):
+        vs = (VS2, VS3, VariableSet.unit("x,y,z,w"))[rng.randint(0, 2)]
+        p = rng.choice([2, 3, 5, 7, 11])
+        cases["homogeneous"].append(
+            [random_homogeneous(rng, vs, p, rng.randint(2, 3), max_terms=3)
+             for _ in range(rng.randint(2, 4))])
+    p3 = VariableSet.unit("x0,x1,x2,x3")
+    for extra in (3, 5):
+        cases["quartic_jacobians"].append(_jacobian_gens(dense_form(rng, p3, 7, 4,
+                                                                    extra, extra)))
+    space = parse_ambient("P(1,1,1,1,3)")
+    fermat = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + x4^2", space.variable_set, 11)
+    cases["pair_update"] = [
+        [mk("3*x^4 + x*y"), mk("y^3 + 2*z"), mk("z^5 + x^2*y")],
+        _jacobian_gens(fermat),
+        [mk("x*y"), mk("y*z"), mk("y")],
+        [mk("x"), mk("x^2 + y"), mk("x^2")],
+    ]
+    return cases
+
+
+class TestPops:
+    """The S-polynomials ``_buchberger_raw`` reduces, in order, and the
+    minimal bases it returns, pinned by digest on seeded inputs.  A change
+    to how pairs are queued, pruned or popped, or to how elements enter,
+    moves a digest."""
+
+    @pytest.fixture
+    def pops(self, monkeypatch):
+        real, digests = ideals._normal_form_raw, []
+
+        def recording(f, basis, p, order):
+            terms = sorted(order.unpack_terms(f).items())
+            digests.append(hashlib.sha256(repr(terms).encode()).hexdigest())
+            return real(f, basis, p, order)
+
+        monkeypatch.setattr(ideals, "_normal_form_raw", recording)
+        return digests
+
+    PINS = {
+        "homogeneous": (173, "2c4b855f935aa4a9", "c50f2ed161799b26"),
+        "mixed": (199, "23cf5e24fd605743", "7322655c4a3f3063"),
+        "pair_update": (5, "67171a84de9722c9", "e26a21ef2fc6ec8b"),
+        "quartic_jacobians": (122, "c114227e470bdced", "1da45044f74e8a60"),
+    }
+
+    @pytest.mark.parametrize("group", sorted(PINS))
+    def test_pops_and_bases_are_pinned(self, pops, group):
+        bases = []
+        for gens in _pop_cases()[group]:
+            order = _grevlex(gens[0].vars.n)
+            raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens],
+                                  order, gens[0].p)
+            bases.append([sorted(order.unpack_terms(g).items()) for _, g in raw])
+        assert (len(pops), _sha(pops), _sha(bases)) == self.PINS[group]
+
+    def test_zero_generators_are_skipped(self, pops):
+        order = _grevlex(3)
+        gens = [order.pack_terms(mk(g).terms) for g in ("x^2 + y*z", "x*y + z^2", "y^3")]
+        want = _buchberger_raw(gens, order, 7)
+        calls = list(pops)
+        assert _buchberger_raw([{}, gens[0], {}, gens[1], gens[2], {}], order, 7) == want
+        assert pops[len(calls):] == calls
+
+    def test_constant_generator_mid_list_is_the_unit(self, pops):
+        order = _grevlex(3)
+        gens = [order.pack_terms(mk(g).terms) for g in ("x*y", "y^2 + z", "3", "z^3")]
+        seen = []
+        assert _buchberger_raw(gens, order, 7, seen.append) is ideals._UNIT
+        assert seen == [(1, 1, 0), (0, 2, 0)]
+        assert pops == []
+
+    def test_stop_on_the_first_generator_queues_no_pair(self, pops):
+        order = _grevlex(3)
+        gens = [order.pack_terms(mk(g).terms) for g in ("x*y", "y*z", "x^2")]
+        seen = []
+        assert _buchberger_raw(gens, order, 7, lambda e: seen.append(e) or True) is None
+        assert seen == [(1, 1, 0)]
+        assert pops == []
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
 
 
 def _monic(f):
