@@ -1,26 +1,31 @@
 """Ideal arithmetic over F_p: Buchberger bases, membership, normal forms,
 Rabinowitsch-style localization tests and dehomogenized chart tests.
 
-The Buchberger loop runs the normal selection strategy (smallest lcm first)
-and installs its pairs as Gebauer and Moeller do ("On an installation of
-Buchberger's algorithm", JSC 6, 1988; Becker and Weispfenning, *Groebner
-Bases*, 5.5): the pruning criteria run once, when an element enters, never
-when a pair pops.  The newcomer's pairs with the active elements whose
-leading monomials are coprime to its own (one test on support bitmasks)
-reduce to zero and are never queued; of the rest, criteria M and F queue
-one pair per minimal lcm, criterion B_k drops the queued pairs whose lcm
-the newcomer's leading monomial divides strictly on both sides, and the
-active elements that monomial divides leave the active set.  The active
-elements end as a minimal basis; every element stays a reducer.  Queued
-pairs sit in a heap keyed by their lcm, with the pair indices breaking
-ties, and a dict of the pairs still live, which the heap pops lazily.  The
-loop short-circuits to the unit ideal the moment any reduction produces a
-nonzero constant.  Only the callers that keep a basis reduce it; reduced
-bases are unique for a fixed order, which keeps every downstream verdict
-deterministic.  A unit question ends at the constant short-circuit, which
-every basis of (1) reaches.  A caller may pass a stop predicate on the
-leading monomials entering the basis (as exponent tuples); a run it ends
-returns no basis at all.  No basis is cached: each call computes its own.
+Buchberger runs as two halves fed by one intake loop.  The pair half,
+``_PairQueue``, sees leading monomials only.  It runs the normal selection
+strategy (smallest lcm first) and installs its pairs as Gebauer and Moeller
+do ("On an installation of Buchberger's algorithm", JSC 6, 1988; Becker and
+Weispfenning, *Groebner Bases*, 5.5): the pruning criteria run once, when
+an element enters, never when a pair pops.  The newcomer's pairs with the
+active elements whose leading monomials are coprime to its own (one test on
+support bitmasks) reduce to zero and are never queued; of the rest,
+criteria M and F queue one pair per minimal lcm, criterion B_k drops the
+queued pairs whose lcm the newcomer's leading monomial divides strictly on
+both sides, and the active elements that monomial divides leave the active
+set, which ends as a minimal basis.  Queued pairs sit in a heap keyed by
+their lcm, with the pair indices breaking ties, and a dict of the pairs
+still live, which the heap pops lazily.  The reduction half is the list of
+every element as a monic reducer and ``_normal_form_raw`` against it.  The
+intake takes the generators, then each popped pair's S-polynomial
+remainder, through the same steps: zero is skipped, a nonzero constant
+short-circuits to the unit ideal, and anything else is made monic, joins
+the reducers, shows its leading monomial (as an exponent tuple) to the
+caller's stop predicate, if any (a run it ends returns no basis), and is
+installed in the queue.  Only the callers that keep a basis reduce it;
+reduced bases are unique for a fixed order, which keeps every downstream
+verdict deterministic.  A unit question ends at the constant short-circuit,
+which every basis of (1) reaches.  No basis is cached: each call computes
+its own.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
+from itertools import chain
 from operator import mul
 
 from .poly import (
@@ -88,60 +94,34 @@ def _normal_form_raw(f: dict, basis: Sequence, p: int, order: _PackedOrder) -> d
     return r
 
 
-def _monic_raw(f: dict, p: int) -> dict:
-    inv = pow(f[max(f)], -1, p)
-    return {m: (c * inv) % p for m, c in f.items()}
-
-
-def _is_constant_raw(f: dict) -> bool:
-    return len(f) == 1 and 0 in f
-
-
 _UNIT = ((0, {0: 1}),)  # the unit ideal, met at the constant short-circuit
 
 
-def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
-                    stop=None) -> Sequence | None:
-    """Minimal, unreduced Groebner basis of the given packed coefficient dicts.
+class _PairQueue:
+    """Buchberger's pair half on the elements' leading monomials."""
 
-    Returns its (leading monomial, monic dict) pairs, no leading monomial
-    dividing another, for :func:`_reduced_raw`.  Generators enter in the
-    given order, each S-pair's normal form as it is found, and each entry
-    runs the Gebauer-Moeller update described in the module docstring.  A
-    pair whose leading monomials' product passes the exponent cap, active
-    or not, is queued unpruned and raises when it pops, as when every pair
-    was queued.  The unit ideal comes back as ``_UNIT`` via the constant
-    short-circuit.
-    ``stop``, if given, sees the exponent tuple of the leading monomial of
-    every element that enters the basis, generators included; once it
-    returns true the run ends and None comes back in place of a basis.
-    """
-    guard = order.guard
-    basis = []
-    lms = []
-    exps = []  # leading monomials unpacked, for the lcm and the stop predicate
-    for g in gens:
-        if not g:
-            continue
-        if _is_constant_raw(g):
-            return _UNIT
-        basis.append(_monic_raw(g, p))
-        lms.append(max(g))
-        exps.append(order.unpack(lms[-1]))
-        if stop is not None and stop(exps[-1]):
-            return None
+    __slots__ = ("order", "lms", "exps", "active", "live", "heap", "wide")
 
-    # (m + low) & guard has the guard bit of exactly the nonzero fields of m
-    low = guard - (guard >> (order.width - 1))
-    half = guard >> 1  # m & half: m has an exponent of at least half the cap
-    wide = []  # the elements with such a leading monomial
-    active = []  # indices of the minimal basis, in order of entry
-    live = {}  # queued pair -> its lcm; a pair B_k drops leaves the heap lazily
-    queue = []  # (lcm, pair): smallest lcm first, ties by pair
+    def __init__(self, order: _PackedOrder):
+        self.order = order
+        self.lms = []
+        self.exps = []  # leading monomials unpacked, for the lcm
+        self.active = []  # indices of the minimal basis, in order of entry
+        self.live = {}  # queued pair -> its lcm; a pair B_k drops leaves the heap lazily
+        self.heap = []  # (lcm, pair): smallest lcm first, ties by pair
+        self.wide = []  # the elements with an exponent of at least half the cap
 
-    def install(t):
+    def install(self, lm_t: int, exp_t: tuple) -> None:
         """The Gebauer-Moeller update for element t entering the basis."""
-        lm_t, exp_t = lms[t], exps[t]
+        order, lms, exps, active, live, heap, wide = (
+            self.order, self.lms, self.exps, self.active, self.live, self.heap, self.wide)
+        guard = order.guard
+        # (m + low) & guard has the guard bit of exactly the nonzero fields of m
+        low = guard - (guard >> (order.width - 1))
+        half = guard >> 1  # m & half: m has an exponent of at least half the cap
+        t = len(lms)
+        lms.append(lm_t)
+        exps.append(exp_t)
         support = (lm_t + low) & guard
         shared = []  # (lcm, k) for the active k sharing a variable with t
         lcms = []  # lcms that rule out new pairs: the coprime ones' products first
@@ -175,7 +155,7 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
                 continue
             lcms.append(lij)
             live[k, t] = lij
-            heapq.heappush(queue, (lij, (k, t)))
+            heapq.heappush(heap, (lij, (k, t)))
         # every pair whose product passes the cap raises when it pops, so
         # those with elements no longer active are queued too; only a pair
         # with a wide element can pass it
@@ -183,7 +163,7 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
             if (lms[k] + lm_t) & guard and k not in active:
                 lij = order.lcm(exps[k], exp_t)
                 live[k, t] = lij
-                heapq.heappush(queue, (lij, (k, t)))
+                heapq.heappush(heap, (lij, (k, t)))
         if lm_t & half:
             wide.append(t)
         # the least possible lcm is lm_t itself, met when an active leading
@@ -193,39 +173,59 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
             active[:] = [k for k in active if (lms[k] - lm_t) & guard]
             active.append(t)
 
-    for t in range(len(basis)):
-        install(t)
+    def __iter__(self):
+        """Each live pair as (lcm, i, j), least lcm first, new ones included.
+        A pair whose leading monomials' product passes the exponent cap is
+        queued unpruned, active or not, and raises as it pops."""
+        guard, lms, live, heap = self.order.guard, self.lms, self.live, self.heap
+        while heap:
+            lij, pair = heapq.heappop(heap)
+            if live.pop(pair, None) is None:
+                continue
+            prod = lms[pair[0]] + lms[pair[1]]
+            if prod & guard:
+                raise self.order.overflow(prod)
+            yield lij, *pair
 
+
+def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
+                    stop=None) -> Sequence | None:
+    """Minimal, unreduced Groebner basis of the given packed coefficient dicts.
+
+    Returns its (leading monomial, monic dict) pairs, no leading monomial
+    dividing another, for :func:`_reduced_raw`, or ``_UNIT`` for the unit
+    ideal.  Generators enter in the given order, then each S-pair's normal
+    form as its pair pops.
+    ``stop``, if given, sees the exponent tuple of the leading monomial of
+    every element that enters the basis, generators included; once it
+    returns true the run ends and None comes back in place of a basis.
+    """
+    queue = _PairQueue(order)
     # Every element, active or not, stays a reducer, in order of entry: an
     # older sparse one (x^36888 + 2, say) can clear a term in one step that
     # its active replacement (x^318 + ...) takes a hundred steps for.
-    reducers = list(zip(lms, basis))
-    while queue:
-        lij, pair = heapq.heappop(queue)
-        if live.pop(pair, None) is None:
+    reducers = []
+    for f in chain(gens, queue):
+        if type(f) is tuple:  # a live pair (lcm, i, j): reduce its S-polynomial
+            lij, i, j = f
+            (lm_i, f_i), (lm_j, f_j) = reducers[i], reducers[j]
+            f = {}
+            _sub_scaled(f, f_i, lij - lm_i, p - 1, p, order)
+            _sub_scaled(f, f_j, lij - lm_j, 1, p, order)
+            f = _normal_form_raw(f, reducers, p, order)
+        if not f:
             continue
-        i, j = pair
-        prod = lms[i] + lms[j]
-        if prod & guard:
-            raise order.overflow(prod)
-        s = {}
-        _sub_scaled(s, basis[i], lij - lms[i], p - 1, p, order)
-        _sub_scaled(s, basis[j], lij - lms[j], 1, p, order)
-        s = _normal_form_raw(s, reducers, p, order)
-        if not s:
-            continue
-        if _is_constant_raw(s):
+        if len(f) == 1 and 0 in f:
             return _UNIT
-        s = _monic_raw(s, p)
-        basis.append(s)
-        lms.append(max(s))
-        exps.append(order.unpack(lms[-1]))
-        if stop is not None and stop(exps[-1]):
+        lm = max(f)
+        inv = pow(f[lm], -1, p)
+        f = {m: (c * inv) % p for m, c in f.items()}
+        reducers.append((lm, f))
+        exp = order.unpack(lm)
+        if stop is not None and stop(exp):
             return None
-        reducers.append((lms[-1], s))
-        install(len(basis) - 1)
-
-    return [(lms[k], basis[k]) for k in active]
+        queue.install(lm, exp)
+    return [reducers[k] for k in queue.active]
 
 
 def _reduced_raw(pairs: Sequence, order: _PackedOrder, p: int) -> list:
@@ -345,7 +345,7 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     _check_ring(g, ideal.field, ideal.vars)
     p = ideal.field.p
     order = _grevlex(ideal.vars.n + 1)
-    ext_gens = [_extend(f, order, 0) for f in ideal.generators if not f.is_zero]
+    ext_gens = [_extend(f, order, 0) for f in ideal.generators]
     rab = _extend(g, order, 1)
     rab[0] = (rab.get(0, 0) - 1) % p
     rab = {m: c for m, c in rab.items() if c}
