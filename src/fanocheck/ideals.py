@@ -1,31 +1,28 @@
 """Ideal arithmetic over F_p: Buchberger bases, membership, normal forms,
 Rabinowitsch-style localization tests and dehomogenized chart tests.
 
-Buchberger runs as two halves fed by one intake loop.  The pair half,
+Buchberger is two halves fed by one intake loop.  The pair half,
 ``_PairQueue``, sees leading monomials only.  It runs the normal selection
-strategy (smallest lcm first) and installs its pairs as Gebauer and Moeller
-do ("On an installation of Buchberger's algorithm", JSC 6, 1988; Becker and
-Weispfenning, *Groebner Bases*, 5.5): the pruning criteria run once, when
-an element enters, never when a pair pops.  The newcomer's pairs with the
-active elements whose leading monomials are coprime to its own (one test on
+strategy (smallest lcm first) and installs pairs as Gebauer and Moeller do
+("On an installation of Buchberger's algorithm", JSC 6, 1988; Becker and
+Weispfenning, *Groebner Bases*, 5.5): the pruning criteria run once per
+element, never when a pair pops.  The newcomer's pairs with the active
+elements whose leading monomials are coprime to its own (one test on
 support bitmasks) reduce to zero and are never queued; of the rest,
 criteria M and F queue one pair per minimal lcm, criterion B_k drops the
 queued pairs whose lcm the newcomer's leading monomial divides strictly on
 both sides, and the active elements that monomial divides leave the active
-set, which ends as a minimal basis.  Queued pairs sit in a heap keyed by
-their lcm, with the pair indices breaking ties, and a dict of the pairs
-still live, which the heap pops lazily.  The reduction half is the list of
-every element as a monic reducer and ``_normal_form_raw`` against it.  The
-intake takes the generators, then each popped pair's S-polynomial
-remainder, through the same steps: zero is skipped, a nonzero constant
-short-circuits to the unit ideal, and anything else is made monic, joins
-the reducers, shows its leading monomial (as an exponent tuple) to the
-caller's stop predicate, if any (a run it ends returns no basis), and is
-installed in the queue.  Only the callers that keep a basis reduce it;
-reduced bases are unique for a fixed order, which keeps every downstream
-verdict deterministic.  A unit question ends at the constant short-circuit,
-which every basis of (1) reaches.  No basis is cached: each call computes
-its own.
+set, which ends as a minimal basis.  Each update waits for the next pop, so
+a run that ends among the generators makes none.  The reduction half is
+``_normal_form_raw`` against every element as a monic reducer.  The intake
+takes the generators, then each popped pair's S-polynomial remainder: it
+skips zero, short-circuits a nonzero constant to the unit ideal, and makes
+anything else monic, a reducer, an exponent tuple for the caller's stop
+predicate (a run it ends returns no basis) and an entry in the queue.  Only
+the callers that keep a basis reduce it; reduced bases are unique for a
+fixed order, which keeps every downstream verdict deterministic.  A unit
+question ends at the constant short-circuit, which every basis of (1)
+reaches.  No basis is cached: each call computes its own.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
@@ -111,7 +108,12 @@ class _PairQueue:
         self.heap = []  # (lcm, pair): smallest lcm first, ties by pair
         self.wide = []  # the elements with an exponent of at least half the cap
 
-    def install(self, lm_t: int, exp_t: tuple) -> None:
+    def install(self, lm: int, exp: tuple) -> None:
+        """Enter an element; its update waits for the next pop."""
+        self.lms.append(lm)
+        self.exps.append(exp)
+
+    def _update(self, t: int) -> None:
         """The Gebauer-Moeller update for element t entering the basis."""
         order, lms, exps, active, live, heap, wide = (
             self.order, self.lms, self.exps, self.active, self.live, self.heap, self.wide)
@@ -119,9 +121,7 @@ class _PairQueue:
         # (m + low) & guard has the guard bit of exactly the nonzero fields of m
         low = guard - (guard >> (order.width - 1))
         half = guard >> 1  # m & half: m has an exponent of at least half the cap
-        t = len(lms)
-        lms.append(lm_t)
-        exps.append(exp_t)
+        lm_t, exp_t = lms[t], exps[t]
         support = (lm_t + low) & guard
         shared = []  # (lcm, k) for the active k sharing a variable with t
         lcms = []  # lcms that rule out new pairs: the coprime ones' products first
@@ -174,11 +174,15 @@ class _PairQueue:
             active.append(t)
 
     def __iter__(self):
-        """Each live pair as (lcm, i, j), least lcm first, new ones included.
-        A pair whose leading monomials' product passes the exponent cap is
-        queued unpruned, active or not, and raises as it pops."""
+        """Each live pair as (lcm, i, j), least lcm first; one whose product
+        passes the exponent cap, queued unpruned, raises as it pops."""
         guard, lms, live, heap = self.order.guard, self.lms, self.live, self.heap
-        while heap:
+        t = 0  # the next element to update
+        while t < len(lms) or heap:
+            if t < len(lms):
+                self._update(t)
+                t += 1
+                continue
             lij, pair = heapq.heappop(heap)
             if live.pop(pair, None) is None:
                 continue
@@ -193,12 +197,9 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
     """Minimal, unreduced Groebner basis of the given packed coefficient dicts.
 
     Returns its (leading monomial, monic dict) pairs, no leading monomial
-    dividing another, for :func:`_reduced_raw`, or ``_UNIT`` for the unit
-    ideal.  Generators enter in the given order, then each S-pair's normal
-    form as its pair pops.
-    ``stop``, if given, sees the exponent tuple of the leading monomial of
-    every element that enters the basis, generators included; once it
-    returns true the run ends and None comes back in place of a basis.
+    dividing another, for :func:`_reduced_raw`; ``_UNIT`` for the unit
+    ideal; None once ``stop``, shown the exponent tuple of every leading
+    monomial entering the basis, generators included, returns true.
     """
     queue = _PairQueue(order)
     # Every element, active or not, stays a reducer, in order of entry: an
@@ -347,7 +348,6 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     order = _grevlex(ideal.vars.n + 1)
     ext_gens = [_extend(f, order, 0) for f in ideal.generators]
     rab = _extend(g, order, 1)
-    rab[0] = (rab.get(0, 0) - 1) % p
-    rab = {m: c for m, c in rab.items() if c}
+    rab[0] = p - 1  # t*g - 1: every term of t*g has t, so none is the constant
     ext_gens.append(rab)
     return _buchberger_raw(ext_gens, order, p) is _UNIT
