@@ -98,6 +98,79 @@ def dense_form(rng: random.Random, vset: VariableSet, p: int, degree: int,
     return Polynomial(p, vset, terms)
 
 
+def substitute(f: Polynomial, images) -> Polynomial:
+    """f with variable i replaced by the polynomial ``images[i]``, built from
+    Polynomial sums and products alone: each term is its coefficient times
+    the images' powers, one product at a time."""
+    powers = [[Polynomial.constant(f.field, f.vars, 1)] for _ in images]
+    total = Polynomial.zero(f.field, f.vars)
+    for mono, c in f.terms.items():
+        term = Polynomial.constant(f.field, f.vars, c)
+        for image, known, e in zip(images, powers, mono):
+            while len(known) <= e:
+                known.append(known[-1] * image)
+            if e:
+                term = term * known[e]
+        total = total + term
+    return total
+
+
+def _is_invertible(rows, p: int) -> bool:
+    """Whether the square matrix is invertible mod p (Gaussian elimination)."""
+    rows = [list(r) for r in rows]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, len(rows)):
+            k = rows[r][col] * inv
+            rows[r] = [(a - k * b) % p for a, b in zip(rows[r], rows[col])]
+    return True
+
+
+def random_graded_automorphism(rng: random.Random, space, p: int) -> list:
+    """The images of the ambient's variables under a seeded random graded
+    automorphism, one Polynomial per variable.
+
+    On each factor, every block of equal-weight variables gets a random
+    invertible matrix over F_p, and each variable y that has lighter
+    variables in its factor also gets y -> y + g, with g a random form of
+    y's weight in those lighter variables (a triangular, so invertible,
+    change).  Then each pair of factors with equal weights is swapped with
+    probability one half.
+    """
+    vset = space.variable_set
+    images = [None] * vset.n
+    start = 0
+    for fac in space.factors:
+        index = range(start, start + len(fac.names))
+        for w in sorted(set(fac.weights)):
+            block = [i for i in index if fac.weights[i - start] == w]
+            matrix = [[rng.randrange(p) for _ in block] for _ in block]
+            while not _is_invertible(matrix, p):
+                matrix = [[rng.randrange(p) for _ in block] for _ in block]
+            lighter = {i for i in index if fac.weights[i - start] < w}
+            pool = [m for m in monomials_of_degree(vset, vset.weights[block[0]])
+                    if all(i in lighter for i, e in enumerate(m) if e)]
+            for row, i in zip(matrix, block):
+                terms = {}
+                for c, k in zip(row, block):
+                    terms[tuple(int(j == k) for j in range(vset.n))] = c
+                for m in rng.sample(pool, min(len(pool), rng.randint(1, 4))):
+                    terms[m] = rng.randrange(1, p)
+                images[i] = Polynomial(p, vset, terms)
+        start += len(fac.names)
+    starts = list(itertools.accumulate([0] + [len(fac.names) for fac in space.factors]))
+    for a, b in itertools.combinations(range(len(space.factors)), 2):
+        if space.factors[a].weights == space.factors[b].weights and rng.random() < 0.5:
+            for i in range(len(space.factors[a].names)):
+                ia, ib = starts[a] + i, starts[b] + i
+                images[ia], images[ib] = images[ib], images[ia]
+    return images
+
+
 def int_power(terms: dict, e: int, nvars: int) -> dict:
     """(sum of c*m)^e over the integers, one factor at a time, on exponent tuples."""
     out = {(0,) * nvars: 1}

@@ -568,6 +568,87 @@ class TestPops:
         assert pops == []
 
 
+class TestPairQueue:
+    """The pair half alone: ``_PairQueue`` driven with bare packed leading
+    monomials, no polynomials."""
+
+    @staticmethod
+    def _monomials(rng, n, count):
+        out = []
+        while len(out) < count:
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if any(e):
+                out.append(e)
+        return out
+
+    @staticmethod
+    def _install(queue, order, exps):
+        for e in exps:
+            queue.install(order.pack(e), e)
+
+    @staticmethod
+    def _assert_minimal_and_covering(queue):
+        def divides(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        active = [queue.exps[k] for k in queue.active]
+        assert not any(divides(a, b) for i, a in enumerate(active)
+                       for j, b in enumerate(active) if i != j)
+        assert all(any(divides(a, e) for a in active) for e in queue.exps)
+
+    def test_pops_in_order_never_coprime_and_the_active_set(self):
+        rng = random.Random(3103)
+        popped = 0
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            order = _grevlex(n)
+            queue = ideals._PairQueue(order)
+            self._install(queue, order, self._monomials(rng, n, rng.randint(1, 8)))
+            pops = list(queue)
+            assert [(lij, (i, j)) for lij, i, j in pops] == sorted(
+                (lij, (i, j)) for lij, i, j in pops)
+            for lij, i, j in pops:
+                a, b = queue.exps[i], queue.exps[j]
+                assert i < j and any(x and y for x, y in zip(a, b))
+                assert lij == order.pack(tuple(map(max, a, b)))
+            popped += len(pops)
+            self._assert_minimal_and_covering(queue)
+        assert popped > 100
+
+    def test_installs_while_iterating(self):
+        # as in a run: each popped pair may bring a new leading monomial,
+        # which no earlier one divides; no pair pops twice
+        rng = random.Random(3104)
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            order = _grevlex(n)
+            queue = ideals._PairQueue(order)
+            self._install(queue, order, self._monomials(rng, n, rng.randint(2, 5)))
+            seen = set()
+            for _, i, j in queue:
+                assert (i, j) not in seen
+                seen.add((i, j))
+                new = [e for e in self._monomials(rng, n, 3) if not any(
+                    all(x <= y for x, y in zip(old, e)) for old in queue.exps)]
+                self._install(queue, order, new[:1])
+            self._assert_minimal_and_covering(queue)
+
+    def test_bk_drops_a_queued_pair(self):
+        # the monomials of TestPairUpdate.test_bk_drops_a_queued_pair
+        order = _grevlex(3)
+        queue = ideals._PairQueue(order)
+        self._install(queue, order, [(1, 1, 0), (0, 1, 1), (0, 1, 0)])
+        assert sorted((i, j) for _, i, j in queue) == [(0, 2), (1, 2)]
+        assert queue.active == [2]
+
+    def test_a_pair_past_the_cap_raises_as_it_pops(self):
+        order = _grevlex(3)
+        queue = ideals._PairQueue(order)
+        self._install(queue, order, [(40000, 1, 0), (0, 0, 1), (40000, 0, 1)])
+        with pytest.raises(ExponentOverflowError, match=_cap_message("(80000, 1, 1)")):
+            list(queue)
+
+
 def _sha(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
 
