@@ -113,82 +113,80 @@ class _PairQueue:
         self.lms.append(lm)
         self.exps.append(exp)
 
-    def _update(self, t: int) -> None:
-        """The Gebauer-Moeller update for element t entering the basis."""
+    def __iter__(self):
+        """Each live pair as (lcm, i, j), least lcm first; one whose product
+        passes the exponent cap, queued unpruned, raises as it pops.  Each
+        pop first runs the Gebauer-Moeller update of every element entered
+        since the last one; the locals are bound once per run."""
         order, lms, exps, active, live, heap, wide = (
             self.order, self.lms, self.exps, self.active, self.live, self.heap, self.wide)
         guard = order.guard
         # (m + low) & guard has the guard bit of exactly the nonzero fields of m
         low = guard - (guard >> (order.width - 1))
         half = guard >> 1  # m & half: m has an exponent of at least half the cap
-        lm_t, exp_t = lms[t], exps[t]
-        support = (lm_t + low) & guard
-        shared = []  # (lcm, k) for the active k sharing a variable with t
-        lcms = []  # lcms that rule out new pairs: the coprime ones' products first
-        for k in active:
-            if (lms[k] + low) & support:
-                shared.append((order.lcm(exps[k], exp_t), k))
-            else:
-                lcms.append(lms[k] + lm_t)
-        # B_k: lm_t divides a queued lcm that neither side's lcm with t
-        # reaches, that is, lcm / lm_t shares a variable with the lcm over
-        # each side; a pair whose product passes the cap stays, to raise
-        if live:
-            dead = []
-            for (i, j), lij in live.items():
-                q = lij - lm_t
-                if q & guard:
-                    continue
-                q = (q + low) & guard
-                if (lij - lms[i] + low) & q and (lij - lms[j] + low) & q \
-                        and not (lms[i] + lms[j]) & guard:
-                    dead.append((i, j))
-            for pair in dead:
-                del live[pair]
-        # M and F: a new pair is queued only if no coprime or queued new
-        # pair has a dividing (or equal) lcm; coprime pairs reduce to zero,
-        # and one whose product passes the cap is queued anyway, to raise
-        shared.sort()
-        for lij, k in shared:
-            if lcms and not (lms[k] + lm_t) & guard and \
-                    any(not (lij - m) & guard for m in lcms):
-                continue
-            lcms.append(lij)
-            live[k, t] = lij
-            heapq.heappush(heap, (lij, (k, t)))
-        # every pair whose product passes the cap raises when it pops, so
-        # those with elements no longer active are queued too; only a pair
-        # with a wide element can pass it
-        for k in range(t) if lm_t & half else wide:
-            if (lms[k] + lm_t) & guard and k not in active:
-                lij = order.lcm(exps[k], exp_t)
-                live[k, t] = lij
-                heapq.heappush(heap, (lij, (k, t)))
-        if lm_t & half:
-            wide.append(t)
-        # the least possible lcm is lm_t itself, met when an active leading
-        # monomial divides lm_t (only a generator's can): t stays out, and
-        # its queued pair with that element covers it
-        if not shared or shared[0][0] != lm_t:
-            active[:] = [k for k in active if (lms[k] - lm_t) & guard]
-            active.append(t)
-
-    def __iter__(self):
-        """Each live pair as (lcm, i, j), least lcm first; one whose product
-        passes the exponent cap, queued unpruned, raises as it pops."""
-        guard, lms, live, heap = self.order.guard, self.lms, self.live, self.heap
         t = 0  # the next element to update
-        while t < len(lms) or heap:
-            if t < len(lms):
-                self._update(t)
+        while True:
+            while t < len(lms):
+                lm_t, exp_t = lms[t], exps[t]
+                support = (lm_t + low) & guard
+                shared = []  # (lcm, k) for the active k sharing a variable with t
+                lcms = []  # lcms that rule out new pairs: the coprime ones' products first
+                for k in active:
+                    if (lms[k] + low) & support:
+                        shared.append((order.lcm(exps[k], exp_t), k))
+                    else:
+                        lcms.append(lms[k] + lm_t)
+                # B_k: lm_t divides a queued lcm that neither side's lcm with t
+                # reaches, that is, lcm / lm_t shares a variable with the lcm over
+                # each side; a pair whose product passes the cap stays, to raise
+                if live:
+                    dead = []
+                    for (i, j), lij in live.items():
+                        q = lij - lm_t
+                        if q & guard:
+                            continue
+                        q = (q + low) & guard
+                        if (lij - lms[i] + low) & q and (lij - lms[j] + low) & q \
+                                and not (lms[i] + lms[j]) & guard:
+                            dead.append((i, j))
+                    for pair in dead:
+                        del live[pair]
+                # M and F: a new pair is queued only if no coprime or queued new
+                # pair has a dividing (or equal) lcm; coprime pairs reduce to zero,
+                # and one whose product passes the cap is queued anyway, to raise
+                shared.sort()
+                for lij, k in shared:
+                    if lcms and not (lms[k] + lm_t) & guard and \
+                            any(not (lij - m) & guard for m in lcms):
+                        continue
+                    lcms.append(lij)
+                    live[k, t] = lij
+                    heapq.heappush(heap, (lij, (k, t)))
+                # every pair whose product passes the cap raises when it pops, so
+                # those with elements no longer active are queued too; only a pair
+                # with a wide element can pass it
+                for k in range(t) if lm_t & half else wide:
+                    if (lms[k] + lm_t) & guard and k not in active:
+                        lij = order.lcm(exps[k], exp_t)
+                        live[k, t] = lij
+                        heapq.heappush(heap, (lij, (k, t)))
+                if lm_t & half:
+                    wide.append(t)
+                # the least possible lcm is lm_t itself, met when an active leading
+                # monomial divides lm_t (only a generator's can): t stays out, and
+                # its queued pair with that element covers it
+                if not shared or shared[0][0] != lm_t:
+                    active[:] = [k for k in active if (lms[k] - lm_t) & guard]
+                    active.append(t)
                 t += 1
-                continue
+            if not heap:
+                return
             lij, pair = heapq.heappop(heap)
             if live.pop(pair, None) is None:
                 continue
             prod = lms[pair[0]] + lms[pair[1]]
             if prod & guard:
-                raise self.order.overflow(prod)
+                raise order.overflow(prod)
             yield lij, *pair
 
 
