@@ -142,9 +142,9 @@ def random_graded_automorphism(rng: random.Random, space, p: int) -> list:
     probability one half.
     """
     vset = space.variable_set
+    starts = list(itertools.accumulate([0] + [len(fac.names) for fac in space.factors]))
     images = [None] * vset.n
-    start = 0
-    for fac in space.factors:
+    for fac, start in zip(space.factors, starts):
         index = range(start, start + len(fac.names))
         for w in sorted(set(fac.weights)):
             block = [i for i in index if fac.weights[i - start] == w]
@@ -161,8 +161,6 @@ def random_graded_automorphism(rng: random.Random, space, p: int) -> list:
                 for m in rng.sample(pool, min(len(pool), rng.randint(1, 4))):
                     terms[m] = rng.randrange(1, p)
                 images[i] = Polynomial(p, vset, terms)
-        start += len(fac.names)
-    starts = list(itertools.accumulate([0] + [len(fac.names) for fac in space.factors]))
     for a, b in itertools.combinations(range(len(space.factors)), 2):
         if space.factors[a].weights == space.factors[b].weights and rng.random() < 0.5:
             for i in range(len(space.factors[a].names)):
