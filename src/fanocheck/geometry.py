@@ -35,7 +35,7 @@ import itertools
 from collections.abc import Sequence
 from functools import cached_property
 
-from .ideals import PolyIdeal, _chart_is_unit, _stops_or_is_unit
+from .ideals import PolyIdeal, _chart_is_unit, _jacobian_stops_or_is_unit
 from .poly import (
     ParseError,
     Polynomial,
@@ -90,7 +90,11 @@ class AmbientSpace:
 
     @cached_property
     def variable_set(self) -> VariableSet:
-        """All variables, graded with one component per factor."""
+        """All variables, graded with one component per factor.
+
+        The factors checked every name and weight, and the space checked
+        that no name repeats, so the set is built without checking them
+        again."""
         k = len(self.factors)
         names = []
         weights = []
@@ -98,7 +102,7 @@ class AmbientSpace:
             for name, w in zip(fac.names, fac.weights):
                 names.append(name)
                 weights.append(tuple(w if c == j else 0 for c in range(k)))
-        return VariableSet(tuple(names), tuple(weights))
+        return VariableSet._trusted(tuple(names), tuple(weights))
 
     def chart_tuples(self):
         """All ways of picking one variable name from each factor."""
@@ -250,30 +254,34 @@ def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResul
     return ConeResult(True)
 
 
-def _support_certificate(space: AmbientSpace, jac: PolyIdeal) -> bool:
-    """Whether the irrelevant ideal lies in the radical of J.
+def _no_chart_open(space: AmbientSpace):
+    """The support certificate's stop predicate on ``space``.
 
-    Runs Buchberger on J's generators and closes a chart tuple once some
-    leading monomial is supported inside it; the run stops when no tuple is
-    open.  A leading monomial with two variables of one factor closes none.
+    Variable i is bit i, and a chart tuple is the mask of its variables.
+    An exponent tuple closes every open chart whose mask contains its
+    support; a support with two variables of one factor lies in none.  The
+    predicate is true once no chart is open.
     """
-    vset = space.variable_set
-    factor_of = [j for j, fac in enumerate(space.factors) for _ in fac.names]
-    open_charts = {tuple(vset.index(name) for name in chart)
-                   for chart in space.chart_tuples()}
+    bit = {name: 1 << i for i, name in enumerate(space.variable_set.names)}
+    bits = list(bit.values())
+    open_charts = [sum(map(bit.get, chart)) for chart in space.chart_tuples()]
 
-    def no_chart_open(lm) -> bool:
-        pick = {}
-        for i, e in enumerate(lm):
-            if e:
-                if factor_of[i] in pick:
-                    return False
-                pick[factor_of[i]] = i
-        open_charts.difference_update(
-            [t for t in open_charts if all(t[j] == i for j, i in pick.items())])
+    def no_chart_open(exp) -> bool:
+        support = sum(itertools.compress(bits, exp))
+        open_charts[:] = [c for c in open_charts if support | c != c]
         return not open_charts
 
-    return _stops_or_is_unit(jac, no_chart_open)
+    return no_chart_open
+
+
+def _support_certificate(variety: HypersurfaceVariety) -> bool:
+    """Whether the irrelevant ideal lies in the radical of J.
+
+    Runs Buchberger on J's generators, built packed from f (no
+    :class:`PolyIdeal`), and closes a chart tuple once some leading
+    monomial is supported inside it; the run stops when no tuple is open.
+    """
+    return _jacobian_stops_or_is_unit(variety.f, _no_chart_open(variety.space))
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
@@ -284,16 +292,16 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     cone is smooth there exactly when each chart tuple (one variable per
     factor) contains the support of some leading monomial, and then no
     chart is tested.  Without that certificate the cone is singular, and
-    the charts run one by one only to name the first chart where J plus
-    (x_i - 1) for the chart's variables is not the unit ideal.  That is
-    the first chart where J does not become the unit ideal after inverting
-    the chart's product (J is homogeneous for one C* per factor), so
-    ``witness_chart`` names the chart a localization test would.
+    the charts run one by one on :func:`jacobian_ideal` only to name the
+    first chart where J plus (x_i - 1) for the chart's variables is not the
+    unit ideal.  That is the first chart where J does not become the unit
+    ideal after inverting the chart's product (J is homogeneous for one C*
+    per factor), so ``witness_chart`` names the chart a localization test
+    would.
     """
-    jac = jacobian_ideal(variety)
-    if _support_certificate(variety.space, jac):
+    if _support_certificate(variety):
         return ConeResult(True)
-    return _chart_smoothness(variety, jac)
+    return _chart_smoothness(variety, jacobian_ideal(variety))
 
 
 class SmoothnessStatus(enum.Enum):
@@ -313,15 +321,16 @@ def _has_pure_power(f: Polynomial, name: str) -> bool:
 def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     """Full verdict: cone criterion plus avoidance of ambient singular points.
 
-    The cone criterion is the support certificate alone: without it the
-    verdict is Singular, and no chart runs (``cone_smoothness`` runs them
-    to name a witness).  Only zero-dimensional ambient strata are
-    supported; a hypersurface is Smooth when the punctured cone is smooth
-    and f carries a pure power of each stratum variable (so the stratum
-    point misses the hypersurface), QuasiSmoothOnly when cone-smooth but
-    some stratum point lies on it.
+    The cone criterion is the support certificate alone, one Buchberger
+    run on J's generators packed straight from f: without it the verdict
+    is Singular, and neither a chart nor :func:`jacobian_ideal` runs
+    (``cone_smoothness`` runs both to name a witness).  Only
+    zero-dimensional ambient strata are supported; a hypersurface is
+    Smooth when the punctured cone is smooth and f carries a pure power of
+    each stratum variable (so the stratum point misses the hypersurface),
+    QuasiSmoothOnly when cone-smooth but some stratum point lies on it.
     """
-    if not _support_certificate(variety.space, jacobian_ideal(variety)):
+    if not _support_certificate(variety):
         return SmoothnessStatus.SINGULAR
     verdict = SmoothnessStatus.SMOOTH
     for stratum in ambient_singular_strata(variety.space):

@@ -35,6 +35,13 @@ product checks its guard bits, so an exponent past the cap raises
 neighbouring field.  Monomials are packed at entry, and every result
 leaves through the packing's ``polynomial`` method; the public API speaks
 :class:`~fanocheck.poly.Polynomial`.
+
+The smoothness certificate enters through
+:func:`_jacobian_stops_or_is_unit`, which takes f rather than an ideal:
+it packs f once and forms each partial on the packed monomials, reading
+the exponent e of x_i from its field and mapping a term c*x^m to
+(c*e mod p)*x^(m - e_i), so the Jacobian's generators never pass through
+:class:`PolyIdeal` or a tuple-keyed polynomial.
 """
 
 from __future__ import annotations
@@ -271,15 +278,34 @@ class PolyIdeal:
         return tuple(order.polynomial(self.field, self.vars, g) for g in raw)
 
 
-def _stops_or_is_unit(ideal: PolyIdeal, stop) -> bool:
-    """Whether Buchberger on the generators ends at ``stop`` or at the unit ideal.
+def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
+    """f, then its partial in each variable in order, as packed dicts.
 
-    ``stop`` sees each leading monomial entering the basis as an exponent
-    tuple; the grevlex basis is not kept.
+    f is packed once.  Its term c*x^m gives the term (c*e mod p)*x^(m - e_i)
+    of the i-th partial, e the exponent of x_i in m; a term whose e is 0
+    mod p, so also one without x_i, gives none.  Distinct terms stay
+    distinct, so each partial keeps f's term order and nothing is summed.
     """
-    order = _grevlex(ideal.vars.n)
-    basis = _buchberger_raw([order.pack_terms(g.terms) for g in ideal.generators],
-                            order, ideal.field.p, stop)
+    p = f.p
+    mask = order.mask
+    packed = order.pack_terms(f.terms)
+    gens = [packed]
+    for s, unit in zip(order.shifts, order.units):
+        gens.append({m - unit: c * e % p for m, c in packed.items()
+                     if (e := (m >> s) & mask) % p})
+    return gens
+
+
+def _jacobian_stops_or_is_unit(f: Polynomial, stop) -> bool:
+    """Whether Buchberger on (f, all partials of f) ends at ``stop`` or at
+    the unit ideal.
+
+    The generators come from :func:`_packed_jacobian`, in the order of
+    ``geometry.jacobian_ideal``'s; ``stop`` sees each leading monomial
+    entering the basis as an exponent tuple, and the basis is not kept.
+    """
+    order = _grevlex(f.vars.n)
+    basis = _buchberger_raw(_packed_jacobian(f, order), order, f.p, stop)
     return basis is None or basis is _UNIT
 
 

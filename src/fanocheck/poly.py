@@ -307,6 +307,14 @@ class VariableSet(_Value):
         _set(self, "_key", (names, weights))
 
     @classmethod
+    def _trusted(cls, names: tuple, weights: tuple) -> "VariableSet":
+        """Names and weight vectors that already passed these checks, as
+        an ambient space's factors hold them; nothing is checked again."""
+        vs = object.__new__(cls)
+        vs._init(names, weights)
+        return vs
+
+    @classmethod
     def unit(cls, names) -> "VariableSet":
         """All variables of weight 1 in a single grading component."""
         names = names.split(",") if isinstance(names, str) else tuple(names)

@@ -177,7 +177,7 @@ PRIVATE_IMPORTS = {
     "chow": ["poly._Value", "poly._mul_packed", "poly._packing", "poly._read_int"],
     "corpus": ["poly._Value", "poly._set"],
     "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
-    "geometry": ["ideals._chart_is_unit", "ideals._stops_or_is_unit",
+    "geometry": ["ideals._chart_is_unit", "ideals._jacobian_stops_or_is_unit",
                  "poly._Value", "poly._is_variable_name", "poly._prime_factors",
                  "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],

@@ -11,6 +11,7 @@ from fanocheck.geometry import (
     SmoothnessStatus,
     UnsupportedStratumError,
     _chart_smoothness,
+    _no_chart_open,
     _support_certificate,
     ambient_singular_strata,
     cone_smoothness,
@@ -18,8 +19,16 @@ from fanocheck.geometry import (
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck.ideals import normal_form
-from fanocheck.poly import ParseError, Polynomial, VariableSet, parse_poly, weighted_degree
+from fanocheck import poly as poly_module
+from fanocheck.ideals import _packed_jacobian, normal_form
+from fanocheck.poly import (
+    ParseError,
+    Polynomial,
+    VariableSet,
+    _grevlex,
+    parse_poly,
+    weighted_degree,
+)
 from helpers import (
     cone_singular_point_search,
     dense_form,
@@ -104,6 +113,25 @@ class TestParseAmbient:
             parse_ambient("P(1,1) x P(1,1)", names=["a", "b", "c", name])
 
 
+    def test_each_name_is_checked_once(self, monkeypatch):
+        # the factors check every name; the variable set trusts them
+        checked = []
+        real = poly_module._is_variable_name
+
+        def counting(name):
+            checked.append(name)
+            return real(name)
+
+        monkeypatch.setattr(poly_module, "_is_variable_name", counting)
+        monkeypatch.setattr(geometry, "_is_variable_name", counting)
+        space = parse_ambient("P(1,1,1) x P(1,2)", names=["a", "b", "c", "d", "e"])
+        assert space.variable_set == VariableSet(
+            ("a", "b", "c", "d", "e"),
+            ((1, 0), (1, 0), (1, 0), (0, 1), (0, 2)))
+        # the comparison set above checked its own five names once more
+        assert checked == ["a", "b", "c", "d", "e"] * 2
+
+
 class TestSingularStrata:
     def test_unweighted_has_none(self):
         assert ambient_singular_strata(parse_ambient("P(1,1,1) x P(1,1,1)")) == []
@@ -148,9 +176,9 @@ class TestConeSmoothness:
 
 
 def _both_methods(v):
-    """(single-basis verdict, chart-by-chart result) on fresh Jacobian ideals."""
-    return (_support_certificate(v.space, jacobian_ideal(v)),
-            _chart_smoothness(v, jacobian_ideal(v)))
+    """(single-basis verdict on J packed from f, chart-by-chart result on a
+    fresh Jacobian ideal)."""
+    return _support_certificate(v), _chart_smoothness(v, jacobian_ideal(v))
 
 
 def _singular_at_e0(rng, space, p, degree):
@@ -387,6 +415,149 @@ class TestChartsAgainstLocalization:
         assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [False] * 3
 
 
+# at p = 3, d/dx0 keeps one of three terms and d/dx1 one of two
+_LITERAL_SEXTIC = "x0^3*x1^3 + x0*x1^2*y + x2^5*x3 + 2*x0^3*y + y^2"
+
+
+def _jacobian_members():
+    """Seeded varieties for the packed Jacobian: one-factor, weighted and
+    product ambients, with p often dividing an exponent."""
+    members = [v for _, v, _ in _differential_members() + _product_members()]
+    rng = random.Random(3232)
+    names = ["x0", "x1", "x2", "x3", "y"]
+    for ambient, degrees in (("P(1,1,1,1,2)", (2, 4, 6)), ("P(1,1,1,1,3)", (3, 6, 9))):
+        space = parse_ambient(ambient, names=names)
+        for p in (2, 3, 5, 7, 11):
+            for d in degrees:
+                f = random_homogeneous(rng, space.variable_set, p, d, max_terms=8)
+                members.append(HypersurfaceVariety(p, space, f))
+    for ambient, poly, p in (
+            ("P(1,1,1,1,2)", "x0^4 + x1^4 + x2^4 + x3^4 + y^2", 2),
+            ("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 3),
+            ("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 2),
+            ("P(1,1,1,1,3)", _LITERAL_SEXTIC, 3)):
+        space = parse_ambient(ambient, names=names)
+        members.append(HypersurfaceVariety(p, space, parse_poly(poly, space.variable_set, p)))
+    return members
+
+
+class TestPackedJacobian:
+    """The generators the certificate runs on, packed straight from f,
+    against ``jacobian_ideal``'s tuple partials packed afterwards."""
+
+    def test_seeded_members_term_for_term(self):
+        lost = zero = 0
+        members = _jacobian_members()
+        for v in members:
+            order = _grevlex(v.f.vars.n)
+            packed = _packed_jacobian(v.f, order)
+            expected = [order.pack_terms(g.terms) for g in jacobian_ideal(v).generators]
+            # the same generators in the same order, and each one's terms too
+            assert [list(g.items()) for g in packed] \
+                == [list(g.items()) for g in expected], str(v.f)
+            for i, g in enumerate(packed[1:]):
+                with_var = sum(1 for m in v.f.terms if m[i])
+                lost += 0 < len(g) < with_var
+                zero += with_var > 0 and not g
+        assert len(members) >= 300
+        # p divides an exponent often enough that partials lose terms or vanish
+        assert lost >= 30 and zero >= 30, (lost, zero)
+
+    def test_literal_partials(self):
+        v = variety("P(1,1,1,1,3)", _LITERAL_SEXTIC, 3,
+                    names=["x0", "x1", "x2", "x3", "y"])
+        order = _grevlex(5)
+        vs = v.space.variable_set
+        got = [order.polynomial(v.prime, vs, g) for g in _packed_jacobian(v.f, order)]
+        assert [str(g) for g in got] == [
+            str(v.f), "x1^2*y", "2*x0*x1*y", "2*x2^4*x3", "x2^5",
+            "2*x0^3 + x0*x1^2 + 2*y"]
+
+
+def _ref_closed_charts(space, exp) -> set:
+    """The charts an exponent tuple closes, by the chart-tuple dict that
+    picks one variable per factor."""
+    vset = space.variable_set
+    factor_of = [j for j, fac in enumerate(space.factors) for _ in fac.names]
+    pick = {}
+    for i, e in enumerate(exp):
+        if e:
+            if factor_of[i] in pick:
+                return set()
+            pick[factor_of[i]] = i
+    charts = {tuple(vset.index(name) for name in chart) for chart in space.chart_tuples()}
+    return {t for t in charts if all(t[j] == i for j, i in pick.items())}
+
+
+class TestChartMasks:
+    """``_no_chart_open``'s bitmask predicate against the dict predicate."""
+
+    AMBIENTS = ("P(1,1,1)", "P(1,1,1,1,3)", "P(1,1) x P(1,1)", "P(1,1,1) x P(1,1,1)",
+                "P(1,1) x P(1,1,2) x P(1,1)")
+
+    @staticmethod
+    def closes(space, exp, chart) -> bool:
+        """Whether the predicate closes ``chart`` on ``exp``: every other
+        chart is closed first by its own product, which closes it alone."""
+        vset = space.variable_set
+        stop = _no_chart_open(space)
+        for other in space.chart_tuples():
+            if other != chart:
+                assert not stop(tuple(int(name in other) for name in vset.names))
+        return stop(exp)
+
+    @staticmethod
+    def seeded_exps(space, rng):
+        vset = space.variable_set
+        n = vset.n
+        assert len(space.factors[0].names) >= 2
+        # the constant closes every chart, x0^3*x1^3 (one factor) none
+        exps = [(0,) * n, tuple(int(i < 2) * 3 for i in range(n))]
+        charts = [[vset.index(name) for name in chart] for chart in space.chart_tuples()]
+        for _ in range(30):
+            chart = rng.choice(charts)
+            # any support, then one inside a chart
+            for support in (rng.sample(range(n), rng.randint(1, n)),
+                            rng.sample(chart, rng.randint(1, len(chart)))):
+                exps.append(tuple(rng.randint(1, 4) if i in support else 0
+                                  for i in range(n)))
+        return exps
+
+    @pytest.mark.parametrize("ambient", AMBIENTS)
+    def test_same_charts_close(self, ambient):
+        rng = random.Random(ambient)
+        space = parse_ambient(ambient)
+        vset = space.variable_set
+        closed_some = closed_none = 0
+        for exp in self.seeded_exps(space, rng):
+            ref = _ref_closed_charts(space, exp)
+            for chart in space.chart_tuples():
+                index = tuple(vset.index(name) for name in chart)
+                assert self.closes(space, exp, chart) == (index in ref), (exp, chart)
+            closed_some += bool(ref)
+            closed_none += not ref
+        assert closed_some >= 5 and closed_none >= 5
+
+    @pytest.mark.parametrize("ambient", AMBIENTS)
+    def test_same_stop_on_seeded_runs(self, ambient):
+        # a run of leading monomials stops at the same one for both
+        rng = random.Random(f"runs {ambient}")
+        space = parse_ambient(ambient)
+        charts = {tuple(space.variable_set.index(name) for name in chart)
+                  for chart in space.chart_tuples()}
+        exps = self.seeded_exps(space, rng)[1:]
+        stopped = 0
+        for _ in range(30):
+            stop, ref_open = _no_chart_open(space), set(charts)
+            for exp in rng.sample(exps, len(exps)):
+                ref_open -= _ref_closed_charts(space, exp)
+                assert stop(exp) == (not ref_open)
+                if not ref_open:
+                    stopped += 1
+                    break
+        assert stopped >= 10
+
+
 class TestFastPath:
     @pytest.fixture
     def unit_calls(self, monkeypatch):
@@ -401,49 +572,63 @@ class TestFastPath:
         return calls
 
     @pytest.fixture
-    def built_ideals(self, monkeypatch):
+    def built_jacobians(self, monkeypatch):
+        """Each Jacobian a call builds: "packed" for a certificate run on J's
+        generators packed from f, "ideal" for a ``jacobian_ideal``."""
         built = []
-        real = geometry.jacobian_ideal
+        real_packed, real_ideal = geometry._jacobian_stops_or_is_unit, geometry.jacobian_ideal
 
-        def recording(v):
-            built.append(real(v))
-            return built[-1]
+        def packed(f, stop):
+            built.append("packed")
+            return real_packed(f, stop)
 
-        monkeypatch.setattr(geometry, "jacobian_ideal", recording)
+        def ideal(v):
+            built.append("ideal")
+            return real_ideal(v)
+
+        monkeypatch.setattr(geometry, "_jacobian_stops_or_is_unit", packed)
+        monkeypatch.setattr(geometry, "jacobian_ideal", ideal)
         return built
 
-    def test_fermat_sextic_tests_no_chart(self, unit_calls, built_ideals):
+    def test_fermat_sextic_tests_no_chart(self, unit_calls, built_jacobians):
         v = variety("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 11,
                     names=["x0", "x1", "x2", "x3", "y"])
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
         assert unit_calls == []
-        assert len(built_ideals) == 1
+        assert built_jacobians == ["packed"]
 
     def test_double_plane_tests_charts_up_to_the_witness(self, unit_calls,
-                                                         built_ideals):
+                                                         built_jacobians):
         v = variety("P(1,1,1)", "x0^2", 5)
         res = cone_smoothness(v)
         assert res.witness_chart == "x1"
         assert unit_calls == ["x0", "x1"]
-        assert len(built_ideals) == 1
+        # the charts alone run on a PolyIdeal
+        assert built_jacobians == ["packed", "ideal"]
 
-    def test_smooth_product_tests_no_chart(self, unit_calls, built_ideals):
+    def test_smooth_cone_builds_no_ideal(self, unit_calls, built_jacobians):
+        assert cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5)) \
+            == ConeResult(True)
+        assert unit_calls == []
+        assert built_jacobians == ["packed"]
+
+    def test_smooth_product_tests_no_chart(self, unit_calls, built_jacobians):
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
         assert unit_calls == []
-        assert len(built_ideals) == 1
+        assert built_jacobians == ["packed"]
 
     @pytest.mark.parametrize("ambient,poly", [
         ("P(1,1,1)", "x0^2"),
         ("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2"),
     ])
-    def test_singular_verdict_tests_no_chart(self, unit_calls, built_ideals,
+    def test_singular_verdict_tests_no_chart(self, unit_calls, built_jacobians,
                                              ambient, poly):
         # a failed support certificate is the verdict; charts only name a
         # witness, which smoothness_verdict does not ask for
         assert smoothness_verdict(variety(ambient, poly, 5)) is SmoothnessStatus.SINGULAR
         assert unit_calls == []
-        assert len(built_ideals) == 1
+        assert built_jacobians == ["packed"]
 
 
 class TestVerdicts:
