@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fanocheck import geometry, ideals
+from fanocheck import poly as poly_module
 from fanocheck.geometry import (
     AmbientFactor,
     AmbientSpace,
@@ -19,7 +20,6 @@ from fanocheck.geometry import (
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck import poly as poly_module
 from fanocheck.ideals import _packed_jacobian, normal_form
 from fanocheck.poly import (
     ParseError,
@@ -112,9 +112,10 @@ class TestParseAmbient:
         with pytest.raises(ValueError, match="not an identifier"):
             parse_ambient("P(1,1) x P(1,1)", names=["a", "b", "c", name])
 
-
     def test_each_name_is_checked_once(self, monkeypatch):
         # the factors check every name; the variable set trusts them
+        names = ("a", "b", "c", "d", "e")
+        expected = VariableSet(names, ((1, 0), (1, 0), (1, 0), (0, 1), (0, 2)))
         checked = []
         real = poly_module._is_variable_name
 
@@ -124,12 +125,8 @@ class TestParseAmbient:
 
         monkeypatch.setattr(poly_module, "_is_variable_name", counting)
         monkeypatch.setattr(geometry, "_is_variable_name", counting)
-        space = parse_ambient("P(1,1,1) x P(1,2)", names=["a", "b", "c", "d", "e"])
-        assert space.variable_set == VariableSet(
-            ("a", "b", "c", "d", "e"),
-            ((1, 0), (1, 0), (1, 0), (0, 1), (0, 2)))
-        # the comparison set above checked its own five names once more
-        assert checked == ["a", "b", "c", "d", "e"] * 2
+        assert parse_ambient("P(1,1,1) x P(1,2)", names=names).variable_set == expected
+        assert checked == list(names)
 
 
 class TestSingularStrata:
