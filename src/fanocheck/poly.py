@@ -711,49 +711,48 @@ def _frobenius_box(f: Polynomial, q: int):
 
 
 def pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
-    """f**e reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q).
-
-    q must be a power of the characteristic p.  In the q-box f^q is the
-    constant term c of f (c^q = c, and every other m^q is cut), so
-    f^e = c^(e // q) * f^(e mod q).  Over F_p, f^(d p^i) = (f^d)(x^(p^i)): the
-    rest is one boxed product per nonzero base-p digit d of e mod q, highest
-    first, until one is zero.  f^d is d! times :func:`_layers` at count d,
-    each term's steps stopping at the largest j with j * max(m) * p^i < q.
-    """
+    """f**e reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q), q a
+    power of the characteristic: :func:`_pow_boxed` of f's terms inside the
+    q-box, packed in lex order of their exponents."""
     if e < 0:
         raise ValueError("negative exponent")
     order, box = _frobenius_box(f, q)
-    p = f.p
+    terms = {order.pack(m): c for m, c in sorted(f.terms.items()) if max(m) < q}
+    return order.polynomial(f.field, f.vars, _pow_boxed(order, box, terms, e, f.p, q))
+
+
+def _pow_boxed(order: _PackedOrder, box: tuple, terms: dict, e: int, p: int,
+               q: int) -> dict:
+    """terms**e mod (x_i^q) for packed terms inside the q-box of ``order``.
+
+    In the q-box f^q is the constant term c of f (c^q = c, and every other
+    m^q is cut), so f^e = c^(e // q) * f^(e mod q).  Over F_p,
+    f^(d p^i) = (f^d)(x^(p^i)): the rest is one boxed product per nonzero
+    base-p digit d of e mod q, highest first, until one is zero; none while
+    the power is 1.  f^1 is the terms with every exponent below q / p^i,
+    one box test each; f^d is d! times :func:`_layers` at count d, each
+    term's steps stopping at the largest j with j * max(m) * p^i < q.
+    """
     hi, lo = divmod(e, q)
-    c = pow(f.terms.get((0,) * f.vars.n, 0), hi, p)
+    c = pow(terms.get(0, 0), hi, p)
     acc = {0: c} if c else {}
-    terms = sorted(f.terms.items())
     s = q
     while lo and acc:
         s //= p
         d, lo = divmod(lo, s)
-        if d:
-            items = [(order.pack(m) * s, a, j) for m, a in terms
-                     if (j := min(d, (q - 1) // (max(m) * s or 1)))]
+        if not d:
+            continue
+        if d == 1:
+            off, guard = order.box([q // s] * len(order.shifts))
+            part = [(m * s, a) for m, a in terms.items() if not (m + off) & guard]
+        else:
+            monos = zip(*[[(m >> t) & order.mask for m in terms] for t in order.shifts])
+            items = [(m * s, a, j) for (m, a), top in zip(terms.items(), map(max, monos))
+                     if (j := min(d, (q - 1) // (top * s or 1)))]
             scale = factorial(d) % p
-            part = _layers(items, p, d, box)
-            acc = _mul_packed(acc, [(m, a * scale % p) for m, a in part.items() if a],
-                              p, *box)
-    return order.polynomial(f.field, f.vars, acc)
-
-
-def mul_mod_frobenius(f: Polynomial, g: Polynomial, q: int) -> Polynomial:
-    """f*g reduced modulo the Frobenius-power ideal (x_0^q, ..., x_n^q).
-
-    q must be a power of the characteristic.  Terms of f or g with an
-    exponent >= q lie in the ideal and are left out, and a product is cut as
-    soon as it leaves the box, so no exponent past q - 1 is ever formed.
-    """
-    f._check_compatible(g)
-    order, (off, guard) = _frobenius_box(f, q)
-    acc = {order.pack(m): c for m, c in g.terms.items() if max(m) < q}
-    factor = [(order.pack(m), c) for m, c in f.terms.items() if max(m) < q]
-    return order.polynomial(f.field, f.vars, _mul_packed(acc, factor, f.p, off, guard))
+            part = [(m, a * scale % p) for m, a in _layers(items, p, d, box).items() if a]
+        acc = dict(part) if acc == {0: 1} else _mul_packed(acc, part, p, *box)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +812,8 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
     layers[k] += sum_{1 <= j <= J} layers[k-j] * (a*m)^j / j!.  The last
     item fills only layer top and frees each layer below once read.  With
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
-    product that leaves the box as it is formed; the carry has no box, and
-    its products pay for no test.
+    product that leaves the box as it is formed (the carry probes' carry);
+    ``delta1``'s carry has no box, and its products pay for no test.
     """
     off, guard = box
     inv_fact = [1] * p

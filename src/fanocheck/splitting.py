@@ -17,11 +17,13 @@ from .poly import (
     Polynomial,
     VariableSet,
     _delta1_packed,
+    _frobenius_box,
+    _layers,
+    _mul_packed,
+    _pow_boxed,
     _Value,
     as_prime,
-    delta1,
     mono_str,
-    mul_mod_frobenius,
     pow_mod_frobenius,
     weighted_degree,
 )
@@ -84,14 +86,22 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     """f^a * delta1(f)^b reduced modulo (x_i^(p^s)).
 
     These products are the terms whose survival higher splitting criteria
-    inspect; the probe only performs the exact arithmetic and reduction.
+    inspect.  They are formed on the q-box packing, q = p^s: f's terms in
+    the box, packed once (a term outside enters no carry term inside it),
+    the carry by :func:`poly._layers` with each term's steps stopping at the
+    box, both powers by :func:`poly._pow_boxed`.  Only the product is
+    unpacked, so only its terms are checked against the exponent cap.
     """
     if a < 0 or b < 0 or s < 1:
         raise ValueError("need a >= 0, b >= 0, s >= 1")
-    q = ring.p ** s
-    fa = pow_mod_frobenius(ring.f, a, q)
-    db = pow_mod_frobenius(delta1(ring.f), b, q)
-    return mul_mod_frobenius(fa, db, q)
+    p, f, q = ring.p, ring.f, ring.p ** s
+    order, box = _frobenius_box(f, q)
+    inside = [(order.pack(m), c, max(m)) for m, c in sorted(f.terms.items()) if max(m) < q]
+    fa = _pow_boxed(order, box, {m: c for m, c, _ in inside}, a, p, q)
+    carry = _layers([(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside],
+                    p, p, box)
+    db = _pow_boxed(order, box, {m: c for m, c in carry.items() if c}, b, p, q)
+    return order.polynomial(f.field, f.vars, _mul_packed(db, list(fa.items()), p, *box))
 
 
 class FedderReport(_Value):

@@ -134,7 +134,6 @@ MODULE_SURFACES = {
         "as_prime",
         "delta1",
         "mono_str",
-        "mul_mod_frobenius",
         "parse_poly",
         "pow_mod_frobenius",
         "tokenize",
@@ -182,7 +181,8 @@ PRIVATE_IMPORTS = {
                  "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
-    "splitting": ["poly._Value", "poly._delta1_packed"],
+    "splitting": ["poly._Value", "poly._delta1_packed", "poly._frobenius_box",
+                  "poly._layers", "poly._mul_packed", "poly._pow_boxed"],
 }
 
 

@@ -413,6 +413,17 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "x*y\n"
 
+    def test_delta1_probe_never_forms_the_carry_outside_the_box(self, capsys):
+        # every carry term has an x-exponent >= 20000 >= q = 5: the probe is
+        # exactly 0, while the unboxed carry passes the exponent cap
+        args = ["delta1", "-p", "5", "--vars", "x,y", "--poly", "x^20000 + y"]
+        assert main(args + ["--probe", "1,1,1"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad exponent tuple (80000, 1)\n"
+
     @pytest.mark.parametrize("probe", ["0,1", "0,1,2,9"])
     def test_delta1_probe_needs_three_integers(self, probe, capsys):
         rc = main(["delta1", "-p", "2", "--vars", "x,y", "--poly", "x + y",

@@ -17,7 +17,6 @@ from fanocheck.poly import (
     VariableSet,
     ZeroPolynomialError,
     delta1,
-    mul_mod_frobenius,
     parse_poly,
     pow_mod_frobenius,
     tokenize,
@@ -378,27 +377,33 @@ class TestPowModFrobenius:
             assert pow_mod_frobenius(f, e, q) == pow_then_filter(f, e, q)
 
     @staticmethod
-    def _count_products(monkeypatch):
+    def _count_calls(monkeypatch, name):
         calls = []
-        kernel = poly_module._mul_packed
+        kernel = getattr(poly_module, name)
 
         def counting(*args):
             calls.append(1)
             return kernel(*args)
 
-        monkeypatch.setattr(poly_module, "_mul_packed", counting)
+        monkeypatch.setattr(poly_module, name, counting)
         return calls
 
     def test_huge_exponent_uses_the_constant_term(self, monkeypatch):
         # in the q-box f^q is the constant term c, so f^e = c^(e//q) * f^(e mod q):
-        # no product when q divides e, else one per nonzero base-p digit of e mod q
-        calls = self._count_products(monkeypatch)
+        # no product when q divides e, else one per nonzero base-p digit of e mod q,
+        # less the first while c^(e//q) is 1
+        calls = self._count_calls(monkeypatch, "_mul_packed")
         f = parse_poly("1 + x", VS_XY, 5)
         assert pow_mod_frobenius(f, 10**9, 5) == Polynomial.constant(5, VS_XY, 1)
         assert not calls
         g = parse_poly("2 + x", VS_XY, 5)
-        e = 10**9 + 3
+        e = 10**9 + 8
         assert pow_mod_frobenius(g, e, 5) == pow(2, e // 5, 5) * pow_then_filter(g, 3, 5)
+        assert len(calls) == 1
+        # 2^(10^9 // 5) = 1 mod 5: the one digit's part is the power itself
+        e = 10**9 + 3
+        assert pow(2, e // 5, 5) == 1
+        assert pow_mod_frobenius(g, e, 5) == pow_then_filter(g, 3, 5)
         assert len(calls) == 1
         g = parse_poly("2 + x + 3*x*y^2", VS_XY, 5)
         for e, products in ((125 * 7 + 4 * 25 + 3 * 5 + 1, 3), (125 + 2 * 25 + 3, 2)):
@@ -407,10 +412,12 @@ class TestPowModFrobenius:
             assert len(calls) == products
 
     def test_power_stops_at_first_zero_product(self, monkeypatch):
-        calls = self._count_products(monkeypatch)
+        # counted in layer passes: the first digit's part needs no product,
+        # as the power before it is 1
+        calls = self._count_calls(monkeypatch, "_layers")
         f = parse_poly("x^3", VS_XY, 5)
         # 20 = 4*5: at scale 5 only x^15 fits the 25-box, so the part of
-        # digit 4 is empty and its one product is zero
+        # digit 4 is empty and the power is zero
         assert pow_mod_frobenius(f, 20, 25).is_zero
         assert len(calls) == 1
         # digits go highest first, and the zero ends the loop before digit 2
@@ -483,40 +490,6 @@ class TestPowModFrobenius:
             assert pow_mod_frobenius(zero, 0, q) == Polynomial.constant(7, VS_W, 1)
             for e in (1, 6, q, q + 3):
                 assert pow_mod_frobenius(zero, e, q).is_zero
-
-
-class TestMulModFrobenius:
-    def test_seeded_oracle_suite(self):
-        rng = random.Random(7919)
-        for _ in range(60):
-            p = rng.choice([2, 3, 5])
-            q = p ** rng.randint(1, 2)
-            f = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
-            g = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
-            kept = {m: c for m, c in (f * g).terms.items() if max(m) < q}
-            assert mul_mod_frobenius(f, g, q) == Polynomial(p, VS3, kept)
-
-    def test_rejects_non_power_of_p(self):
-        f = parse_poly("x0", VS3, 5)
-        with pytest.raises(ValueError):
-            mul_mod_frobenius(f, f, 10)
-
-    def test_terms_outside_the_box_are_left_out(self):
-        # x^5 does not fit the 2-bit fields of the 2-box; it lies in the ideal
-        f = parse_poly("x^5 + y", VS_XY, 2)
-        g = parse_poly("x^4*y + 1", VS_XY, 2)
-        assert str(mul_mod_frobenius(f, g, 2)) == "y"
-        assert str(mul_mod_frobenius(g, f, 2)) == "y"
-
-    def test_products_outside_the_box_are_never_formed(self):
-        # x^80000 leaves the 2**16-box before the cap could see it
-        f = parse_poly("x^40000 + y", VS_XY, 2)
-        assert str(mul_mod_frobenius(f, f, 2 ** 16)) == "y^2"
-
-    def test_exponent_cap_raises_inside_the_box(self):
-        f = parse_poly("x^40000 + y", VS_XY, 97)
-        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(80000, 0)")):
-            mul_mod_frobenius(f, f, 97 ** 3)
 
 
 class TestPackedBox:

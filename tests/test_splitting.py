@@ -188,13 +188,64 @@ class TestDelta1Probe:
     def test_probe_is_the_boxed_full_product(self):
         rng = random.Random(6007)
         vs = VariableSet.unit("x0,x1,x2")
+        cases = []
         for p, s in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
             f = random_homogeneous(rng, vs, p, 2, max_terms=4)
-            ring = HypersurfaceRing(p, vs, f)
-            for a, b in ((0, 1), (1, 1), (2, 1), (1, 2)):
-                full = f ** a * delta1(f) ** b
-                kept = {m: c for m, c in full.terms.items() if max(m) < p ** s}
-                assert delta1_probe(ring, a, b, s) == Polynomial(p, vs, kept)
+            cases += [(f, a, b, s) for a, b in ((0, 1), (1, 1), (2, 1), (1, 2))]
+        # b >= p puts a digit of the carry's power at scale p^i > 1; s = 3 at p = 2
+        for p, s, bs in ((2, 2, (2, 3)), (3, 2, (3, 4, 6)), (2, 3, (2, 3, 5))):
+            f = random_homogeneous(rng, vs, p, 2, max_terms=4)
+            cases += [(f, a, b, s) for a in (0, 1) for b in bs]
+        # a >= q uses the constant term's power c^(a // q); terms outside the box
+        for p, s, a_s in ((2, 1, (2, 3, 5)), (3, 1, (3, 4, 7)), (2, 2, (4, 5))):
+            q = p ** s
+            c = rng.randint(1, p - 1)
+            f = random_nonzero_poly(rng, vs, p, max_terms=3, max_exp=2) + \
+                Polynomial.constant(p, vs, c)
+            outside = random_homogeneous(rng, vs, p, 2, max_terms=3) + \
+                Polynomial(p, vs, {(q, 0, 0): 1, (1, q + 1, 0): c})
+            assert f.terms.get((0, 0, 0)) and any(max(m) >= q for m in outside.terms)
+            cases += [(f, a, b, s) for a in a_s for b in (0, 1)]
+            cases += [(outside, a, b, s) for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (0, 2))]
+        # exponents up to q - 1: a step past the box, up to (p - 1)*(q - 1), would
+        # not fit a field
+        binary = VariableSet.unit("x,y")
+        for p, s in ((5, 1), (7, 1), (2, 3)):
+            f = random_homogeneous(rng, binary, p, p ** s - 1, max_terms=3)
+            cases += [(f, a, b, s) for a, b in ((0, 1), (1, 1), (1, 2))]
+        weighted = VariableSet.weighted("x,y,z", [1, 1, 2])
+        for p, s in ((2, 2), (3, 1), (5, 1)):
+            f = random_homogeneous(rng, weighted, p, 4, max_terms=4)
+            cases += [(f, a, b, s) for a, b in ((1, 1), (0, 2), (p - 1, 0))]
+        # single-term f has carry zero; b = 0 is f^a alone
+        for p, s in ((2, 2), (3, 1), (5, 1)):
+            f = random_homogeneous(rng, vs, p, 2, max_terms=1)
+            assert f.num_terms == 1
+            cases += [(f, a, b, s) for a, b in ((1, 0), (p - 1, 0), (0, 1), (1, 1))]
+        for f, a, b, s in cases:
+            ring = HypersurfaceRing(f.p, f.vars, f)
+            full = f ** a * delta1(f) ** b
+            kept = {m: c for m, c in full.terms.items() if max(m) < f.p ** s}
+            assert delta1_probe(ring, a, b, s) == Polynomial(f.p, f.vars, kept), \
+                (str(f), a, b, s)
+
+    def test_terms_outside_the_box_are_left_out(self):
+        # x^5 does not fit the 2-bit fields of the 2-box; packed, it would
+        # read as x*y.  It lies in the ideal, and so does every carry term
+        # it enters: x^6 and x^5*y
+        vs = VariableSet.unit("x,y")
+        ring = HypersurfaceRing(2, vs, parse_poly("x^5 + x + y", vs, 2))
+        assert str(delta1_probe(ring, 1, 0, 1)) == "x + y"
+        assert str(delta1_probe(ring, 0, 1, 1)) == "x*y"
+
+    def test_carry_is_cut_before_a_field_overflows(self):
+        # the 5-box packs 4-bit fields; each carry term is a product of
+        # five x^4 terms, x^20, which carries into y: x^20*y^2*z^2*w, taking
+        # each term once, would read as x^4*y^3*z^2*w inside the box
+        vs = VariableSet.unit("x,y,z,w")
+        f = parse_poly("x^4 + x^4*y + x^4*z + x^4*w + x^4*y*z", vs, 5)
+        assert {m[0] for m in delta1(f).terms} == {20}
+        assert delta1_probe(HypersurfaceRing(5, vs, f), 0, 1, 1).is_zero
 
     def test_products_outside_the_box_do_not_raise(self):
         # x^40000 * x^40000*y = x^80000*y is past the 2**16 cap, but it is
@@ -202,6 +253,24 @@ class TestDelta1Probe:
         vs = VariableSet.unit("x,y")
         ring = HypersurfaceRing(2, vs, parse_poly("x^40000 + y", vs, 2))
         assert str(delta1_probe(ring, 1, 1, 16)) == "x^40000*y^2"
+
+    def test_exponent_cap_raises_inside_the_box(self):
+        # 97^3 > 2**16, so a field can hold x^80000 and the exit checks the cap
+        vs = VariableSet.unit("x,y")
+        ring = HypersurfaceRing(97, vs, parse_poly("x^40000 + y", vs, 97))
+        message = "^" + re.escape("bad exponent tuple (80000, 0)") + "$"
+        with pytest.raises(ExponentOverflowError, match=message):
+            delta1_probe(ring, 2, 0, 3)
+
+    def test_carry_outside_the_box_is_never_formed(self):
+        # every carry term of x^20000 + y has an x-exponent >= 20000 >= 5,
+        # so the probe is exactly zero; the unboxed carry passes the cap
+        vs = VariableSet.unit("x,y")
+        f = parse_poly("x^20000 + y", vs, 5)
+        with pytest.raises(ExponentOverflowError, match=re.escape("(80000, 1)")):
+            delta1(f)
+        probe = delta1_probe(HypersurfaceRing(5, vs, f), 1, 1, 1)
+        assert probe.is_zero
 
     def test_delta1_of_sextic_shape(self):
         d1 = delta1(sextic_ring(5).f)
