@@ -492,6 +492,40 @@ class TestPowModFrobenius:
                 assert pow_mod_frobenius(zero, e, q).is_zero
 
 
+class TestMulModFrobenius:
+    """The boxed product f*g mod (x_i^q) that ``splitting.delta1_probe``
+    forms: both factors packed once in the q-box of :func:`_frobenius_box`,
+    multiplied by :func:`_mul_packed`, unpacked once."""
+
+    @staticmethod
+    def _boxed_product(f, g, q):
+        order, box = poly_module._frobenius_box(f, q)
+        fa, gb = ({order.pack(m): c for m, c in h.terms.items() if max(m) < q}
+                  for h in (f, g))
+        return order.polynomial(f.field, f.vars,
+                                poly_module._mul_packed(fa, list(gb.items()), f.p, *box))
+
+    def test_seeded_oracle_suite(self):
+        rng = random.Random(7919)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            q = p ** rng.randint(1, 2)
+            f = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
+            g = random_poly(rng, VS3, p, max_terms=4, max_exp=3)
+            kept = {m: c for m, c in (f * g).terms.items() if max(m) < q}
+            assert self._boxed_product(f, g, q) == Polynomial(p, VS3, kept)
+
+    def test_rejects_non_power_of_p(self):
+        f = parse_poly("x0", VS3, 5)
+        with pytest.raises(ValueError):
+            self._boxed_product(f, f, 10)
+
+    def test_products_outside_the_box_are_never_formed(self):
+        # x^80000 leaves the 2**16-box before the cap could see it
+        f = parse_poly("x^40000 + y", VS_XY, 2)
+        assert str(self._boxed_product(f, f, 2 ** 16)) == "y^2"
+
+
 class TestPackedBox:
     """_PackedOrder.box against the tuple predicate "some e_i >= bounds[i]"."""
 
