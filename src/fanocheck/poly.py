@@ -771,10 +771,10 @@ def delta1(f: Polynomial) -> Polynomial:
 
         delta1(f) = [count-p part of prod_i sum_{j<p} (-c_i m_i)^j / j!]  (mod p).
 
-    The packed kernel :func:`_delta1_packed` builds it for two callers:
-    this function, which unpacks it, and ``splitting.fedder_report``, which
-    counts its nonzero terms with :meth:`_PackedOrder.count`.  Both raise
-    on an exponent past the 2**16 cap only in a nonzero carry term.  A
+    The packed kernel :func:`_delta1_packed` builds it, and this function
+    unpacks it; ``splitting.fedder_report`` counts its terms with
+    :func:`_delta1_count`, block by block where it can.  Both raise on an
+    exponent past the 2**16 cap only in a nonzero carry term.  A
     single-term polynomial has carry zero.
     """
     if f.num_terms <= 1:
@@ -786,7 +786,9 @@ def delta1(f: Polynomial) -> Polynomial:
 def _delta1_packed(f: Polynomial) -> tuple:
     """(packing, carry) for a nonzero f: delta1(f) on packed monomials,
     coefficients in 0..p-1 and zeros kept: :func:`_layers` at count p, the
-    steps of each term -c*m running to j = p - 1.
+    steps of each term -c*m running to j = p - 1.  :func:`delta1` unpacks
+    it; :func:`_delta1_count` counts it where f is one block or the packing
+    is wider than the cap's.
 
     Terms go in lex order of their exponents, so the first ones share a
     face of the Newton polytope and the layers grow slowly.  With no two
@@ -797,12 +799,60 @@ def _delta1_packed(f: Polynomial) -> tuple:
     degree at p = 11.
     """
     p = f.p
-    order = _packing(f.vars.n, (p * max(map(max, f.terms))).bit_length() + 1)
+    order = _carry_packing(f)
     items = [(order.pack(m), -c, p - 1) for m, c in sorted(f.terms.items())]
     return order, _layers(items, p, p)
 
 
-def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
+def _carry_packing(f: Polynomial) -> _PackedOrder:
+    """The packing of f's carry: a field holds p times f's top exponent."""
+    return _packing(f.vars.n, (f.p * max(map(max, f.terms))).bit_length() + 1)
+
+
+def _delta1_count(f: Polynomial) -> int:
+    """``delta1(f).num_terms`` for a weighted-homogeneous f, from the counts
+    of f's blocks: two terms share a block when they share a variable.
+
+    The product behind :func:`delta1` factors over the blocks, so its count-p
+    layer sums, over the compositions (k_b) of p, the products of each
+    block's count-k_b layer.  Every term of f has the same nonzero
+    multidegree D, so block b's part of a monomial there has multidegree
+    k_b * D: different compositions share no monomial, and a product of
+    polynomials in disjoint variables over F_p has the product of their term
+    counts.  Each block's layers come from :func:`_layers` and are counted
+    and dropped; a single term has one term at every count below p.  Where f
+    is one block, or the packing is wider than the cap's, the whole carry is
+    built and counted instead, so only a nonzero carry term past the cap
+    raises, as in :func:`delta1`.
+    """
+    p = f.p
+    if f.num_terms <= 1:
+        return 0
+    blocks = {}  # a block's variables as a bit mask -> its terms
+    for m, c in f.terms.items():
+        mask = sum([1 << i for i, e in enumerate(m) if e])
+        terms = [(m, c)]
+        for other in [b for b in blocks if b & mask]:
+            mask |= other
+            terms += blocks.pop(other)
+        blocks[mask] = terms
+    order = _carry_packing(f)
+    if len(blocks) == 1 or order.width > _CAPPED_WIDTH:
+        order, carry = _delta1_packed(f)
+        return order.count(carry)
+    total = [1] + [0] * p
+    for block in blocks.values():
+        if len(block) == 1:
+            counts = [1] * p + [0]
+        else:
+            items = [(order.pack(m), -c, p - 1) for m, c in sorted(block)]
+            counts = [len(layer) - countOf(layer.values(), 0)
+                      for layer in _layers(items, p, p, every=True)]
+        total = [sum(map(mul, total[:k + 1], counts[k::-1])) for k in range(p + 1)]
+    return total[p]
+
+
+def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = False):
     """The count-``top`` part of prod_t sum_{j <= J_t} (a_t m_t)^j / j! mod p
     for items (packed m_t, a_t, J_t), J_t < p: coefficients in 0..p-1, zeros kept.
 
@@ -810,7 +860,9 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
     of the product over the items seen so far.  An item updates them in
     place from k = top down, each reading only the old layers below it:
     layers[k] += sum_{1 <= j <= J} layers[k-j] * (a*m)^j / j!.  The last
-    item fills only layer top and frees each layer below once read.  With
+    item fills only layer top and frees each layer below once read; with
+    ``every`` it fills every layer like the others, and the list of all
+    top + 1 layers comes back (the carry count's blocks).  With
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
     product that leaves the box as it is formed (the carry probes' carry);
     ``delta1``'s carry has no box, and its products pay for no test.
@@ -820,7 +872,7 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
     for j in range(2, p):
         inv_fact[j] = inv_fact[j - 1] * pow(j, -1, p) % p
     layers = [{0: 1}] + [{} for _ in range(top)]
-    last = len(items) - 1
+    last = -1 if every else len(items) - 1
     for i, (m, c, jmax) in enumerate(items):
         steps = []
         a = 1
@@ -843,4 +895,4 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0)) -> dict:
                         out[mm] = (get(mm, 0) + co * aj) % p
                 if i == last:
                     layers[src] = None
-    return layers[top]
+    return layers if every else layers[top]

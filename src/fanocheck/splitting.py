@@ -16,7 +16,7 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
-    _delta1_packed,
+    _delta1_count,
     _frobenius_box,
     _layers,
     _mul_packed,
@@ -131,12 +131,13 @@ def fedder_report(ring: HypersurfaceRing) -> FedderReport:
 
     A nonzero carry of f of multidegree d has multidegree p*d: every term of
     f^p has it, so the degree comes from ``ring.degree``, which validates f.
+    The carry's terms are counted block by block (:func:`poly._delta1_count`),
+    which needs that validation first.
     """
     degree = ring.degree
     start = time.perf_counter()
     residue = fedder_residue(ring)
-    order, carry = _delta1_packed(ring.f)
-    carry_terms = order.count(carry)
+    carry_terms = _delta1_count(ring.f)
     elapsed = (time.perf_counter() - start) * 1000.0
     verdict = _verdict(residue)
     return FedderReport(

@@ -181,7 +181,7 @@ PRIVATE_IMPORTS = {
                  "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
-    "splitting": ["poly._Value", "poly._delta1_packed", "poly._frobenius_box",
+    "splitting": ["poly._Value", "poly._delta1_count", "poly._frobenius_box",
                   "poly._layers", "poly._mul_packed", "poly._pow_boxed"],
 }
 

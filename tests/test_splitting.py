@@ -1,16 +1,19 @@
 import hashlib
 import random
-
 import re
+from math import comb
+from operator import countOf
 
 import pytest
 
+import fanocheck.poly as poly_module
 from fanocheck.poly import (
     ExponentOverflowError,
     NonHomogeneousError,
     Polynomial,
     VariableSet,
     _delta1_packed,
+    _layers,
     delta1,
     mono_str,
     parse_poly,
@@ -29,6 +32,7 @@ from fanocheck.splitting import (
 from helpers import (
     count_zeros,
     dense_form,
+    diagonal_fedder,
     pow_then_filter,
     random_homogeneous,
     random_nonzero_poly,
@@ -278,6 +282,40 @@ class TestDelta1Probe:
         assert weighted_degree(d1) == (30,)
 
 
+# f's monomials by block shape (terms sharing a variable share a block); the
+# carry count multiplies the blocks' layer counts
+BIGRADED = VariableSet(("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3"),
+                       ((1, 0),) * 4 + ((0, 1),) * 4)
+BLOCK_SHAPES = {
+    "singletons": (VariableSet.unit("x0,x1,x2,x3"),
+                   ["x0^3", "x1^3", "x2^3", "x3^3"]),
+    "one block and singletons": (VariableSet.unit("x0,x1,x2,x3,x4"),
+                                 ["x0^4", "x1^4", "x2^4", "x3^4", "x4^4",
+                                  "x0*x1^3", "x1^2*x2^2"]),
+    "two blocks": (VariableSet.unit("x0,x1,x2,x3"),
+                   ["x0^4", "x1^4", "x0^3*x1", "x2^4", "x3^4", "x2*x3^3",
+                    "x2^2*x3^2"]),
+    "weighted y singleton": (VariableSet.weighted("x0,x1,x2,x3,y", [1, 1, 1, 1, 3]),
+                             ["x0^6", "x1^6", "x2^6", "x3^6", "y^2",
+                              "x0^3*x1^3", "x1*x2^5", "x0^2*x1*x2^3"]),
+    "bigraded": (BIGRADED, ["x0*y0^2", "x1*y0*y1", "x1*y1^2",
+                            "x2*y2^2", "x3*y2*y3", "x2*y3^2"]),
+    # x1^2*x3^2 joins the blocks {x0, x1} and {x2, x3} after both formed
+    "bridged": (VariableSet.unit("x0,x1,x2,x3"),
+                ["x0^4", "x1^4", "x2^4", "x3^4", "x0^2*x1^2", "x2^2*x3^2",
+                 "x1^2*x3^2"]),
+}
+MULTI_BLOCK = ["singletons", "one block and singletons", "two blocks",
+               "weighted y singleton", "bigraded"]
+
+
+def blocked_form(shape, p, rng):
+    """The shape's monomials with seeded coefficients in 1..p-1."""
+    vs, monos = BLOCK_SHAPES[shape]
+    text = " + ".join(f"{rng.randint(1, p - 1)}*{m}" for m in monos)
+    return HypersurfaceRing(p, vs, parse_poly(text, vs, p))
+
+
 class TestReport:
     def test_wild_conic_report(self):
         vs = VariableSet.unit("x0,x1,x2,y0,y1,y2")
@@ -342,13 +380,21 @@ class TestReport:
         assert seen == set(SplitStatus)
 
     def test_carry_count_skips_packed_zeros(self):
-        # layer p keeps the entries whose coefficients cancelled mod p, so
-        # the count is of nonzero coefficients, not of entries
+        # the layers keep the entries whose coefficients cancelled mod p, so
+        # the count is of nonzero coefficients, not of entries; here f is two
+        # blocks, the x's and y^2 alone, and y^2 adds one term at every count
+        # below p, so the carry's terms are the x block's at counts 1..p
         ring = ring_of("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 2*x1^2*x2*x3^3"
                        " + 9*x0^3*x1^2*x2", 11,
                        names="x0,x1,x2,x3,y", weights=[1, 1, 1, 1, 3])
-        _, packed = _delta1_packed(ring.f)
+        order, packed = _delta1_packed(ring.f)
         assert len(packed) == 8346
+        items = [(order.pack(m), -c, 10) for m, c in sorted(ring.f.terms.items())
+                 if not m[4]]
+        layers = _layers(items, 11, 11, every=True)[1:]
+        assert sum(countOf(layer.values(), 0) for layer in layers) > 0
+        assert sum(map(len, layers)) > 8111
+        assert sum(len(layer) - countOf(layer.values(), 0) for layer in layers) == 8111
         rep = fedder_report(ring)
         assert rep.delta1_terms == delta1(ring.f).num_terms == 8111
         assert rep.delta1_degree == (66,)
@@ -377,9 +423,84 @@ class TestReport:
         rep = fedder_report(HypersurfaceRing(97, vs, f))
         assert rep.delta1_terms == delta1(f).num_terms == 96
 
+    def test_multi_block_past_the_cap_builds_the_whole_carry(self):
+        # blocks {x, w} and {y}; the carry term x^(2*32768)*y is past the cap
+        vs = VariableSet.weighted("x,w,y", [1, 1, 32768])
+        f = parse_poly("x^32768 + x^32767*w + y", vs, 3)
+        message = "^" + re.escape("bad exponent tuple (65536, 0, 1)") + "$"
+        with pytest.raises(ExponentOverflowError, match=message):
+            delta1(f)
+        with pytest.raises(ExponentOverflowError, match=message):
+            fedder_report(HypersurfaceRing(3, vs, f))
+
+    def test_multi_block_wider_than_the_cap_counts_below_it(self):
+        # blocks {x} and {u, v}: the packing holds 3 * 21846 > 2**16, but no
+        # carry term reaches the cap
+        vs = VariableSet.weighted("x,u,v", [1, 10923, 10923])
+        f = parse_poly("x^21846 + u^2 + 2*u*v + v^2", vs, 3)
+        rep = fedder_report(HypersurfaceRing(3, vs, f))
+        assert rep.delta1_terms == delta1(f).num_terms > 0
+
     def test_inhomogeneous_polynomial_rejected(self):
         with pytest.raises(NonHomogeneousError):
             fedder_report(ring_of("x + y^2", 2, names="x,y"))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+    def test_count_is_the_carry_count_seeded(self, shape, p):
+        rng = random.Random(f"{shape}:{p}")
+        for _ in range(3):
+            ring = blocked_form(shape, p, rng)
+            assert fedder_report(ring).delta1_terms == delta1(ring.f).num_terms
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("names,weights,exponents", [
+        ("x0,x1", [1, 1], (3, 3)),
+        ("x0,x1,x2,x3,x4", [1, 1, 1, 1, 1], (4, 4, 4, 4, 4)),
+        ("x0,x1,x2,x3,y", [1, 1, 1, 1, 3], (6, 6, 6, 6, 2)),
+        ("x0,x1,x2,y,z", [1, 1, 1, 2, 3], (6, 6, 6, 3, 2)),
+    ], ids=["P1", "P4", "P(1,1,1,1,3)", "P(1,1,1,2,3)"])
+    def test_single_term_blocks_match_the_closed_form(self, names, weights,
+                                                      exponents, p):
+        vs = VariableSet.weighted(names, weights)
+        f = parse_poly(" + ".join(f"{name}^{e}" for name, e in zip(vs.names, exponents)),
+                       vs, p)
+        rep = fedder_report(HypersurfaceRing(p, vs, f))
+        t = len(exponents)
+        assert rep.delta1_terms == comb(p + t - 1, t - 1) - t
+        assert rep.delta1_terms == diagonal_fedder(exponents, p, vs.names)[2]
+        assert rep.delta1_terms == delta1(f).num_terms
+
+    @pytest.mark.parametrize("shape", MULTI_BLOCK)
+    def test_multi_block_never_builds_the_whole_carry(self, shape, monkeypatch):
+        rng = random.Random(shape)
+        rings = [blocked_form(shape, p, rng) for p in (2, 5, 11)]
+        counts = [delta1(ring.f).num_terms for ring in rings]
+
+        def refuse(f):
+            raise AssertionError("the whole carry was built")
+        monkeypatch.setattr(poly_module, "_delta1_packed", refuse)
+        assert [fedder_report(ring).delta1_terms for ring in rings] == counts
+
+    def test_one_block_is_one_whole_carry_pass(self, monkeypatch):
+        ring = ring_of("x0^4 + x1^4 + x2^4 + 3*x0*x1^3 + 2*x1*x2^3 + x2*x0^3", 7,
+                       names="x0,x1,x2")
+        count = delta1(ring.f).num_terms
+        passes, every = [], []
+        whole, layers = poly_module._delta1_packed, poly_module._layers
+
+        def counting(f):
+            passes.append(f)
+            return whole(f)
+
+        def recording(*args, **kwargs):
+            every.append(kwargs.get("every", False))
+            return layers(*args, **kwargs)
+        monkeypatch.setattr(poly_module, "_delta1_packed", counting)
+        monkeypatch.setattr(poly_module, "_layers", recording)
+        assert fedder_report(ring).delta1_terms == count
+        assert passes == [ring.f]
+        assert not any(every)
 
 
 # Calabi-Yau shapes: the weighted degree is the sum of the weights
