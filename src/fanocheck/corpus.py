@@ -301,15 +301,18 @@ def chow(base: tuple, bundle: tuple | None = None, canonical: bool = False,
 
 
 def langer_summary() -> str:
-    """The headline counts for the blown-up 7-point plane, CLI format."""
+    """The headline counts for the blown-up 7-point plane, CLI format.  A
+    (-1)-class d*H - sum m_a E_a meets the (-2)-class of the line {i, j, k}
+    in d - m_i - m_j - m_k; the compatible ones meet all seven in >= 0."""
     lattice = delpezzo.PicLattice(7)
-    exceptional = delpezzo.enumerate_classes(lattice, -1, -1, 3)
+    compatible = exceptional = delpezzo.enumerate_classes(lattice, -1, -1, 3)
     neg2 = delpezzo.langer_neg2_classes()
-    compatible = sum(1 for cls in exceptional
-                     if all(cls.dot(n) >= 0 for n in neg2))
+    for line in neg2:
+        i, j, k = [a for a, m in enumerate(line.m) if m]
+        compatible = [c for c in compatible if c.d >= c.m[i] + c.m[j] + c.m[k]]
     disjoint = all(a.dot(b) == 0 for i, a in enumerate(neg2)
                    for b in neg2[i + 1:])
-    return (f"(-1)-classes: {len(exceptional)}; compatible: {compatible}; "
+    return (f"(-1)-classes: {len(exceptional)}; compatible: {len(compatible)}; "
             f"(-2)-classes: {len(neg2)}; disjoint: {'yes' if disjoint else 'no'}")
 
 

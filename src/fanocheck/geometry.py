@@ -183,21 +183,13 @@ def ambient_singular_strata(space: AmbientSpace) -> list:
     order (all other variables of its factor vanish there); the list is
     sorted.
     """
-    strata = []
+    strata = set()
     for fac in space.factors:
-        prime_divisors = {ell for w in fac.weights for ell in _prime_factors(w)}
-        subsets = set()
-        for ell in sorted(prime_divisors):
-            members = tuple(name for name, w in zip(fac.names, fac.weights)
-                            if w % ell == 0)
-            if members:
-                subsets.add(members)
-        # keep only subsets maximal under inclusion
-        for members in subsets:
-            mset = set(members)
-            if not any(other != members and mset < set(other) for other in subsets):
-                strata.append(members)
-    return sorted(strata)
+        for ell in {ell for w in set(fac.weights) for ell in _prime_factors(w)}:
+            strata.add(tuple(name for name, w in zip(fac.names, fac.weights)
+                             if w % ell == 0))
+    # keep only strata maximal under inclusion; two factors share no name
+    return sorted(s for s in strata if not any(set(s) < set(o) for o in strata))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +254,11 @@ def _no_chart_open(space: AmbientSpace):
     support; a support with two variables of one factor lies in none.  The
     predicate is true once no chart is open.
     """
-    bit = {name: 1 << i for i, name in enumerate(space.variable_set.names)}
-    bits = list(bit.values())
-    open_charts = [sum(map(bit.get, chart)) for chart in space.chart_tuples()]
+    bits, open_charts = [], [0]
+    for fac in space.factors:
+        fac_bits = [1 << i for i in range(len(bits), len(bits) + len(fac.names))]
+        bits += fac_bits
+        open_charts = [c | b for c in open_charts for b in fac_bits]
 
     def no_chart_open(exp) -> bool:
         support = sum(itertools.compress(bits, exp))
@@ -312,10 +306,7 @@ class SmoothnessStatus(enum.Enum):
 
 def _has_pure_power(f: Polynomial, name: str) -> bool:
     idx = f.vars.index(name)
-    for mono in f.terms:
-        if mono[idx] and all(e == 0 for i, e in enumerate(mono) if i != idx):
-            return True
-    return False
+    return any(mono[idx] and sum(mono) == mono[idx] for mono in f.terms)
 
 
 def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:

@@ -127,20 +127,26 @@ class _PairQueue:
         since the last one; the locals are bound once per run."""
         order, lms, exps, active, live, heap, wide = (
             self.order, self.lms, self.exps, self.active, self.live, self.heap, self.wide)
-        guard = order.guard
+        units, guard = order.units, order.guard
         # (m + low) & guard has the guard bit of exactly the nonzero fields of m
         low = guard - (guard >> (order.width - 1))
         half = guard >> 1  # m & half: m has an exponent of at least half the cap
+        supports = []  # each updated element's (lm + low) & guard
         t = 0  # the next element to update
         while True:
             while t < len(lms):
                 lm_t, exp_t = lms[t], exps[t]
                 support = (lm_t + low) & guard
+                supports.append(support)
                 shared = []  # (lcm, k) for the active k sharing a variable with t
                 lcms = []  # lcms that rule out new pairs: the coprime ones' products first
+                doomed = False  # whether lm_t divides an active leading monomial
                 for k in active:
-                    if (lms[k] + low) & support:
-                        shared.append((order.lcm(exps[k], exp_t), k))
+                    if supports[k] & support:
+                        # lcm = lm_k times x^e for the exponents e of t past k's
+                        shared.append((lms[k] + sum([(y - x) * u for x, y, u in zip(
+                            exps[k], exp_t, units) if y > x]), k))
+                        doomed = doomed or not (lms[k] - lm_t) & guard
                     else:
                         lcms.append(lms[k] + lm_t)
                 # B_k: lm_t divides a queued lcm that neither side's lcm with t
@@ -163,18 +169,20 @@ class _PairQueue:
                 # and one whose product passes the cap is queued anyway, to raise
                 shared.sort()
                 for lij, k in shared:
-                    if lcms and not (lms[k] + lm_t) & guard and \
-                            any(not (lij - m) & guard for m in lcms):
-                        continue
-                    lcms.append(lij)
-                    live[k, t] = lij
-                    heapq.heappush(heap, (lij, (k, t)))
+                    for m in lcms if not (lms[k] + lm_t) & guard else ():
+                        if not (lij - m) & guard:
+                            break
+                    else:
+                        lcms.append(lij)
+                        live[k, t] = lij
+                        heapq.heappush(heap, (lij, (k, t)))
                 # every pair whose product passes the cap raises when it pops, so
                 # those with elements no longer active are queued too; only a pair
                 # with a wide element can pass it
                 for k in range(t) if lm_t & half else wide:
                     if (lms[k] + lm_t) & guard and k not in active:
-                        lij = order.lcm(exps[k], exp_t)
+                        lij = lms[k] + sum([(y - x) * u for x, y, u in zip(
+                            exps[k], exp_t, units) if y > x])
                         live[k, t] = lij
                         heapq.heappush(heap, (lij, (k, t)))
                 if lm_t & half:
@@ -183,7 +191,8 @@ class _PairQueue:
                 # monomial divides lm_t (only a generator's can): t stays out, and
                 # its queued pair with that element covers it
                 if not shared or shared[0][0] != lm_t:
-                    active[:] = [k for k in active if (lms[k] - lm_t) & guard]
+                    if doomed:
+                        active[:] = [k for k in active if (lms[k] - lm_t) & guard]
                     active.append(t)
                 t += 1
             if not heap:
@@ -286,14 +295,15 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
     mod p, so also one without x_i, gives none.  Distinct terms stay
     distinct, so each partial keeps f's term order and nothing is summed.
     """
-    p = f.p
-    mask = order.mask
-    packed = order.pack_terms(f.terms)
-    gens = [packed]
-    for s, unit in zip(order.shifts, order.units):
-        gens.append({m - unit: c * e % p for m, c in packed.items()
-                     if (e := (m >> s) & mask) % p})
-    return gens
+    p, units = f.p, order.units
+    packed, partials = {}, [{} for _ in units]
+    for mono, c in f.terms.items():
+        m = order.pack(mono)
+        packed[m] = c
+        for e, unit, partial in zip(mono, units, partials):
+            if e % p:
+                partial[m - unit] = c * e % p
+    return [packed, *partials]
 
 
 def _jacobian_stops_or_is_unit(f: Polynomial, stop) -> bool:

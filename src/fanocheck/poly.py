@@ -9,10 +9,10 @@ This module owns the one packing of monomials into ints (Monagan & Pearce,
 CASC 2007), :class:`_PackedOrder`: a product of monomials is one integer
 add and the box test "some exponent >= its bound" (:meth:`_PackedOrder.box`)
 one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs, boxes
-and multiplies on it too.  Term orders pack their rows above the exponents,
-so ``_grevlex`` orders :meth:`Polynomial.leading_monomial` and Buchberger in
-:mod:`fanocheck.ideals` alike.  Every kernel result leaves through
-:meth:`_PackedOrder.polynomial` and is not validated again.
+and multiplies on it too.  Grevlex, the one term order, packs its rows above
+the exponents, so ``_grevlex`` orders :meth:`Polynomial.leading_monomial`
+and Buchberger in :mod:`fanocheck.ideals` alike.  Every kernel result leaves
+through :meth:`_PackedOrder.polynomial` and is not validated again.
 
 Exponents are capped at 2**16 so that products and powers fail loudly
 instead of silently blowing up.
@@ -150,31 +150,23 @@ _CAPPED_WIDTH = EXPONENT_LIMIT.bit_length()  # 16 value bits and the guard bit
 
 
 class _PackedOrder:
-    """Exponent tuples on n variables packed into ints, with an optional order.
+    """Exponent tuples on n variables packed into ints.
 
     Exponent i sits in bits [i*width, (i+1)*width), the field's top bit its
-    guard.  ``rows``, a term order's 0/1 weight rows, least significant
-    first, sit above; each gets a field wide enough for n exponents below
-    the guards, the top one is unbounded.  Int order is then the row values top first, then the
-    exponents; without rows it is no term order.  Packing is linear.
+    guard, and x_i packs to its unit, 1 << (i*width).  Int order is then no
+    term order; :func:`_grevlex` adds its grading rows to the units.
+    Packing is linear.
     """
 
     __slots__ = ("width", "mask", "shifts", "guard", "units")
 
-    def __init__(self, n: int, width: int, rows: Sequence = ()):
-        shifts = tuple(i * width for i in range(n))
+    def __init__(self, n: int, width: int):
+        shifts = tuple(range(0, n * width, width))
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = shifts
-        self.guard = sum(1 << s for s in shifts) << (width - 1)
-        if not rows:
-            self.units = tuple(1 << s for s in shifts)
-            return
-        row_width = (n * ((1 << (width - 1)) - 1)).bit_length()
-        row_shifts = [n * width + r * row_width for r in range(len(rows))]
-        self.units = tuple(
-            (1 << s) + sum(row[i] << rs for row, rs in zip(rows, row_shifts))
-            for i, s in enumerate(shifts))
+        self.units = tuple([1 << s for s in shifts])
+        self.guard = sum(self.units) << (width - 1)
 
     def pack(self, mono) -> int:
         return sum(map(mul, mono, self.units))
@@ -225,10 +217,6 @@ class _PackedOrder:
         return (sum((top - b) << s for b, s in zip(bounds, shifts)),
                 sum(top << s for s in shifts))
 
-    def lcm(self, a: tuple, b: tuple) -> int:
-        """Packed lcm of two exponent tuples."""
-        return sum(map(mul, map(max, a, b), self.units))
-
     def overflow(self, t: int) -> ExponentOverflowError:
         return ExponentOverflowError(
             f"exponent cap {EXPONENT_LIMIT} exceeded in {self.unpack(t)}")
@@ -243,9 +231,17 @@ def _packing(n: int, width: int) -> _PackedOrder:
 
 @lru_cache(maxsize=None)
 def _grevlex(n: int) -> _PackedOrder:
-    """Grevlex: rows e_0 + ... + e_k for k = 0..n-1, total degree on top."""
-    rows = [tuple(int(i <= k) for i in range(n)) for k in range(n)]
-    return _PackedOrder(n, _CAPPED_WIDTH, rows)
+    """Grevlex: row k = e_0 + ... + e_k above the exponents, each row in a
+    field wide enough for n capped exponents, total degree on top.  x_i
+    counts in rows i..n-1: its unit is one suffix sum of row bits."""
+    order = _PackedOrder(n, _CAPPED_WIDTH)
+    row_width = (n * (EXPONENT_LIMIT - 1)).bit_length()
+    rows, units = 0, list(order.units)
+    for i in range(n - 1, -1, -1):
+        rows += 1 << (n * _CAPPED_WIDTH + i * row_width)
+        units[i] += rows
+    order.units = tuple(units)
+    return order
 
 
 def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> dict:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from itertools import chain
 
 import pytest
 
@@ -311,6 +312,37 @@ def _seeded_cases(seed, count):
         yield rng, vs, p, _random_gens(rng, vs, p)
 
 
+# the smoothness verdicts' ambients: a Fermat-type base form of the degree
+# and how many seeded terms join it
+_SMOOTH_FAMILIES = [
+    ("P(1,1,1,1)", 3, "x0^3 + x1^3 + x2^3 + x3^3", 3),
+    ("P(1,1,1,1,1)", 3, "x0^3 + x1^3 + x2^3 + x3^3 + x4^3", 2),
+    ("P(1,1,1,1,2)", 4, "x0^4 + x1^4 + x2^4 + x3^4 + x4^2", 2),
+    ("P(1,1,1,1,3)", 6, "x0^6 + x1^6 + x2^6 + x3^6 + x4^2", 1),
+    ("P(1,1,1,2)", 5, "x0^5 + x1^5 + x2^5 + x0*x3^2", 1),
+    ("P(1,1) x P(1,1,1)", (1, 2), "x0*y0^2 + x1*y1^2 + x0*y2^2", 2),
+    ("P(1,1,1) x P(1,1,1)", (1, 2), "x0*y0^2 + x1*y1^2 + x2*y2^2", 2),
+]
+
+
+def _fermat_jacobian_cases(seed):
+    """Like ``_seeded_cases``: the Jacobian generators, from
+    ``_packed_jacobian``, of each family's base form plus k seeded terms,
+    at p = 3, 5, 7 and 11."""
+    rng = random.Random(seed)
+    for ambient, degree, base, k in _SMOOTH_FAMILIES:
+        vs = parse_ambient(ambient).variable_set
+        order = _grevlex(vs.n)
+        pool = monomials_of_degree(vs, degree)
+        for p in (3, 5, 7, 11):
+            terms = dict(parse_poly(base, vs, p).terms)
+            for m in rng.sample([m for m in pool if m not in terms], k):
+                terms[m] = rng.randint(1, p - 1)
+            f = Polynomial(p, vs, terms)
+            yield rng, vs, p, [order.polynomial(f.field, vs, g)
+                               for g in ideals._packed_jacobian(f, order)]
+
+
 def _items(dicts):
     """Terms in dict order, so equal lists also mean equal term order."""
     return [list(d.items()) for d in dicts]
@@ -344,7 +376,7 @@ class TestChartIsUnit:
 class TestPackedAgainstTupleLoop:
     def test_grevlex_bases_identical(self):
         units = 0
-        for _, vs, p, gens in _seeded_cases(8101, 150):
+        for _, vs, p, gens in chain(_seeded_cases(8101, 150), _fermat_jacobian_cases(8106)):
             ours = [g.terms for g in PolyIdeal(p, vs, gens).groebner_basis()]
             theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_grevlex_key)
             assert _items(ours) == _items(theirs)
@@ -358,7 +390,8 @@ class TestPackedAgainstTupleLoop:
 
     def test_stop_sees_the_same_leading_monomials(self):
         stopped = 0
-        for rng, vs, p, gens in _seeded_cases(8103, 150):
+        for rng, vs, p, gens in chain(_seeded_cases(8103, 150),
+                                      _fermat_jacobian_cases(8107)):
             limit = rng.randint(1, 6)
 
             def stopper(seen):

@@ -575,8 +575,9 @@ class TestPackedBox:
 
 
 class TestPackingLayout:
-    """The rows-free packings skip the row machinery and keep their layout;
-    the term orders above it pack and order as before."""
+    """The rows-free packings keep their layout; ``_grevlex`` builds its
+    units by one suffix sum and must match the definition, the prefix-sum
+    rows e_0 + ... + e_k packed above the exponents."""
 
     @pytest.mark.parametrize("n,width,units,guard", [
         (1, 2, (1,), 0x2),
@@ -597,7 +598,24 @@ class TestPackingLayout:
             0x8000200008000000000001, 0x8000200000000000020000, 0x8000000000000400000000)
         assert poly_module._grevlex(3).guard == 0x4000200010000
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grevlex_layout_from_its_rows(self, n):
+        # row k = e_0 + ... + e_k in a field wide enough for n capped
+        # exponents, row 0 lowest, all above the 17-bit exponent fields
+        width = 17
+        row_width = (n * (EXPONENT_LIMIT - 1)).bit_length()
+        rows = [[int(i <= k) for i in range(n)] for k in range(n)]
+        units = tuple((1 << i * width) + sum(row[i] << (n * width + k * row_width)
+                                             for k, row in enumerate(rows))
+                      for i in range(n))
+        order = poly_module._grevlex(n)
+        assert order.units == units
+        assert order.guard == sum(1 << (i * width + width - 1) for i in range(n))
+        assert order.shifts == tuple(i * width for i in range(n))
+        assert order.mask == (1 << width) - 1
+        assert order.width == width
+
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_term_orders_sort_like_their_keys(self, n):
         rng = random.Random(n)
         monos = {tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(60)}
