@@ -143,7 +143,7 @@ class _PairQueue:
                 doomed = False  # whether lm_t divides an active leading monomial
                 for k in active:
                     if supports[k] & support:
-                        # lcm = lm_k times x^e for the exponents e of t past k's
+                        # the lcm is lm_k times t's excess over k, field by field
                         shared.append((lms[k] + sum([(y - x) * u for x, y, u in zip(
                             exps[k], exp_t, units) if y > x]), k))
                         doomed = doomed or not (lms[k] - lm_t) & guard
