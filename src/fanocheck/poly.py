@@ -862,6 +862,8 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
     product that leaves the box as it is formed (the carry probes' carry);
     ``delta1``'s carry has no box, and its products pay for no test.
+    ``top`` may pass p while every J_t stays below p: the b = 1 carry
+    probes read f^a * delta1(f) off layer p + a.
     """
     off, guard = box
     inv_fact = [1] * p

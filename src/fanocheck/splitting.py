@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import time
 from functools import cached_property
+from math import comb, factorial
 
 from .poly import (
     Monomial,
@@ -83,25 +84,82 @@ def fedder_fsplit(ring: HypersurfaceRing) -> SplitVerdict:
 
 
 def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
-    """f^a * delta1(f)^b reduced modulo (x_i^(p^s)).
+    """f^a * delta1(f)^b reduced modulo (x_i^q), q = p^s.
 
     These products are the terms whose survival higher splitting criteria
-    inspect.  They are formed on the q-box packing, q = p^s: f's terms in
-    the box, packed once (a term outside enters no carry term inside it),
-    the carry by :func:`poly._layers` with each term's steps stopping at the
-    box, both powers by :func:`poly._pow_boxed`.  Only the product is
-    unpacked, so only its terms are checked against the exponent cap.
+    inspect.  They are formed on the q-box packing: f's terms in the box,
+    packed once (a term outside enters no carry term inside it), and the
+    carry's items x_t = -c_t m_t, each one's steps stopping at the box, so
+    that :func:`poly._layers` gives T_k, the count-k part of
+    T = prod_t sum_{j <= J_t} x_t^j / j!, and delta1(f) = T_p in the box.
+    Only the result is unpacked, so only its terms are checked against the
+    exponent cap.
+
+    For b = 1, a < p and s >= 2 the probe is read off layer p + a of T
+    (:func:`_probe_from_layers`); there is no power of f and no product.
+    Every other (a, b, s) forms f^a and the carry's b-th power by
+    :func:`poly._pow_boxed` and multiplies them.  The identity needs b = 1
+    and a < p.  s = 1 keeps the product until a benchmark probe at s = 1
+    decides it (ROADMAP item 1): one sweep had the layers losing there near
+    a = p - 1 (P^4 quartic, p = 23, a = 22: 42 -> 124 ms), another, on
+    Fermat-plus-k P^4 quartics of 5-8 terms, had them winning at every a
+    (9.6 -> 3.9 ms at the same p and a).
     """
     if a < 0 or b < 0 or s < 1:
         raise ValueError("need a >= 0, b >= 0, s >= 1")
     p, f, q = ring.p, ring.f, ring.p ** s
     order, box = _frobenius_box(f, q)
     inside = [(order.pack(m), c, max(m)) for m, c in sorted(f.terms.items()) if max(m) < q]
+    items = [(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside]
+    if b == 1 and a < p and s >= 2:
+        return order.polynomial(f.field, f.vars, _probe_from_layers(inside, items, a, p, q, box))
     fa = _pow_boxed(order, box, {m: c for m, c, _ in inside}, a, p, q)
-    carry = _layers([(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside],
-                    p, p, box)
+    carry = _layers(items, p, p, box)
     db = _pow_boxed(order, box, {m: c for m, c in carry.items() if c}, b, p, q)
     return order.polynomial(f.field, f.vars, _mul_packed(db, list(fa.items()), p, *box))
+
+
+def _probe_from_layers(inside: list, items: list, a: int, p: int, q: int,
+                       box: tuple) -> dict:
+    """f^a * delta1(f) in the q-box for a < p, packed, from layer p + a of
+    the carry's product T and a correction in g = sum_t x_t = -f.
+
+    Over F_p each factor E(x) = sum_{j < p} x^j / j! has, with
+    theta = x d/dx, x E(x) = theta E(x) + x^p / (p-1)! = theta E(x) - x^p,
+    as (p-1)! = -1 by Wilson's theorem.  Where the box truncates an item
+    (J_t < p - 1), x_t^(J_t + 1) is cut, and so is the extra term.  Summed
+    over the items, with T^(t) the product without item t,
+
+        g T_k = (k + 1) T_(k+1) - sum_t x_t^p T^(t)_(k+1-p).
+
+    Below count p, T_k = g^k / k! and T^(t) is T times exp(-x_t), so for
+    a < p this unrolls to
+
+        f^a delta1(f) = (-1)^a [a! T_(p+a) - sum_{j=0..a} w_j g^(a-j) S_(p+j)],
+
+    S_k = sum_t x_t^k, w_j = (-1)^j sum_{i=max(j,1)..a} C(i, j) / i mod p.
+    The sum runs as Horner's rule in g, acc <- acc * g + w_j S_(p+j), with
+    at most a boxed products.  A term of S_k is formed only when its top
+    exponent times k is below q, tested before packing so that no field
+    carries into the next; an item the box truncates has none.
+    """
+    g = [(m, -c % p) for m, c, _ in inside]
+    acc = {}
+    for j in range(a + 1):
+        if acc:
+            acc = _mul_packed(acc, g, p, *box)
+        w = (-1) ** j * sum(comb(i, j) * pow(i, -1, p) for i in range(max(j, 1), a + 1)) % p
+        if w:
+            k = p + j
+            for m, c, top in inside:
+                if top * k < q:
+                    acc[m * k] = (acc.get(m * k, 0) + w * pow(-c, k, p)) % p
+    sign = (-1) ** a
+    scale = sign * factorial(a) % p
+    out = {m: scale * c % p for m, c in _layers(items, p, p + a, box).items()}
+    for m, c in acc.items():
+        out[m] = (out.get(m, 0) - sign * c) % p
+    return out
 
 
 class FedderReport(_Value):

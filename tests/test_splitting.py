@@ -7,6 +7,7 @@ from operator import countOf
 import pytest
 
 import fanocheck.poly as poly_module
+import fanocheck.splitting as splitting_module
 from fanocheck.poly import (
     ExponentOverflowError,
     NonHomogeneousError,
@@ -33,6 +34,7 @@ from helpers import (
     count_zeros,
     dense_form,
     diagonal_fedder,
+    naive_delta1,
     pow_then_filter,
     random_homogeneous,
     random_nonzero_poly,
@@ -226,12 +228,59 @@ class TestDelta1Probe:
             f = random_homogeneous(rng, vs, p, 2, max_terms=1)
             assert f.num_terms == 1
             cases += [(f, a, b, s) for a, b in ((1, 0), (p - 1, 0), (0, 1), (1, 1))]
+        # b = 1, a < p, s >= 2 reads layer p + a of the carry's product: every a
+        for p, s in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)):
+            f = random_homogeneous(rng, vs, p, 2, max_terms=4)
+            cases += [(f, a, 1, s) for a in range(p)]
+        # x^3 * x^(p + j) at p = 2, q = 4 is x^6 or x^9: x^9 would carry past
+        # the 3-bit field into y if it were packed before its box test
+        f = parse_poly("x^3 + x^2*y + x*y^2 + y^3", binary, 2)
+        cases += [(f, a, 1, 2) for a in (0, 1)]
+        # the box truncates the steps of terms with a top exponent past q / (p - 1)
+        for p, degree in ((3, 5), (5, 9), (7, 20)):
+            f = random_homogeneous(rng, binary, p, degree, max_terms=3)
+            cases += [(f, a, 1, 2) for a in range(p)]
+        # a constant term, a non-homogeneous f and terms outside the box; weighted
+        for p, s in ((3, 2), (5, 2)):
+            q = p ** s
+            f = random_nonzero_poly(rng, vs, p, max_terms=3, max_exp=3) + \
+                Polynomial(p, vs, {(0, 0, 0): rng.randint(1, p - 1), (q, 1, 0): 1})
+            g = random_homogeneous(rng, weighted, p, 4, max_terms=4)
+            assert f.terms.get((0, 0, 0))
+            cases += [(h, a, 1, s) for h in (f, g) for a in range(p)]
+        # boundary inputs that keep the boxed product: a = p, s = 1 and b = 2
+        f = random_homogeneous(rng, vs, 3, 2, max_terms=4)
+        cases += [(f, 3, 1, 2), (f, 1, 1, 1), (f, 1, 2, 2)]
         for f, a, b, s in cases:
             ring = HypersurfaceRing(f.p, f.vars, f)
-            full = f ** a * delta1(f) ** b
+            # for b = 1 the multinomial theorem over the integers gives the carry
+            carry = naive_delta1(f) if b == 1 else delta1(f)
+            full = f ** a * carry ** b
             kept = {m: c for m, c in full.terms.items() if max(m) < f.p ** s}
             assert delta1_probe(ring, a, b, s) == Polynomial(f.p, f.vars, kept), \
                 (str(f), a, b, s)
+
+    def test_b1_probe_reads_the_carry_layers(self, monkeypatch):
+        # b = 1, a < p, s >= 2: one _layers call at count p + a, no boxed
+        # power; every other input keeps both powers and their final product
+        calls = []
+        for name in ("_layers", "_pow_boxed", "_mul_packed"):
+            def spy(*args, name=name, kernel=getattr(splitting_module, name)):
+                calls.append((name, args))
+                return kernel(*args)
+            monkeypatch.setattr(splitting_module, name, spy)
+        ring = sextic_ring(5)
+        for a in (0, 2, 4):
+            calls.clear()
+            delta1_probe(ring, a, 1, 2)
+            assert [args[2] for name, args in calls if name == "_layers"] == [5 + a]
+            assert not [name for name, _ in calls if name == "_pow_boxed"]
+        for a, b, s in ((5, 1, 2), (1, 1, 1), (1, 2, 2)):
+            calls.clear()
+            delta1_probe(ring, a, b, s)
+            assert [name for name, _ in calls] == \
+                ["_pow_boxed", "_layers", "_pow_boxed", "_mul_packed"]
+            assert calls[1][1][2] == 5
 
     def test_terms_outside_the_box_are_left_out(self):
         # x^5 does not fit the 2-bit fields of the 2-box; packed, it would
