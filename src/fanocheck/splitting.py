@@ -95,15 +95,11 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     Only the result is unpacked, so only its terms are checked against the
     exponent cap.
 
-    For b = 1, a < p and s >= 2 the probe is read off layer p + a of T
+    For b = 1 and a < p the probe is read off layer p + a of T
     (:func:`_probe_from_layers`); there is no power of f and no product.
-    Every other (a, b, s) forms f^a and the carry's b-th power by
-    :func:`poly._pow_boxed` and multiplies them.  The identity needs b = 1
-    and a < p.  s = 1 keeps the product until a benchmark probe at s = 1
-    decides it (ROADMAP item 1): one sweep had the layers losing there near
-    a = p - 1 (P^4 quartic, p = 23, a = 22: 42 -> 124 ms), another, on
-    Fermat-plus-k P^4 quartics of 5-8 terms, had them winning at every a
-    (9.6 -> 3.9 ms at the same p and a).
+    The identity behind it needs b = 1 and a < p, so every other (a, b)
+    forms f^a and the carry's b-th power by :func:`poly._pow_boxed` and
+    multiplies them.
     """
     if a < 0 or b < 0 or s < 1:
         raise ValueError("need a >= 0, b >= 0, s >= 1")
@@ -111,7 +107,7 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
     order, box = _frobenius_box(f, q)
     inside = [(order.pack(m), c, max(m)) for m, c in sorted(f.terms.items()) if max(m) < q]
     items = [(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside]
-    if b == 1 and a < p and s >= 2:
+    if b == 1 and a < p:
         return order.polynomial(f.field, f.vars, _probe_from_layers(inside, items, a, p, q, box))
     fa = _pow_boxed(order, box, {m: c for m, c, _ in inside}, a, p, q)
     carry = _layers(items, p, p, box)

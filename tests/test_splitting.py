@@ -228,8 +228,8 @@ class TestDelta1Probe:
             f = random_homogeneous(rng, vs, p, 2, max_terms=1)
             assert f.num_terms == 1
             cases += [(f, a, b, s) for a, b in ((1, 0), (p - 1, 0), (0, 1), (1, 1))]
-        # b = 1, a < p, s >= 2 reads layer p + a of the carry's product: every a
-        for p, s in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)):
+        # b = 1, a < p reads layer p + a of the carry's product: every a
+        for p, s in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 1), (7, 1)):
             f = random_homogeneous(rng, vs, p, 2, max_terms=4)
             cases += [(f, a, 1, s) for a in range(p)]
         # x^3 * x^(p + j) at p = 2, q = 4 is x^6 or x^9: x^9 would carry past
@@ -248,7 +248,7 @@ class TestDelta1Probe:
             g = random_homogeneous(rng, weighted, p, 4, max_terms=4)
             assert f.terms.get((0, 0, 0))
             cases += [(h, a, 1, s) for h in (f, g) for a in range(p)]
-        # boundary inputs that keep the boxed product: a = p, s = 1 and b = 2
+        # boundary inputs: a = p and b = 2 keep the boxed product, s = 1 does not
         f = random_homogeneous(rng, vs, 3, 2, max_terms=4)
         cases += [(f, 3, 1, 2), (f, 1, 1, 1), (f, 1, 2, 2)]
         for f, a, b, s in cases:
@@ -261,8 +261,8 @@ class TestDelta1Probe:
                 (str(f), a, b, s)
 
     def test_b1_probe_reads_the_carry_layers(self, monkeypatch):
-        # b = 1, a < p, s >= 2: one _layers call at count p + a, no boxed
-        # power; every other input keeps both powers and their final product
+        # b = 1, a < p: one _layers call at count p + a, no boxed power, at
+        # any s; every other input keeps both powers and their final product
         calls = []
         for name in ("_layers", "_pow_boxed", "_mul_packed"):
             def spy(*args, name=name, kernel=getattr(splitting_module, name)):
@@ -270,12 +270,12 @@ class TestDelta1Probe:
                 return kernel(*args)
             monkeypatch.setattr(splitting_module, name, spy)
         ring = sextic_ring(5)
-        for a in (0, 2, 4):
+        for a, s in ((0, 2), (2, 2), (4, 2), (1, 1)):
             calls.clear()
-            delta1_probe(ring, a, 1, 2)
+            delta1_probe(ring, a, 1, s)
             assert [args[2] for name, args in calls if name == "_layers"] == [5 + a]
             assert not [name for name, _ in calls if name == "_pow_boxed"]
-        for a, b, s in ((5, 1, 2), (1, 1, 1), (1, 2, 2)):
+        for a, b, s in ((5, 1, 2), (1, 2, 2)):
             calls.clear()
             delta1_probe(ring, a, b, s)
             assert [name for name, _ in calls] == \
