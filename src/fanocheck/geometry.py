@@ -15,7 +15,8 @@ ambient, and it stops as soon as the last tuple closes, since leading
 monomials of a partial basis already lie in the initial ideal.  So a failed
 certificate is the Singular verdict.  The charts run one by one only to name
 a witness, the first chart where V(J) meets g != 0, and the verdict never
-runs them.  Each chart is dehomogenized rather than localized:
+runs them.  Both runs take J's generators packed straight from f, built once
+per call.  Each chart is dehomogenized rather than localized:
 J is homogeneous for one C* per factor, acting with that factor's weights,
 and over the algebraic closure every point with g != 0 scales to one with
 each chart variable equal to 1 (x^w = c is solvable for any w, also when p
@@ -34,14 +35,16 @@ import enum
 import itertools
 from collections.abc import Sequence
 from functools import cached_property
+from math import gcd
 
-from .ideals import PolyIdeal, _chart_is_unit, _jacobian_stops_or_is_unit
+from .ideals import _chart_is_unit, _jacobian_stops_or_is_unit, _packed_jacobian
 from .poly import (
     ParseError,
     Polynomial,
     VariableSet,
+    _grevlex,
     _is_variable_name,
-    _prime_factors,
+    _PackedOrder,
     _set,
     _Value,
     as_prime,
@@ -176,18 +179,46 @@ def parse_ambient(text: str, names: Sequence[str] | None = None) -> AmbientSpace
 # ambient singular strata
 # ---------------------------------------------------------------------------
 
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1 whose products give every one of
+    ``numbers`` (positive integers).
+
+    A number that shares a factor g with a base element b gives way, with
+    b, to g and both cofactors; each such step shrinks the product of what
+    is left to place, so the loop ends after at most log2 of that product
+    steps, with gcds alone.  A prime divides a number exactly when the one
+    base element it divides does, so each element stands for the primes
+    it holds.
+    """
+    base, todo = [], list(numbers)
+    while todo:
+        a = todo.pop()
+        if a == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [g, a // g, b // g]
+                break
+        else:
+            base.append(a)
+    return base
+
+
 def ambient_singular_strata(space: AmbientSpace) -> list:
     """Maximal coordinate strata where some prime divides all active weights.
 
     Each stratum is the tuple of the variable names spanning it, in factor
     order (all other variables of its factor vanish there); the list is
-    sorted.
+    sorted.  The primes of a coprime base element divide the same weights,
+    so the weights are never factored.
     """
     strata = set()
     for fac in space.factors:
-        for ell in {ell for w in set(fac.weights) for ell in _prime_factors(w)}:
+        for b in _coprime_base(set(fac.weights)):
             strata.add(tuple(name for name, w in zip(fac.names, fac.weights)
-                             if w % ell == 0))
+                             if gcd(b, w) > 1))
     # keep only strata maximal under inclusion; two factors share no name
     return sorted(s for s in strata if not any(set(s) < set(o) for o in strata))
 
@@ -212,14 +243,6 @@ class HypersurfaceVariety:
             raise ValueError("hypersurface must have nonzero multidegree")
 
 
-def jacobian_ideal(variety: HypersurfaceVariety) -> PolyIdeal:
-    """(f, all partial derivatives of f)."""
-    gens = [variety.f]
-    for name in variety.space.variable_set.names:
-        gens.append(variety.f.partial(name))
-    return PolyIdeal(variety.prime, variety.space.variable_set, gens)
-
-
 class ConeResult(_Value):
     # witness_chart: the product of the variables of the chart that failed
     __slots__ = ("smooth_away_from_irrelevant", "witness_chart")
@@ -228,9 +251,10 @@ class ConeResult(_Value):
         self._init(smooth_away_from_irrelevant, witness_chart)
 
 
-def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResult:
-    """Test J on every chart picking one variable per factor, in
-    ``chart_tuples()`` order.
+def _chart_smoothness(variety: HypersurfaceVariety, order: _PackedOrder,
+                      jac: list) -> ConeResult:
+    """Test J, given by its packed generators ``jac``, on every chart
+    picking one variable per factor, in ``chart_tuples()`` order.
 
     These charts cover exactly the complement of the irrelevant locus.  A
     chart fails when J + (x_i - 1 : x_i in the chart) is not the unit ideal;
@@ -241,7 +265,8 @@ def _chart_smoothness(variety: HypersurfaceVariety, jac: PolyIdeal) -> ConeResul
     """
     vset = variety.space.variable_set
     for chart in variety.space.chart_tuples():
-        if not _chart_is_unit(jac, [vset.index(name) for name in chart]):
+        if not _chart_is_unit(jac, [vset.index(name) for name in chart],
+                              order, variety.prime.p):
             return ConeResult(False, "*".join(chart))
     return ConeResult(True)
 
@@ -268,14 +293,16 @@ def _no_chart_open(space: AmbientSpace):
     return no_chart_open
 
 
-def _support_certificate(variety: HypersurfaceVariety) -> bool:
+def _support_certificate(variety: HypersurfaceVariety, order: _PackedOrder,
+                         jac: list) -> bool:
     """Whether the irrelevant ideal lies in the radical of J.
 
-    Runs Buchberger on J's generators, built packed from f (no
-    :class:`PolyIdeal`), and closes a chart tuple once some leading
-    monomial is supported inside it; the run stops when no tuple is open.
+    Runs Buchberger on J's packed generators ``jac`` and closes a chart
+    tuple once some leading monomial is supported inside it; the run stops
+    when no tuple is open.
     """
-    return _jacobian_stops_or_is_unit(variety.f, _no_chart_open(variety.space))
+    return _jacobian_stops_or_is_unit(jac, order, variety.prime.p,
+                                      _no_chart_open(variety.space))
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
@@ -286,16 +313,18 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     cone is smooth there exactly when each chart tuple (one variable per
     factor) contains the support of some leading monomial, and then no
     chart is tested.  Without that certificate the cone is singular, and
-    the charts run one by one on :func:`jacobian_ideal` only to name the
-    first chart where J plus (x_i - 1) for the chart's variables is not the
-    unit ideal.  That is the first chart where J does not become the unit
-    ideal after inverting the chart's product (J is homogeneous for one C*
-    per factor), so ``witness_chart`` names the chart a localization test
-    would.
+    the charts run one by one, on the generators the certificate ran on,
+    only to name the first chart where J plus (x_i - 1) for the chart's
+    variables is not the unit ideal.  That is the first chart where J does
+    not become the unit ideal after inverting the chart's product (J is
+    homogeneous for one C* per factor), so ``witness_chart`` names the
+    chart a localization test would.
     """
-    if _support_certificate(variety):
+    order = _grevlex(variety.f.vars.n)
+    jac = _packed_jacobian(variety.f, order)
+    if _support_certificate(variety, order, jac):
         return ConeResult(True)
-    return _chart_smoothness(variety, jacobian_ideal(variety))
+    return _chart_smoothness(variety, order, jac)
 
 
 class SmoothnessStatus(enum.Enum):
@@ -314,14 +343,15 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
 
     The cone criterion is the support certificate alone, one Buchberger
     run on J's generators packed straight from f: without it the verdict
-    is Singular, and neither a chart nor :func:`jacobian_ideal` runs
-    (``cone_smoothness`` runs both to name a witness).  Only
+    is Singular, and no chart runs (``cone_smoothness`` runs them on the
+    same generators to name a witness).  Only
     zero-dimensional ambient strata are supported; a hypersurface is
     Smooth when the punctured cone is smooth and f carries a pure power of
     each stratum variable (so the stratum point misses the hypersurface),
     QuasiSmoothOnly when cone-smooth but some stratum point lies on it.
     """
-    if not _support_certificate(variety):
+    order = _grevlex(variety.f.vars.n)
+    if not _support_certificate(variety, order, _packed_jacobian(variety.f, order)):
         return SmoothnessStatus.SINGULAR
     verdict = SmoothnessStatus.SMOOTH
     for stratum in ambient_singular_strata(variety.space):

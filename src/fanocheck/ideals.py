@@ -36,12 +36,13 @@ neighbouring field.  Monomials are packed at entry, and every result
 leaves through the packing's ``polynomial`` method; the public API speaks
 :class:`~fanocheck.poly.Polynomial`.
 
-The smoothness certificate enters through
-:func:`_jacobian_stops_or_is_unit`, which takes f rather than an ideal:
-it packs f once and forms each partial on the packed monomials, reading
-the exponent e of x_i from its field and mapping a term c*x^m to
-(c*e mod p)*x^(m - e_i), so the Jacobian's generators never pass through
-:class:`PolyIdeal` or a tuple-keyed polynomial.
+Smoothness never builds an ideal.  :func:`_packed_jacobian` packs f once
+and forms each partial on the packed monomials, reading the exponent e of
+x_i from its field and mapping a term c*x^m to (c*e mod p)*x^(m - e_i).
+The support certificate (:func:`_jacobian_stops_or_is_unit`) and the
+witness charts (:func:`_chart_is_unit`) both run on those generators, so
+the Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
+polynomial.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from itertools import chain
-from operator import mul
 
 from .poly import (
     Polynomial,
@@ -306,38 +306,40 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
     return [packed, *partials]
 
 
-def _jacobian_stops_or_is_unit(f: Polynomial, stop) -> bool:
-    """Whether Buchberger on (f, all partials of f) ends at ``stop`` or at
+def _jacobian_stops_or_is_unit(jac: Sequence, order: _PackedOrder, p: int,
+                               stop) -> bool:
+    """Whether Buchberger on the generators ``jac`` ends at ``stop`` or at
     the unit ideal.
 
-    The generators come from :func:`_packed_jacobian`, in the order of
-    ``geometry.jacobian_ideal``'s; ``stop`` sees each leading monomial
-    entering the basis as an exponent tuple, and the basis is not kept.
+    ``jac`` is :func:`_packed_jacobian`'s list, which the run leaves as it
+    was; ``stop`` sees each leading monomial entering the basis as an
+    exponent tuple, and the basis is not kept.
     """
-    order = _grevlex(f.vars.n)
-    basis = _buchberger_raw(_packed_jacobian(f, order), order, f.p, stop)
+    basis = _buchberger_raw(jac, order, p, stop)
     return basis is None or basis is _UNIT
 
 
-def _chart_is_unit(ideal: PolyIdeal, chart: Sequence[int]) -> bool:
-    """Whether I + (x_i - 1 : i in ``chart``) is the unit ideal.
+def _chart_is_unit(gens: Sequence, chart: Sequence[int], order: _PackedOrder,
+                   p: int) -> bool:
+    """Whether I + (x_i - 1 : i in ``chart``) is the unit ideal, I given by
+    packed generators in ``order``.
 
-    Each generator is dehomogenized on the spot: the chart's exponents are
-    packed as zero and the coefficients that meet on one monomial are
-    summed mod p.  Buchberger then runs in the same n-variable grevlex
-    packing, with no adjoined variable.
+    Each generator is dehomogenized on the spot: a chart variable's
+    exponent is read from its field and that many of its units (row bits
+    included) are taken off, and the coefficients that meet on one
+    monomial are summed mod p.  Buchberger then runs in the same packing,
+    with no adjoined variable.
     """
-    p = ideal.field.p
-    order = _grevlex(ideal.vars.n)
-    units = tuple(0 if i in chart else u for i, u in enumerate(order.units))
-    gens = []
-    for g in ideal.generators:
+    fields = [(order.shifts[i], order.units[i]) for i in chart]
+    mask = order.mask
+    dehomogenized = []
+    for g in gens:
         packed = {}
-        for m, c in g.terms.items():
-            k = sum(map(mul, m, units))
+        for m, c in g.items():
+            k = m - sum([((m >> s) & mask) * u for s, u in fields])
             packed[k] = (packed.get(k, 0) + c) % p
-        gens.append({k: c for k, c in packed.items() if c})
-    return _buchberger_raw(gens, order, p) is _UNIT
+        dehomogenized.append({k: c for k, c in packed.items() if c})
+    return _buchberger_raw(dehomogenized, order, p) is _UNIT
 
 
 def _check_ring(f: Polynomial, field: Prime, variables: VariableSet) -> None:
@@ -373,7 +375,8 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     closure this says exactly that V(I) avoids the locus g != 0.  This is
     the test for a general g.  Smoothness does not call it: its charts
     invert a product of variables on a multihomogeneous J, which
-    :func:`_chart_is_unit` answers with those variables set to 1 and no t.
+    :func:`_chart_is_unit` answers on J's packed generators with those
+    variables set to 1 and no t.
     """
     if g.is_zero:
         raise ValueError("cannot invert zero")

@@ -446,7 +446,7 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, field: Prime, variables: VariableSet, terms: dict) -> "Polynomial":
-        """Kernel, parser and derivative results only: n-tuples below the
+        """Kernel and parser results only: n-tuples below the
         cap, coefficients 1..p-1."""
         f = object.__new__(cls)
         object.__setattr__(f, "field", field)
@@ -545,19 +545,6 @@ class Polynomial:
             if e:
                 base = base * base
         return result
-
-    def partial(self, name: str) -> "Polynomial":
-        """Formal partial derivative with respect to one variable."""
-        i = self.vars.index(name)
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                lowered = m[:i] + (e - 1,) + m[i + 1:]
-                out[lowered] = out.get(lowered, 0) + c * e
-        p = self.p
-        return Polynomial._trusted(self.field, self.vars,
-                                   {m: c % p for m, c in out.items() if c % p})
 
     # -- printing ----------------------------------------------------------
 

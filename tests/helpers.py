@@ -309,11 +309,28 @@ def poly_eval(f: Polynomial, point, gf: GF) -> int:
     return total
 
 
+def partial(f: Polynomial, name: str) -> Polynomial:
+    """Formal partial derivative of f in the variable ``name``, on exponent
+    tuples."""
+    i = f.vars.index(name)
+    out = {}
+    for m, c in f.terms.items():
+        if m[i]:
+            lowered = m[:i] + (m[i] - 1,) + m[i + 1:]
+            out[lowered] = out.get(lowered, 0) + c * m[i]
+    return Polynomial(f.field, f.vars, out)
+
+
+def jacobian_generators(f: Polynomial) -> list:
+    """f, then its partial in each variable in order: the generators of the
+    Jacobian ideal, as tuple-keyed polynomials."""
+    return [f] + [partial(f, name) for name in f.vars.names]
+
+
 def cone_singular_point_search(variety, qs):
     """Exhaustive search for a cone point (each factor block nonzero) where
     f and every partial derivative vanish simultaneously; None if absent."""
-    polys = [variety.f] + [variety.f.partial(name)
-                           for name in variety.space.variable_set.names]
+    polys = jacobian_generators(variety.f)
     sizes = [len(fac.names) for fac in variety.space.factors]
     for q in qs:
         gf = GF(q)
@@ -704,6 +721,50 @@ def ref_localized_is_unit(gens, g) -> bool:
     ext.append({m: c for m, c in rab.items() if c})
     basis = ref_buchberger_raw(ext, n + 1, p, ref_grevlex_key)
     return len(basis) == 1 and _ref_is_constant(basis[0])
+
+
+def ref_chart_is_unit(gens, chart) -> bool:
+    """1 in (gens) + (x_i - 1 : i in ``chart``), on the reference loop: each
+    generator with the chart's exponents set to 0 and the coefficients that
+    meet on one monomial summed mod p."""
+    p, n = gens[0].p, gens[0].vars.n
+    dehomogenized = []
+    for g in gens:
+        d = {}
+        for m, c in g.terms.items():
+            k = tuple(0 if i in chart else e for i, e in enumerate(m))
+            d[k] = (d.get(k, 0) + c) % p
+        dehomogenized.append({k: c for k, c in d.items() if c})
+    basis = ref_buchberger_raw(dehomogenized, n, p, ref_grevlex_key)
+    return len(basis) == 1 and _ref_is_constant(basis[0])
+
+
+# ---------------------------------------------------------------------------
+# reference ambient singular strata
+# ---------------------------------------------------------------------------
+
+def _ref_primes(n: int) -> set:
+    """The primes dividing n, by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def ref_ambient_singular_strata(space) -> list:
+    """The maximal strata {i : ell | w_i} of each factor over the primes ell
+    of its weights, each weight factored by trial division; sorted."""
+    strata = set()
+    for fac in space.factors:
+        for ell in set().union(*map(_ref_primes, fac.weights)):
+            strata.add(tuple(name for name, w in zip(fac.names, fac.weights)
+                             if w % ell == 0))
+    return sorted(s for s in strata if not any(set(s) < set(o) for o in strata))
 
 
 # ---------------------------------------------------------------------------

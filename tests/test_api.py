@@ -113,7 +113,6 @@ MODULE_SURFACES = {
         "UnsupportedStratumError",
         "ambient_singular_strata",
         "cone_smoothness",
-        "jacobian_ideal",
         "parse_ambient",
         "smoothness_verdict",
     ],
@@ -177,8 +176,8 @@ PRIVATE_IMPORTS = {
     "corpus": ["poly._Value", "poly._set"],
     "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
     "geometry": ["ideals._chart_is_unit", "ideals._jacobian_stops_or_is_unit",
-                 "poly._Value", "poly._is_variable_name", "poly._prime_factors",
-                 "poly._set"],
+                 "ideals._packed_jacobian", "poly._PackedOrder", "poly._Value",
+                 "poly._grevlex", "poly._is_variable_name", "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
     "splitting": ["poly._Value", "poly._delta1_count", "poly._frobenius_box",

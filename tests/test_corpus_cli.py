@@ -482,6 +482,13 @@ class TestCli:
             outcomes.append((rc, captured.out, captured.err))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("weight", [10000000000000061, 100000000000000000039])
+    def test_smooth_huge_weight(self, weight, capsys):
+        # the strata come from a coprime base of the weights: no weight is
+        # factored, so a weight with a huge prime factor costs a few gcds
+        rc = main(["smooth", "-p", "5", "--ambient", f"P({weight},1,1)", "--poly", "x0"])
+        assert (rc, capsys.readouterr().out) == (0, "Smooth\n")
+
     def test_smooth_exponent_overflow_exit_code(self, capsys):
         # the product criterion multiplies x0^40000*x1 by x0^39999*x1
         rc = main(["smooth", "--ambient", "P(1,1)", "-p", "3",
@@ -677,6 +684,17 @@ class TestCli:
         assert (rc, out) == (2, "")
         assert err.startswith("error: corpus cannot be decoded: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("weight", [10000000000000061, 100000000000000000039])
+    def test_verify_huge_weight(self, weight, tmp_path, capsys):
+        path = write_corpus(tmp_path, [
+            entry(prime=5, weights=(weight, 1, 1), variables=("x0", "x1", "x2"),
+                  polynomial="x0", checks=[{"kind": "smooth", "expect": "Smooth"}]),
+        ])
+        rc = main(["verify", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "PASS probe [smooth] expected='Smooth' actual='Smooth'\n")
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         path = write_corpus(tmp_path, [

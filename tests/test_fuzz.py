@@ -13,7 +13,10 @@ would stop the run with no typed error yet:
   base dimensions <= 3 on the command line, and every integer a corpus
   mutation writes (a dimension, a prime, a weight, q) in -1..13:
   ``deg((2+h1)^1000000000)`` and ``--base 100000`` are unbounded, and
-  printing an integer past the digit limit is quadratic;
+  printing an integer past the digit limit is quadratic.  A weight is
+  bounded only because that mutation writes it: the ambient strata read
+  the weights through a coprime base, gcds alone, so no weight is a
+  blow-up;
 - ``lattice exc``: enumerate_classes only ever asks for (-1)-classes there,
   which stay cheap for every rank and degree bound; the blow-up is a large
   negative K-degree, which the command line cannot ask for;

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -12,15 +14,15 @@ from fanocheck.geometry import (
     SmoothnessStatus,
     UnsupportedStratumError,
     _chart_smoothness,
+    _coprime_base,
     _no_chart_open,
     _support_certificate,
     ambient_singular_strata,
     cone_smoothness,
-    jacobian_ideal,
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck.ideals import _packed_jacobian, normal_form
+from fanocheck.ideals import PolyIdeal, _packed_jacobian, normal_form
 from fanocheck.poly import (
     ParseError,
     Polynomial,
@@ -32,8 +34,12 @@ from fanocheck.poly import (
 from helpers import (
     cone_singular_point_search,
     dense_form,
+    jacobian_generators,
     monomials_of_degree,
+    partial,
     random_homogeneous,
+    ref_ambient_singular_strata,
+    ref_chart_is_unit,
     variable,
 )
 
@@ -155,12 +161,50 @@ class TestSingularStrata:
         strata = ambient_singular_strata(parse_ambient("P(1,2,3,6)"))
         assert strata == [("x1", "x3"), ("x2", "x3")]
 
+    def test_seeded_weights_against_trial_division(self):
+        # 1s, prime powers, and products that share a prime or share none
+        rng = random.Random(6161)
+        primes = [2, 3, 5, 7, 11, 13, 10007]
+        kinds = set()
+        for _ in range(300):
+            weights = []
+            for _ in range(rng.randint(1, 6)):
+                w = 1
+                for ell in rng.sample(primes, rng.choice([0, 1, 1, 2, 3])):
+                    w *= ell ** rng.randint(1, 3)
+                weights.append(w)
+            factors = [weights]
+            if rng.random() < 0.3:
+                factors.append([rng.choice([1, 2, 3, 4, 6, 9]) for _ in range(3)])
+            space = parse_ambient(" x ".join(
+                "P(" + ",".join(map(str, ws)) + ")" for ws in factors))
+            strata = ambient_singular_strata(space)
+            assert strata == ref_ambient_singular_strata(space), factors
+            kinds.add(min(len(s) for s in strata) if strata else 0)
+        # no stratum, point strata and wider ones all occur
+        assert {0, 1, 2} <= kinds
+
+    def test_coprime_base(self):
+        rng = random.Random(6262)
+        for _ in range(200):
+            numbers = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 35, 10007 * 6])
+                       ** rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+            base = _coprime_base(numbers)
+            assert all(b > 1 for b in base)
+            assert all(gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+            for n in numbers:
+                for b in base:
+                    while n % b == 0:
+                        n //= b
+                assert n == 1, numbers
+
 
 class TestConeSmoothness:
     def test_double_plane_fails_with_witness(self):
         v = variety("P(1,1,1)", "x0^2", 5)
         assert cone_smoothness(v) == ConeResult(False, "x1")
-        assert normal_form(v.f, jacobian_ideal(v).groebner_basis()).is_zero
+        jac = PolyIdeal(v.prime, v.f.vars, jacobian_generators(v.f))
+        assert normal_form(v.f, jac.groebner_basis()).is_zero
 
     def test_fermat_cone_smooth(self):
         res = cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5))
@@ -168,23 +212,34 @@ class TestConeSmoothness:
 
     def test_jacobian_generators(self):
         v = variety("P(1,1,1)", "x0^2 + x1*x2", 7)
-        gens = [str(g) for g in jacobian_ideal(v).generators]
+        order = _grevlex(3)
+        gens = [str(order.polynomial(v.prime, v.f.vars, g))
+                for g in _packed_jacobian(v.f, order)]
         assert gens == ["x0^2 + x1*x2", "2*x0", "x2", "x1"]
 
 
 def _both_methods(v):
-    """(single-basis verdict on J packed from f, chart-by-chart result on a
-    fresh Jacobian ideal)."""
-    return _support_certificate(v), _chart_smoothness(v, jacobian_ideal(v))
+    """(single-basis verdict, chart-by-chart result), both on J's generators
+    packed from f once, the certificate run first."""
+    order = _grevlex(v.f.vars.n)
+    jac = _packed_jacobian(v.f, order)
+    return _support_certificate(v, order, jac), _chart_smoothness(v, order, jac)
 
 
 def _singular_at_e0(rng, space, p, degree):
     """Every term has degree >= 2 in the variables other than the first of
     each factor: singular at [1:0:...:0] in every factor."""
+    return _singular_at_coordinates(rng, space, p, degree,
+                                    [fac.names[0] for fac in space.factors])
+
+
+def _singular_at_coordinates(rng, space, p, degree, point):
+    """Every term has degree >= 2 in the variables other than ``point``'s,
+    one name per factor: singular where those are 1 and the rest 0."""
     vs = space.variable_set
-    firsts = {vs.index(fac.names[0]) for fac in space.factors}
+    chosen = {vs.index(name) for name in point}
     pool = [m for m in monomials_of_degree(vs, degree)
-            if sum(e for i, e in enumerate(m) if i not in firsts) >= 2]
+            if sum(e for i, e in enumerate(m) if i not in chosen) >= 2]
     while True:
         picks = rng.sample(pool, min(len(pool), rng.randint(2, 6)))
         f = Polynomial(p, vs, {m: rng.randint(1, p - 1) for m in picks})
@@ -365,13 +420,16 @@ class TestChartsAgainstLocalization:
         in a one-factor ambient: [unit charts, non-unit charts]}."""
         seen = {}
         for label, v, _ in members:
-            jac = jacobian_ideal(v)
             vs = v.space.variable_set
+            order = _grevlex(vs.n)
+            packed = _packed_jacobian(v.f, order)
+            jac = PolyIdeal(v.prime, vs, jacobian_generators(v.f))
             for chart in v.space.chart_tuples():
                 g = Polynomial.constant(v.prime, vs, 1)
                 for name in chart:
                     g = g * variable(v.prime, vs, name)
-                unit = ideals._chart_is_unit(jac, [vs.index(name) for name in chart])
+                unit = ideals._chart_is_unit(packed, [vs.index(name) for name in chart],
+                                             order, v.prime.p)
                 assert unit == ideals.localized_is_unit(jac, g), (label, chart, str(v.f))
                 if len(chart) == 1:
                     (w,) = vs.weights[vs.index(chart[0])]
@@ -396,20 +454,72 @@ class TestChartsAgainstLocalization:
         assert min(seen[2]) >= 3 and min(seen[3]) >= 3, seen
 
     def test_literal_charts(self):
+        def charts(v):
+            order = _grevlex(3)
+            jac = _packed_jacobian(v.f, order)
+            return [ideals._chart_is_unit(jac, [i], order, v.prime.p) for i in range(3)]
+
         # x0^2 in P(1,1,1): the x0 chart is the unit ideal, x1 and x2 are not
-        v = variety("P(1,1,1)", "x0^2", 5)
-        jac = jacobian_ideal(v)
-        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [True, False, False]
+        assert charts(variety("P(1,1,1)", "x0^2", 5)) == [True, False, False]
         # at p = 3, J of x0^6 + x1^6 + x2^2 is ((x0^2 + x1^2)^3, 2*x2): its
         # points have x2 = 0 and x1 = +-i*x0, with i in F_9 only
-        v = variety("P(1,1,3)", "x0^6 + x1^6 + x2^2", 3)
-        jac = jacobian_ideal(v)
-        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [False, False, True]
+        assert charts(variety("P(1,1,3)", "x0^6 + x1^6 + x2^2", 3)) == [False, False, True]
         # x0^9 + x1^9 + x2^3 is a cube at p = 3, so V(J) = V(f) meets the
         # chart x2 != 0 too, where x2 = 1 needs a cube root of 1/x2
-        v = variety("P(1,1,3)", "x0^9 + x1^9 + x2^3", 3)
-        jac = jacobian_ideal(v)
-        assert [ideals._chart_is_unit(jac, [i]) for i in range(3)] == [False] * 3
+        assert charts(variety("P(1,1,3)", "x0^9 + x1^9 + x2^3", 3)) == [False] * 3
+
+
+def _chart_route_members():
+    """Seeded Singular members, each singular at a coordinate point picked
+    at random in every factor: (label, variety, the point's chart)."""
+    rng = random.Random(3737)
+    ambients = [("P(1,1,1)", (2, 3, 4)), ("P(1,1,1,1)", (2, 3)),
+                ("P(1,1,1,2)", (2, 4)), ("P(1,1,1,1,3)", (3, 6)),
+                ("P(1,1) x P(1,1,1)", ((1, 2), (2, 2))),
+                ("P(1,1,1) x P(1,1,1)", ((1, 1), (1, 2)))]
+    out = []
+    for p in (3, 5, 7):
+        for text, degrees in ambients:
+            space = parse_ambient(text)
+            for d in degrees:
+                for _ in range(3):
+                    point = [rng.choice(fac.names) for fac in space.factors]
+                    f = _singular_at_coordinates(rng, space, p, d, point)
+                    chart = "*".join(point)
+                    out.append((f"{text}.d{d}.p{p}.sing.{chart}",
+                                HypersurfaceVariety(p, space, f), chart))
+    return out
+
+
+class TestPackedCharts:
+    """The chart route on J's packed generators, after the certificate ran
+    on them, against ``helpers.ref_chart_is_unit`` on tuple partials: the
+    chart's exponents set to 0 and the reference Buchberger loop."""
+
+    def test_every_chart_against_the_tuple_reference(self):
+        members = _chart_route_members()
+        later = several = 0
+        for label, v, point_chart in members:
+            vs = v.space.variable_set
+            order = _grevlex(vs.n)
+            jac = _packed_jacobian(v.f, order)
+            assert not _support_certificate(v, order, jac), label
+            gens = jacobian_generators(v.f)
+            failing = []
+            for chart in v.space.chart_tuples():
+                indices = [vs.index(name) for name in chart]
+                unit = ideals._chart_is_unit(jac, indices, order, v.prime.p)
+                assert unit == ref_chart_is_unit(gens, indices), (label, chart, str(v.f))
+                if not unit:
+                    failing.append("*".join(chart))
+            assert point_chart in failing, (label, str(v.f))
+            assert cone_smoothness(v) == ConeResult(False, failing[0]), label
+            later += failing[0] != "*".join(next(v.space.chart_tuples()))
+            several += len(failing) > 1
+        assert len(members) >= 100
+        # the witness is often not the first chart, and often not the only
+        # failing one, so every chart's answer is checked, not just the first
+        assert later >= 40 and several >= 60, (later, several)
 
 
 # at p = 3, d/dx0 keeps one of three terms and d/dx1 one of two
@@ -439,8 +549,9 @@ def _jacobian_members():
 
 
 class TestPackedJacobian:
-    """The generators the certificate runs on, packed straight from f,
-    against ``jacobian_ideal``'s tuple partials packed afterwards."""
+    """The generators the certificate and the charts run on, packed straight
+    from f, against the tuple partials of ``helpers.partial`` packed
+    afterwards."""
 
     def test_seeded_members_term_for_term(self):
         lost = zero = 0
@@ -448,7 +559,7 @@ class TestPackedJacobian:
         for v in members:
             order = _grevlex(v.f.vars.n)
             packed = _packed_jacobian(v.f, order)
-            expected = [order.pack_terms(g.terms) for g in jacobian_ideal(v).generators]
+            expected = [order.pack_terms(g.terms) for g in jacobian_generators(v.f)]
             # the same generators in the same order, and each one's terms too
             assert [list(g.items()) for g in packed] \
                 == [list(g.items()) for g in expected], str(v.f)
@@ -558,33 +669,35 @@ class TestChartMasks:
 class TestFastPath:
     @pytest.fixture
     def unit_calls(self, monkeypatch):
+        """What a call runs of the chart code: "loop" as the chart loop
+        starts, then each chart tested, as its variables' indices."""
         calls = []
-        real = ideals._chart_is_unit
+        real_loop, real_chart = geometry._chart_smoothness, ideals._chart_is_unit
 
-        def counting(ideal, chart):
-            calls.append("*".join(ideal.vars.names[i] for i in chart))
-            return real(ideal, chart)
+        def loop(variety, order, jac):
+            calls.append("loop")
+            return real_loop(variety, order, jac)
 
-        monkeypatch.setattr(geometry, "_chart_is_unit", counting)
+        def chart(gens, indices, order, p):
+            calls.append(tuple(indices))
+            return real_chart(gens, indices, order, p)
+
+        monkeypatch.setattr(geometry, "_chart_smoothness", loop)
+        monkeypatch.setattr(geometry, "_chart_is_unit", chart)
         return calls
 
     @pytest.fixture
     def built_jacobians(self, monkeypatch):
-        """Each Jacobian a call builds: "packed" for a certificate run on J's
-        generators packed from f, "ideal" for a ``jacobian_ideal``."""
+        """Each time a call packs J's generators from f, wherever it does."""
         built = []
-        real_packed, real_ideal = geometry._jacobian_stops_or_is_unit, geometry.jacobian_ideal
+        real = ideals._packed_jacobian
 
-        def packed(f, stop):
+        def packed(f, order):
             built.append("packed")
-            return real_packed(f, stop)
+            return real(f, order)
 
-        def ideal(v):
-            built.append("ideal")
-            return real_ideal(v)
-
-        monkeypatch.setattr(geometry, "_jacobian_stops_or_is_unit", packed)
-        monkeypatch.setattr(geometry, "jacobian_ideal", ideal)
+        monkeypatch.setattr(geometry, "_packed_jacobian", packed)
+        monkeypatch.setattr(ideals, "_packed_jacobian", packed)
         return built
 
     def test_fermat_sextic_tests_no_chart(self, unit_calls, built_jacobians):
@@ -599,9 +712,9 @@ class TestFastPath:
         v = variety("P(1,1,1)", "x0^2", 5)
         res = cone_smoothness(v)
         assert res.witness_chart == "x1"
-        assert unit_calls == ["x0", "x1"]
-        # the charts alone run on a PolyIdeal
-        assert built_jacobians == ["packed", "ideal"]
+        assert unit_calls == ["loop", (0,), (1,)]
+        # the charts run on the generators the certificate ran on
+        assert built_jacobians == ["packed"]
 
     def test_smooth_cone_builds_no_ideal(self, unit_calls, built_jacobians):
         assert cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5)) \
@@ -613,6 +726,14 @@ class TestFastPath:
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
         assert unit_calls == []
+        assert built_jacobians == ["packed"]
+
+    def test_singular_product_packs_once(self, unit_calls, built_jacobians):
+        # singular at ([1:0:0], [0:0:1]): the charts x0*y0 and x0*y1 are
+        # units, x0*y2 is the witness, and all three reuse one packing
+        v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5)
+        assert cone_smoothness(v) == ConeResult(False, "x0*y2")
+        assert unit_calls == ["loop", (0, 3), (0, 4), (0, 5)]
         assert built_jacobians == ["packed"]
 
     @pytest.mark.parametrize("ambient,poly", [
@@ -709,7 +830,7 @@ def euler_sum(f, c):
     for name, w in zip(f.vars.names, f.vars.weights):
         if w[c]:
             total = total + w[c] * (variable(f.field, f.vars, name)
-                                    * f.partial(name))
+                                    * partial(f, name))
     return total
 
 

@@ -25,6 +25,7 @@ from fanocheck.poly import (
 from helpers import (
     common_zero_with_g_nonzero,
     dense_form,
+    jacobian_generators,
     monomials_of_degree,
     random_homogeneous,
     random_nonzero_poly,
@@ -224,25 +225,21 @@ def _cubic_surface(rng, p, extra):
     return f + random_homogeneous(rng, vs, p, 3, max_terms=extra)
 
 
-def _jacobian_gens(f):
-    return [f] + [f.partial(name) for name in f.vars.names]
-
-
 def _differential_cases():
     rng = random.Random(2404)
     cases = []
     for p in (5, 7):
         for extra in (2, 3, 4):
-            cases.append(pytest.param(_jacobian_gens(_cubic_surface(rng, p, extra)),
-                                      id=f"cubic.p{p}.k{extra}"))
+            f = _cubic_surface(rng, p, extra)
+            cases.append(pytest.param(jacobian_generators(f), id=f"cubic.p{p}.k{extra}"))
     w = VariableSet.weighted(["x0", "x1", "x2", "x3", "y"], [1, 1, 1, 1, 2])
     cover = parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + y^2 + x0*x1^2*x2 + 2*x3^2*y",
                        w, 3)
-    cases.append(pytest.param(_jacobian_gens(cover), id="double_cover.P11112.p3"))
+    cases.append(pytest.param(jacobian_generators(cover), id="double_cover.P11112.p3"))
     # a node at [1:0:0:0]; the chart x0 != 0 keeps a nonunit ideal
     ts = VariableSet.unit("t,x0,x1,x2,x3")
     node = parse_poly("x0*x1*x2 + x1^3 + x2^3 + x3^3", ts, 7)
-    chart = _jacobian_gens(node) + [mk("t*x0 - 1", 7, ts)]
+    chart = jacobian_generators(node) + [mk("t*x0 - 1", 7, ts)]
     cases.append(pytest.param(chart, id="node.chart_x0.p7"))
     return cases
 
@@ -348,15 +345,21 @@ def _items(dicts):
     return [list(d.items()) for d in dicts]
 
 
+def packed_chart_is_unit(gens, chart):
+    """``_chart_is_unit`` on the grevlex packing of tuple-keyed generators."""
+    order = _grevlex(gens[0].vars.n)
+    return _chart_is_unit([order.pack_terms(g.terms) for g in gens], chart,
+                          order, gens[0].p)
+
+
 class TestChartIsUnit:
     def test_examples(self):
         # at x = 1 the two y terms of x*y - y + 1 meet and cancel, leaving 1
-        I = PolyIdeal(7, VS2, [mk("x*y - y + 1", 7, VS2)])
-        assert _chart_is_unit(I, [0])
-        assert not _chart_is_unit(I, [1])
-        assert not _chart_is_unit(PolyIdeal(7, VS2, [mk("x*y - y", 7, VS2)]), [0])
-        assert _chart_is_unit(PolyIdeal(7, VS2, [mk("x - 1", 7, VS2), mk("y", 7, VS2)]),
-                              [1])
+        I = [mk("x*y - y + 1", 7, VS2)]
+        assert packed_chart_is_unit(I, [0])
+        assert not packed_chart_is_unit(I, [1])
+        assert not packed_chart_is_unit([mk("x*y - y", 7, VS2)], [0])
+        assert packed_chart_is_unit([mk("x - 1", 7, VS2), mk("y", 7, VS2)], [1])
 
     def test_against_adjoined_linear_forms(self):
         # on general (inhomogeneous) ideals the kernel answers exactly
@@ -368,7 +371,7 @@ class TestChartIsUnit:
             ones = [variable(p, vs, vs.names[i]) - one for i in chart]
             gb = PolyIdeal(p, vs, gens + ones).groebner_basis()
             unit = list(gb) == [one]
-            assert _chart_is_unit(PolyIdeal(p, vs, gens), chart) == unit
+            assert packed_chart_is_unit(gens, chart) == unit
             outcomes.append(unit)
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
@@ -443,7 +446,7 @@ class TestPackedAgainstTupleLoop:
                 pool = monomials_of_degree(vs, degree)
                 f = Polynomial(p, vs, {m: rng.randint(1, p - 1)
                                        for m in rng.sample(pool, rng.randint(4, len(pool)))})
-            gens = _jacobian_gens(f)
+            gens = jacobian_generators(f)
             ours = [g.terms for g in PolyIdeal(p, vs, gens).groebner_basis()]
             theirs = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_grevlex_key)
             assert _items(ours) == _items(theirs), str(f)
@@ -478,7 +481,7 @@ class TestPairUpdate:
     def test_fermat_jacobian(self, reductions):
         space = parse_ambient("P(1,1,1,1,3)")
         f = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + x4^2", space.variable_set, 11)
-        partials = _jacobian_gens(f)[1:]
+        partials = jacobian_generators(f)[1:]
         assert len(self._run(partials)) == 5
         assert reductions == []
         # with f itself one pair is left: f and df/dx0 share x0^5, and only
@@ -528,13 +531,13 @@ def _pop_cases():
              for _ in range(rng.randint(2, 4))])
     p3 = VariableSet.unit("x0,x1,x2,x3")
     for extra in (3, 5):
-        cases["quartic_jacobians"].append(_jacobian_gens(dense_form(rng, p3, 7, 4,
-                                                                    extra, extra)))
+        cases["quartic_jacobians"].append(
+            jacobian_generators(dense_form(rng, p3, 7, 4, extra, extra)))
     space = parse_ambient("P(1,1,1,1,3)")
     fermat = parse_poly("x0^6 + x1^6 + x2^6 + x3^6 + x4^2", space.variable_set, 11)
     cases["pair_update"] = [
         [mk("3*x^4 + x*y"), mk("y^3 + 2*z"), mk("z^5 + x^2*y")],
-        _jacobian_gens(fermat),
+        jacobian_generators(fermat),
         [mk("x*y"), mk("y*z"), mk("y")],
         [mk("x"), mk("x^2 + y"), mk("x^2")],
     ]
@@ -700,9 +703,9 @@ class TestOnlyBasisCallersReduce:
             raise AssertionError("a unit question reduced its basis")
 
         monkeypatch.setattr(ideals, "_reduced_raw", no_reduction)
-        I = PolyIdeal(7, VS2, [mk("x*y - y + 1", 7, VS2)])
-        assert _chart_is_unit(I, [0])
-        assert not _chart_is_unit(I, [1])
+        I = [mk("x*y - y + 1", 7, VS2)]
+        assert packed_chart_is_unit(I, [0])
+        assert not packed_chart_is_unit(I, [1])
         assert localized_is_unit(PolyIdeal(7, VS2, [mk("x^2*y", 7, VS2)]), mk("x*y", 7, VS2))
         assert not localized_is_unit(PolyIdeal(7, VS2, [mk("x", 7, VS2)]), mk("y", 7, VS2))
         space = parse_ambient("P(1,1,1)")
