@@ -712,9 +712,12 @@ def _pow_boxed(order: _PackedOrder, box: tuple, terms: dict, e: int, p: int,
     m^q is cut), so f^e = c^(e // q) * f^(e mod q).  Over F_p,
     f^(d p^i) = (f^d)(x^(p^i)): the rest is one boxed product per nonzero
     base-p digit d of e mod q, highest first, until one is zero; none while
-    the power is 1.  f^1 is the terms with every exponent below q / p^i,
-    one box test each; f^d is d! times :func:`_layers` at count d, each
-    term's steps stopping at the largest j with j * max(m) * p^i < q.
+    the power is 1.  The part of digit d takes the terms whose top exponent
+    times p^i is below q, tested before they are scaled to x^(p^i) so that
+    no field carries into the next.  At d = 1 the part is those terms; at
+    d = 2 it is their square by :func:`_square_packed`, one product per
+    unordered pair; at d >= 3 it is d! times :func:`_layers` at count d,
+    each term's steps stopping at the largest j with j * max(m) * p^i < q.
     """
     hi, lo = divmod(e, q)
     c = pow(terms.get(0, 0), hi, p)
@@ -725,9 +728,11 @@ def _pow_boxed(order: _PackedOrder, box: tuple, terms: dict, e: int, p: int,
         d, lo = divmod(lo, s)
         if not d:
             continue
-        if d == 1:
+        if d <= 2:
             off, guard = order.box([q // s] * len(order.shifts))
             part = [(m * s, a) for m, a in terms.items() if not (m + off) & guard]
+            if d == 2:
+                part = _square_packed(part, p, *box)
         else:
             monos = zip(*[[(m >> t) & order.mask for m in terms] for t in order.shifts])
             items = [(m * s, a, j) for (m, a), top in zip(terms.items(), map(max, monos))
@@ -736,6 +741,31 @@ def _pow_boxed(order: _PackedOrder, box: tuple, terms: dict, e: int, p: int,
             part = [(m, a * scale % p) for m, a in _layers(items, p, d, box).items() if a]
         acc = dict(part) if acc == {0: 1} else _mul_packed(acc, part, p, *box)
     return acc
+
+
+def _square_packed(items: list, p: int, off: int, guard: int) -> list:
+    """The nonzero terms, as (packed m, c) pairs, of (sum of a*m over the
+    (packed m, a) items)^2 mod p, each product dropped when it sets a guard
+    bit of ``m + off`` (:meth:`_PackedOrder.box`); every field of each m
+    must be below its bound, so that no sum of two carries into the next.
+
+    One loop over the unordered pairs: item i forms m_i^2 with a_i^2, then
+    m_u * m_i with 2 a_u a_i for each u < i, in the order in which the
+    layers of :func:`_layers` at count 2 would meet them, so that the terms
+    come out in the same order.
+    """
+    out = {}
+    get = out.get
+    for i, (mi, ai) in enumerate(items):
+        mm = mi + mi
+        if not (mm + off) & guard:
+            out[mm] = (get(mm, 0) + ai * ai) % p
+        twice = 2 * ai
+        for mu, au in items[:i]:
+            mm = mu + mi
+            if not (mm + off) & guard:
+                out[mm] = (get(mm, 0) + twice * au) % p
+    return [(m, c) for m, c in out.items() if c]
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +881,20 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     ``delta1``'s carry has no box, and its products pay for no test.
     ``top`` may pass p while every J_t stays below p: the b = 1 carry
     probes read f^a * delta1(f) off layer p + a.
+
+    A step's coefficient comes as its row, (coefficient * c) mod p for c in
+    0..p-1, built once per distinct coefficient in a call, and a source
+    coefficient scales by one read of it.  A product does one ``get``: a
+    new monomial takes its scaled coefficient as it is, and one already
+    there adds it and reduces mod p.  An entry whose coefficients cancel
+    stays, as a zero: :meth:`_PackedOrder.count` and the carry count count
+    nonzero coefficients, not entries.
     """
     off, guard = box
     inv_fact = [1] * p
     for j in range(2, p):
         inv_fact[j] = inv_fact[j - 1] * pow(j, -1, p) % p
+    rows = {}
     layers = [{0: 1}] + [{} for _ in range(top)]
     last = -1 if every else len(items) - 1
     for i, (m, c, jmax) in enumerate(items):
@@ -863,21 +902,27 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
         a = 1
         for j in range(1, jmax + 1):
             a = a * c % p
-            steps.append((j * m, a * inv_fact[j] % p))
+            aj = a * inv_fact[j] % p
+            row = rows.get(aj)
+            if row is None:
+                row = rows[aj] = [aj * x % p for x in range(p)]
+            steps.append((j * m, row))
         for k in range(top, top - 1 if i == last else 0, -1):
             out = layers[k]
             get = out.get
             for src in range(max(k - jmax, 0), k):
-                mj, aj = steps[k - src - 1]
+                mj, row = steps[k - src - 1]
                 if guard:
                     for mo, co in layers[src].items():
                         mm = mo + mj
                         if not (mm + off) & guard:
-                            out[mm] = (get(mm, 0) + co * aj) % p
+                            v = get(mm)
+                            out[mm] = row[co] if v is None else (v + row[co]) % p
                 else:
                     for mo, co in layers[src].items():
                         mm = mo + mj
-                        out[mm] = (get(mm, 0) + co * aj) % p
+                        v = get(mm)
+                        out[mm] = row[co] if v is None else (v + row[co]) % p
                 if i == last:
                     layers[src] = None
     return layers if every else layers[top]

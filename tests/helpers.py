@@ -215,6 +215,31 @@ def ref_pow_mod_frobenius(f: Polynomial, e: int, q: int) -> Polynomial:
     return Polynomial(f.field, f.vars, acc)
 
 
+def ref_layers(items, nvars: int, p: int, top: int, q: int | None = None) -> list:
+    """Oracle for the layer kernel, by Polynomial arithmetic.
+
+    ``items`` are (exponent tuple m, a, J) with J < p.  Entry k of the list
+    is the count-k part of prod_t sum_{j <= J_t} (a_t m_t)^j / j! mod p, for
+    k = 0..top, as a dict of its nonzero terms; with ``q``, a term with an
+    exponent >= q is left out.  The count is the exponent of one more
+    variable; after each factor the product drops its terms of count past
+    top, which generate an ideal and so change no term that is kept.
+    """
+    vs = VariableSet.unit(",".join([f"x{i}" for i in range(nvars)] + ["count"]))
+    product = Polynomial.constant(p, vs, 1)
+    for m, a, jmax in items:
+        factor = {tuple(j * e for e in m) + (j,): a ** j * pow(math.factorial(j), -1, p)
+                  for j in range(jmax + 1)}
+        product = product * Polynomial(p, vs, factor)
+        product = Polynomial(p, vs, {mono: c for mono, c in product.terms.items()
+                                     if mono[-1] <= top})
+    layers = [{} for _ in range(top + 1)]
+    for mono, c in product.terms.items():
+        if q is None or max(mono[:-1], default=0) < q:
+            layers[mono[-1]][mono[:-1]] = c
+    return layers
+
+
 def naive_delta1(f: Polynomial) -> Polynomial:
     """Oracle for delta1 by the multinomial theorem over the integers.
 

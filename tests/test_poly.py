@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from decimal import Decimal
+from operator import countOf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from helpers import (
     random_poly,
     ref_grevlex_key,
     ref_is_variable_name,
+    ref_layers,
     ref_parse_poly,
     ref_pow_mod_frobenius,
     ref_tokenize,
@@ -426,21 +428,27 @@ class TestPowModFrobenius:
 
     def test_steps_stop_at_the_box(self, monkeypatch):
         # each term's steps stop at the largest j with j * max(m) * p^i < q,
-        # and a term with no such j >= 1 is left out
+        # and a term with no such j >= 1 is left out; a digit 2 squares the
+        # terms with j >= 1 by pairs
         seen = []
-        kernel = poly_module._layers
+        layers, square = poly_module._layers, poly_module._square_packed
 
-        def recording(items, p, top, box):
+        def recording_layers(items, p, top, box):
             seen.append((top, [(order.unpack(m), j) for m, _, j in items]))
-            return kernel(items, p, top, box)
+            return layers(items, p, top, box)
 
-        monkeypatch.setattr(poly_module, "_layers", recording)
+        def recording_square(items, p, off, guard):
+            seen.append((2, [order.unpack(m) for m, _ in items]))
+            return square(items, p, off, guard)
+
+        monkeypatch.setattr(poly_module, "_layers", recording_layers)
+        monkeypatch.setattr(poly_module, "_square_packed", recording_square)
         f = parse_poly("1 + x*y + x^3 + x^5 + y^9", VS_XY, 5)
         order = poly_module._frobenius_box(f, 125)[0]
         # 53 = 2*25 + 0*5 + 3; at scale 25, x^5 reaches x^125 and y^9 more
         assert pow_mod_frobenius(f, 53, 125) == ref_pow_mod_frobenius(f, 53, 125)
         assert seen == [
-            (2, [((0, 0), 2), ((25, 25), 2), ((75, 0), 1)]),
+            (2, [(0, 0), (25, 25), (75, 0)]),
             (3, [((0, 0), 3), ((0, 9), 3), ((1, 1), 3), ((3, 0), 3), ((5, 0), 3)]),
         ]
 
@@ -450,6 +458,33 @@ class TestPowModFrobenius:
         f = parse_poly("x^4 + x^4*y + x^4*z + x^4*w", VariableSet.unit("x,y,z,w"), 5)
         assert pow_mod_frobenius(f, 4, 5).is_zero
         assert ref_pow_mod_frobenius(f, 4, 5).is_zero
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_digit_two_at_every_scale(self, p):
+        # a digit 2 squares the part by pairs; x^half fits the box at scale 1
+        # but its square does not, x^(q/p - 1) the same at scale p; x^q is
+        # outside; the binary form's exponents reach q - 1, where scaling
+        # before the test would carry one field into the next
+        q = p ** 2 if p == 7 else p ** 3
+        rng = random.Random(409 * p)
+        half = (q + 1) // 2
+        f = random_poly(rng, VS_XYZ, p, max_terms=3, max_exp=2)
+        forms = [
+            f + Polynomial.constant(p, VS_XYZ, rng.randint(1, p - 1)),
+            f + Polynomial(p, VS_XYZ, {(q, 0, 0): 1, (0, half, 0): 2, (0, 0, q // p - 1): 1}),
+            random_homogeneous(rng, VS_W, p, 6, max_terms=3)
+            + Polynomial(p, VS_W, {(0, 0, 0, half, 0): 1}),
+            random_homogeneous(rng, VS_XY, p, q - 1, max_terms=3),
+        ]
+        assert any(max(m) >= q for m in forms[1].terms)
+        for g in forms:
+            for e in (2, 2 * p, 2 * p * p, 2 + 2 * p):
+                if e >= q:
+                    continue
+                got = pow_mod_frobenius(g, e, q)
+                assert got == ref_pow_mod_frobenius(g, e, q), (str(g), e, q)
+                if e <= 2 * p + 2:
+                    assert got == pow_then_filter(g, e, q), (str(g), e, q)
 
     @staticmethod
     def _boxed_form(rng, vs, p, q, constant):
@@ -524,6 +559,81 @@ class TestMulModFrobenius:
         # x^80000 leaves the 2**16-box before the cap could see it
         f = parse_poly("x^40000 + y", VS_XY, 2)
         assert str(self._boxed_product(f, f, 2 ** 16)) == "y^2"
+
+
+class TestLayers:
+    """The layer kernel, the count-k parts of a product of truncated
+    exponentials mod p, against :func:`helpers.ref_layers`: unboxed and in
+    the q-box, the top layer alone and every layer, and top = p + a."""
+
+    @staticmethod
+    def _support(items, nvars, top, q):
+        """The monomials some product of steps reaches at each count, in
+        the q-box where there is one: the keys the kernel forms."""
+        layers = [{(0,) * nvars}] + [set() for _ in range(top)]
+        for m, _, jmax in items:
+            for k in range(top, 0, -1):
+                for j in range(1, min(jmax, k) + 1):
+                    for mono in layers[k - j]:
+                        mm = tuple(x + j * e for x, e in zip(mono, m))
+                        if q is None or max(mm, default=0) < q:
+                            layers[k].add(mm)
+        return layers
+
+    def _check(self, items, nvars, p, top, q, every):
+        """Compare the kernel's layers with the oracle; return how many
+        entries hold a cancelled coefficient."""
+        if q is None:
+            most = max(max(m, default=0) for m, _, _ in items) or 1
+            order, box = poly_module._packing(nvars, (top * most).bit_length() + 1), (0, 0)
+        else:
+            order = poly_module._packing(nvars, (q - 1).bit_length() + 1)
+            box = order.box([q] * nvars)
+        packed = [(order.pack(m), a, j) for m, a, j in items]
+        got = poly_module._layers(packed, p, top, box, every)
+        want = ref_layers(items, nvars, p, top, q)
+        support = self._support(items, nvars, top, q)
+        ks = range(top + 1) if every else [top]
+        layers = got if every else [got]
+        assert len(layers) == len(ks)
+        zeros = 0
+        for k, layer in zip(ks, layers):
+            assert all(0 <= c < p for c in layer.values())
+            terms = {order.unpack(m): c for m, c in layer.items()}
+            assert {m: c for m, c in terms.items() if c} == want[k], (items, p, top, q, k)
+            # a cancelled coefficient stays as a zero entry
+            assert set(terms) == support[k], (items, p, top, q, k)
+            zeros += countOf(terms.values(), 0)
+        return zeros
+
+    @staticmethod
+    def _items(rng, nvars, p, q):
+        """Up to six items with distinct monomials and nonzero coefficients;
+        in the q-box, only monomials inside it, each one's steps stopping at
+        the box, as the carry probes have them."""
+        pool = [0, 0, 1, 1, 2, 3] + ([q - 1, q // p] if q else [])
+        monos = {tuple(rng.choice(pool) for _ in range(nvars)) for _ in range(rng.randint(2, 6))}
+        items = []
+        for m in sorted(monos):
+            if q and max(m) >= q:
+                continue
+            jmax = p - 1 if q is None else min(p - 1, (q - 1) // (max(m) or 1))
+            items.append((m, rng.choice([-1, 1]) * rng.randrange(1, p), rng.randint(1, jmax)))
+        return items
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_seeded_against_the_product_oracle(self, p):
+        rng = random.Random(6151 * p)
+        # x*y*z from x times y*z and from x*y times z: a_1 a_2 + a_3 a_4 = 0
+        cancelling = [((1, 0, 0), 1, 1), ((0, 1, 1), 1, 1), ((1, 1, 0), 1, 1),
+                      ((0, 0, 1), -1, 1)]
+        for q in (None, p, p * p):
+            assert self._check(cancelling, 3, p, 2, q, True)
+            for _ in range(12 if p < 11 else 4):
+                nvars = rng.randint(1, 3)
+                items = self._items(rng, nvars, p, q)
+                for top, every in ((p, False), (p, True), (p + rng.randrange(p), False)):
+                    self._check(items, nvars, p, top, q, every)
 
 
 class TestPackedBox:

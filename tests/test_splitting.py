@@ -251,6 +251,12 @@ class TestDelta1Probe:
         # boundary inputs: a = p and b = 2 keep the boxed product, s = 1 does not
         f = random_homogeneous(rng, vs, 3, 2, max_terms=4)
         cases += [(f, 3, 1, 2), (f, 1, 1, 1), (f, 1, 2, 2)]
+        # a digit 2 of the carry's power, its square formed by pairs: b = 2 at
+        # scale 1, b = 2p at scale p
+        for p, s, vset in ((3, 2, vs), (3, 3, vs), (5, 2, binary), (5, 3, binary),
+                           (7, 3, binary)):
+            f = random_homogeneous(rng, vset, p, 2, max_terms=4)
+            cases += [(f, a, b, s) for a in (0, 1) for b in (2, 2 * p)]
         for f, a, b, s in cases:
             ring = HypersurfaceRing(f.p, f.vars, f)
             # for b = 1 the multinomial theorem over the integers gives the carry
