@@ -750,9 +750,8 @@ def _square_packed(items: list, p: int, off: int, guard: int) -> list:
     must be below its bound, so that no sum of two carries into the next.
 
     One loop over the unordered pairs: item i forms m_i^2 with a_i^2, then
-    m_u * m_i with 2 a_u a_i for each u < i, in the order in which the
-    layers of :func:`_layers` at count 2 would meet them, so that the terms
-    come out in the same order.
+    m_u * m_i with 2 a_u a_i for each u < i; terms keep the order in which
+    they are first formed, the order of :func:`_layers` at count 2.
     """
     out = {}
     get = out.get
