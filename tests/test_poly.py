@@ -635,6 +635,16 @@ class TestLayers:
                 for top, every in ((p, False), (p, True), (p + rng.randrange(p), False)):
                     self._check(items, nvars, p, top, q, every)
 
+    @pytest.mark.parametrize("p", [31, 97])
+    def test_large_p_against_the_product_oracle(self, p):
+        # the multiplication table of _times at the largest fields, one
+        # draw of at most three items, unboxed and in the p-box
+        rng = random.Random(6151 * p)
+        assert poly_module._times(p)[p - 1] == [-c % p for c in range(p)]
+        for q in (None, p):
+            items = self._items(rng, 2, p, q)[:3]
+            self._check(items, 2, p, p, q, True)
+
 
 class TestPackedBox:
     """_PackedOrder.box against the tuple predicate "some e_i >= bounds[i]"."""
