@@ -230,9 +230,10 @@ def _packing(n: int, width: int) -> _PackedOrder:
 
 
 @lru_cache(maxsize=None)
-def _times(p: int) -> list:
-    """The multiplication table mod p: row a holds a * c mod p for c in 0..p-1."""
-    return [[a * c % p for c in range(p)] for a in range(p)]
+def _times(p: int) -> tuple:
+    """The multiplication table mod p: row a holds a * c mod p for c in 0..p-1.
+    Tuples, as every caller in the process shares them."""
+    return tuple(tuple([a * c % p for c in range(p)]) for a in range(p))
 
 
 @lru_cache(maxsize=None)

@@ -640,7 +640,7 @@ class TestLayers:
         # the multiplication table of _times at the largest fields, one
         # draw of at most three items, unboxed and in the p-box
         rng = random.Random(6151 * p)
-        assert poly_module._times(p)[p - 1] == [-c % p for c in range(p)]
+        assert poly_module._times(p)[p - 1] == tuple(-c % p for c in range(p))
         for q in (None, p):
             items = self._items(rng, 2, p, q)[:3]
             self._check(items, 2, p, p, q, True)
