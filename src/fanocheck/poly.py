@@ -893,11 +893,15 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     new monomial takes its scaled coefficient as it is, and one already
     there adds it and reduces mod p.  An entry whose coefficients cancel
     stays, as a zero: :meth:`_PackedOrder.count` and the carry count count
-    nonzero coefficients, not entries.  The table is built once per p in a
-    process (p^2 entries: about 15 us at p = 11 and 0.7 ms at p = 97 on a
-    2-vCPU Xeon VM); rows built anew in each call made the small calls of
-    2-term forms 30-50% slower than a multiply per product at p = 31 and 97,
-    while the table keeps them level and whole carries at p 5-97 faster.
+    nonzero coefficients, not entries.
+
+    The table is built once per p in a process: p^2 entries, 9 us at
+    p = 11 and 0.45 ms at p = 97 (2-vCPU Xeon VM, Python 3.11).  Rows built
+    anew in each call cost up to that much every call, and made delta1,
+    fedder_report and the b = 1 probe on 2-term forms 20-50% slower than
+    a multiply per product at p = 31 and 97.  With the table those calls
+    are within 4% of it, on 3- and 4-term forms there 1-17% faster, and on
+    the seeded survey forms at p 5-11 1-10% faster.
     """
     off, guard = box
     inv_fact = [1] * p
