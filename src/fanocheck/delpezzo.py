@@ -190,9 +190,6 @@ class PointConfig(_Value):
         normalized = {_normalize(p, gf) for p in points}
         return cls(q, tuple(sorted(normalized)))
 
-    def __len__(self):
-        return len(self.points)
-
 
 def pgl3_order(q: int) -> int:
     """|PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), for prime powers q <= 8."""

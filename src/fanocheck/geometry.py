@@ -15,8 +15,10 @@ ambient, and it stops as soon as the last tuple closes, since leading
 monomials of a partial basis already lie in the initial ideal.  So a failed
 certificate is the Singular verdict.  The charts run one by one only to name
 a witness, the first chart where V(J) meets g != 0, and the verdict never
-runs them.  Both runs take J's generators packed straight from f, built once
-per call.  Each chart is dehomogenized rather than localized:
+runs them.  Both runs take J's generators packed straight from f, once per
+call, by :func:`ideals._jacobian_certificate`: it runs the certificate
+and, when it fails, hands the same generators to the chart loop, so this
+module packs nothing.  Each chart is dehomogenized rather than localized:
 J is homogeneous for one C* per factor, acting with that factor's weights,
 and over the algebraic closure every point with g != 0 scales to one with
 each chart variable equal to 1 (x^w = c is solvable for any w, also when p
@@ -37,14 +39,12 @@ from collections.abc import Sequence
 from functools import cached_property
 from math import gcd
 
-from .ideals import _chart_is_unit, _jacobian_stops_or_is_unit, _packed_jacobian
+from .ideals import _chart_is_unit, _jacobian_certificate
 from .poly import (
     ParseError,
     Polynomial,
     VariableSet,
-    _grevlex,
     _is_variable_name,
-    _PackedOrder,
     _set,
     _Value,
     as_prime,
@@ -251,26 +251,6 @@ class ConeResult(_Value):
         self._init(smooth_away_from_irrelevant, witness_chart)
 
 
-def _chart_smoothness(variety: HypersurfaceVariety, order: _PackedOrder,
-                      jac: list) -> ConeResult:
-    """Test J, given by its packed generators ``jac``, on every chart
-    picking one variable per factor, in ``chart_tuples()`` order.
-
-    These charts cover exactly the complement of the irrelevant locus.  A
-    chart fails when J + (x_i - 1 : x_i in the chart) is not the unit ideal;
-    by the dehomogenization identity in the module docstring that happens
-    exactly when J does not become the unit ideal after inverting the
-    chart's product, so the first failing chart, the witness, is the one
-    the localization test would name.
-    """
-    vset = variety.space.variable_set
-    for chart in variety.space.chart_tuples():
-        if not _chart_is_unit(jac, [vset.index(name) for name in chart],
-                              order, variety.prime.p):
-            return ConeResult(False, "*".join(chart))
-    return ConeResult(True)
-
-
 def _no_chart_open(space: AmbientSpace):
     """The support certificate's stop predicate on ``space``.
 
@@ -293,18 +273,6 @@ def _no_chart_open(space: AmbientSpace):
     return no_chart_open
 
 
-def _support_certificate(variety: HypersurfaceVariety, order: _PackedOrder,
-                         jac: list) -> bool:
-    """Whether the irrelevant ideal lies in the radical of J.
-
-    Runs Buchberger on J's packed generators ``jac`` and closes a chart
-    tuple once some leading monomial is supported inside it; the run stops
-    when no tuple is open.
-    """
-    return _jacobian_stops_or_is_unit(jac, order, variety.prime.p,
-                                      _no_chart_open(variety.space))
-
-
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     """Jacobian criterion on the affine cone away from the irrelevant locus,
     with a witness chart when it fails.
@@ -320,11 +288,16 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     homogeneous for one C* per factor), so ``witness_chart`` names the
     chart a localization test would.
     """
-    order = _grevlex(variety.f.vars.n)
-    jac = _packed_jacobian(variety.f, order)
-    if _support_certificate(variety, order, jac):
+    failed = _jacobian_certificate(variety.f, _no_chart_open(variety.space))
+    if failed is None:
         return ConeResult(True)
-    return _chart_smoothness(variety, order, jac)
+    order, jac = failed
+    vset = variety.space.variable_set
+    for chart in variety.space.chart_tuples():
+        if not _chart_is_unit(jac, [vset.index(name) for name in chart],
+                              order, variety.prime.p):
+            return ConeResult(False, "*".join(chart))
+    return ConeResult(True)
 
 
 class SmoothnessStatus(enum.Enum):
@@ -350,8 +323,7 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     each stratum variable (so the stratum point misses the hypersurface),
     QuasiSmoothOnly when cone-smooth but some stratum point lies on it.
     """
-    order = _grevlex(variety.f.vars.n)
-    if not _support_certificate(variety, order, _packed_jacobian(variety.f, order)):
+    if _jacobian_certificate(variety.f, _no_chart_open(variety.space)) is not None:
         return SmoothnessStatus.SINGULAR
     verdict = SmoothnessStatus.SMOOTH
     for stratum in ambient_singular_strata(variety.space):

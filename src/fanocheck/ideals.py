@@ -39,10 +39,12 @@ leaves through the packing's ``polynomial`` method; the public API speaks
 Smoothness never builds an ideal.  :func:`_packed_jacobian` packs f once
 and forms each partial on the packed monomials, reading the exponent e of
 x_i from its field and mapping a term c*x^m to (c*e mod p)*x^(m - e_i).
-The support certificate (:func:`_jacobian_stops_or_is_unit`) and the
-witness charts (:func:`_chart_is_unit`) both run on those generators, so
-the Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
-polynomial.
+:func:`_jacobian_certificate`, the one entry :mod:`fanocheck.geometry`
+calls for a verdict, packs those generators and runs the support
+certificate on them; when it fails it hands back the same generators,
+and the witness charts (:func:`_chart_is_unit`) run on them.  So the
+Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
+polynomial, and geometry imports no packing.
 """
 
 from __future__ import annotations
@@ -306,17 +308,19 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
     return [packed, *partials]
 
 
-def _jacobian_stops_or_is_unit(jac: Sequence, order: _PackedOrder, p: int,
-                               stop) -> bool:
-    """Whether Buchberger on the generators ``jac`` ends at ``stop`` or at
-    the unit ideal.
+def _jacobian_certificate(f: Polynomial, stop) -> tuple | None:
+    """None when Buchberger on the Jacobian ideal J of f ends at ``stop`` or
+    at the unit ideal; else (order, gens), the grevlex packing and J's
+    generators from :func:`_packed_jacobian` that the run left as they
+    were, for :func:`_chart_is_unit`.
 
-    ``jac`` is :func:`_packed_jacobian`'s list, which the run leaves as it
-    was; ``stop`` sees each leading monomial entering the basis as an
-    exponent tuple, and the basis is not kept.
+    ``stop`` sees each leading monomial entering the basis as an exponent
+    tuple, and the basis is not kept.
     """
-    basis = _buchberger_raw(jac, order, p, stop)
-    return basis is None or basis is _UNIT
+    order = _grevlex(f.vars.n)
+    jac = _packed_jacobian(f, order)
+    basis = _buchberger_raw(jac, order, f.p, stop)
+    return None if basis is None or basis is _UNIT else (order, jac)
 
 
 def _chart_is_unit(gens: Sequence, chart: Sequence[int], order: _PackedOrder,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import countOf, mul
 
 EXPONENT_LIMIT = 1 << 16
@@ -828,6 +828,77 @@ def _carry_packing(f: Polynomial) -> _PackedOrder:
     return _packing(f.vars.n, (f.p * max(map(max, f.terms))).bit_length() + 1)
 
 
+def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
+    """f^a * delta1(f)^b reduced modulo (x_i^q), q = p^s, for a nonzero f,
+    a, b >= 0 and s >= 1.
+
+    No exponent of the product passes E = (a + p*b) * (f's top exponent),
+    so every box with q > E keeps all of it: q is p^s or, when that is
+    larger, the least power of p above E, and p^s is never formed.  The
+    packing holds the q-box: f's terms in the box, packed once (a term
+    outside enters no carry term inside it), and the carry's items
+    x_t = -c_t m_t, each one's steps stopping at the box, so that
+    :func:`_layers` gives T_k, the count-k part of
+    T = prod_t sum_{j <= J_t} x_t^j / j!, and delta1(f) = T_p in the box.
+    Only the result is unpacked, so only its terms are checked against the
+    exponent cap.  Where b != 1 or a >= p, f^a and the carry's b-th power
+    come from :func:`_pow_boxed` and one boxed product.
+
+    For b = 1 and a < p the probe is read off layer p + a of T, with a
+    correction in g = sum_t x_t = -f, and there is no power of f.  Over
+    F_p each factor E(x) = sum_{j < p} x^j / j! has, with theta = x d/dx,
+    x E(x) = theta E(x) + x^p / (p-1)! = theta E(x) - x^p, as (p-1)! = -1
+    by Wilson's theorem.  Where the box truncates an item (J_t < p - 1),
+    x_t^(J_t + 1) is cut, and so is the extra term.  Summed over the
+    items, with T^(t) the product without item t,
+
+        g T_k = (k + 1) T_(k+1) - sum_t x_t^p T^(t)_(k+1-p).
+
+    Below count p, T_k = g^k / k! and T^(t) is T times exp(-x_t), so for
+    a < p this unrolls to
+
+        f^a delta1(f) = (-1)^a [a! T_(p+a) - sum_{j=0..a} w_j g^(a-j) S_(p+j)],
+
+    S_k = sum_t x_t^k, w_j = (-1)^j sum_{i=max(j,1)..a} C(i, j) / i mod p.
+    The sum runs as Horner's rule in g, acc <- acc * g + w_j S_(p+j), with
+    at most a boxed products.  A term of S_k is formed only when its top
+    exponent times k is below q, tested before packing so that no field
+    carries into the next; an item the box truncates has none.
+    """
+    p = f.p
+    bound = (a + p * b) * max(map(max, f.terms))
+    q = p
+    for _ in range(s - 1):
+        if q > bound:
+            break
+        q *= p
+    order, box = _frobenius_box(f, q)
+    inside = [(order.pack(m), c, max(m)) for m, c in sorted(f.terms.items()) if max(m) < q]
+    items = [(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside]
+    if b != 1 or a >= p:
+        fa = _pow_boxed(order, box, {m: c for m, c, _ in inside}, a, p, q)
+        carry = _layers(items, p, p, box)
+        db = _pow_boxed(order, box, {m: c for m, c in carry.items() if c}, b, p, q)
+        return order.polynomial(f.field, f.vars, _mul_packed(db, list(fa.items()), p, *box))
+    g = [(m, -c % p) for m, c, _ in inside]
+    acc = {}
+    for j in range(a + 1):
+        if acc:
+            acc = _mul_packed(acc, g, p, *box)
+        w = (-1) ** j * sum(comb(i, j) * pow(i, -1, p) for i in range(max(j, 1), a + 1)) % p
+        if w:
+            k = p + j
+            for m, c, top in inside:
+                if top * k < q:
+                    acc[m * k] = (acc.get(m * k, 0) + w * pow(-c, k, p)) % p
+    sign = (-1) ** a
+    scale = sign * factorial(a) % p
+    out = {m: scale * c % p for m, c in _layers(items, p, p + a, box).items()}
+    for m, c in acc.items():
+        out[m] = (out.get(m, 0) - sign * c) % p
+    return order.polynomial(f.field, f.vars, out)
+
+
 def _delta1_count(f: Polynomial) -> int:
     """``delta1(f).num_terms`` for a weighted-homogeneous f, from the counts
     of f's blocks: two terms share a block when they share a variable.
@@ -883,10 +954,10 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     ``every`` it fills every layer like the others, and the list of all
     top + 1 layers comes back (the carry count's blocks).  With
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
-    product that leaves the box as it is formed (the carry probes' carry);
-    ``delta1``'s carry has no box, and its products pay for no test.
-    ``top`` may pass p while every J_t stays below p: the b = 1 carry
-    probes read f^a * delta1(f) off layer p + a.
+    product that leaves the box as it is formed (the carry in
+    :func:`_delta1_probe`); ``delta1``'s carry has no box, and its products
+    pay for no test.  ``top`` may pass p while every J_t stays below p:
+    :func:`_delta1_probe` reads f^a * delta1(f) off layer p + a for b = 1.
 
     A step's coefficient comes as its row of :func:`_times`, and a source
     coefficient scales by one read of it.  A product does one ``get``: a

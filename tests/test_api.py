@@ -175,13 +175,11 @@ PRIVATE_IMPORTS = {
     "chow": ["poly._Value", "poly._mul_packed", "poly._packing", "poly._read_int"],
     "corpus": ["poly._Value", "poly._set"],
     "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
-    "geometry": ["ideals._chart_is_unit", "ideals._jacobian_stops_or_is_unit",
-                 "ideals._packed_jacobian", "poly._PackedOrder", "poly._Value",
-                 "poly._grevlex", "poly._is_variable_name", "poly._set"],
+    "geometry": ["ideals._chart_is_unit", "ideals._jacobian_certificate",
+                 "poly._Value", "poly._is_variable_name", "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
-    "splitting": ["poly._Value", "poly._delta1_count", "poly._frobenius_box",
-                  "poly._layers", "poly._mul_packed", "poly._pow_boxed"],
+    "splitting": ["poly._Value", "poly._delta1_count", "poly._delta1_probe"],
 }
 
 

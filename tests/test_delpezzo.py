@@ -264,7 +264,7 @@ class TestPlaneConfigurations:
 
     def test_normalization_merges_scalings(self):
         config = PointConfig.from_points(3, [(1, 2, 0), (2, 1, 0)])
-        assert len(config) == 1
+        assert len(config.points) == 1
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -337,7 +337,7 @@ class TestOrbitAgainstBruteForce:
             canonical, size = pgl_orbit_canonical(config)
             assert (canonical.points, size) == brute_force_orbit(config), (q, points)
             assert canonical.q == q
-            seen.add((q, len(config)))
+            seen.add((q, len(config.points)))
         assert {(q, n) for q in (2, 3, 4) for n in range(8)} <= seen
 
 

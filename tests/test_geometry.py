@@ -13,16 +13,20 @@ from fanocheck.geometry import (
     HypersurfaceVariety,
     SmoothnessStatus,
     UnsupportedStratumError,
-    _chart_smoothness,
     _coprime_base,
     _no_chart_open,
-    _support_certificate,
     ambient_singular_strata,
     cone_smoothness,
     parse_ambient,
     smoothness_verdict,
 )
-from fanocheck.ideals import PolyIdeal, _packed_jacobian, normal_form
+from fanocheck.ideals import (
+    PolyIdeal,
+    _chart_is_unit,
+    _jacobian_certificate,
+    _packed_jacobian,
+    normal_form,
+)
 from fanocheck.poly import (
     ParseError,
     Polynomial,
@@ -219,11 +223,18 @@ class TestConeSmoothness:
 
 
 def _both_methods(v):
-    """(single-basis verdict, chart-by-chart result), both on J's generators
-    packed from f once, the certificate run first."""
-    order = _grevlex(v.f.vars.n)
+    """(single-basis verdict, chart-by-chart result).  The certificate runs
+    as the smoothness calls run it; the chart loop runs on J's packed
+    generators for every member, certified or not, up to the first chart
+    that is not the unit ideal."""
+    certified = _jacobian_certificate(v.f, _no_chart_open(v.space)) is None
+    vs = v.space.variable_set
+    order = _grevlex(vs.n)
     jac = _packed_jacobian(v.f, order)
-    return _support_certificate(v, order, jac), _chart_smoothness(v, order, jac)
+    for chart in v.space.chart_tuples():
+        if not _chart_is_unit(jac, [vs.index(name) for name in chart], order, v.prime.p):
+            return certified, ConeResult(False, "*".join(chart))
+    return certified, ConeResult(True)
 
 
 def _singular_at_e0(rng, space, p, degree):
@@ -501,9 +512,9 @@ class TestPackedCharts:
         later = several = 0
         for label, v, point_chart in members:
             vs = v.space.variable_set
-            order = _grevlex(vs.n)
-            jac = _packed_jacobian(v.f, order)
-            assert not _support_certificate(v, order, jac), label
+            failed = _jacobian_certificate(v.f, _no_chart_open(v.space))
+            assert failed is not None, label
+            order, jac = failed
             gens = jacobian_generators(v.f)
             failing = []
             for chart in v.space.chart_tuples():
@@ -669,26 +680,26 @@ class TestChartMasks:
 class TestFastPath:
     @pytest.fixture
     def unit_calls(self, monkeypatch):
-        """What a call runs of the chart code: "loop" as the chart loop
+        """What a call runs: "certificate" as each support certificate
         starts, then each chart tested, as its variables' indices."""
         calls = []
-        real_loop, real_chart = geometry._chart_smoothness, ideals._chart_is_unit
+        real_certificate, real_chart = ideals._jacobian_certificate, ideals._chart_is_unit
 
-        def loop(variety, order, jac):
-            calls.append("loop")
-            return real_loop(variety, order, jac)
+        def certificate(f, stop):
+            calls.append("certificate")
+            return real_certificate(f, stop)
 
         def chart(gens, indices, order, p):
             calls.append(tuple(indices))
             return real_chart(gens, indices, order, p)
 
-        monkeypatch.setattr(geometry, "_chart_smoothness", loop)
+        monkeypatch.setattr(geometry, "_jacobian_certificate", certificate)
         monkeypatch.setattr(geometry, "_chart_is_unit", chart)
         return calls
 
     @pytest.fixture
     def built_jacobians(self, monkeypatch):
-        """Each time a call packs J's generators from f, wherever it does."""
+        """Each time a call packs J's generators from f."""
         built = []
         real = ideals._packed_jacobian
 
@@ -696,7 +707,6 @@ class TestFastPath:
             built.append("packed")
             return real(f, order)
 
-        monkeypatch.setattr(geometry, "_packed_jacobian", packed)
         monkeypatch.setattr(ideals, "_packed_jacobian", packed)
         return built
 
@@ -704,7 +714,7 @@ class TestFastPath:
         v = variety("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 11,
                     names=["x0", "x1", "x2", "x3", "y"])
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
-        assert unit_calls == []
+        assert unit_calls == ["certificate"]
         assert built_jacobians == ["packed"]
 
     def test_double_plane_tests_charts_up_to_the_witness(self, unit_calls,
@@ -712,20 +722,20 @@ class TestFastPath:
         v = variety("P(1,1,1)", "x0^2", 5)
         res = cone_smoothness(v)
         assert res.witness_chart == "x1"
-        assert unit_calls == ["loop", (0,), (1,)]
+        assert unit_calls == ["certificate", (0,), (1,)]
         # the charts run on the generators the certificate ran on
         assert built_jacobians == ["packed"]
 
     def test_smooth_cone_builds_no_ideal(self, unit_calls, built_jacobians):
         assert cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5)) \
             == ConeResult(True)
-        assert unit_calls == []
+        assert unit_calls == ["certificate"]
         assert built_jacobians == ["packed"]
 
     def test_smooth_product_tests_no_chart(self, unit_calls, built_jacobians):
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
-        assert unit_calls == []
+        assert unit_calls == ["certificate"]
         assert built_jacobians == ["packed"]
 
     def test_singular_product_packs_once(self, unit_calls, built_jacobians):
@@ -733,7 +743,7 @@ class TestFastPath:
         # units, x0*y2 is the witness, and all three reuse one packing
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5)
         assert cone_smoothness(v) == ConeResult(False, "x0*y2")
-        assert unit_calls == ["loop", (0, 3), (0, 4), (0, 5)]
+        assert unit_calls == ["certificate", (0, 3), (0, 4), (0, 5)]
         assert built_jacobians == ["packed"]
 
     @pytest.mark.parametrize("ambient,poly", [
@@ -745,7 +755,7 @@ class TestFastPath:
         # a failed support certificate is the verdict; charts only name a
         # witness, which smoothness_verdict does not ask for
         assert smoothness_verdict(variety(ambient, poly, 5)) is SmoothnessStatus.SINGULAR
-        assert unit_calls == []
+        assert unit_calls == ["certificate"]
         assert built_jacobians == ["packed"]
 
 

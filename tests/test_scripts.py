@@ -5,8 +5,6 @@ user runs it; the scripts put ``src`` on the path themselves.
 """
 
 import importlib.util
-import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,59 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def _run(*args, env=None):
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, timeout=120)
-
-
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return _run("-m", "fanocheck.cli", *args, env=env)
-
-
-def test_verify_examples_json_matches_the_cli():
-    script = _run(str(SCRIPTS / "verify_examples.py"), "--json")
-    assert script.returncode == 0, script.stderr
-    cli = _run_cli("verify", "corpus/paper_examples.json", "--format", "json")
-    assert cli.returncode == 0, cli.stderr
-    assert script.stdout == cli.stdout
-
-
-def _line_corpus(expect):
-    return {"entries": [{
-        "name": "line", "prime": 2, "polynomial": "t0",
-        "ambient": {"factors": [{"weights": [1, 1], "vars": ["t0", "t1"]}]},
-        "checks": [{"kind": "fsplit", "expect": "FSplit"},
-                   {"kind": "smooth", "expect": expect}],
-        "paper_ref": "a line in P^1 over F_2",
-    }]}
-
-
-@pytest.mark.parametrize("document,code", [
-    (_line_corpus("Smooth"), 0),
-    (_line_corpus("Singular"), 1),
-    ({"entries": [{"name": "line"}]}, 2),
-], ids=["passing", "failing", "malformed"])
-@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-def test_verify_examples_is_the_cli_verify(tmp_path, document, code, as_json):
-    path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(document))
-    script = _run(str(SCRIPTS / "verify_examples.py"), str(path),
-                  *(["--json"] if as_json else []))
-    cli = _run_cli("verify", str(path), "--format", "json" if as_json else "text")
-    assert script.returncode == cli.returncode == code, (script.stderr, cli.stderr)
-    assert script.stdout == cli.stdout
-    assert script.stderr == cli.stderr
-    assert script.stderr.startswith(b"error: ") == (code == 2)
-
-
-def test_verify_examples_rejects_bad_jobs_like_the_cli():
-    script = _run(str(SCRIPTS / "verify_examples.py"), "--jobs", "0")
-    cli = _run_cli("verify", "corpus/paper_examples.json", "--jobs", "0")
-    assert script.returncode == cli.returncode == 2
-    assert script.stderr == cli.stderr == b"error: jobs must be >= 1\n"
+def _run(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
+                          timeout=120)
 
 
 def test_splitting_survey_prints_one_row_per_prime():

@@ -7,7 +7,6 @@ from operator import countOf
 import pytest
 
 import fanocheck.poly as poly_module
-import fanocheck.splitting as splitting_module
 from fanocheck.poly import (
     ExponentOverflowError,
     NonHomogeneousError,
@@ -271,10 +270,10 @@ class TestDelta1Probe:
         # any s; every other input keeps both powers and their final product
         calls = []
         for name in ("_layers", "_pow_boxed", "_mul_packed"):
-            def spy(*args, name=name, kernel=getattr(splitting_module, name)):
+            def spy(*args, name=name, kernel=getattr(poly_module, name)):
                 calls.append((name, args))
                 return kernel(*args)
-            monkeypatch.setattr(splitting_module, name, spy)
+            monkeypatch.setattr(poly_module, name, spy)
         ring = sextic_ring(5)
         for a, s in ((0, 2), (2, 2), (4, 2), (1, 1)):
             calls.clear()
@@ -287,6 +286,27 @@ class TestDelta1Probe:
             assert [name for name, _ in calls] == \
                 ["_pow_boxed", "_layers", "_pow_boxed", "_mul_packed"]
             assert calls[1][1][2] == 5
+
+    def test_large_s_boxes_at_the_product_degree(self, monkeypatch):
+        # no exponent of f^a * delta1(f)^b passes E = (a + p*b) * (f's top
+        # exponent), so s = 10^6 gives the unboxed product, formed in the
+        # box of the least power of p above E
+        boxes = []
+        real = poly_module._frobenius_box
+        monkeypatch.setattr(poly_module, "_frobenius_box",
+                            lambda f, q: boxes.append(q) or real(f, q))
+        rng = random.Random(6211)
+        vs = VariableSet.unit("x0,x1,x2")
+        for p in (2, 3, 5, 7):
+            for a, b in ((0, 0), (2, 0), (0, 1), (1, 1), (p - 1, 1), (p, 1), (1, 2)):
+                f = random_homogeneous(rng, vs, p, 2, max_terms=4)
+                q = p
+                while q <= (a + p * b) * max(map(max, f.terms)):
+                    q *= p
+                boxes.clear()
+                probe = delta1_probe(HypersurfaceRing(p, vs, f), a, b, 10 ** 6)
+                assert probe == f ** a * delta1(f) ** b, (str(f), a, b)
+                assert boxes == [q], (str(f), a, b)
 
     def test_terms_outside_the_box_are_left_out(self):
         # x^5 does not fit the 2-bit fields of the 2-box; packed, it would
