@@ -5,7 +5,7 @@ stores a dict mapping monomials to coefficients in {1, ..., p-1}; zero
 coefficients are never kept.  The canonical term order everywhere is graded
 reverse lexicographic (grevlex), ties broken towards earlier variables.
 
-This module owns the one packing of monomials into ints (Monagan & Pearce,
+This module owns the bit-field packing of monomials (Monagan & Pearce,
 CASC 2007), :class:`_PackedOrder`: a product of monomials is one integer
 add and the box test "some exponent >= its bound" (:meth:`_PackedOrder.box`)
 one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs, boxes
@@ -192,10 +192,6 @@ class _PackedOrder:
         zeros dropped, validated only by :meth:`_capped`."""
         return Polynomial._trusted(field, variables,
                                    self.unpack_terms(self._capped(packed)))
-
-    def count(self, packed: dict) -> int:
-        """How many terms :meth:`polynomial` keeps, unpacking none."""
-        return len(packed) - countOf(self._capped(packed).values(), 0)
 
     def _capped(self, packed: dict) -> dict:
         """``packed``; the first nonzero term with an exponent past the cap
@@ -806,8 +802,7 @@ def _delta1_packed(f: Polynomial) -> tuple:
     """(packing, carry) for a nonzero f: delta1(f) on packed monomials,
     coefficients in 0..p-1 and zeros kept: :func:`_layers` at count p, the
     steps of each term -c*m running to j = p - 1.  :func:`delta1` unpacks
-    it; :func:`_delta1_count` counts it where f is one block or the packing
-    is wider than the cap's.
+    it; :func:`_delta1_count` builds its layers on mixed-radix keys.
 
     Terms go in lex order of their exponents, so the first ones share a
     face of the Newton polytope and the layers grow slowly.  With no two
@@ -824,8 +819,10 @@ def _delta1_packed(f: Polynomial) -> tuple:
 
 
 def _carry_packing(f: Polynomial) -> _PackedOrder:
-    """The packing of f's carry: a field holds p times f's top exponent."""
-    return _packing(f.vars.n, (f.p * max(map(max, f.terms))).bit_length() + 1)
+    """The packing of f's carry: a field holds p times f's top exponent, and
+    a guard bit for :meth:`_PackedOrder._capped` only where that reaches the cap."""
+    top = f.p * max(map(max, f.terms))
+    return _packing(f.vars.n, top.bit_length() + (top >= EXPONENT_LIMIT))
 
 
 def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
@@ -842,7 +839,8 @@ def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
     T = prod_t sum_{j <= J_t} x_t^j / j!, and delta1(f) = T_p in the box.
     Only the result is unpacked, so only its terms are checked against the
     exponent cap.  Where b != 1 or a >= p, f^a and the carry's b-th power
-    come from :func:`_pow_boxed` and one boxed product.
+    come from :func:`_pow_boxed` and one boxed product; at b = 0 the probe
+    is f^a alone, and no carry is built.
 
     For b = 1 and a < p the probe is read off layer p + a of T, with a
     correction in g = sum_t x_t = -f, and there is no power of f.  Over
@@ -877,6 +875,8 @@ def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
     items = [(m, -c, min(p - 1, (q - 1) // (top or 1))) for m, c, top in inside]
     if b != 1 or a >= p:
         fa = _pow_boxed(order, box, {m: c for m, c, _ in inside}, a, p, q)
+        if not b:
+            return order.polynomial(f.field, f.vars, fa)
         carry = _layers(items, p, p, box)
         db = _pow_boxed(order, box, {m: c for m, c in carry.items() if c}, b, p, q)
         return order.polynomial(f.field, f.vars, _mul_packed(db, list(fa.items()), p, *box))
@@ -911,13 +911,24 @@ def _delta1_count(f: Polynomial) -> int:
     polynomials in disjoint variables over F_p has the product of their term
     counts.  Each block's layers come from :func:`_layers` and are counted
     and dropped; a single term has one term at every count below p.  Where f
-    is one block, or the packing is wider than the cap's, the whole carry is
-    built and counted instead, so only a nonzero carry term past the cap
-    raises, as in :func:`delta1`.
+    is one block, one :func:`_layers` pass builds its count-p layer alone.
+
+    Nothing here unpacks or box-tests a key, so keys are mixed radix, not
+    :func:`_carry_packing`'s bit fields: x_i's unit is prod_{j<i} (top_j + 1),
+    top_j = p * (x_j's top exponent in f), which no layer's exponent passes.
+    A product stays one add, on narrower keys (one CPython digit, not 35-40
+    bits, on the P^4 quartic at p = 11) spread over the dict's slots.  Where a
+    top_j reaches the cap the count is delta1(f)'s: a term past it raises.
     """
     p = f.p
     if f.num_terms <= 1:
         return 0
+    tops = [p * max(column) for column in zip(*f.terms)]
+    if max(tops) >= EXPONENT_LIMIT:
+        return delta1(f).num_terms
+    units = [1]
+    for top in tops[:-1]:
+        units.append(units[-1] * (top + 1))
     blocks = {}  # a block's variables as a bit mask -> its terms
     for m, c in f.terms.items():
         mask = sum([1 << i for i, e in enumerate(m) if e])
@@ -926,16 +937,15 @@ def _delta1_count(f: Polynomial) -> int:
             mask |= other
             terms += blocks.pop(other)
         blocks[mask] = terms
-    order = _carry_packing(f)
-    if len(blocks) == 1 or order.width > _CAPPED_WIDTH:
-        order, carry = _delta1_packed(f)
-        return order.count(carry)
     total = [1] + [0] * p
     for block in blocks.values():
         if len(block) == 1:
             counts = [1] * p + [0]
         else:
-            items = [(order.pack(m), -c, p - 1) for m, c in sorted(block)]
+            items = [(sum(map(mul, m, units)), -c, p - 1) for m, c in sorted(block)]
+            if len(blocks) == 1:
+                layer = _layers(items, p, p)
+                return len(layer) - countOf(layer.values(), 0)
             counts = [len(layer) - countOf(layer.values(), 0)
                       for layer in _layers(items, p, p, every=True)]
         total = [sum(map(mul, total[:k + 1], counts[k::-1])) for k in range(p + 1)]
@@ -963,8 +973,8 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     coefficient scales by one read of it.  A product does one ``get``: a
     new monomial takes its scaled coefficient as it is, and one already
     there adds it and reduces mod p.  An entry whose coefficients cancel
-    stays, as a zero: :meth:`_PackedOrder.count` and the carry count count
-    nonzero coefficients, not entries.
+    stays, as a zero: :meth:`_PackedOrder.polynomial` and the carry count
+    count nonzero coefficients, not entries.
 
     The table is built once per p in a process: p^2 entries, 9 us at
     p = 11 and 0.45 ms at p = 97 (2-vCPU Xeon VM, Python 3.11).  Rows built

@@ -12,6 +12,8 @@ into or out of ``src``, and every private helper kept alive for one
 other module shows up in review.  And every public name a module
 surface pins, and every public method of a pinned class, has a caller
 outside the unit tests, and every name a module imports is read there.
+A dunder has no caller by name, so the dunders of the pinned classes are
+a list of their own, each with the protocol that calls it.
 """
 
 import ast
@@ -247,13 +249,41 @@ def test_every_public_method_has_a_caller():
     attrs = {node.attr for path in _CALLER_SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute)}
-    uncalled = []
+    uncalled = [f"{cls}.{name}" for cls, name in _pinned_methods()
+                if not name.startswith("_") and name not in attrs]
+    assert uncalled == []
+
+
+def _pinned_methods():
+    """(class, function) names for every function in the body of a pinned class."""
     for module, names in sorted(MODULE_SURFACES.items()):
         source = Path(fanocheck.__file__).with_name(f"{module}.py").read_text()
         for cls in ast.parse(source).body:
-            if not isinstance(cls, ast.ClassDef) or cls.name not in names:
-                continue
-            uncalled += [f"{cls.name}.{node.name}" for node in cls.body
-                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                         and not node.name.startswith("_") and node.name not in attrs]
-    assert uncalled == []
+            if isinstance(cls, ast.ClassDef) and cls.name in names:
+                yield from ((cls.name, node.name) for node in cls.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+# The dunders a pinned class defines besides ``__init__``, each with the
+# protocol that calls it.  Python reaches a dunder through an operator or a
+# builtin, never by its name, so the caller test above cannot see one; a
+# new one adds a line here for review.
+DUNDERS = {
+    "Polynomial.__setattr__": "attribute assignment, refused: a Polynomial is immutable",
+    "Polynomial.__eq__": "f == g (tests/test_acceptance.py)",
+    "Polynomial.__hash__": "hash(f), kept consistent with __eq__ for dict and set keys",
+    "Polynomial.__add__": "f + g (tests/test_acceptance.py)",
+    "Polynomial.__sub__": "f - g (tests/test_acceptance.py)",
+    "Polynomial.__neg__": "-f, in __sub__",
+    "Polynomial.__mul__": "f * g (tests/test_acceptance.py) and f * c for an integer c",
+    "Polynomial.__rmul__": "c * f for an integer c",
+    "Polynomial.__pow__": "f ** e (tests/test_acceptance.py)",
+    "Polynomial.__str__": "str(f), the carry printed by corpus.delta1",
+    "Polynomial.__repr__": "repr(f), in assertion messages",
+}
+
+
+def test_every_dunder_is_listed():
+    defined = [f"{cls}.{name}" for cls, name in _pinned_methods()
+               if name.startswith("__") and name.endswith("__") and name != "__init__"]
+    assert sorted(defined) == sorted(DUNDERS)

@@ -880,6 +880,19 @@ class TestDelta1:
         with pytest.raises(ExponentOverflowError, match=_bad_tuple("(67200, 1)")):
             delta1(parse_poly("x^700 + y", VS_XY, 97))
 
+    def test_carry_just_below_the_cap_has_no_guard_bit(self):
+        # p = 2: the one carry term of x^a*y + x^a*z is x^(2a)*y*z, p times
+        # f's top exponent; at 2a = 2**16 - 2 the fields are 16 bits, with
+        # no guard bit and no cap check, and the term is exact
+        f = parse_poly("x^32767*y + x^32767*z", VS_XYZ, 2)
+        assert poly_module._carry_packing(f).width == 16
+        assert delta1(f) == Polynomial(2, VS_XYZ, {(65534, 1, 1): 1})
+
+    def test_carry_exactly_at_the_cap_raises(self):
+        f = parse_poly("x^32768*y + x^32768*z", VS_XYZ, 2)
+        with pytest.raises(ExponentOverflowError, match=_bad_tuple("(65536, 1, 1)")):
+            delta1(f)
+
     def test_pure_power_past_the_cap_is_no_carry_term(self):
         # f^p holds x^(97*676) = x^65572, past the cap, but every carry term
         # stays at or below x^(96*676) = x^64896

@@ -287,6 +287,27 @@ class TestDelta1Probe:
                 ["_pow_boxed", "_layers", "_pow_boxed", "_mul_packed"]
             assert calls[1][1][2] == 5
 
+    def test_b0_probe_is_the_boxed_power_alone(self, monkeypatch):
+        # b = 0: f^a in the box of p^s, and no carry at count p is built;
+        # the boxed power's digits d >= 3 call _layers at count d < p
+        tops = []
+        layers = poly_module._layers
+
+        def spy(items, p, top, *args, **kwargs):
+            tops.append((p, top))
+            return layers(items, p, top, *args, **kwargs)
+        monkeypatch.setattr(poly_module, "_layers", spy)
+        rng = random.Random(4021)
+        vs = VariableSet.weighted("x0,x1,x2,y", [1, 1, 1, 2])
+        for p in (2, 3, 5, 7):
+            for s in (1, 2):
+                f = random_homogeneous(rng, vs, p, rng.randint(2, 4), max_terms=5)
+                ring = HypersurfaceRing(p, vs, f)
+                for a in sorted({0, 1, p - 1, p + 1, 2 * p + 3, rng.randint(0, p ** s)}):
+                    assert delta1_probe(ring, a, 0, s) == pow_mod_frobenius(f, a, p ** s), \
+                        (str(f), a, s)
+        assert tops and all(top < p for p, top in tops)
+
     def test_large_s_boxes_at_the_product_degree(self, monkeypatch):
         # no exponent of f^a * delta1(f)^b passes E = (a + p*b) * (f's top
         # exponent), so s = 10^6 gives the unboxed product, formed in the
@@ -379,9 +400,17 @@ BLOCK_SHAPES = {
     "bridged": (VariableSet.unit("x0,x1,x2,x3"),
                 ["x0^4", "x1^4", "x2^4", "x3^4", "x0^2*x1^2", "x2^2*x3^2",
                  "x1^2*x3^2"]),
+    # the count's mixed-radix keys run up to 129^5 > 2**30 at p = 2: two
+    # CPython digits
+    "multi-digit keys": (VariableSet.unit("x0,x1,x2,x3,x4"),
+                         ["x0^64", "x1^64", "x2^64", "x3^64", "x4^64",
+                          "x0^32*x1^32", "x2^63*x3"]),
+    # x2 is in no term: its radix base is 1
+    "absent variable": (VariableSet.unit("x0,x1,x2,x3"),
+                        ["x0^3", "x1^3", "x3^3", "x0*x1^2", "x1*x3^2"]),
 }
 MULTI_BLOCK = ["singletons", "one block and singletons", "two blocks",
-               "weighted y singleton", "bigraded"]
+               "weighted y singleton", "bigraded", "multi-digit keys"]
 
 
 def blocked_form(shape, p, rng):
@@ -520,13 +549,30 @@ class TestReport:
         with pytest.raises(NonHomogeneousError):
             fedder_report(ring_of("x + y^2", 2, names="x,y"))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
     def test_count_is_the_carry_count_seeded(self, shape, p):
         rng = random.Random(f"{shape}:{p}")
         for _ in range(3):
             ring = blocked_form(shape, p, rng)
             assert fedder_report(ring).delta1_terms == delta1(ring.f).num_terms
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("names,weights,text", [
+        ("x,y,z", [1, 1, 1], "x^2*y + x^2*z"),
+        # x0^(2p)*x1^e*x3^(p-e) and x2^(2p)*x1^(e+1)*x3^(p-e-1) would share a
+        # key if every radix base were one too small
+        ("x0,x1,x2,x3", [1, 1, 1, 1], "x0^2*x1 + x0^2*x3 + x2^2*x1 + x2^2*x3"),
+        # x0^2*x2^2*x3^2 and x1*x2^2*x3^2 at p = 2 would, if x0's base alone were
+        ("x0,x1,x2,x3", [1, 2, 1, 1], "x0*x2^2 + x0*x3^2 + x1*x2 + x2*x3^2"),
+    ], ids=["x2y+x2z", "two squares", "weighted"])
+    def test_count_reaches_p_times_the_top_exponent(self, names, weights, text, p):
+        # the carry holds a term with an exponent at its radix digit's top
+        vs = VariableSet.weighted(names, weights)
+        f = parse_poly(text, vs, p)
+        carry = delta1(f)
+        assert any(m[0] == p * max(e[0] for e in f.terms) for m in carry.terms)
+        assert fedder_report(HypersurfaceRing(p, vs, f)).delta1_terms == carry.num_terms
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("names,weights,exponents", [
@@ -555,27 +601,23 @@ class TestReport:
         def refuse(f):
             raise AssertionError("the whole carry was built")
         monkeypatch.setattr(poly_module, "_delta1_packed", refuse)
+        monkeypatch.setattr(poly_module, "delta1", refuse)
         assert [fedder_report(ring).delta1_terms for ring in rings] == counts
 
     def test_one_block_is_one_whole_carry_pass(self, monkeypatch):
         ring = ring_of("x0^4 + x1^4 + x2^4 + 3*x0*x1^3 + 2*x1*x2^3 + x2*x0^3", 7,
                        names="x0,x1,x2")
         count = delta1(ring.f).num_terms
-        passes, every = [], []
-        whole, layers = poly_module._delta1_packed, poly_module._layers
-
-        def counting(f):
-            passes.append(f)
-            return whole(f)
-
-        def recording(*args, **kwargs):
-            every.append(kwargs.get("every", False))
-            return layers(*args, **kwargs)
-        monkeypatch.setattr(poly_module, "_delta1_packed", counting)
-        monkeypatch.setattr(poly_module, "_layers", recording)
         assert fedder_report(ring).delta1_terms == count
-        assert passes == [ring.f]
-        assert not any(every)
+        calls = []
+        layers = poly_module._layers
+
+        def recording(items, p, top, *args, **kwargs):
+            calls.append((top, kwargs.get("every", False)))
+            return layers(items, p, top, *args, **kwargs)
+        monkeypatch.setattr(poly_module, "_layers", recording)
+        assert poly_module._delta1_count(ring.f) == count
+        assert calls == [(7, False)]
 
 
 # Calabi-Yau shapes: the weighted degree is the sum of the weights
