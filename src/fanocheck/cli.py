@@ -37,8 +37,6 @@ def _parse_vars_spec(spec: str) -> VariableSet:
                 raise InputError(f"bad weight in {part!r}") from None
         else:
             name, weight = part, 1
-        if weight < 1:
-            raise InputError(f"weight must be positive in {part!r}")
         names.append(name)
         weights.append(weight)
     try:

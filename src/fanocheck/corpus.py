@@ -101,11 +101,9 @@ def _load_ambient(raw: dict, entry: str) -> AmbientSpace:
             raise CorpusFormatError("ambient factor must be an object", entry, "factors")
         weights = _require(fac, "weights", list, entry, "ambient factor")
         names = _require(fac, "vars", list, entry, "ambient factor")
-        if (len(weights) != len(names)
-                or not all(_is_int(w) and w >= 1 for w in weights)
-                or not all(isinstance(v, str) for v in names)):
-            raise CorpusFormatError("ambient factor needs matching positive weights "
-                                    "and string vars", entry, "factors")
+        if not all(_is_int(w) for w in weights):
+            raise CorpusFormatError("ambient factor weights must be integers",
+                                    entry, "factors")
         try:
             factors.append(AmbientFactor(tuple(names), tuple(weights)))
         except ValueError as exc:

@@ -232,8 +232,7 @@ class HypersurfaceVariety:
 
     def __init__(self, prime, space: AmbientSpace, f: Polynomial):
         prime = as_prime(prime)
-        if f.field != prime or f.vars != space.variable_set:
-            raise ValueError("polynomial does not live in the ambient coordinate ring")
+        f._check_ring(prime, space.variable_set)
         if f.is_zero:
             raise ValueError("hypersurface polynomial must be nonzero")
         self.prime = prime

@@ -55,7 +55,6 @@ from itertools import chain
 
 from .poly import (
     Polynomial,
-    Prime,
     VariableSet,
     _grevlex,
     _PackedOrder,
@@ -272,12 +271,9 @@ class PolyIdeal:
     def __init__(self, field, variables: VariableSet, generators: Sequence):
         self.field = as_prime(field)
         self.vars = variables
-        gens = []
-        for g in generators:
-            if g.field != self.field or g.vars != variables:
-                raise ValueError("generator lives in a different ring")
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(generators)
+        for g in self.generators:
+            g._check_ring(self.field, variables)
 
     def groebner_basis(self) -> tuple:
         """The reduced grevlex basis: monic polynomials sorted by increasing
@@ -346,17 +342,12 @@ def _chart_is_unit(gens: Sequence, chart: Sequence[int], order: _PackedOrder,
     return _buchberger_raw(dehomogenized, order, p) is _UNIT
 
 
-def _check_ring(f: Polynomial, field: Prime, variables: VariableSet) -> None:
-    if f.field != field or f.vars != variables:
-        raise ValueError("polynomial lives in a different ring")
-
-
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Unique remainder of f against a reduced grevlex basis."""
     order = _grevlex(f.vars.n)
     pairs = []
     for g in basis:
-        _check_ring(f, g.field, g.vars)
+        f._check_ring(g.field, g.vars)
         packed = order.pack_terms(g.terms)
         pairs.append((max(packed), packed))
     r = _normal_form_raw(order.pack_terms(f.terms), pairs, f.p, order)
@@ -384,7 +375,7 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     """
     if g.is_zero:
         raise ValueError("cannot invert zero")
-    _check_ring(g, ideal.field, ideal.vars)
+    g._check_ring(ideal.field, ideal.vars)
     p = ideal.field.p
     order = _grevlex(ideal.vars.n + 1)
     ext_gens = [_extend(f, order, 0) for f in ideal.generators]

@@ -491,9 +491,10 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial"):
-        if self.field != other.field or self.vars != other.vars:
-            raise ValueError("polynomials live in different rings")
+    def _check_ring(self, field: Prime, variables: VariableSet):
+        """The ring rule for arithmetic, ideals and hypersurfaces."""
+        if self.field != field or self.vars != variables:
+            raise ValueError("polynomial lives in a different ring")
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -505,7 +506,7 @@ class Polynomial:
         return hash((self.field, self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
+        other._check_ring(self.field, self.vars)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
@@ -522,7 +523,7 @@ class Polynomial:
         if isinstance(other, int):
             return Polynomial(self.field, self.vars,
                               {m: c * other for m, c in self.terms.items()})
-        self._check_compatible(other)
+        other._check_ring(self.field, self.vars)
         top = max(map(max, self.terms), default=0) + max(map(max, other.terms), default=0)
         order = _packing(self.vars.n, top.bit_length() + 1)
         # the kernel's outer loop runs over the factor: self outermost keeps
@@ -530,11 +531,6 @@ class Polynomial:
         acc = order.pack_terms(other.terms)
         factor = [(order.pack(m), c) for m, c in self.terms.items()]
         return order.polynomial(self.field, self.vars, _mul_packed(acc, factor, self.p))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:

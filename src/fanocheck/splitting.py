@@ -21,6 +21,7 @@ from .poly import (
     VariableSet,
     _delta1_count,
     _delta1_probe,
+    _set,
     _Value,
     as_prime,
     mono_str,
@@ -47,8 +48,7 @@ class HypersurfaceRing:
 
     def __init__(self, prime, variables: VariableSet, f: Polynomial):
         prime = as_prime(prime)
-        if f.field != prime or f.vars != variables:
-            raise ValueError("polynomial does not live in the declared ring")
+        f._check_ring(prime, variables)
         if f.is_zero:
             raise ValueError("hypersurface polynomial must be nonzero")
         self.prime = prime
@@ -98,13 +98,15 @@ def delta1_probe(ring: HypersurfaceRing, a: int, b: int, s: int) -> Polynomial:
 class FedderReport(_Value):
     """Everything the splitting check computed, in printable form."""
 
+    # elapsed_ms: the time the check took; it takes no part in equality,
+    # hash or repr, so two reports of one ring compare equal
     __slots__ = ("status", "witness", "residue_terms", "delta1_terms",
                  "delta1_degree", "elapsed_ms")
 
     def __init__(self, status: str, witness: str | None, residue_terms: int,
                  delta1_terms: int, delta1_degree: tuple | None, elapsed_ms: float):
-        self._init(status, witness, residue_terms, delta1_terms, delta1_degree,
-                   elapsed_ms)
+        self._init(status, witness, residue_terms, delta1_terms, delta1_degree)
+        _set(self, "elapsed_ms", elapsed_ms)
 
     def as_dict(self) -> dict:
         return {

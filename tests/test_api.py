@@ -181,7 +181,8 @@ PRIVATE_IMPORTS = {
                  "poly._Value", "poly._is_variable_name", "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
-    "splitting": ["poly._Value", "poly._delta1_count", "poly._delta1_probe"],
+    "splitting": ["poly._Value", "poly._delta1_count", "poly._delta1_probe",
+                  "poly._set"],
 }
 
 
@@ -276,7 +277,6 @@ DUNDERS = {
     "Polynomial.__sub__": "f - g (tests/test_acceptance.py)",
     "Polynomial.__neg__": "-f, in __sub__",
     "Polynomial.__mul__": "f * g (tests/test_acceptance.py) and f * c for an integer c",
-    "Polynomial.__rmul__": "c * f for an integer c",
     "Polynomial.__pow__": "f ** e (tests/test_acceptance.py)",
     "Polynomial.__str__": "str(f), the carry printed by corpus.delta1",
     "Polynomial.__repr__": "repr(f), in assertion messages",

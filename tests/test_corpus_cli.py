@@ -105,6 +105,40 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="factor"):
             load_corpus(doc)
 
+    # Each input rule of the corpus schema: the document that breaks it and
+    # the whole message.  A factor's shape, signs and names are checked by
+    # AmbientFactor, whose message names the entry and field here.
+    @pytest.mark.parametrize("doc,message", [
+        ([], "corpus document must be a JSON object"),
+        ({"entries": [1]}, "entry #0 must be an object"),
+        ({"entries": [{**entry(), "ambient": {"factors": [1]}}]},
+         "ambient factor must be an object in entry 'probe' (field 'factors')"),
+        ({"entries": [entry(checks=[1])]},
+         "check must be an object in entry 'probe' (field 'checks')"),
+        ({"entries": [entry(checks=[{"kind": "chow", "expect": "1", "params": {
+            "base": [1], "identity": {"lhs": "h1"}}}])]},
+         "chow identity needs lhs and rhs expressions in entry 'probe' (field 'params')"),
+        ({"entries": [entry(weights=(1, 1, 1))]},
+         "factor needs matching nonempty names and weights in entry 'probe' "
+         "(field 'factors')"),
+        ({"entries": [entry(weights=(), variables=())]},
+         "factor needs matching nonempty names and weights in entry 'probe' "
+         "(field 'factors')"),
+        ({"entries": [entry(weights=(0, 1))]},
+         "weights must be positive in entry 'probe' (field 'factors')"),
+        ({"entries": [entry(variables=("t0", 1))]},
+         "variable name 1 is not an identifier in entry 'probe' (field 'factors')"),
+        ({"entries": [entry(weights=(1, "1"))]},
+         "ambient factor weights must be integers in entry 'probe' (field 'factors')"),
+        ({"entries": [entry(weights=(1, 1.5))]},
+         "ambient factor weights must be integers in entry 'probe' (field 'factors')"),
+    ], ids=["document", "entry", "factor", "check", "identity", "factor-lengths",
+            "factor-empty", "factor-sign", "factor-name", "weight-string", "weight-float"])
+    def test_input_rule(self, doc, message):
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == message
+
     def test_params_must_be_object(self):
         doc = {"entries": [entry(checks=[{"kind": "fsplit", "expect": "FSplit",
                                           "params": [1]}])]}
@@ -460,6 +494,16 @@ class TestCli:
         rc = main(["fsplit", "-p", "5", "--vars", names, "--poly", "x0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: variable name")
+
+    @pytest.mark.parametrize("spec", ["x:0,y", "x:-1,y"])
+    def test_fsplit_weight_must_be_positive(self, capsys, spec):
+        # VariableSet.weighted owns the rule; the CLI only reports it
+        rc = main(["fsplit", "-p", "5", "--vars", spec, "--poly", "y"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: variable x needs a nonnegative weight vector "
+                                "with some positive component\n")
 
     @pytest.mark.parametrize("spaced,plain", [
         (["fsplit", "-p", "2", "--vars", " x0 , y :3 ", "--poly", "x0^3 + y"],

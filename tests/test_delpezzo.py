@@ -473,6 +473,8 @@ class TestSmallFields:
         nonzero = [a for a in gf.elements if a]
         cubes = {gf_pow(gf, a, 3) for a in nonzero}
         assert len(cubes) == 1
+        with pytest.raises(ZeroDivisionError, match="^inverting 0 in GF$"):
+            gf.inv(0)
 
     def test_f8_and_f27_sizes(self):
         assert len(GF(8).elements) == 8

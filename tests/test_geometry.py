@@ -105,6 +105,18 @@ class TestParseAmbient:
         with pytest.raises(ParseError, match="empty ambient description"):
             parse_ambient("   ")
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: AmbientSpace([]), ValueError, "need at least one factor"),
+        (lambda: parse_ambient("P[1,1]"), ParseError,
+         "expected '(' after P (at position 1)"),
+        (lambda: parse_ambient(" x ".join(["P(1,1)"] * 9)), ValueError,
+         "too many factors for default naming"),
+    ], ids=["no-factor", "bracket", "nine-factors"])
+    def test_input_rule(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.args == (message,)
+
     def test_chart_tuples(self):
         space = parse_ambient("P(1,1) x P(1,1)")
         charts = list(space.chart_tuples())
@@ -810,8 +822,10 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             HypersurfaceVariety(5, space, parse_poly("3", space.variable_set, 5))
         other = parse_ambient("P(1,1,1)")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^polynomial lives in a different ring$"):
             HypersurfaceVariety(5, space, parse_poly("x0", other.variable_set, 5))
+        with pytest.raises(ValueError, match="^polynomial lives in a different ring$"):
+            HypersurfaceVariety(7, space, parse_poly("x0", space.variable_set, 5))
 
 
 class TestDenseSingularAgainstPoints:
@@ -839,8 +853,7 @@ def euler_sum(f, c):
     total = Polynomial.zero(f.field, f.vars)
     for name, w in zip(f.vars.names, f.vars.weights):
         if w[c]:
-            total = total + w[c] * (variable(f.field, f.vars, name)
-                                    * partial(f, name))
+            total = total + variable(f.field, f.vars, name) * partial(f, name) * w[c]
     return total
 
 
@@ -848,7 +861,7 @@ class TestEulerRelation:
     def test_ok_components(self):
         v = variety("P(1,1,1)", "x0^2 + x1*x2", 5)
         assert weighted_degree(v.f) == (2,)
-        assert euler_sum(v.f, 0) == 2 * v.f
+        assert euler_sum(v.f, 0) == v.f * 2
 
     def test_mixed_components(self):
         # degree (1, 2) at p = 2: the identity degenerates to 0 == 0 in
@@ -871,4 +884,4 @@ class TestEulerRelation:
                 f = random_homogeneous(rng, vs, p, degree, max_terms=5)
                 for c, d_c in enumerate(degree):
                     if d_c % p:
-                        assert euler_sum(f, c) == d_c * f
+                        assert euler_sum(f, c) == f * d_c

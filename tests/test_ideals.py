@@ -746,6 +746,13 @@ class TestExponentCap:
         with pytest.raises(ExponentOverflowError, match=_cap_message(message)):
             localized_is_unit(I, mk(g, 7, VS2))
 
+    def test_reduction_step_past_the_cap(self):
+        # x^40000*y^40000 reduces by y^39999 times the generator, whose tail
+        # term y^40001 then passes the cap
+        f = mk("x^40000*y^40000", 7, VS2)
+        with pytest.raises(ExponentOverflowError, match=_cap_message("(0, 80000)")):
+            normal_form(f, [mk("x^40000*y - y^40001", 7, VS2)])
+
 class TestForeignRing:
     def _ideal(self):
         return PolyIdeal(5, VS2, [mk("x^2 - y", 5, VS2)])
@@ -767,3 +774,17 @@ class TestForeignRing:
         zero = PolyIdeal(5, VS2, [Polynomial.zero(5, VS2)])
         with pytest.raises(ValueError, match="polynomial lives in a different ring"):
             localized_is_unit(zero, mk("x", 7, VS2))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: PolyIdeal(5, VS2, [mk("x^2 - y", 5, VS2), mk("x", 7, VS2)]),
+         "polynomial lives in a different ring"),
+        (lambda: PolyIdeal(5, VS2, [mk("x*z", 5, VS3)]),
+         "polynomial lives in a different ring"),
+        (lambda: localized_is_unit(PolyIdeal(5, VS2, [mk("x", 5, VS2)]),
+                                   Polynomial.zero(5, VS2)),
+         "cannot invert zero"),
+    ], ids=["generator-other-prime", "generator-more-variables", "invert-zero"])
+    def test_input_rule(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert exc.value.args == (message,)

@@ -343,6 +343,39 @@ class TestArithmetic:
             f.terms = {}
 
 
+# Each input rule of the polynomial layer: the call that breaks it, and the
+# exception and message it raises.
+INPUT_RULES = [
+    (lambda: Polynomial(7, VS_XY, {(1,): 1}), ValueError,
+     "monomial (1,) does not fit 2 variables"),
+    (lambda: Polynomial(7, VS_XY, {(70000, 0): 1}), ExponentOverflowError,
+     "bad exponent tuple (70000, 0)"),
+    (lambda: Polynomial(7, VS_XY, {(0, -1): 1}), ExponentOverflowError,
+     "bad exponent tuple (0, -1)"),
+    (lambda: Polynomial.zero(7, VS_XY).leading_monomial(), ZeroPolynomialError,
+     "zero polynomial has no leading monomial"),
+    (lambda: parse_poly("x + y", VS_XY, 7) ** -1, ValueError, "negative exponent"),
+    (lambda: pow_mod_frobenius(parse_poly("x + y", VS_XY, 7), -1, 7), ValueError,
+     "negative exponent"),
+    (lambda: VS_XY.index("z"), KeyError, "unknown variable 'z'"),
+    (lambda: parse_poly("x", VS_XY, 7) + parse_poly("x", VS_XY, 5), ValueError,
+     "polynomial lives in a different ring"),
+    (lambda: parse_poly("x", VS_XY, 7) * parse_poly("x", VS_XYZ, 7), ValueError,
+     "polynomial lives in a different ring"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", INPUT_RULES,
+                         ids=["short-monomial", "exponent-past-cap", "negative-exponent",
+                              "zero-leading-monomial", "negative-power",
+                              "negative-boxed-power", "unknown-variable",
+                              "sum-across-primes", "product-across-variables"])
+def test_input_rule(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.args == (message,)
+
+
 class TestPowModFrobenius:
     def test_single_variable_survives(self):
         for p in (2, 3, 5, 7):
@@ -400,7 +433,7 @@ class TestPowModFrobenius:
         assert not calls
         g = parse_poly("2 + x", VS_XY, 5)
         e = 10**9 + 8
-        assert pow_mod_frobenius(g, e, 5) == pow(2, e // 5, 5) * pow_then_filter(g, 3, 5)
+        assert pow_mod_frobenius(g, e, 5) == pow_then_filter(g, 3, 5) * pow(2, e // 5, 5)
         assert len(calls) == 1
         # 2^(10^9 // 5) = 1 mod 5: the one digit's part is the power itself
         e = 10**9 + 3
@@ -858,7 +891,7 @@ class TestDelta1:
         for p in (2, 3, 5):
             f = random_poly(rng, VS3, p, max_terms=4, max_exp=2)
             for lam in range(p):
-                assert delta1(lam * f) == lam * delta1(f)
+                assert delta1(f * lam) == delta1(f) * lam
 
     def test_homogeneity_degree_scales_by_p(self):
         rng = random.Random(99)

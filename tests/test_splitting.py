@@ -101,7 +101,7 @@ class TestVerdicts:
         vs = VariableSet.unit("x,y")
         with pytest.raises(ValueError):
             HypersurfaceRing(3, vs, Polynomial.zero(3, vs))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^polynomial lives in a different ring$"):
             HypersurfaceRing(5, vs, parse_poly("x", vs, 3))
 
 
@@ -448,6 +448,13 @@ class TestReport:
         assert d["delta1_degree"] == [21]
         assert set(d) == {"status", "witness", "residue_terms",
                           "delta1_terms", "delta1_degree", "elapsed_ms"}
+
+    def test_reports_of_one_ring_are_equal(self):
+        # the two runs usually take different times; elapsed_ms is not compared
+        ring = ring_of("x0^3 + x1^3 + x2^3 + x0*x1*x2", 7, names="x0,x1,x2")
+        a, b = fedder_report(ring), fedder_report(ring)
+        assert a == b and hash(a) == hash(b)
+        assert a.as_dict()["elapsed_ms"] == a.elapsed_ms
 
     @pytest.mark.parametrize("vs,degree", [
         (VariableSet.unit("x0,x1,x2"), (3,)),
