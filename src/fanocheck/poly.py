@@ -11,8 +11,8 @@ add and the box test "some exponent >= its bound" (:meth:`_PackedOrder.box`)
 one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs, boxes
 and multiplies on it too.  Grevlex, the one term order, packs its rows above
 the exponents, so ``_grevlex`` orders :meth:`Polynomial.leading_monomial`
-and Buchberger in :mod:`fanocheck.ideals` alike.  Every kernel result leaves
-through :meth:`_PackedOrder.polynomial` and is not validated again.
+and Buchberger in :mod:`fanocheck.ideals` alike.  Every packed kernel result
+leaves through :meth:`_PackedOrder.polynomial` and is not validated again.
 
 Exponents are capped at 2**16 so that products and powers fail loudly
 instead of silently blowing up.
@@ -196,7 +196,7 @@ class _PackedOrder:
     def _capped(self, packed: dict) -> dict:
         """``packed``; the first nonzero term with an exponent past the cap
         (only a field wider than the cap's holds one) raises with the
-        public constructor's message."""
+        public constructor's message, as in :func:`delta1`."""
         if self.width > _CAPPED_WIDTH:
             for m, c in packed.items():
                 if c and max(mono := self.unpack(m)) >= EXPONENT_LIMIT:
@@ -782,43 +782,53 @@ def delta1(f: Polynomial) -> Polynomial:
 
         delta1(f) = [count-p part of prod_i sum_{j<p} (-c_i m_i)^j / j!]  (mod p).
 
-    The packed kernel :func:`_delta1_packed` builds it, and this function
-    unpacks it; ``splitting.fedder_report`` counts its terms with
-    :func:`_delta1_count`, block by block where it can.  Both raise on an
-    exponent past the 2**16 cap only in a nonzero carry term.  A
-    single-term polynomial has carry zero.
+    :func:`_carry_layers` builds it on mixed-radix keys; this function
+    unpacks each nonzero term in layer order, x_i's exponent being
+    (key mod unit_(i+1)) // unit_i, and where p times f's top exponent
+    reaches the 2**16 cap the public constructor raises on the first term
+    past it.  A single-term polynomial has carry zero.
     """
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
-    order, carry = _delta1_packed(f)
-    return order.polynomial(f.field, f.vars, carry)
+    units, carry = _carry_layers(f, f.terms.items())
+    keys = [m for m, c in carry.items() if c]
+    columns, low = [], 1
+    for high in units[1:-1]:  # each digit below the top one
+        columns.append([m % high // low for m in keys] if low > 1 else [m % high for m in keys])
+        low = high
+    columns.append([m // low for m in keys])  # the top digit: every key is below units[n]
+    terms = dict(zip(zip(*columns), filter(None, carry.values())))
+    if units[-1] > EXPONENT_LIMIT and f.p * max(map(max, f.terms)) >= EXPONENT_LIMIT:
+        return Polynomial(f.field, f.vars, terms)  # checks each term against the cap
+    return Polynomial._trusted(f.field, f.vars, terms)
 
 
-def _delta1_packed(f: Polynomial) -> tuple:
-    """(packing, carry) for a nonzero f: delta1(f) on packed monomials,
-    coefficients in 0..p-1 and zeros kept: :func:`_layers` at count p, the
-    steps of each term -c*m running to j = p - 1.  :func:`delta1` unpacks
-    it; :func:`_delta1_count` builds its layers on mixed-radix keys.
+def _carry_layers(f: Polynomial, terms, every: bool = False) -> tuple:
+    """(units, layers): :func:`_layers` at count p for the carry of
+    ``terms``, some of f's (monomial, coefficient) pairs, each term -c*m
+    stepping to j = p - 1; the count-p layer, or with ``every`` all p + 1.
 
-    Terms go in lex order of their exponents, so the first ones share a
-    face of the Newton polytope and the layers grow slowly.  With no two
-    monomials meeting they make about one product per composition,
-    C(p+t-1, t-1) for t terms.  Against expanding f^p mod p^2 (2-vCPU Xeon
-    VM, Python 3.11) they won on 290 of 297 seeded random cells, median
-    1.8x, and lost by up to about 1.3x where the terms fill much of their
-    degree at p = 11.
+    The unboxed carry's one keying: no key here is box-tested, so keys are
+    mixed radix (Kronecker substitution), not guarded bit fields.  x_i's unit
+    ``units[i]`` is prod_{j<i} (p * top_j + 1), top_j being x_j's top
+    exponent in f, which no layer at count <= p passes; ``units[n]`` bounds
+    every key.  A product is one add, and on the benchmark's rows a key is
+    one CPython digit (35-40 bits in bit fields at p = 11) spread over the
+    dict's slots by every variable: delta1 took 69.1 -> 63.4 ms over the 54
+    ``split`` row members (2-vCPU Xeon VM, Python 3.11).
+
+    Terms go in lex order, so the first ones share a face of the Newton
+    polytope and the layers grow slowly, at about one product per
+    composition, C(p+t-1, t-1) for t terms.  Against expanding f^p mod p^2
+    they won on 290 of 297 seeded random cells (median 1.8x) and lost by up
+    to 1.3x where the terms fill much of their degree at p = 11.
     """
     p = f.p
-    order = _carry_packing(f)
-    items = [(order.pack(m), -c, p - 1) for m, c in sorted(f.terms.items())]
-    return order, _layers(items, p, p)
-
-
-def _carry_packing(f: Polynomial) -> _PackedOrder:
-    """The packing of f's carry: a field holds p times f's top exponent, and
-    a guard bit for :meth:`_PackedOrder._capped` only where that reaches the cap."""
-    top = f.p * max(map(max, f.terms))
-    return _packing(f.vars.n, top.bit_length() + (top >= EXPONENT_LIMIT))
+    units = [1]
+    for top in map(max, zip(*f.terms)):
+        units.append(units[-1] * (p * top + 1))
+    items = [(sum(map(mul, m, units)), -c, p - 1) for m, c in sorted(terms)]
+    return units, _layers(items, p, p, every=every)
 
 
 def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
@@ -905,26 +915,15 @@ def _delta1_count(f: Polynomial) -> int:
     multidegree D, so block b's part of a monomial there has multidegree
     k_b * D: different compositions share no monomial, and a product of
     polynomials in disjoint variables over F_p has the product of their term
-    counts.  Each block's layers come from :func:`_layers` and are counted
-    and dropped; a single term has one term at every count below p.  Where f
-    is one block, one :func:`_layers` pass builds its count-p layer alone.
-
-    Nothing here unpacks or box-tests a key, so keys are mixed radix, not
-    :func:`_carry_packing`'s bit fields: x_i's unit is prod_{j<i} (top_j + 1),
-    top_j = p * (x_j's top exponent in f), which no layer's exponent passes.
-    A product stays one add, on narrower keys (one CPython digit, not 35-40
-    bits, on the P^4 quartic at p = 11) spread over the dict's slots.  Where a
-    top_j reaches the cap the count is delta1(f)'s: a term past it raises.
+    counts.  Each block's layers come from :func:`_carry_layers` and are
+    counted and dropped; a single term has one term at every count below p.
+    Where f is one block, one pass builds its count-p layer alone.  Where f
+    has one term, or p times its top exponent reaches the cap, the count is
+    delta1(f)'s, which raises on a term past the cap.
     """
     p = f.p
-    if f.num_terms <= 1:
-        return 0
-    tops = [p * max(column) for column in zip(*f.terms)]
-    if max(tops) >= EXPONENT_LIMIT:
+    if f.num_terms <= 1 or p * max(map(max, f.terms)) >= EXPONENT_LIMIT:
         return delta1(f).num_terms
-    units = [1]
-    for top in tops[:-1]:
-        units.append(units[-1] * (top + 1))
     blocks = {}  # a block's variables as a bit mask -> its terms
     for m, c in f.terms.items():
         mask = sum([1 << i for i, e in enumerate(m) if e])
@@ -937,13 +936,12 @@ def _delta1_count(f: Polynomial) -> int:
     for block in blocks.values():
         if len(block) == 1:
             counts = [1] * p + [0]
+        elif len(blocks) == 1:
+            layer = _carry_layers(f, block)[1]
+            return len(layer) - countOf(layer.values(), 0)
         else:
-            items = [(sum(map(mul, m, units)), -c, p - 1) for m, c in sorted(block)]
-            if len(blocks) == 1:
-                layer = _layers(items, p, p)
-                return len(layer) - countOf(layer.values(), 0)
             counts = [len(layer) - countOf(layer.values(), 0)
-                      for layer in _layers(items, p, p, every=True)]
+                      for layer in _carry_layers(f, block, every=True)[1]]
         total = [sum(map(mul, total[:k + 1], counts[k::-1])) for k in range(p + 1)]
     return total[p]
 
@@ -961,16 +959,16 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     top + 1 layers comes back (the carry count's blocks).  With
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
     product that leaves the box as it is formed (the carry in
-    :func:`_delta1_probe`); ``delta1``'s carry has no box, and its products
-    pay for no test.  ``top`` may pass p while every J_t stays below p:
+    :func:`_delta1_probe`); :func:`_carry_layers` has no box, and its
+    products pay for no test.  ``top`` may pass p while every J_t < p:
     :func:`_delta1_probe` reads f^a * delta1(f) off layer p + a for b = 1.
 
     A step's coefficient comes as its row of :func:`_times`, and a source
     coefficient scales by one read of it.  A product does one ``get``: a
     new monomial takes its scaled coefficient as it is, and one already
     there adds it and reduces mod p.  An entry whose coefficients cancel
-    stays, as a zero: :meth:`_PackedOrder.polynomial` and the carry count
-    count nonzero coefficients, not entries.
+    stays, as a zero: every reader of a layer counts or keeps nonzero
+    coefficients, not entries.
 
     The table is built once per p in a process: p^2 entries, 9 us at
     p = 11 and 0.45 ms at p = 97 (2-vCPU Xeon VM, Python 3.11).  Rows built

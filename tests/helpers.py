@@ -1272,3 +1272,61 @@ def diagonal_fedder(exponents, p: int, names) -> tuple:
         witness = "*".join(name if e == 1 else f"{name}^{e}"
                            for name, e in zip(names, lead) if e)
     return status, len(survivors), math.comb(p + t - 1, t - 1) - t, witness
+
+
+# ---------------------------------------------------------------------------
+# Hilbert counts of the Jacobian ideal by rank (Macaulay), no Groebner basis
+# ---------------------------------------------------------------------------
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of sparse rows, each a dict column -> value, by plain
+    elimination on the lowest column."""
+    pivots = {}  # column -> row with a leading 1 there
+    for row in rows:
+        row = {k: v % p for k, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                break
+            scale = row[lead]
+            for k, v in pivot.items():
+                value = (row.get(k, 0) - scale * v) % p
+                if value:
+                    row[k] = value
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+def jacobian_hilbert_counts(f: Polynomial, top: int) -> list:
+    """dim (R/J)_t for t = 0..top, J the ideal of f's partials, for f
+    weighted-homogeneous on one grading: dim R_t less the rank over F_p of
+    the matrix whose rows are the products x^s * df/dx_i of degree t."""
+    vs = f.vars
+    degree = sum(e * w for e, (w,) in zip(next(iter(f.terms)), vs.weights))
+    partials = [(partial(f, name), degree - w) for name, (w,) in zip(vs.names, vs.weights)]
+    counts = []
+    for t in range(top + 1):
+        columns = {m: k for k, m in enumerate(monomials_of_degree(vs, t))}
+        rows = [{columns[tuple(map(sum, zip(m, s)))]: c for m, c in g.terms.items()}
+                for g, d in partials if not g.is_zero and t >= d
+                for s in monomials_of_degree(vs, t - d)]
+        counts.append(len(columns) - rank_mod_p(rows, f.p))
+    return counts
+
+
+def complete_intersection_counts(degree: int, weights, top: int) -> list:
+    """c_t for t = 0..top, the coefficients of
+    prod_i (1 - s^(degree - w_i)) / prod_i (1 - s^(w_i)): the Hilbert
+    function of R/J when the partials form a regular sequence."""
+    series = [1] + [0] * top
+    for w in weights:
+        e = degree - w
+        series = [c - (series[t - e] if t >= e else 0) for t, c in enumerate(series)]
+    for w in weights:
+        for t in range(w, top + 1):
+            series[t] += series[t - w]
+    return series

@@ -36,9 +36,11 @@ from fanocheck.poly import (
     weighted_degree,
 )
 from helpers import (
+    complete_intersection_counts,
     cone_singular_point_search,
     dense_form,
     jacobian_generators,
+    jacobian_hilbert_counts,
     monomials_of_degree,
     partial,
     random_homogeneous,
@@ -847,6 +849,46 @@ class TestDenseSingularAgainstPoints:
                 confirmed += 1
             singular += verdict is SmoothnessStatus.SINGULAR
         assert singular >= 4 and confirmed >= 0.75 * singular
+
+
+class TestHilbertCountOracle:
+    """cone_smoothness against a rank oracle that builds no Groebner basis.
+    On P^n, d prime to p, f lies in J = (df/dx_i) by Euler, and the cone is
+    smooth away from the origin exactly when J fills R in degree D + 1,
+    D = sum (d - 2 w_i): then the partials are a regular sequence, and
+    R/J has the complete intersection's Hilbert function c_t, which bounds
+    it from below in every degree otherwise (Froeberg)."""
+
+    def test_seeded_cubics_against_the_rank(self):
+        rng = random.Random(1313)
+        verdicts = []
+        for text in ("P(1,1,1)", "P(1,1,1,1)"):
+            space = parse_ambient(text)
+            vs = space.variable_set
+            top = vs.n + 1  # D + 1 for cubics
+            ci = complete_intersection_counts(3, [1] * vs.n, top)
+            fermat = {tuple(3 * (i == j) for j in range(vs.n)): 1 for i in range(vs.n)}
+            for p in (5, 7):
+                for k in range(6):
+                    if k % 2:
+                        # no pure power of the last variable, and every term
+                        # of degree >= 2 in the others: singular at its point
+                        f = _singular_at_coordinates(rng, space, p, 3, [vs.names[-1]])
+                    else:
+                        f = Polynomial(p, vs, fermat) \
+                            + random_homogeneous(rng, vs, p, 3, max_terms=3)
+                    counts = jacobian_hilbert_counts(f, top)
+                    smooth = counts[top] == 0
+                    label = (text, p, str(f))
+                    assert all(c >= b for c, b in zip(counts, ci)), label
+                    if smooth:
+                        assert counts == ci, label
+                    assert not (k % 2 and smooth), label
+                    result = cone_smoothness(HypersurfaceVariety(p, space, f))
+                    assert result.smooth_away_from_irrelevant is smooth, label
+                    verdicts.append(smooth)
+        assert verdicts.count(True) >= 6 and verdicts.count(False) >= 12
+
 
 def euler_sum(f, c):
     """sum over the variables x of w_c(x) * x * df/dx, in grading component c."""

@@ -12,8 +12,7 @@ from fanocheck.poly import (
     NonHomogeneousError,
     Polynomial,
     VariableSet,
-    _delta1_packed,
-    _layers,
+    _carry_layers,
     delta1,
     mono_str,
     parse_poly,
@@ -498,11 +497,9 @@ class TestReport:
         ring = ring_of("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 2*x1^2*x2*x3^3"
                        " + 9*x0^3*x1^2*x2", 11,
                        names="x0,x1,x2,x3,y", weights=[1, 1, 1, 1, 3])
-        order, packed = _delta1_packed(ring.f)
-        assert len(packed) == 8346
-        items = [(order.pack(m), -c, 10) for m, c in sorted(ring.f.terms.items())
-                 if not m[4]]
-        layers = _layers(items, 11, 11, every=True)[1:]
+        assert len(_carry_layers(ring.f, ring.f.terms.items())[1]) == 8346
+        x_block = [(m, c) for m, c in ring.f.terms.items() if not m[4]]
+        layers = _carry_layers(ring.f, x_block, every=True)[1][1:]
         assert sum(countOf(layer.values(), 0) for layer in layers) > 0
         assert sum(map(len, layers)) > 8111
         assert sum(len(layer) - countOf(layer.values(), 0) for layer in layers) == 8111
@@ -607,7 +604,14 @@ class TestReport:
 
         def refuse(f):
             raise AssertionError("the whole carry was built")
-        monkeypatch.setattr(poly_module, "_delta1_packed", refuse)
+        carry_layers = poly_module._carry_layers
+
+        def every_layer_only(f, terms, every=False):
+            # the count-p layer alone is delta1's carry, or a one-block count
+            if not every:
+                raise AssertionError("the whole carry was built")
+            return carry_layers(f, terms, every)
+        monkeypatch.setattr(poly_module, "_carry_layers", every_layer_only)
         monkeypatch.setattr(poly_module, "delta1", refuse)
         assert [fedder_report(ring).delta1_terms for ring in rings] == counts
 
