@@ -16,9 +16,10 @@ monomials of a partial basis already lie in the initial ideal.  So a failed
 certificate is the Singular verdict.  The charts run one by one only to name
 a witness, the first chart where V(J) meets g != 0, and the verdict never
 runs them.  Both runs take J's generators packed straight from f, once per
-call, by :func:`ideals._jacobian_certificate`: it runs the certificate
-and, when it fails, hands the same generators to the chart loop, so this
-module packs nothing.  Each chart is dehomogenized rather than localized:
+call, by :func:`ideals._jacobian_certificate`: it runs the certificate,
+on the partials alone where Euler's relation puts f in their ideal, and,
+when it fails, hands f and its partials to the chart loop, so this module
+packs nothing.  Each chart is dehomogenized rather than localized:
 J is homogeneous for one C* per factor, acting with that factor's weights,
 and over the algebraic closure every point with g != 0 scales to one with
 each chart variable equal to 1 (x^w = c is solvable for any w, also when p
@@ -280,12 +281,12 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     cone is smooth there exactly when each chart tuple (one variable per
     factor) contains the support of some leading monomial, and then no
     chart is tested.  Without that certificate the cone is singular, and
-    the charts run one by one, on the generators the certificate ran on,
-    only to name the first chart where J plus (x_i - 1) for the chart's
-    variables is not the unit ideal.  That is the first chart where J does
-    not become the unit ideal after inverting the chart's product (J is
-    homogeneous for one C* per factor), so ``witness_chart`` names the
-    chart a localization test would.
+    the charts run one by one, on f and its partials as the certificate
+    packed them, only to name the first chart where J plus (x_i - 1) for
+    the chart's variables is not the unit ideal.  That is the first chart
+    where J does not become the unit ideal after inverting the chart's
+    product (J is homogeneous for one C* per factor), so ``witness_chart``
+    names the chart a localization test would.
     """
     failed = _jacobian_certificate(variety.f, _no_chart_open(variety.space))
     if failed is None:
@@ -314,9 +315,12 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     """Full verdict: cone criterion plus avoidance of ambient singular points.
 
     The cone criterion is the support certificate alone, one Buchberger
-    run on J's generators packed straight from f: without it the verdict
-    is Singular, and no chart runs (``cone_smoothness`` runs them on the
-    same generators to name a witness).  Only
+    run on J's generators packed straight from f: the partials alone where
+    some component d of f's multidegree is prime to p (Euler's relation
+    d*f = sum w_i*x_i*df/dx_i puts f in their ideal), else f and its
+    partials.  Without it the verdict is Singular, and no chart runs
+    (``cone_smoothness`` runs them on f and its partials to name a
+    witness).  Only
     zero-dimensional ambient strata are supported; a hypersurface is
     Smooth when the punctured cone is smooth and f carries a pure power of
     each stratum variable (so the stratum point misses the hypersurface),

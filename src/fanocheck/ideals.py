@@ -41,8 +41,10 @@ and forms each partial on the packed monomials, reading the exponent e of
 x_i from its field and mapping a term c*x^m to (c*e mod p)*x^(m - e_i).
 :func:`_jacobian_certificate`, the one entry :mod:`fanocheck.geometry`
 calls for a verdict, packs those generators and runs the support
-certificate on them; when it fails it hands back the same generators,
-and the witness charts (:func:`_chart_is_unit`) run on them.  So the
+certificate on them, leaving f out where some component of its
+multidegree is prime to p (Euler's relation puts f in the ideal of its
+partials); when it fails it hands back f and its partials, and the
+witness charts (:func:`_chart_is_unit`) run on them.  So the
 Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
 polynomial, and geometry imports no packing.
 """
@@ -305,17 +307,28 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
 
 
 def _jacobian_certificate(f: Polynomial, stop) -> tuple | None:
-    """None when Buchberger on the Jacobian ideal J of f ends at ``stop`` or
-    at the unit ideal; else (order, gens), the grevlex packing and J's
-    generators from :func:`_packed_jacobian` that the run left as they
-    were, for :func:`_chart_is_unit`.
+    """None when Buchberger on the Jacobian ideal J of a multihomogeneous f
+    ends at ``stop`` or at the unit ideal; else (order, gens), the grevlex
+    packing and J's generators from :func:`_packed_jacobian` that the run
+    left as they were, f first, for :func:`_chart_is_unit`.
+
+    Where some component d_j of f's multidegree is prime to p, the run
+    takes the partials alone: Euler's relation
+    d_j*f = sum_i w_ij*x_i*df/dx_i puts f in their ideal, so J and its
+    initial ideal are the same, and f's pairs only cost reductions: the 60
+    ``smooth`` members, best of 15 each, took 5.71 -> 5.20 ms, every
+    class 4-15% faster (2-vCPU VM, Python 3.11).  Where p divides every
+    d_j, f stays.  The witness charts keep f: without it, the chart loops
+    of two dense Singular sextics were no faster (0.28 and 0.76 s).
 
     ``stop`` sees each leading monomial entering the basis as an exponent
     tuple, and the basis is not kept.
     """
     order = _grevlex(f.vars.n)
     jac = _packed_jacobian(f, order)
-    basis = _buchberger_raw(jac, order, f.p, stop)
+    degree = f.vars.multidegree(next(iter(f.terms)))
+    gens = jac[1:] if any(d % f.p for d in degree) else jac
+    basis = _buchberger_raw(gens, order, f.p, stop)
     return None if basis is None or basis is _UNIT else (order, jac)
 
 

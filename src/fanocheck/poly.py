@@ -782,15 +782,16 @@ def delta1(f: Polynomial) -> Polynomial:
 
         delta1(f) = [count-p part of prod_i sum_{j<p} (-c_i m_i)^j / j!]  (mod p).
 
-    :func:`_carry_layers` builds it on mixed-radix keys; this function
-    unpacks each nonzero term in layer order, x_i's exponent being
-    (key mod unit_(i+1)) // unit_i, and where p times f's top exponent
-    reaches the 2**16 cap the public constructor raises on the first term
-    past it.  A single-term polynomial has carry zero.
+    :func:`_carry_layers` builds it on the keys of :func:`_carry_units`;
+    this function unpacks each nonzero term in layer order, x_i's exponent
+    being (key mod unit_(i+1)) // unit_i, and where p times f's top
+    exponent reaches the 2**16 cap the public constructor raises on the
+    first term past it.  A single-term polynomial has carry zero.
     """
     if f.num_terms <= 1:
         return Polynomial.zero(f.field, f.vars)
-    units, carry = _carry_layers(f, f.terms.items())
+    units = _carry_units(f)
+    carry = _carry_layers(units, f.terms.items(), f.p)
     keys = [m for m, c in carry.items() if c]
     columns, low = [], 1
     for high in units[1:-1]:  # each digit below the top one
@@ -803,19 +804,31 @@ def delta1(f: Polynomial) -> Polynomial:
     return Polynomial._trusted(f.field, f.vars, terms)
 
 
-def _carry_layers(f: Polynomial, terms, every: bool = False) -> tuple:
-    """(units, layers): :func:`_layers` at count p for the carry of
-    ``terms``, some of f's (monomial, coefficient) pairs, each term -c*m
-    stepping to j = p - 1; the count-p layer, or with ``every`` all p + 1.
-
-    The unboxed carry's one keying: no key here is box-tested, so keys are
-    mixed radix (Kronecker substitution), not guarded bit fields.  x_i's unit
-    ``units[i]`` is prod_{j<i} (p * top_j + 1), top_j being x_j's top
+def _carry_units(f: Polynomial) -> list:
+    """The unboxed carry's one keying, for :func:`_carry_layers`: x_i's
+    unit ``units[i]`` is prod_{j<i} (p * top_j + 1), top_j being x_j's top
     exponent in f, which no layer at count <= p passes; ``units[n]`` bounds
-    every key.  A product is one add, and on the benchmark's rows a key is
-    one CPython digit (35-40 bits in bit fields at p = 11) spread over the
-    dict's slots by every variable: delta1 took 69.1 -> 63.4 ms over the 54
-    ``split`` row members (2-vCPU Xeon VM, Python 3.11).
+    every key.
+
+    No key of the unboxed carry is box-tested, so keys are mixed radix
+    (Kronecker substitution), not guarded bit fields.  A product is one
+    add, and on the benchmark's rows a key is one CPython digit (35-40 bits
+    in bit fields at p = 11) spread over the dict's slots by every
+    variable: delta1 took 69.1 -> 63.4 ms over the 54 ``split`` row members
+    (2-vCPU Xeon VM, Python 3.11).
+    """
+    p = f.p
+    units = [1]
+    for top in map(max, zip(*f.terms)):
+        units.append(units[-1] * (p * top + 1))
+    return units
+
+
+def _carry_layers(units: list, terms, p: int, every: bool = False):
+    """:func:`_layers` at count p for the carry of ``terms``, some of f's
+    (monomial, coefficient) pairs keyed by f's :func:`_carry_units`, each
+    term -c*m stepping to j = p - 1: the count-p layer, or with ``every``
+    all p + 1.
 
     Terms go in lex order, so the first ones share a face of the Newton
     polytope and the layers grow slowly, at about one product per
@@ -823,12 +836,8 @@ def _carry_layers(f: Polynomial, terms, every: bool = False) -> tuple:
     they won on 290 of 297 seeded random cells (median 1.8x) and lost by up
     to 1.3x where the terms fill much of their degree at p = 11.
     """
-    p = f.p
-    units = [1]
-    for top in map(max, zip(*f.terms)):
-        units.append(units[-1] * (p * top + 1))
     items = [(sum(map(mul, m, units)), -c, p - 1) for m, c in sorted(terms)]
-    return units, _layers(items, p, p, every=every)
+    return _layers(items, p, p, every=every)
 
 
 def _delta1_probe(f: Polynomial, a: int, b: int, s: int) -> Polynomial:
@@ -915,8 +924,9 @@ def _delta1_count(f: Polynomial) -> int:
     multidegree D, so block b's part of a monomial there has multidegree
     k_b * D: different compositions share no monomial, and a product of
     polynomials in disjoint variables over F_p has the product of their term
-    counts.  Each block's layers come from :func:`_carry_layers` and are
-    counted and dropped; a single term has one term at every count below p.
+    counts.  Each block's layers come from :func:`_carry_layers`, on units
+    built once for f, and are counted and dropped; a single term has one
+    term at every count below p.
     Where f is one block, one pass builds its count-p layer alone.  Where f
     has one term, or p times its top exponent reaches the cap, the count is
     delta1(f)'s, which raises on a term past the cap.
@@ -932,16 +942,17 @@ def _delta1_count(f: Polynomial) -> int:
             mask |= other
             terms += blocks.pop(other)
         blocks[mask] = terms
+    units = _carry_units(f)
     total = [1] + [0] * p
     for block in blocks.values():
         if len(block) == 1:
             counts = [1] * p + [0]
         elif len(blocks) == 1:
-            layer = _carry_layers(f, block)[1]
+            layer = _carry_layers(units, block, p)
             return len(layer) - countOf(layer.values(), 0)
         else:
             counts = [len(layer) - countOf(layer.values(), 0)
-                      for layer in _carry_layers(f, block, every=True)[1]]
+                      for layer in _carry_layers(units, block, p, every=True)]
         total = [sum(map(mul, total[:k + 1], counts[k::-1])) for k in range(p + 1)]
     return total[p]
 

@@ -853,41 +853,66 @@ class TestDenseSingularAgainstPoints:
 
 class TestHilbertCountOracle:
     """cone_smoothness against a rank oracle that builds no Groebner basis.
-    On P^n, d prime to p, f lies in J = (df/dx_i) by Euler, and the cone is
-    smooth away from the origin exactly when J fills R in degree D + 1,
-    D = sum (d - 2 w_i): then the partials are a regular sequence, and
-    R/J has the complete intersection's Hilbert function c_t, which bounds
-    it from below in every degree otherwise (Froeberg)."""
+    On one weighted projective space, d prime to p, f lies in J = (df/dx_i)
+    by Euler, and the cone is smooth away from the origin exactly when J
+    fills R in degree D + 1, D = sum (d - 2 w_i): then the partials are a
+    regular sequence, and R/J has the complete intersection's Hilbert
+    function c_t, which bounds it from below in every degree otherwise
+    (Froeberg).  The bound needs the degrees d - w_i matched one to one to
+    variables whose weights divide them, as they are on every ambient here."""
+
+    @staticmethod
+    def _compare(rng, text, degree, base, primes, count) -> list:
+        """The verdicts of ``count`` members per prime: odd ones singular at
+        the last coordinate point by construction (no pure power of the last
+        variable, and every term of degree >= 2 in the others), even ones
+        the ``base`` monomials plus up to 3 seeded terms."""
+        space = parse_ambient(text)
+        vs = space.variable_set
+        weights = [w for (w,) in vs.weights]
+        top = sum(degree - 2 * w for w in weights) + 1  # D + 1
+        ci = complete_intersection_counts(degree, weights, top)
+        verdicts = []
+        for p in primes:
+            for k in range(count):
+                if k % 2:
+                    f = _singular_at_coordinates(rng, space, p, degree, [vs.names[-1]])
+                else:
+                    f = Polynomial(p, vs, dict.fromkeys(base, 1)) \
+                        + random_homogeneous(rng, vs, p, degree, max_terms=3)
+                counts = jacobian_hilbert_counts(f, top)
+                smooth = counts[top] == 0
+                label = (text, p, str(f))
+                assert all(c >= b for c, b in zip(counts, ci)), label
+                if smooth:
+                    assert counts == ci, label
+                assert not (k % 2 and smooth), label
+                result = cone_smoothness(HypersurfaceVariety(p, space, f))
+                assert result.smooth_away_from_irrelevant is smooth, label
+                verdicts.append(smooth)
+        return verdicts
 
     def test_seeded_cubics_against_the_rank(self):
         rng = random.Random(1313)
         verdicts = []
         for text in ("P(1,1,1)", "P(1,1,1,1)"):
-            space = parse_ambient(text)
-            vs = space.variable_set
-            top = vs.n + 1  # D + 1 for cubics
-            ci = complete_intersection_counts(3, [1] * vs.n, top)
-            fermat = {tuple(3 * (i == j) for j in range(vs.n)): 1 for i in range(vs.n)}
-            for p in (5, 7):
-                for k in range(6):
-                    if k % 2:
-                        # no pure power of the last variable, and every term
-                        # of degree >= 2 in the others: singular at its point
-                        f = _singular_at_coordinates(rng, space, p, 3, [vs.names[-1]])
-                    else:
-                        f = Polynomial(p, vs, fermat) \
-                            + random_homogeneous(rng, vs, p, 3, max_terms=3)
-                    counts = jacobian_hilbert_counts(f, top)
-                    smooth = counts[top] == 0
-                    label = (text, p, str(f))
-                    assert all(c >= b for c, b in zip(counts, ci)), label
-                    if smooth:
-                        assert counts == ci, label
-                    assert not (k % 2 and smooth), label
-                    result = cone_smoothness(HypersurfaceVariety(p, space, f))
-                    assert result.smooth_away_from_irrelevant is smooth, label
-                    verdicts.append(smooth)
+            n = text.count(",") + 1
+            fermat = [tuple(3 * (i == j) for j in range(n)) for i in range(n)]
+            verdicts += self._compare(rng, text, 3, fermat, (5, 7), 6)
         assert verdicts.count(True) >= 6 and verdicts.count(False) >= 12
+
+    def test_seeded_weighted_members_against_the_rank(self):
+        # P(1,1,1,2) quintics (d - w_i = 4, 4, 4, 3; D + 1 = 11) and
+        # P(1,1,1,1,2) quartics (3, 3, 3, 3, 2; D + 1 = 9), at primes
+        # dividing no degree; x0*y^2 keeps the quintic base off the
+        # weight-2 point, where no pure power of y exists
+        rng = random.Random(1314)
+        quintic = [(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (1, 0, 0, 2)]
+        quartic = [(4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 4, 0, 0),
+                   (0, 0, 0, 4, 0), (0, 0, 0, 0, 2)]
+        verdicts = self._compare(rng, "P(1,1,1,2)", 5, quintic, (3, 7), 8)
+        verdicts += self._compare(rng, "P(1,1,1,1,2)", 4, quartic, (3, 5), 4)
+        assert verdicts.count(True) >= 4 and verdicts.count(False) >= 12
 
 
 def euler_sum(f, c):
@@ -927,3 +952,51 @@ class TestEulerRelation:
                 for c, d_c in enumerate(degree):
                     if d_c % p:
                         assert euler_sum(f, c) == f * d_c
+
+
+class TestEulerDrop:
+    """The support certificate runs on the partials alone where some
+    component of f's multidegree is prime to p, since Euler's relation puts
+    f in their ideal, and on f and its partials where p divides every one."""
+
+    @pytest.mark.parametrize("ambient,text", [
+        ("P(1,1,1)", "x0*x1 + x2^2"),
+        ("P(1,1) x P(1,1)", "x0*x1*y0^2 + x0^2*y1^2 + x1^2*y0*y1"),
+    ], ids=["conic", "bidegree_2_2"])
+    def test_f_stays_where_p_divides_every_degree(self, ambient, text):
+        # at p = 2 the conic's partials are x1, x0 and 0, which vanish at
+        # [0:0:1]; only f rules that point out, so a certificate on the
+        # partials alone would answer Singular on both
+        v = variety(ambient, text, 2)
+        assert all(d % 2 == 0 for d in weighted_degree(v.f))
+        assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
+        assert cone_smoothness(v) == ConeResult(True)
+
+    @pytest.mark.parametrize("ambient,degree", [
+        ("P(1,1,1)", 3),
+        ("P(1,1,1,1)", 3),
+        ("P(1,1,1,2)", 4),
+        ("P(1,1) x P(1,1,1)", (1, 2)),
+    ], ids=["P2", "P3", "P1112", "P1xP2"])
+    def test_seeded_certificate_with_and_without_f(self, ambient, degree):
+        rng = random.Random(ambient)
+        space = parse_ambient(ambient)
+        vs = space.variable_set
+        order = _grevlex(vs.n)
+        answers = []
+        for i in range(18):
+            p = (2, 3, 7)[i % 3]
+            if i % 2 and vs.ncomponents == 1:
+                f = dense_form(rng, vs, p, degree, 0, 3)
+            else:
+                f = random_homogeneous(rng, vs, p, degree, max_terms=6)
+            if not any(d % p for d in weighted_degree(f)):
+                continue
+            jac = _packed_jacobian(f, order)
+            with_f, without_f = (
+                ideals._buchberger_raw(gens, order, p, _no_chart_open(space))
+                in (None, ideals._UNIT) for gens in (jac, jac[1:]))
+            certified = _jacobian_certificate(f, _no_chart_open(space)) is None
+            assert with_f == without_f == certified, (p, str(f))
+            answers.append(certified)
+        assert len(answers) >= 10 and True in answers and False in answers

@@ -6,7 +6,12 @@ from itertools import chain
 import pytest
 
 from fanocheck import ideals
-from fanocheck.geometry import HypersurfaceVariety, cone_smoothness, parse_ambient
+from fanocheck.geometry import (
+    HypersurfaceVariety,
+    _no_chart_open,
+    cone_smoothness,
+    parse_ambient,
+)
 from fanocheck.ideals import (
     PolyIdeal,
     _buchberger_raw,
@@ -488,6 +493,14 @@ class TestPairUpdate:
         # the Euler relation, which no criterion sees, sends it to zero
         assert len(self._run([f] + partials)) == 5
         assert len(reductions) == 1
+        # p = 11 divides no degree, so the certificate leaves f out of the
+        # run and reduces no pair, whether the chart stop ends it or it runs
+        # to the end and hands back f and its partials
+        del reductions[:]
+        assert ideals._jacobian_certificate(f, _no_chart_open(space)) is None
+        _, gens = ideals._jacobian_certificate(f, lambda exp: False)
+        assert len(gens) == 6
+        assert reductions == []
 
     def test_bk_drops_a_queued_pair(self, reductions):
         # (x*y, y*z) is queued with lcm x*y*z; y then divides that lcm, and

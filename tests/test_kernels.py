@@ -1,7 +1,7 @@
 """Contract properties of the unboxed Witt carry, at the edges of its keying.
 
 ``delta1`` and the carry count build the carry's count-p layer on mixed-radix
-keys (``poly._carry_layers``): x_i's unit is the product over j < i of
+keys (``poly._carry_units``): x_i's unit is the product over j < i of
 (p * top_j + 1), top_j being x_j's top exponent in f.  The strategies put
 their mass where that keying can break:
 

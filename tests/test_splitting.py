@@ -13,6 +13,7 @@ from fanocheck.poly import (
     Polynomial,
     VariableSet,
     _carry_layers,
+    _carry_units,
     delta1,
     mono_str,
     parse_poly,
@@ -497,9 +498,10 @@ class TestReport:
         ring = ring_of("x0^6 + x1^6 + x2^6 + x3^6 + y^2 + 2*x1^2*x2*x3^3"
                        " + 9*x0^3*x1^2*x2", 11,
                        names="x0,x1,x2,x3,y", weights=[1, 1, 1, 1, 3])
-        assert len(_carry_layers(ring.f, ring.f.terms.items())[1]) == 8346
+        units = _carry_units(ring.f)
+        assert len(_carry_layers(units, ring.f.terms.items(), 11)) == 8346
         x_block = [(m, c) for m, c in ring.f.terms.items() if not m[4]]
-        layers = _carry_layers(ring.f, x_block, every=True)[1][1:]
+        layers = _carry_layers(units, x_block, 11, every=True)[1:]
         assert sum(countOf(layer.values(), 0) for layer in layers) > 0
         assert sum(map(len, layers)) > 8111
         assert sum(len(layer) - countOf(layer.values(), 0) for layer in layers) == 8111
@@ -606,11 +608,11 @@ class TestReport:
             raise AssertionError("the whole carry was built")
         carry_layers = poly_module._carry_layers
 
-        def every_layer_only(f, terms, every=False):
+        def every_layer_only(units, terms, p, every=False):
             # the count-p layer alone is delta1's carry, or a one-block count
             if not every:
                 raise AssertionError("the whole carry was built")
-            return carry_layers(f, terms, every)
+            return carry_layers(units, terms, p, every)
         monkeypatch.setattr(poly_module, "_carry_layers", every_layer_only)
         monkeypatch.setattr(poly_module, "delta1", refuse)
         assert [fedder_report(ring).delta1_terms for ring in rings] == counts
