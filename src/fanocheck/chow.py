@@ -9,10 +9,11 @@ bundle P(O(a_1) + ... + O(a_r)) the extra generator xi obeys
 the normalization in which O(1) restricts to O(a_j) on the j-th coordinate
 section.  The degree map reads off the coefficient of
 h1^n1 ... hk^nk * xi^(r-1), the unique monomial of top dimension.  All
-arithmetic is exact over the integers, on monomials packed, boxed and
-multiplied by poly's packing and kernel and printed by its term printer;
-reduce, class_element and element_str take and return {exponent tuple: int}
-dicts.
+arithmetic is exact over the integers, on monomials packed and boxed by
+poly's packing, multiplied by the ring's own loop, which applies the relation
+as products land (a bundle's quotient is no monomial box, so poly's kernel
+does not fit), and printed by poly's term printer; reduce, class_element and
+element_str take and return {exponent tuple: int} dicts.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class IntersectionRing:
         self._order = order
         self._box = order.box([n + 1 for n in base.dims])
         self._top = order.pack(tuple(base.dims) + ((self.rank - 1,) if bundle else ()))
-        self._xi_top = self.rank * order.units[-1] if bundle else None
+        self._xi_top = self.rank * order.units[-1] if bundle else 1 << self.k * order.width
         self._xi_rule = self._build_xi_rule() if bundle else None
         # the generators by the names element_str prints and expressions read
         names = [f"h{i + 1}" for i in range(self.k)] + (["xi"] if bundle else [])
@@ -111,7 +112,8 @@ class IntersectionRing:
     # int} with the xi slot last at the boundary (reduce, class_element,
     # element_str).  Monomials pack by poly's packing; its box holds h_i
     # below n_i + 1 and leaves the xi field on top open, so xi^r divides m
-    # exactly when m >= _xi_top.
+    # exactly when m >= _xi_top; without a bundle that is the bit above
+    # every field, which no boxed m reaches.
 
     def _pack(self, el: dict) -> dict:
         """The one boundary check; monomials outside the h-box are zero."""
@@ -129,32 +131,41 @@ class IntersectionRing:
     def _unpack(self, el: dict) -> dict:
         return self._order.unpack_terms(el)
 
-    def _times(self, a: dict, factor: list) -> dict:
-        return _mul_packed(a, factor, None, *self._box)
-
     def _build_xi_rule(self) -> list:
         """xi^r rewritten as lower xi-powers, from prod_j (xi - a_j . h) = 0,
         cut to the h-box as it is built."""
         *h_units, xi = self._order.units
         rel = {0: 1}
         for twist in self.bundle.twists:
-            rel = self._times(rel, [(xi, 1)] + [(u, -a) for u, a in zip(h_units, twist) if a])
+            rel = _mul_packed(rel, [(xi, 1)] + [(u, -a) for u, a in zip(h_units, twist) if a],
+                              None, *self._box)
         assert rel.pop(self._xi_top) == 1
         return [(m, -c) for m, c in rel.items()]
 
-    def _reduce(self, el: dict) -> dict:
-        """Rewrite xi^r by the rule until no term has it; ``el`` is in the
-        h-box and loses its xi^r terms in place."""
+    def _mul(self, el: dict, factor: dict) -> dict:
+        """el * factor, reduced: a product outside the h-box is dropped, and
+        one that xi^r divides is spilled, keyed by its quotient by xi^r.  The
+        spill times the xi rule runs through the same loop until it is empty;
+        each round lowers its xi power, so any xi power ends.  Zeros are
+        dropped once, at the end."""
+        off, guard = self._box
         top = self._xi_top
-        while top is not None:
-            high = {m - top: el.pop(m) for m in [m for m in el if m >= top]}
-            if not high:
-                break
-            el = self.add(el, self._times(high, self._xi_rule))
-        return el
-
-    def _mul(self, a: dict, b: dict) -> dict:
-        return self._reduce(self._times(a, list(b.items())))
+        out = {}
+        get = out.get
+        items = factor.items()
+        while el:
+            spill = {}
+            for mb, cb in items:
+                for ma, ca in el.items():
+                    m = ma + mb
+                    if not (m + off) & guard:
+                        if m < top:
+                            out[m] = get(m, 0) + ca * cb
+                        else:
+                            m -= top
+                            spill[m] = spill.get(m, 0) + ca * cb
+            el, items = spill, self._xi_rule
+        return {m: c for m, c in out.items() if c}
 
     def _class(self, cls: DivClass) -> dict:
         if len(cls.h) != self.k:
@@ -166,7 +177,7 @@ class IntersectionRing:
 
     def reduce(self, el: dict) -> dict:
         """Apply h-truncation and the xi rewriting rule until stable."""
-        return self._unpack(self._reduce(self._pack(el)))
+        return self._unpack(self._mul(self._pack(el), {0: 1}))
 
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)

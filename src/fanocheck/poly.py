@@ -8,8 +8,8 @@ reverse lexicographic (grevlex), ties broken towards earlier variables.
 This module owns the bit-field packing of monomials (Monagan & Pearce,
 CASC 2007), :class:`_PackedOrder`: a product of monomials is one integer
 add and the box test "some exponent >= its bound" (:meth:`_PackedOrder.box`)
-one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs, boxes
-and multiplies on it too.  Grevlex, the one term order, packs its rows above
+one add and one mask; the Chow ring of :mod:`fanocheck.chow` packs and
+boxes on it too.  Grevlex, the one term order, packs its rows above
 the exponents, so ``_grevlex`` orders :meth:`Polynomial.leading_monomial`
 and Buchberger in :mod:`fanocheck.ideals` alike.  Every packed kernel result
 leaves through :meth:`_PackedOrder.polynomial` and is not validated again.
@@ -964,10 +964,14 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     All mod p and dividing by nothing, ``layers[k]`` holds the count-k part
     of the product over the items seen so far.  An item updates them in
     place from k = top down, each reading only the old layers below it:
-    layers[k] += sum_{1 <= j <= J} layers[k-j] * (a*m)^j / j!.  The last
-    item fills only layer top and frees each layer below once read; with
-    ``every`` it fills every layer like the others, and the list of all
-    top + 1 layers comes back (the carry count's blocks).  With
+    layers[k] += sum_{1 <= j <= J} layers[k-j] * (a*m)^j / j!.  With
+    ``rest`` the sum of the J_t still to come, an item fills only layers
+    k >= max(1, top - rest) and frees each layer below top - rest as it
+    reads it the last time, so the last item fills layer top alone, as a
+    full pass would, and where the J_t sum to
+    less than top ``{}`` comes back at once.  With ``every`` each item fills
+    every layer, and all top + 1 layers come back (the carry count's
+    blocks).  With
     ``box`` from :meth:`_PackedOrder.box`, a second inner loop drops each
     product that leaves the box as it is formed (the carry in
     :func:`_delta1_probe`); :func:`_carry_layers` has no box, and its
@@ -989,20 +993,26 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
     are within 4% of it, on 3- and 4-term forms there 1-17% faster, and on
     the seeded survey forms at p 5-11 1-10% faster.
     """
+    # the step bounds of the items still to come; with ``every`` it counts
+    # top more, so that every layer stays in reach
+    rest = sum([jmax for _, _, jmax in items]) + (top if every else 0)
+    if rest < top:
+        return {}
     off, guard = box
     inv_fact = [1] * p
     for j in range(2, p):
         inv_fact[j] = inv_fact[j - 1] * pow(j, -1, p) % p
     times = _times(p)
     layers = [{0: 1}] + [{} for _ in range(top)]
-    last = -1 if every else len(items) - 1
-    for i, (m, c, jmax) in enumerate(items):
+    for m, c, jmax in items:
+        rest -= jmax
         steps = []
         a = 1
         for j in range(1, jmax + 1):
             a = a * c % p
             steps.append((j * m, times[a * inv_fact[j] % p]))
-        for k in range(top, top - 1 if i == last else 0, -1):
+        low = max(1, top - rest)
+        for k in range(top, low - 1, -1):
             out = layers[k]
             get = out.get
             for src in range(max(k - jmax, 0), k):
@@ -1018,6 +1028,6 @@ def _layers(items: list, p: int, top: int, box: tuple = (0, 0), every: bool = Fa
                         mm = mo + mj
                         v = get(mm)
                         out[mm] = row[co] if v is None else (v + row[co]) % p
-                if i == last:
+                if k == low and src < top - rest:  # its last read; out of reach
                     layers[src] = None
     return layers if every else layers[top]

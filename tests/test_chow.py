@@ -280,10 +280,12 @@ class TestExpressions:
         calls = []
         mul = r._mul
         monkeypatch.setattr(r, "_mul", lambda a, b: calls.append(1) or mul(a, b))
-        assert r.element_str(evaluate_expression(r, "deg(K^2)")) == "9"
+        # element_str reduces by one more product, so it reads after the count
+        el = evaluate_expression(r, "deg(K^2)")
         assert len(calls) == 2
+        assert r.element_str(el) == "9"
         calls.clear()
-        assert r.element_str(evaluate_expression(r, "K^7")) == "0"
+        assert evaluate_expression(r, "K^7") == {}
         assert len(calls) == 3
 
     @pytest.mark.parametrize("expr,expected", [
@@ -321,10 +323,10 @@ class TestExpressions:
         mul = r._mul
         monkeypatch.setattr(r, "_mul", lambda a, b: calls.append(1) or mul(a, b))
         el = evaluate_expression(r, "(1+h1+h2)^1000000000")
+        assert len(calls) == 3
         # 1 + e n + C(e, 2) n^2 with n = h1 + h2 and n^2 = 2 h1 h2
         assert r.element_str(el) == (
             "999999999000000000*h1*h2 + 1000000000*h1 + 1000000000*h2 + 1")
-        assert len(calls) == 3
 
     def test_unary_minus_and_cancellation(self):
         r = base_ring(1, 1)

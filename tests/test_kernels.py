@@ -16,20 +16,36 @@ their mass where that keying can break:
 
 Each property runs a fixed, derandomized sample.  ``naive_delta1`` sums over
 every composition of p, so forms keep to 3 terms at p = 31 and 2 at p = 97.
+
+Two more kernels, against the reference loops of ``tests/helpers``:
+
+- the layer kernel ``poly._layers``, which builds only the layers that can
+  still reach the top count, against ``ref_layers``: step bounds J_t that
+  sum to top - 1 (nothing reaches top), top and top + 1 (the first item's
+  lowest layer is top - rest), unboxed and in a q-box, and with ``every``;
+- the Chow ring's one product ``IntersectionRing._mul``, which sends every
+  product that xi^r divides to a spill and multiplies the spill by the xi
+  rule until it is empty, against ``RefIntersectionRing``: products of
+  reduced elements whose xi powers sum to 2r - 2 (two spill rounds from
+  r = 3 on, the pure power xi^r itself at r = 2), and ``reduce`` on inputs
+  with xi^r, xi^(r+1) and terms outside the h-box.
 """
 
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from fanocheck.chow import IntersectionRing, ProductBase, SplitBundleSpec
 from fanocheck.poly import (
     ExponentOverflowError,
     Polynomial,
     VariableSet,
     _delta1_count,
+    _layers,
+    _packing,
     delta1,
 )
-from helpers import monomials_of_degree, naive_delta1
+from helpers import RefIntersectionRing, monomials_of_degree, naive_delta1, ref_layers
 
 PRIMES = (2, 3, 5, 7, 31, 97)
 EDGES = (2**15 - 1, 2**15, 2**16 - 1, 2**16)
@@ -150,3 +166,85 @@ def test_count_is_the_carry_count(f):
 @given(homogeneous_inputs(edge=True))
 def test_count_is_the_carry_count_at_the_edges(f):
     _assert_count_is_the_carry_count(f)
+
+
+@st.composite
+def layer_inputs(draw):
+    """(items, nvars, p, top, q, every): 1 to 5 items (exponent tuple,
+    coefficient, J_t), top one below, at or one above the sum of the J_t;
+    in a q-box (q = p^s) each item inside it, its steps stopping there."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    nvars = draw(st.integers(1, 3))
+    q = draw(st.none() | st.sampled_from((p, p * p)))
+    exponent = st.integers(0, 3) if q is None else st.integers(0, min(3, q - 1))
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = tuple(draw(st.lists(exponent, min_size=nvars, max_size=nvars)))
+        most = p - 1 if q is None else min(p - 1, (q - 1) // (max(m) or 1))
+        items.append((m, draw(st.integers(1, p - 1)), draw(st.integers(1, most))))
+    top = max(1, sum(j for _, _, j in items) + draw(st.sampled_from((-1, 0, 1))))
+    return items, nvars, p, top, q, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(layer_inputs())
+def test_layers_are_the_reference_layers(case):
+    items, nvars, p, top, q, every = case
+    if q is None:
+        most = sum(j * max(m) for m, _, j in items) or 1
+        order, box = _packing(nvars, most.bit_length() + 1), (0, 0)
+    else:
+        order = _packing(nvars, (q - 1).bit_length() + 1)
+        box = order.box([q] * nvars)
+    got = _layers([(order.pack(m), a, j) for m, a, j in items], p, top, box, every)
+    want = ref_layers(items, nvars, p, top, q)
+    layers = [{order.unpack(m): c for m, c in layer.items() if c}
+              for layer in (got if every else [got])]
+    assert layers == (want if every else want[top:])
+
+
+@st.composite
+def chow_rings(draw):
+    """A bundle of rank 2 to 4 over 1 to 4 factors of dimension 1 to 3,
+    twists in -2..2: the packed ring and the reference ring."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    twists = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(dims),
+                                    max_size=len(dims)), min_size=2, max_size=4))
+    base = ProductBase(dims)
+    ring = IntersectionRing(base, SplitBundleSpec(base, tuple(map(tuple, twists))))
+    return ring, RefIntersectionRing(dims, twists)
+
+
+@st.composite
+def chow_elements(draw, ring, xi_powers, h_past=0):
+    """Up to 6 terms, xi powers from ``xi_powers``, the first at its last;
+    each h exponent up to n_i + h_past, coefficients in -3..3."""
+    terms = {}
+    for i in range(draw(st.integers(1, 6))):
+        xi = xi_powers[-1] if i == 0 else draw(st.sampled_from(xi_powers))
+        hs = tuple(draw(st.sampled_from((0, n)) | st.integers(0, n + h_past))
+                   for n in ring.base.dims)
+        terms[hs + (xi,)] = draw(st.integers(-3, 3))
+    return terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_chow_products_are_the_reference_products(data):
+    ring, ref = data.draw(chow_rings())
+    r = ring.rank
+    # xi powers lean to r - 1, so that two of them sum to 2r - 2
+    powers = (0, 1, r - 1, r - 1)
+    a = data.draw(chow_elements(ring, powers))
+    b = data.draw(chow_elements(ring, powers))
+    got = ring._unpack(ring._mul(ring._pack(a), ring._pack(b)))
+    assert got == ref.mul(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_chow_reduce_is_the_reference_reduce(data):
+    ring, ref = data.draw(chow_rings())
+    r = ring.rank
+    el = data.draw(chow_elements(ring, (0, r - 1, r, r + 1), h_past=1))
+    assert ring.reduce(el) == ref.reduce(el)

@@ -34,7 +34,7 @@ EXAMPLES = readme_examples()
 
 
 def test_examples_found():
-    assert len(EXAMPLES) == 9
+    assert len(EXAMPLES) == 10
 
 
 @pytest.mark.parametrize("argv,expected", EXAMPLES,
