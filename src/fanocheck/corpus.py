@@ -201,9 +201,12 @@ def _chow_params(params: dict, entry: str) -> dict:
     if canonical is not None and not isinstance(canonical, bool):
         raise CorpusFormatError("chow canonical must be true or false",
                                 entry, "params")
+    identity, expr = params.get("identity"), params.get("expr")
+    if (canonical is True) + (identity is not None) + (expr is not None) > 1:
+        raise CorpusFormatError("chow check needs exactly one of expr, canonical "
+                                "or identity", entry, "params")
     if canonical:
         return {**ring, "canonical": True}
-    identity = params.get("identity")
     if identity is not None:
         if (not isinstance(identity, dict)
                 or not isinstance(identity.get("lhs"), str)
@@ -211,7 +214,6 @@ def _chow_params(params: dict, entry: str) -> dict:
             raise CorpusFormatError("chow identity needs lhs and rhs expressions",
                                     entry, "params")
         return {**ring, "identity": (identity["lhs"], identity["rhs"])}
-    expr = params.get("expr")
     if not isinstance(expr, str):
         raise CorpusFormatError("chow check needs expr, canonical or identity",
                                 entry, "params")

@@ -4,8 +4,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# every property draws the same examples on every run, so that tier-1 is
+# reproducible and two trees compare on the same inputs; each test keeps
+# its own max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _ACCEPTANCE_LINES = []
 

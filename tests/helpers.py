@@ -266,29 +266,6 @@ def naive_delta1(f: Polynomial) -> Polynomial:
     return Polynomial(f.field, f.vars, {m: c // p for m, c in total.items()})
 
 
-def chain_delta1(f: Polynomial) -> Polynomial:
-    """Reference for delta1 by the product chain on exponent tuples.
-
-    Multiplies by the lifted f p times with coefficients mod p^2, subtracts
-    the pure p-th powers and divides by p, which must be exact.
-    """
-    p, n = f.p, f.vars.n
-    mod = p * p
-    total = {(0,) * n: 1}
-    for _ in range(p):
-        nxt = {}
-        for ma, ca in total.items():
-            for mb, cb in f.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                nxt[m] = (nxt.get(m, 0) + ca * cb) % mod
-        total = nxt
-    for m, c in f.terms.items():
-        mp = tuple(p * e for e in m)
-        total[mp] = (total.get(mp, 0) - c ** p) % mod
-    assert all(c % p == 0 for c in total.values()), "division was not exact"
-    return Polynomial(f.field, f.vars, {m: c // p for m, c in total.items() if c})
-
-
 def count_zeros(f: Polynomial) -> int:
     """#{x in F_p^N : f(x) = 0}, by evaluating f at every point of F_p^N."""
     p = f.p

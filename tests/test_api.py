@@ -12,6 +12,8 @@ into or out of ``src``, and every private helper kept alive for one
 other module shows up in review.  And every public name a module
 surface pins, and every public method of a pinned class, has a caller
 outside the unit tests, and every name a module imports is read there.
+Every function and class of ``tests/helpers.py`` is read by some test
+or helper.
 A dunder has no caller by name, so the dunders of the pinned classes are
 a list of their own, each with the protocol that calls it.
 """
@@ -253,6 +255,25 @@ def test_every_public_method_has_a_caller():
     uncalled = [f"{cls}.{name}" for cls, name in _pinned_methods()
                 if not name.startswith("_") and name not in attrs]
     assert uncalled == []
+
+
+def test_every_helper_is_read():
+    """Every top-level function and class of ``tests/helpers.py`` is read
+    in ``tests/`` outside its own definition: by a test module or by
+    another helper.  Reference code whose last test is retired goes with it."""
+    tests = Path(__file__).resolve().parent
+    helpers = ast.parse((tests / "helpers.py").read_text(encoding="utf-8"))
+    read = set()
+    for path in tests.glob("*.py"):
+        if path.name != "helpers.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for top in helpers.body:
+        read |= {node.id for node in ast.walk(top)
+                 if isinstance(node, ast.Name) and node.id != getattr(top, "name", None)}
+    unread = [top.name for top in helpers.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in read]
+    assert unread == []
 
 
 def _pinned_methods():

@@ -579,7 +579,7 @@ class TestPackedAgainstTupleRing:
         assert evaluate_expression(ring, f"deg(h1^{n})") == {(0,): 1}
         assert evaluate_expression(ring, f"deg((1 + h1)^{n})") == {(0,): 1}
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(st.data())
     def test_mul_commutative_and_associative(self, data):
         dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
@@ -636,7 +636,7 @@ class TestIndexWalkAgainstCursor:
             assert (_outcome(evaluate_expression, ring, text)
                     == _outcome(ref_evaluate_expression, ring, text)), text
 
-    @settings(max_examples=1200, deadline=None)
+    @settings(max_examples=1200)
     @given(st.one_of(_JOINED_ATOMS, _NESTED_ATOMS))
     def test_random_texts(self, text):
         self.assert_same_outcome(text)

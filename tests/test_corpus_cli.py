@@ -288,6 +288,23 @@ class TestRunCorpus:
         ])])
         assert run_corpus(path).all_passed
 
+    # the CLI takes one of --expr or --canonical; a row with two modes would
+    # run one and silently ignore the other
+    @pytest.mark.parametrize("modes", [
+        {"canonical": True, "expr": "h1"},
+        {"identity": {"lhs": "h1", "rhs": "h1"}, "expr": "h1"},
+        {"canonical": True, "identity": {"lhs": "h1", "rhs": "h1"}},
+    ], ids=["canonical+expr", "identity+expr", "canonical+identity"])
+    def test_two_chow_modes_rejected(self, tmp_path, capsys, modes):
+        check = {"kind": "chow", "expect": "-2*h1", "params": {"base": [1], **modes}}
+        doc = {"entries": [entry(checks=[check])]}
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == ("chow check needs exactly one of expr, canonical or "
+                                  "identity in entry 'probe' (field 'params')")
+        assert main(["verify", str(write_corpus(tmp_path, doc["entries"]))]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_pgl_order_rows(self, tmp_path, monkeypatch):
         real = delpezzo.plane_points
 
@@ -353,7 +370,7 @@ _ROWS = st.lists(st.builds(CheckRow, _TEXT, _TEXT, _TEXT, _TEXT, st.booleans()),
                  max_size=4)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_ROWS)
 @example([])
 def test_report_json_is_json_dumps(rows):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -913,6 +915,36 @@ class TestHilbertCountOracle:
         verdicts = self._compare(rng, "P(1,1,1,2)", 5, quintic, (3, 7), 8)
         verdicts += self._compare(rng, "P(1,1,1,1,2)", 4, quartic, (3, 5), 4)
         assert verdicts.count(True) >= 4 and verdicts.count(False) >= 12
+
+    def test_corpus_smooth_rows_against_the_rank(self):
+        # every shipped `smooth` row but wild-conic-p2, whose P^2 x P^2 has
+        # two gradings: one weighted space, p prime to the degree, and each
+        # d - w_i matched to a weight that divides it (quasi-smooth-only-p11:
+        # 6 to y, 4 to an x)
+        corpus = Path(__file__).resolve().parents[1] / "corpus" / "paper_examples.json"
+        rows = [(entry, check["expect"])
+                for entry in json.loads(corpus.read_text(encoding="utf-8"))["entries"]
+                for check in entry["checks"] if check["kind"] == "smooth"]
+        checked = []
+        for entry, expect in rows:
+            if entry["name"] == "wild-conic-p2":
+                continue
+            (factor,) = entry["ambient"]["factors"]
+            p, weights = entry["prime"], factor["weights"]
+            f = parse_poly(entry["polynomial"],
+                           VariableSet.weighted(factor["vars"], weights), p)
+            (degree,) = weighted_degree(f)
+            assert degree % p, entry["name"]
+            top = sum(degree - 2 * w for w in weights) + 1  # D + 1
+            counts = jacobian_hilbert_counts(f, top)
+            if expect == "Singular":
+                assert counts[top], entry["name"]
+            else:
+                assert not counts[top], entry["name"]
+                assert counts == complete_intersection_counts(degree, weights, top), \
+                    entry["name"]
+            checked.append(entry["name"])
+        assert len(checked) == 6 == len(rows) - 1
 
 
 def euler_sum(f, c):

@@ -1,9 +1,13 @@
-"""Contract properties of the unboxed Witt carry, at the edges of its keying.
+"""The contract suite of the packed kernels: one hypothesis property per
+kernel entry, each against one reference in ``tests/helpers``, with its
+mass on the edges where the kernels broke.  Every property draws a fixed
+number of examples under the derandomized profile of ``tests/conftest``.
 
-``delta1`` and the carry count build the carry's count-p layer on mixed-radix
-keys (``poly._carry_units``): x_i's unit is the product over j < i of
-(p * top_j + 1), top_j being x_j's top exponent in f.  The strategies put
-their mass where that keying can break:
+The unboxed Witt carry.  ``delta1`` and the carry count build the carry's
+count-p layer on mixed-radix keys (``poly._carry_units``): x_i's unit is
+the product over j < i of (p * top_j + 1), top_j being x_j's top exponent
+in f.  ``delta1`` is checked against ``naive_delta1``, the count against
+``delta1(f).num_terms``, where that keying can break:
 
 - p in {2, 3, 5, 7, 31, 97};
 - p times f's top exponent next to 2**15 - 1, 2**15, 2**16 - 1 and 2**16,
@@ -11,14 +15,29 @@ their mass where that keying can break:
 - two terms sharing a top exponent, so that the carry reaches the top of a
   radix digit, p * top_j;
 - a variable in no term, whose radix base is 1;
+- constant terms, inhomogeneous forms, dense forms (every monomial of a
+  degree) and the terms in a drawn order, for ``delta1``;
 - weighted variables, and forms of one block or of several (terms in
   disjoint variables), for the count's two paths.
 
-Each property runs a fixed, derandomized sample.  ``naive_delta1`` sums over
-every composition of p, so forms keep to 3 terms at p = 31 and 2 at p = 97.
+``naive_delta1`` sums over every composition of p, so forms keep to 3
+terms at p = 31 and 2 at p = 97.
 
-Two more kernels, against the reference loops of ``tests/helpers``:
+The boxed kernels, in the q-box (x_i^q), q = p^s:
 
+- the boxed power ``pow_mod_frobenius`` (``poly._pow_boxed``: a digit 1,
+  a digit 2 squared by pairs in ``_square_packed``, a digit d >= 3 from
+  ``_layers`` at count d, and c^(e // q) for the constant term c) against
+  ``ref_pow_mod_frobenius``, one boxed product per step: every base-p
+  digit of e mod q in {0, 1, 2, >= 3}, e past q, and exponents next to
+  q / p^i, where a term leaves the box at scale p^i, and up to q - 1,
+  where a scaled exponent would pass its field;
+- the carry probe ``poly._delta1_probe`` against f^a * naive_delta1(f)^b,
+  formed as two boxed powers of the same reference: a in {0, p - 1, p,
+  p + 1} or below p (b = 1, a < p reads the carry's layers), b in {0, 1,
+  2, p}, terms outside the box, and s past E = (a + p*b) * (f's top
+  exponent) against the unboxed product, with a top that is a power of p
+  shared by every term so that the product reaches E;
 - the layer kernel ``poly._layers``, which builds only the layers that can
   still reach the top count, against ``ref_layers``: step bounds J_t that
   sum to top - 1 (nothing reaches top), top and top + 1 (the first item's
@@ -29,6 +48,11 @@ Two more kernels, against the reference loops of ``tests/helpers``:
   reduced elements whose xi powers sum to 2r - 2 (two spill rounds from
   r = 3 on, the pure power xi^r itself at r = 2), and ``reduce`` on inputs
   with xi^r, xi^(r+1) and terms outside the h-box.
+
+The boxed product ``poly._mul_packed`` has its property beside the box
+test it relies on, in ``test_poly.TestPackedBox``.  Tests that pin a
+kernel's shape or path (zero entries, term order, which kernel runs) stay
+beside the public functions.
 """
 
 from functools import lru_cache
@@ -41,16 +65,29 @@ from fanocheck.poly import (
     Polynomial,
     VariableSet,
     _delta1_count,
+    _delta1_probe,
     _layers,
     _packing,
     delta1,
+    pow_mod_frobenius,
 )
-from helpers import RefIntersectionRing, monomials_of_degree, naive_delta1, ref_layers
+from helpers import (
+    RefIntersectionRing,
+    monomials_of_degree,
+    naive_delta1,
+    ref_layers,
+    ref_pow_mod_frobenius,
+)
 
 PRIMES = (2, 3, 5, 7, 31, 97)
 EDGES = (2**15 - 1, 2**15, 2**16 - 1, 2**16)
 MAX_TERMS = {31: 3, 97: 2}  # for naive_delta1
 MAX_COUNT_TERMS = {31: 4, 97: 3}
+# the largest s with q = p^s for the boxed power, where the reference's
+# e mod q products stay cheap, and for the probe, whose reference also
+# multiplies two boxed powers
+POWER_SCALES = {2: 6, 3: 4, 5: 3, 7: 2, 31: 1, 97: 1}
+PROBE_SCALES = {2: 3, 3: 2, 5: 2, 7: 1, 31: 1, 97: 1}
 
 
 def _names(n: int) -> str:
@@ -75,8 +112,9 @@ def edge_tops(draw, p: int) -> int:
 @st.composite
 def carry_inputs(draw) -> Polynomial:
     """2 to 4 terms on 1 to 3 variables, one more in no term at times; the
-    first term holds the top exponent, small or at an edge, and every
-    exponent leans to 0, 1 and the top's neighbours."""
+    first term holds the top exponent, small or at an edge, the last is
+    constant at times, and every exponent leans to 0, 1 and the top's
+    neighbours, so that most forms are inhomogeneous."""
     p = draw(st.sampled_from(PRIMES))
     top = draw(st.integers(1, 4) | edge_tops(p))
     used = draw(st.integers(1, 3))
@@ -84,12 +122,28 @@ def carry_inputs(draw) -> Polynomial:
     monos = [draw(st.lists(exponent, min_size=used, max_size=used))
              for _ in range(draw(st.integers(2, MAX_TERMS.get(p, 4))))]
     monos[0][draw(st.integers(0, used - 1))] = top
+    if draw(st.booleans()):
+        monos[-1] = [0] * used
     absent = draw(st.none() | st.integers(0, used))
     if absent is not None:
         for m in monos:
             m.insert(absent, 0)
     terms = {tuple(m): draw(st.integers(1, p - 1)) for m in monos}
     return Polynomial(p, VariableSet.unit(_names(len(monos[0]))), terms)
+
+
+@st.composite
+def dense_inputs(draw) -> Polynomial:
+    """Every monomial of one degree in 2 or 3 variables, as many as
+    ``naive_delta1`` affords at p (up to 7), and a constant term at times."""
+    p = draw(st.sampled_from(PRIMES))
+    most = MAX_TERMS.get(p, 7)
+    vs = VariableSet.unit(_names(draw(st.integers(2, min(3, most)))))
+    pools = [pool for d in range(1, 7) if len(pool := monomials_of_degree(vs, d)) <= most]
+    terms = {m: draw(st.integers(1, p - 1)) for m in draw(st.sampled_from(pools))}
+    if len(terms) < most and draw(st.booleans()):
+        terms[(0,) * vs.n] = draw(st.integers(1, p - 1))
+    return Polynomial(p, vs, terms)
 
 
 @lru_cache(maxsize=None)
@@ -137,12 +191,15 @@ def homogeneous_inputs(draw, edge: bool) -> Polynomial:
     return Polynomial(p, VariableSet.weighted(_names(n), weights), terms)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(carry_inputs())
-def test_delta1_is_the_naive_carry(f):
-    # which term past the cap the error names depends on the order each
-    # side sums in, so a raise compares by kind alone
-    got, want = _outcome(delta1, f), _outcome(naive_delta1, f)
+@settings(max_examples=150)
+@given(st.data())
+def test_delta1_is_the_naive_carry(data):
+    # delta1 gets f's terms in a drawn order; which term past the cap the
+    # error names depends on the order each side sums in, so a raise
+    # compares by kind alone
+    f = data.draw(carry_inputs() | dense_inputs())
+    shuffled = Polynomial(f.field, f.vars, dict(data.draw(st.permutations(list(f.terms.items())))))
+    got, want = _outcome(delta1, shuffled), _outcome(naive_delta1, f)
     if isinstance(want, str):
         assert isinstance(got, str) and got.startswith("raises: bad exponent tuple")
     else:
@@ -156,13 +213,13 @@ def _assert_count_is_the_carry_count(f):
     assert _outcome(_delta1_count, f) == want
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(homogeneous_inputs(edge=False))
 def test_count_is_the_carry_count(f):
     _assert_count_is_the_carry_count(f)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(homogeneous_inputs(edge=True))
 def test_count_is_the_carry_count_at_the_edges(f):
     _assert_count_is_the_carry_count(f)
@@ -186,7 +243,7 @@ def layer_inputs(draw):
     return items, nvars, p, top, q, draw(st.booleans())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(layer_inputs())
 def test_layers_are_the_reference_layers(case):
     items, nvars, p, top, q, every = case
@@ -228,7 +285,7 @@ def chow_elements(draw, ring, xi_powers, h_past=0):
     return terms
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.data())
 def test_chow_products_are_the_reference_products(data):
     ring, ref = data.draw(chow_rings())
@@ -241,10 +298,82 @@ def test_chow_products_are_the_reference_products(data):
     assert got == ref.mul(a, b)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.data())
 def test_chow_reduce_is_the_reference_reduce(data):
     ring, ref = data.draw(chow_rings())
     r = ring.rank
     el = data.draw(chow_elements(ring, (0, r - 1, r, r + 1), h_past=1))
     assert ring.reduce(el) == ref.reduce(el)
+
+
+@st.composite
+def boxed_forms(draw, p: int, q: int) -> Polynomial:
+    """1 to 4 terms (fewer at p = 31 and 97) on 1 to 3 weighted variables,
+    one more in no term at times; each exponent 0, 1 or 2, next to q / p^i
+    for some i >= 0 (below it the term fits the box at scale p^i, at it
+    and above it does not; at q - 1 a scaled exponent would pass its
+    field), or any below 2q.  At times every term shares one power of p
+    as its first exponent, so that the carry, and the probe's product,
+    reach p times it (a top E that is a power of p); else at times the
+    last term is constant."""
+    used = draw(st.integers(1, 3))
+    powers = [p ** i for i in range(q.bit_length()) if p ** i <= q]  # the q / p^i
+    edges = sorted({e + k for e in powers for k in (-1, 0, 1)} - {0})
+    exponent = st.sampled_from([0, 0, 0, 1, 2]) | st.sampled_from(edges) | st.integers(0, 2 * q)
+    monos = [draw(st.lists(exponent, min_size=used, max_size=used))
+             for _ in range(draw(st.integers(1, MAX_TERMS.get(p, 4))))]
+    if draw(st.booleans()):
+        top = draw(st.sampled_from(powers))
+        for m in monos:
+            m[0] = top
+    elif draw(st.booleans()):
+        monos[-1] = [0] * used
+    absent = draw(st.none() | st.integers(0, used))
+    if absent is not None:
+        for m in monos:
+            m.insert(absent, 0)
+    weights = [draw(st.sampled_from([1, 1, 2, 3])) for _ in monos[0]]
+    terms = {tuple(m): draw(st.integers(1, p - 1)) for m in monos}
+    return Polynomial(p, VariableSet.weighted(_names(len(weights)), weights), terms)
+
+
+def _digits(p: int):
+    """A base-p digit: 0, 1 and 2 (a boxed part, its square by pairs) or
+    one of 3..p-1 (the layers at count d)."""
+    return st.sampled_from(sorted({0, 1, 2} & set(range(p)))) | st.integers(min(3, p - 1), p - 1)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_power_is_the_step_by_step_power(data):
+    # e = hi * q + lo, lo drawn digit by digit; hi > 0 takes the constant
+    # term's power c^hi
+    p = data.draw(st.sampled_from(PRIMES))
+    s = data.draw(st.integers(1, POWER_SCALES[p]))
+    q = p ** s
+    f = data.draw(boxed_forms(p, q))
+    lo = sum(data.draw(_digits(p)) * p ** i for i in range(s))
+    e = data.draw(st.sampled_from((0, 0, 1, 2, p, 10**9 + 7))) * q + lo
+    assert pow_mod_frobenius(f, e, q) == ref_pow_mod_frobenius(f, e, q)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_probe_is_the_boxed_product(data):
+    # a < p at b = 1 reads the carry's layers; every other (a, b) is two
+    # boxed powers and their product.  Past E = (a + p*b) * (f's top
+    # exponent) no box cuts anything, and s = 10**6 is the unboxed product
+    p = data.draw(st.sampled_from(PRIMES))
+    s = data.draw(st.integers(1, PROBE_SCALES[p]))
+    f = data.draw(boxed_forms(p, p ** s))
+    a = data.draw(st.sampled_from((0, p - 1, p, p + 1)) | st.integers(0, p - 1))
+    b = data.draw(st.sampled_from((0, 1, 2, p)))
+    carry = naive_delta1(f)
+    if b <= 2 and data.draw(st.booleans()):
+        s, want = 10**6, f ** a * carry ** b
+    else:
+        q = p ** s
+        full = ref_pow_mod_frobenius(f, a, q) * ref_pow_mod_frobenius(carry, b, q)
+        want = Polynomial(p, f.vars, {m: c for m, c in full.terms.items() if max(m) < q})
+    assert _delta1_probe(f, a, b, s) == want
