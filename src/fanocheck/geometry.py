@@ -12,10 +12,12 @@ chart tuple contains the support of some leading monomial of a Groebner basis
 of J.  On a one-factor ambient that is a pure power of every variable (J is
 m-primary or the unit ideal).  One Buchberger run on J settles it for every
 ambient, and it stops as soon as the last tuple closes, since leading
-monomials of a partial basis already lie in the initial ideal.  So a failed
-certificate is the Singular verdict.  The charts run one by one only to name
-a witness, the first chart where V(J) meets g != 0, and the verdict never
-runs them.  Both runs take J's generators packed straight from f, once per
+monomials of a partial basis already lie in the initial ideal.  This module
+passes each factor's variable indices, and the certificate tests the chart
+tuples on its packed leading monomials.  So a failed certificate is the
+Singular verdict.  The charts run one by one only to name a witness, the
+first chart where V(J) meets g != 0, and the verdict never runs them.
+Both runs take J's generators packed straight from f, once per
 call, by :func:`ideals._jacobian_certificate`: it runs the certificate,
 on the partials alone where Euler's relation puts f in their ideal, and,
 when it fails, hands f and its partials to the chart loop, so this module
@@ -251,26 +253,15 @@ class ConeResult(_Value):
         self._init(smooth_away_from_irrelevant, witness_chart)
 
 
-def _no_chart_open(space: AmbientSpace):
-    """The support certificate's stop predicate on ``space``.
-
-    Variable i is bit i, and a chart tuple is the mask of its variables.
-    An exponent tuple closes every open chart whose mask contains its
-    support; a support with two variables of one factor lies in none.  The
-    predicate is true once no chart is open.
-    """
-    bits, open_charts = [], [0]
+def _factor_indices(space: AmbientSpace) -> list:
+    """Each factor's variable indices in ``space.variable_set``, which lists
+    the variables in factor order: what the support certificate's chart
+    stop reads the chart tuples from."""
+    out, start = [], 0
     for fac in space.factors:
-        fac_bits = [1 << i for i in range(len(bits), len(bits) + len(fac.names))]
-        bits += fac_bits
-        open_charts = [c | b for c in open_charts for b in fac_bits]
-
-    def no_chart_open(exp) -> bool:
-        support = sum(itertools.compress(bits, exp))
-        open_charts[:] = [c for c in open_charts if support | c != c]
-        return not open_charts
-
-    return no_chart_open
+        out.append(range(start, start + len(fac.names)))
+        start += len(fac.names)
+    return out
 
 
 def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
@@ -288,7 +279,7 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     product (J is homogeneous for one C* per factor), so ``witness_chart``
     names the chart a localization test would.
     """
-    failed = _jacobian_certificate(variety.f, _no_chart_open(variety.space))
+    failed = _jacobian_certificate(variety.f, _factor_indices(variety.space))
     if failed is None:
         return ConeResult(True)
     order, jac = failed
@@ -326,7 +317,7 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     each stratum variable (so the stratum point misses the hypersurface),
     QuasiSmoothOnly when cone-smooth but some stratum point lies on it.
     """
-    if _jacobian_certificate(variety.f, _no_chart_open(variety.space)) is not None:
+    if _jacobian_certificate(variety.f, _factor_indices(variety.space)) is not None:
         return SmoothnessStatus.SINGULAR
     verdict = SmoothnessStatus.SMOOTH
     for stratum in ambient_singular_strata(variety.space):

@@ -2,7 +2,9 @@
 Rabinowitsch-style localization tests and dehomogenized chart tests.
 
 Buchberger is two halves fed by one intake loop.  The pair half,
-``_PairQueue``, sees leading monomials only.  It runs the normal selection
+``_PairQueue``, sees packed leading monomials only, and forms each lcm on
+them field by field, its grading rows by one multiply (see
+:func:`~fanocheck.poly._grevlex`).  It runs the normal selection
 strategy (smallest lcm first) and installs pairs as Gebauer and Moeller do
 ("On an installation of Buchberger's algorithm", JSC 6, 1988; Becker and
 Weispfenning, *Groebner Bases*, 5.5): the pruning criteria run once per
@@ -17,12 +19,13 @@ a run that ends among the generators makes none.  The reduction half is
 ``_normal_form_raw`` against every element as a monic reducer.  The intake
 takes the generators, then each popped pair's S-polynomial remainder: it
 skips zero, short-circuits a nonzero constant to the unit ideal, and makes
-anything else monic, a reducer, an exponent tuple for the caller's stop
-predicate (a run it ends returns no basis) and an entry in the queue.  Only
-the callers that keep a basis reduce it; reduced bases are unique for a
-fixed order, which keeps every downstream verdict deterministic.  A unit
-question ends at the constant short-circuit, which every basis of (1)
-reaches.  No basis is cached: each call computes its own.
+anything else monic, a reducer, and an entry in the queue, first showing
+its packed leading monomial to the caller's stop predicate (a run it ends
+returns no basis).  Only the callers that keep a basis reduce it; reduced
+bases are unique for a fixed order, which keeps every downstream verdict
+deterministic.  A unit question ends at the constant short-circuit, which
+every basis of (1) reaches.  No basis is cached: each call computes its
+own.
 
 Internally polynomials travel as {packed monomial: coefficient} dicts in
 the packing of :mod:`fanocheck.poly` (Monagan & Pearce, CASC 2007), whose
@@ -43,8 +46,11 @@ x_i from its field and mapping a term c*x^m to (c*e mod p)*x^(m - e_i).
 calls for a verdict, packs those generators and runs the support
 certificate on them, leaving f out where some component of its
 multidegree is prime to p (Euler's relation puts f in the ideal of its
-partials); when it fails it hands back f and its partials, and the
-witness charts (:func:`_chart_is_unit`) run on them.  So the
+partials).  Its stop, :func:`_chart_stop`, holds each chart tuple of the
+ambient as a mask of guard bits, built from the per-factor variable
+indices geometry passes, and tests each entering leading monomial's
+support against them.  When it fails it hands back f and its partials, and
+the witness charts (:func:`_chart_is_unit`) run on them.  So the
 Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
 polynomial, and geometry imports no packing.
 """
@@ -105,40 +111,53 @@ _UNIT = ((0, {0: 1}),)  # the unit ideal, met at the constant short-circuit
 
 
 class _PairQueue:
-    """Buchberger's pair half on the elements' leading monomials."""
+    """Buchberger's pair half on the elements' packed leading monomials."""
 
-    __slots__ = ("order", "lms", "exps", "active", "live", "heap", "wide")
+    __slots__ = ("order", "lms", "active", "live", "heap", "wide")
 
     def __init__(self, order: _PackedOrder):
         self.order = order
         self.lms = []
-        self.exps = []  # leading monomials unpacked, for the lcm
         self.active = []  # indices of the minimal basis, in order of entry
         self.live = {}  # queued pair -> its lcm; a pair B_k drops leaves the heap lazily
         self.heap = []  # (lcm, pair): smallest lcm first, ties by pair
         self.wide = []  # the elements with an exponent of at least half the cap
 
-    def install(self, lm: int, exp: tuple) -> None:
+    def install(self, lm: int) -> None:
         """Enter an element; its update waits for the next pop."""
         self.lms.append(lm)
-        self.exps.append(exp)
 
     def __iter__(self):
         """Each live pair as (lcm, i, j), least lcm first; one whose product
         passes the exponent cap, queued unpruned, raises as it pops.  Each
         pop first runs the Gebauer-Moeller update of every element entered
         since the last one; the locals are bound once per run."""
-        order, lms, exps, active, live, heap, wide = (
-            self.order, self.lms, self.exps, self.active, self.live, self.heap, self.wide)
-        units, guard = order.units, order.guard
+        order, lms, active, live, heap, wide = (
+            self.order, self.lms, self.active, self.live, self.heap, self.wide)
+        guard, gbit = order.guard, order.width - 1
         # (m + low) & guard has the guard bit of exactly the nonzero fields of m
-        low = guard - (guard >> (order.width - 1))
+        low = guard - (guard >> gbit)
         half = guard >> 1  # m & half: m has an exponent of at least half the cap
+        # the exponent fields, below the rows (see poly._grevlex); a vector
+        # of exponents times ones has its rows, the prefix sums, there
+        top = len(order.shifts) * order.spacing
+        fields, ones = (1 << top) - 1, sum(1 << s for s in order.shifts)
+
+        def lcm(lm_k, over_t):
+            # lm_k times t's excess x over k, field by field: over_t holds
+            # 2**gbit plus t's exponent in each field, and a field of d
+            # keeps its guard bit exactly where t's exponent is at least k's
+            d = over_t - (lm_k & fields)
+            g = d & guard
+            x = d & (g - (g >> gbit))
+            return lm_k + x + (((x * ones) & fields) << top)
+
         supports = []  # each updated element's (lm + low) & guard
         t = 0  # the next element to update
         while True:
             while t < len(lms):
-                lm_t, exp_t = lms[t], exps[t]
+                lm_t = lms[t]
+                over_t = (lm_t & fields) | guard
                 support = (lm_t + low) & guard
                 supports.append(support)
                 shared = []  # (lcm, k) for the active k sharing a variable with t
@@ -146,9 +165,7 @@ class _PairQueue:
                 doomed = False  # whether lm_t divides an active leading monomial
                 for k in active:
                     if supports[k] & support:
-                        # the lcm is lm_k times t's excess over k, field by field
-                        shared.append((lms[k] + sum([(y - x) * u for x, y, u in zip(
-                            exps[k], exp_t, units) if y > x]), k))
+                        shared.append((lcm(lms[k], over_t), k))
                         doomed = doomed or not (lms[k] - lm_t) & guard
                     else:
                         lcms.append(lms[k] + lm_t)
@@ -184,8 +201,7 @@ class _PairQueue:
                 # with a wide element can pass it
                 for k in range(t) if lm_t & half else wide:
                     if (lms[k] + lm_t) & guard and k not in active:
-                        lij = lms[k] + sum([(y - x) * u for x, y, u in zip(
-                            exps[k], exp_t, units) if y > x])
+                        lij = lcm(lms[k], over_t)
                         live[k, t] = lij
                         heapq.heappush(heap, (lij, (k, t)))
                 if lm_t & half:
@@ -215,8 +231,9 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
 
     Returns its (leading monomial, monic dict) pairs, no leading monomial
     dividing another, for :func:`_reduced_raw`; ``_UNIT`` for the unit
-    ideal; None once ``stop``, shown the exponent tuple of every leading
-    monomial entering the basis, generators included, returns true.
+    ideal; None once ``stop``, shown every packed leading monomial
+    entering the basis, generators included, returns true.  Nothing is
+    unpacked on entry.
     """
     queue = _PairQueue(order)
     # Every element, active or not, stays a reducer, in order of entry: an
@@ -239,10 +256,9 @@ def _buchberger_raw(gens: Sequence, order: _PackedOrder, p: int,
         inv = pow(f[lm], -1, p)
         f = {m: (c * inv) % p for m, c in f.items()}
         reducers.append((lm, f))
-        exp = order.unpack(lm)
-        if stop is not None and stop(exp):
+        if stop is not None and stop(lm):
             return None
-        queue.install(lm, exp)
+        queue.install(lm)
     return [reducers[k] for k in queue.active]
 
 
@@ -306,11 +322,41 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
     return [packed, *partials]
 
 
-def _jacobian_certificate(f: Polynomial, stop) -> tuple | None:
+def _chart_stop(order: _PackedOrder, factors: Sequence[Sequence[int]]):
+    """The support certificate's stop predicate, on packed leading monomials
+    in ``order``, for the ambient whose factors hold the variables of the
+    given indices.
+
+    A chart tuple, one variable per factor, is the mask of its variables'
+    guard bits.  A leading monomial lm has the support ``(lm + low) &
+    guard`` and closes every open chart whose mask contains it; a support
+    with two variables of one factor lies in none.  The predicate is true
+    once no chart is open.  With no factors the one chart is empty, and
+    only the constant, which ends a run before any stop, would close it.
+    """
+    guard = order.guard
+    gbit = order.width - 1
+    low = guard - (guard >> gbit)
+    open_charts = [0]
+    for factor in factors:
+        bits = [1 << (order.shifts[i] + gbit) for i in factor]
+        open_charts = [c | b for c in open_charts for b in bits]
+
+    def no_chart_open(lm: int) -> bool:
+        support = (lm + low) & guard
+        open_charts[:] = [c for c in open_charts if support | c != c]
+        return not open_charts
+
+    return no_chart_open
+
+
+def _jacobian_certificate(f: Polynomial, factors: Sequence[Sequence[int]]) -> tuple | None:
     """None when Buchberger on the Jacobian ideal J of a multihomogeneous f
-    ends at ``stop`` or at the unit ideal; else (order, gens), the grevlex
-    packing and J's generators from :func:`_packed_jacobian` that the run
-    left as they were, f first, for :func:`_chart_is_unit`.
+    closes every chart tuple of the ambient whose factors hold the
+    variables of the given indices (:func:`_chart_stop`), or ends at the
+    unit ideal; else (order, gens), the grevlex packing and J's generators
+    from :func:`_packed_jacobian` that the run left as they were, f first,
+    for :func:`_chart_is_unit`.
 
     Where some component d_j of f's multidegree is prime to p, the run
     takes the partials alone: Euler's relation
@@ -321,14 +367,14 @@ def _jacobian_certificate(f: Polynomial, stop) -> tuple | None:
     d_j, f stays.  The witness charts keep f: without it, the chart loops
     of two dense Singular sextics were no faster (0.28 and 0.76 s).
 
-    ``stop`` sees each leading monomial entering the basis as an exponent
-    tuple, and the basis is not kept.
+    The stop sees each packed leading monomial entering the basis, and the
+    basis is not kept.
     """
     order = _grevlex(f.vars.n)
     jac = _packed_jacobian(f, order)
     degree = f.vars.multidegree(next(iter(f.terms)))
     gens = jac[1:] if any(d % f.p for d in degree) else jac
-    basis = _buchberger_raw(gens, order, f.p, stop)
+    basis = _buchberger_raw(gens, order, f.p, _chart_stop(order, factors))
     return None if basis is None or basis is _UNIT else (order, jac)
 
 

@@ -152,17 +152,20 @@ _CAPPED_WIDTH = EXPONENT_LIMIT.bit_length()  # 16 value bits and the guard bit
 class _PackedOrder:
     """Exponent tuples on n variables packed into ints.
 
-    Exponent i sits in bits [i*width, (i+1)*width), the field's top bit its
-    guard, and x_i packs to its unit, 1 << (i*width).  Int order is then no
-    term order; :func:`_grevlex` adds its grading rows to the units.
-    Packing is linear.
+    Exponent i sits in bits [i*spacing, i*spacing + width), the field's top
+    bit its guard, and x_i packs to its unit, 1 << (i*spacing); fields are
+    adjacent (spacing = width) except in :func:`_grevlex`.  Int order is
+    then no term order; :func:`_grevlex` adds its grading rows to the
+    units.  Packing is linear.
     """
 
-    __slots__ = ("width", "mask", "shifts", "guard", "units")
+    __slots__ = ("width", "spacing", "mask", "shifts", "guard", "units")
 
-    def __init__(self, n: int, width: int):
-        shifts = tuple(range(0, n * width, width))
+    def __init__(self, n: int, width: int, spacing: int | None = None):
+        spacing = spacing or width
+        shifts = tuple(range(0, n * spacing, spacing))
         self.width = width
+        self.spacing = spacing
         self.mask = (1 << width) - 1
         self.shifts = shifts
         self.units = tuple([1 << s for s in shifts])
@@ -234,14 +237,22 @@ def _times(p: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _grevlex(n: int) -> _PackedOrder:
-    """Grevlex: row k = e_0 + ... + e_k above the exponents, each row in a
-    field wide enough for n capped exponents, total degree on top.  x_i
-    counts in rows i..n-1: its unit is one suffix sum of row bits."""
-    order = _PackedOrder(n, _CAPPED_WIDTH)
-    row_width = (n * (EXPONENT_LIMIT - 1)).bit_length()
+    """Grevlex: row k = e_0 + ... + e_k above the exponents, total degree on
+    top.  The 17-bit exponent fields sit at the rows' stride rw, the width
+    of a row of n capped exponents (never below 17), and row k at
+    n*rw + k*rw.  The guard stays at bit 16 of each field, so the cap and
+    divisibility tests read as on adjacent fields.  The common stride lets
+    one multiply form the rows of a packed exponent vector e (rows clear):
+    field k of e * ones, ``ones`` the sum of the exponent units, is the
+    prefix sum e_0 + ... + e_k, so e's rows are
+    ``((e * ones) & ((1 << n*rw) - 1)) << n*rw``.  Buchberger's pair half
+    forms its lcms that way.  x_i counts in rows i..n-1: its unit is one
+    suffix sum of row bits."""
+    rw = max(_CAPPED_WIDTH, (n * (EXPONENT_LIMIT - 1)).bit_length())
+    order = _PackedOrder(n, _CAPPED_WIDTH, rw)
     rows, units = 0, list(order.units)
     for i in range(n - 1, -1, -1):
-        rows += 1 << (n * _CAPPED_WIDTH + i * row_width)
+        rows += 1 << (n * rw + i * rw)
         units[i] += rows
     order.units = tuple(units)
     return order

@@ -22,7 +22,6 @@ from fanocheck.poly import (
     ParseError,
     Polynomial,
     VariableSet,
-    parse_poly,
     tokenize,
 )
 from fanocheck.smallfields import _IRREDUCIBLE, GF, _factor_prime_power

@@ -11,8 +11,8 @@ one line here, so every change to the public API, every helper moving
 into or out of ``src``, and every private helper kept alive for one
 other module shows up in review.  And every public name a module
 surface pins, and every public method of a pinned class, has a caller
-outside the unit tests, and every name a module imports is read there.
-Every function and class of ``tests/helpers.py`` is read by some test
+outside the unit tests, and every name a module or a test file imports
+is read there.  Every function and class of ``tests/helpers.py`` is read by some test
 or helper.
 A dunder has no caller by name, so the dunders of the pinned classes are
 a list of their own, each with the protocol that calls it.
@@ -199,10 +199,11 @@ def test_private_imports(module):
 
 
 def test_no_unused_imports():
-    """Every name a module imports is read in that module; ``from
-    __future__`` is exempt."""
+    """Every name a module of the package or a file of ``tests/`` imports
+    is read in that file; ``from __future__`` is exempt."""
     unused = []
-    for path in sorted(Path(fanocheck.__file__).parent.glob("*.py")):
+    for path in [*sorted(Path(fanocheck.__file__).parent.glob("*.py")),
+                 *sorted(Path(__file__).parent.glob("*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}

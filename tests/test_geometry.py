@@ -16,7 +16,7 @@ from fanocheck.geometry import (
     SmoothnessStatus,
     UnsupportedStratumError,
     _coprime_base,
-    _no_chart_open,
+    _factor_indices,
     ambient_singular_strata,
     cone_smoothness,
     parse_ambient,
@@ -25,11 +25,13 @@ from fanocheck.geometry import (
 from fanocheck.ideals import (
     PolyIdeal,
     _chart_is_unit,
+    _chart_stop,
     _jacobian_certificate,
     _packed_jacobian,
     normal_form,
 )
 from fanocheck.poly import (
+    EXPONENT_LIMIT,
     ParseError,
     Polynomial,
     VariableSet,
@@ -243,7 +245,7 @@ def _both_methods(v):
     as the smoothness calls run it; the chart loop runs on J's packed
     generators for every member, certified or not, up to the first chart
     that is not the unit ideal."""
-    certified = _jacobian_certificate(v.f, _no_chart_open(v.space)) is None
+    certified = _jacobian_certificate(v.f, _factor_indices(v.space)) is None
     vs = v.space.variable_set
     order = _grevlex(vs.n)
     jac = _packed_jacobian(v.f, order)
@@ -528,7 +530,7 @@ class TestPackedCharts:
         later = several = 0
         for label, v, point_chart in members:
             vs = v.space.variable_set
-            failed = _jacobian_certificate(v.f, _no_chart_open(v.space))
+            failed = _jacobian_certificate(v.f, _factor_indices(v.space))
             assert failed is not None, label
             order, jac = failed
             gens = jacobian_generators(v.f)
@@ -625,17 +627,25 @@ def _ref_closed_charts(space, exp) -> set:
 
 
 class TestChartMasks:
-    """``_no_chart_open``'s bitmask predicate against the dict predicate."""
+    """The certificate's chart stop, ``ideals._chart_stop``, on packed
+    leading monomials against the dict predicate on exponent tuples."""
 
     AMBIENTS = ("P(1,1,1)", "P(1,1,1,1,3)", "P(1,1) x P(1,1)", "P(1,1,1) x P(1,1,1)",
                 "P(1,1) x P(1,1,2) x P(1,1)")
 
     @staticmethod
-    def closes(space, exp, chart) -> bool:
+    def stop_of(space):
+        """The stop as the certificate builds it, on exponent tuples."""
+        order = _grevlex(space.variable_set.n)
+        stop = _chart_stop(order, _factor_indices(space))
+        return lambda exp: stop(order.pack(exp))
+
+    @classmethod
+    def closes(cls, space, exp, chart) -> bool:
         """Whether the predicate closes ``chart`` on ``exp``: every other
         chart is closed first by its own product, which closes it alone."""
         vset = space.variable_set
-        stop = _no_chart_open(space)
+        stop = cls.stop_of(space)
         for other in space.chart_tuples():
             if other != chart:
                 assert not stop(tuple(int(name in other) for name in vset.names))
@@ -651,11 +661,12 @@ class TestChartMasks:
         charts = [[vset.index(name) for name in chart] for chart in space.chart_tuples()]
         for _ in range(30):
             chart = rng.choice(charts)
-            # any support, then one inside a chart
+            # any support, then one inside a chart; exponents up to the
+            # cap's, where a field's support bit is its own guard bit
             for support in (rng.sample(range(n), rng.randint(1, n)),
                             rng.sample(chart, rng.randint(1, len(chart)))):
-                exps.append(tuple(rng.randint(1, 4) if i in support else 0
-                                  for i in range(n)))
+                exps.append(tuple(rng.choice((1, 4, EXPONENT_LIMIT - 1)) if i in support
+                                  else 0 for i in range(n)))
         return exps
 
     @pytest.mark.parametrize("ambient", AMBIENTS)
@@ -683,7 +694,7 @@ class TestChartMasks:
         exps = self.seeded_exps(space, rng)[1:]
         stopped = 0
         for _ in range(30):
-            stop, ref_open = _no_chart_open(space), set(charts)
+            stop, ref_open = self.stop_of(space), set(charts)
             for exp in rng.sample(exps, len(exps)):
                 ref_open -= _ref_closed_charts(space, exp)
                 assert stop(exp) == (not ref_open)
@@ -701,9 +712,9 @@ class TestFastPath:
         calls = []
         real_certificate, real_chart = ideals._jacobian_certificate, ideals._chart_is_unit
 
-        def certificate(f, stop):
+        def certificate(f, factors):
             calls.append("certificate")
-            return real_certificate(f, stop)
+            return real_certificate(f, factors)
 
         def chart(gens, indices, order, p):
             calls.append(tuple(indices))
@@ -857,11 +868,14 @@ class TestHilbertCountOracle:
     """cone_smoothness against a rank oracle that builds no Groebner basis.
     On one weighted projective space, d prime to p, f lies in J = (df/dx_i)
     by Euler, and the cone is smooth away from the origin exactly when J
-    fills R in degree D + 1, D = sum (d - 2 w_i): then the partials are a
-    regular sequence, and R/J has the complete intersection's Hilbert
-    function c_t, which bounds it from below in every degree otherwise
-    (Froeberg).  The bound needs the degrees d - w_i matched one to one to
-    variables whose weights divide them, as they are on every ambient here."""
+    fills R in every degree from D + 1 to D + W, D = sum (d - 2 w_i) and W
+    the largest weight: then the partials are a regular sequence, and R/J
+    has the complete intersection's Hilbert function c_t, which bounds it
+    from below in every degree otherwise (Froeberg).  Degree D + 1 alone
+    is not enough where W > 1: a singular point at a weight-W coordinate
+    point can first show in a later degree of the window.  The bound needs
+    the degrees d - w_i matched one to one to variables whose weights
+    divide them, as they are on every ambient here."""
 
     @staticmethod
     def _compare(rng, text, degree, base, primes, count) -> list:
@@ -872,7 +886,8 @@ class TestHilbertCountOracle:
         space = parse_ambient(text)
         vs = space.variable_set
         weights = [w for (w,) in vs.weights]
-        top = sum(degree - 2 * w for w in weights) + 1  # D + 1
+        low = sum(degree - 2 * w for w in weights) + 1  # D + 1
+        top = low + max(weights) - 1  # D + W
         ci = complete_intersection_counts(degree, weights, top)
         verdicts = []
         for p in primes:
@@ -883,7 +898,7 @@ class TestHilbertCountOracle:
                     f = Polynomial(p, vs, dict.fromkeys(base, 1)) \
                         + random_homogeneous(rng, vs, p, degree, max_terms=3)
                 counts = jacobian_hilbert_counts(f, top)
-                smooth = counts[top] == 0
+                smooth = not any(counts[low:])
                 label = (text, p, str(f))
                 assert all(c >= b for c, b in zip(counts, ci)), label
                 if smooth:
@@ -915,6 +930,19 @@ class TestHilbertCountOracle:
         verdicts = self._compare(rng, "P(1,1,1,2)", 5, quintic, (3, 7), 8)
         verdicts += self._compare(rng, "P(1,1,1,1,2)", 4, quartic, (3, 5), 4)
         assert verdicts.count(True) >= 4 and verdicts.count(False) >= 12
+
+    def test_singular_weighted_point_past_d_plus_one(self):
+        # f and every partial vanish at the weight-2 point (0:0:0:0:1), an
+        # A1 point on the chart y = 1; R/J matches c_t up to D + 1 = 9 and
+        # the excess (y^5) first shows at t = 10, inside the window
+        v = variety("P(1,1,1,1,2)",
+                    "x0^4 + x1^4 + x2^4 + x3^4 + x0^2*y + x1^2*y + x2^2*y + x3^2*y", 5,
+                    names=["x0", "x1", "x2", "x3", "y"])
+        assert smoothness_verdict(v) is SmoothnessStatus.SINGULAR
+        assert cone_smoothness(v) == ConeResult(False, "y")
+        assert jacobian_hilbert_counts(v.f, 11) == [1, 4, 10, 16, 19, 16, 10, 4, 1, 0, 1, 0]
+        assert complete_intersection_counts(4, [1, 1, 1, 1, 2], 11) == [
+            1, 4, 10, 16, 19, 16, 10, 4, 1, 0, 0, 0]
 
     def test_corpus_smooth_rows_against_the_rank(self):
         # every shipped `smooth` row but wild-conic-p2, whose P^2 x P^2 has
@@ -1026,9 +1054,10 @@ class TestEulerDrop:
                 continue
             jac = _packed_jacobian(f, order)
             with_f, without_f = (
-                ideals._buchberger_raw(gens, order, p, _no_chart_open(space))
+                ideals._buchberger_raw(gens, order, p,
+                                       _chart_stop(order, _factor_indices(space)))
                 in (None, ideals._UNIT) for gens in (jac, jac[1:]))
-            certified = _jacobian_certificate(f, _no_chart_open(space)) is None
+            certified = _jacobian_certificate(f, _factor_indices(space)) is None
             assert with_f == without_f == certified, (p, str(f))
             answers.append(certified)
         assert len(answers) >= 10 and True in answers and False in answers

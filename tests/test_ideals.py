@@ -4,11 +4,12 @@ import re
 from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanocheck import ideals
 from fanocheck.geometry import (
     HypersurfaceVariety,
-    _no_chart_open,
+    _factor_indices,
     cone_smoothness,
     parse_ambient,
 )
@@ -21,6 +22,7 @@ from fanocheck.ideals import (
     normal_form,
 )
 from fanocheck.poly import (
+    EXPONENT_LIMIT,
     ExponentOverflowError,
     Polynomial,
     VariableSet,
@@ -402,13 +404,14 @@ class TestPackedAgainstTupleLoop:
                                       _fermat_jacobian_cases(8107)):
             limit = rng.randint(1, 6)
 
-            def stopper(seen):
-                return lambda lm: seen.append(lm) or len(seen) >= limit
+            def stopper(seen, key=tuple):
+                return lambda lm: seen.append(key(lm)) or len(seen) >= limit
 
             order = _grevlex(vs.n)
             ours_seen, theirs_seen = [], []
+            # ours sees packed leading monomials, the reference exponent tuples
             raw = _buchberger_raw([order.pack_terms(g.terms) for g in gens],
-                                  order, p, stopper(ours_seen))
+                                  order, p, stopper(ours_seen, order.unpack))
             ref = ref_buchberger_raw([g.terms for g in gens], vs.n, p, ref_grevlex_key,
                                      stopper(theirs_seen))
             assert ours_seen == theirs_seen
@@ -495,10 +498,11 @@ class TestPairUpdate:
         assert len(reductions) == 1
         # p = 11 divides no degree, so the certificate leaves f out of the
         # run and reduces no pair, whether the chart stop ends it or it runs
-        # to the end and hands back f and its partials
+        # to the end and hands back f and its partials (with no factors the
+        # one chart is empty, and no leading monomial closes it)
         del reductions[:]
-        assert ideals._jacobian_certificate(f, _no_chart_open(space)) is None
-        _, gens = ideals._jacobian_certificate(f, lambda exp: False)
+        assert ideals._jacobian_certificate(f, _factor_indices(space)) is None
+        _, gens = ideals._jacobian_certificate(f, [])
         assert len(gens) == 6
         assert reductions == []
 
@@ -567,10 +571,10 @@ class TestPops:
     def pops(self, monkeypatch):
         real, digests = ideals._normal_form_raw, []
 
-        def recording(f, basis, p, order):
+        def recording(f, basis, p, order, *args, **kwargs):
             terms = sorted(order.unpack_terms(f).items())
             digests.append(hashlib.sha256(repr(terms).encode()).hexdigest())
-            return real(f, basis, p, order)
+            return real(f, basis, p, order, *args, **kwargs)
 
         monkeypatch.setattr(ideals, "_normal_form_raw", recording)
         return digests
@@ -604,7 +608,8 @@ class TestPops:
         order = _grevlex(3)
         gens = [order.pack_terms(mk(g).terms) for g in ("x*y", "y^2 + z", "3", "z^3")]
         seen = []
-        assert _buchberger_raw(gens, order, 7, seen.append) is ideals._UNIT
+        assert _buchberger_raw(gens, order, 7,
+                               lambda lm: seen.append(order.unpack(lm))) is ideals._UNIT
         assert seen == [(1, 1, 0), (0, 2, 0)]
         assert pops == []
 
@@ -612,9 +617,22 @@ class TestPops:
         order = _grevlex(3)
         gens = [order.pack_terms(mk(g).terms) for g in ("x*y", "y*z", "x^2")]
         seen = []
-        assert _buchberger_raw(gens, order, 7, lambda e: seen.append(e) or True) is None
+        assert _buchberger_raw(gens, order, 7,
+                               lambda lm: seen.append(order.unpack(lm)) or True) is None
         assert seen == [(1, 1, 0)]
         assert pops == []
+
+
+@st.composite
+def _packed_queue_inputs(draw):
+    """(n, exponent tuples) for ``_PairQueue``: n in 1..8, each field 0,
+    small, next to half the cap or next to the cap, or any capped value."""
+    n = draw(st.integers(1, 8))
+    field = st.one_of(st.integers(0, 3), st.integers((1 << 15) - 2, (1 << 15) + 2),
+                      st.integers(EXPONENT_LIMIT - 3, EXPONENT_LIMIT - 1),
+                      st.integers(0, EXPONENT_LIMIT - 1))
+    exps = draw(st.lists(st.tuples(*[field] * n).filter(any), min_size=1, max_size=6))
+    return n, exps
 
 
 class TestPairQueue:
@@ -633,17 +651,22 @@ class TestPairQueue:
     @staticmethod
     def _install(queue, order, exps):
         for e in exps:
-            queue.install(order.pack(e), e)
+            queue.install(order.pack(e))
 
     @staticmethod
-    def _assert_minimal_and_covering(queue):
+    def _exps(queue):
+        return [queue.order.unpack(lm) for lm in queue.lms]
+
+    @classmethod
+    def _assert_minimal_and_covering(cls, queue):
         def divides(a, b):
             return all(x <= y for x, y in zip(a, b))
 
-        active = [queue.exps[k] for k in queue.active]
+        exps = cls._exps(queue)
+        active = [exps[k] for k in queue.active]
         assert not any(divides(a, b) for i, a in enumerate(active)
                        for j, b in enumerate(active) if i != j)
-        assert all(any(divides(a, e) for a in active) for e in queue.exps)
+        assert all(any(divides(a, e) for a in active) for e in exps)
 
     def test_pops_in_order_never_coprime_and_the_active_set(self):
         rng = random.Random(3103)
@@ -656,8 +679,9 @@ class TestPairQueue:
             pops = list(queue)
             assert [(lij, (i, j)) for lij, i, j in pops] == sorted(
                 (lij, (i, j)) for lij, i, j in pops)
+            exps = self._exps(queue)
             for lij, i, j in pops:
-                a, b = queue.exps[i], queue.exps[j]
+                a, b = exps[i], exps[j]
                 assert i < j and any(x and y for x, y in zip(a, b))
                 assert lij == order.pack(tuple(map(max, a, b)))
             popped += len(pops)
@@ -678,7 +702,7 @@ class TestPairQueue:
                 assert (i, j) not in seen
                 seen.add((i, j))
                 new = [e for e in self._monomials(rng, n, 3) if not any(
-                    all(x <= y for x, y in zip(old, e)) for old in queue.exps)]
+                    all(x <= y for x, y in zip(old, e)) for old in self._exps(queue))]
                 self._install(queue, order, new[:1])
             self._assert_minimal_and_covering(queue)
 
@@ -697,6 +721,42 @@ class TestPairQueue:
         with pytest.raises(ExponentOverflowError, match=_cap_message("(80000, 1, 1)")):
             list(queue)
 
+    @settings(max_examples=300)
+    @given(_packed_queue_inputs())
+    @example((3, [(40000, 1, 0), (0, 0, 1), (40000, 0, 1)]))
+    @example((8, [(1,) + (0,) * 7, (EXPONENT_LIMIT - 2,) * 8]))
+    @example((3, [(3, 1, 0), (0, 1, 0), (EXPONENT_LIMIT - 1, 0, 1)]))
+    def test_packed_lcms_and_the_cap_on_every_field_width(self, case):
+        # lcms formed field by field on packed keys, with exponents up to
+        # the cap's, half of it and more included: keys sort as grevlex,
+        # each lcm packs the exponentwise max, and a pair whose product
+        # passes the cap, never pruned, raises as it pops: the least such
+        # pair by (lcm, pair), every pair before it popped.  The examples:
+        # the pair past the cap above, rows at their widest (n = 8), and a
+        # pair past the cap whose older element y has made inactive
+        n, exps = case
+        order = _grevlex(n)
+        assert sorted(exps, key=order.pack) == sorted(exps, key=ref_grevlex_key)
+        assert all(order.unpack(order.pack(e)) == e for e in exps)
+        queue = ideals._PairQueue(order)
+        self._install(queue, order, exps)
+        past = {(order.pack(tuple(map(max, a, b))), (i, j)): tuple(map(sum, zip(a, b)))
+                for j, b in enumerate(exps) for i, a in enumerate(exps[:j])
+                if max(map(sum, zip(a, b))) >= EXPONENT_LIMIT}
+        pops, raised = [], None
+        try:
+            for lij, i, j in queue:
+                assert lij == order.pack(tuple(map(max, exps[i], exps[j])))
+                pops.append((lij, (i, j)))
+        except ExponentOverflowError as err:
+            raised = str(err)
+        assert pops == sorted(pops)
+        if past:
+            first = min(past)
+            assert raised == f"exponent cap {EXPONENT_LIMIT} exceeded in {past[first]}"
+            assert all(pop < first for pop in pops)
+        else:
+            assert raised is None
 
 def _sha(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()[:16]

@@ -662,7 +662,8 @@ class TestPackedBox:
 class TestPackingLayout:
     """The rows-free packings keep their layout; ``_grevlex`` builds its
     units by one suffix sum and must match the definition, the prefix-sum
-    rows e_0 + ... + e_k packed above the exponents."""
+    rows e_0 + ... + e_k packed above the exponents, fields and rows at
+    one stride."""
 
     @pytest.mark.parametrize("n,width,units,guard", [
         (1, 2, (1,), 0x2),
@@ -677,28 +678,48 @@ class TestPackingLayout:
         assert order.guard == guard
         assert order.mask == (1 << width) - 1
         assert order.shifts == tuple(i * width for i in range(n))
+        assert order.spacing == width
 
     def test_term_order_units(self):
+        # n = 3: stride 18, fields at bits 0, 18, 36, rows at 54, 72, 90
         assert poly_module._grevlex(3).units == (
-            0x8000200008000000000001, 0x8000200000000000020000, 0x8000000000000400000000)
-        assert poly_module._grevlex(3).guard == 0x4000200010000
+            0x40001000040000000000001, 0x40001000000000000040000, 0x40000000000001000000000)
+        assert poly_module._grevlex(3).guard == 0x10000400010000
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grevlex_layout_from_its_rows(self, n):
-        # row k = e_0 + ... + e_k in a field wide enough for n capped
-        # exponents, row 0 lowest, all above the 17-bit exponent fields
+        # row k = e_0 + ... + e_k; the 17-bit exponent fields and the rows
+        # share one stride rw, wide enough for n capped exponents and never
+        # below 17, with row k at n*rw + k*rw, row 0 lowest
         width = 17
-        row_width = (n * (EXPONENT_LIMIT - 1)).bit_length()
+        rw = max(width, (n * (EXPONENT_LIMIT - 1)).bit_length())
         rows = [[int(i <= k) for i in range(n)] for k in range(n)]
-        units = tuple((1 << i * width) + sum(row[i] << (n * width + k * row_width)
-                                             for k, row in enumerate(rows))
+        units = tuple((1 << i * rw) + sum(row[i] << (n * rw + k * rw)
+                                          for k, row in enumerate(rows))
                       for i in range(n))
         order = poly_module._grevlex(n)
         assert order.units == units
-        assert order.guard == sum(1 << (i * width + width - 1) for i in range(n))
-        assert order.shifts == tuple(i * width for i in range(n))
+        assert order.guard == sum(1 << (i * rw + width - 1) for i in range(n))
+        assert order.shifts == tuple(i * rw for i in range(n))
         assert order.mask == (1 << width) - 1
         assert order.width == width
+        assert order.spacing == rw
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grevlex_rows_are_prefix_sums(self, n):
+        # the rows of a packed exponent vector are one multiply by the
+        # exponent units, masked to n fields and shifted up, up to the cap
+        rng = random.Random(f"rows {n}")
+        order = poly_module._grevlex(n)
+        top = n * order.spacing
+        fields, ones = (1 << top) - 1, sum(1 << s for s in order.shifts)
+        for mono in [(EXPONENT_LIMIT - 1,) * n] + [
+                tuple(rng.choice((0, 1, rng.randint(0, EXPONENT_LIMIT - 1)))
+                      for _ in range(n)) for _ in range(40)]:
+            packed = order.pack(mono)
+            e = packed & fields
+            assert e == sum(x << s for x, s in zip(mono, order.shifts))
+            assert packed == e + (((e * ones) & fields) << top)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_term_orders_sort_like_their_keys(self, n):

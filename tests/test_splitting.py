@@ -21,7 +21,6 @@ from fanocheck.poly import (
     weighted_degree,
 )
 from fanocheck.splitting import (
-    FedderReport,
     HypersurfaceRing,
     SplitStatus,
     delta1_probe,
