@@ -22,7 +22,6 @@ from collections.abc import Sequence
 
 from .poly import (
     ParseError,
-    _mul_packed,
     _packing,
     _read_int,
     _Value,
@@ -103,7 +102,9 @@ class IntersectionRing:
         self._box = order.box([n + 1 for n in base.dims])
         self._top = order.pack(tuple(base.dims) + ((self.rank - 1,) if bundle else ()))
         self._xi_top = self.rank * order.units[-1] if bundle else 1 << self.k * order.width
-        self._xi_rule = self._build_xi_rule() if bundle else None
+        self._xi_rule = ()
+        if bundle:
+            self._xi_rule = self._build_xi_rule()
         # the generators by the names element_str prints and expressions read
         names = [f"h{i + 1}" for i in range(self.k)] + (["xi"] if bundle else [])
         self._symbols = dict(zip(names, order.units))
@@ -133,13 +134,12 @@ class IntersectionRing:
 
     def _build_xi_rule(self) -> list:
         """xi^r rewritten as lower xi-powers, from prod_j (xi - a_j . h) = 0,
-        cut to the h-box as it is built."""
+        cut to the h-box as it is built by the ring's own product; its one
+        spilled term, xi^r itself, meets the empty rule set beforehand."""
         *h_units, xi = self._order.units
         rel = {0: 1}
         for twist in self.bundle.twists:
-            rel = _mul_packed(rel, [(xi, 1)] + [(u, -a) for u, a in zip(h_units, twist) if a],
-                              None, *self._box)
-        assert rel.pop(self._xi_top) == 1
+            rel = self._mul(rel, {xi: 1, **{u: -a for u, a in zip(h_units, twist) if a}})
         return [(m, -c) for m, c in rel.items()]
 
     def _mul(self, el: dict, factor: dict) -> dict:

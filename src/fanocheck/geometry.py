@@ -12,11 +12,12 @@ chart tuple contains the support of some leading monomial of a Groebner basis
 of J.  On a one-factor ambient that is a pure power of every variable (J is
 m-primary or the unit ideal).  One Buchberger run on J settles it for every
 ambient, and it stops as soon as the last tuple closes, since leading
-monomials of a partial basis already lie in the initial ideal.  This module
-passes each factor's variable indices, and the certificate tests the chart
-tuples on its packed leading monomials.  So a failed certificate is the
-Singular verdict.  The charts run one by one only to name a witness, the
-first chart where V(J) meets g != 0, and the verdict never runs them.
+monomials of a partial basis already lie in the initial ideal.  A chart is
+a tuple of variable indices, one from each factor's index range: the
+certificate tests them on its packed leading monomials, so a failed
+certificate is the Singular verdict, and the charts run one by one, over
+the product of the ranges, only to name a witness, the first chart where
+V(J) meets g != 0; names appear only in that witness.
 Both runs take J's generators packed straight from f, once per
 call, by :func:`ideals._jacobian_certificate`: it runs the certificate,
 on the partials alone where Euler's relation puts f in their ideal, and,
@@ -109,10 +110,6 @@ class AmbientSpace:
                 names.append(name)
                 weights.append(tuple(w if c == j else 0 for c in range(k)))
         return VariableSet._trusted(tuple(names), tuple(weights))
-
-    def chart_tuples(self):
-        """All ways of picking one variable name from each factor."""
-        return itertools.product(*(fac.names for fac in self.factors))
 
 
 def parse_ambient(text: str, names: Sequence[str] | None = None) -> AmbientSpace:
@@ -255,8 +252,8 @@ class ConeResult(_Value):
 
 def _factor_indices(space: AmbientSpace) -> list:
     """Each factor's variable indices in ``space.variable_set``, which lists
-    the variables in factor order: what the support certificate's chart
-    stop reads the chart tuples from."""
+    the variables in factor order: the one form of the charts, whose
+    product the support certificate's stop and the chart loop both read."""
     out, start = [], 0
     for fac in space.factors:
         out.append(range(start, start + len(fac.names)))
@@ -277,17 +274,17 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
     the chart's variables is not the unit ideal.  That is the first chart
     where J does not become the unit ideal after inverting the chart's
     product (J is homogeneous for one C* per factor), so ``witness_chart``
-    names the chart a localization test would.
+    names the chart a localization test would.  The charts are index
+    tuples; the witness alone is spelled in names.
     """
-    failed = _jacobian_certificate(variety.f, _factor_indices(variety.space))
+    factors = _factor_indices(variety.space)
+    failed = _jacobian_certificate(variety.f, factors)
     if failed is None:
         return ConeResult(True)
     order, jac = failed
-    vset = variety.space.variable_set
-    for chart in variety.space.chart_tuples():
-        if not _chart_is_unit(jac, [vset.index(name) for name in chart],
-                              order, variety.prime.p):
-            return ConeResult(False, "*".join(chart))
+    for chart in itertools.product(*factors):
+        if not _chart_is_unit(jac, chart, order, variety.prime.p):
+            return ConeResult(False, "*".join(variety.f.vars.names[i] for i in chart))
     return ConeResult(True)
 
 

@@ -11,11 +11,13 @@ Weispfenning, *Groebner Bases*, 5.5): the pruning criteria run once per
 element, never when a pair pops.  The newcomer's pairs with the active
 elements whose leading monomials are coprime to its own (one test on
 support bitmasks) reduce to zero and are never queued; of the rest,
-criteria M and F queue one pair per minimal lcm, criterion B_k drops the
-queued pairs whose lcm the newcomer's leading monomial divides strictly on
-both sides, and the active elements that monomial divides leave the active
-set, which ends as a minimal basis.  Each update waits for the next pop, so
-a run that ends among the generators makes none.  The reduction half is
+criteria M and F queue one pair per minimal lcm, against the lcms queued
+so far alone (the active leading monomials are an antichain, so no coprime
+product divides a shared lcm), criterion B_k drops the queued pairs whose
+lcm the newcomer's leading monomial divides strictly on both sides, and
+the active elements that monomial divides leave the active set, which
+ends as a minimal basis.  Each update waits for the next pop, so a run
+that ends among the generators makes none.  The reduction half is
 ``_normal_form_raw`` against every element as a monic reducer.  The intake
 takes the generators, then each popped pair's S-polynomial remainder: it
 skips zero, short-circuits a nonzero constant to the unit ideal, and makes
@@ -161,14 +163,11 @@ class _PairQueue:
                 support = (lm_t + low) & guard
                 supports.append(support)
                 shared = []  # (lcm, k) for the active k sharing a variable with t
-                lcms = []  # lcms that rule out new pairs: the coprime ones' products first
                 doomed = False  # whether lm_t divides an active leading monomial
                 for k in active:
                     if supports[k] & support:
                         shared.append((lcm(lms[k], over_t), k))
                         doomed = doomed or not (lms[k] - lm_t) & guard
-                    else:
-                        lcms.append(lms[k] + lm_t)
                 # B_k: lm_t divides a queued lcm that neither side's lcm with t
                 # reaches, that is, lcm / lm_t shares a variable with the lcm over
                 # each side; a pair whose product passes the cap stays, to raise
@@ -184,10 +183,13 @@ class _PairQueue:
                             dead.append((i, j))
                     for pair in dead:
                         del live[pair]
-                # M and F: a new pair is queued only if no coprime or queued new
-                # pair has a dividing (or equal) lcm; coprime pairs reduce to zero,
-                # and one whose product passes the cap is queued anyway, to raise
+                # M and F: a new pair is queued only if none of t's pairs queued
+                # before it has a dividing (or equal) lcm (lm_k' * lm_t divides
+                # lcm(lm_k, lm_t) only if lm_k' divides lm_k, so no coprime
+                # product can: active is an antichain), and one whose product
+                # passes the cap is queued anyway, to raise
                 shared.sort()
+                lcms = []  # the lcms of t's pairs queued so far
                 for lij, k in shared:
                     for m in lcms if not (lms[k] + lm_t) & guard else ():
                         if not (lij - m) & guard:

@@ -258,8 +258,8 @@ def _grevlex(n: int) -> _PackedOrder:
     return order
 
 
-def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> dict:
-    """acc * factor with coefficients mod ``mod`` (integers if None), on packed monomials.
+def _mul_packed(acc: dict, factor: list, mod: int, off: int = 0, guard: int = 0) -> dict:
+    """acc * factor with coefficients mod ``mod``, on packed monomials.
 
     ``acc`` maps packed monomials to coefficients, ``factor`` is a list of
     (packed monomial, coefficient) pairs.  ``off`` and ``guard`` come from
@@ -277,8 +277,6 @@ def _mul_packed(acc: dict, factor: list, mod, off: int = 0, guard: int = 0) -> d
             m = ma + mb
             if not (m + off) & guard:
                 out[m] = get(m, 0) + ca * cb
-    if mod is None:
-        return {m: c for m, c in out.items() if c}
     return {m: c % mod for m, c in out.items() if c % mod}
 
 

@@ -176,7 +176,7 @@ def test_module_surface(module):
 
 # per module, the "from .m import _name" imports it makes, as "m._name"
 PRIVATE_IMPORTS = {
-    "chow": ["poly._Value", "poly._mul_packed", "poly._packing", "poly._read_int"],
+    "chow": ["poly._Value", "poly._packing", "poly._read_int"],
     "corpus": ["poly._Value", "poly._set"],
     "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
     "geometry": ["ideals._chart_is_unit", "ideals._jacobian_certificate",

@@ -123,10 +123,17 @@ class TestParseAmbient:
             call()
         assert exc.value.args == (message,)
 
-    def test_chart_tuples(self):
-        space = parse_ambient("P(1,1) x P(1,1)")
-        charts = list(space.chart_tuples())
-        assert charts == [("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")]
+    def test_factor_indices(self):
+        # each factor's index range in the ring, whose product lists the
+        # charts factor-major, the first factor outermost
+        space = parse_ambient("P(1,1) x P(1,1,2)")
+        factors = _factor_indices(space)
+        assert factors == [range(0, 2), range(2, 5)]
+        charts = list(itertools.product(*factors))
+        assert charts == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+        names = space.variable_set.names
+        assert ["*".join(names[i] for i in chart) for chart in charts] == [
+            "x0*y0", "x0*y1", "x0*y2", "x1*y0", "x1*y1", "x1*y2"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -245,14 +252,20 @@ def _both_methods(v):
     as the smoothness calls run it; the chart loop runs on J's packed
     generators for every member, certified or not, up to the first chart
     that is not the unit ideal."""
-    certified = _jacobian_certificate(v.f, _factor_indices(v.space)) is None
+    factors = _factor_indices(v.space)
+    certified = _jacobian_certificate(v.f, factors) is None
     vs = v.space.variable_set
     order = _grevlex(vs.n)
     jac = _packed_jacobian(v.f, order)
-    for chart in v.space.chart_tuples():
-        if not _chart_is_unit(jac, [vs.index(name) for name in chart], order, v.prime.p):
-            return certified, ConeResult(False, "*".join(chart))
+    for chart in itertools.product(*factors):
+        if not _chart_is_unit(jac, chart, order, v.prime.p):
+            return certified, ConeResult(False, _chart_name(vs, chart))
     return certified, ConeResult(True)
+
+
+def _chart_name(vs, chart) -> str:
+    """An index chart as ``cone_smoothness`` names its witness."""
+    return "*".join(vs.names[i] for i in chart)
 
 
 def _singular_at_e0(rng, space, p, degree):
@@ -395,7 +408,7 @@ class TestSingleBasisAgainstCharts:
         for (label, v, forced), res in zip(members, results):
             if forced is False:
                 assert res.witness_chart == "*".join(
-                    next(v.space.chart_tuples())), label
+                    fac.names[0] for fac in v.space.factors), label
 
     def test_literal_singular_product(self):
         # singular at ([1:0:0], [0:0:1]), which the third chart x0*y2 sees first
@@ -453,15 +466,14 @@ class TestChartsAgainstLocalization:
             order = _grevlex(vs.n)
             packed = _packed_jacobian(v.f, order)
             jac = PolyIdeal(v.prime, vs, jacobian_generators(v.f))
-            for chart in v.space.chart_tuples():
+            for chart in itertools.product(*_factor_indices(v.space)):
                 g = Polynomial.constant(v.prime, vs, 1)
-                for name in chart:
-                    g = g * variable(v.prime, vs, name)
-                unit = ideals._chart_is_unit(packed, [vs.index(name) for name in chart],
-                                             order, v.prime.p)
+                for i in chart:
+                    g = g * variable(v.prime, vs, vs.names[i])
+                unit = ideals._chart_is_unit(packed, chart, order, v.prime.p)
                 assert unit == ideals.localized_is_unit(jac, g), (label, chart, str(v.f))
                 if len(chart) == 1:
-                    (w,) = vs.weights[vs.index(chart[0])]
+                    (w,) = vs.weights[chart[0]]
                     seen.setdefault(w, [0, 0])[0 if unit else 1] += 1
         return seen
 
@@ -496,6 +508,43 @@ class TestChartsAgainstLocalization:
         # x0^9 + x1^9 + x2^3 is a cube at p = 3, so V(J) = V(f) meets the
         # chart x2 != 0 too, where x2 = 1 needs a cube root of 1/x2
         assert charts(variety("P(1,1,3)", "x0^9 + x1^9 + x2^3", 3)) == [False] * 3
+
+
+class TestThomSebastiani:
+    """The cone verdict of a one-factor f of degree d at p against that of
+    f + z^e, for e >= 2 with e | d and p prime to e, z a new variable of
+    weight d/e in f's factor (Sebastiani and Thom, Invent. Math. 13, 1971):
+    the partial in z is e*z^(e-1), so J' = J + (z^(e-1)) and the cone of
+    f + z^e is smooth away from the irrelevant locus exactly when f's is.
+    On a product z^e is not multihomogeneous with f, so one factor only."""
+
+    AMBIENTS = ("P(1,1,1)", "P(1,1,2)", "P(1,1,1,2)")
+
+    @staticmethod
+    def with_power(v, e):
+        """f + z^e in the ambient with z appended to f's factor."""
+        (fac,) = v.space.factors
+        (d,) = weighted_degree(v.f)
+        space = AmbientSpace([AmbientFactor(fac.names + ("z",), fac.weights + (d // e,))])
+        vs = space.variable_set
+        terms = {m + (0,): c for m, c in v.f.terms.items()}
+        terms[(0,) * v.f.vars.n + (e,)] = 1
+        return HypersurfaceVariety(v.prime, space, Polynomial(v.prime, vs, terms))
+
+    def test_seeded_members_keep_their_cone_verdict(self):
+        members = [(label, v) for label, v, _ in _differential_members()
+                   if label.split(".d")[0] in self.AMBIENTS]
+        seen = {True: 0, False: 0}
+        for label, v in members:
+            (d,) = weighted_degree(v.f)
+            smooth = cone_smoothness(v).smooth_away_from_irrelevant
+            for e in range(2, d + 1):
+                if d % e or e % v.prime.p == 0:
+                    continue
+                grown = cone_smoothness(self.with_power(v, e))
+                assert grown.smooth_away_from_irrelevant is smooth, (label, e, str(v.f))
+                seen[smooth] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 def _chart_route_members():
@@ -535,15 +584,15 @@ class TestPackedCharts:
             order, jac = failed
             gens = jacobian_generators(v.f)
             failing = []
-            for chart in v.space.chart_tuples():
-                indices = [vs.index(name) for name in chart]
-                unit = ideals._chart_is_unit(jac, indices, order, v.prime.p)
-                assert unit == ref_chart_is_unit(gens, indices), (label, chart, str(v.f))
+            charts = list(itertools.product(*_factor_indices(v.space)))
+            for chart in charts:
+                unit = ideals._chart_is_unit(jac, chart, order, v.prime.p)
+                assert unit == ref_chart_is_unit(gens, chart), (label, chart, str(v.f))
                 if not unit:
-                    failing.append("*".join(chart))
+                    failing.append(_chart_name(vs, chart))
             assert point_chart in failing, (label, str(v.f))
             assert cone_smoothness(v) == ConeResult(False, failing[0]), label
-            later += failing[0] != "*".join(next(v.space.chart_tuples()))
+            later += failing[0] != _chart_name(vs, charts[0])
             several += len(failing) > 1
         assert len(members) >= 100
         # the witness is often not the first chart, and often not the only
@@ -614,7 +663,6 @@ class TestPackedJacobian:
 def _ref_closed_charts(space, exp) -> set:
     """The charts an exponent tuple closes, by the chart-tuple dict that
     picks one variable per factor."""
-    vset = space.variable_set
     factor_of = [j for j, fac in enumerate(space.factors) for _ in fac.names]
     pick = {}
     for i, e in enumerate(exp):
@@ -622,7 +670,7 @@ def _ref_closed_charts(space, exp) -> set:
             if factor_of[i] in pick:
                 return set()
             pick[factor_of[i]] = i
-    charts = {tuple(vset.index(name) for name in chart) for chart in space.chart_tuples()}
+    charts = itertools.product(*_factor_indices(space))
     return {t for t in charts if all(t[j] == i for j, i in pick.items())}
 
 
@@ -644,11 +692,10 @@ class TestChartMasks:
     def closes(cls, space, exp, chart) -> bool:
         """Whether the predicate closes ``chart`` on ``exp``: every other
         chart is closed first by its own product, which closes it alone."""
-        vset = space.variable_set
         stop = cls.stop_of(space)
-        for other in space.chart_tuples():
+        for other in itertools.product(*_factor_indices(space)):
             if other != chart:
-                assert not stop(tuple(int(name in other) for name in vset.names))
+                assert not stop(tuple(int(i in other) for i in range(len(exp))))
         return stop(exp)
 
     @staticmethod
@@ -658,7 +705,7 @@ class TestChartMasks:
         assert len(space.factors[0].names) >= 2
         # the constant closes every chart, x0^3*x1^3 (one factor) none
         exps = [(0,) * n, tuple(int(i < 2) * 3 for i in range(n))]
-        charts = [[vset.index(name) for name in chart] for chart in space.chart_tuples()]
+        charts = list(itertools.product(*_factor_indices(space)))
         for _ in range(30):
             chart = rng.choice(charts)
             # any support, then one inside a chart; exponents up to the
@@ -673,13 +720,11 @@ class TestChartMasks:
     def test_same_charts_close(self, ambient):
         rng = random.Random(ambient)
         space = parse_ambient(ambient)
-        vset = space.variable_set
         closed_some = closed_none = 0
         for exp in self.seeded_exps(space, rng):
             ref = _ref_closed_charts(space, exp)
-            for chart in space.chart_tuples():
-                index = tuple(vset.index(name) for name in chart)
-                assert self.closes(space, exp, chart) == (index in ref), (exp, chart)
+            for chart in itertools.product(*_factor_indices(space)):
+                assert self.closes(space, exp, chart) == (chart in ref), (exp, chart)
             closed_some += bool(ref)
             closed_none += not ref
         assert closed_some >= 5 and closed_none >= 5
@@ -689,8 +734,7 @@ class TestChartMasks:
         # a run of leading monomials stops at the same one for both
         rng = random.Random(f"runs {ambient}")
         space = parse_ambient(ambient)
-        charts = {tuple(space.variable_set.index(name) for name in chart)
-                  for chart in space.chart_tuples()}
+        charts = set(itertools.product(*_factor_indices(space)))
         exps = self.seeded_exps(space, rng)[1:]
         stopped = 0
         for _ in range(30):
