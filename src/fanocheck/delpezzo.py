@@ -56,8 +56,9 @@ def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
                       d_max: int) -> list:
     """All classes with the given self-intersection and K-degree, 0 <= d <= d_max.
 
-    Entries m_i >= -1 (a single negative blow-down multiplicity at most),
-    which covers exceptional and (-2)-class searches.  Sorted by (d, m).
+    Entries m_i >= -1, which covers exceptional and (-2)-class searches;
+    any number of them may be -1 (``enumerate_classes(PicLattice(3), -3,
+    -3, 0)`` is the one class m = (-1, -1, -1)).  Sorted by (d, m).
 
     For each d the m_i are placed left to right, values ascending, so the
     output comes out sorted.  With k slots left, each an integer in
@@ -69,7 +70,12 @@ def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
     - -k <= s <= k hi;
 
     and the last slot is placed directly, as v = s with v^2 = q.  A partial
-    vector failing any of these is dropped at once.
+    vector failing any of these is dropped at once.  The last two slots are
+    solved too: v + w = s and v^2 + w^2 = q give (w - v)^2 = 2q - s^2, which
+    is >= 0 by Cauchy-Schwarz, so with t = isqrt(2q - s^2) a completion
+    exists only if t^2 = 2q - s^2 (then t = s mod 2) and v = (s - t) / 2 >=
+    -1; w = v + t <= hi as w^2 <= q.  They are (v, w) and, for t > 0,
+    (w, v), in the order the ascending loop would place them.
 
     Degree cut-off: the Cauchy-Schwarz bound over all r slots reads
     (k_deg + 3d)^2 <= r (d^2 - self_int), and as r <= 8 < 9 the difference
@@ -101,6 +107,14 @@ def enumerate_classes(lattice: PicLattice, self_int: int, k_deg: int,
             if k == 1:
                 if q == s * s:
                     out.append(LatticeClass(d, (*acc, s)))
+                return
+            if k == 2:  # v + w = s, v^2 + w^2 = q: (w - v)^2 = 2q - s^2
+                t = math.isqrt(2 * q - s * s)
+                v = (s - t) >> 1
+                if t * t == 2 * q - s * s and v >= -1:
+                    out.append(LatticeClass(d, (*acc, v, v + t)))
+                    if t:
+                        out.append(LatticeClass(d, (*acc, v + t, v)))
                 return
             for v in range(-1, math.isqrt(q) + 1):
                 acc.append(v)
@@ -153,6 +167,9 @@ def langer_neg2_classes() -> list:
 # ---------------------------------------------------------------------------
 
 _PGL_MAX_Q = 8
+# tori of at most this many scalings are searched scaling by scaling
+# (see pgl_orbit_canonical)
+_TORUS_LOOP_MAX = 7
 
 
 def _normalize(point, gf: GF):
@@ -218,6 +235,19 @@ def pgl_orbit_canonical(config: PointConfig):
     so g sends c1c2 to x = 0 only from a line meeting C most: every coset
     reaching S* is searched and hits is unchanged.  No point, one point and
     the whole plane are answered directly.
+
+    For each pair the scalings (mu, lam) whose head, the sorted z of the
+    (0,1,z) points, is least form a torus S = {(mu, r mu) : r in R}.  On a
+    torus of more than 7 scalings the affine points are translated first:
+    every image then starts with 0, the moved point's code, so a least
+    image has the least second code any s in S gives a moved point, and
+    only the scalings sending some moved point there are sorted.  A table
+    per R, built once per call, holds each code's least image under S and
+    the scalings reaching it; one affine point is fixed by every scaling.
+    Smaller tori (those of one ratio, q - 1 <= 7 scalings, and q = 3's of
+    two) are searched scaling by scaling, each with every translation: on
+    sets of few affine points they measured faster so.  Each (pair, s, t)
+    reaching the least image is one hit either way.
     """
     q = config.q
     order = pgl3_order(q)
@@ -248,6 +278,20 @@ def pgl_orbit_canonical(config: PointConfig):
             for t in range(q * q)]
     scale = {(mu, lam): [y + z for y in [v * q for v in mul[mu]] for z in mul[lam]]
              for mu in units for lam in units}
+    tables = {}
+
+    def torus(ratios):
+        """Per code, the least code a scaling (mu, r mu), r in ratios, sends
+        it to and the rows of the scalings that do; code 0, fixed by all of
+        them, reads past every other code."""
+        rows = [scale[mu, mul[r][mu]] for r in ratios for mu in units]
+        val, reach = [q * q], [rows]
+        for c in range(1, q * q):
+            least = min(row[c] for row in rows)
+            val.append(least)
+            reach.append([row for row in rows if row[c] == least])
+        return val, reach
+
     best_head, best, hits = None, None, 0
     for line, on in lines.items():
         if len(on) < richest:
@@ -277,6 +321,31 @@ def pgl_orbit_canonical(config: PointConfig):
             elif head > best_head:
                 continue
             codes = [y * q + z for y, z in zip(at_off[a], at_off[b])]
+            size = heads.count(head) * (q - 1)
+            if codes and size > _TORUS_LOOP_MAX:
+                # translate first: an image starts at 0, so its second
+                # code is at least the least code the torus sends a moved
+                # point to, and only the scalings reaching it can tie
+                if len(codes) == 1:  # every scaling fixes the image [0]
+                    best, hits = [0], hits + size
+                    continue
+                ratios = tuple(r for r, h in zip(units, heads) if h == head)
+                if ratios not in tables:
+                    tables[ratios] = torus(ratios)
+                val, reach = tables[ratios]
+                for t in codes:
+                    moved = list(map(diff[t].__getitem__, codes))
+                    first = min(map(val.__getitem__, moved))
+                    for c in moved:
+                        if val[c] != first:
+                            continue
+                        for row in reach[c]:
+                            image = sorted(map(row.__getitem__, moved))
+                            if best is None or image < best:
+                                best, hits = image, 1
+                            elif image == best:
+                                hits += 1
+                continue
             for r, ratio_head in zip(units, heads):
                 if ratio_head != head:
                     continue

@@ -140,6 +140,13 @@ class TestEnumeration:
                   rng.randint(-3, 3), rng.randint(0, 6)) for _ in range(100)]
         # the workload's shapes, the widest box and a one-slot lattice
         cases += [(7, -1, -1, 3), (8, -2, 0, 5), (8, -1, -1, 6), (1, 1, 3, 6)]
+        # the last two slots solved: at the root of r = 2 (H - E_1 - E_2 has
+        # v = w, E_1 has v = -1), v = w = -1 in (-1, -1, -1), and every
+        # shape the benchmark's class search draws
+        cases += [(2, -1, -1, 6), (2, -2, 0, 6), (2, 0, 2, 8), (2, -1, -1, 0),
+                  (3, -3, -3, 0), (4, -4, -4, 2)]
+        cases += [(r, s, -1 if s == -1 else 0, d)
+                  for r in (6, 7, 8) for s in (-1, -2) for d in range(3, 7)]
         for r, self_int, k_deg, d_max in cases:
             ours = enumerate_classes(PicLattice(r), self_int, k_deg, d_max)
             assert ours == ref_enumerate_classes(r, self_int, k_deg, d_max), (
@@ -348,6 +355,72 @@ def _line_points(q, line):
                 gf.mul(line[2], pt[2])]]
 
 
+def torus_shapes(q, rng):
+    """Seeded sets for the torus step, on both sides of its selection: a
+    richest line of two points (frames, 5-point arcs on the conic y^2 = xz,
+    and a lone affine point off a triangle) gives every ratio, a 3-point
+    one a single ratio; a whole line holds every ratio too, and one point
+    off it is a lone affine point."""
+    gf = GF(q)
+    pts = plane_points(q)
+    line = _line_points(q, rng.choice(pts))
+    off = [pt for pt in pts if pt not in line]
+    conic = [(1, t, gf.mul(t, t)) for t in range(q)] + [(0, 0, 1)]
+    yield rng.sample(conic, 4)
+    yield rng.sample(conic, 5)
+    yield rng.sample(conic, 3)
+    yield rng.sample(line, 3) + rng.sample(off, 2)
+    yield rng.sample(line, 3) + rng.sample(off, 3)
+    yield line + rng.sample(off, 1)
+    yield line + rng.sample(off, 2)
+
+
+def orbit_both_sides(config):
+    """(canonical points, orbit size) as selected, then with every torus
+    solved, then with every torus searched scaling by scaling."""
+    out = []
+    for bound in (delpezzo._TORUS_LOOP_MAX, 0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delpezzo, "_TORUS_LOOP_MAX", bound)
+            canonical, size = pgl_orbit_canonical(config)
+        out.append((canonical.points, size))
+    return out
+
+
+class TestTorusStep:
+    """The solved torus and the scaling loop against the whole-group brute
+    force at q = 4 and the all-pairs search at q = 5, 7, 8, each side of
+    the selection forced in turn."""
+
+    def test_against_the_brute_force(self):
+        rng = random.Random(4904)
+        pts = plane_points(4)
+        shapes = list(torus_shapes(4, rng))
+        shapes += [rng.sample(pts, 17), rng.sample(pts, 19), rng.sample(pts, 20)]
+        for points in shapes:
+            config = PointConfig.from_points(4, points)
+            assert orbit_both_sides(config) == [brute_force_orbit(config)] * 3, points
+
+    @pytest.mark.parametrize("q", [5, 7, 8])
+    def test_against_the_reference(self, q):
+        rng = random.Random(4900 + q)
+        for points in torus_shapes(q, rng):
+            config = PointConfig.from_points(q, points)
+            ref, ref_size = ref_pgl_orbit_canonical(config)
+            assert orbit_both_sides(config) == [(ref.points, ref_size)] * 3, points
+
+    def test_near_full_set(self):
+        # beyond the reference's reach (seconds at q = 5), so the sides are
+        # compared with each other; a set and its complement share a
+        # stabilizer, so their orbits have one size
+        gone = random.Random(4905).sample(plane_points(5), 3)
+        config = PointConfig.from_points(
+            5, [pt for pt in plane_points(5) if pt not in gone])
+        sides = orbit_both_sides(config)
+        assert sides == [sides[2]] * 3
+        assert sides[2][1] == pgl_orbit_canonical(PointConfig.from_points(5, gone))[1]
+
+
 class TestOrbitAgainstReference:
     """The richest-line search against the search over every ordered pair,
     at q beyond the whole-group brute force."""
@@ -416,7 +489,7 @@ class TestOrbitAgainstReference:
 class TestOrbitClosedForms:
     """Orbit sizes that need no enumeration, at q beyond the brute force."""
 
-    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8])
     def test_frame(self, q):
         frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
         canonical, size = pgl_orbit_canonical(PointConfig.from_points(q, frame))
