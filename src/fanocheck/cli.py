@@ -173,31 +173,32 @@ _SUBCOMMANDS = (
 )
 
 
-def _parser(subcommands) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanocheck",
         description="Exact splitting, smoothness, intersection and lattice checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in subcommands:
+    for name, help_text, add_arguments in _SUBCOMMANDS:
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_SUBCOMMANDS)
-
-
 def main(argv=None) -> int:
-    """Run one subcommand.  When ``argv[0]`` names one, the parser holds only
-    its subparser; help, a missing or unknown subcommand and unrecognized
-    arguments, which argparse reports with the top-level usage, go through
-    :func:`build_parser`, so every message reads as it does there."""
+    """Run one subcommand.  When ``argv[0]`` names one, one parser is built,
+    that subcommand's own, with the prog the full parser gives it; help, a
+    missing or unknown subcommand and unrecognized arguments, which argparse
+    reports with the top-level usage, go through :func:`build_parser`, so
+    every message reads as it does there."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    chosen = [entry for entry in _SUBCOMMANDS if argv[:1] == [entry[0]]]
-    if chosen:
-        args, extras = _parser(chosen).parse_known_args(argv)
-    if not chosen or extras:
+    extras = True
+    for name, _, add_arguments in _SUBCOMMANDS:
+        if argv[:1] == [name]:
+            parser = argparse.ArgumentParser(prog=f"fanocheck {name}")
+            add_arguments(parser)
+            args, extras = parser.parse_known_args(argv[1:])
+            break
+    if extras:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

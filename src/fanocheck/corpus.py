@@ -18,6 +18,16 @@ from typed inputs to a ``CheckResult``, shared with the CLI subcommands.
 A failed or crashing check never aborts the run; it becomes a failing row.
 Reports contain no wall-clock data, so the same corpus always serializes
 to the same bytes regardless of --jobs.
+
+What checks share is built once.  A load builds one ambient space per
+distinct ambient in the file, so its entries share the space and its
+variable set.  A run parses each entry's polynomial once, at the first
+fsplit, smooth or delta1 check that reads it (chow and lattice checks never
+do), and builds one Chow ring per (base, bundle); the corpus runs each kind
+on these through a private entry beside the public one, which takes text
+as the CLI does.  A parse that raised raises again for every check that
+reads it, so each of their rows reads the same error as when each check
+parsed for itself.
 """
 
 from __future__ import annotations
@@ -34,7 +44,15 @@ from .geometry import (
     HypersurfaceVariety,
     smoothness_verdict,
 )
-from .poly import VariableSet, _set, _Value, delta1 as poly_delta1, mono_str, parse_poly
+from .poly import (
+    Polynomial,
+    VariableSet,
+    _set,
+    _Value,
+    delta1 as poly_delta1,
+    mono_str,
+    parse_poly,
+)
 from .splitting import HypersurfaceRing, delta1_probe, fedder_fsplit
 
 
@@ -91,7 +109,16 @@ def _require(obj: dict, key: str, typ, entry: str | None, what: str):
     return val
 
 
-def _load_ambient(raw: dict, entry: str) -> AmbientSpace:
+def _load_ambient(raw: dict, entry: str, built: dict) -> AmbientSpace:
+    """The entry's ambient.  ``built`` holds what this load has built so
+    far: each factor under its shape (names, weights), each space under the
+    tuple of its factors (no such tuple equals a shape).  An ambient that
+    recurs is built once and its entries share one space, whose variable
+    set is then built once too.  A shape is checked when it is first built,
+    so every error raises at the factor, and with the message, that a load
+    sharing nothing would give; a shape with a name that is not a string is
+    never looked up, so hashing raises nothing and the factor raises its
+    own error."""
     factors_raw = _require(raw, "factors", list, entry, "ambient")
     if not factors_raw:
         raise CorpusFormatError("ambient needs at least one factor", entry, "factors")
@@ -104,14 +131,22 @@ def _load_ambient(raw: dict, entry: str) -> AmbientSpace:
         if not all(_is_int(w) for w in weights):
             raise CorpusFormatError("ambient factor weights must be integers",
                                     entry, "factors")
+        shape = (tuple(names), tuple(weights))
+        factor = built.get(shape) if all(isinstance(n, str) for n in names) else None
+        if factor is None:
+            try:
+                factor = built[shape] = AmbientFactor(*shape)
+            except ValueError as exc:
+                raise CorpusFormatError(str(exc), entry, "factors") from None
+        factors.append(factor)
+    factors = tuple(factors)
+    space = built.get(factors)
+    if space is None:
         try:
-            factors.append(AmbientFactor(tuple(names), tuple(weights)))
+            space = built[factors] = AmbientSpace(factors)
         except ValueError as exc:
-            raise CorpusFormatError(str(exc), entry, "factors") from None
-    try:
-        return AmbientSpace(factors)
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc), entry, "ambient") from None
+            raise CorpusFormatError(str(exc), entry, "ambient") from None
+    return space
 
 
 def load_corpus(data: dict) -> list:
@@ -121,6 +156,7 @@ def load_corpus(data: dict) -> list:
     entries_raw = _require(data, "entries", list, None, "corpus")
     entries = []
     seen = set()
+    ambients = {}
     for idx, raw in enumerate(entries_raw):
         if not isinstance(raw, dict):
             raise CorpusFormatError(f"entry #{idx} must be an object")
@@ -129,7 +165,8 @@ def load_corpus(data: dict) -> list:
             raise CorpusFormatError("duplicate entry name", name, "name")
         seen.add(name)
         prime = _require(raw, "prime", int, name, "entry")
-        ambient = _load_ambient(_require(raw, "ambient", dict, name, "entry"), name)
+        ambient = _load_ambient(_require(raw, "ambient", dict, name, "entry"), name,
+                                ambients)
         polynomial = _require(raw, "polynomial", str, name, "entry")
         paper_ref = _require(raw, "paper_ref", str, name, "entry")
         checks_raw = _require(raw, "checks", list, name, "entry")
@@ -256,7 +293,11 @@ class CheckResult(_Value):
 
 def fsplit(prime: int, variables: VariableSet, polynomial: str) -> CheckResult:
     """F-splitting verdict; the evidence is the surviving-monomial witness."""
-    ring = HypersurfaceRing(prime, variables, parse_poly(polynomial, variables, prime))
+    return _fsplit(prime, variables, parse_poly(polynomial, variables, prime))
+
+
+def _fsplit(prime: int, variables: VariableSet, f: Polynomial) -> CheckResult:
+    ring = HypersurfaceRing(prime, variables, f)
     ring.degree  # force the homogeneity validation
     verdict = fedder_fsplit(ring)
     evidence = (None if verdict.witness is None
@@ -268,7 +309,11 @@ def delta1(prime: int, variables: VariableSet, polynomial: str,
            probe: tuple | None = None) -> CheckResult:
     """The Witt carry delta1(f), or the probe (a, b, s) of it; compared as
     polynomials, so formatting differences cannot fail a check."""
-    f = parse_poly(polynomial, variables, prime)
+    return _delta1(prime, variables, parse_poly(polynomial, variables, prime), probe)
+
+
+def _delta1(prime: int, variables: VariableSet, f: Polynomial,
+            probe: tuple | None = None) -> CheckResult:
     if probe is None:
         carry = poly_delta1(f)
     else:
@@ -279,7 +324,10 @@ def delta1(prime: int, variables: VariableSet, polynomial: str,
 
 def smooth(prime: int, space: AmbientSpace, polynomial: str) -> CheckResult:
     """Smooth, QuasiSmoothOnly or Singular."""
-    f = parse_poly(polynomial, space.variable_set, prime)
+    return _smooth(prime, space, parse_poly(polynomial, space.variable_set, prime))
+
+
+def _smooth(prime: int, space: AmbientSpace, f: Polynomial) -> CheckResult:
     return CheckResult(smoothness_verdict(HypersurfaceVariety(prime, space, f)).value)
 
 
@@ -288,9 +336,17 @@ def chow(base: tuple, bundle: tuple | None = None, canonical: bool = False,
          expr: str | None = None) -> CheckResult:
     """In the Chow ring of the base (or of the bundle over it): the canonical
     class, whether identity's two expressions agree, or expr's value."""
+    return _chow(_chow_ring(base, bundle), canonical, identity, expr)
+
+
+def _chow_ring(base: tuple, bundle: tuple | None) -> chowmod.IntersectionRing:
     product = chowmod.ProductBase(base)
     spec = None if bundle is None else chowmod.SplitBundleSpec(product, bundle)
-    ring = chowmod.IntersectionRing(product, spec)
+    return chowmod.IntersectionRing(product, spec)
+
+
+def _chow(ring: chowmod.IntersectionRing, canonical: bool = False,
+          identity: tuple | None = None, expr: str | None = None) -> CheckResult:
     if canonical:
         return CheckResult(chowmod.div_class_str(ring, chowmod.canonical_class(ring)))
     if identity is not None:
@@ -338,14 +394,53 @@ def lattice(query: str, q: int | None = None) -> CheckResult:
     raise ValueError(f"unknown lattice query {query!r}")
 
 
-# kind -> (params validator, runner on an entry and the validated params)
+class _Run:
+    """What the checks of one run share, each built at its first use: every
+    entry's polynomial, parsed once for all of its fsplit, smooth and delta1
+    checks, and one Chow ring per (base, bundle).  A parse that raised keeps
+    its exception, raised again for each check that reads the polynomial,
+    so each of their rows reads the error it read when every check parsed
+    for itself.  Entries on ``--jobs`` threads share one run: a dict's get
+    and set are atomic and what it holds is immutable, so two threads at
+    most build one ring twice, and an entry's polynomial is read by the one
+    thread that runs the entry."""
+
+    __slots__ = ("_polynomials", "_rings")
+
+    def __init__(self):
+        self._polynomials = {}
+        self._rings = {}
+
+    def polynomial(self, entry: CorpusEntry) -> Polynomial:
+        f = self._polynomials.get(entry.name)
+        if f is None:
+            try:
+                f = parse_poly(entry.polynomial, entry.ambient.variable_set, entry.prime)
+            except Exception as exc:  # kept for every check that reads f
+                f = exc
+            self._polynomials[entry.name] = f
+        if isinstance(f, Exception):
+            raise f
+        return f
+
+    def chow_ring(self, base: tuple, bundle: tuple | None) -> chowmod.IntersectionRing:
+        ring = self._rings.get((base, bundle))
+        if ring is None:
+            ring = self._rings[base, bundle] = _chow_ring(base, bundle)
+        return ring
+
+
+# kind -> (params validator, runner on the run, an entry and the validated
+# params); chow and lattice checks never read the entry's polynomial
 _KINDS = {
-    "fsplit": (_no_params, lambda e: fsplit(e.prime, e.ambient.variable_set, e.polynomial)),
-    "smooth": (_no_params, lambda e: smooth(e.prime, e.ambient, e.polynomial)),
-    "delta1": (_delta1_params,
-               lambda e, **kw: delta1(e.prime, e.ambient.variable_set, e.polynomial, **kw)),
-    "chow": (_chow_params, lambda e, **kw: chow(**kw)),
-    "lattice": (_lattice_params, lambda e, **kw: lattice(**kw)),
+    "fsplit": (_no_params, lambda run, e: _fsplit(
+        e.prime, e.ambient.variable_set, run.polynomial(e))),
+    "smooth": (_no_params, lambda run, e: _smooth(e.prime, e.ambient, run.polynomial(e))),
+    "delta1": (_delta1_params, lambda run, e, **kw: _delta1(
+        e.prime, e.ambient.variable_set, run.polynomial(e), **kw)),
+    "chow": (_chow_params, lambda run, e, base, bundle, **kw: _chow(
+        run.chow_ring(base, bundle), **kw)),
+    "lattice": (_lattice_params, lambda run, e, **kw: lattice(**kw)),
 }
 
 
@@ -412,11 +507,11 @@ class Report(_Value):
         return "\n".join(lines)
 
 
-def _run_entry(entry: CorpusEntry) -> list:
+def _run_entry(run: _Run, entry: CorpusEntry) -> list:
     rows = []
     for check in entry.checks:
         try:
-            result = _KINDS[check.kind][1](entry, **check.params)
+            result = _KINDS[check.kind][1](run, entry, **check.params)
             actual, ok = result.verdict, result.matches(check.expect)
         except Exception as exc:  # a crashing check fails but never aborts
             actual = f"error: {str(exc) or type(exc).__name__}"
@@ -430,14 +525,15 @@ def run_corpus(path, jobs: int = 1) -> Report:
     entries = load_corpus_file(path)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    run = _Run()
     if jobs == 1 or len(entries) <= 1:
-        per_entry = [_run_entry(e) for e in entries]
+        per_entry = [_run_entry(run, e) for e in entries]
     else:
         # imported here: the pool alone needs it, and it loads logging,
         # traceback and queue into every process that imports it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_entry = list(pool.map(_run_entry, entries))
+            per_entry = list(pool.map(_run_entry, [run] * len(entries), entries))
     rows = [row for chunk in per_entry for row in chunk]
     return Report(tuple(rows))

@@ -138,8 +138,22 @@ class Prime(_Value):
         _set(self, "_key", (p,))
 
 
+# every supported characteristic, built once; as_prime hands these out
+_PRIMES = {p: Prime(p) for p in range(2, 98) if _prime_factors(p) == [p]}
+
+
 def as_prime(p: int | Prime) -> Prime:
-    return p if isinstance(p, Prime) else Prime(p)
+    """``p`` itself if it is a :class:`Prime`, else the characteristic p.
+
+    A supported characteristic comes from a table built at import, so every
+    call shares one ``Prime`` per p and no call factors p again.  Only an
+    exact ``int`` is looked up: ``True`` equals 1 and ``2.0`` hashes as 2,
+    and both must still reach ``Prime(p)`` and its message, as every value
+    outside the table does."""
+    if isinstance(p, Prime):
+        return p
+    field = _PRIMES.get(p) if type(p) is int else None
+    return Prime(p) if field is None else field
 
 
 # ---------------------------------------------------------------------------

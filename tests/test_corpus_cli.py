@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -104,6 +105,36 @@ class TestLoadCorpus:
         doc = {"entries": [entry(weights=(1, 1, 1))]}
         with pytest.raises(CorpusFormatError, match="factor"):
             load_corpus(doc)
+
+    def test_equal_ambients_share_one_space(self):
+        first, second = load_corpus({"entries": [entry(name="a"), entry(name="b")]})
+        assert first.ambient is second.ambient
+
+    @pytest.mark.parametrize("factors", [
+        [{"weights": [1, 1], "vars": ["t0", "u1"]}, {"weights": [1], "vars": ["y"]}],
+        [{"weights": [1, 2], "vars": ["t0", "t1"]}, {"weights": [1], "vars": ["y"]}],
+        [{"weights": [1], "vars": ["y"]}, {"weights": [1, 1], "vars": ["t0", "t1"]}],
+    ], ids=["name", "weight", "factor-order"])
+    def test_ambients_of_other_shapes_do_not_share(self, factors):
+        base = [{"weights": [1, 1], "vars": ["t0", "t1"]}, {"weights": [1], "vars": ["y"]}]
+        first, second = load_corpus({"entries": [
+            {**entry(name="a"), "ambient": {"factors": base}},
+            {**entry(name="b"), "ambient": {"factors": factors}}]})
+        assert first.ambient is not second.ambient
+        assert first.ambient.factors != second.ambient.factors
+
+    # a name that is not a string is never looked up among the shared shapes
+    @pytest.mark.parametrize("bad", [["t0"], {"t0": 1}, 0], ids=["list", "dict", "int"])
+    def test_unhashable_or_numeric_var_is_a_corpus_error(self, bad):
+        messages = []
+        for before in ([], [entry(name="good")]):
+            with pytest.raises(CorpusFormatError) as exc:
+                load_corpus({"entries": [*before, entry(name="bad", variables=(bad, "t1"))]})
+            assert (exc.value.entry, exc.value.field_name) == ("bad", "factors")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (f"variable name {bad!r} is not an identifier "
+                               "in entry 'bad' (field 'factors')")
 
     # Each input rule of the corpus schema: the document that breaks it and
     # the whole message.  A factor's shape, signs and names are checked by
@@ -337,14 +368,15 @@ class TestRunCorpus:
         def out_of_memory(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(corpus, "fsplit", out_of_memory)
+        # the corpus runs a kind through its private entry on the shared inputs
+        monkeypatch.setattr(corpus, "_fsplit", out_of_memory)
         row, = run_corpus(write_corpus(tmp_path, [entry()])).rows
         assert (row.actual, row.passed) == ("error: MemoryError", False)
 
     def test_bad_params_in_the_last_entry_fail_before_any_check(
             self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(corpus, "fsplit", lambda *args: calls.append(args))
+        monkeypatch.setattr(corpus, "_fsplit", lambda *args: calls.append(args))
         bad = {"kind": "chow", "expect": "1", "params": {"base": [1], "expr": 1}}
         doc = {"entries": [entry(name="first"), entry(name="last", checks=[bad])]}
         with pytest.raises(CorpusFormatError, match="needs expr") as exc:
@@ -356,6 +388,121 @@ class TestRunCorpus:
         # the patched kind is the one the first entry runs
         run_corpus(write_corpus(tmp_path, doc["entries"][:1]))
         assert len(calls) == 1
+
+    # the rows of a run in which checks share inputs, against each check run
+    # in a corpus of its own
+    @staticmethod
+    def rows_alone(tmp_path, raw):
+        rows = []
+        for i, check in enumerate(raw["checks"]):
+            path = write_corpus(tmp_path, [{**raw, "checks": [check]}], f"alone{i}.json")
+            rows += run_corpus(path).rows
+        return rows
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The first argument of every call the run makes to corpus.<name>."""
+        calls, real = [], getattr(corpus, name)
+
+        def spying(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(corpus, name, spying)
+        return calls
+
+    @pytest.mark.parametrize("prime,polynomial", [(2, "t0 +"), (4, "t0 + t1")],
+                             ids=["parse", "prime"])
+    def test_a_failed_parse_errs_in_every_row_that_reads_it(
+            self, tmp_path, monkeypatch, prime, polynomial):
+        raw = entry(prime=prime, polynomial=polynomial, checks=[
+            {"kind": "fsplit", "expect": "FSplit"},
+            {"kind": "smooth", "expect": "Smooth"},
+            {"kind": "delta1", "expect": "0"},
+            {"kind": "delta1", "expect": "0", "params": {"probe": [1, 1, 1]}},
+            {"kind": "chow", "expect": "h1", "params": {"base": [1], "expr": "h1"}}])
+        parsed = self.spy(monkeypatch, "parse_poly")
+        rows = run_corpus(write_corpus(tmp_path, [raw])).rows
+        assert parsed == [polynomial]
+        assert rows == tuple(self.rows_alone(tmp_path, raw))
+        ambient = load_corpus({"entries": [raw]})[0].ambient
+        vs = ambient.variable_set
+        alone = [lambda: corpus.fsplit(prime, vs, polynomial),
+                 lambda: corpus.smooth(prime, ambient, polynomial),
+                 lambda: corpus.delta1(prime, vs, polynomial),
+                 lambda: corpus.delta1(prime, vs, polynomial, (1, 1, 1))]
+        for row, kind in zip(rows, alone):
+            with pytest.raises(Exception) as exc:
+                kind()
+            assert (row.actual, row.passed) == (f"error: {exc.value}", False)
+        assert rows[-1].passed
+
+    def test_checks_on_one_polynomial_give_the_rows_they_give_alone(
+            self, tmp_path, monkeypatch):
+        raw = entry(prime=5, weights=(1, 1, 1), variables=("x", "y", "z"),
+                    polynomial="x^3 + y^3 + z^3", checks=[
+                        {"kind": "fsplit", "expect": "NotFSplit"},
+                        {"kind": "smooth", "expect": "Smooth"},
+                        {"kind": "delta1", "expect": "0"},
+                        {"kind": "fsplit", "expect": "NotFSplit"}])
+        parsed = self.spy(monkeypatch, "parse_poly")
+        rows = run_corpus(write_corpus(tmp_path, [raw])).rows
+        # one parse of the entry; delta1 also reads its expectation back
+        assert parsed == [raw["polynomial"], "0", rows[2].actual]
+        assert rows == tuple(self.rows_alone(tmp_path, raw))
+        assert [row.passed for row in rows] == [True, True, False, True]
+        assert rows[2].actual.startswith("x^12*y^3 + 2*x^9*y^6")
+
+    @staticmethod
+    def chow_checks(bundles):
+        exprs = ["deg(h1*h2)", "h1^2", "deg((h1+h2)^2)"]
+        return [{"kind": "chow", "expect": "?",
+                 "params": {"base": [1, 1], **({} if b is None else {"bundle": b}),
+                            **({"canonical": True} if i % 4 == 3 else
+                               {"expr": exprs[i % 3] if b is None else
+                                "deg(xi^2*h1)"})}}
+                for i, b in enumerate(bundles)]
+
+    def test_chow_checks_on_one_ring_give_the_rows_they_give_alone(
+            self, tmp_path, monkeypatch):
+        bundles = [None, None, [[0, 0], [1, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
+                   None, [[0, 0], [1, 1]], [[0, 0], [1, 0]]]
+        raw = entry(checks=self.chow_checks(bundles))
+        built = self.spy(monkeypatch, "_chow_ring")
+        rows = run_corpus(write_corpus(tmp_path, [raw])).rows
+        assert built == [(1, 1)] * 4  # one ring per distinct (base, bundle)
+        assert rows == tuple(self.rows_alone(tmp_path, raw))
+        # two bundles over one base, told apart by the same expression
+        assert (rows[2].actual, rows[4].actual) == ("0", "1")
+
+    def test_jobs_do_not_change_the_bytes_of_shared_inputs(self, tmp_path):
+        bundles = [None, [[0, 0], [1, 0]], [[0, 0], [0, 1]], None]
+        entries = [
+            entry(name="chow.a", checks=self.chow_checks(bundles)),
+            entry(name="chow.b", checks=self.chow_checks(bundles[::-1])),
+            entry(name="bad.poly", polynomial="t0 * * t1", checks=[
+                {"kind": "fsplit", "expect": "FSplit"},
+                {"kind": "delta1", "expect": "0"},
+                {"kind": "smooth", "expect": "Smooth"}]),
+            *(entry(name=f"cubic.{i}", prime=5, weights=(1, 1, 1),
+                    variables=("x", "y", "z"), polynomial=f"x^3 + y^3 + {i}*z^3",
+                    checks=[{"kind": "fsplit", "expect": "NotFSplit"},
+                            {"kind": "smooth", "expect": "Smooth"}])
+              for i in range(4)),
+        ]
+        path = write_corpus(tmp_path, entries)
+        sequential = run_corpus(path, jobs=1)
+        threaded = run_corpus(path, jobs=2)
+        assert sequential.to_json() == threaded.to_json()
+        assert sequential.to_text() == threaded.to_text()
+        # more threads than entries, switching often, race for the rings
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert run_corpus(path, jobs=8).to_json() == sequential.to_json()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_langer_summary_text(self):
         assert langer_summary() == ("(-1)-classes: 56; compatible: 7; "
@@ -805,6 +952,37 @@ def _exit(parse, argv, capsys):
     ["fsplit", "-p", "x"], ["lattice", "foo"],
     ["verify", "x.json", "--format", "xml"], ["--help", "verify"],
     ["verify", "x.json", "--bogus"], ["verify", "a", "b"],
+    ["smooth", "-p", "5"], ["chow", "--base", "1", "--bogus"],
 ], ids=repr)
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
     assert _exit(main, argv, capsys) == _exit(build_parser().parse_args, argv, capsys)
+
+
+def count_parsers(monkeypatch, run):
+    """How many ArgumentParsers ``run()`` builds."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        run()
+    except SystemExit:
+        pass
+    return len(built)
+
+
+# a valid call builds its subcommand's parser alone; anything else builds
+# the full tree too, after the subcommand's parser if argv[0] names one
+@pytest.mark.parametrize("argv,own,full", [
+    (["verify", str(SHIPPED)], 1, 0),
+    (["fsplit", "-p", "2", "--vars", "t0,t1", "--poly", "t0"], 1, 0),
+    ([], 0, 1), (["bogus"], 0, 1), (["verify", str(SHIPPED), "--bogus"], 1, 1),
+], ids=["verify", "fsplit", "empty", "unknown", "extra-argument"])
+def test_a_subcommand_call_builds_one_parser(argv, own, full, monkeypatch, capsys):
+    tree = count_parsers(monkeypatch, build_parser)
+    assert tree == 7  # the top level and one per subcommand
+    assert count_parsers(monkeypatch, lambda: main(argv)) == own + full * tree

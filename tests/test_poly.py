@@ -17,6 +17,7 @@ from fanocheck.poly import (
     Prime,
     VariableSet,
     ZeroPolynomialError,
+    as_prime,
     delta1,
     parse_poly,
     pow_mod_frobenius,
@@ -56,6 +57,30 @@ class TestPrime:
         for bad in (0, 1, 4, 6, 9, 91, 98, 101):
             with pytest.raises(ValueError):
                 Prime(bad)
+
+    # True equals 1 and 2.0 hashes as 2: neither may be read as an int
+    @pytest.mark.parametrize("bad,message", [
+        (0, "characteristic must be an integer in 2..97, got 0"),
+        (1, "characteristic must be an integer in 2..97, got 1"),
+        (4, "4 is not prime"),
+        (98, "characteristic must be an integer in 2..97, got 98"),
+        (True, "characteristic must be an integer in 2..97, got True"),
+        (2.0, "characteristic must be an integer in 2..97, got 2.0"),
+        ("7", "characteristic must be an integer in 2..97, got 7"),
+    ], ids=repr)
+    def test_as_prime_rejects_as_prime_does(self, bad, message):
+        for make in (Prime, as_prime):
+            with pytest.raises(ValueError) as exc:
+                make(bad)
+            assert str(exc.value) == message
+
+    def test_as_prime_shares_one_prime_per_characteristic(self):
+        assert as_prime(7) is as_prime(7)
+        assert Prime(7) == as_prime(7)
+        field = Prime(7)
+        assert as_prime(field) is field
+        for p in (2, 3, 11, 97):
+            assert as_prime(p) is as_prime(p) and as_prime(p).p == p
 
 
 class TestParse:
