@@ -15,20 +15,12 @@ ambient, and it stops as soon as the last tuple closes, since leading
 monomials of a partial basis already lie in the initial ideal.  A chart is
 a tuple of variable indices, one from each factor's index range: the
 certificate tests them on its packed leading monomials, so a failed
-certificate is the Singular verdict, and the charts run one by one, over
-the product of the ranges, only to name a witness, the first chart where
-V(J) meets g != 0; names appear only in that witness.
-Both runs take J's generators packed straight from f, once per
-call, by :func:`ideals._jacobian_certificate`: it runs the certificate,
-on the partials alone where Euler's relation puts f in their ideal, and,
-when it fails, hands f and its partials to the chart loop, so this module
-packs nothing.  Each chart is dehomogenized rather than localized:
-J is homogeneous for one C* per factor, acting with that factor's weights,
-and over the algebraic closure every point with g != 0 scales to one with
-each chart variable equal to 1 (x^w = c is solvable for any w, also when p
-divides w).  So V(J) meets g != 0 exactly when J + (x_i - 1 : x_i in the
-chart) is not the unit ideal, a question with one variable fewer per factor
-and no adjoined Rabinowitsch variable.
+certificate is the Singular verdict, and a chart it leaves open is a
+witness: its product has no power in in(J), so none in J, and V(J) meets
+g != 0 there.  Names appear only in that witness.  The run takes J's
+generators packed straight from f, once per call, by
+:func:`ideals._jacobian_certificate`, on the partials alone where Euler's
+relation puts f in their ideal, so this module packs nothing.
 
 For weighted factors the ambient itself carries quotient singularities along
 coordinate strata, so a cone-smooth hypersurface is only quasi-smooth until
@@ -38,12 +30,11 @@ it is also known to avoid those strata.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Sequence
 from functools import cached_property
 from math import gcd
 
-from .ideals import _chart_is_unit, _jacobian_certificate
+from .ideals import _jacobian_certificate
 from .poly import (
     ParseError,
     Polynomial,
@@ -243,7 +234,7 @@ class HypersurfaceVariety:
 
 
 class ConeResult(_Value):
-    # witness_chart: the product of the variables of the chart that failed
+    # witness_chart: the product of the variables of a chart that V(J) meets
     __slots__ = ("smooth_away_from_irrelevant", "witness_chart")
 
     def __init__(self, smooth_away_from_irrelevant: bool, witness_chart: str | None = None):
@@ -253,7 +244,7 @@ class ConeResult(_Value):
 def _factor_indices(space: AmbientSpace) -> list:
     """Each factor's variable indices in ``space.variable_set``, which lists
     the variables in factor order: the one form of the charts, whose
-    product the support certificate's stop and the chart loop both read."""
+    product the support certificate's stop reads."""
     out, start = [], 0
     for fac in space.factors:
         out.append(range(start, start + len(fac.names)))
@@ -267,25 +258,19 @@ def cone_smoothness(variety: HypersurfaceVariety) -> ConeResult:
 
     One Groebner basis of the Jacobian ideal J decides every ambient: the
     cone is smooth there exactly when each chart tuple (one variable per
-    factor) contains the support of some leading monomial, and then no
-    chart is tested.  Without that certificate the cone is singular, and
-    the charts run one by one, on f and its partials as the certificate
-    packed them, only to name the first chart where J plus (x_i - 1) for
-    the chart's variables is not the unit ideal.  That is the first chart
-    where J does not become the unit ideal after inverting the chart's
-    product (J is homogeneous for one C* per factor), so ``witness_chart``
-    names the chart a localization test would.  The charts are index
-    tuples; the witness alone is spelled in names.
+    factor) contains the support of some leading monomial.  Without that
+    certificate the cone is singular, and ``witness_chart`` names the
+    first chart, in product order, that the run left open.  V(J) meets
+    that chart, so J + (x_i - 1) for the chart's variables is not the
+    unit ideal, and a localization test rejects the chart too.  A chart
+    the run closed can fail as well, so the witness is a failing chart
+    but not always the first one.  The charts are index tuples; the
+    witness alone is spelled in names.
     """
-    factors = _factor_indices(variety.space)
-    failed = _jacobian_certificate(variety.f, factors)
-    if failed is None:
+    chart = _jacobian_certificate(variety.f, _factor_indices(variety.space))
+    if chart is None:
         return ConeResult(True)
-    order, jac = failed
-    for chart in itertools.product(*factors):
-        if not _chart_is_unit(jac, chart, order, variety.prime.p):
-            return ConeResult(False, "*".join(variety.f.vars.names[i] for i in chart))
-    return ConeResult(True)
+    return ConeResult(False, "*".join(variety.f.vars.names[i] for i in chart))
 
 
 class SmoothnessStatus(enum.Enum):
@@ -306,9 +291,8 @@ def smoothness_verdict(variety: HypersurfaceVariety) -> SmoothnessStatus:
     run on J's generators packed straight from f: the partials alone where
     some component d of f's multidegree is prime to p (Euler's relation
     d*f = sum w_i*x_i*df/dx_i puts f in their ideal), else f and its
-    partials.  Without it the verdict is Singular, and no chart runs
-    (``cone_smoothness`` runs them on f and its partials to name a
-    witness).  Only
+    partials.  Without it the verdict is Singular (``cone_smoothness``
+    names a chart the run left open as its witness).  Only
     zero-dimensional ambient strata are supported; a hypersurface is
     Smooth when the punctured cone is smooth and f carries a pure power of
     each stratum variable (so the stratum point misses the hypersurface),

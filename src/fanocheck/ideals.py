@@ -1,5 +1,5 @@
 """Ideal arithmetic over F_p: Buchberger bases, membership, normal forms,
-Rabinowitsch-style localization tests and dehomogenized chart tests.
+Rabinowitsch-style localization tests and the Jacobian support certificate.
 
 Buchberger is two halves fed by one intake loop.  The pair half,
 ``_PairQueue``, sees packed leading monomials only, and forms each lcm on
@@ -51,10 +51,11 @@ multidegree is prime to p (Euler's relation puts f in the ideal of its
 partials).  Its stop, :func:`_chart_stop`, holds each chart tuple of the
 ambient as a mask of guard bits, built from the per-factor variable
 indices geometry passes, and tests each entering leading monomial's
-support against them.  When it fails it hands back f and its partials, and
-the witness charts (:func:`_chart_is_unit`) run on them.  So the
-Jacobian never passes through :class:`PolyIdeal` or a tuple-keyed
-polynomial, and geometry imports no packing.
+support against them.  When it fails it hands back the first chart the
+run left open, which V(J) meets, as variable indices.  So the Jacobian
+never passes through :class:`PolyIdeal` or a tuple-keyed polynomial,
+geometry imports no packing, and a Singular witness costs no run beyond
+the certificate's.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def _packed_jacobian(f: Polynomial, order: _PackedOrder) -> list:
 def _chart_stop(order: _PackedOrder, factors: Sequence[Sequence[int]]):
     """The support certificate's stop predicate, on packed leading monomials
     in ``order``, for the ambient whose factors hold the variables of the
-    given indices.
+    given indices, and its live list of open charts.
 
     A chart tuple, one variable per factor, is the mask of its variables'
     guard bits.  A leading monomial lm has the support ``(lm + low) &
@@ -335,6 +336,8 @@ def _chart_stop(order: _PackedOrder, factors: Sequence[Sequence[int]]):
     with two variables of one factor lies in none.  The predicate is true
     once no chart is open.  With no factors the one chart is empty, and
     only the constant, which ends a run before any stop, would close it.
+    The list shrinks in place and keeps the product order of the charts,
+    the first factor outermost.
     """
     guard = order.guard
     gbit = order.width - 1
@@ -349,16 +352,22 @@ def _chart_stop(order: _PackedOrder, factors: Sequence[Sequence[int]]):
         open_charts[:] = [c for c in open_charts if support | c != c]
         return not open_charts
 
-    return no_chart_open
+    return no_chart_open, open_charts
 
 
 def _jacobian_certificate(f: Polynomial, factors: Sequence[Sequence[int]]) -> tuple | None:
     """None when Buchberger on the Jacobian ideal J of a multihomogeneous f
     closes every chart tuple of the ambient whose factors hold the
     variables of the given indices (:func:`_chart_stop`), or ends at the
-    unit ideal; else (order, gens), the grevlex packing and J's generators
-    from :func:`_packed_jacobian` that the run left as they were, f first,
-    for :func:`_chart_is_unit`.
+    unit ideal; else the first chart, in product order, that the run left
+    open, as a tuple of variable indices.
+
+    An open chart fails: if the product m of its variables lay in rad(J),
+    some power of m would lie in in(J), so the leading monomial of some
+    basis element would divide it and close the chart as it entered.  So
+    V(J) meets the chart, and J + (x_i - 1 : i in the chart) is not the
+    unit ideal.  A closed chart can fail too, so the witness need not be
+    the first failing chart.
 
     Where some component d_j of f's multidegree is prime to p, the run
     takes the partials alone: Euler's relation
@@ -366,8 +375,7 @@ def _jacobian_certificate(f: Polynomial, factors: Sequence[Sequence[int]]) -> tu
     initial ideal are the same, and f's pairs only cost reductions: the 60
     ``smooth`` members, best of 15 each, took 5.71 -> 5.20 ms, every
     class 4-15% faster (2-vCPU VM, Python 3.11).  Where p divides every
-    d_j, f stays.  The witness charts keep f: without it, the chart loops
-    of two dense Singular sextics were no faster (0.28 and 0.76 s).
+    d_j, f stays.
 
     The stop sees each packed leading monomial entering the basis, and the
     basis is not kept.
@@ -376,31 +384,12 @@ def _jacobian_certificate(f: Polynomial, factors: Sequence[Sequence[int]]) -> tu
     jac = _packed_jacobian(f, order)
     degree = f.vars.multidegree(next(iter(f.terms)))
     gens = jac[1:] if any(d % f.p for d in degree) else jac
-    basis = _buchberger_raw(gens, order, f.p, _chart_stop(order, factors))
-    return None if basis is None or basis is _UNIT else (order, jac)
-
-
-def _chart_is_unit(gens: Sequence, chart: Sequence[int], order: _PackedOrder,
-                   p: int) -> bool:
-    """Whether I + (x_i - 1 : i in ``chart``) is the unit ideal, I given by
-    packed generators in ``order``.
-
-    Each generator is dehomogenized on the spot: a chart variable's
-    exponent is read from its field and that many of its units (row bits
-    included) are taken off, and the coefficients that meet on one
-    monomial are summed mod p.  Buchberger then runs in the same packing,
-    with no adjoined variable.
-    """
-    fields = [(order.shifts[i], order.units[i]) for i in chart]
-    mask = order.mask
-    dehomogenized = []
-    for g in gens:
-        packed = {}
-        for m, c in g.items():
-            k = m - sum([((m >> s) & mask) * u for s, u in fields])
-            packed[k] = (packed.get(k, 0) + c) % p
-        dehomogenized.append({k: c for k, c in packed.items() if c})
-    return _buchberger_raw(dehomogenized, order, p) is _UNIT
+    stop, open_charts = _chart_stop(order, factors)
+    # a run the stop ends leaves no chart open
+    if _buchberger_raw(gens, order, f.p, stop) is _UNIT or not open_charts:
+        return None
+    chart, gbit = open_charts[0], order.width - 1
+    return tuple(i for i, s in enumerate(order.shifts) if chart >> (s + gbit) & 1)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -430,9 +419,10 @@ def localized_is_unit(ideal: PolyIdeal, g: Polynomial) -> bool:
     Adjoins t and asks whether 1 lies in I + (t*g - 1).  Over the algebraic
     closure this says exactly that V(I) avoids the locus g != 0.  This is
     the test for a general g.  Smoothness does not call it: its charts
-    invert a product of variables on a multihomogeneous J, which
-    :func:`_chart_is_unit` answers on J's packed generators with those
-    variables set to 1 and no t.
+    invert products of variables on a multihomogeneous J, and the support
+    certificate (:func:`_jacobian_certificate`) decides from the leading
+    monomials of one Buchberger run on J, with no t, whether V(J) meets
+    any of them, and names one it meets.
     """
     if g.is_zero:
         raise ValueError("cannot invert zero")

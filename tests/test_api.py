@@ -179,8 +179,8 @@ PRIVATE_IMPORTS = {
     "chow": ["poly._Value", "poly._packing", "poly._read_int"],
     "corpus": ["poly._Value", "poly._set"],
     "delpezzo": ["poly._Value", "poly._set", "smallfields._factor_prime_power"],
-    "geometry": ["ideals._chart_is_unit", "ideals._jacobian_certificate",
-                 "poly._Value", "poly._is_variable_name", "poly._set"],
+    "geometry": ["ideals._jacobian_certificate", "poly._Value",
+                 "poly._is_variable_name", "poly._set"],
     "ideals": ["poly._PackedOrder", "poly._grevlex"],
     "smallfields": ["poly._prime_factors"],
     "splitting": ["poly._Value", "poly._delta1_count", "poly._delta1_probe",

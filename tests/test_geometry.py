@@ -24,7 +24,6 @@ from fanocheck.geometry import (
 )
 from fanocheck.ideals import (
     PolyIdeal,
-    _chart_is_unit,
     _chart_stop,
     _jacobian_certificate,
     _packed_jacobian,
@@ -248,19 +247,24 @@ class TestConeSmoothness:
 
 
 def _both_methods(v):
-    """(single-basis verdict, chart-by-chart result).  The certificate runs
-    as the smoothness calls run it; the chart loop runs on J's packed
-    generators for every member, certified or not, up to the first chart
-    that is not the unit ideal."""
+    """(single-basis verdict, the first chart the reference rejects or None).
+    The certificate runs as the smoothness calls run it; the charts run in
+    product order on ``helpers.ref_chart_is_unit``, the tuple Buchberger
+    loop on J's generators with a chart's variables set to 1, for every
+    member, certified or not, up to the first chart that is not the unit
+    ideal."""
     factors = _factor_indices(v.space)
     certified = _jacobian_certificate(v.f, factors) is None
-    vs = v.space.variable_set
-    order = _grevlex(vs.n)
-    jac = _packed_jacobian(v.f, order)
+    gens = jacobian_generators(v.f)
     for chart in itertools.product(*factors):
-        if not _chart_is_unit(jac, chart, order, v.prime.p):
-            return certified, ConeResult(False, _chart_name(vs, chart))
-    return certified, ConeResult(True)
+        if not ref_chart_is_unit(gens, chart):
+            return certified, chart
+    return certified, None
+
+
+def _witness_chart(v, res):
+    """The index chart ``res.witness_chart`` names in ``v``'s ring."""
+    return tuple(v.space.variable_set.index(name) for name in res.witness_chart.split("*"))
 
 
 def _chart_name(vs, chart) -> str:
@@ -368,31 +372,35 @@ def _product_members():
 
 
 def _assert_methods_agree(members):
-    """Both methods, cone_smoothness and smoothness_verdict agree; returns
-    cone_smoothness's results."""
-    verdicts, results = [], []
+    """The certificate fails exactly when the reference rejects some chart,
+    and cone_smoothness's witness is a chart the reference rejects."""
+    verdicts = []
     for label, v, forced in members:
-        single, charts = _both_methods(v)
-        assert single == charts.smooth_away_from_irrelevant, (label, str(v.f))
+        single, failing = _both_methods(v)
+        assert single is (failing is None), (label, str(v.f))
         if forced is not None:
             assert single is forced, (label, str(v.f))
         res = cone_smoothness(v)
-        assert (res.smooth_away_from_irrelevant, res.witness_chart) \
-            == (charts.smooth_away_from_irrelevant, charts.witness_chart)
-        # the verdict reads the certificate alone; the chart loop backs it
+        assert res.smooth_away_from_irrelevant is single, (label, str(v.f))
+        if not single:
+            # the witness is a chart the run left open, which need not be
+            # the first failing one, but fails
+            witness = _witness_chart(v, res)
+            assert witness == failing or not ref_chart_is_unit(
+                jacobian_generators(v.f), witness), (label, res, str(v.f))
+        # the verdict reads the certificate alone; the reference backs it
         assert (smoothness_verdict(v) is SmoothnessStatus.SINGULAR) \
-            == (not charts.smooth_away_from_irrelevant), (label, str(v.f))
+            == (failing is not None), (label, str(v.f))
         verdicts.append(single)
-        results.append(res)
     # both verdicts occur often, so neither method can pass by default
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
-    return results
 
 
 class TestSingleBasisAgainstCharts:
-    """The support certificate against the chart loop: two different
-    computations of one verdict.  The certificate reads the leading
-    monomials of one Buchberger run on J; the loop runs Buchberger on J
+    """The support certificate against the reference chart loop: two
+    different computations of one verdict.  The certificate reads the
+    leading monomials of one Buchberger run on J and names a chart the run
+    left open; the reference runs its own Buchberger loop on J
     dehomogenized at each chart, with a chart's variables set to 1."""
 
     def test_seeded_verdicts_agree(self):
@@ -403,19 +411,20 @@ class TestSingleBasisAgainstCharts:
     def test_seeded_product_verdicts_agree(self):
         members = _product_members()
         assert len(members) >= 150
-        results = _assert_methods_agree(members)
-        # a point singular in every factor lies in the first chart
-        for (label, v, forced), res in zip(members, results):
+        _assert_methods_agree(members)
+        # a point singular in every factor lies in the first chart, which
+        # the reference rejects whether or not the run left it open
+        for label, v, forced in members:
             if forced is False:
-                assert res.witness_chart == "*".join(
-                    fac.names[0] for fac in v.space.factors), label
+                first = tuple(r[0] for r in _factor_indices(v.space))
+                assert not ref_chart_is_unit(jacobian_generators(v.f), first), label
 
     def test_literal_singular_product(self):
-        # singular at ([1:0:0], [0:0:1]), which the third chart x0*y2 sees first
+        # singular at ([1:0:0], [0:0:1]), which the third chart x0*y2 sees
+        # first; the run leaves it open, and it is the first open chart
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5)
-        single, charts = _both_methods(v)
-        assert single is charts.smooth_away_from_irrelevant is False
-        assert charts.witness_chart == "x0*y2"
+        single, failing = _both_methods(v)
+        assert single is False and failing == (0, 5)
         assert cone_smoothness(v) == ConeResult(False, "x0*y2")
         assert smoothness_verdict(v) is SmoothnessStatus.SINGULAR
 
@@ -425,15 +434,20 @@ class TestSingleBasisAgainstCharts:
         ("P(1,1,1,1,2)", "x0^4 + x1^4 + x2^4 + x3^4 + y^2"
          " + x0*x1*x2^2 + x1^2*x2^2", 3, True, None),
         ("P(1,1,1,1,2)", "x0^4 + x1^4 + x2^4 + x3^4 + y^2"
-         " + 2*x0*x1^2*x2 + x0^3*x3", 3, False, "x0"),
+         " + 2*x0*x1^2*x2 + x0^3*x3", 3, False, "x3"),
     ], ids=["sextic.P11113.p5", "quartic.P11112.p3.smooth",
             "quartic.P11112.p3.singular"])
     def test_perturbed_double_covers(self, ambient, poly, p, smooth, chart):
         v = variety(ambient, poly, p, names=["x0", "x1", "x2", "x3", "y"])
-        single, charts = _both_methods(v)
-        assert single is charts.smooth_away_from_irrelevant is smooth
-        assert charts.witness_chart == chart
-        assert cone_smoothness(v).witness_chart == chart
+        single, failing = _both_methods(v)
+        assert single is (failing is None) is smooth
+        res = cone_smoothness(v)
+        assert res.witness_chart == chart
+        if chart is not None:
+            # the first failing chart is x0's, which the run closed; x3's
+            # stays open, and fails too
+            assert failing == (0,)
+            assert not ref_chart_is_unit(jacobian_generators(v.f), _witness_chart(v, res))
 
 
 def _wild_weight_members():
@@ -452,9 +466,10 @@ def _wild_weight_members():
 
 
 class TestChartsAgainstLocalization:
-    """The dehomogenized chart kernel against the Rabinowitsch test: on every
+    """The reference chart test against the Rabinowitsch test: on every
     chart, J + (x_i - 1 : x_i in the chart) is the unit ideal exactly when J
-    becomes the unit ideal after inverting the chart's product."""
+    becomes the unit ideal after inverting the chart's product.  And the
+    chart the certificate names is one the Rabinowitsch test rejects."""
 
     @staticmethod
     def assert_charts_agree(members):
@@ -463,18 +478,22 @@ class TestChartsAgainstLocalization:
         seen = {}
         for label, v, _ in members:
             vs = v.space.variable_set
-            order = _grevlex(vs.n)
-            packed = _packed_jacobian(v.f, order)
-            jac = PolyIdeal(v.prime, vs, jacobian_generators(v.f))
+            gens = jacobian_generators(v.f)
+            jac = PolyIdeal(v.prime, vs, gens)
+            units = {}
             for chart in itertools.product(*_factor_indices(v.space)):
                 g = Polynomial.constant(v.prime, vs, 1)
                 for i in chart:
                     g = g * variable(v.prime, vs, vs.names[i])
-                unit = ideals._chart_is_unit(packed, chart, order, v.prime.p)
+                unit = units[chart] = ref_chart_is_unit(gens, chart)
                 assert unit == ideals.localized_is_unit(jac, g), (label, chart, str(v.f))
                 if len(chart) == 1:
                     (w,) = vs.weights[chart[0]]
                     seen.setdefault(w, [0, 0])[0 if unit else 1] += 1
+            res = cone_smoothness(v)
+            assert res.smooth_away_from_irrelevant is all(units.values()), (label, str(v.f))
+            if not res.smooth_away_from_irrelevant:
+                assert not units[_witness_chart(v, res)], (label, res, str(v.f))
         return seen
 
     def test_one_factor_and_weighted_members(self):
@@ -496,9 +515,12 @@ class TestChartsAgainstLocalization:
 
     def test_literal_charts(self):
         def charts(v):
-            order = _grevlex(3)
-            jac = _packed_jacobian(v.f, order)
-            return [ideals._chart_is_unit(jac, [i], order, v.prime.p) for i in range(3)]
+            gens = jacobian_generators(v.f)
+            failing = [i for i in range(3) if not ref_chart_is_unit(gens, [i])]
+            res = cone_smoothness(v)
+            assert res.smooth_away_from_irrelevant is not failing
+            assert v.f.vars.index(res.witness_chart) in failing
+            return [i not in failing for i in range(3)]
 
         # x0^2 in P(1,1,1): the x0 chart is the unit ideal, x1 and x2 are not
         assert charts(variety("P(1,1,1)", "x0^2", 5)) == [True, False, False]
@@ -570,34 +592,55 @@ def _chart_route_members():
 
 
 class TestPackedCharts:
-    """The chart route on J's packed generators, after the certificate ran
-    on them, against ``helpers.ref_chart_is_unit`` on tuple partials: the
-    chart's exponents set to 0 and the reference Buchberger loop."""
+    """The chart route's witness, the first chart the certificate run on
+    J's packed generators left open, against ``helpers.ref_chart_is_unit``
+    on tuple partials at every chart: the chart's exponents set to 0 and
+    the reference Buchberger loop."""
 
     def test_every_chart_against_the_tuple_reference(self):
         members = _chart_route_members()
         later = several = 0
         for label, v, point_chart in members:
             vs = v.space.variable_set
-            failed = _jacobian_certificate(v.f, _factor_indices(v.space))
-            assert failed is not None, label
-            order, jac = failed
             gens = jacobian_generators(v.f)
-            failing = []
             charts = list(itertools.product(*_factor_indices(v.space)))
-            for chart in charts:
-                unit = ideals._chart_is_unit(jac, chart, order, v.prime.p)
-                assert unit == ref_chart_is_unit(gens, chart), (label, chart, str(v.f))
-                if not unit:
-                    failing.append(_chart_name(vs, chart))
+            failing = [_chart_name(vs, chart) for chart in charts
+                       if not ref_chart_is_unit(gens, chart)]
             assert point_chart in failing, (label, str(v.f))
-            assert cone_smoothness(v) == ConeResult(False, failing[0]), label
+            res = cone_smoothness(v)
+            assert not res.smooth_away_from_irrelevant, label
+            assert res.witness_chart in failing, (label, res, str(v.f))
             later += failing[0] != _chart_name(vs, charts[0])
             several += len(failing) > 1
         assert len(members) >= 100
-        # the witness is often not the first chart, and often not the only
-        # failing one, so every chart's answer is checked, not just the first
+        # the first failing chart is often not the first chart, and often
+        # not the only one, so the witness is checked against every chart
         assert later >= 40 and several >= 60, (later, several)
+
+
+class TestOpenChartWitness:
+    """The open-chart property: the certificate run leaves some chart open
+    exactly when the reference rejects some chart, and the chart it names
+    fails the reference.  An open chart's product has no power in in(J),
+    so none in J, and V(J) meets the chart; a closed chart can fail too."""
+
+    MEMBER_SETS = {"differential": _differential_members, "product": _product_members,
+                   "chart_route": _chart_route_members, "wild_weight": _wild_weight_members}
+
+    @pytest.mark.parametrize("member_set", sorted(MEMBER_SETS))
+    def test_witness_fails_the_reference(self, member_set):
+        singular = 0
+        for label, v, _ in self.MEMBER_SETS[member_set]():
+            gens = jacobian_generators(v.f)
+            res = cone_smoothness(v)
+            if res.smooth_away_from_irrelevant:
+                assert all(ref_chart_is_unit(gens, chart) for chart in
+                           itertools.product(*_factor_indices(v.space))), (label, str(v.f))
+            else:
+                witness = _witness_chart(v, res)
+                assert not ref_chart_is_unit(gens, witness), (label, res, str(v.f))
+                singular += 1
+        assert singular >= 10, (member_set, singular)
 
 
 # at p = 3, d/dx0 keeps one of three terms and d/dx1 one of two
@@ -685,7 +728,7 @@ class TestChartMasks:
     def stop_of(space):
         """The stop as the certificate builds it, on exponent tuples."""
         order = _grevlex(space.variable_set.n)
-        stop = _chart_stop(order, _factor_indices(space))
+        stop, _ = _chart_stop(order, _factor_indices(space))
         return lambda exp: stop(order.pack(exp))
 
     @classmethod
@@ -750,84 +793,66 @@ class TestChartMasks:
 
 class TestFastPath:
     @pytest.fixture
-    def unit_calls(self, monkeypatch):
-        """What a call runs: "certificate" as each support certificate
-        starts, then each chart tested, as its variables' indices."""
+    def runs(self, monkeypatch):
+        """What a call runs, counted: "buchberger" per Buchberger run,
+        "packed" per packing of J's generators from f."""
         calls = []
-        real_certificate, real_chart = ideals._jacobian_certificate, ideals._chart_is_unit
+        real_buchberger, real_packed = ideals._buchberger_raw, ideals._packed_jacobian
 
-        def certificate(f, factors):
-            calls.append("certificate")
-            return real_certificate(f, factors)
-
-        def chart(gens, indices, order, p):
-            calls.append(tuple(indices))
-            return real_chart(gens, indices, order, p)
-
-        monkeypatch.setattr(geometry, "_jacobian_certificate", certificate)
-        monkeypatch.setattr(geometry, "_chart_is_unit", chart)
-        return calls
-
-    @pytest.fixture
-    def built_jacobians(self, monkeypatch):
-        """Each time a call packs J's generators from f."""
-        built = []
-        real = ideals._packed_jacobian
+        def buchberger(*args):
+            calls.append("buchberger")
+            return real_buchberger(*args)
 
         def packed(f, order):
-            built.append("packed")
-            return real(f, order)
+            calls.append("packed")
+            return real_packed(f, order)
 
+        monkeypatch.setattr(ideals, "_buchberger_raw", buchberger)
         monkeypatch.setattr(ideals, "_packed_jacobian", packed)
-        return built
+        return calls
 
-    def test_fermat_sextic_tests_no_chart(self, unit_calls, built_jacobians):
+    def test_fermat_sextic_tests_no_chart(self, runs):
         v = variety("P(1,1,1,1,3)", "x0^6 + x1^6 + x2^6 + x3^6 + y^2", 11,
                     names=["x0", "x1", "x2", "x3", "y"])
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
-        assert unit_calls == ["certificate"]
-        assert built_jacobians == ["packed"]
+        assert cone_smoothness(v) == ConeResult(True)
+        assert runs == ["packed", "buchberger"] * 2
 
-    def test_double_plane_tests_charts_up_to_the_witness(self, unit_calls,
-                                                         built_jacobians):
+    def test_double_plane_witness_takes_one_run(self, runs):
+        # the witness is the chart the certificate run left open
         v = variety("P(1,1,1)", "x0^2", 5)
-        res = cone_smoothness(v)
-        assert res.witness_chart == "x1"
-        assert unit_calls == ["certificate", (0,), (1,)]
-        # the charts run on the generators the certificate ran on
-        assert built_jacobians == ["packed"]
+        assert cone_smoothness(v) == ConeResult(False, "x1")
+        assert runs == ["packed", "buchberger"]
 
-    def test_smooth_cone_builds_no_ideal(self, unit_calls, built_jacobians):
+    def test_smooth_cone_builds_no_ideal(self, runs):
         assert cone_smoothness(variety("P(1,1,1)", "x0^3 + x1^3 + x2^3", 5)) \
             == ConeResult(True)
-        assert unit_calls == ["certificate"]
-        assert built_jacobians == ["packed"]
+        assert runs == ["packed", "buchberger"]
 
-    def test_smooth_product_tests_no_chart(self, unit_calls, built_jacobians):
+    def test_smooth_product_tests_no_chart(self, runs):
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y2^2", 5)
         assert smoothness_verdict(v) is SmoothnessStatus.SMOOTH
-        assert unit_calls == ["certificate"]
-        assert built_jacobians == ["packed"]
+        assert runs == ["packed", "buchberger"]
 
-    def test_singular_product_packs_once(self, unit_calls, built_jacobians):
-        # singular at ([1:0:0], [0:0:1]): the charts x0*y0 and x0*y1 are
-        # units, x0*y2 is the witness, and all three reuse one packing
+    def test_singular_product_packs_once(self, runs):
+        # singular at ([1:0:0], [0:0:1]): x0*y2 is the first chart the run
+        # leaves open
         v = variety("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2", 5)
         assert cone_smoothness(v) == ConeResult(False, "x0*y2")
-        assert unit_calls == ["certificate", (0, 3), (0, 4), (0, 5)]
-        assert built_jacobians == ["packed"]
+        assert runs == ["packed", "buchberger"]
 
     @pytest.mark.parametrize("ambient,poly", [
         ("P(1,1,1)", "x0^2"),
         ("P(1,1,1) x P(1,1,1)", "x0*y0^2 + x1*y1^2 + x2*y1*y2"),
     ])
-    def test_singular_verdict_tests_no_chart(self, unit_calls, built_jacobians,
-                                             ambient, poly):
-        # a failed support certificate is the verdict; charts only name a
-        # witness, which smoothness_verdict does not ask for
-        assert smoothness_verdict(variety(ambient, poly, 5)) is SmoothnessStatus.SINGULAR
-        assert unit_calls == ["certificate"]
-        assert built_jacobians == ["packed"]
+    def test_singular_verdict_tests_no_chart(self, runs, ambient, poly):
+        # a failed support certificate is the verdict, and the same one run
+        # names cone_smoothness's witness
+        v = variety(ambient, poly, 5)
+        assert smoothness_verdict(v) is SmoothnessStatus.SINGULAR
+        assert runs == ["packed", "buchberger"]
+        assert not cone_smoothness(v).smooth_away_from_irrelevant
+        assert runs == ["packed", "buchberger"] * 2
 
 
 class TestVerdicts:
@@ -1097,11 +1122,17 @@ class TestEulerDrop:
             if not any(d % p for d in weighted_degree(f)):
                 continue
             jac = _packed_jacobian(f, order)
-            with_f, without_f = (
-                ideals._buchberger_raw(gens, order, p,
-                                       _chart_stop(order, _factor_indices(space)))
-                in (None, ideals._UNIT) for gens in (jac, jac[1:]))
+            runs = []  # (certified, the charts left open) with f, then without
+            for gens in (jac, jac[1:]):
+                stop, open_charts = _chart_stop(order, _factor_indices(space))
+                basis = ideals._buchberger_raw(gens, order, p, stop)
+                runs.append((basis in (None, ideals._UNIT), open_charts))
+            (with_f, open_with), (without_f, open_without) = runs
             certified = _jacobian_certificate(f, _factor_indices(space)) is None
             assert with_f == without_f == certified, (p, str(f))
+            if not certified:
+                # a complete run leaves open the charts that no minimal
+                # generator of in(J) lies in, so both leave the same ones
+                assert open_with == open_without, (p, str(f))
             answers.append(certified)
         assert len(answers) >= 10 and True in answers and False in answers
