@@ -1,7 +1,7 @@
-"""Command line front end: parse each subcommand's flags into typed inputs,
-run the check kind of the same name in ``corpus`` (the one place a check
-becomes a verdict, shared with ``fanocheck verify``), and print its verdict
-line, then its evidence line when there is one.
+"""Command line front end: parse each subcommand's flags and text into the
+typed inputs of the ``corpus`` check kind of the same name (its one entry,
+shared with ``fanocheck verify``), run it, and print its verdict line, then
+its evidence line when there is one.
 
 Exit codes: 0 success / all checks pass, 1 a corpus check failed,
 2 bad input (syntax errors, schema violations, unusable options).
@@ -15,7 +15,7 @@ import sys
 from . import corpus as corpusmod
 from . import delpezzo
 from .geometry import UnsupportedStratumError, parse_ambient
-from .poly import AlgebraError, VariableSet
+from .poly import AlgebraError, VariableSet, parse_poly
 
 
 class InputError(ValueError):
@@ -60,8 +60,9 @@ def _print_result(result: corpusmod.CheckResult) -> int:
 
 
 def _cmd_fsplit(args) -> int:
-    return _print_result(
-        corpusmod.fsplit(args.prime, _parse_vars_spec(args.vars), args.poly))
+    vset = _parse_vars_spec(args.vars)
+    f = parse_poly(args.poly, vset, args.prime)
+    return _print_result(corpusmod.fsplit(args.prime, vset, f))
 
 
 def _cmd_delta1(args) -> int:
@@ -71,13 +72,15 @@ def _cmd_delta1(args) -> int:
         probe = _parse_int_list(args.probe, "--probe (need a,b,s)")
         if len(probe) != 3:
             raise InputError(f"bad --probe (need a,b,s): {args.probe!r}")
-    return _print_result(corpusmod.delta1(args.prime, vset, args.poly, probe))
+    f = parse_poly(args.poly, vset, args.prime)
+    return _print_result(corpusmod.delta1(args.prime, vset, f, probe))
 
 
 def _cmd_smooth(args) -> int:
     names = args.vars.split(",") if args.vars else None
     space = parse_ambient(args.ambient, names)
-    return _print_result(corpusmod.smooth(args.prime, space, args.poly))
+    f = parse_poly(args.poly, space.variable_set, args.prime)
+    return _print_result(corpusmod.smooth(args.prime, space, f))
 
 
 def _cmd_chow(args) -> int:
@@ -88,8 +91,8 @@ def _cmd_chow(args) -> int:
     if args.bundle:
         bundle = tuple(tuple(_parse_int_list(part, "--bundle twist"))
                        for part in args.bundle.split(";"))
-    return _print_result(corpusmod.chow(base, bundle, canonical=args.canonical,
-                                        expr=args.expr))
+    ring = corpusmod.chow_ring(base, bundle)
+    return _print_result(corpusmod.chow(ring, canonical=args.canonical, expr=args.expr))
 
 
 def _cmd_lattice(args) -> int:

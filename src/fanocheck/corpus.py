@@ -13,21 +13,20 @@ Schema (all keys required unless noted):
     ]}
 
 ``params`` may be omitted for checks that need none; all are validated
-when the corpus loads, before any check runs.  Each kind is one function
-from typed inputs to a ``CheckResult``, shared with the CLI subcommands.
-A failed or crashing check never aborts the run; it becomes a failing row.
-Reports contain no wall-clock data, so the same corpus always serializes
-to the same bytes regardless of --jobs.
+when the corpus loads, before any check runs.  Each kind has one entry, a
+function from typed inputs (a parsed polynomial, a Chow ring) to a
+``CheckResult``, which the CLI subcommands call too.  A failed or crashing
+check never aborts the run; it becomes a failing row.  Reports contain no
+wall-clock data, so the same corpus always serializes to the same bytes
+regardless of --jobs.
 
 What checks share is built once.  A load builds one ambient space per
 distinct ambient in the file, so its entries share the space and its
 variable set.  A run parses each entry's polynomial once, at the first
 fsplit, smooth or delta1 check that reads it (chow and lattice checks never
-do), and builds one Chow ring per (base, bundle); the corpus runs each kind
-on these through a private entry beside the public one, which takes text
-as the CLI does.  A parse that raised raises again for every check that
-reads it, so each of their rows reads the same error as when each check
-parsed for itself.
+do), and builds one Chow ring per (base, bundle).  A parse that raised
+raises again for every check that reads it, so each of their rows reads
+the same error as when each check parsed for itself.
 """
 
 from __future__ import annotations
@@ -291,12 +290,8 @@ class CheckResult(_Value):
         return expect == self.verdict or self.read(expect) == self.read(self.verdict)
 
 
-def fsplit(prime: int, variables: VariableSet, polynomial: str) -> CheckResult:
+def fsplit(prime: int, variables: VariableSet, f: Polynomial) -> CheckResult:
     """F-splitting verdict; the evidence is the surviving-monomial witness."""
-    return _fsplit(prime, variables, parse_poly(polynomial, variables, prime))
-
-
-def _fsplit(prime: int, variables: VariableSet, f: Polynomial) -> CheckResult:
     ring = HypersurfaceRing(prime, variables, f)
     ring.degree  # force the homogeneity validation
     verdict = fedder_fsplit(ring)
@@ -305,15 +300,10 @@ def _fsplit(prime: int, variables: VariableSet, f: Polynomial) -> CheckResult:
     return CheckResult(verdict.status.value, evidence)
 
 
-def delta1(prime: int, variables: VariableSet, polynomial: str,
+def delta1(prime: int, variables: VariableSet, f: Polynomial,
            probe: tuple | None = None) -> CheckResult:
     """The Witt carry delta1(f), or the probe (a, b, s) of it; compared as
     polynomials, so formatting differences cannot fail a check."""
-    return _delta1(prime, variables, parse_poly(polynomial, variables, prime), probe)
-
-
-def _delta1(prime: int, variables: VariableSet, f: Polynomial,
-            probe: tuple | None = None) -> CheckResult:
     if probe is None:
         carry = poly_delta1(f)
     else:
@@ -322,31 +312,23 @@ def _delta1(prime: int, variables: VariableSet, f: Polynomial,
                        read=lambda text: parse_poly(text, variables, prime))
 
 
-def smooth(prime: int, space: AmbientSpace, polynomial: str) -> CheckResult:
+def smooth(prime: int, space: AmbientSpace, f: Polynomial) -> CheckResult:
     """Smooth, QuasiSmoothOnly or Singular."""
-    return _smooth(prime, space, parse_poly(polynomial, space.variable_set, prime))
-
-
-def _smooth(prime: int, space: AmbientSpace, f: Polynomial) -> CheckResult:
     return CheckResult(smoothness_verdict(HypersurfaceVariety(prime, space, f)).value)
 
 
-def chow(base: tuple, bundle: tuple | None = None, canonical: bool = False,
-         identity: tuple | None = None,
-         expr: str | None = None) -> CheckResult:
-    """In the Chow ring of the base (or of the bundle over it): the canonical
-    class, whether identity's two expressions agree, or expr's value."""
-    return _chow(_chow_ring(base, bundle), canonical, identity, expr)
-
-
-def _chow_ring(base: tuple, bundle: tuple | None) -> chowmod.IntersectionRing:
+def chow_ring(base: tuple, bundle: tuple | None) -> chowmod.IntersectionRing:
+    """The Chow ring of the product of projective spaces of the base's
+    dimensions, or of the bundle of the given twists over it."""
     product = chowmod.ProductBase(base)
     spec = None if bundle is None else chowmod.SplitBundleSpec(product, bundle)
     return chowmod.IntersectionRing(product, spec)
 
 
-def _chow(ring: chowmod.IntersectionRing, canonical: bool = False,
-          identity: tuple | None = None, expr: str | None = None) -> CheckResult:
+def chow(ring: chowmod.IntersectionRing, canonical: bool = False,
+         identity: tuple | None = None, expr: str | None = None) -> CheckResult:
+    """In the ring: the canonical class, whether identity's two expressions
+    agree, or expr's value."""
     if canonical:
         return CheckResult(chowmod.div_class_str(ring, chowmod.canonical_class(ring)))
     if identity is not None:
@@ -426,19 +408,19 @@ class _Run:
     def chow_ring(self, base: tuple, bundle: tuple | None) -> chowmod.IntersectionRing:
         ring = self._rings.get((base, bundle))
         if ring is None:
-            ring = self._rings[base, bundle] = _chow_ring(base, bundle)
+            ring = self._rings[base, bundle] = chow_ring(base, bundle)
         return ring
 
 
 # kind -> (params validator, runner on the run, an entry and the validated
 # params); chow and lattice checks never read the entry's polynomial
 _KINDS = {
-    "fsplit": (_no_params, lambda run, e: _fsplit(
+    "fsplit": (_no_params, lambda run, e: fsplit(
         e.prime, e.ambient.variable_set, run.polynomial(e))),
-    "smooth": (_no_params, lambda run, e: _smooth(e.prime, e.ambient, run.polynomial(e))),
-    "delta1": (_delta1_params, lambda run, e, **kw: _delta1(
+    "smooth": (_no_params, lambda run, e: smooth(e.prime, e.ambient, run.polynomial(e))),
+    "delta1": (_delta1_params, lambda run, e, **kw: delta1(
         e.prime, e.ambient.variable_set, run.polynomial(e), **kw)),
-    "chow": (_chow_params, lambda run, e, base, bundle, **kw: _chow(
+    "chow": (_chow_params, lambda run, e, base, bundle, **kw: chow(
         run.chow_ring(base, bundle), **kw)),
     "lattice": (_lattice_params, lambda run, e, **kw: lattice(**kw)),
 }

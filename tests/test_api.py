@@ -88,6 +88,7 @@ MODULE_SURFACES = {
         "CorpusFormatError",
         "Report",
         "chow",
+        "chow_ring",
         "delta1",
         "fsplit",
         "langer_summary",

@@ -250,7 +250,7 @@ class TestRunCorpus:
                 probe = check.params.get("probe")
                 kernel = (delta1(f) if probe is None else
                           delta1_probe(HypersurfaceRing(e.prime, vs, f), *probe))
-                result = corpus.delta1(e.prime, vs, e.polynomial, **check.params)
+                result = corpus.delta1(e.prime, vs, f, **check.params)
                 assert parse_poly(result.verdict, vs, e.prime) == kernel, e.name
                 assert result.matches(check.expect)
                 checked += 1
@@ -368,15 +368,15 @@ class TestRunCorpus:
         def out_of_memory(*args):
             raise MemoryError()
 
-        # the corpus runs a kind through its private entry on the shared inputs
-        monkeypatch.setattr(corpus, "_fsplit", out_of_memory)
+        # the runner looks the kind up at call time, so the patch takes effect
+        monkeypatch.setattr(corpus, "fsplit", out_of_memory)
         row, = run_corpus(write_corpus(tmp_path, [entry()])).rows
         assert (row.actual, row.passed) == ("error: MemoryError", False)
 
     def test_bad_params_in_the_last_entry_fail_before_any_check(
             self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(corpus, "_fsplit", lambda *args: calls.append(args))
+        monkeypatch.setattr(corpus, "fsplit", lambda *args: calls.append(args))
         bad = {"kind": "chow", "expect": "1", "params": {"base": [1], "expr": 1}}
         doc = {"entries": [entry(name="first"), entry(name="last", checks=[bad])]}
         with pytest.raises(CorpusFormatError, match="needs expr") as exc:
@@ -427,10 +427,12 @@ class TestRunCorpus:
         assert rows == tuple(self.rows_alone(tmp_path, raw))
         ambient = load_corpus({"entries": [raw]})[0].ambient
         vs = ambient.variable_set
-        alone = [lambda: corpus.fsplit(prime, vs, polynomial),
-                 lambda: corpus.smooth(prime, ambient, polynomial),
-                 lambda: corpus.delta1(prime, vs, polynomial),
-                 lambda: corpus.delta1(prime, vs, polynomial, (1, 1, 1))]
+        # each kind alone on the text: the parse it reads first raises
+        alone = [lambda: corpus.fsplit(prime, vs, parse_poly(polynomial, vs, prime)),
+                 lambda: corpus.smooth(prime, ambient, parse_poly(polynomial, vs, prime)),
+                 lambda: corpus.delta1(prime, vs, parse_poly(polynomial, vs, prime)),
+                 lambda: corpus.delta1(prime, vs, parse_poly(polynomial, vs, prime),
+                                       (1, 1, 1))]
         for row, kind in zip(rows, alone):
             with pytest.raises(Exception) as exc:
                 kind()
@@ -468,7 +470,7 @@ class TestRunCorpus:
         bundles = [None, None, [[0, 0], [1, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
                    None, [[0, 0], [1, 1]], [[0, 0], [1, 0]]]
         raw = entry(checks=self.chow_checks(bundles))
-        built = self.spy(monkeypatch, "_chow_ring")
+        built = self.spy(monkeypatch, "chow_ring")
         rows = run_corpus(write_corpus(tmp_path, [raw])).rows
         assert built == [(1, 1)] * 4  # one ring per distinct (base, bundle)
         assert rows == tuple(self.rows_alone(tmp_path, raw))
@@ -563,21 +565,41 @@ def cli_argv(raw: dict, check: dict):
 
 class TestCli:
     def test_subcommands_print_the_corpus_verdicts(self, capsys):
-        raw_checks = [(raw, check)
-                      for raw in json.loads(SHIPPED.read_text())["entries"]
-                      for check in raw["checks"]]
-        rows = run_corpus(SHIPPED).rows
-        assert len(rows) == len(raw_checks)
-        compared = 0
-        for (raw, check), row in zip(raw_checks, rows):
-            argv = cli_argv(raw, check)
-            if argv is None:
-                continue
-            assert main(argv) == 0, argv
-            assert capsys.readouterr().out.splitlines()[0] == row.actual, argv
-            compared += 1
-        # 6 fsplit, 4 delta1, 7 smooth, 8 chow and the Langer counts
-        assert compared == 26
+        # both front ends reach a verdict through the kind's one entry: on
+        # the typed inputs of a corpus row, the kind's verdict is the row's,
+        # and its verdict and evidence lines are the CLI's whole output
+        rows = iter(run_corpus(SHIPPED).rows)
+        compared = witnessed = 0
+        for e, raw in zip(load_corpus_file(SHIPPED),
+                          json.loads(SHIPPED.read_text())["entries"]):
+            for check, raw_check in zip(e.checks, raw["checks"]):
+                row, argv = next(rows), cli_argv(raw, raw_check)
+                if argv is None:
+                    continue
+                kw = dict(check.params)
+                if check.kind == "chow":
+                    result = corpus.chow(corpus.chow_ring(kw.pop("base"), kw.pop("bundle")),
+                                         **kw)
+                elif check.kind == "lattice":
+                    result = corpus.lattice(**kw)
+                else:
+                    vs = e.ambient.variable_set
+                    space = e.ambient if check.kind == "smooth" else vs
+                    result = getattr(corpus, check.kind)(
+                        e.prime, space, parse_poly(e.polynomial, vs, e.prime), **kw)
+                out = f"{result.verdict}\n"
+                if result.evidence is not None:
+                    out += f"{result.evidence}\n"
+                    witnessed += 1
+                assert result.verdict == row.actual, argv
+                assert main(argv) == 0, argv
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == (out, ""), argv
+                compared += 1
+        assert next(rows, None) is None
+        # 6 fsplit, 4 delta1, 7 smooth, 8 chow and the Langer counts; the
+        # one F-split row prints a witness
+        assert (compared, witnessed) == (26, 1)
 
     def test_fsplit_command(self, capsys):
         rc = main(["fsplit", "-p", "2", "--vars", "x0,x1", "--poly", "x0"])

@@ -248,6 +248,13 @@ def _differential_cases():
     node = parse_poly("x0*x1*x2 + x1^3 + x2^3 + x3^3", ts, 7)
     chart = jacobian_generators(node) + [mk("t*x0 - 1", 7, ts)]
     cases.append(pytest.param(chart, id="node.chart_x0.p7"))
+    # Fermat quartic surfaces plus 3 to 6 seeded quartic terms, and three
+    # seeded affine polynomials
+    for p in (5, 7):
+        f = dense_form(rng, VariableSet.unit("x0,x1,x2,x3"), p, 4, 3, 6)
+        cases.append(pytest.param(jacobian_generators(f), id=f"quartic.p{p}"))
+    affine = [random_nonzero_poly(rng, VS3, 3) for _ in range(3)]
+    cases.append(pytest.param(affine, id="affine.p3"))
     return cases
 
 
